@@ -247,9 +247,9 @@ def cmd_train(args) -> int:
         result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                            val_c.labels(), vocab, tok_cfg, cfg, tc)
         tfm.save_transformer(out_dir / "transformer.bin", result.final_params,
-                             cfg, tc, vocab_ref)
+                             cfg, tc, tok_cfg, vocab_ref)
         tfm.save_transformer(out_dir / "transformer_best.bin", result.best_params,
-                             cfg, tc, vocab_ref)
+                             cfg, tc, tok_cfg, vocab_ref)
         _write_json(out_dir / "training_log.json",
                     {"epochs": result.log, "best_epoch": result.best_epoch})
         _train_manifest(out_dir, "transformer",
@@ -320,9 +320,8 @@ def _predict_texts(model_path: Path, texts: list[str]):
                 label, scores = baselines.svm_predict(model, vec)
                 out.append((label, scores))
         return kind, out
-    params, cfg, _tc, vocab_ref = tfm.load_transformer(model_path)
+    params, cfg, _tc, vocab_ref, tok_cfg = tfm.load_transformer(model_path)
     vocab = load_vocabulary(_verify_ref(model_dir, vocab_ref, "vocabulary"))
-    tok_cfg = TokenizerConfig(max_len=cfg.max_len)
     return kind, tfm.predict(params, cfg, vocab, tok_cfg, texts)
 
 

@@ -47,15 +47,28 @@ _PICTO_RE = re.compile(
 
 @dataclass(frozen=True)
 class EmojiLexicon:
-    """Emoji sequence -> lowercase affect word."""
+    """Emoji sequence -> lowercase affect word.
+
+    `pattern` matches any mapped sequence, longest first, so variation
+    selector forms take precedence over the bare codepoint; it is None for
+    an empty mapping.
+    """
     mapping: dict[str, str]
+    pattern: re.Pattern | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for emoji, token in self.mapping.items():
+            if not emoji:
+                raise InputError("emoji lexicon has an empty emoji key")
             if not token or not token.isalpha() or token != token.lower():
                 raise InputError(
                     f"emoji lexicon token for {emoji!r} must be a lowercase "
                     f"alphabetic word, got {token!r}")
+        pattern = None
+        if self.mapping:
+            pattern = re.compile("|".join(
+                re.escape(e) for e in sorted(self.mapping, key=len, reverse=True)))
+        object.__setattr__(self, "pattern", pattern)
 
 
 @dataclass(frozen=True)
@@ -144,10 +157,8 @@ def replace_emojis(text: str, lex: EmojiLexicon) -> str:
     """Swap mapped emoji sequences for their affect words and delete any
     remaining pictographic codepoints.  Longest sequence wins, so variation
     selector forms take precedence over the bare codepoint."""
-    if lex.mapping:
-        pattern = re.compile("|".join(
-            re.escape(e) for e in sorted(lex.mapping, key=len, reverse=True)))
-        text = pattern.sub(lambda m: f" {lex.mapping[m.group(0)]} ", text)
+    if lex.pattern is not None:
+        text = lex.pattern.sub(lambda m: f" {lex.mapping[m.group(0)]} ", text)
     text = _PICTO_RE.sub("", text)
     return " ".join(text.split())
 

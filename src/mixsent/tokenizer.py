@@ -12,7 +12,8 @@ desk-scale vocabularies from raw text.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,6 +143,26 @@ def _word_to_initial_pieces(word: str) -> tuple[str, ...]:
                  for i, ch in enumerate(word))
 
 
+def _merge_str(pair: tuple[str, str]) -> str:
+    a, b = pair
+    return a + b[len(CONTINUATION_PREFIX):]
+
+
+def _apply_merge(pieces: tuple[str, ...], pair: tuple[str, str],
+                 new_piece: str) -> tuple[str, ...]:
+    """Replace each occurrence of pair, scanning left to right."""
+    out = []
+    i = 0
+    while i < len(pieces):
+        if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == pair:
+            out.append(new_piece)
+            i += 2
+        else:
+            out.append(pieces[i])
+            i += 1
+    return tuple(out)
+
+
 def train_vocabulary(texts: list[str], target_size: int,
                      cfg: TokenizerConfig | None = None) -> Vocabulary:
     """Frequency-driven vocabulary trainer.
@@ -151,6 +172,11 @@ def train_vocabulary(texts: list[str], target_size: int,
     frequent adjacent pair (ties broken by lexicographically smallest
     merged string) until target_size is reached or no pair occurs twice.
     The result encodes every in-limit training word without [UNK].
+
+    Pair counts and a pair -> words index persist across merges, so each
+    merge recounts only the words that contain the merged pair (Sennrich
+    et al., 2016).  A heap keyed on (-count, merged string, pair) picks
+    the merge; entries whose count is out of date are skipped when popped.
     """
     cfg = cfg or TokenizerConfig()
     word_counts: Counter[str] = Counter()
@@ -159,11 +185,12 @@ def train_vocabulary(texts: list[str], target_size: int,
             if len(word) <= cfg.max_word_chars:
                 word_counts[word] += 1
 
-    word_pieces = {w: _word_to_initial_pieces(w) for w in word_counts}
+    freqs = list(word_counts.values())
+    word_pieces = [_word_to_initial_pieces(w) for w in word_counts]
     base: list[str] = []
     seen = set(SPECIALS)
-    for w in word_counts:  # first-seen order; membership is what matters
-        for piece in word_pieces[w]:
+    for pieces in word_pieces:  # first-seen order; membership is what matters
+        for piece in pieces:
             if piece not in seen:
                 seen.add(piece)
                 base.append(piece)
@@ -177,40 +204,46 @@ def train_vocabulary(texts: list[str], target_size: int,
     merged_tokens: list[str] = []
     known = set(vocab)
 
-    def merge_str(pair: tuple[str, str]) -> str:
-        a, b = pair
-        return a + b[len(CONTINUATION_PREFIX):]
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    pair_words: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for w, pieces in enumerate(word_pieces):
+        for pair in zip(pieces, pieces[1:]):
+            pair_counts[pair] += freqs[w]
+            pair_words[pair].add(w)
+    heap = [(-c, _merge_str(p), p) for p, c in pair_counts.items()]
+    heapq.heapify(heap)
 
     while len(SPECIALS) + len(vocab) + len(merged_tokens) < target_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for w, pieces in word_pieces.items():
-            n = word_counts[w]
-            for i in range(len(pieces) - 1):
-                pair_counts[(pieces[i], pieces[i + 1])] += n
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][2]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        best_count = max(pair_counts.values())
-        if best_count < 2:
-            break
-        best = min((p for p, c in pair_counts.items() if c == best_count),
-                   key=lambda p: (merge_str(p), p))
-        new_piece = merge_str(best)
+        _, new_piece, best = heapq.heappop(heap)
         if new_piece not in known:
             known.add(new_piece)
             merged_tokens.append(new_piece)
-        for w, pieces in word_pieces.items():
-            if best[0] not in pieces:
+        # After the merge no word holds the pair, so its index entry goes.
+        changed = set()
+        for w in pair_words.pop(best):
+            old = word_pieces[w]
+            new = _apply_merge(old, best, new_piece)
+            if new == old:  # merged away by an earlier merge
                 continue
-            out = []
-            i = 0
-            while i < len(pieces):
-                if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == best:
-                    out.append(new_piece)
-                    i += 2
-                else:
-                    out.append(pieces[i])
-                    i += 1
-            word_pieces[w] = tuple(out)
+            n = freqs[w]
+            for pair in zip(old, old[1:]):
+                pair_counts[pair] -= n
+                changed.add(pair)
+            for pair in zip(new, new[1:]):
+                pair_counts[pair] += n
+                pair_words[pair].add(w)
+                changed.add(pair)
+            word_pieces[w] = new
+        for pair in changed:
+            count = pair_counts[pair]
+            if count:
+                heapq.heappush(heap, (-count, _merge_str(pair), pair))
+            else:
+                del pair_counts[pair]
 
     return Vocabulary.from_pieces(vocab + merged_tokens)
 

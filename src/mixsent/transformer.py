@@ -73,35 +73,40 @@ class TrainConfig:
             raise InputError("precision must be 'single' or 'double'")
 
 
+def _param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of every tensor in the canonical order used for
+    serialization; init is "normal", "zeros" or "ones"."""
+    D, F = cfg.d_model, cfg.d_ff
+    specs = [("token_embedding", (cfg.vocab_size, D), "normal"),
+             ("position_embedding", (cfg.max_len, D), "normal")]
+    for i in range(cfg.num_layers):
+        pre = f"layers.{i}."
+        for name in ("q", "k", "v", "o"):
+            specs += [(pre + f"attn.{name}_w", (D, D), "normal"),
+                      (pre + f"attn.{name}_b", (D,), "zeros")]
+        specs += [(pre + "norm1.gain", (D,), "ones"),
+                  (pre + "norm1.bias", (D,), "zeros"),
+                  (pre + "ffn.w1", (D, F), "normal"),
+                  (pre + "ffn.b1", (F,), "zeros"),
+                  (pre + "ffn.w2", (F, D), "normal"),
+                  (pre + "ffn.b2", (D,), "zeros"),
+                  (pre + "norm2.gain", (D,), "ones"),
+                  (pre + "norm2.bias", (D,), "zeros")]
+    specs += [("head.w", (D, cfg.num_classes), "normal"),
+              ("head.b", (cfg.num_classes,), "zeros")]
+    return specs
+
+
 def init_params(cfg: EncoderConfig, seed: int, dtype=np.float64) -> dict[str, np.ndarray]:
     """Seeded initialization: N(0, 0.02) matrices, zero biases, unit layer
     norm gains.  Key order is the canonical tensor order for serialization."""
     rng = np.random.Generator(np.random.PCG64(seed))
-
-    def normal(*shape):
-        return rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=dtype)
-
     p: dict[str, np.ndarray] = {}
-    p["token_embedding"] = normal(cfg.vocab_size, cfg.d_model)
-    p["position_embedding"] = normal(cfg.max_len, cfg.d_model)
-    for i in range(cfg.num_layers):
-        pre = f"layers.{i}."
-        for name in ("q", "k", "v", "o"):
-            p[pre + f"attn.{name}_w"] = normal(cfg.d_model, cfg.d_model)
-            p[pre + f"attn.{name}_b"] = zeros(cfg.d_model)
-        p[pre + "norm1.gain"] = np.ones(cfg.d_model, dtype=dtype)
-        p[pre + "norm1.bias"] = zeros(cfg.d_model)
-        p[pre + "ffn.w1"] = normal(cfg.d_model, cfg.d_ff)
-        p[pre + "ffn.b1"] = zeros(cfg.d_ff)
-        p[pre + "ffn.w2"] = normal(cfg.d_ff, cfg.d_model)
-        p[pre + "ffn.b2"] = zeros(cfg.d_model)
-        p[pre + "norm2.gain"] = np.ones(cfg.d_model, dtype=dtype)
-        p[pre + "norm2.bias"] = zeros(cfg.d_model)
-    p["head.w"] = normal(cfg.d_model, cfg.num_classes)
-    p["head.b"] = zeros(cfg.num_classes)
+    for name, shape, init in _param_specs(cfg):
+        if init == "normal":
+            p[name] = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
+        else:
+            p[name] = (np.ones if init == "ones" else np.zeros)(shape, dtype=dtype)
     return p
 
 
@@ -149,10 +154,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
-def _dropout(x: np.ndarray, rate: float, train_mode: bool, rng):
+def _dropout(x: np.ndarray, rate: float, train_mode: bool, rng, max_len: int):
+    """The keep mask is drawn at [B, max_len, D] and cut to x's length, so a
+    batch trimmed of padding draws the same numbers as an untrimmed one."""
     if not train_mode or rate == 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    b, l, d = x.shape
+    keep = (rng.random((b, max_len, d)) >= rate)[:, :l].astype(x.dtype)
     return x * keep / (1.0 - rate), keep
 
 
@@ -166,6 +174,14 @@ def batch_arrays(batch: list[Encoding]) -> tuple[np.ndarray, np.ndarray]:
     ids = np.asarray([e.ids for e in batch], dtype=np.int64)
     mask = np.asarray([e.attention_mask for e in batch], dtype=np.int64)
     return ids, mask
+
+
+def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a batch to its longest real sequence.  Positions past it are PAD
+    in every row: masked as keys, they change no real position's output,
+    and their gradients are exact zeros."""
+    length = int(mask.sum(axis=1).max())
+    return ids[:, :length], mask[:, :length]
 
 
 def forward_arrays(params: dict, cfg: EncoderConfig, ids: np.ndarray,
@@ -199,14 +215,14 @@ def forward_arrays(params: dict, cfg: EncoderConfig, ids: np.ndarray,
         attn = _softmax(scores)                               # [B,H,L,L]
         ctx = _merge_heads(attn @ vh)                         # [B,L,D]
         o = ctx @ params[pre + "attn.o_w"] + params[pre + "attn.o_b"]
-        od, keep_o = _dropout(o, cfg.dropout, train_mode, rng)
+        od, keep_o = _dropout(o, cfg.dropout, train_mode, rng, cfg.max_len)
         x1, ln1 = _layer_norm(x + od, params[pre + "norm1.gain"],
                               params[pre + "norm1.bias"])
 
         h = x1 @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
         g = _gelu(h)
         f = g @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
-        fd, keep_f = _dropout(f, cfg.dropout, train_mode, rng)
+        fd, keep_f = _dropout(f, cfg.dropout, train_mode, rng, cfg.max_len)
         x2, ln2 = _layer_norm(x1 + fd, params[pre + "norm2.gain"],
                               params[pre + "norm2.bias"])
 
@@ -424,9 +440,9 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
             sel = order[start:start + tc.batch_size]
             step += 1
             lr = lr_schedule(step, tc, total_steps)
+            ids, mask = _trim(ids_all[sel], mask_all[sel])
             loss, grads = _loss_and_grads_arrays(
-                params, cfg, ids_all[sel], mask_all[sel], y_all[sel],
-                train_mode=True, rng=drop_rng)
+                params, cfg, ids, mask, y_all[sel], train_mode=True, rng=drop_rng)
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged at step {step}")
             adamw_step(params, grads, state, tc, lr)
@@ -461,7 +477,7 @@ def predict(params: dict, cfg: EncoderConfig, vocab: Vocabulary,
     for start in range(0, len(texts), batch_size):
         chunk = texts[start:start + batch_size]
         enc = [encode(t, vocab, tok_cfg) for t in chunk]
-        ids, mask = batch_arrays(enc)
+        ids, mask = _trim(*batch_arrays(enc))
         logits, _ = forward_arrays(params, cfg, ids, mask, train_mode=False)
         probs = _softmax(logits.astype(np.float64))
         for row in probs:
@@ -472,9 +488,11 @@ def predict(params: dict, cfg: EncoderConfig, vocab: Vocabulary,
 # --- serialization ---------------------------------------------------------
 
 def save_transformer(path: str | Path, params: dict, cfg: EncoderConfig,
-                     tc: TrainConfig, vocab_ref: dict | None = None) -> None:
+                     tc: TrainConfig, tok_cfg: TokenizerConfig,
+                     vocab_ref: dict | None = None) -> None:
     """Single file: one JSON header line, then all tensors as little-endian
-    float32 in the header's order with explicit shapes and byte offsets."""
+    float32 in the header's order with explicit shapes and byte offsets.
+    The header records tok_cfg.max_word_chars; its max_len is the encoder's."""
     tensors = []
     offset = 0
     payloads = []
@@ -489,6 +507,7 @@ def save_transformer(path: str | Path, params: dict, cfg: EncoderConfig,
         "kind": "transformer",
         "encoder_config": asdict(cfg),
         "train_config": asdict(tc),
+        "max_word_chars": tok_cfg.max_word_chars,
         "vocab_ref": vocab_ref,
         "tensors": tensors,
     }
@@ -500,7 +519,11 @@ def save_transformer(path: str | Path, params: dict, cfg: EncoderConfig,
 
 
 def load_transformer(path: str | Path):
-    """Returns (params, EncoderConfig, TrainConfig, vocab_ref)."""
+    """Returns (params, EncoderConfig, TrainConfig, vocab_ref, TokenizerConfig).
+
+    Every tensor spec must name the tensor and shape that the encoder config
+    implies, in order, and lie inside the file; a header without
+    max_word_chars gets the default."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"model file not found: {path}")
@@ -510,14 +533,41 @@ def load_transformer(path: str | Path):
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise InputError(f"{path}: bad transformer header: {e}") from None
-        if header.get("kind") != "transformer":
+        if not isinstance(header, dict) or header.get("kind") != "transformer":
             raise InputError(f"{path} is not a transformer model file")
         payload = fh.read()
+    try:
+        cfg = EncoderConfig(**header["encoder_config"])
+        tc = TrainConfig(**header["train_config"])
+        tok_cfg = TokenizerConfig(
+            max_len=cfg.max_len,
+            max_word_chars=header.get("max_word_chars",
+                                      TokenizerConfig.max_word_chars))
+        specs = list(header["tensors"])
+    except (KeyError, TypeError) as e:
+        raise InputError(f"{path}: bad transformer header: {e!r}") from None
+
+    expected = _param_specs(cfg)
+    if len(specs) != len(expected):
+        raise InputError(f"{path}: header lists {len(specs)} tensors, the "
+                         f"encoder config needs {len(expected)}")
     params = {}
-    for spec in header["tensors"]:
-        start, nbytes = spec["offset"], spec["nbytes"]
-        flat = np.frombuffer(payload[start:start + nbytes], dtype="<f4")
-        params[spec["name"]] = flat.reshape(spec["shape"]).copy()
-    cfg = EncoderConfig(**header["encoder_config"])
-    tc = TrainConfig(**header["train_config"])
-    return params, cfg, tc, header.get("vocab_ref")
+    for spec, (name, shape, _) in zip(specs, expected):
+        try:
+            got = (spec["name"], tuple(spec["shape"]))
+            start, nbytes = int(spec["offset"]), int(spec["nbytes"])
+        except (KeyError, TypeError, ValueError):
+            raise InputError(f"{path}: malformed tensor spec {spec!r}") from None
+        if got != (name, shape):
+            raise InputError(f"{path}: tensor {got[0]} {list(got[1])} does not "
+                             f"match the encoder config's {name} {list(shape)}")
+        count = math.prod(shape)
+        if nbytes != 4 * count:
+            raise InputError(f"{path}: tensor {name} has {nbytes} bytes, its "
+                             f"shape needs {4 * count}")
+        if start < 0 or start + nbytes > len(payload):
+            raise InputError(f"{path}: tensor {name} lies outside the "
+                             f"{len(payload)}-byte payload (file truncated?)")
+        flat = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
+        params[name] = flat.reshape(shape).copy()
+    return params, cfg, tc, header.get("vocab_ref"), tok_cfg

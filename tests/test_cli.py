@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_train
 from mixsent.cli import main
 from mixsent.corpus import CANONICAL_LABEL_MAP, load_corpus
 from mixsent.features import fit_term_index, load_term_index, tfidf_transform
+from mixsent.metrics import evaluate
+from mixsent.preprocess import PreprocessConfig, clean_text
+from mixsent.tokenizer import TokenizerConfig, load_vocabulary
 
 LABEL_MAP = {"neg": "negative", "neu": "neutral", "pos": "positive"}
 
@@ -191,6 +195,69 @@ class TestEvaluateAndReport:
     def test_report_without_evals_exit_2(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
         assert main(["report", "--out-dir", str(tmp_path)]) == 2
+
+
+class TestTransformerArtifact:
+    SHORT = ["xy", "yx", "xyz", "zzy"]
+    LONG = {"pos": ["xyzx", "xxyy"], "neg": ["yzyx", "zyzy"], "neu": ["zxxy", "yyzz"]}
+
+    @pytest.fixture
+    def short_words_dir(self, tmp_path):
+        """A model trained with max_word_chars 3 on posts whose long words
+        are spelled with the short words' pieces, so serving it with any
+        other limit changes the encodings."""
+        rng = np.random.default_rng(1)
+        rows = [{"text": " ".join(list(rng.choice(self.SHORT, size=3))
+                                  + [self.LONG[tag][i % 2]]),
+                 "label": tag}
+                for i in range(30) for tag in ("pos", "neg", "neu")]
+        jsonl = tmp_path / "tweets.jsonl"
+        jsonl.write_text("\n".join(json.dumps(r) for r in rows) + "\n",
+                         encoding="utf-8")
+        map_path = tmp_path / "labels.json"
+        map_path.write_text(json.dumps(LABEL_MAP), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["prepare", "--input", str(jsonl), "--label-map",
+                     str(map_path), "--out-dir", str(out)]) == 0
+        config = json.loads(TINY_TRANSFORMER_CONFIG)
+        config["tokenizer"]["max_word_chars"] = 3
+        assert main(["train", "--model", "transformer", "--out-dir", str(out),
+                     "--config", json.dumps(config)]) == 0
+        return out
+
+    def test_served_with_trained_max_word_chars(self, short_words_dir, tmp_path,
+                                                capsys):
+        out = short_words_dir
+        params, cfg, _, _, _ = tfm.load_transformer(out / "transformer.bin")
+        vocab = load_vocabulary(out / "vocab.txt")
+        tok = TokenizerConfig(max_len=12, max_word_chars=3)
+
+        train_c = load_corpus(out / "train.jsonl", "jsonl", CANONICAL_LABEL_MAP)
+        assert main(["evaluate", "--model-file", str(out / "transformer.bin"),
+                     "--split", "train"]) == 0
+        expected = evaluate(train_c.labels(),
+                            [l for l, _ in tfm.predict(params, cfg, vocab, tok,
+                                                       train_c.texts())])
+        saved = json.loads((out / "eval_transformer_train.json").read_text())
+        assert saved["confusion"] == expected.to_dict()["confusion"]
+
+        texts = ["xy xyzx", "zzy yzyx yx", "yyzz xyz", "XXYY"]
+        (tmp_path / "texts.txt").write_text("\n".join(texts) + "\n",
+                                            encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model-file", str(out / "transformer.bin"),
+                     "--input", str(tmp_path / "texts.txt")]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        cleaned = [clean_text(t, PreprocessConfig()) for t in texts]
+        assert lines == [f"{label.name.lower()}\t" + " ".join(f"{v:.6f}" for v in probs)
+                         for label, probs in tfm.predict(params, cfg, vocab, tok,
+                                                         cleaned)]
+
+    def test_truncated_model_file_exit_2(self, short_words_dir, capsys):
+        path = short_words_dir / "transformer.bin"
+        path.write_bytes(path.read_bytes()[:-10])
+        assert main(["evaluate", "--model-file", str(path), "--split", "test"]) == 2
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestPredict:

@@ -75,6 +75,8 @@ class TestReplaceEmojis:
             EmojiLexicon({"😂": "ha ha"})
         with pytest.raises(InputError):
             EmojiLexicon({"😂": ""})
+        with pytest.raises(InputError, match="empty emoji key"):
+            EmojiLexicon({"": "sad"})
 
     def test_default_lexicon_has_normative_entries(self):
         lex = load_emoji_lexicon()

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from vocab_reference import train_vocabulary_reference
 
 from mixsent.errors import InputError
 from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, SPECIALS, UNK, UNK_ID,
@@ -154,6 +156,45 @@ class TestTrainVocabulary:
         b = tokenize_word("shukria", v, tok_cfg)
         assert a[0] == b[0]
         assert len(a[0]) > 1
+
+
+def _outcome(trainer, texts, target_size, cfg):
+    """The trained tokens, or the InputError's text."""
+    try:
+        return trainer(texts, target_size, cfg).tokens
+    except InputError as e:
+        return str(e)
+
+
+class TestIncrementalTrainerMatchesReference:
+    """train_vocabulary updates pair counts incrementally; the reference in
+    vocab_reference.py recounts every pair on every merge."""
+
+    @given(st.lists(st.text(alphabet="ab c", max_size=30), max_size=12),
+           st.integers(0, 60), st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_small_alphabets_ties_and_cutoffs(self, texts, target_size, max_chars):
+        cfg = TokenizerConfig(max_len=16, max_word_chars=max_chars)
+        assert (_outcome(train_vocabulary, texts, target_size, cfg)
+                == _outcome(train_vocabulary_reference, texts, target_size, cfg))
+
+    def test_benchmark_shaped_corpus(self):
+        """Posts of 5-25 words drawn Zipf-like from a lexicon of syllable
+        words, as in the transformer workload."""
+        rng = np.random.default_rng(7)
+        onsets = ["k", "kh", "g", "ch", "j", "t", "d", "n", "p", "b", "bh", "m",
+                  "r", "l", "sh", "s", "h", "pr"]
+        vowels = ["a", "aa", "i", "ee", "u", "oo", "e", "ai", "o", "au"]
+        lexicon = sorted({"".join(rng.choice(onsets) + rng.choice(vowels)
+                                  for _ in range(rng.integers(1, 4)))
+                          for _ in range(600)})
+        weights = 1.0 / np.arange(1, len(lexicon) + 1)
+        weights /= weights.sum()
+        texts = [" ".join(rng.choice(lexicon, size=rng.integers(5, 26), p=weights))
+                 for _ in range(160)]
+        cfg = TokenizerConfig()
+        assert (train_vocabulary(texts, 500, cfg).tokens
+                == train_vocabulary_reference(texts, 500, cfg).tokens)
 
 
 class TestVocabularyIO:

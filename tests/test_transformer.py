@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from mixsent.transformer import (EncoderConfig, TrainConfig, adamw_init,
                                  forward, forward_arrays, init_params,
                                  load_transformer, loss_and_grads,
                                  lr_schedule, predict, save_transformer,
-                                 train, _layer_norm)
+                                 train, _layer_norm, _loss_and_grads_arrays,
+                                 _trim)
 
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16, dropout=0.0,
                      max_len=12, vocab_size=20, num_classes=3)
@@ -180,6 +182,54 @@ class TestLossAndGradients:
         assert train_loss != eval_loss
 
 
+class TestPaddingTrim:
+    CFG = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32,
+                        dropout=0.1, max_len=24, vocab_size=40)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_trimmed_batch_matches_full_length(self, dtype, tol):
+        """Same loss, gradients and dropout stream with or without the
+        all-PAD tail of a mixed-length batch."""
+        cfg = self.CFG
+        params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=13).items()}
+        rng = np.random.default_rng(3)
+        batch = [make_encoding(rng.integers(4, cfg.vocab_size, size=n).tolist(),
+                               cfg.max_len) for n in (9, 2, 5, 0)]
+        ids, mask = batch_arrays(batch)
+        y = np.array([0, 2, 1, 1])
+        short_ids, short_mask = _trim(ids, mask)
+        assert short_ids.shape == short_mask.shape == (4, 11)
+
+        runs = []
+        for a, m in ((ids, mask), (short_ids, short_mask)):
+            gen = np.random.Generator(np.random.PCG64(21))
+            loss, grads = _loss_and_grads_arrays(params, cfg, a, m, y, True, gen)
+            runs.append((loss, grads, gen.bit_generator.state))
+        (loss_full, g_full, state_full), (loss_trim, g_trim, state_trim) = runs
+        assert abs(loss_trim - loss_full) <= 1e-6 * abs(loss_full)
+        for key in g_full:
+            assert g_trim[key].dtype == dtype
+            np.testing.assert_allclose(g_trim[key], g_full[key], rtol=tol,
+                                       atol=tol, err_msg=key)
+        assert state_trim == state_full
+
+    def test_predict_mixed_lengths_matches_single_texts(self):
+        vocab = Vocabulary.from_pieces([f"w{i}" for i in range(12)])
+        tok = TokenizerConfig(max_len=10)
+        cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32,
+                            max_len=10, vocab_size=len(vocab))
+        params = init_params(cfg, seed=14)
+        for v in params.values():
+            if v.ndim >= 2:
+                v *= 20.0
+        texts = ["w1", "w2 w3 w4 w5 w6 w7 w8", "", "w9 w10", "w11 " * 12]
+        together = predict(params, cfg, vocab, tok, texts)
+        for text, (label, probs) in zip(texts, together):
+            [(alone_label, alone_probs)] = predict(params, cfg, vocab, tok, [text])
+            assert label == alone_label
+            np.testing.assert_allclose(probs, alone_probs, rtol=0, atol=1e-6)
+
+
 class TestSchedulerAndOptimizer:
     TC = TrainConfig(learning_rate=2e-5, warmup_steps=500)
 
@@ -293,11 +343,12 @@ class TestSerialization:
         cfg = TINY
         params = {k: v.astype(np.float32) for k, v in init_params(cfg, 3).items()}
         tc = TrainConfig()
+        tok = TokenizerConfig(max_len=cfg.max_len, max_word_chars=3)
         path = tmp_path / "model.bin"
-        save_transformer(path, params, cfg, tc, vocab_ref={"file": "v.txt",
-                                                           "sha256": "abc"})
-        loaded, cfg2, tc2, ref = load_transformer(path)
-        assert cfg2 == cfg and tc2 == tc
+        save_transformer(path, params, cfg, tc, tok,
+                         vocab_ref={"file": "v.txt", "sha256": "abc"})
+        loaded, cfg2, tc2, ref, tok2 = load_transformer(path)
+        assert cfg2 == cfg and tc2 == tc and tok2 == tok
         assert ref == {"file": "v.txt", "sha256": "abc"}
         for key in params:
             np.testing.assert_array_equal(loaded[key], params[key])
@@ -306,6 +357,44 @@ class TestSerialization:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00\x01binary")
         with pytest.raises(InputError):
+            load_transformer(path)
+
+    @staticmethod
+    def _saved(tmp_path):
+        params = {k: v.astype(np.float32) for k, v in init_params(TINY, 3).items()}
+        path = tmp_path / "model.bin"
+        save_transformer(path, params, TINY, TrainConfig(),
+                         TokenizerConfig(max_len=TINY.max_len))
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        return path, json.loads(header_line), payload
+
+    @staticmethod
+    def _rewrite(path, header, payload):
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+    def test_header_without_max_word_chars_gets_default(self, tmp_path):
+        path, header, payload = self._saved(tmp_path)
+        del header["max_word_chars"]
+        self._rewrite(path, header, payload)
+        assert load_transformer(path)[4] == TokenizerConfig(max_len=TINY.max_len)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path, _, _ = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(InputError, match="truncated"):
+            load_transformer(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("shape", [3, 8]),            # head.w transposed: same byte count
+        ("nbytes", 4 * 8 * 3 + 4),
+        ("name", "head.weight"),
+    ])
+    def test_tampered_tensor_spec_rejected(self, tmp_path, field, value):
+        path, header, payload = self._saved(tmp_path)
+        [spec] = [t for t in header["tensors"] if t["name"] == "head.w"]
+        spec[field] = value
+        self._rewrite(path, header, payload)
+        with pytest.raises(InputError, match="head.w"):
             load_transformer(path)
 
     def test_config_validation(self):
