@@ -1,9 +1,10 @@
 """Non-contextual baselines: multinomial Naive Bayes and a linear
 one-vs-rest SVM trained with the Pegasos stochastic subgradient method.
 
-Both consume SparseVector features (TF-IDF in the standard pipeline; the
-Naive Bayes likelihood formula treats the weights as fractional counts).
-Ties in argmax prediction always resolve to the lowest label id.
+Both consume a FeatureMatrix (TF-IDF in the standard pipeline; the Naive
+Bayes likelihood formula treats the weights as fractional counts) and
+score a whole matrix at once.  Ties in argmax prediction always resolve to
+the lowest label id.
 """
 
 from __future__ import annotations
@@ -17,15 +18,19 @@ import numpy as np
 
 from .corpus import LABELS, SentimentLabel
 from .errors import InputError, TrainingError
-from .features import SparseVector
+from .features import FeatureMatrix
 from .rng import SplitMix64, derive_seed, shuffled
 
 NUM_CLASSES = len(LABELS)
 
 
-def _check_lengths(X: list[SparseVector], y: list[SentimentLabel]) -> None:
-    if len(X) != len(y) or not X:
+def _label_ids(X: FeatureMatrix, y: list[SentimentLabel]) -> np.ndarray:
+    """y as label ids [N], once X and y are checked to be fit for training."""
+    if len(X) != len(y) or len(X) == 0:
         raise InputError("X and y must be equal-length and non-empty")
+    if X.num_features == 0:
+        raise InputError("feature space is empty")
+    return np.fromiter((int(label) for label in y), dtype=np.int64, count=len(y))
 
 
 def _check_all_labels_present(y: list[SentimentLabel]) -> None:
@@ -35,8 +40,20 @@ def _check_all_labels_present(y: list[SentimentLabel]) -> None:
         raise InputError(f"every label must appear at least once; missing: {missing}")
 
 
-def _num_features(X: list[SparseVector]) -> int:
-    return max((e[-1][0] + 1 for v in X if (e := v.entries)), default=0)
+def _linear_scores(X: FeatureMatrix, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b + x W^T for every row x, [N, C].  Each row's entries are added to
+    its bias one at a time in feature order, so a row scores the same
+    alone as in any batch."""
+    if X.num_features != W.shape[1]:
+        raise InputError(f"features have width {X.num_features} but the model "
+                         f"was trained on {W.shape[1]}")
+    scores = np.tile(b, (len(X), 1))
+    np.add.at(scores, X.entry_rows(), X.data[:, None] * W.T[X.indices])
+    return scores
+
+
+def _argmax_labels(scores: np.ndarray) -> list[SentimentLabel]:
+    return [SentimentLabel(int(c)) for c in np.argmax(scores, axis=1)]
 
 
 @dataclass
@@ -46,32 +63,24 @@ class NaiveBayesModel:
     alpha: float
 
 
-def nb_train(X: list[SparseVector], y: list[SentimentLabel], alpha: float = 1.0,
-             num_features: int | None = None) -> NaiveBayesModel:
+def nb_train(X: FeatureMatrix, y: list[SentimentLabel],
+             alpha: float = 1.0) -> NaiveBayesModel:
     """Multinomial NB with Laplace-style smoothing.
 
     likelihood[c][t] = (sum of x_t over docs of class c + alpha) /
                        (total feature mass of class c + alpha * T)
     """
-    _check_lengths(X, y)
+    labels = _label_ids(X, y)
     _check_all_labels_present(y)
     if alpha <= 0:
         raise InputError("alpha must be > 0")
-    T = num_features if num_features is not None else _num_features(X)
-    if T == 0:
-        raise InputError("feature space is empty")
+    T = X.num_features
 
-    class_counts = np.zeros(NUM_CLASSES)
-    feature_sums = np.zeros((NUM_CLASSES, T))
-    for vec, label in zip(X, y):
-        c = int(label)
-        class_counts[c] += 1
-        for fid, w in vec.entries:
-            if fid >= T:
-                raise InputError(f"feature id {fid} outside feature space of size {T}")
-            feature_sums[c, fid] += w
-
-    prior = np.log(class_counts / len(X))
+    # Y^T X in one pass: entry k adds to cell (class of its row, feature)
+    feature_sums = np.bincount(labels[X.entry_rows()] * T + X.indices,
+                               weights=X.data,
+                               minlength=NUM_CLASSES * T).reshape(NUM_CLASSES, T)
+    prior = np.log(np.bincount(labels, minlength=NUM_CLASSES) / len(y))
     smoothed = feature_sums + alpha
     likelihood = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
     if not np.all(np.isfinite(likelihood)):
@@ -80,22 +89,14 @@ def nb_train(X: list[SparseVector], y: list[SentimentLabel], alpha: float = 1.0,
                            feature_log_likelihood=likelihood, alpha=alpha)
 
 
-def nb_predict(m: NaiveBayesModel, x: SparseVector
-               ) -> tuple[SentimentLabel, np.ndarray]:
-    """Argmax label plus log-posteriors normalized with log-sum-exp."""
-    T = m.feature_log_likelihood.shape[1]
-    scores = m.class_log_prior.copy()
-    for fid, w in x.entries:
-        if fid >= T:
-            raise InputError(f"feature id {fid} outside model feature space ({T})")
-        scores += w * m.feature_log_likelihood[:, fid]
-    log_posterior = scores - _logsumexp(scores)
-    return SentimentLabel(int(np.argmax(scores))), log_posterior
-
-
-def _logsumexp(scores: np.ndarray) -> float:
-    peak = np.max(scores)
-    return float(peak + np.log(np.sum(np.exp(scores - peak))))
+def nb_predict(m: NaiveBayesModel, X: FeatureMatrix
+               ) -> tuple[list[SentimentLabel], np.ndarray]:
+    """Argmax label per row plus [N, C] log-posteriors normalized with
+    log-sum-exp."""
+    scores = _linear_scores(X, m.feature_log_likelihood, m.class_log_prior)
+    peak = np.max(scores, axis=1, keepdims=True)
+    log_norm = peak + np.log(np.sum(np.exp(scores - peak), axis=1, keepdims=True))
+    return _argmax_labels(scores), scores - log_norm
 
 
 @dataclass(frozen=True)
@@ -118,68 +119,57 @@ class LinearSvmModel:
     hyper: SvmHyper
 
 
-def svm_train(X: list[SparseVector], y: list[SentimentLabel],
-              hyper: SvmHyper | None = None,
-              num_features: int | None = None) -> LinearSvmModel:
+def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
+              hyper: SvmHyper | None = None) -> LinearSvmModel:
     """One-vs-rest linear SVM, Pegasos updates.
 
     Per binary problem: step t has learning rate 1/(lambda*t); on margin
     violation w <- (1-1/t) w + eta*y*x and the unregularized bias moves by
-    eta*y, otherwise only the shrink applies.  Example order is reshuffled
+    eta*y, otherwise only the shrink applies.  Unrolled, w after step t is
+    s/(lambda*t), where s sums y*x over the violations so far, so only s is
+    stored and a step costs O(nnz of its row).  Example order is reshuffled
     each epoch from a per-class stream derived from the seed.  Labels absent
     from y keep a zero classifier.
     """
     hyper = hyper or SvmHyper()
-    _check_lengths(X, y)
-    T = num_features if num_features is not None else _num_features(X)
-    if T == 0:
-        raise InputError("feature space is empty")
-
-    present = {int(label) for label in y}
-    weights = np.zeros((NUM_CLASSES, T))
+    labels = _label_ids(X, y)
+    lam = hyper.lambda_
+    rows = [(X.indices[a:b], X.data[a:b])
+            for a, b in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist())]
+    weights = np.zeros((NUM_CLASSES, X.num_features))
     bias = np.zeros(NUM_CLASSES)
     order0 = list(range(len(X)))
     for label in LABELS:
         c = int(label)
-        if c not in present:
+        if not np.any(labels == c):
             continue
-        targets = np.where(np.fromiter((int(l) for l in y), dtype=np.int64) == c, 1.0, -1.0)
-        w = weights[c]
+        targets = np.where(labels == c, 1.0, -1.0).tolist()
+        s = np.zeros(X.num_features)
+        b = 0.0
         rng = SplitMix64(derive_seed(hyper.seed, c))
         t = 0
         for _ in range(hyper.epochs):
             for i in shuffled(order0, rng):
+                cols, vals = rows[i]
+                yi = targets[i]
+                # w before this step is s/(lambda*t); s is still zero at t = 0
+                margin = yi * (float(vals @ s[cols]) / (lam * max(t, 1)) + b)
                 t += 1
-                eta = 1.0 / (hyper.lambda_ * t)
-                vec = X[i]
-                margin = targets[i] * (_sparse_dot_dense(vec, w) + bias[c])
-                w *= 1.0 - 1.0 / t
                 if margin < 1.0:
-                    yi = targets[i]
-                    for fid, val in vec.entries:
-                        w[fid] += eta * yi * val
-                    bias[c] += eta * yi
-            if not (np.all(np.isfinite(w)) and math.isfinite(bias[c])):
+                    s[cols] += yi * vals
+                    b += yi / (lam * t)
+            weights[c] = s / (lam * t)
+            if not (np.all(np.isfinite(weights[c])) and math.isfinite(b)):
                 raise TrainingError(f"SVM diverged for class {label.display_name}")
+        bias[c] = b
     return LinearSvmModel(weights=weights, bias=bias, hyper=hyper)
 
 
-def _sparse_dot_dense(vec: SparseVector, w: np.ndarray) -> float:
-    total = 0.0
-    for fid, val in vec.entries:
-        total += val * w[fid]
-    return total
-
-
-def svm_predict(m: LinearSvmModel, x: SparseVector
-                ) -> tuple[SentimentLabel, np.ndarray]:
-    T = m.weights.shape[1]
-    scores = m.bias.copy()
-    for fid, val in x.entries:
-        if fid >= T:
-            raise InputError(f"feature id {fid} outside model feature space ({T})")
-        scores += val * m.weights[:, fid]
-    return SentimentLabel(int(np.argmax(scores))), scores
+def svm_predict(m: LinearSvmModel, X: FeatureMatrix
+                ) -> tuple[list[SentimentLabel], np.ndarray]:
+    """Argmax label per row plus [N, C] decision scores."""
+    scores = _linear_scores(X, m.weights, m.bias)
+    return _argmax_labels(scores), scores
 
 
 def save_baseline(model: NaiveBayesModel | LinearSvmModel, path: str | Path,
@@ -207,6 +197,21 @@ def save_baseline(model: NaiveBayesModel | LinearSvmModel, path: str | Path,
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
+def _class_array(payload: dict, key: str, ndim: int) -> np.ndarray:
+    """payload[key] as finite floats of shape (C,) or, for ndim 2, (C, T)
+    with T >= 1; ValueError otherwise."""
+    try:
+        arr = np.asarray(payload[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} is not an array of numbers") from None
+    if arr.ndim != ndim or arr.shape[0] != NUM_CLASSES or arr.size == 0:
+        expected = f"({NUM_CLASSES},)" if ndim == 1 else f"({NUM_CLASSES}, T >= 1)"
+        raise ValueError(f"{key} has shape {arr.shape}, expected {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{key} holds non-finite values")
+    return arr
+
+
 def load_baseline(path: str | Path) -> tuple[NaiveBayesModel | LinearSvmModel, dict | None]:
     path = Path(path)
     if not path.exists():
@@ -216,15 +221,14 @@ def load_baseline(path: str | Path) -> tuple[NaiveBayesModel | LinearSvmModel, d
         kind = payload["model_type"]
         if kind == "nb":
             model = NaiveBayesModel(
-                class_log_prior=np.asarray(payload["class_log_prior"], dtype=np.float64),
-                feature_log_likelihood=np.asarray(payload["feature_log_likelihood"],
-                                                  dtype=np.float64),
+                class_log_prior=_class_array(payload, "class_log_prior", 1),
+                feature_log_likelihood=_class_array(payload, "feature_log_likelihood", 2),
                 alpha=float(payload["alpha"]))
         elif kind == "svm":
             h = payload["hyper"]
             model = LinearSvmModel(
-                weights=np.asarray(payload["weights"], dtype=np.float64),
-                bias=np.asarray(payload["bias"], dtype=np.float64),
+                weights=_class_array(payload, "weights", 2),
+                bias=_class_array(payload, "bias", 1),
                 hyper=SvmHyper(lambda_=float(h["lambda"]), epochs=int(h["epochs"]),
                                seed=int(h["seed"])))
         else:

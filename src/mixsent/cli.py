@@ -187,39 +187,29 @@ def cmd_train(args) -> int:
     train_c = _split_corpus_file(out_dir, "train")
     min_df = int(overrides.get("features", {}).get("min_df", 1))
 
-    if args.model == "nb":
+    if args.model in ("nb", "svm"):
         idx, ref = _fit_features(out_dir, train_c, min_df)
-        alpha = float(overrides.get("nb", {}).get("alpha", 1.0))
-        X = [tfidf_transform(t, idx) for t in train_c.texts()]
-        model = baselines.nb_train(X, train_c.labels(), alpha=alpha,
-                                   num_features=len(idx))
-        baselines.save_baseline(model, out_dir / "nb.json", term_index_ref=ref)
-        _train_manifest(out_dir, "nb",
+        X = tfidf_transform(train_c.texts(), idx)
+        if args.model == "nb":
+            alpha = float(overrides.get("nb", {}).get("alpha", 1.0))
+            model = baselines.nb_train(X, train_c.labels(), alpha=alpha)
+            config = {"alpha": alpha, "min_df": min_df}
+        else:
+            svm_section = overrides.get("svm", {})
+            hyper = baselines.SvmHyper(
+                lambda_=float(svm_section.get("lambda", 1e-4)),
+                epochs=int(svm_section.get("epochs", 20)),
+                seed=args.seed)
+            model = baselines.svm_train(X, train_c.labels(), hyper)
+            config = {"lambda": hyper.lambda_, "epochs": hyper.epochs,
+                      "min_df": min_df}
+        model_path = out_dir / f"{args.model}.json"
+        baselines.save_baseline(model, model_path, term_index_ref=ref)
+        _train_manifest(out_dir, args.model,
                         {"train.jsonl": _sha256(out_dir / "train.jsonl"),
                          "term_index.json": ref["sha256"]},
-                        {"alpha": alpha, "min_df": min_df}, args.seed,
-                        ["nb.json", "term_index.json"])
-        print(f"wrote {out_dir / 'nb.json'}")
-        return 0
-
-    if args.model == "svm":
-        idx, ref = _fit_features(out_dir, train_c, min_df)
-        svm_section = overrides.get("svm", {})
-        hyper = baselines.SvmHyper(
-            lambda_=float(svm_section.get("lambda", 1e-4)),
-            epochs=int(svm_section.get("epochs", 20)),
-            seed=args.seed)
-        X = [tfidf_transform(t, idx) for t in train_c.texts()]
-        model = baselines.svm_train(X, train_c.labels(), hyper,
-                                    num_features=len(idx))
-        baselines.save_baseline(model, out_dir / "svm.json", term_index_ref=ref)
-        _train_manifest(out_dir, "svm",
-                        {"train.jsonl": _sha256(out_dir / "train.jsonl"),
-                         "term_index.json": ref["sha256"]},
-                        {"lambda": hyper.lambda_, "epochs": hyper.epochs,
-                         "min_df": min_df}, args.seed,
-                        ["svm.json", "term_index.json"])
-        print(f"wrote {out_dir / 'svm.json'}")
+                        config, args.seed, [model_path.name, "term_index.json"])
+        print(f"wrote {model_path}")
         return 0
 
     if args.model == "transformer":
@@ -280,12 +270,12 @@ def _detect_model_kind(path: Path) -> str:
     try:
         header = json.loads(first.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
-        raise InputError(f"{path} is not a recognized model file") from None
-    if header.get("kind") == "transformer":
-        return "transformer"
-    kind = header.get("model_type")
-    if kind in ("nb", "svm"):
-        return kind
+        header = None
+    if isinstance(header, dict):
+        if header.get("kind") == "transformer":
+            return "transformer"
+        if header.get("model_type") in ("nb", "svm"):
+            return header["model_type"]
     raise InputError(f"{path} is not a recognized model file")
 
 
@@ -310,16 +300,11 @@ def _predict_texts(model_path: Path, texts: list[str]):
     if kind in ("nb", "svm"):
         model, ref = baselines.load_baseline(model_path)
         idx = load_term_index(_verify_ref(model_dir, ref, "term index"))
-        out = []
-        for t in texts:
-            vec = tfidf_transform(t, idx)
-            if kind == "nb":
-                label, logp = baselines.nb_predict(model, vec)
-                out.append((label, np.exp(logp)))
-            else:
-                label, scores = baselines.svm_predict(model, vec)
-                out.append((label, scores))
-        return kind, out
+        X = tfidf_transform(texts, idx)
+        if kind == "nb":
+            labels, log_posterior = baselines.nb_predict(model, X)
+            return kind, list(zip(labels, np.exp(log_posterior)))
+        return kind, list(zip(*baselines.svm_predict(model, X)))
     params, cfg, _tc, vocab_ref, tok_cfg = tfm.load_transformer(model_path)
     vocab = load_vocabulary(_verify_ref(model_dir, vocab_ref, "vocabulary"))
     return kind, tfm.predict(params, cfg, vocab, tok_cfg, texts)
@@ -388,9 +373,9 @@ def cmd_report(args) -> int:
         raise InputError(f"no eval_*.json files in {out_dir}; run 'evaluate' first")
     loaded = []
     for path in eval_paths:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        loaded.append((payload.get("model", path.stem),
-                       payload.get("split", ""), load_report(path)))
+        report, payload = load_report(path)
+        loaded.append((str(payload.get("model", path.stem)),
+                       str(payload.get("split", "")), report))
     model_counts = {}
     for model, _, _ in loaded:
         model_counts[model] = model_counts.get(model, 0) + 1

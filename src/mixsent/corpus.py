@@ -1,16 +1,16 @@
-"""Corpus ingestion, label harmonization, dedup, statistics, and splits.
+"""Corpus ingestion, label harmonization, statistics, and splits.
 
 Records come from JSONL ({"id": str?, "text": str, "label": str,
 "source": str?}) or headered CSV (columns text,label[,id,source]).  Raw
 label strings are harmonized through a user-supplied mapping onto the
-three-class scheme Negative(0) / Neutral(1) / Positive(2).
+three-class scheme Negative(0) / Neutral(1) / Positive(2).  Records are
+kept as loaded; exact-text dedup is part of preprocess.preprocess_corpus.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import re
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -201,34 +201,6 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
         used.add(rid)
         records.append(rec)
     return Corpus(records)
-
-
-_NORMALIZED_KEY_RE = re.compile(r"[^\w\s]|_", flags=re.UNICODE)
-
-
-def _normalized_key(text: str) -> str:
-    # lowercase, strip punctuation, collapse whitespace
-    return " ".join(_NORMALIZED_KEY_RE.sub(" ", text.lower()).split())
-
-
-def dedup(c: Corpus, key: str = "exact_text") -> Corpus:
-    """Keep the first occurrence of each text key, preserving order.
-
-    key: "exact_text" (default) or "normalized_text" (case/punctuation
-    insensitive).
-    """
-    if key not in ("exact_text", "normalized_text"):
-        raise InputError(f"unknown dedup key: {key!r}")
-    key_fn = (lambda t: t) if key == "exact_text" else _normalized_key
-    seen: set[str] = set()
-    kept = []
-    for rec in c.records:
-        k = key_fn(rec.text)
-        if k in seen:
-            continue
-        seen.add(k)
-        kept.append(rec)
-    return Corpus(kept)
 
 
 def class_distribution(c: Corpus) -> ClassDistribution:

@@ -1,4 +1,4 @@
-"""Bag-of-words TF-IDF features as sparse vectors.
+"""Bag-of-words TF-IDF features as one CSR matrix per batch of texts.
 
 Terms are whitespace tokens; feature ids are assigned in lexicographic
 term order for determinism.  Weights use raw term frequency times the
@@ -12,63 +12,43 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted (feature id, weight) pairs; no zeros, all finite."""
-    entries: tuple[tuple[int, float], ...]
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """Rows of sparse feature weights in CSR form.
+
+    Row i holds the features indices[indptr[i]:indptr[i+1]], strictly
+    increasing and below num_features, with nonzero finite weights
+    data[indptr[i]:indptr[i+1]].
+    """
+    indptr: np.ndarray      # int64 [N+1]
+    indices: np.ndarray     # int64 [nnz]
+    data: np.ndarray        # float64 [nnz]
+    num_features: int
 
     def __post_init__(self):
-        prev = -1
-        for idx, w in self.entries:
-            if idx <= prev:
-                raise InputError("sparse vector indices must be strictly increasing")
-            if w == 0.0 or not math.isfinite(w):
-                raise InputError(f"sparse vector weight must be nonzero finite, got {w}")
-            prev = idx
-
-    @classmethod
-    def from_dict(cls, weights: dict[int, float]) -> "SparseVector":
-        entries = tuple(sorted((i, w) for i, w in weights.items() if w != 0.0))
-        return cls(entries)
+        ptr, ids, T = self.indptr, self.indices, self.num_features
+        if (ptr.ndim != 1 or len(ptr) == 0 or ptr[0] != 0 or ptr[-1] != len(ids)
+                or len(self.data) != len(ids) or np.any(np.diff(ptr) < 0)):
+            raise InputError("feature matrix row pointers do not match its entries")
+        if len(ids) and (ids.min() < 0 or ids.max() >= T):
+            raise InputError(f"feature ids must lie in [0, {T})")
+        # with ids in range, row-major keys rise iff ids rise within each row
+        if np.any(np.diff(self.entry_rows() * T + ids) <= 0):
+            raise InputError("feature ids must be strictly increasing within a row")
+        if not np.all(np.isfinite(self.data) & (self.data != 0.0)):
+            raise InputError("feature weights must be nonzero and finite")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.indptr) - 1
 
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for _, w in self.entries))
-
-
-EMPTY_VECTOR = SparseVector(())
-
-
-def dot(a: SparseVector, b: SparseVector) -> float:
-    """Sparse dot product via a merge walk over the sorted entries."""
-    i = j = 0
-    total = 0.0
-    ea, eb = a.entries, b.entries
-    while i < len(ea) and j < len(eb):
-        ia, wa = ea[i]
-        ib, wb = eb[j]
-        if ia == ib:
-            total += wa * wb
-            i += 1
-            j += 1
-        elif ia < ib:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def add_scaled(a: SparseVector, b: SparseVector, s: float) -> SparseVector:
-    """a + s*b, with exact-zero results elided."""
-    out: dict[int, float] = dict(a.entries)
-    for idx, w in b.entries:
-        out[idx] = out.get(idx, 0.0) + s * w
-    return SparseVector.from_dict(out)
+    def entry_rows(self) -> np.ndarray:
+        """Row id of each stored entry, [nnz]."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -122,32 +102,28 @@ def fit_term_index(texts: list[str], min_df: int = 1) -> TermIndex:
                      num_docs=len(texts))
 
 
-def count_vector(text: str, idx: TermIndex) -> SparseVector:
-    """Raw term-count vector over the index; out-of-index terms ignored."""
-    counts: dict[int, float] = {}
+def tfidf_transform(texts: list[str], idx: TermIndex) -> FeatureMatrix:
+    """One row per text: tf * idf, L2-normalized when nonzero; terms
+    outside the index are ignored."""
     t2i = idx.term_to_id
-    for tok in text.split():
-        fid = t2i.get(tok)
-        if fid is not None:
-            counts[fid] = counts.get(fid, 0.0) + 1.0
-    return SparseVector.from_dict(counts)
-
-
-def tfidf_transform(text: str, idx: TermIndex) -> SparseVector:
-    """tf * idf, L2-normalized when nonzero."""
-    weights: dict[int, float] = {}
-    t2i = idx.term_to_id
-    for tok in text.split():
-        fid = t2i.get(tok)
-        if fid is not None:
-            weights[fid] = weights.get(fid, 0.0) + 1.0
-    for fid in weights:
-        weights[fid] *= idx.idf(fid)
-    norm = math.sqrt(sum(w * w for w in weights.values()))
-    if norm > 0:
+    indptr, indices, data = [0], [], []
+    for text in texts:
+        weights: dict[int, float] = {}
+        for tok in text.split():
+            fid = t2i.get(tok)
+            if fid is not None:
+                weights[fid] = weights.get(fid, 0.0) + 1.0
         for fid in weights:
-            weights[fid] /= norm
-    return SparseVector.from_dict(weights)
+            weights[fid] *= idx.idf(fid)
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        for fid in sorted(weights):
+            indices.append(fid)
+            data.append(weights[fid] / norm)
+        indptr.append(len(indices))
+    return FeatureMatrix(indptr=np.array(indptr, dtype=np.int64),
+                         indices=np.array(indices, dtype=np.int64),
+                         data=np.array(data, dtype=np.float64),
+                         num_features=len(idx))
 
 
 def save_term_index(idx: TermIndex, path: str | Path) -> None:

@@ -169,11 +169,16 @@ def save_report(report: EvalReport, path, extra: dict | None = None) -> None:
                           encoding="utf-8")
 
 
-def load_report(path) -> EvalReport:
+def load_report(path) -> tuple[EvalReport, dict]:
+    """A saved report plus its whole JSON object, whose extra keys (such
+    as model and split) the caller may read."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"report file not found: {path}")
     try:
-        return EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise TypeError("not a JSON object")
+        return EvalReport.from_dict(payload), payload
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed report {path}: {e}") from None

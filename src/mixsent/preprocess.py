@@ -171,17 +171,6 @@ def normalize_case_and_stopwords(text: str, cfg: PreprocessConfig) -> str:
     return " ".join(tokens)
 
 
-def _has_alpha(text: str) -> bool:
-    return any(ch.isalpha() for ch in text)
-
-
-def is_noise(text: str, cfg: PreprocessConfig) -> bool:
-    """True for messages with no alphabetic character or bare fillers.
-    Expects text already normalized by the earlier steps."""
-    stripped = text.strip()
-    return not _has_alpha(stripped) or stripped in cfg.fillers.phrases
-
-
 def clean_text(text: str, cfg: PreprocessConfig) -> str:
     """The three text transforms in pipeline order."""
     t = normalize_text(text, cfg.keep_hashtag_text)
@@ -205,7 +194,7 @@ def preprocess_corpus(c: Corpus, cfg: PreprocessConfig | None = None
         text = clean_text(rec.text, cfg)
         if not text:
             drops["empty"] += 1
-        elif not _has_alpha(text):
+        elif not any(ch.isalpha() for ch in text):
             drops["no_alpha"] += 1
         elif text in cfg.fillers.phrases:
             drops["filler"] += 1

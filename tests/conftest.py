@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
+from mixsent.features import FeatureMatrix
 from mixsent.tokenizer import TokenizerConfig, Vocabulary
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -16,6 +18,23 @@ def make_corpus(labels, text_fn=None):
         LabeledTweet(id=str(i), text=text_fn(i, label), label=SentimentLabel(label))
         for i, label in enumerate(labels)
     ])
+
+
+def feature_matrix(rows, num_features=None):
+    """FeatureMatrix with one {feature id: weight} dict per row; the width
+    defaults to the largest feature id + 1."""
+    indptr, indices, data = [0], [], []
+    for row in rows:
+        for fid in sorted(row):
+            indices.append(fid)
+            data.append(row[fid])
+        indptr.append(len(indices))
+    if num_features is None:
+        num_features = max(indices, default=-1) + 1
+    return FeatureMatrix(indptr=np.array(indptr, dtype=np.int64),
+                         indices=np.array(indices, dtype=np.int64),
+                         data=np.array(data, dtype=np.float64),
+                         num_features=num_features)
 
 
 @pytest.fixture

@@ -18,13 +18,13 @@ from mixsent.baselines import SvmHyper, nb_predict, nb_train, svm_predict, svm_t
 from mixsent.cli import main
 from mixsent.corpus import (Corpus, LabeledTweet, SentimentLabel, SplitSpec,
                             split)
-from mixsent.features import SparseVector, fit_term_index, tfidf_transform
+from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, preprocess_corpus
 from mixsent.tokenizer import (TokenizerConfig, Vocabulary, decode, encode,
                                tokenize_word, train_vocabulary)
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, feature_matrix
 
 
 @contextlib.contextmanager
@@ -154,23 +154,24 @@ def test_criterion_05_metrics_oracle():
 
 def test_criterion_06_naive_bayes_oracle():
     with criterion(6, "NB 2-document fixture likelihoods 0.4 / 0.2 at 1e-12"):
-        X = [SparseVector.from_dict({0: 1.0, 2: 1.0}),   # "bad movie"
-             SparseVector.from_dict({1: 1.0, 2: 1.0}),   # "good movie"
-             SparseVector.from_dict({2: 1.0})]
+        X = feature_matrix([{0: 1.0, 2: 1.0},   # "bad movie"
+                            {1: 1.0, 2: 1.0},   # "good movie"
+                            {2: 1.0}], num_features=3)
         y = [SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL, SentimentLabel.POSITIVE]
-        m = nb_train(X, y, alpha=1.0, num_features=3)
+        m = nb_train(X, y, alpha=1.0)
         p_good_c1 = math.exp(m.feature_log_likelihood[1, 1])
         p_good_c0 = math.exp(m.feature_log_likelihood[0, 1])
         assert abs(p_good_c1 - 0.4) < 1e-12
         assert abs(p_good_c0 - 0.2) < 1e-12
-        label, _ = nb_predict(m, SparseVector.from_dict({1: 1.0}))
-        assert label == SentimentLabel.NEUTRAL
+        labels, _ = nb_predict(m, feature_matrix([{1: 1.0}], num_features=3))
+        assert labels == [SentimentLabel.NEUTRAL]
 
 
 def test_criterion_07_tfidf_oracle():
     with criterion(7, "TF-IDF fixture (0.580, 0.815) at 1e-3 and formula at 1e-12"):
         idx = fit_term_index(["a b", "a"])
-        vec = dict(tfidf_transform("a b", idx).entries)
+        X = tfidf_transform(["a b"], idx)
+        vec = dict(zip(X.indices.tolist(), X.data.tolist()))
         assert abs(vec[0] - 0.580) < 1e-3
         assert abs(vec[1] - 0.815) < 1e-3
         idf_a = math.log((1 + 2) / (1 + 2)) + 1.0
@@ -289,18 +290,15 @@ def test_criterion_10_model_ordering():
         train_c, val_c, test_c = split(corpus, SplitSpec(seed=BENCH_SEED))
 
         idx = fit_term_index(train_c.texts())
-        X_train = [tfidf_transform(t, idx) for t in train_c.texts()]
-        X_test = [tfidf_transform(t, idx) for t in test_c.texts()]
+        X_train = tfidf_transform(train_c.texts(), idx)
+        X_test = tfidf_transform(test_c.texts(), idx)
 
-        nb = nb_train(X_train, train_c.labels(), alpha=1.0, num_features=len(idx))
-        nb_f1 = evaluate(test_c.labels(),
-                         [nb_predict(nb, x)[0] for x in X_test]).weighted_f1
+        nb = nb_train(X_train, train_c.labels(), alpha=1.0)
+        nb_f1 = evaluate(test_c.labels(), nb_predict(nb, X_test)[0]).weighted_f1
 
         svm = svm_train(X_train, train_c.labels(),
-                        SvmHyper(lambda_=1e-3, epochs=20, seed=BENCH_SEED),
-                        num_features=len(idx))
-        svm_f1 = evaluate(test_c.labels(),
-                          [svm_predict(svm, x)[0] for x in X_test]).weighted_f1
+                        SvmHyper(lambda_=1e-3, epochs=20, seed=BENCH_SEED))
+        svm_f1 = evaluate(test_c.labels(), svm_predict(svm, X_test)[0]).weighted_f1
 
         tok_cfg = TokenizerConfig(max_len=16)
         vocab = train_vocabulary(train_c.texts(), target_size=300, cfg=tok_cfg)

@@ -1,38 +1,56 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import baselines_reference as ref
 from mixsent.baselines import (LinearSvmModel, NaiveBayesModel, SvmHyper,
                                load_baseline, nb_predict, nb_train,
                                save_baseline, svm_predict, svm_train)
 from mixsent.corpus import SentimentLabel
 from mixsent.errors import InputError
-from mixsent.features import SparseVector
+from mixsent.features import fit_term_index, tfidf_transform
+
+from conftest import feature_matrix
 
 NEG, NEU, POS = SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL, SentimentLabel.POSITIVE
 
 
-def vec(d):
-    return SparseVector.from_dict(d)
-
-
 @pytest.fixture
 def two_doc_fixture():
-    """Raw-count vectors over features (bad=0, good=1, movie=2).
+    """Raw-count rows over features (bad=0, good=1, movie=2).
 
     class 0: "bad movie", class 1: "good movie"; the third class supplies a
     neutral doc so all labels are present.
     """
-    X = [vec({0: 1.0, 2: 1.0}), vec({1: 1.0, 2: 1.0}), vec({2: 1.0})]
+    X = feature_matrix([{0: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}, {2: 1.0}])
     y = [NEG, NEU, POS]
     return X, y
+
+
+def random_tfidf_corpus(n, seed):
+    """n short texts over a 40-word vocabulary whose first words lean
+    towards the label; TF-IDF rows plus the per-record reference rows."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(40)]
+    texts, y = [], []
+    for _ in range(n):
+        c = int(rng.integers(0, 3))
+        picks = [words[c * 3 + int(rng.integers(0, 3))]]
+        picks += list(rng.choice(words, size=int(rng.integers(0, 6))))
+        texts.append(" ".join(picks))
+        y.append(SentimentLabel(c))
+    idx = fit_term_index(texts)
+    return (tfidf_transform(texts, idx), [ref.tfidf_row(t, idx) for t in texts],
+            y, len(idx))
 
 
 class TestNaiveBayes:
     def test_hand_computed_smoothed_likelihoods(self, two_doc_fixture):
         X, y = two_doc_fixture
-        m = nb_train(X, y, alpha=1.0, num_features=3)
+        m = nb_train(X, y, alpha=1.0)
         # P(good | class1) = (1+1)/(2+3), P(good | class0) = (0+1)/(2+3)
         assert abs(math.exp(m.feature_log_likelihood[1, 1]) - 0.4) < 1e-12
         assert abs(math.exp(m.feature_log_likelihood[0, 1]) - 0.2) < 1e-12
@@ -47,27 +65,28 @@ class TestNaiveBayes:
     def test_good_predicted_as_class1(self, two_doc_fixture):
         X, y = two_doc_fixture
         m = nb_train(X, y)
-        label, log_post = nb_predict(m, vec({1: 1.0}))
-        assert label == NEU  # the "good movie" class in this fixture
+        labels, log_post = nb_predict(m, feature_matrix([{1: 1.0}], 3))
+        assert labels == [NEU]  # the "good movie" class in this fixture
+        assert log_post.shape == (1, 3)
         assert abs(np.exp(log_post).sum() - 1.0) < 1e-9
 
     def test_empty_vector_falls_back_to_priors(self):
-        X = [vec({0: 1.0})] * 2 + [vec({1: 1.0})] + [vec({2: 1.0})]
+        X = feature_matrix([{0: 1.0}] * 2 + [{1: 1.0}] + [{2: 1.0}])
         y = [NEG, NEG, NEU, POS]
         m = nb_train(X, y)
-        label, _ = nb_predict(m, SparseVector(()))
-        assert label == NEG  # largest prior
+        labels, _ = nb_predict(m, feature_matrix([{}], 3))
+        assert labels == [NEG]  # largest prior
 
     def test_exact_tie_takes_lowest_label_id(self):
-        X = [vec({0: 1.0}), vec({0: 1.0}), vec({0: 1.0})]
+        X = feature_matrix([{0: 1.0}, {0: 1.0}, {0: 1.0}])
         y = [NEG, NEU, POS]
         m = nb_train(X, y)
-        label, _ = nb_predict(m, vec({0: 2.0}))
-        assert label == NEG
+        labels, _ = nb_predict(m, feature_matrix([{0: 2.0}]))
+        assert labels == [NEG]
 
     def test_single_class_rejected(self):
         with pytest.raises(InputError, match="missing"):
-            nb_train([vec({0: 1.0})], [POS])
+            nb_train(feature_matrix([{0: 1.0}]), [POS])
 
     def test_large_alpha_approaches_uniform(self, two_doc_fixture):
         X, y = two_doc_fixture
@@ -83,44 +102,66 @@ class TestNaiveBayes:
     def test_posteriors_sum_to_one_repeatedly(self, two_doc_fixture):
         X, y = two_doc_fixture
         m = nb_train(X, y)
-        for d in ({0: 3.0}, {1: 0.5, 2: 2.0}, {2: 1.0}):
-            first = nb_predict(m, vec(d))
-            second = nb_predict(m, vec(d))
-            assert first[0] == second[0]
-            np.testing.assert_array_equal(first[1], second[1])
-            assert abs(np.exp(first[1]).sum() - 1.0) < 1e-9
+        rows = [{0: 3.0}, {1: 0.5, 2: 2.0}, {2: 1.0}]
+        first = nb_predict(m, feature_matrix(rows, 3))
+        second = nb_predict(m, feature_matrix(rows, 3))
+        assert first[0] == second[0]
+        np.testing.assert_array_equal(first[1], second[1])
+        np.testing.assert_allclose(np.exp(first[1]).sum(axis=1), 1.0, atol=1e-9)
+        for i, row in enumerate(rows):   # a batch scores each row as alone
+            labels, log_post = nb_predict(m, feature_matrix([row], 3))
+            assert labels == [first[0][i]]
+            np.testing.assert_array_equal(log_post[0], first[1][i])
+
+    def test_matches_per_record_reference(self):
+        X, rows, y, T = random_tfidf_corpus(300, seed=4)
+        m = nb_train(X, y, alpha=0.5)
+        prior, likelihood = ref.nb_train(rows, y, 0.5, T)
+        np.testing.assert_array_equal(m.class_log_prior, prior)
+        np.testing.assert_allclose(m.feature_log_likelihood, likelihood,
+                                   rtol=0, atol=1e-12)
+        labels, log_post = nb_predict(m, X)
+        for i, row in enumerate(rows):
+            scores = ref.linear_scores(row, likelihood, prior)
+            assert labels[i] == int(np.argmax(scores))
+            peak = np.max(scores)
+            expected = scores - (peak + np.log(np.sum(np.exp(scores - peak))))
+            np.testing.assert_allclose(log_post[i], expected, rtol=0, atol=1e-12)
+
+    def test_width_mismatch_rejected(self, two_doc_fixture):
+        X, y = two_doc_fixture
+        m = nb_train(X, y)
+        with pytest.raises(InputError, match="width 4"):
+            nb_predict(m, feature_matrix([{0: 1.0}], 4))
 
 
 class TestLinearSvm:
     def test_two_point_separable_margin_ordering(self):
-        X = [vec({0: 1.0}), vec({1: 1.0})]
+        X = feature_matrix([{0: 1.0}, {1: 1.0}])
         y = [POS, NEG]
-        m = svm_train(X, y, SvmHyper(lambda_=0.01, epochs=30, seed=1),
-                      num_features=2)
-        _, s0 = svm_predict(m, X[0])
-        _, s1 = svm_predict(m, X[1])
+        m = svm_train(X, y, SvmHyper(lambda_=0.01, epochs=30, seed=1))
+        _, (s0, s1) = svm_predict(m, X)
         assert s0[int(POS)] > s0[int(NEG)]
         assert s1[int(NEG)] > s1[int(POS)]
 
     def test_training_points_classified_correctly(self):
-        X = [vec({0: 1.0}), vec({1: 1.0})]
+        X = feature_matrix([{0: 1.0}, {1: 1.0}])
         y = [POS, NEG]
-        m = svm_train(X, y, SvmHyper(lambda_=0.01, epochs=30, seed=1),
-                      num_features=2)
-        assert svm_predict(m, X[0])[0] == POS
-        assert svm_predict(m, X[1])[0] == NEG
+        m = svm_train(X, y, SvmHyper(lambda_=0.01, epochs=30, seed=1))
+        assert svm_predict(m, X)[0] == [POS, NEG]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
-        X = [vec({int(i): 1.0, int(i) % 3 + 5: 0.5}) for i in rng.integers(0, 5, 30)]
+        X = feature_matrix([{int(i): 1.0, int(i) % 3 + 5: 0.5}
+                            for i in rng.integers(0, 5, 30)], 8)
         y = [SentimentLabel(int(l)) for l in rng.integers(0, 3, 30)]
-        a = svm_train(X, y, SvmHyper(seed=7), num_features=8)
-        b = svm_train(X, y, SvmHyper(seed=7), num_features=8)
+        a = svm_train(X, y, SvmHyper(seed=7))
+        b = svm_train(X, y, SvmHyper(seed=7))
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)
 
     def test_large_lambda_shrinks_weights(self):
-        X = [vec({0: 1.0}), vec({1: 1.0}), vec({2: 1.0})]
+        X = feature_matrix([{0: 1.0}, {1: 1.0}, {2: 1.0}])
         y = [NEG, NEU, POS]
         small = svm_train(X, y, SvmHyper(lambda_=1e-4, epochs=10, seed=0))
         large = svm_train(X, y, SvmHyper(lambda_=100.0, epochs=10, seed=0))
@@ -129,18 +170,18 @@ class TestLinearSvm:
     def test_zero_vector_zero_model_ties_to_negative(self):
         m = LinearSvmModel(weights=np.zeros((3, 4)), bias=np.zeros(3),
                            hyper=SvmHyper())
-        label, scores = svm_predict(m, SparseVector(()))
-        assert label == NEG
+        labels, scores = svm_predict(m, feature_matrix([{}], 4))
+        assert labels == [NEG]
         np.testing.assert_array_equal(scores, 0.0)
 
     def test_positive_scaling_preserves_argmax_with_zero_bias(self):
         rng = np.random.default_rng(3)
         m = LinearSvmModel(weights=rng.normal(size=(3, 6)), bias=np.zeros(3),
                            hyper=SvmHyper())
-        x = vec({0: 0.3, 2: -1.2, 5: 0.7})
-        label1, s1 = svm_predict(m, x)
-        x_scaled = vec({i: 4.5 * w for i, w in x.entries})
-        label2, s2 = svm_predict(m, x_scaled)
+        x = {0: 0.3, 2: -1.2, 5: 0.7}
+        label1, s1 = svm_predict(m, feature_matrix([x], 6))
+        x_scaled = {i: 4.5 * w for i, w in x.items()}
+        label2, s2 = svm_predict(m, feature_matrix([x_scaled], 6))
         assert label1 == label2
         np.testing.assert_allclose(s2, 4.5 * s1, atol=1e-12)
 
@@ -151,18 +192,51 @@ class TestLinearSvm:
         for c in range(3):
             for _ in range(6):
                 d = {c: 1.0, 3 + int(rng.integers(0, 3)): 0.1}
-                X.append(vec(d))
+                X.append(d)
                 y.append(SentimentLabel(c))
-        m = svm_train(X, y, SvmHyper(lambda_=1e-3, epochs=20, seed=2),
-                      num_features=6)
-        preds = [svm_predict(m, x)[0] for x in X]
-        assert sum(p == t for p, t in zip(preds, y)) == len(y)
+        X = feature_matrix(X, 6)
+        m = svm_train(X, y, SvmHyper(lambda_=1e-3, epochs=20, seed=2))
+        assert svm_predict(m, X)[0] == y
+
+    @pytest.mark.parametrize("lambda_", [1e-4, 1e-2])
+    def test_matches_per_record_reference(self, lambda_):
+        X, rows, y, T = random_tfidf_corpus(200, seed=9)
+        m = svm_train(X, y, SvmHyper(lambda_=lambda_, epochs=5, seed=3))
+        weights, bias = ref.svm_train(rows, y, lambda_, 5, 3, T)
+        np.testing.assert_allclose(m.weights, weights, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(m.bias, bias, rtol=0, atol=1e-10)
+        labels, scores = svm_predict(m, X)
+        for i, row in enumerate(rows):
+            expected = ref.linear_scores(row, m.weights, m.bias)
+            np.testing.assert_array_equal(scores[i], expected)
+            assert labels[i] == int(np.argmax(expected))
+
+    def test_zero_epochs_gives_zero_model(self, two_doc_fixture):
+        X, y = two_doc_fixture
+        m = svm_train(X, y, SvmHyper(epochs=0))
+        np.testing.assert_array_equal(m.weights, 0.0)
+        np.testing.assert_array_equal(m.bias, 0.0)
+
+
+def test_no_dense_rows_by_features_array():
+    """Training and scoring allocate O(nnz + C*T), never N*T: at this size an
+    N x T float array would take 32 MB."""
+    n, T = 200, 20_000
+    X = feature_matrix([{(7 * i) % T: 1.0, (7 * i + 3) % T: 0.5} for i in range(n)], T)
+    y = [SentimentLabel(i % 3) for i in range(n)]
+    tracemalloc.start()
+    try:
+        nb_predict(nb_train(X, y), X)
+        svm_predict(svm_train(X, y, SvmHyper(epochs=1)), X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestModelIO:
-    def test_nb_roundtrip(self, tmp_path, two_doc_fixture=None):
-        X = [vec({0: 1.0, 2: 1.0}), vec({1: 1.0, 2: 1.0}), vec({2: 1.0})]
-        y = [NEG, NEU, POS]
+    def test_nb_roundtrip(self, tmp_path, two_doc_fixture):
+        X, y = two_doc_fixture
         m = nb_train(X, y)
         path = tmp_path / "nb.json"
         save_baseline(m, path, term_index_ref={"file": "ti.json", "sha256": "x"})
@@ -174,7 +248,7 @@ class TestModelIO:
                                       m.feature_log_likelihood)
 
     def test_svm_roundtrip(self, tmp_path):
-        X = [vec({0: 1.0}), vec({1: 1.0}), vec({2: 1.0})]
+        X = feature_matrix([{0: 1.0}, {1: 1.0}, {2: 1.0}])
         y = [NEG, NEU, POS]
         m = svm_train(X, y, SvmHyper(epochs=3, seed=5))
         path = tmp_path / "svm.json"
@@ -188,4 +262,26 @@ class TestModelIO:
         path = tmp_path / "m.json"
         path.write_text('{"model_type": "tree"}', encoding="utf-8")
         with pytest.raises(InputError):
+            load_baseline(path)
+
+    @pytest.mark.parametrize("model,key,value", [
+        ("nb", "class_log_prior", [-1.0, -1.0]),
+        ("nb", "feature_log_likelihood", [[], [], []]),
+        ("nb", "feature_log_likelihood", [[-1.0], [-1.0]]),
+        ("nb", "feature_log_likelihood", [[-1.0], [float("nan")], [-1.0]]),
+        ("svm", "bias", [0.0, 0.0]),
+        ("svm", "bias", [0.0, float("inf"), 0.0]),
+        ("svm", "weights", [[1.0, 2.0], [1.0], [1.0, 2.0]]),
+        ("svm", "weights", [1.0, 2.0, 3.0]),
+    ])
+    def test_shape_and_finiteness_validated(self, tmp_path, two_doc_fixture,
+                                            model, key, value):
+        X, y = two_doc_fixture
+        m = nb_train(X, y) if model == "nb" else svm_train(X, y, SvmHyper(epochs=1))
+        path = tmp_path / f"{model}.json"
+        save_baseline(m, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(InputError, match=key):
             load_baseline(path)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -95,8 +96,8 @@ class TestTrain:
         train_c = load_corpus(out / "train.jsonl", "jsonl", CANONICAL_LABEL_MAP)
         expected_idx = fit_term_index(train_c.texts(), min_df=1)
         assert expected_idx == idx
-        X = [tfidf_transform(t, idx) for t in train_c.texts()]
-        expected = nb_train(X, train_c.labels(), alpha=1.0, num_features=len(idx))
+        X = tfidf_transform(train_c.texts(), idx)
+        expected = nb_train(X, train_c.labels(), alpha=1.0)
         np.testing.assert_array_equal(model.class_log_prior, expected.class_log_prior)
         np.testing.assert_array_equal(model.feature_log_likelihood,
                                       expected.feature_log_likelihood)
@@ -195,6 +196,77 @@ class TestEvaluateAndReport:
     def test_report_without_evals_exit_2(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
         assert main(["report", "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("content", ["{bad", "[1]"])
+    def test_report_malformed_eval_file_exit_2(self, tmp_path, capsys, content):
+        (tmp_path / "eval_nb_test.json").write_text(content, encoding="utf-8")
+        assert main(["report", "--out-dir", str(tmp_path)]) == 2
+        assert "malformed report" in capsys.readouterr().err
+
+
+class TestBaselineArtifact:
+    @pytest.fixture
+    def baseline_dir(self, tmp_path):
+        out = run_prepare(tmp_path, tmp_path / "run")
+        for model in ("nb", "svm"):
+            assert main(["train", "--model", model, "--out-dir", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def edit_json(path, edit):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+    @pytest.mark.parametrize("model_file,key,value", [
+        ("nb.json", "class_log_prior", [-1.0, -1.0]),
+        ("svm.json", "bias", [0.0, 0.0]),
+    ])
+    def test_wrong_class_count_exit_2(self, baseline_dir, tmp_path, capsys,
+                                      model_file, key, value):
+        path = baseline_dir / model_file
+        self.edit_json(path, lambda payload: payload.update({key: value}))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        assert main(["predict", "--model-file", str(path),
+                     "--input", str(texts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and key in captured.err
+
+    def test_term_index_width_mismatch_exit_2(self, baseline_dir, capsys):
+        index_path = baseline_dir / "term_index.json"
+        self.edit_json(index_path, lambda index: (index["terms"].pop(),
+                                                  index["df"].pop()))
+        digest = hashlib.sha256(index_path.read_bytes()).hexdigest()
+        for model_file in ("nb.json", "svm.json"):
+            path = baseline_dir / model_file
+            self.edit_json(path, lambda payload: payload["term_index_ref"].update(
+                sha256=digest))
+            assert main(["evaluate", "--model-file", str(path),
+                         "--split", "test"]) == 2
+            assert "width" in capsys.readouterr().err
+
+    def test_batch_predict_matches_evaluate(self, baseline_dir, capsys):
+        """evaluate and predict score the same cleaned texts identically."""
+        test_c = load_corpus(baseline_dir / "test.jsonl", "jsonl",
+                             CANONICAL_LABEL_MAP)
+        texts = baseline_dir / "texts.txt"
+        texts.write_text("\n".join(test_c.texts()) + "\n", encoding="utf-8")
+        for model in ("nb", "svm"):
+            path = baseline_dir / f"{model}.json"
+            assert main(["evaluate", "--model-file", str(path),
+                         "--split", "test"]) == 0
+            capsys.readouterr()
+            assert main(["predict", "--model-file", str(path),
+                         "--input", str(texts)]) == 0
+            predicted = [line.split("\t")[0]
+                         for line in capsys.readouterr().out.splitlines()]
+            saved = json.loads((baseline_dir / f"eval_{model}_test.json").read_text())
+            confusion = np.zeros((3, 3), dtype=np.int64)
+            for record, name in zip(test_c.records, predicted):
+                confusion[int(record.label), ("negative", "neutral",
+                                              "positive").index(name)] += 1
+            assert confusion.tolist() == saved["confusion"]
 
 
 class TestTransformerArtifact:
@@ -306,6 +378,15 @@ class TestPredict:
         monkeypatch.setattr("sys.stdin", io.StringIO("movie zabardast\n"))
         assert main(["predict", "--model-file", str(nb_dir / "nb.json")]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+
+def test_model_file_with_non_object_header_exit_2(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text("[1, 2]\n", encoding="utf-8")
+    texts = tmp_path / "texts.txt"
+    texts.write_text("movie mast\n", encoding="utf-8")
+    assert main(["predict", "--model-file", str(model), "--input", str(texts)]) == 2
+    assert "not a recognized model file" in capsys.readouterr().err
 
 
 def test_no_command_usage_error():

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from mixsent.corpus import (CANONICAL_LABEL_MAP, Corpus, LabeledTweet,
                             SentimentLabel, SplitSpec, class_distribution,
-                            dedup, load_corpus, load_label_map, merge, split)
+                            load_corpus, load_label_map, merge, split)
 from mixsent.errors import InputError
 from mixsent.metrics import round_half_up
+from mixsent.preprocess import preprocess_corpus
 
 from conftest import make_corpus
 
@@ -125,28 +126,31 @@ class TestMerge:
 
 
 class TestDedup:
+    """Loading keeps every record; preprocess_corpus drops repeated texts."""
+
     def test_exact_duplicates_removed_first_kept(self):
         c = make_corpus([0, 0, 1], text_fn=lambda i, l: ["good", "good", "bad"][i])
-        out = dedup(c)
+        out, drops = preprocess_corpus(c)
         assert [r.text for r in out.records] == ["good", "bad"]
         assert out.records[0].id == "0"
-
-    def test_normalized_key_merges_case_and_punctuation(self):
-        c = make_corpus([0, 0], text_fn=lambda i, l: ["Good!", "good"][i])
-        assert len(dedup(c, key="normalized_text")) == 1
-        assert len(dedup(c, key="exact_text")) == 2
+        assert drops["duplicate"] == 1
 
     def test_all_unique_unchanged(self):
-        c = make_corpus([0, 1, 2])
-        assert dedup(c).records == c.records
+        c = make_corpus([0, 1, 2], text_fn=lambda i, l: f"movie {i}")
+        out, drops = preprocess_corpus(c)
+        assert out.records == c.records
+        assert drops["duplicate"] == 0
 
-    @given(st.lists(st.sampled_from(["a", "b", "A!", "b ", "c c"]), max_size=30))
+    @given(st.lists(st.sampled_from(["mast", "bekar", "Mast!", "bekar ",
+                                     "khana khana"]), max_size=30))
     def test_idempotent(self, texts):
         c = Corpus([LabeledTweet(str(i), t, SentimentLabel.NEUTRAL)
                     for i, t in enumerate(texts)])
-        once = dedup(c)
-        twice = dedup(once)
+        once, _ = preprocess_corpus(c)
+        twice, drops = preprocess_corpus(once)
         assert once.records == twice.records
+        assert drops["duplicate"] == 0
+        assert len({r.text for r in once.records}) == len(once)
 
 
 class TestClassDistribution:

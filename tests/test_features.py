@@ -1,20 +1,28 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import baselines_reference as ref
+from mixsent.baselines import LinearSvmModel, SvmHyper, svm_predict
 from mixsent.errors import InputError
-from mixsent.features import (EMPTY_VECTOR, SparseVector, TermIndex,
-                              add_scaled, count_vector, dot, fit_term_index,
+from mixsent.features import (FeatureMatrix, TermIndex, fit_term_index,
                               load_term_index, save_term_index,
                               tfidf_transform)
 
-sparse_vectors = st.dictionaries(
-    st.integers(0, 30),
-    st.floats(-5, 5, allow_nan=False).filter(lambda w: abs(w) > 1e-9),
-    max_size=8,
-).map(SparseVector.from_dict)
+from conftest import feature_matrix
+
+documents = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
+                              max_size=6).map(" ".join),
+                     min_size=1, max_size=8)
+
+
+def row(X, i):
+    """Row i as {feature id: weight}."""
+    a, b = X.indptr[i], X.indptr[i + 1]
+    return dict(zip(X.indices[a:b].tolist(), X.data[a:b].tolist()))
 
 
 class TestFitTermIndex:
@@ -52,29 +60,32 @@ class TestFitTermIndex:
 class TestTfidfTransform:
     def test_fixture_matches_formula_exactly(self):
         idx = fit_term_index(["a b", "a"])
-        vec = tfidf_transform("a b", idx)
+        X = tfidf_transform(["a b"], idx)
         idf_a = math.log(3 / 3) + 1.0
         idf_b = math.log(3 / 2) + 1.0
         norm = math.sqrt(idf_a ** 2 + idf_b ** 2)
         expected = {0: idf_a / norm, 1: idf_b / norm}
-        for fid, w in vec.entries:
+        assert len(X) == 1 and X.num_features == 2
+        for fid, w in row(X, 0).items():
             assert abs(w - expected[fid]) < 1e-12
 
     def test_fixture_approximate_values(self):
         idx = fit_term_index(["a b", "a"])
-        weights = dict(tfidf_transform("a b", idx).entries)
+        weights = row(tfidf_transform(["a b"], idx), 0)
         assert abs(weights[0] - 0.580) < 1e-3
         assert abs(weights[1] - 0.815) < 1e-3
 
     def test_out_of_index_terms_ignored(self):
         idx = fit_term_index(["a b", "a"])
-        assert tfidf_transform("q r s", idx) == EMPTY_VECTOR
+        X = tfidf_transform(["q r s", "a"], idx)
+        assert X.indptr.tolist() == [0, 0, 1]
+        assert row(X, 0) == {}
 
     def test_repeated_single_term_normalizes_to_unit(self):
         idx = fit_term_index(["a b", "a"])
-        vec = tfidf_transform("a a", idx)
-        assert len(vec) == 1
-        assert abs(vec.entries[0][1] - 1.0) < 1e-12
+        weights = row(tfidf_transform(["a a"], idx), 0)
+        assert list(weights) == [0]
+        assert abs(weights[0] - 1.0) < 1e-12
 
     def test_idf_at_least_one(self):
         idx = fit_term_index(["a b c", "a b", "a"])
@@ -84,50 +95,76 @@ class TestTfidfTransform:
     @given(st.lists(st.sampled_from(["a", "b", "c", "d e"]), min_size=1, max_size=6))
     def test_unit_norm_when_any_term_indexed(self, docs):
         idx = fit_term_index(docs)
-        for doc in docs:
-            vec = tfidf_transform(doc, idx)
-            if vec.entries:
-                assert abs(vec.norm() - 1.0) < 1e-9
+        X = tfidf_transform(docs, idx)
+        for i in range(len(docs)):
+            weights = np.array(list(row(X, i).values()))
+            if weights.size:
+                assert abs(np.linalg.norm(weights) - 1.0) < 1e-9
 
-    def test_count_vector_raw_counts(self):
+    def test_weights_are_counts_times_idf(self):
         idx = fit_term_index(["a b", "a"])
-        vec = count_vector("a a b", idx)
-        assert dict(vec.entries) == {0: 2.0, 1: 1.0}
+        weights = row(tfidf_transform(["a a b"], idx), 0)
+        norm = math.sqrt((2.0 * idx.idf(0)) ** 2 + idx.idf(1) ** 2)
+        assert weights == pytest.approx({0: 2.0 * idx.idf(0) / norm,
+                                         1: idx.idf(1) / norm}, abs=1e-12)
+
+    @given(documents, documents)
+    def test_bit_identical_to_per_text_reference(self, fit_docs, docs):
+        idx = fit_term_index(fit_docs + ["a"])
+        X = tfidf_transform(docs, idx)
+        assert len(X) == len(docs)
+        for i, doc in enumerate(docs):
+            assert tuple(row(X, i).items()) == ref.tfidf_row(doc, idx)
 
 
 class TestSparseOps:
     def test_dot_with_self_is_one_for_normalized(self):
         idx = fit_term_index(["a b", "a"])
-        v = tfidf_transform("a b", idx)
-        assert abs(dot(v, v) - 1.0) < 1e-12
+        X = tfidf_transform(["a b"], idx)
+        assert abs(float(X.data @ X.data) - 1.0) < 1e-12
 
     def test_disjoint_supports(self):
-        a = SparseVector.from_dict({0: 1.0, 2: 2.0})
-        b = SparseVector.from_dict({1: 3.0, 3: 4.0})
-        assert dot(a, b) == 0.0
+        """Weights on features a row lacks leave its score at the bias."""
+        X = feature_matrix([{0: 1.0, 2: 2.0}], 4)
+        weights = np.zeros((3, 4))
+        weights[:, [1, 3]] = [[3.0, 4.0], [-1.0, 5.0], [2.0, 2.0]]
+        m = LinearSvmModel(weights=weights, bias=np.array([0.5, -0.5, 0.0]),
+                           hyper=SvmHyper())
+        np.testing.assert_array_equal(svm_predict(m, X)[1], [[0.5, -0.5, 0.0]])
 
-    def test_add_scaled_cancellation(self):
-        v = SparseVector.from_dict({0: 1.5, 4: -2.0})
-        assert add_scaled(v, v, -1.0) == EMPTY_VECTOR
-
-    @given(sparse_vectors, sparse_vectors)
-    def test_dot_symmetric(self, a, b):
-        assert dot(a, b) == pytest.approx(dot(b, a))
-
-    @given(sparse_vectors, sparse_vectors, st.floats(-3, 3, allow_nan=False))
-    def test_add_scaled_preserves_invariants(self, a, b, s):
-        out = add_scaled(a, b, s)
-        indices = [i for i, _ in out.entries]
-        assert indices == sorted(set(indices))
-        assert all(w != 0 and math.isfinite(w) for _, w in out.entries)
+    @given(documents)
+    def test_rows_hold_exactly_the_indexed_terms(self, docs):
+        idx = fit_term_index(["a b c"])
+        X = tfidf_transform(docs, idx)
+        for i, doc in enumerate(docs):
+            expected = sorted({idx.term_to_id[t] for t in doc.split()
+                               if t in idx.term_to_id})
+            assert list(row(X, i)) == expected
+            assert all(w > 0 and math.isfinite(w) for w in row(X, i).values())
 
     def test_invariant_enforcement(self):
-        with pytest.raises(InputError):
-            SparseVector(((1, 1.0), (1, 2.0)))
-        with pytest.raises(InputError):
-            SparseVector(((0, 0.0),))
-        with pytest.raises(InputError):
-            SparseVector(((0, float("nan")),))
+        def matrix(indptr, indices, data, num_features=4):
+            return FeatureMatrix(np.array(indptr, dtype=np.int64),
+                                 np.array(indices, dtype=np.int64),
+                                 np.array(data, dtype=np.float64), num_features)
+
+        assert len(matrix([0, 2, 2, 3], [0, 3, 0], [1.0, 2.0, 3.0])) == 3
+        with pytest.raises(InputError, match="increasing"):
+            matrix([0, 2], [1, 1], [1.0, 2.0])
+        with pytest.raises(InputError, match="increasing"):
+            matrix([0, 2], [2, 1], [1.0, 2.0])
+        with pytest.raises(InputError, match="nonzero"):
+            matrix([0, 1], [0], [0.0])
+        with pytest.raises(InputError, match="finite"):
+            matrix([0, 1], [0], [float("nan")])
+        with pytest.raises(InputError, match="lie in"):
+            matrix([0, 1], [4], [1.0])
+        with pytest.raises(InputError, match="lie in"):
+            matrix([0, 1], [-1], [1.0])
+        with pytest.raises(InputError, match="row pointers"):
+            matrix([0, 2], [0], [1.0])
+        with pytest.raises(InputError, match="row pointers"):
+            matrix([0, 1, 0, 1], [0], [1.0])
 
 
 class TestTermIndexIO:

@@ -8,7 +8,7 @@ from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
 from mixsent.errors import InputError
 from mixsent.preprocess import (DROP_REASONS, EmojiLexicon, FillerList,
                                 PreprocessConfig, StopWordList, clean_text,
-                                is_noise, load_emoji_lexicon,
+                                load_emoji_lexicon,
                                 normalize_case_and_stopwords, normalize_text,
                                 preprocess_corpus, replace_emojis)
 
@@ -106,15 +106,21 @@ class TestCaseAndStopwords:
 
 
 class TestIsNoise:
+    """preprocess_corpus drops noise under one reason per record."""
+
     def test_symbols_only(self):
-        assert is_noise("!!!???", CFG)
+        clean, drops = preprocess_corpus(one_record_corpus("!!!???"), CFG)
+        assert len(clean) == 0 and drops["no_alpha"] == 1
 
     def test_fillers(self):
         for f in ("ok", "hmm", "k", "haan"):
-            assert is_noise(f, CFG)
+            clean, drops = preprocess_corpus(one_record_corpus(f), CFG)
+            assert len(clean) == 0 and drops["filler"] == 1, f
 
     def test_sentiment_text_kept(self):
-        assert not is_noise("movie mast hai", CFG)
+        clean, drops = preprocess_corpus(one_record_corpus("movie mast hai"), CFG)
+        assert [r.text for r in clean.records] == ["movie mast"]
+        assert sum(drops.values()) == 0
 
     def test_filler_list_requires_minimum(self):
         with pytest.raises(InputError, match="haan"):
