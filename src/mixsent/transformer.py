@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .corpus import SentimentLabel
 from .errors import InputError, TrainingError
@@ -29,6 +28,29 @@ from .tokenizer import Encoding, TokenizerConfig, Vocabulary, encode
 LN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 INIT_STD = 0.02
+
+# Cephes ndtr.c (Moshier, "Methods and Programs for Mathematical Functions",
+# 1989): erf = x*T(x^2)/U(x^2) for |x| <= 1 and
+# erf = sign(x)*(1 - exp(-x^2)*P(|x|)/Q(|x|)) above.  A leading 1.0 marks a
+# monic denominator.  Cephes switches to its R/S pair at |x| >= 8, where
+# erfc < 1e-29 and erf rounds to exactly +-1 either way; clamping |x| to 8
+# under P/Q gives the same +-1 and keeps inf out of the arithmetic.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERF_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -110,13 +132,60 @@ def init_params(cfg: EncoderConfig, seed: int, dtype=np.float64) -> dict[str, np
     return p
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+def _horner(z: np.ndarray, coefs: tuple, out: np.ndarray) -> np.ndarray:
+    """coefs[0]*z^n + ... + coefs[n] into out, in Cephes' polevl order."""
+    np.multiply(z, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= z
+        out += c
+    return out
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * phi
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function of a float32 or float64 array, evaluated as Cephes
+    does in float64 and rounded to x's dtype.  Blocks of _ERF_BLOCK elements
+    keep the float64 temporaries small; the |x| > 1 branch runs only on the
+    elements that need it."""
+    out = np.empty(x.shape, dtype=x.dtype)
+    src, dst = x.reshape(-1), out.reshape(-1)
+    size = min(dst.size, _ERF_BLOCK)
+    scratch = [np.empty(size) for _ in range(4)]
+    for start in range(0, dst.size, _ERF_BLOCK):
+        xb = src[start:start + _ERF_BLOCK]
+        v, z, num, den = (buf[:len(xb)] for buf in scratch)
+        np.clip(xb, -1.0, 1.0, out=v)
+        np.multiply(v, v, out=z)
+        _horner(z, _ERF_T, num)
+        num *= v
+        num /= _horner(z, _ERF_U, den)
+        big = np.flatnonzero(np.abs(xb) > 1.0)
+        if len(big):
+            xs = xb[big].astype(np.float64, copy=False)
+            a = np.minimum(np.abs(xs), 8.0)
+            y = _horner(a, _ERFC_P, np.empty_like(a))
+            y *= np.exp(-(a * a))
+            y /= _horner(a, _ERFC_Q, np.empty_like(a))
+            num[big] = np.copysign(1.0 - y, xs)
+        dst[start:start + len(xb)] = num
+    return out
+
+
+def _gelu_cdf2(h: np.ndarray) -> np.ndarray:
+    """1 + erf(h/sqrt 2), twice the normal CDF at h: the one erf term that
+    GELU's value and its derivative share."""
+    t = _erf(h / math.sqrt(2.0))
+    t += 1.0
+    return t
+
+
+def _gelu(h: np.ndarray, cdf2: np.ndarray) -> np.ndarray:
+    return 0.5 * h * cdf2
+
+
+def _gelu_grad(h: np.ndarray, cdf2: np.ndarray) -> np.ndarray:
+    phi = np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+    return 0.5 * cdf2 + h * phi
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -220,14 +289,14 @@ def forward_arrays(params: dict, cfg: EncoderConfig, ids: np.ndarray,
                               params[pre + "norm1.bias"])
 
         h = x1 @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
-        g = _gelu(h)
-        f = g @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
+        cdf2 = _gelu_cdf2(h)
+        f = _gelu(h, cdf2) @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
         fd, keep_f = _dropout(f, cfg.dropout, train_mode, rng, cfg.max_len)
         x2, ln2 = _layer_norm(x1 + fd, params[pre + "norm2.gain"],
                               params[pre + "norm2.bias"])
 
         lc.update(qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx, keep_o=keep_o,
-                  ln1=ln1, x1=x1, h=h, g=g, keep_f=keep_f, ln2=ln2)
+                  ln1=ln1, x1=x1, h=h, cdf2=cdf2, keep_f=keep_f, ln2=ln2)
         cache["layers"].append(lc)
         x = x2
 
@@ -283,10 +352,11 @@ def backward_arrays(params: dict, cfg: EncoderConfig, cache: dict,
         grads[pre + "norm2.bias"] = dbias2
         dx1 = dr2.copy()
         df = _dropout_backward(dr2, lc["keep_f"], cfg.dropout)
+        h, cdf2 = lc["h"], lc["cdf2"]
         dg = df @ params[pre + "ffn.w2"].T
-        grads[pre + "ffn.w2"] = lc["g"].reshape(-1, F).T @ df.reshape(-1, D)
+        grads[pre + "ffn.w2"] = _gelu(h, cdf2).reshape(-1, F).T @ df.reshape(-1, D)
         grads[pre + "ffn.b2"] = df.sum(axis=(0, 1))
-        dh = dg * _gelu_grad(lc["h"])
+        dh = dg * _gelu_grad(h, cdf2)
         dx1 += dh @ params[pre + "ffn.w1"].T
         grads[pre + "ffn.w1"] = x1.reshape(-1, D).T @ dh.reshape(-1, F)
         grads[pre + "ffn.b1"] = dh.sum(axis=(0, 1))

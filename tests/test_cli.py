@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixsent
 from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_train
 from mixsent.cli import main
@@ -393,3 +398,44 @@ def test_no_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None          # any import of scipy now fails
+from mixsent.cli import main
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+jsonl, labels, out, texts, config = sys.argv[1:]
+assert main(["prepare", "--input", jsonl, "--label-map", labels,
+             "--out-dir", out]) == 0
+assert main(["train", "--model", "transformer", "--out-dir", out,
+             "--config", config]) == 0
+assert main(["predict", "--model-file", out + "/transformer.bin",
+             "--input", texts]) == 0
+loaded = [m for m, mod in sys.modules.items()
+          if m.split(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """The CLI, transformer included, needs numpy only: no import of scipy,
+    eager or lazy, on any command."""
+    jsonl, map_path = write_inputs(tmp_path, n_per_class=6)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("mast movie\nbakwas khana\n", encoding="utf-8")
+    config = json.loads(TINY_TRANSFORMER_CONFIG)
+    config["train"]["epochs"] = 1
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mixsent.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(jsonl), str(map_path),
+         str(tmp_path / "run"), str(texts), json.dumps(config)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    predictions = proc.stdout.strip().splitlines()[-2:]
+    assert [line.split("\t")[0] in ("negative", "neutral", "positive")
+            for line in predictions] == [True, True]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from mixsent.transformer import (EncoderConfig, TrainConfig, adamw_init,
                                  forward, forward_arrays, init_params,
                                  load_transformer, loss_and_grads,
                                  lr_schedule, predict, save_transformer,
-                                 train, _layer_norm, _loss_and_grads_arrays,
-                                 _trim)
+                                 train, _erf, _layer_norm,
+                                 _loss_and_grads_arrays, _trim)
 
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16, dropout=0.0,
                      max_len=12, vocab_size=20, num_classes=3)
@@ -105,6 +106,64 @@ class TestInitAndForward:
         np.testing.assert_allclose(xhat.mean(axis=-1), 0.0, atol=1e-6)
         np.testing.assert_allclose(xhat.var(axis=-1), 1.0, atol=1e-4)
         np.testing.assert_array_equal(out, xhat)
+
+
+class TestErf:
+    @staticmethod
+    def grid(dtype):
+        """±0, ±1, ±8 and their float neighbours in dtype (the branch
+        edges), ±30, a sweep across [-10, 10], and ±inf and NaN."""
+        edges = np.array([0.0, 1.0, 8.0], dtype=dtype)
+        pts = [edges, np.nextafter(edges, dtype(np.inf)),
+               np.nextafter(edges, dtype(-np.inf)),
+               np.array([30.0], dtype=dtype),
+               np.linspace(0.0, 10.0, 1001, dtype=dtype)]
+        half = np.concatenate(pts)
+        return np.concatenate([half, -half, np.array([np.inf, -np.inf, np.nan],
+                                                     dtype=dtype)])
+
+    @staticmethod
+    def math_erf(x):
+        return np.array([math.erf(float(v)) for v in x])
+
+    def test_float32_matches_rounded_math_erf(self):
+        x = self.grid(np.float32)
+        out = _erf(x)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, self.math_erf(x).astype(np.float32))
+
+    def test_float64_within_4_ulp_of_math_erf(self):
+        x = self.grid(np.float64)
+        out, ref = _erf(x), self.math_erf(x)
+        assert out.dtype == np.float64
+        finite = ~np.isnan(ref)
+        np.testing.assert_array_equal(np.isnan(out), ~finite)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+        ulps = np.abs(out[finite].view(np.int64) - ref[finite].view(np.int64))
+        assert ulps.max() <= 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infinities_and_nan_without_warnings(self, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _erf(np.array([np.inf, -np.inf, np.nan, -0.0], dtype=dtype))
+        np.testing.assert_array_equal(out[:2], [1.0, -1.0])
+        assert np.isnan(out[2])
+        assert out[3] == 0.0 and np.signbit(out[3])
+
+    def test_shapes_kept(self):
+        assert _erf(np.zeros((0, 3), dtype=np.float32)).shape == (0, 3)
+        rng = np.random.default_rng(0)
+        # More elements than one block, with both branches in every block.
+        x = rng.normal(0.0, 2.0, size=(7, 40, 100)).astype(np.float32)
+        xt = x.transpose(2, 0, 1)
+        assert not xt.flags.c_contiguous
+        out = _erf(xt)
+        assert out.shape == (100, 7, 40)
+        np.testing.assert_array_equal(out, _erf(np.ascontiguousarray(xt)))
+        picked = xt[::7, 3]                      # rows from every block
+        expected = self.math_erf(picked.ravel()).astype(np.float32)
+        np.testing.assert_array_equal(out[::7, 3], expected.reshape(picked.shape))
 
 
 class TestLossAndGradients:
