@@ -23,7 +23,7 @@ from . import transformer as tfm
 from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      class_distribution, load_corpus, load_label_map, merge,
                      save_corpus, split)
-from .errors import InputError, MixsentError
+from .errors import InputError, MixsentError, check_value
 from .features import (fit_term_index, load_term_index, save_term_index,
                        tfidf_transform)
 from .metrics import (compare_models, evaluate, format_report, load_report,
@@ -68,20 +68,35 @@ def _load_overrides(arg: str | None) -> dict:
     return overrides
 
 
+def _section(overrides: dict, name: str, defaults: dict) -> dict:
+    """defaults updated from overrides[name]: a JSON object with no other
+    keys, holding an int where the default is an int and a number where it
+    is a float."""
+    section = overrides.get(name, {})
+    if not isinstance(section, dict) or not set(section) <= set(defaults):
+        raise InputError(f"config section {name!r} must be a JSON object with "
+                         f"keys among {sorted(defaults)}")
+    for key, value in section.items():
+        if type(defaults[key]) in (int, float):
+            check_value(f"config value {name}.{key}", value,
+                        type(defaults[key]).__name__)
+    return {**defaults, **section}
+
+
 def _preprocess_config(args, overrides: dict) -> PreprocessConfig:
-    section = overrides.get("preprocess", {})
-    lexicon = load_emoji_lexicon(section.get("emoji_lexicon_file"))
-    stop_words = StopWordList(load_word_list(section.get("stopwords_file"),
-                                             "stopwords.txt"))
-    fillers = FillerList(load_word_list(section.get("fillers_file"), "fillers.txt"))
+    section = _section(overrides, "preprocess", {
+        "emoji_lexicon_file": None, "stopwords_file": None, "fillers_file": None,
+        "keep_hashtag_text": False, "remove_stop_words": True})
+    lexicon = load_emoji_lexicon(section["emoji_lexicon_file"])
+    stop_words = StopWordList(load_word_list(section["stopwords_file"], "stopwords.txt"))
+    fillers = FillerList(load_word_list(section["fillers_file"], "fillers.txt"))
     keep_hashtags = bool(getattr(args, "keep_hashtag_text", False)
-                         or section.get("keep_hashtag_text", False))
-    remove_stop = section.get("remove_stop_words", True)
-    if getattr(args, "no_stop_words", False):
-        remove_stop = False
+                         or section["keep_hashtag_text"])
+    remove_stop = (bool(section["remove_stop_words"])
+                   and not getattr(args, "no_stop_words", False))
     return PreprocessConfig(emoji_lexicon=lexicon, stop_words=stop_words,
                             fillers=fillers, keep_hashtag_text=keep_hashtags,
-                            remove_stop_words=bool(remove_stop))
+                            remove_stop_words=remove_stop)
 
 
 def _distribution_report(dist) -> str:
@@ -121,10 +136,8 @@ def cmd_prepare(args) -> int:
         raise InputError("no records survived preprocessing")
     dist = class_distribution(clean)
 
-    split_section = overrides.get("split", {})
-    spec = SplitSpec(train_frac=float(split_section.get("train_frac", 0.8)),
-                     val_frac=float(split_section.get("val_frac", 0.1)),
-                     seed=args.seed)
+    spec = SplitSpec(**_section(overrides, "split",
+                                {"train_frac": 0.8, "val_frac": 0.1}), seed=args.seed)
     train_c, val_c, test_c = split(clean, spec)
 
     out_dir = Path(args.out_dir)
@@ -185,21 +198,19 @@ def cmd_train(args) -> int:
     overrides = _load_overrides(args.config)
     out_dir = Path(args.out_dir)
     train_c = _split_corpus_file(out_dir, "train")
-    min_df = int(overrides.get("features", {}).get("min_df", 1))
+    min_df = _section(overrides, "features", {"min_df": 1})["min_df"]
 
     if args.model in ("nb", "svm"):
         idx, ref = _fit_features(out_dir, train_c, min_df)
         X = tfidf_transform(train_c.texts(), idx)
         if args.model == "nb":
-            alpha = float(overrides.get("nb", {}).get("alpha", 1.0))
+            alpha = float(_section(overrides, "nb", {"alpha": 1.0})["alpha"])
             model = baselines.nb_train(X, train_c.labels(), alpha=alpha)
             config = {"alpha": alpha, "min_df": min_df}
         else:
-            svm_section = overrides.get("svm", {})
-            hyper = baselines.SvmHyper(
-                lambda_=float(svm_section.get("lambda", 1e-4)),
-                epochs=int(svm_section.get("epochs", 20)),
-                seed=args.seed)
+            svm = _section(overrides, "svm", {"lambda": 1e-4, "epochs": 20})
+            hyper = baselines.SvmHyper(lambda_=float(svm["lambda"]),
+                                       epochs=svm["epochs"], seed=args.seed)
             model = baselines.svm_train(X, train_c.labels(), hyper)
             config = {"lambda": hyper.lambda_, "epochs": hyper.epochs,
                       "min_df": min_df}
@@ -214,25 +225,20 @@ def cmd_train(args) -> int:
 
     if args.model == "transformer":
         val_c = _split_corpus_file(out_dir, "val")
-        tok_section = overrides.get("tokenizer", {})
-        tok_cfg = TokenizerConfig(
-            max_len=int(tok_section.get("max_len", 128)),
-            max_word_chars=int(tok_section.get("max_word_chars", 100)))
-        vocab = train_vocabulary(train_c.texts(),
-                                 int(tok_section.get("vocab_size", 4000)),
-                                 tok_cfg)
+        tok = _section(overrides, "tokenizer",
+                       {"max_len": 128, "max_word_chars": 100, "vocab_size": 4000})
+        tok_cfg = TokenizerConfig(max_len=tok["max_len"],
+                                  max_word_chars=tok["max_word_chars"])
+        vocab = train_vocabulary(train_c.texts(), tok["vocab_size"], tok_cfg)
         vocab_path = out_dir / "vocab.txt"
         save_vocabulary(vocab, vocab_path)
         vocab_ref = {"file": vocab_path.name, "sha256": _sha256(vocab_path)}
 
-        enc_section = dict(overrides.get("encoder", {}))
-        enc_section["max_len"] = tok_cfg.max_len
-        enc_section["vocab_size"] = len(vocab)
-        enc_section["num_classes"] = 3
-        cfg = tfm.EncoderConfig(**enc_section)
-        train_section = dict(overrides.get("train", {}))
-        train_section.setdefault("seed", args.seed)
-        tc = tfm.TrainConfig(**train_section)
+        enc = _section(overrides, "encoder", dataclasses.asdict(tfm.EncoderConfig()))
+        cfg = tfm.EncoderConfig(**{**enc, "max_len": tok_cfg.max_len,
+                                   "vocab_size": len(vocab), "num_classes": 3})
+        tc = tfm.TrainConfig(**_section(overrides, "train", {
+            **dataclasses.asdict(tfm.TrainConfig()), "seed": args.seed}))
 
         result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                            val_c.labels(), vocab, tok_cfg, cfg, tc)

@@ -3,7 +3,7 @@
 Greedy longest-match-first encoding over a vocabulary whose non-initial
 pieces carry the "##" continuation prefix; special tokens [PAD]/[UNK]/
 [CLS]/[SEP] are pinned to ids 0-3.  Sequences are assembled as
-[CLS] pieces [SEP], truncated from the tail and padded to a fixed length.
+[CLS] pieces [SEP], truncated from the tail and left unpadded.
 
 Because pretrained checkpoints are out of scope, a deterministic
 frequency-driven trainer (iterative most-frequent pair merging) builds
@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, check_fields
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
@@ -31,6 +32,7 @@ class TokenizerConfig:
     max_word_chars: int = 100
 
     def __post_init__(self):
+        check_fields(self)
         if self.max_len < 3:
             raise InputError("max_len must be >= 3 (room for [CLS], a piece, [SEP])")
         if self.max_word_chars < 1:
@@ -72,13 +74,6 @@ class Vocabulary:
         return cls(tuple(SPECIALS) + tuple(pieces))
 
 
-@dataclass(frozen=True)
-class Encoding:
-    ids: tuple[int, ...]
-    attention_mask: tuple[int, ...]
-    num_real: int
-
-
 def tokenize_word(word: str, v: Vocabulary, cfg: TokenizerConfig) -> list[str]:
     """Greedy longest-match segmentation of one whitespace-free word.
 
@@ -109,23 +104,16 @@ def tokenize_word(word: str, v: Vocabulary, cfg: TokenizerConfig) -> list[str]:
     return pieces
 
 
-def encode(text: str, v: Vocabulary, cfg: TokenizerConfig) -> Encoding:
-    """[CLS] + pieces + [SEP], tail-truncated to max_len and PAD-filled."""
-    pieces: list[str] = []
-    for word in text.split():
-        pieces.extend(tokenize_word(word, v, cfg))
-    pieces = pieces[:cfg.max_len - 2]
-    ids = [CLS_ID] + [v.id_of(p) for p in pieces] + [SEP_ID]
-    num_real = len(ids)
-    ids.extend([PAD_ID] * (cfg.max_len - num_real))
-    mask = [1] * num_real + [0] * (cfg.max_len - num_real)
-    return Encoding(ids=tuple(ids), attention_mask=tuple(mask), num_real=num_real)
+def encode(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
+    """[CLS] + pieces + [SEP], tail-truncated to max_len; no padding."""
+    pieces = [p for word in text.split() for p in tokenize_word(word, v, cfg)]
+    return [CLS_ID] + [v.id_of(p) for p in pieces[:cfg.max_len - 2]] + [SEP_ID]
 
 
-def decode(e: Encoding, v: Vocabulary) -> str:
+def decode(ids: Sequence[int], v: Vocabulary) -> str:
     """Invert encode: drop specials/padding and fuse '##' continuations."""
     words: list[str] = []
-    for i in e.ids:
+    for i in ids:
         if i >= len(v) or i < 0:
             raise InputError(f"token id {i} outside vocabulary of size {len(v)}")
         if i in (PAD_ID, CLS_ID, SEP_ID):

@@ -20,14 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SentimentLabel
-from .errors import InputError, TrainingError
+from .errors import InputError, TrainingError, check_fields
 from .metrics import evaluate
 from .rng import SplitMix64, derive_seed, shuffled
-from .tokenizer import Encoding, TokenizerConfig, Vocabulary, encode
+from .tokenizer import PAD_ID, TokenizerConfig, Vocabulary, encode
 
 LN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 INIT_STD = 0.02
+PREDICT_BATCH = 64
 
 # Cephes ndtr.c (Moshier, "Methods and Programs for Mathematical Functions",
 # 1989): erf = x*T(x^2)/U(x^2) for |x| <= 1 and
@@ -65,6 +66,7 @@ class EncoderConfig:
     num_classes: int = 3
 
     def __post_init__(self):
+        check_fields(self)
         if min(self.num_layers, self.num_heads, self.d_model, self.d_ff,
                self.max_len, self.vocab_size, self.num_classes) < 1:
             raise InputError("all encoder dimensions must be positive")
@@ -87,6 +89,7 @@ class TrainConfig:
     lr_constant_after_warmup: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise InputError("learning_rate, batch_size must be positive; epochs >= 0")
         if self.warmup_steps < 0 or self.weight_decay < 0:
@@ -224,8 +227,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _dropout(x: np.ndarray, rate: float, train_mode: bool, rng, max_len: int):
-    """The keep mask is drawn at [B, max_len, D] and cut to x's length, so a
-    batch trimmed of padding draws the same numbers as an untrimmed one."""
+    """The keep mask is drawn at [B, max_len, D] and cut to x's length, so the
+    numbers drawn do not depend on how far the batch is padded."""
     if not train_mode or rate == 0.0:
         return x, None
     b, l, d = x.shape
@@ -239,18 +242,15 @@ def _dropout_backward(dout: np.ndarray, keep, rate: float) -> np.ndarray:
     return dout * keep / (1.0 - rate)
 
 
-def batch_arrays(batch: list[Encoding]) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.asarray([e.ids for e in batch], dtype=np.int64)
-    mask = np.asarray([e.attention_mask for e in batch], dtype=np.int64)
+def _pad(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """int64 ids / mask arrays [B, L], L the longest row, PAD past each row's
+    end.  Padding further would add only positions masked in every row: they
+    change no real position's output, and their gradients are exact zeros."""
+    lengths = np.array([len(row) for row in rows])
+    mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.int64)
+    ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    ids[mask == 1] = np.concatenate(rows)
     return ids, mask
-
-
-def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cut a batch to its longest real sequence.  Positions past it are PAD
-    in every row: masked as keys, they change no real position's output,
-    and their gradients are exact zeros."""
-    length = int(mask.sum(axis=1).max())
-    return ids[:, :length], mask[:, :length]
 
 
 def forward_arrays(params: dict, cfg: EncoderConfig, ids: np.ndarray,
@@ -305,14 +305,6 @@ def forward_arrays(params: dict, cfg: EncoderConfig, ids: np.ndarray,
     if not np.all(np.isfinite(logits)):
         raise TrainingError("non-finite activations in forward pass")
     return logits, cache
-
-
-def forward(params: dict, cfg: EncoderConfig, batch: list[Encoding],
-            train_mode: bool = False, seed: int = 0):
-    """Encoding-list wrapper around forward_arrays."""
-    ids, mask = batch_arrays(batch)
-    rng = np.random.Generator(np.random.PCG64(seed)) if train_mode else None
-    return forward_arrays(params, cfg, ids, mask, train_mode, rng)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -395,19 +387,10 @@ def backward_arrays(params: dict, cfg: EncoderConfig, cache: dict,
     return grads
 
 
-def loss_and_grads(params: dict, cfg: EncoderConfig, batch: list[Encoding],
-                   labels: list[SentimentLabel], train_mode: bool = False,
-                   seed: int = 0) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_grads(params: dict, cfg: EncoderConfig, ids: np.ndarray,
+                   mask: np.ndarray, y: np.ndarray, train_mode: bool = False,
+                   rng=None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus exact gradients."""
-    if len(batch) != len(labels):
-        raise InputError("batch and labels must have equal length")
-    ids, mask = batch_arrays(batch)
-    y = np.asarray([int(l) for l in labels], dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(seed)) if train_mode else None
-    return _loss_and_grads_arrays(params, cfg, ids, mask, y, train_mode, rng)
-
-
-def _loss_and_grads_arrays(params, cfg, ids, mask, y, train_mode, rng):
     logits, cache = forward_arrays(params, cfg, ids, mask, train_mode, rng)
     loss, dlogits = cross_entropy(logits, y)
     if not math.isfinite(loss):
@@ -487,10 +470,9 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
     if tc.epochs == 0:
         return TrainResult(params, _copy_params(params), 0, [])
 
-    enc = [encode(t, vocab, tok_cfg) for t in train_texts]
-    ids_all, mask_all = batch_arrays(enc)
+    rows = [encode(t, vocab, tok_cfg) for t in train_texts]
     y_all = np.asarray([int(l) for l in train_labels], dtype=np.int64)
-    n = len(enc)
+    n = len(rows)
     steps_per_epoch = math.ceil(n / tc.batch_size)
     total_steps = tc.epochs * steps_per_epoch
 
@@ -510,11 +492,9 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
             sel = order[start:start + tc.batch_size]
             step += 1
             lr = lr_schedule(step, tc, total_steps)
-            ids, mask = _trim(ids_all[sel], mask_all[sel])
-            loss, grads = _loss_and_grads_arrays(
-                params, cfg, ids, mask, y_all[sel], train_mode=True, rng=drop_rng)
-            if not math.isfinite(loss):
-                raise TrainingError(f"training diverged at step {step}")
+            ids, mask = _pad([rows[i] for i in sel])
+            loss, grads = loss_and_grads(params, cfg, ids, mask, y_all[sel],
+                                         train_mode=True, rng=drop_rng)
             adamw_step(params, grads, state, tc, lr)
             epoch_loss += loss * len(sel)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n}
@@ -539,15 +519,14 @@ def _copy_params(params: dict) -> dict:
 
 
 def predict(params: dict, cfg: EncoderConfig, vocab: Vocabulary,
-            tok_cfg: TokenizerConfig, texts: list[str], batch_size: int = 64
+            tok_cfg: TokenizerConfig, texts: list[str]
             ) -> list[tuple[SentimentLabel, np.ndarray]]:
-    """Eval-mode prediction: softmax probabilities and argmax label
-    (lowest label id on exact ties)."""
+    """Eval-mode prediction, PREDICT_BATCH texts per forward pass: softmax
+    probabilities and argmax label (lowest label id on exact ties)."""
     out = []
-    for start in range(0, len(texts), batch_size):
-        chunk = texts[start:start + batch_size]
-        enc = [encode(t, vocab, tok_cfg) for t in chunk]
-        ids, mask = _trim(*batch_arrays(enc))
+    for start in range(0, len(texts), PREDICT_BATCH):
+        chunk = texts[start:start + PREDICT_BATCH]
+        ids, mask = _pad([encode(t, vocab, tok_cfg) for t in chunk])
         logits, _ = forward_arrays(params, cfg, ids, mask, train_mode=False)
         probs = _softmax(logits.astype(np.float64))
         for row in probs:
@@ -614,7 +593,7 @@ def load_transformer(path: str | Path):
             max_word_chars=header.get("max_word_chars",
                                       TokenizerConfig.max_word_chars))
         specs = list(header["tensors"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, InputError) as e:
         raise InputError(f"{path}: bad transformer header: {e!r}") from None
 
     expected = _param_specs(cfg)

@@ -95,7 +95,7 @@ def test_criterion_03_tokenizer_fixture():
         cfg = TokenizerConfig(max_len=16)
         assert tokenize_word("likhna", vocab, cfg) == ["li", "##kh", "##na"]
         enc = encode("likhna", vocab, cfg)
-        pieces = [vocab.tokens[i] for i in enc.ids[1:enc.num_real - 1]]
+        pieces = [vocab.tokens[i] for i in enc[1:-1]]
         assert pieces == ["li", "##kh", "##na"]
         assert decode(enc, vocab) == "likhna"
 
@@ -189,14 +189,14 @@ def test_criterion_08_gradient_check():
                                 num_classes=3)
         params = tfm.init_params(cfg, seed=3)
         rng = np.random.default_rng(0)
-        batch = []
+        ids, mask = [], []
         for n_real in (16, 9, 5, 2):
             core = [int(v) for v in rng.integers(4, 30, size=n_real - 2)]
-            ids = [2] + core + [3] + [0] * (16 - n_real)
-            mask = [1] * n_real + [0] * (16 - n_real)
-            batch.append(tfm.Encoding(tuple(ids), tuple(mask), n_real))
-        labels = [SentimentLabel(v) for v in (0, 1, 2, 1)]
-        _, grads = tfm.loss_and_grads(params, cfg, batch, labels)
+            ids.append([2] + core + [3] + [0] * (16 - n_real))
+            mask.append([1] * n_real + [0] * (16 - n_real))
+        batch = (np.array(ids), np.array(mask))
+        labels = np.array([SentimentLabel(v) for v in (0, 1, 2, 1)])
+        _, grads = tfm.loss_and_grads(params, cfg, *batch, labels)
 
         h = 1e-5
         worst = 0.0
@@ -207,9 +207,9 @@ def test_criterion_08_gradient_check():
                 mi = it.multi_index
                 orig = arr[mi]
                 arr[mi] = orig + h
-                lp, _ = tfm.loss_and_grads(params, cfg, batch, labels)
+                lp, _ = tfm.loss_and_grads(params, cfg, *batch, labels)
                 arr[mi] = orig - h
-                lm, _ = tfm.loss_and_grads(params, cfg, batch, labels)
+                lm, _ = tfm.loss_and_grads(params, cfg, *batch, labels)
                 arr[mi] = orig
                 fd[mi] = (lp - lm) / (2 * h)
             # denominator floor absorbs finite-difference noise (~1e-11) on
@@ -235,7 +235,7 @@ def test_criterion_09_overfit_capacity():
         params = tfm.init_params(cfg, seed=0)
         params["head.w"][:] = 0.0
         enc = [encode(t, vocab, tok_cfg) for t in texts]
-        loss, _ = tfm.loss_and_grads(params, cfg, enc, labels)
+        loss, _ = tfm.loss_and_grads(params, cfg, *tfm._pad(enc), np.array(labels))
         assert abs(loss - math.log(3)) < 1e-9
 
         tc = tfm.TrainConfig(learning_rate=1e-3, epochs=200, batch_size=8,

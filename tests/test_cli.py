@@ -86,6 +86,18 @@ class TestPrepare:
         assert code == 2
         assert "mixed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"split": {"train_frac": "abc"}},
+        {"split": [1]},
+        {"preprocess": {"remove_stopwords": False}},
+    ], ids=["train_frac-str", "section-list", "unknown-key"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, config):
+        jsonl, map_path = write_inputs(tmp_path)
+        assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                     "--out-dir", str(tmp_path / "run"),
+                     "--config", json.dumps(config)]) == 2
+        assert "error: config" in capsys.readouterr().err
+
     def test_missing_inputs_usage_error(self, tmp_path):
         code = main(["prepare", "--out-dir", str(tmp_path / "out")])
         assert code == 2
@@ -143,6 +155,27 @@ class TestTrain:
     def test_train_without_prepare_fails(self, tmp_path):
         code = main(["train", "--model", "nb", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("model, section, value", [
+        ("transformer", "encoder", {"num_layers": 1.5}),
+        ("transformer", "train", {"batch_size": 2.5}),
+        ("transformer", "train", {"epochs": 1.5}),
+        ("transformer", "encoder", {"dropout": "x"}),
+        ("transformer", "encoder", {"num_layer": 2}),       # unknown key
+        ("transformer", "train", {"seed": "3"}),
+        ("transformer", "encoder", [1]),                   # not an object
+        ("nb", "nb", {"alpha": "abc"}),
+    ], ids=["num_layers-float", "batch_size-float", "epochs-float",
+            "dropout-str", "unknown-key", "seed-str", "section-list",
+            "alpha-str"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, model, section, value):
+        out = run_prepare(tmp_path, tmp_path / "run")
+        config = json.loads(TINY_TRANSFORMER_CONFIG)
+        config[section] = ({**config.get(section, {}), **value}
+                           if isinstance(value, dict) else value)
+        assert main(["train", "--model", model, "--out-dir", str(out),
+                     "--config", json.dumps(config)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestEvaluateAndReport:
@@ -392,6 +425,16 @@ def test_model_file_with_non_object_header_exit_2(tmp_path, capsys):
     texts.write_text("movie mast\n", encoding="utf-8")
     assert main(["predict", "--model-file", str(model), "--input", str(texts)]) == 2
     assert "not a recognized model file" in capsys.readouterr().err
+
+
+def test_transformer_header_with_fractional_num_layers_exit_2(tmp_path, capsys):
+    out = run_prepare(tmp_path, tmp_path / "run")
+    header = {"kind": "transformer", "encoder_config": {"num_layers": 1.0},
+              "train_config": {}, "tensors": []}
+    model = out / "transformer.bin"
+    model.write_bytes(json.dumps(header).encode() + b"\n")
+    assert main(["evaluate", "--model-file", str(model)]) == 2
+    assert "num_layers" in capsys.readouterr().err
 
 
 def test_no_command_usage_error():

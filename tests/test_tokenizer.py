@@ -6,9 +6,10 @@ from vocab_reference import train_vocabulary_reference
 
 from mixsent.errors import InputError
 from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, SPECIALS, UNK, UNK_ID,
-                               Encoding, TokenizerConfig, Vocabulary, decode,
-                               encode, load_vocabulary, save_vocabulary,
-                               tokenize_word, train_vocabulary)
+                               TokenizerConfig, Vocabulary, decode, encode,
+                               load_vocabulary, save_vocabulary, tokenize_word,
+                               train_vocabulary)
+from mixsent.transformer import _pad
 
 
 class TestTokenizeWord:
@@ -51,29 +52,32 @@ class TestTokenizeWord:
 class TestEncode:
     def test_empty_text(self, segment_vocab, tok_cfg):
         e = encode("", segment_vocab, tok_cfg)
-        assert e.ids[0] == CLS_ID and e.ids[1] == SEP_ID
-        assert e.num_real == 2
-        assert all(i == PAD_ID for i in e.ids[2:])
-        assert len(e.ids) == tok_cfg.max_len
+        assert e == [CLS_ID, SEP_ID]
+        full = [CLS_ID] * tok_cfg.max_len
+        ids, mask = _pad([e, full])
+        assert ids.shape == mask.shape == (2, tok_cfg.max_len)
+        assert all(i == PAD_ID for i in ids[0, 2:])
+        assert mask[0].tolist() == [1, 1] + [0] * (tok_cfg.max_len - 2)
 
     def test_exact_fit_no_pad_no_truncation(self, segment_vocab):
         cfg = TokenizerConfig(max_len=8)
         e = encode("likhna likhna", segment_vocab, cfg)  # 6 pieces = max_len - 2
-        assert e.num_real == 8
-        assert e.ids[-1] == SEP_ID
-        assert PAD_ID not in e.ids
+        assert len(e) == 8
+        assert e[-1] == SEP_ID
+        ids, mask = _pad([e])
+        assert PAD_ID not in ids
+        assert mask.all()
 
     def test_two_words_concatenate(self, segment_vocab, tok_cfg):
         e = encode("likhna likhna", segment_vocab, tok_cfg)
         li, kh, na = (segment_vocab.id_of(t) for t in ("li", "##kh", "##na"))
-        assert e.ids[:8] == (CLS_ID, li, kh, na, li, kh, na, SEP_ID)
+        assert e == [CLS_ID, li, kh, na, li, kh, na, SEP_ID]
 
     def test_truncation_keeps_head_and_sep(self, segment_vocab):
         cfg = TokenizerConfig(max_len=4)
         e = encode("likhna likhna likhna", segment_vocab, cfg)
         li, kh = segment_vocab.id_of("li"), segment_vocab.id_of("##kh")
-        assert e.ids == (CLS_ID, li, kh, SEP_ID)
-        assert e.num_real == 4
+        assert e == [CLS_ID, li, kh, SEP_ID]
 
     @given(st.text(alphabet="likhna xyz", max_size=80))
     @settings(max_examples=60)
@@ -81,12 +85,15 @@ class TestEncode:
         v = Vocabulary.from_pieces(["li", "##kh", "##na", "x", "##y", "##z"])
         cfg = TokenizerConfig(max_len=12)
         e = encode(text, v, cfg)
-        assert len(e.ids) == cfg.max_len == len(e.attention_mask)
-        assert e.ids[0] == CLS_ID
-        assert e.ids[e.num_real - 1] == SEP_ID
-        assert all(m == (1 if i < e.num_real else 0)
-                   for i, m in enumerate(e.attention_mask))
-        assert all(i == PAD_ID for i in e.ids[e.num_real:])
+        n = len(e)
+        assert 2 <= n <= cfg.max_len
+        assert e[0] == CLS_ID and e[-1] == SEP_ID
+        assert PAD_ID not in e
+        ids, mask = _pad([e, [CLS_ID] * cfg.max_len])
+        assert ids.shape == mask.shape == (2, cfg.max_len)
+        assert ids[0, :n].tolist() == e
+        assert mask[0].tolist() == [1] * n + [0] * (cfg.max_len - n)
+        assert all(i == PAD_ID for i in ids[0, n:])
 
 
 class TestDecode:
@@ -102,10 +109,8 @@ class TestDecode:
         assert decode(e, segment_vocab) == f"likhna {UNK}"
 
     def test_out_of_range_id_rejected(self, segment_vocab, tok_cfg):
-        e = Encoding(ids=(CLS_ID, 99, SEP_ID) + (PAD_ID,) * 13,
-                     attention_mask=(1, 1, 1) + (0,) * 13, num_real=3)
         with pytest.raises(InputError):
-            decode(e, segment_vocab)
+            decode([CLS_ID, 99, SEP_ID] + [PAD_ID] * 13, segment_vocab)
 
     @given(st.lists(st.sampled_from(["likhna", "x", "xyz"]), min_size=1, max_size=3))
     def test_decode_inverts_encode_for_covered_text(self, words):
@@ -137,8 +142,7 @@ class TestTrainVocabulary:
         texts = ["movie mast hai", "khana bekar tha", "mast mast"]
         v = train_vocabulary(texts, 60)
         for text in texts:
-            e = encode(text, v, tok_cfg)
-            assert UNK_ID not in e.ids
+            assert UNK_ID not in encode(text, v, tok_cfg)
 
     def test_size_capped_by_target(self):
         v = train_vocabulary(["ab ab cd cd"], target_size=11)

@@ -7,35 +7,30 @@ import pytest
 
 from mixsent.corpus import SentimentLabel
 from mixsent.errors import InputError
-from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, Encoding,
-                               TokenizerConfig, Vocabulary)
+from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, TokenizerConfig,
+                               Vocabulary)
 from mixsent.transformer import (EncoderConfig, TrainConfig, adamw_init,
-                                 adamw_step, batch_arrays, cross_entropy,
-                                 forward, forward_arrays, init_params,
-                                 load_transformer, loss_and_grads,
-                                 lr_schedule, predict, save_transformer,
-                                 train, _erf, _layer_norm,
-                                 _loss_and_grads_arrays, _trim)
+                                 adamw_step, cross_entropy, forward_arrays,
+                                 init_params, load_transformer,
+                                 loss_and_grads, lr_schedule, predict,
+                                 save_transformer, train, _erf, _layer_norm,
+                                 _pad)
 
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16, dropout=0.0,
                      max_len=12, vocab_size=20, num_classes=3)
 
 
-def make_encoding(ids_core, max_len):
-    ids = [CLS_ID] + list(ids_core) + [SEP_ID]
-    num_real = len(ids)
-    ids += [PAD_ID] * (max_len - num_real)
-    mask = [1] * num_real + [0] * (max_len - num_real)
-    return Encoding(tuple(ids), tuple(mask), num_real)
+def row(ids_core):
+    """An encoded text: [CLS] + ids_core + [SEP]."""
+    return [CLS_ID] + list(ids_core) + [SEP_ID]
 
 
-def random_batch(cfg, rng, batch_size=3):
-    out = []
-    for _ in range(batch_size):
-        n = int(rng.integers(0, cfg.max_len - 2))
-        core = rng.integers(4, cfg.vocab_size, size=n).tolist()
-        out.append(make_encoding(core, cfg.max_len))
-    return out
+def padded(rows, length):
+    """ids / mask arrays with every row PAD-filled by hand to length."""
+    ids = np.array([r + [PAD_ID] * (length - len(r)) for r in rows], dtype=np.int64)
+    mask = np.array([[1] * len(r) + [0] * (length - len(r)) for r in rows],
+                    dtype=np.int64)
+    return ids, mask
 
 
 class TestInitAndForward:
@@ -52,52 +47,50 @@ class TestInitAndForward:
 
     def test_attention_rows_sum_to_one_over_unmasked(self):
         params = init_params(TINY, seed=2)
-        batch = [make_encoding([5, 6, 7], TINY.max_len)]
-        _, cache = forward(params, TINY, batch)
+        r = row([5, 6, 7])
+        _, cache = forward_arrays(params, TINY, *padded([r], TINY.max_len))
         attn = cache["layers"][0]["attn"]          # [B,H,L,L]
         sums = attn.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
-        num_real = batch[0].num_real
-        assert np.all(attn[..., num_real:] == 0.0)
+        assert np.all(attn[..., len(r):] == 0.0)
 
     def test_identical_inputs_identical_logits(self):
         params = init_params(TINY, seed=3)
-        enc = make_encoding([4, 9], TINY.max_len)
-        logits, _ = forward(params, TINY, [enc, enc])
+        r = row([4, 9])
+        logits, _ = forward_arrays(params, TINY, *padded([r, r], TINY.max_len))
         np.testing.assert_array_equal(logits[0], logits[1])
 
     def test_zero_position_embeddings_make_logits_permutation_invariant(self):
         params = init_params(TINY, seed=4)
         params["position_embedding"][:] = 0.0
-        a = make_encoding([5, 6, 7, 8], TINY.max_len)
-        b = make_encoding([7, 5, 8, 6], TINY.max_len)
-        la, _ = forward(params, TINY, [a])
-        lb, _ = forward(params, TINY, [b])
+        a = padded([row([5, 6, 7, 8])], TINY.max_len)
+        b = padded([row([7, 5, 8, 6])], TINY.max_len)
+        la, _ = forward_arrays(params, TINY, *a)
+        lb, _ = forward_arrays(params, TINY, *b)
         np.testing.assert_allclose(la, lb, atol=1e-12)
 
     def test_pad_token_ids_do_not_affect_logits(self):
         params = init_params(TINY, seed=5)
-        enc = make_encoding([4, 5], TINY.max_len)
-        ids, mask = batch_arrays([enc])
+        r = row([4, 5])
+        ids, mask = padded([r], TINY.max_len)
         base, _ = forward_arrays(params, TINY, ids, mask)
         ids2 = ids.copy()
-        ids2[0, enc.num_real:] = 17  # garbage in the padding
+        ids2[0, len(r):] = 17  # garbage in the padding
         alt, _ = forward_arrays(params, TINY, ids2, mask)
         np.testing.assert_allclose(base, alt, atol=1e-12)
 
     def test_pad_extension_invariance(self):
         params = init_params(TINY, seed=6)
-        short = batch_arrays([make_encoding([4, 5, 6], 7)])
-        long_ = batch_arrays([make_encoding([4, 5, 6], TINY.max_len)])
-        l_short, _ = forward_arrays(params, TINY, *short)
-        l_long, _ = forward_arrays(params, TINY, *long_)
-        np.testing.assert_allclose(l_short, l_long, atol=1e-12)
+        r = row([4, 5, 6])
+        unpadded, _ = forward_arrays(params, TINY, *_pad([r]))
+        for length in (7, TINY.max_len):
+            logits, _ = forward_arrays(params, TINY, *padded([r], length))
+            np.testing.assert_allclose(logits, unpadded, atol=1e-12)
 
     def test_out_of_range_id_rejected(self):
         params = init_params(TINY, seed=0)
-        enc = make_encoding([TINY.vocab_size], TINY.max_len)
         with pytest.raises(InputError):
-            forward(params, TINY, [enc])
+            forward_arrays(params, TINY, *_pad([row([TINY.vocab_size])]))
 
     def test_layer_norm_statistics(self):
         rng = np.random.default_rng(0)
@@ -170,19 +163,20 @@ class TestLossAndGradients:
     def test_zero_head_loss_is_ln3(self):
         params = init_params(TINY, seed=7)
         params["head.w"][:] = 0.0
-        batch = [make_encoding([4, 5], TINY.max_len),
-                 make_encoding([9], TINY.max_len)]
-        labels = [SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE]
-        loss, _ = loss_and_grads(params, TINY, batch, labels)
+        batch = padded([row([4, 5]), row([9])], TINY.max_len)
+        labels = np.array([SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE])
+        loss, _ = loss_and_grads(params, TINY, *batch, labels)
         assert abs(loss - math.log(3)) < 1e-12
 
     def test_duplicated_batch_keeps_mean_loss(self):
         params = init_params(TINY, seed=8)
-        batch = [make_encoding([4, 5], TINY.max_len),
-                 make_encoding([6, 7, 8], TINY.max_len)]
+        rows = [row([4, 5]), row([6, 7, 8])]
         labels = [SentimentLabel.NEUTRAL, SentimentLabel.POSITIVE]
-        loss_once, _ = loss_and_grads(params, TINY, batch, labels)
-        loss_twice, _ = loss_and_grads(params, TINY, batch * 2, labels * 2)
+        loss_once, _ = loss_and_grads(params, TINY, *padded(rows, TINY.max_len),
+                                      np.array(labels))
+        loss_twice, _ = loss_and_grads(params, TINY,
+                                       *padded(rows * 2, TINY.max_len),
+                                       np.array(labels * 2))
         assert abs(loss_once - loss_twice) < 1e-12
 
     def test_gradcheck_all_parameter_groups(self):
@@ -198,10 +192,10 @@ class TestLossAndGradients:
             if v.ndim >= 2:
                 v *= 20.0
         rng = np.random.default_rng(1)
-        batch = [make_encoding(rng.integers(4, cfg.vocab_size, size=n).tolist(),
-                               cfg.max_len) for n in (6, 3, 1)]
-        labels = [SentimentLabel(int(l)) for l in (0, 2, 1)]
-        _, grads = loss_and_grads(params, cfg, batch, labels)
+        batch = padded([row(rng.integers(4, cfg.vocab_size, size=n).tolist())
+                        for n in (6, 3, 1)], cfg.max_len)
+        labels = np.array([0, 2, 1])
+        _, grads = loss_and_grads(params, cfg, *batch, labels)
 
         h = 1e-5
         for key, arr in params.items():
@@ -211,9 +205,9 @@ class TestLossAndGradients:
                 mi = it.multi_index
                 orig = arr[mi]
                 arr[mi] = orig + h
-                lp, _ = loss_and_grads(params, cfg, batch, labels)
+                lp, _ = loss_and_grads(params, cfg, *batch, labels)
                 arr[mi] = orig - h
-                lm, _ = loss_and_grads(params, cfg, batch, labels)
+                lm, _ = loss_and_grads(params, cfg, *batch, labels)
                 arr[mi] = orig
                 fd[mi] = (lp - lm) / (2 * h)
             rel = np.abs(fd - grads[key]) / np.maximum(1e-6, np.abs(fd) + np.abs(grads[key]))
@@ -231,12 +225,12 @@ class TestLossAndGradients:
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16,
                             dropout=0.5, max_len=12, vocab_size=20)
         params = init_params(cfg, seed=10)
-        batch = [make_encoding([4, 5, 6], cfg.max_len)]
-        labels = [SentimentLabel.NEUTRAL]
-        eval_loss, _ = loss_and_grads(params, cfg, batch, labels, train_mode=False)
-        eval_loss2, _ = loss_and_grads(params, cfg, batch, labels, train_mode=False)
-        train_loss, _ = loss_and_grads(params, cfg, batch, labels,
-                                       train_mode=True, seed=1)
+        batch = padded([row([4, 5, 6])], cfg.max_len)
+        labels = np.array([SentimentLabel.NEUTRAL])
+        eval_loss, _ = loss_and_grads(params, cfg, *batch, labels, train_mode=False)
+        eval_loss2, _ = loss_and_grads(params, cfg, *batch, labels, train_mode=False)
+        train_loss, _ = loss_and_grads(params, cfg, *batch, labels, train_mode=True,
+                                       rng=np.random.Generator(np.random.PCG64(1)))
         assert eval_loss == eval_loss2
         assert train_loss != eval_loss
 
@@ -245,32 +239,45 @@ class TestPaddingTrim:
     CFG = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32,
                         dropout=0.1, max_len=24, vocab_size=40)
 
+    def test_pad_mixed_lengths(self):
+        rows = [row([7, 8, 9]), row([]), row([5])]
+        ids, mask = _pad(rows)
+        assert ids.dtype == mask.dtype == np.int64
+        np.testing.assert_array_equal(ids, [[CLS_ID, 7, 8, 9, SEP_ID],
+                                            [CLS_ID, SEP_ID, PAD_ID, PAD_ID, PAD_ID],
+                                            [CLS_ID, 5, SEP_ID, PAD_ID, PAD_ID]])
+        np.testing.assert_array_equal(mask, [[1, 1, 1, 1, 1],
+                                             [1, 1, 0, 0, 0],
+                                             [1, 1, 1, 0, 0]])
+
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_trimmed_batch_matches_full_length(self, dtype, tol):
-        """Same loss, gradients and dropout stream with or without the
-        all-PAD tail of a mixed-length batch."""
+        """Same loss, gradients and dropout stream whether a mixed-length
+        batch is padded to its longest row or to max_len."""
         cfg = self.CFG
         params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=13).items()}
         rng = np.random.default_rng(3)
-        batch = [make_encoding(rng.integers(4, cfg.vocab_size, size=n).tolist(),
-                               cfg.max_len) for n in (9, 2, 5, 0)]
-        ids, mask = batch_arrays(batch)
+        rows = [row(rng.integers(4, cfg.vocab_size, size=n).tolist())
+                for n in (9, 2, 5, 0)]
+        ids, mask = padded(rows, cfg.max_len)
         y = np.array([0, 2, 1, 1])
-        short_ids, short_mask = _trim(ids, mask)
+        short_ids, short_mask = _pad(rows)
         assert short_ids.shape == short_mask.shape == (4, 11)
+        np.testing.assert_array_equal(short_ids, ids[:, :11])
+        np.testing.assert_array_equal(short_mask, mask[:, :11])
 
         runs = []
         for a, m in ((ids, mask), (short_ids, short_mask)):
             gen = np.random.Generator(np.random.PCG64(21))
-            loss, grads = _loss_and_grads_arrays(params, cfg, a, m, y, True, gen)
+            loss, grads = loss_and_grads(params, cfg, a, m, y, True, gen)
             runs.append((loss, grads, gen.bit_generator.state))
-        (loss_full, g_full, state_full), (loss_trim, g_trim, state_trim) = runs
-        assert abs(loss_trim - loss_full) <= 1e-6 * abs(loss_full)
+        (loss_full, g_full, state_full), (loss_short, g_short, state_short) = runs
+        assert abs(loss_short - loss_full) <= 1e-6 * abs(loss_full)
         for key in g_full:
-            assert g_trim[key].dtype == dtype
-            np.testing.assert_allclose(g_trim[key], g_full[key], rtol=tol,
+            assert g_short[key].dtype == dtype
+            np.testing.assert_allclose(g_short[key], g_full[key], rtol=tol,
                                        atol=tol, err_msg=key)
-        assert state_trim == state_full
+        assert state_short == state_full
 
     def test_predict_mixed_lengths_matches_single_texts(self):
         vocab = Vocabulary.from_pieces([f"w{i}" for i in range(12)])
@@ -461,3 +468,19 @@ class TestSerialization:
             EncoderConfig(d_model=10, num_heads=3)
         with pytest.raises(InputError):
             TrainConfig(precision="half")
+
+    @pytest.mark.parametrize("cls, field, value", [
+        (EncoderConfig, "num_layers", 1.0),
+        (EncoderConfig, "d_model", True),
+        (EncoderConfig, "dropout", "x"),
+        (TrainConfig, "seed", "3"),
+        (TrainConfig, "epochs", 1.5),
+        (TrainConfig, "learning_rate", float("nan")),
+        (TokenizerConfig, "max_len", 12.0),
+    ])
+    def test_config_rejects_wrong_field_types(self, cls, field, value):
+        with pytest.raises(InputError, match=f"{cls.__name__}.{field}"):
+            cls(**{field: value})
+
+    def test_config_takes_an_int_for_a_float_field(self):
+        assert TrainConfig(learning_rate=1).learning_rate == 1
