@@ -13,6 +13,8 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections import Counter
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +30,8 @@ from .features import (fit_term_index, load_term_index, save_term_index,
                        tfidf_transform)
 from .metrics import (compare_models, evaluate, format_report, load_report,
                       per_class_f1_report, round_half_up, save_report)
-from .preprocess import (FillerList, PreprocessConfig, StopWordList,
-                         clean_text, load_emoji_lexicon, load_word_list,
-                         preprocess_corpus)
+from .preprocess import (PreprocessConfig, clean_text, load_emoji_lexicon,
+                         load_fillers, load_stop_words, preprocess_corpus)
 from .tokenizer import (TokenizerConfig, load_vocabulary, save_vocabulary,
                         train_vocabulary)
 
@@ -49,16 +50,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _load_overrides(arg: str | None) -> dict:
-    """--config accepts a JSON file path or an inline JSON object."""
+    """--config: inline JSON when it starts with '{', else a JSON file path."""
     if not arg:
         return {}
-    path = Path(arg)
-    if path.exists():
-        text = path.read_text(encoding="utf-8")
-    elif arg.lstrip().startswith("{"):
-        text = arg
-    else:
-        raise InputError(f"config file not found: {arg}")
+    try:
+        text = arg if arg.lstrip().startswith("{") else Path(arg).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read config file {arg}: {e}") from None
     try:
         overrides = json.loads(text)
     except json.JSONDecodeError as e:
@@ -70,33 +68,52 @@ def _load_overrides(arg: str | None) -> dict:
 
 def _section(overrides: dict, name: str, defaults: dict) -> dict:
     """defaults updated from overrides[name]: a JSON object with no other
-    keys, holding an int where the default is an int and a number where it
-    is a float."""
+    keys, each value of its default's kind (an int, a number, true/false or
+    a string; a string or null where the default is None)."""
     section = overrides.get(name, {})
     if not isinstance(section, dict) or not set(section) <= set(defaults):
         raise InputError(f"config section {name!r} must be a JSON object with "
                          f"keys among {sorted(defaults)}")
     for key, value in section.items():
-        if type(defaults[key]) in (int, float):
-            check_value(f"config value {name}.{key}", value,
-                        type(defaults[key]).__name__)
+        kind = "str | None" if defaults[key] is None else type(defaults[key]).__name__
+        check_value(f"config value {name}.{key}", value, kind)
     return {**defaults, **section}
 
 
-def _preprocess_config(args, overrides: dict) -> PreprocessConfig:
-    section = _section(overrides, "preprocess", {
-        "emoji_lexicon_file": None, "stopwords_file": None, "fillers_file": None,
-        "keep_hashtag_text": False, "remove_stop_words": True})
-    lexicon = load_emoji_lexicon(section["emoji_lexicon_file"])
-    stop_words = StopWordList(load_word_list(section["stopwords_file"], "stopwords.txt"))
-    fillers = FillerList(load_word_list(section["fillers_file"], "fillers.txt"))
-    keep_hashtags = bool(getattr(args, "keep_hashtag_text", False)
-                         or section["keep_hashtag_text"])
-    remove_stop = (bool(section["remove_stop_words"])
-                   and not getattr(args, "no_stop_words", False))
-    return PreprocessConfig(emoji_lexicon=lexicon, stop_words=stop_words,
-                            fillers=fillers, keep_hashtag_text=keep_hashtags,
-                            remove_stop_words=remove_stop)
+_PREPROCESS = {"emoji_lexicon_file": None, "stopwords_file": None,
+               "fillers_file": None, "keep_hashtag_text": False,
+               "remove_stop_words": True}
+_PREPROCESS_FILES = ("emoji_lexicon_file", "stopwords_file", "fillers_file")
+
+
+def _preprocess_config(section: dict) -> PreprocessConfig:
+    """The cleaning config of a checked preprocess section (no file: the default)."""
+    return PreprocessConfig(
+        emoji_lexicon=load_emoji_lexicon(section["emoji_lexicon_file"]),
+        stop_words=load_stop_words(section["stopwords_file"]),
+        fillers=load_fillers(section["fillers_file"]),
+        keep_hashtag_text=section["keep_hashtag_text"],
+        remove_stop_words=section["remove_stop_words"])
+
+
+def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
+    """The cleaning config prepare recorded in model_dir/manifest.json, checked
+    as --config is; each file it names must still have its recorded digest."""
+    path = model_dir / "manifest.json"
+    try:
+        recorded = json.loads(path.read_text(encoding="utf-8"))["config"]["preprocess"]
+        digests = recorded.pop("sha256")
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        digests = None
+    if not isinstance(digests, dict):
+        raise InputError(f"{path} is missing or records no preprocessing; "
+                         f"predict cleans text as the 'prepare' that wrote it did")
+    section = _section({"preprocess": recorded}, "preprocess", _PREPROCESS)
+    for key in _PREPROCESS_FILES:
+        if section[key]:
+            _verify_ref(Path(), {"file": section[key], "sha256": digests.get(key)},
+                        f"preprocess.{key}")
+    return _preprocess_config(section)
 
 
 def _distribution_report(dist) -> str:
@@ -124,12 +141,12 @@ def cmd_prepare(args) -> int:
     if not args.label_map:
         raise InputError("prepare needs --label-map")
     label_map = load_label_map(args.label_map)
-    pre_cfg = _preprocess_config(args, overrides)
+    section = _section(overrides, "preprocess", _PREPROCESS)
+    section["keep_hashtag_text"] |= args.keep_hashtag_text
+    section["remove_stop_words"] &= not args.no_stop_words
+    pre_cfg = _preprocess_config(section)
 
-    corpus = None
-    for item in args.input:
-        part = load_corpus(item, None, label_map)
-        corpus = part if corpus is None else merge(corpus, part)
+    corpus = reduce(merge, [load_corpus(item, None, label_map) for item in args.input])
 
     clean, drops = preprocess_corpus(corpus, pre_cfg)
     if len(clean) == 0:
@@ -142,188 +159,182 @@ def cmd_prepare(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_corpus(clean, out_dir / "clean.jsonl")
-    save_corpus(train_c, out_dir / "train.jsonl")
-    save_corpus(val_c, out_dir / "val.jsonl")
-    save_corpus(test_c, out_dir / "test.jsonl")
+    corpora = {"clean": clean, "train": train_c, "val": val_c, "test": test_c}
+    for name, part in corpora.items():
+        save_corpus(part, out_dir / f"{name}.jsonl")
     (out_dir / "distribution.txt").write_text(_distribution_report(dist) + "\n",
                                               encoding="utf-8")
     _write_json(out_dir / "drops.json", drops)
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "pipeline_version": __version__,
         "command": "prepare",
         "inputs": {Path(p).name: _sha256(Path(p)) for p in args.input},
         "label_map": _sha256(Path(args.label_map)),
         "seed": args.seed,
         "config": {
-            "preprocess": {"keep_hashtag_text": pre_cfg.keep_hashtag_text,
-                           "remove_stop_words": pre_cfg.remove_stop_words},
+            "preprocess": {**section, "sha256": {
+                key: _sha256(Path(section[key]))
+                for key in _PREPROCESS_FILES if section[key]}},
             "split": {"train_frac": spec.train_frac, "val_frac": spec.val_frac},
             "overrides": overrides,
         },
         "split_sizes": {"train": len(train_c), "val": len(val_c),
                         "test": len(test_c)},
-        "outputs": ["clean.jsonl", "train.jsonl", "val.jsonl", "test.jsonl",
-                    "distribution.txt", "drops.json"],
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+        "outputs": [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
+                    "drops.json"],
+    })
     print(_distribution_report(dist))
     print(f"dropped: {json.dumps(drops, sort_keys=True)}")
     print(f"splits: train={len(train_c)} val={len(val_c)} test={len(test_c)}")
     return 0
 
 
-def _train_manifest(out_dir: Path, model_name: str, inputs: dict, config: dict,
-                    seed: int, outputs: list[str]) -> None:
-    manifest = {
-        "pipeline_version": __version__,
-        "command": "train",
-        "model": model_name,
-        "inputs": inputs,
-        "config": config,
-        "seed": seed,
-        "outputs": outputs,
-    }
-    _write_json(out_dir / f"{model_name}.manifest.json", manifest)
+def _verify_ref(base: Path, ref, what: str) -> Path:
+    """base / ref["file"], refused unless it holds the digest ref["sha256"]."""
+    try:
+        path, expected = base / ref["file"], ref["sha256"]
+    except (TypeError, KeyError):
+        raise InputError(f"no {what} reference with a file and a digest") from None
+    if not path.is_file():
+        raise InputError(f"{what} file is missing: {path}")
+    digest = _sha256(path)
+    if digest != expected:
+        raise InputError(f"{what} digest mismatch for {path}: recorded "
+                         f"{str(expected)[:12]}..., file has {digest[:12]}... "
+                         f"(artifacts out of sync)")
+    return path
 
 
-def _fit_features(out_dir: Path, train_c: Corpus, min_df: int):
+def _fit_nb(X, labels, overrides: dict, seed: int):
+    alpha = float(_section(overrides, "nb", {"alpha": 1.0})["alpha"])
+    return baselines.nb_train(X, labels, alpha=alpha), {"alpha": alpha}
+
+
+def _fit_svm(X, labels, overrides: dict, seed: int):
+    svm = _section(overrides, "svm", {"lambda": 1e-4, "epochs": 20})
+    hyper = baselines.SvmHyper(float(svm["lambda"]), svm["epochs"], seed)
+    return baselines.svm_train(X, labels, hyper), {**svm, "lambda": hyper.lambda_}
+
+
+def _train_baseline(fit, model_path: Path, train_c: Corpus, overrides: dict, seed: int):
+    min_df = _section(overrides, "features", {"min_df": 1})["min_df"]
     idx = fit_term_index(train_c.texts(), min_df=min_df)
-    index_path = out_dir / "term_index.json"
+    index_path = model_path.parent / "term_index.json"
     save_term_index(idx, index_path)
-    return idx, {"file": index_path.name, "sha256": _sha256(index_path)}
+    ref = {"file": index_path.name, "sha256": _sha256(index_path)}
+    model, config = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(),
+                        overrides, seed)
+    baselines.save_baseline(model, model_path, term_index_ref=ref)
+    return {index_path.name: ref["sha256"]}, {**config, "min_df": min_df}, [index_path.name]
+
+
+def _nb_scores(model, X):
+    labels, log_posterior = baselines.nb_predict(model, X)
+    return labels, np.exp(log_posterior)
+
+
+def _load_baseline(scores, model_path: Path):
+    model, ref = baselines.load_baseline(model_path)
+    idx = load_term_index(_verify_ref(model_path.parent, ref, "term index"))
+    return lambda texts: scores(model, tfidf_transform(texts, idx))
+
+
+def _train_transformer(model_path: Path, train_c: Corpus, overrides: dict, seed: int):
+    out_dir = model_path.parent
+    val_c = _split_corpus_file(out_dir, "val")
+    tok = _section(overrides, "tokenizer",
+                   {**dataclasses.asdict(TokenizerConfig()), "vocab_size": 4000})
+    vocab_size = tok.pop("vocab_size")
+    tok_cfg = TokenizerConfig(**tok)
+    vocab = train_vocabulary(train_c.texts(), vocab_size, tok_cfg)
+    vocab_path = out_dir / "vocab.txt"
+    save_vocabulary(vocab, vocab_path)
+    vocab_ref = {"file": vocab_path.name, "sha256": _sha256(vocab_path)}
+
+    enc = _section(overrides, "encoder", dataclasses.asdict(tfm.EncoderConfig()))
+    cfg = tfm.EncoderConfig(**{**enc, "max_len": tok_cfg.max_len,
+                               "vocab_size": len(vocab), "num_classes": 3})
+    tc = tfm.TrainConfig(**_section(overrides, "train", {
+        **dataclasses.asdict(tfm.TrainConfig()), "seed": seed}))
+
+    result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
+                       val_c.labels(), vocab, tok_cfg, cfg, tc)
+    tfm.save_transformer(model_path, result.final_params, cfg, tc, tok_cfg, vocab_ref)
+    tfm.save_transformer(out_dir / "transformer_best.bin", result.best_params,
+                         cfg, tc, tok_cfg, vocab_ref)
+    _write_json(out_dir / "training_log.json",
+                {"epochs": result.log, "best_epoch": result.best_epoch})
+    for entry in result.log:
+        line = f"epoch {entry['epoch']}: loss {entry['train_loss']:.4f}"
+        if "val_weighted_f1" in entry:
+            line += f" val_weighted_f1 {entry['val_weighted_f1']:.4f}"
+        print(line)
+    return ({"val.jsonl": _sha256(out_dir / "val.jsonl"),
+             "vocab.txt": vocab_ref["sha256"]},
+            {"tokenizer": {**dataclasses.asdict(tok_cfg), "vocab_size": len(vocab)},
+             "encoder": dataclasses.asdict(cfg), "train": dataclasses.asdict(tc)},
+            ["transformer_best.bin", "vocab.txt", "training_log.json"])
+
+
+def _load_transformer(model_path: Path):
+    params, cfg, _tc, vocab_ref, tok_cfg = tfm.load_transformer(model_path)
+    vocab = load_vocabulary(_verify_ref(model_path.parent, vocab_ref, "vocabulary"))
+    return lambda texts: tfm.predict(params, cfg, vocab, tok_cfg, texts)
+
+
+# kind -> (artifact file, train, load).  train(model_path, train_corpus,
+# overrides, seed) writes the artifact and returns the train manifest's other
+# inputs, config and other outputs; load(model_path) returns texts -> (labels,
+# [N, 3] scores).  Entries reach the library through module attributes and
+# this module's globals at call time, so wrappers set on those names see calls.
+MODELS = {
+    "nb": ("nb.json", partial(_train_baseline, _fit_nb),
+           partial(_load_baseline, _nb_scores)),
+    "svm": ("svm.json", partial(_train_baseline, _fit_svm),
+            partial(_load_baseline, lambda model, X: baselines.svm_predict(model, X))),
+    "transformer": ("transformer.bin", _train_transformer, _load_transformer),
+}
+
+
+def _load_model(path: Path):
+    """(kind, texts -> (labels, scores)) for a model file; the `kind` or
+    `model_type` in its first line names the MODELS entry."""
+    try:
+        with path.open("rb") as fh:
+            header = json.loads(fh.readline().decode("utf-8"))
+    except OSError as e:
+        raise InputError(f"cannot read model file {path}: {e.strerror}") from None
+    except ValueError:                      # not UTF-8 or not JSON
+        header = None
+    kind = (header.get("kind", header.get("model_type"))
+            if isinstance(header, dict) else None)
+    if not isinstance(kind, str) or kind not in MODELS:
+        raise InputError(f"{path} is not a recognized model file")
+    return kind, MODELS[kind][2](path)
 
 
 def cmd_train(args) -> int:
     overrides = _load_overrides(args.config)
     out_dir = Path(args.out_dir)
     train_c = _split_corpus_file(out_dir, "train")
-    min_df = _section(overrides, "features", {"min_df": 1})["min_df"]
-
-    if args.model in ("nb", "svm"):
-        idx, ref = _fit_features(out_dir, train_c, min_df)
-        X = tfidf_transform(train_c.texts(), idx)
-        if args.model == "nb":
-            alpha = float(_section(overrides, "nb", {"alpha": 1.0})["alpha"])
-            model = baselines.nb_train(X, train_c.labels(), alpha=alpha)
-            config = {"alpha": alpha, "min_df": min_df}
-        else:
-            svm = _section(overrides, "svm", {"lambda": 1e-4, "epochs": 20})
-            hyper = baselines.SvmHyper(lambda_=float(svm["lambda"]),
-                                       epochs=svm["epochs"], seed=args.seed)
-            model = baselines.svm_train(X, train_c.labels(), hyper)
-            config = {"lambda": hyper.lambda_, "epochs": hyper.epochs,
-                      "min_df": min_df}
-        model_path = out_dir / f"{args.model}.json"
-        baselines.save_baseline(model, model_path, term_index_ref=ref)
-        _train_manifest(out_dir, args.model,
-                        {"train.jsonl": _sha256(out_dir / "train.jsonl"),
-                         "term_index.json": ref["sha256"]},
-                        config, args.seed, [model_path.name, "term_index.json"])
-        print(f"wrote {model_path}")
-        return 0
-
-    if args.model == "transformer":
-        val_c = _split_corpus_file(out_dir, "val")
-        tok = _section(overrides, "tokenizer",
-                       {"max_len": 128, "max_word_chars": 100, "vocab_size": 4000})
-        tok_cfg = TokenizerConfig(max_len=tok["max_len"],
-                                  max_word_chars=tok["max_word_chars"])
-        vocab = train_vocabulary(train_c.texts(), tok["vocab_size"], tok_cfg)
-        vocab_path = out_dir / "vocab.txt"
-        save_vocabulary(vocab, vocab_path)
-        vocab_ref = {"file": vocab_path.name, "sha256": _sha256(vocab_path)}
-
-        enc = _section(overrides, "encoder", dataclasses.asdict(tfm.EncoderConfig()))
-        cfg = tfm.EncoderConfig(**{**enc, "max_len": tok_cfg.max_len,
-                                   "vocab_size": len(vocab), "num_classes": 3})
-        tc = tfm.TrainConfig(**_section(overrides, "train", {
-            **dataclasses.asdict(tfm.TrainConfig()), "seed": args.seed}))
-
-        result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
-                           val_c.labels(), vocab, tok_cfg, cfg, tc)
-        tfm.save_transformer(out_dir / "transformer.bin", result.final_params,
-                             cfg, tc, tok_cfg, vocab_ref)
-        tfm.save_transformer(out_dir / "transformer_best.bin", result.best_params,
-                             cfg, tc, tok_cfg, vocab_ref)
-        _write_json(out_dir / "training_log.json",
-                    {"epochs": result.log, "best_epoch": result.best_epoch})
-        _train_manifest(out_dir, "transformer",
-                        {"train.jsonl": _sha256(out_dir / "train.jsonl"),
-                         "val.jsonl": _sha256(out_dir / "val.jsonl"),
-                         "vocab.txt": vocab_ref["sha256"]},
-                        {"tokenizer": {"max_len": tok_cfg.max_len,
-                                       "max_word_chars": tok_cfg.max_word_chars,
-                                       "vocab_size": len(vocab)},
-                         "encoder": dataclasses.asdict(cfg),
-                         "train": dataclasses.asdict(tc)}, args.seed,
-                        ["transformer.bin", "transformer_best.bin", "vocab.txt",
-                         "training_log.json"])
-        for entry in result.log:
-            line = f"epoch {entry['epoch']}: loss {entry['train_loss']:.4f}"
-            if "val_weighted_f1" in entry:
-                line += f" val_weighted_f1 {entry['val_weighted_f1']:.4f}"
-            print(line)
-        print(f"wrote {out_dir / 'transformer.bin'}")
-        return 0
-
-    raise InputError(f"unknown model {args.model!r}")
-
-
-def _detect_model_kind(path: Path) -> str:
-    with path.open("rb") as fh:
-        first = fh.readline()
-    try:
-        header = json.loads(first.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        header = None
-    if isinstance(header, dict):
-        if header.get("kind") == "transformer":
-            return "transformer"
-        if header.get("model_type") in ("nb", "svm"):
-            return header["model_type"]
-    raise InputError(f"{path} is not a recognized model file")
-
-
-def _verify_ref(model_dir: Path, ref: dict | None, what: str) -> Path:
-    if not ref or "file" not in ref:
-        raise InputError(f"model file lacks a {what} reference")
-    path = model_dir / ref["file"]
-    if not path.exists():
-        raise InputError(f"{what} file referenced by model is missing: {path}")
-    digest = _sha256(path)
-    if ref.get("sha256") and ref["sha256"] != digest:
-        raise InputError(
-            f"{what} digest mismatch for {path}: model expects {ref['sha256'][:12]}..., "
-            f"file has {digest[:12]}... (artifacts out of sync)")
-    return path
-
-
-def _predict_texts(model_path: Path, texts: list[str]):
-    """Returns (kind, [(label, per-class score array)])."""
-    kind = _detect_model_kind(model_path)
-    model_dir = model_path.parent
-    if kind in ("nb", "svm"):
-        model, ref = baselines.load_baseline(model_path)
-        idx = load_term_index(_verify_ref(model_dir, ref, "term index"))
-        X = tfidf_transform(texts, idx)
-        if kind == "nb":
-            labels, log_posterior = baselines.nb_predict(model, X)
-            return kind, list(zip(labels, np.exp(log_posterior)))
-        return kind, list(zip(*baselines.svm_predict(model, X)))
-    params, cfg, _tc, vocab_ref, tok_cfg = tfm.load_transformer(model_path)
-    vocab = load_vocabulary(_verify_ref(model_dir, vocab_ref, "vocabulary"))
-    return kind, tfm.predict(params, cfg, vocab, tok_cfg, texts)
+    file, train, _ = MODELS[args.model]
+    model_path = out_dir / file
+    inputs, config, outputs = train(model_path, train_c, overrides, args.seed)
+    _write_json(out_dir / f"{args.model}.manifest.json", {
+        "pipeline_version": __version__, "command": "train", "model": args.model,
+        "inputs": {"train.jsonl": _sha256(out_dir / "train.jsonl"), **inputs},
+        "config": config, "seed": args.seed,
+        "outputs": [model_path.name, *outputs]})
+    print(f"wrote {model_path}")
+    return 0
 
 
 def cmd_evaluate(args) -> int:
     model_path = Path(args.model_file)
-    if not model_path.exists():
-        raise InputError(f"model file not found: {model_path}")
+    kind, predict = _load_model(model_path)
     out_dir = Path(args.out_dir) if args.out_dir else model_path.parent
     split_c = _split_corpus_file(out_dir, args.split)
-    kind, preds = _predict_texts(model_path, split_c.texts())
-    report = evaluate(split_c.labels(), [label for label, _ in preds])
+    report = evaluate(split_c.labels(), predict(split_c.texts())[0])
 
     print(format_report(report))
     print(per_class_f1_report(report))
@@ -341,35 +352,22 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     model_path = Path(args.model_file)
-    if not model_path.exists():
-        raise InputError(f"model file not found: {model_path}")
-    overrides = _load_overrides(args.config)
-    pre_cfg = _preprocess_config(args, overrides)
-
-    if args.input:
-        lines = []
-        for item in args.input:
-            path = Path(item)
-            if not path.exists():
-                raise InputError(f"input file not found: {path}")
-            lines.extend(path.read_text(encoding="utf-8").splitlines())
-    elif not sys.stdin.isatty():
-        lines = sys.stdin.read().splitlines()
-    else:
+    _, predict = _load_model(model_path)
+    pre_cfg = _recorded_preprocess(model_path.parent)
+    if not args.input and sys.stdin.isatty():
         raise InputError("predict needs --input or text on stdin")
-
-    lines = [line for line in lines if line.strip()]
+    try:
+        texts = ([Path(item).read_text(encoding="utf-8") for item in args.input]
+                 or [sys.stdin.read()])
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read input: {e}") from None
+    lines = [line for text in texts for line in text.splitlines() if line.strip()]
     if not lines:
         return 0
-    cleaned = [clean_text(line, pre_cfg) for line in lines]
-    _, preds = _predict_texts(model_path, cleaned)
-    for label, scores in preds:
-        values = " ".join(f"{v:.6f}" for v in scores)
-        print(f"{label.name.lower()}\t{values}")
+    labels, scores = predict([clean_text(line, pre_cfg) for line in lines])
+    for label, row in zip(labels, scores):
+        print(f"{label.name.lower()}\t" + " ".join(f"{v:.6f}" for v in row))
     return 0
-
-
-_REPORT_ORDER = {"nb": 0, "svm": 1, "transformer": 2}
 
 
 def cmd_report(args) -> int:
@@ -382,12 +380,11 @@ def cmd_report(args) -> int:
         report, payload = load_report(path)
         loaded.append((str(payload.get("model", path.stem)),
                        str(payload.get("split", "")), report))
-    model_counts = {}
-    for model, _, _ in loaded:
-        model_counts[model] = model_counts.get(model, 0) + 1
+    model_counts = Counter(model for model, _, _ in loaded)
     entries = [(f"{model}:{split_name}" if model_counts[model] > 1 else model, report)
                for model, split_name, report in loaded]
-    entries.sort(key=lambda e: (_REPORT_ORDER.get(e[0].split(":")[0], 99), e[0]))
+    rank = {kind: i for i, kind in enumerate(MODELS)}
+    entries.sort(key=lambda e: (rank.get(e[0].split(":")[0], len(rank)), e[0]))
     table, csv_text = compare_models(entries)
     (out_dir / "comparison.csv").write_text(csv_text, encoding="utf-8")
     print(table)
@@ -418,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model on the prepared splits")
-    p.add_argument("--model", required=True, choices=("nb", "svm", "transformer"))
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--out-dir", required=True,
                    help="directory holding the prepared splits")
     p.add_argument("--seed", type=int, default=0)
@@ -437,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", required=True)
     p.add_argument("--input", action="append", default=[],
                    help="text file, one message per line (repeatable)")
-    p.add_argument("--config", help="JSON overrides (file path or inline)")
-    p.add_argument("--keep-hashtag-text", action="store_true")
-    p.add_argument("--no-stop-words", action="store_true")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="comparison table from saved evaluations")
@@ -453,12 +447,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except MixsentError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, InputError) else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and the number checks that
+"""Exception hierarchy shared across the toolkit, and the type checks that
 turn a malformed config value into an InputError.
 
 InputError covers bad files, bad flags, and bad data (CLI exit code 2);
@@ -22,17 +22,23 @@ class TrainingError(MixsentError):
 
 
 def check_value(what: str, value, kind: str) -> None:
-    """Raise InputError unless value is an int (kind "int") or a finite int
-    or float (kind "float"); a bool is neither."""
-    finite = isinstance(value, float) and math.isfinite(value)
-    if isinstance(value, bool) or not (isinstance(value, int) or
-                                       (kind == "float" and finite)):
-        noun = "an integer" if kind == "int" else "a finite number"
+    """Raise InputError unless value is of kind: "int" an int, "float" a finite
+    int or float (a bool is neither), "bool", "str", or "str | None"."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok, noun = {
+        "int": (number and isinstance(value, int), "an integer"),
+        "float": (number and (isinstance(value, int) or math.isfinite(value)),
+                  "a finite number"),
+        "bool": (isinstance(value, bool), "true or false"),
+        "str": (isinstance(value, str), "a string"),
+        "str | None": (value is None or isinstance(value, str), "a string or null"),
+    }[kind]
+    if not ok:
         raise InputError(f"{what} must be {noun}, got {value!r}")
 
 
 def check_fields(cfg) -> None:
-    """check_value on every int or float field of a dataclass instance."""
+    """check_value on every int, float, bool or str field of a dataclass."""
     for f in dataclasses.fields(cfg):
-        if f.type in ("int", "float"):
+        if f.type in ("int", "float", "bool", "str"):
             check_value(f"{type(cfg).__name__}.{f.name}", getattr(cfg, f.name), f.type)

@@ -60,7 +60,7 @@ class EmojiLexicon:
         for emoji, token in self.mapping.items():
             if not emoji:
                 raise InputError("emoji lexicon has an empty emoji key")
-            if not token or not token.isalpha() or token != token.lower():
+            if not (isinstance(token, str) and token.isalpha() and token == token.lower()):
                 raise InputError(
                     f"emoji lexicon token for {emoji!r} must be a lowercase "
                     f"alphabetic word, got {token!r}")
@@ -97,44 +97,45 @@ class FillerList:
                 raise InputError(f"filler phrase must be lowercase: {p!r}")
 
 
-def _data_text(name: str) -> str:
-    return (resources.files("mixsent") / "data" / name).read_text(encoding="utf-8")
+def _read_text(path: str | Path | None, default_name: str) -> str:
+    """path's UTF-8 text, or the packaged data file's when path is empty."""
+    source = Path(path) if path else resources.files("mixsent") / "data" / default_name
+    try:
+        return source.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {e}") from None
 
 
 def load_emoji_lexicon(path: str | Path | None = None) -> EmojiLexicon:
     """JSON object of emoji string -> affect token; default ships ~45 entries."""
-    text = Path(path).read_text(encoding="utf-8") if path else _data_text("emoji_lexicon.json")
     try:
-        mapping = json.loads(text)
+        mapping = json.loads(_read_text(path, "emoji_lexicon.json"))
     except json.JSONDecodeError as e:
         raise InputError(f"emoji lexicon is not valid JSON: {e}") from None
+    if not isinstance(mapping, dict):
+        raise InputError("emoji lexicon must be a JSON object")
     return EmojiLexicon(mapping)
 
 
-def load_word_list(path: str | Path | None, default_name: str) -> frozenset[str]:
+def _word_list(path: str | Path | None, default_name: str) -> frozenset[str]:
     """One entry per line; blank lines and '#'-prefixed comments ignored."""
-    text = Path(path).read_text(encoding="utf-8") if path else _data_text(default_name)
-    entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.append(line)
-    return frozenset(entries)
+    lines = (line.strip() for line in _read_text(path, default_name).splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
-def default_stop_words() -> StopWordList:
-    return StopWordList(load_word_list(None, "stopwords.txt"))
+def load_stop_words(path: str | Path | None = None) -> StopWordList:
+    return StopWordList(_word_list(path, "stopwords.txt"))
 
 
-def default_fillers() -> FillerList:
-    return FillerList(load_word_list(None, "fillers.txt"))
+def load_fillers(path: str | Path | None = None) -> FillerList:
+    return FillerList(_word_list(path, "fillers.txt"))
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
     emoji_lexicon: EmojiLexicon = field(default_factory=load_emoji_lexicon)
-    stop_words: StopWordList = field(default_factory=default_stop_words)
-    fillers: FillerList = field(default_factory=default_fillers)
+    stop_words: StopWordList = field(default_factory=load_stop_words)
+    fillers: FillerList = field(default_factory=load_fillers)
     keep_hashtag_text: bool = False
     remove_stop_words: bool = True
 

@@ -499,8 +499,7 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
             epoch_loss += loss * len(sel)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n}
         if val_texts:
-            preds = [label for label, _ in
-                     predict(params, cfg, vocab, tok_cfg, val_texts)]
+            preds, _ = predict(params, cfg, vocab, tok_cfg, val_texts)
             entry["val_weighted_f1"] = evaluate(val_labels, preds).weighted_f1
             if entry["val_weighted_f1"] > best_f1:
                 best_f1 = entry["val_weighted_f1"]
@@ -520,18 +519,17 @@ def _copy_params(params: dict) -> dict:
 
 def predict(params: dict, cfg: EncoderConfig, vocab: Vocabulary,
             tok_cfg: TokenizerConfig, texts: list[str]
-            ) -> list[tuple[SentimentLabel, np.ndarray]]:
-    """Eval-mode prediction, PREDICT_BATCH texts per forward pass: softmax
-    probabilities and argmax label (lowest label id on exact ties)."""
-    out = []
+            ) -> tuple[list[SentimentLabel], np.ndarray]:
+    """Eval-mode prediction, PREDICT_BATCH texts per forward pass: argmax
+    label per text (lowest label id on exact ties) and [N, C] float64
+    softmax probabilities."""
+    probs = np.empty((len(texts), cfg.num_classes))
     for start in range(0, len(texts), PREDICT_BATCH):
         chunk = texts[start:start + PREDICT_BATCH]
         ids, mask = _pad([encode(t, vocab, tok_cfg) for t in chunk])
         logits, _ = forward_arrays(params, cfg, ids, mask, train_mode=False)
-        probs = _softmax(logits.astype(np.float64))
-        for row in probs:
-            out.append((SentimentLabel(int(np.argmax(row))), row))
-    return out
+        probs[start:start + len(chunk)] = _softmax(logits.astype(np.float64))
+    return [SentimentLabel(int(i)) for i in np.argmax(probs, axis=1)], probs
 
 
 # --- serialization ---------------------------------------------------------

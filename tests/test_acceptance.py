@@ -242,8 +242,7 @@ def test_criterion_09_overfit_capacity():
                              weight_decay=0.01, warmup_steps=20, seed=5,
                              precision="double")
         result = tfm.train(texts, labels, [], [], vocab, tok_cfg, cfg, tc)
-        preds = [l for l, _ in tfm.predict(result.final_params, cfg, vocab,
-                                           tok_cfg, texts)]
+        preds, _ = tfm.predict(result.final_params, cfg, vocab, tok_cfg, texts)
         accuracy = sum(p == t for p, t in zip(preds, labels)) / len(labels)
         assert accuracy == 1.0
 
@@ -308,8 +307,8 @@ def test_criterion_10_model_ordering():
                              warmup_steps=30, seed=BENCH_SEED, precision="single")
         result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                            val_c.labels(), vocab, tok_cfg, cfg, tc)
-        preds = [l for l, _ in tfm.predict(result.best_params, cfg, vocab,
-                                           tok_cfg, test_c.texts())]
+        preds, _ = tfm.predict(result.best_params, cfg, vocab, tok_cfg,
+                               test_c.texts())
         tfm_f1 = evaluate(test_c.labels(), preds).weighted_f1
 
         print(f"\n  weighted F1: transformer {tfm_f1:.4f} / svm {svm_f1:.4f} "

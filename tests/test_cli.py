@@ -1,16 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixsent
 from mixsent import transformer as tfm
-from mixsent.baselines import load_baseline, nb_train
+from mixsent.baselines import load_baseline, nb_predict, nb_train
 from mixsent.cli import main
 from mixsent.corpus import CANONICAL_LABEL_MAP, load_corpus
 from mixsent.features import fit_term_index, load_term_index, tfidf_transform
@@ -26,13 +32,14 @@ NEU_WORDS = ["theek", "thik", "normal", "regular"]
 FILLER_WORDS = ["movie", "khana", "song", "phone", "acting", "delivery"]
 
 
-def write_inputs(tmp_path, n_per_class=20):
+def write_inputs(tmp_path, n_per_class=20, prefix=""):
+    """Posts whose last word, after `prefix`, carries the sentiment."""
     rows = []
     rng = np.random.default_rng(0)
     for i in range(n_per_class):
         for tag, words in (("pos", POS_WORDS), ("neg", NEG_WORDS), ("neu", NEU_WORDS)):
             fillers = " ".join(rng.choice(FILLER_WORDS, size=2))
-            rows.append({"text": f"u{i} {fillers} {words[i % len(words)]}",
+            rows.append({"text": f"u{i} {fillers} {prefix}{words[i % len(words)]}",
                          "label": tag})
     jsonl = tmp_path / "tweets.jsonl"
     jsonl.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
@@ -90,7 +97,10 @@ class TestPrepare:
         {"split": {"train_frac": "abc"}},
         {"split": [1]},
         {"preprocess": {"remove_stopwords": False}},
-    ], ids=["train_frac-str", "section-list", "unknown-key"])
+        {"preprocess": {"keep_hashtag_text": "no"}},
+        {"preprocess": {"stopwords_file": 5}},
+    ], ids=["train_frac-str", "section-list", "unknown-key", "bool-str",
+            "file-int"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, config):
         jsonl, map_path = write_inputs(tmp_path)
         assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
@@ -156,6 +166,15 @@ class TestTrain:
         code = main(["train", "--model", "nb", "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_long_inline_config(self, tmp_path):
+        """An inline --config longer than a file name may be is still read."""
+        out = run_prepare(tmp_path, tmp_path / "run")
+        config = json.dumps({"nb": {"alpha": 0.5}}, indent=300)
+        assert len(config) > 1000
+        assert main(["train", "--model", "nb", "--out-dir", str(out),
+                     "--config", config]) == 0
+        assert json.loads((out / "nb.manifest.json").read_text())["config"]["alpha"] == 0.5
+
     @pytest.mark.parametrize("model, section, value", [
         ("transformer", "encoder", {"num_layers": 1.5}),
         ("transformer", "train", {"batch_size": 2.5}),
@@ -165,9 +184,10 @@ class TestTrain:
         ("transformer", "train", {"seed": "3"}),
         ("transformer", "encoder", [1]),                   # not an object
         ("nb", "nb", {"alpha": "abc"}),
+        ("transformer", "train", {"lr_constant_after_warmup": "no"}),
     ], ids=["num_layers-float", "batch_size-float", "epochs-float",
             "dropout-str", "unknown-key", "seed-str", "section-list",
-            "alpha-str"])
+            "alpha-str", "bool-str"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, model, section, value):
         out = run_prepare(tmp_path, tmp_path / "run")
         config = json.loads(TINY_TRANSFORMER_CONFIG)
@@ -346,8 +366,7 @@ class TestTransformerArtifact:
         assert main(["evaluate", "--model-file", str(out / "transformer.bin"),
                      "--split", "train"]) == 0
         expected = evaluate(train_c.labels(),
-                            [l for l, _ in tfm.predict(params, cfg, vocab, tok,
-                                                       train_c.texts())])
+                            tfm.predict(params, cfg, vocab, tok, train_c.texts())[0])
         saved = json.loads((out / "eval_transformer_train.json").read_text())
         assert saved["confusion"] == expected.to_dict()["confusion"]
 
@@ -360,8 +379,8 @@ class TestTransformerArtifact:
         lines = capsys.readouterr().out.strip().splitlines()
         cleaned = [clean_text(t, PreprocessConfig()) for t in texts]
         assert lines == [f"{label.name.lower()}\t" + " ".join(f"{v:.6f}" for v in probs)
-                         for label, probs in tfm.predict(params, cfg, vocab, tok,
-                                                         cleaned)]
+                         for label, probs in zip(*tfm.predict(params, cfg, vocab, tok,
+                                                              cleaned))]
 
     def test_truncated_model_file_exit_2(self, short_words_dir, capsys):
         path = short_words_dir / "transformer.bin"
@@ -416,6 +435,124 @@ class TestPredict:
         monkeypatch.setattr("sys.stdin", io.StringIO("movie zabardast\n"))
         assert main(["predict", "--model-file", str(nb_dir / "nb.json")]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+
+class TestServedAsPrepared:
+    """predict cleans text with the preprocessing that prepare recorded in
+    the manifest.json beside the model, and takes no preprocessing flags."""
+
+    @staticmethod
+    def prepared_nb(tmp_path, *prepare_args, prefix=""):
+        jsonl, map_path = write_inputs(tmp_path, prefix=prefix)
+        out = tmp_path / "run"
+        assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                     "--out-dir", str(out), *prepare_args]) == 0
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def predict(model_path, texts, tmp_path, capsys):
+        path = tmp_path / "texts.txt"
+        path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["predict", "--model-file", str(model_path), "--input", str(path)])
+        return code, capsys.readouterr()
+
+    def test_hashtag_text_kept_without_a_flag(self, tmp_path, capsys):
+        out = self.prepared_nb(tmp_path, "--keep-hashtag-text", prefix="#")
+        texts = ["#bakwas", "#mast"]
+        code, captured = self.predict(out / "nb.json", texts, tmp_path, capsys)
+        assert code == 0
+        lines = captured.out.splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["negative", "positive"]
+
+        model, ref = load_baseline(out / "nb.json")
+        cleaned = [clean_text(t, PreprocessConfig(keep_hashtag_text=True)) for t in texts]
+        labels, log_posterior = nb_predict(
+            model, tfidf_transform(cleaned, load_term_index(out / ref["file"])))
+        assert lines == [f"{label.name.lower()}\t" + " ".join(f"{v:.6f}" for v in row)
+                         for label, row in zip(labels, np.exp(log_posterior))]
+
+    def test_word_list_edited_after_prepare_exit_2(self, tmp_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("hai\ntha\n", encoding="utf-8")
+        out = self.prepared_nb(tmp_path, "--config", json.dumps(
+            {"preprocess": {"stopwords_file": str(stop)}}))
+        recorded = json.loads((out / "manifest.json").read_text())["config"]["preprocess"]
+        assert recorded["stopwords_file"] == str(stop)
+        assert recorded["sha256"] == {
+            "stopwords_file": hashlib.sha256(stop.read_bytes()).hexdigest()}
+        assert self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)[0] == 0
+
+        stop.write_text("hai\n", encoding="utf-8")
+        code, captured = self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)
+        assert code == 2 and captured.out == ""
+        assert "preprocess.stopwords_file digest mismatch" in captured.err
+
+    def test_model_without_manifest_exit_2(self, tmp_path, capsys):
+        out = self.prepared_nb(tmp_path)
+        (out / "manifest.json").unlink()
+        code, captured = self.predict(out / "nb.json", ["movie mast"], tmp_path, capsys)
+        assert code == 2 and captured.out == ""
+        assert "manifest.json" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--keep-hashtag-text", "--no-stop-words",
+                                      "--config={}"])
+    def test_preprocessing_flags_are_prepare_only(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--model-file", str(tmp_path / "nb.json"), flag])
+        assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def served_dir(tmp_path_factory):
+    """A prepared run with a custom stop-word list, an nb and a transformer."""
+    tmp = tmp_path_factory.mktemp("served")
+    jsonl, map_path = write_inputs(tmp, n_per_class=6)
+    stop = tmp / "stop.txt"
+    stop.write_text("hai\ntha\n", encoding="utf-8")
+    out = tmp / "run"
+    assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                 "--out-dir", str(out), "--config",
+                 json.dumps({"preprocess": {"stopwords_file": str(stop)}})]) == 0
+    config = json.loads(TINY_TRANSFORMER_CONFIG)
+    config["train"]["epochs"] = 1
+    assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+    assert main(["train", "--model", "transformer", "--out-dir", str(out),
+                 "--config", json.dumps(config)]) == 0
+    texts = tmp / "texts.txt"
+    texts.write_text("movie mast hai\n#bakwas khana\n", encoding="utf-8")
+    return out, texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_predict_on_damaged_model_or_manifest_exits_0_or_2(served_dir, data):
+    """Truncating the model file or manifest.json, or overwriting one byte
+    of it, gives predict exit 0 or 2 and no traceback."""
+    out, texts = served_dir
+    target = data.draw(st.sampled_from(["nb.json", "transformer.bin", "manifest.json"]))
+    model = (data.draw(st.sampled_from(["nb.json", "transformer.bin"]))
+             if target == "manifest.json" else target)
+    original = (out / target).read_bytes()
+    # The JSON headers lie in the first 4 KiB; half the draws land there.
+    pos = data.draw(st.integers(0, min(len(original), 4096) - 1)
+                    | st.integers(0, len(original) - 1))
+    if data.draw(st.booleans()):
+        damaged = original[:pos]
+    else:
+        damaged = original[:pos] + bytes([data.draw(st.integers(0, 255))]) + original[pos + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp)
+        for name in ("nb.json", "term_index.json", "transformer.bin", "vocab.txt",
+                     "manifest.json"):
+            shutil.copy(out / name, run / name)
+        (run / target).write_bytes(damaged)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["predict", "--model-file", str(run / model),
+                         "--input", str(texts)])
+    assert code in (0, 2)
 
 
 def test_model_file_with_non_object_header_exit_2(tmp_path, capsys):

@@ -56,3 +56,19 @@ def test_traced_transformer_train_and_predict_record_layer_spans(tmp_path):
         "predict", "--model-file", str(out / "transformer.bin"),
         "--input", str(texts)])
     assert {"tokenizer.encode", "transformer.forward"} <= predict
+
+
+def test_traced_baseline_train_and_predict_record_layer_spans(tmp_path):
+    """The MODELS table reaches the baselines through the hooked names."""
+    out = run_prepare(tmp_path, tmp_path / "run")
+    texts = tmp_path / "texts.txt"
+    texts.write_text("mast movie\nbakwas khana\n", encoding="utf-8")
+    for model, file in (("nb", "nb.json"), ("svm", "svm.json")):
+        train = _traced_span_names(tmp_path, f"train_{model}", [
+            "train", "--model", model, "--out-dir", str(out)])
+        assert {"features.fit", "features.transform",
+                f"baselines.{model}_train"} <= train
+        predict = _traced_span_names(tmp_path, f"predict_{model}", [
+            "predict", "--model-file", str(out / file), "--input", str(texts)])
+        assert {"preprocess.clean_text", "features.transform",
+                f"baselines.{model}_predict"} <= predict

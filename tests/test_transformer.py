@@ -289,9 +289,9 @@ class TestPaddingTrim:
             if v.ndim >= 2:
                 v *= 20.0
         texts = ["w1", "w2 w3 w4 w5 w6 w7 w8", "", "w9 w10", "w11 " * 12]
-        together = predict(params, cfg, vocab, tok, texts)
-        for text, (label, probs) in zip(texts, together):
-            [(alone_label, alone_probs)] = predict(params, cfg, vocab, tok, [text])
+        labels, probs_all = predict(params, cfg, vocab, tok, texts)
+        for text, label, probs in zip(texts, labels, probs_all):
+            [alone_label], [alone_probs] = predict(params, cfg, vocab, tok, [text])
             assert label == alone_label
             np.testing.assert_allclose(probs, alone_probs, rtol=0, atol=1e-6)
 
@@ -392,7 +392,7 @@ class TestTrainLoop:
         params["head.w"][:] = 0.0
         params["head.b"][:] = 0.0
         out = predict(params, self.CFG, self.VOCAB, self.TOK, ["w1 w2", "w3"])
-        for label, probs in out:
+        for label, probs in zip(*out):
             np.testing.assert_allclose(probs, 1 / 3, atol=1e-12)
             assert label == SentimentLabel.NEGATIVE  # tie -> lowest id
 
@@ -400,7 +400,7 @@ class TestTrainLoop:
         params = init_params(self.CFG, seed=12)
         out = predict(params, self.CFG, self.VOCAB, self.TOK,
                       ["w1 w5 w9", "w2", "w11 w0"])
-        for _, probs in out:
+        for probs in out[1]:
             assert abs(probs.sum() - 1.0) < 1e-9
 
 
@@ -477,6 +477,7 @@ class TestSerialization:
         (TrainConfig, "epochs", 1.5),
         (TrainConfig, "learning_rate", float("nan")),
         (TokenizerConfig, "max_len", 12.0),
+        (TrainConfig, "lr_constant_after_warmup", "no"),
     ])
     def test_config_rejects_wrong_field_types(self, cls, field, value):
         with pytest.raises(InputError, match=f"{cls.__name__}.{field}"):
