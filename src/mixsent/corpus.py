@@ -104,6 +104,8 @@ def load_label_map(path: str | Path) -> dict[str, SentimentLabel]:
         raise InputError(f"label map file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read label map {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"label map {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
@@ -135,6 +137,26 @@ def _record_from_fields(fields: dict, line_no: int, path: Path,
     return LabeledTweet(id=rid, text=text, label=label_map[raw_label], source=source)
 
 
+def _rows(fh, path: Path, format: str):
+    """(line number, field dict) for each record of an open JSONL or CSV file."""
+    if format == "csv":
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
+            raise InputError(f"{path}: CSV header must include 'text' and 'label'")
+        yield from enumerate(reader, start=2)
+        return
+    for line_no, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise InputError(f"{path}:{line_no}: malformed JSON: {e.msg}") from None
+        if not isinstance(obj, dict):
+            raise InputError(f"{path}:{line_no}: row is not a JSON object")
+        yield line_no, obj
+
+
 def load_corpus(path: str | Path, format: str | None = None,
                 label_map: dict[str, SentimentLabel] | None = None) -> Corpus:
     """Load a JSONL or CSV file of labeled texts.
@@ -155,29 +177,15 @@ def load_corpus(path: str | Path, format: str | None = None,
 
     records: list[LabeledTweet] = []
     unmapped: set[str] = set()
-    if format == "jsonl":
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise InputError(f"{path}:{line_no}: malformed JSON: {e.msg}") from None
-                if not isinstance(obj, dict):
-                    raise InputError(f"{path}:{line_no}: row is not a JSON object")
-                rec = _record_from_fields(obj, line_no, path, label_map, unmapped)
+    try:
+        with path.open(encoding="utf-8",
+                       newline="" if format == "csv" else None) as fh:
+            for line_no, fields in _rows(fh, path, format):
+                rec = _record_from_fields(fields, line_no, path, label_map, unmapped)
                 if rec is not None:
                     records.append(rec)
-    else:
-        with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
-                raise InputError(f"{path}: CSV header must include 'text' and 'label'")
-            for line_no, row in enumerate(reader, start=2):
-                rec = _record_from_fields(row, line_no, path, label_map, unmapped)
-                if rec is not None:
-                    records.append(rec)
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise InputError(f"cannot read corpus file {path}: {e}") from None
 
     if unmapped:
         raise InputError(

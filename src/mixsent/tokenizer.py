@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,22 +107,6 @@ def encode(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
     """[CLS] + pieces + [SEP], tail-truncated to max_len; no padding."""
     pieces = [p for word in text.split() for p in tokenize_word(word, v, cfg)]
     return [CLS_ID] + [v.id_of(p) for p in pieces[:cfg.max_len - 2]] + [SEP_ID]
-
-
-def decode(ids: Sequence[int], v: Vocabulary) -> str:
-    """Invert encode: drop specials/padding and fuse '##' continuations."""
-    words: list[str] = []
-    for i in ids:
-        if i >= len(v) or i < 0:
-            raise InputError(f"token id {i} outside vocabulary of size {len(v)}")
-        if i in (PAD_ID, CLS_ID, SEP_ID):
-            continue
-        tok = v.tokens[i]
-        if tok.startswith(CONTINUATION_PREFIX) and words:
-            words[-1] += tok[len(CONTINUATION_PREFIX):]
-        else:
-            words.append(tok)
-    return " ".join(words)
 
 
 def _word_to_initial_pieces(word: str) -> tuple[str, ...]:

@@ -191,10 +191,12 @@ def _gelu_grad(h: np.ndarray, cdf2: np.ndarray) -> np.ndarray:
     return 0.5 * cdf2 + h * phi
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in x; returns x."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -253,55 +255,91 @@ def _pad(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
+def _attention(params: dict, pre: str, x: np.ndarray, pad_keys: np.ndarray,
+               cfg: EncoderConfig, saved: dict | None) -> np.ndarray:
+    """Multi-head self-attention of one block, through its output projection.
+
+    Scale, PAD mask and softmax run in place on the [B, H, L, L] scores
+    buffer.  What backward needs goes into saved when it is a dict; the rest
+    is freed on return."""
+    H = cfg.num_heads
+    q = x @ params[pre + "attn.q_w"] + params[pre + "attn.q_b"]
+    k = x @ params[pre + "attn.k_w"] + params[pre + "attn.k_b"]
+    v = x @ params[pre + "attn.v_w"] + params[pre + "attn.v_b"]
+    qh, kh, vh = (_split_heads(t, H) for t in (q, k, v))
+    attn = qh @ kh.transpose(0, 1, 3, 2)                      # [B,H,L,L]
+    attn *= 1.0 / math.sqrt(cfg.d_model // H)
+    np.copyto(attn, -np.inf, where=pad_keys)
+    _softmax(attn)
+    ctx = _merge_heads(attn @ vh)                             # [B,L,D]
+    if saved is not None:
+        saved.update(qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx)
+    return ctx @ params[pre + "attn.o_w"] + params[pre + "attn.o_b"]
+
+
+def _feed_forward(params: dict, pre: str, x1: np.ndarray,
+                  saved: dict | None) -> np.ndarray:
+    """The GELU feed-forward of one block; what backward needs goes into
+    saved when it is a dict, the rest is freed on return."""
+    h = x1 @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
+    cdf2 = _gelu_cdf2(h)
+    if saved is not None:
+        saved.update(h=h, cdf2=cdf2)
+    return _gelu(h, cdf2) @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
+
+
+def _block(params: dict, pre: str, x: np.ndarray, pad_keys: np.ndarray,
+           cfg: EncoderConfig, train_mode: bool, rng,
+           saved: dict | None) -> np.ndarray:
+    """One post-norm residual block: x1 = LN(x + dropout(attention(x))),
+    then LN(x1 + dropout(ffn(x1))).  What backward needs goes into saved
+    when it is a dict; the rest is freed on return."""
+    od, keep_o = _dropout(_attention(params, pre, x, pad_keys, cfg, saved),
+                          cfg.dropout, train_mode, rng, cfg.max_len)
+    od += x
+    x1, ln1 = _layer_norm(od, params[pre + "norm1.gain"],
+                          params[pre + "norm1.bias"])
+    fd, keep_f = _dropout(_feed_forward(params, pre, x1, saved),
+                          cfg.dropout, train_mode, rng, cfg.max_len)
+    fd += x1
+    x2, ln2 = _layer_norm(fd, params[pre + "norm2.gain"],
+                          params[pre + "norm2.bias"])
+    if saved is not None:
+        saved.update(x_in=x, keep_o=keep_o, ln1=ln1, x1=x1, keep_f=keep_f,
+                     ln2=ln2)
+    return x2
+
+
 def forward_arrays(params: dict, cfg: EncoderConfig, ids: np.ndarray,
-                   mask: np.ndarray, train_mode: bool = False, rng=None):
+                   mask: np.ndarray, train_mode: bool = False, rng=None,
+                   keep_cache: bool = False):
     """Forward pass on id/mask arrays [B, L]; returns (logits, cache).
 
     L may be smaller than cfg.max_len (position rows beyond L are unused);
-    PAD positions are excluded from attention via the key mask.
+    PAD positions are excluded from attention via the key mask.  cache holds
+    every activation backward_arrays needs and is built only when keep_cache
+    is set; otherwise it is None and each block's activations are freed when
+    the block returns.
     """
     if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
         raise InputError("token id outside vocabulary range")
     if train_mode and cfg.dropout > 0 and rng is None:
         raise InputError("train-mode forward with dropout needs an rng")
-    B, L = ids.shape
-    H = cfg.num_heads
-    scale = 1.0 / math.sqrt(cfg.d_model // H)
-
+    L = ids.shape[1]
     x = params["token_embedding"][ids] + params["position_embedding"][:L]
-    key_mask = mask[:, None, None, :].astype(bool)           # [B,1,1,L]
-    cache = {"ids": ids, "mask": mask, "x0": x, "layers": []}
+    pad_keys = (mask == 0)[:, None, None, :]                  # [B,1,1,L]
+    cache = {"ids": ids, "layers": []} if keep_cache else None
 
     for i in range(cfg.num_layers):
-        pre = f"layers.{i}."
-        lc = {"x_in": x}
-        q = x @ params[pre + "attn.q_w"] + params[pre + "attn.q_b"]
-        k = x @ params[pre + "attn.k_w"] + params[pre + "attn.k_b"]
-        v = x @ params[pre + "attn.v_w"] + params[pre + "attn.v_b"]
-        qh, kh, vh = (_split_heads(t, H) for t in (q, k, v))
-        scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-        scores = np.where(key_mask, scores, -np.inf)
-        attn = _softmax(scores)                               # [B,H,L,L]
-        ctx = _merge_heads(attn @ vh)                         # [B,L,D]
-        o = ctx @ params[pre + "attn.o_w"] + params[pre + "attn.o_b"]
-        od, keep_o = _dropout(o, cfg.dropout, train_mode, rng, cfg.max_len)
-        x1, ln1 = _layer_norm(x + od, params[pre + "norm1.gain"],
-                              params[pre + "norm1.bias"])
-
-        h = x1 @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
-        cdf2 = _gelu_cdf2(h)
-        f = _gelu(h, cdf2) @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
-        fd, keep_f = _dropout(f, cfg.dropout, train_mode, rng, cfg.max_len)
-        x2, ln2 = _layer_norm(x1 + fd, params[pre + "norm2.gain"],
-                              params[pre + "norm2.bias"])
-
-        lc.update(qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx, keep_o=keep_o,
-                  ln1=ln1, x1=x1, h=h, cdf2=cdf2, keep_f=keep_f, ln2=ln2)
-        cache["layers"].append(lc)
-        x = x2
+        saved = {} if keep_cache else None
+        x = _block(params, f"layers.{i}.", x, pad_keys, cfg, train_mode, rng,
+                   saved)
+        if keep_cache:
+            cache["layers"].append(saved)
 
     logits = x[:, 0, :] @ params["head.w"] + params["head.b"]
-    cache["x_final"] = x
+    if keep_cache:
+        cache["x_final"] = x
     if not np.all(np.isfinite(logits)):
         raise TrainingError("non-finite activations in forward pass")
     return logits, cache
@@ -391,7 +429,8 @@ def loss_and_grads(params: dict, cfg: EncoderConfig, ids: np.ndarray,
                    mask: np.ndarray, y: np.ndarray, train_mode: bool = False,
                    rng=None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus exact gradients."""
-    logits, cache = forward_arrays(params, cfg, ids, mask, train_mode, rng)
+    logits, cache = forward_arrays(params, cfg, ids, mask, train_mode, rng,
+                                   keep_cache=True)
     loss, dlogits = cross_entropy(logits, y)
     if not math.isfinite(loss):
         raise TrainingError("non-finite loss")
@@ -520,15 +559,18 @@ def _copy_params(params: dict) -> dict:
 def predict(params: dict, cfg: EncoderConfig, vocab: Vocabulary,
             tok_cfg: TokenizerConfig, texts: list[str]
             ) -> tuple[list[SentimentLabel], np.ndarray]:
-    """Eval-mode prediction, PREDICT_BATCH texts per forward pass: argmax
-    label per text (lowest label id on exact ties) and [N, C] float64
-    softmax probabilities."""
+    """Eval-mode prediction: argmax label per text (lowest label id on exact
+    ties) and [N, C] float64 softmax probabilities, in input order.
+
+    Texts are encoded once and run PREDICT_BATCH per forward pass in order of
+    encoded length (stable in input position), so each batch pads little."""
+    rows = [encode(t, vocab, tok_cfg) for t in texts]
+    order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
     probs = np.empty((len(texts), cfg.num_classes))
-    for start in range(0, len(texts), PREDICT_BATCH):
-        chunk = texts[start:start + PREDICT_BATCH]
-        ids, mask = _pad([encode(t, vocab, tok_cfg) for t in chunk])
-        logits, _ = forward_arrays(params, cfg, ids, mask, train_mode=False)
-        probs[start:start + len(chunk)] = _softmax(logits.astype(np.float64))
+    for start in range(0, len(order), PREDICT_BATCH):
+        sel = order[start:start + PREDICT_BATCH]
+        logits, _ = forward_arrays(params, cfg, *_pad([rows[i] for i in sel]))
+        probs[sel] = _softmax(logits.astype(np.float64))
     return [SentimentLabel(int(i)) for i in np.argmax(probs, axis=1)], probs
 
 

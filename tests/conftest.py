@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
+from mixsent.errors import InputError
 from mixsent.features import FeatureMatrix
-from mixsent.tokenizer import TokenizerConfig, Vocabulary
+from mixsent.tokenizer import (CLS_ID, CONTINUATION_PREFIX, PAD_ID, SEP_ID,
+                               TokenizerConfig, Vocabulary)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -35,6 +37,22 @@ def feature_matrix(rows, num_features=None):
                          indices=np.array(indices, dtype=np.int64),
                          data=np.array(data, dtype=np.float64),
                          num_features=num_features)
+
+
+def decode(ids, v):
+    """Invert encode: drop specials/padding and fuse '##' continuations."""
+    words: list[str] = []
+    for i in ids:
+        if i >= len(v) or i < 0:
+            raise InputError(f"token id {i} outside vocabulary of size {len(v)}")
+        if i in (PAD_ID, CLS_ID, SEP_ID):
+            continue
+        tok = v.tokens[i]
+        if tok.startswith(CONTINUATION_PREFIX) and words:
+            words[-1] += tok[len(CONTINUATION_PREFIX):]
+        else:
+            words.append(tok)
+    return " ".join(words)
 
 
 @pytest.fixture

@@ -21,10 +21,10 @@ from mixsent.corpus import (Corpus, LabeledTweet, SentimentLabel, SplitSpec,
 from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, preprocess_corpus
-from mixsent.tokenizer import (TokenizerConfig, Vocabulary, decode, encode,
+from mixsent.tokenizer import (TokenizerConfig, Vocabulary, encode,
                                tokenize_word, train_vocabulary)
 
-from conftest import DATA_DIR, feature_matrix
+from conftest import DATA_DIR, decode, feature_matrix
 
 
 @contextlib.contextmanager

@@ -108,6 +108,19 @@ class TestPrepare:
                      "--config", json.dumps(config)]) == 2
         assert "error: config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["input-dir", "label-map-dir", "input-utf16"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, monkeypatch, bad):
+        jsonl, map_path = write_inputs(tmp_path)
+        if bad == "input-utf16":
+            jsonl.write_bytes(b"\xff\xfe" + jsonl.read_text().encode("utf-16-le"))
+        monkeypatch.chdir(tmp_path)
+        code = main(["prepare",
+                     "--input", "." if bad == "input-dir" else str(jsonl),
+                     "--label-map", "." if bad == "label-map-dir" else str(map_path),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert "error: cannot read" in capsys.readouterr().err
+
     def test_missing_inputs_usage_error(self, tmp_path):
         code = main(["prepare", "--out-dir", str(tmp_path / "out")])
         assert code == 2

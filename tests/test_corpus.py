@@ -88,6 +88,13 @@ class TestLoadCorpus:
         with pytest.raises(InputError, match="header"):
             load_corpus(path, "csv", FULL_MAP)
 
+    def test_csv_field_over_parser_limit_rejected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text('text,label\n"' + "a " * 70000 + '",Positive\n',
+                        encoding="utf-8")
+        with pytest.raises(InputError, match="field larger"):
+            load_corpus(path, "csv", FULL_MAP)
+
     def test_label_map_file(self, tmp_path):
         path = tmp_path / "map.json"
         path.write_text('{"0": "negative", "Neut": "neutral", "+": "positive"}',

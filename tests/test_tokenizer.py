@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import decode
 from vocab_reference import train_vocabulary_reference
 
 from mixsent.errors import InputError
 from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, SPECIALS, UNK, UNK_ID,
-                               TokenizerConfig, Vocabulary, decode, encode,
+                               TokenizerConfig, Vocabulary, encode,
                                load_vocabulary, save_vocabulary, tokenize_word,
                                train_vocabulary)
 from mixsent.transformer import _pad

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from mixsent.corpus import SentimentLabel
 from mixsent.errors import InputError
 from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, TokenizerConfig,
                                Vocabulary)
-from mixsent.transformer import (EncoderConfig, TrainConfig, adamw_init,
-                                 adamw_step, cross_entropy, forward_arrays,
+from mixsent.transformer import (PREDICT_BATCH, EncoderConfig, TrainConfig,
+                                 adamw_init, adamw_step, cross_entropy,
+                                 forward_arrays,
                                  init_params, load_transformer,
                                  loss_and_grads, lr_schedule, predict,
                                  save_transformer, train, _erf, _layer_norm,
@@ -48,11 +50,38 @@ class TestInitAndForward:
     def test_attention_rows_sum_to_one_over_unmasked(self):
         params = init_params(TINY, seed=2)
         r = row([5, 6, 7])
-        _, cache = forward_arrays(params, TINY, *padded([r], TINY.max_len))
+        _, cache = forward_arrays(params, TINY, *padded([r], TINY.max_len),
+                                  keep_cache=True)
         attn = cache["layers"][0]["attn"]          # [B,H,L,L]
         sums = attn.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         assert np.all(attn[..., len(r):] == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cache_does_not_change_logits(self, dtype):
+        cfg = TestPaddingTrim.CFG
+        params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=2).items()}
+        batch = _pad([row([4, 5, 6]), row([7]), row(list(range(8, 30)))])
+        plain, no_cache = forward_arrays(params, cfg, *batch)
+        cached, cache = forward_arrays(params, cfg, *batch, keep_cache=True)
+        assert no_cache is None and len(cache["layers"]) == cfg.num_layers
+        assert plain.dtype == dtype
+        np.testing.assert_array_equal(plain, cached)
+
+    def test_eval_forward_peak_memory(self):
+        """Without a cache, an eval forward at B=64, L=128 on the default
+        encoder peaks under four [B, H, L, L] float32 score buffers."""
+        cfg = EncoderConfig()
+        params = {k: v.astype(np.float32) for k, v in init_params(cfg, seed=0).items()}
+        ids = np.random.default_rng(0).integers(4, cfg.vocab_size, size=(64, 128))
+        mask = np.ones_like(ids)
+        tracemalloc.start()
+        try:
+            forward_arrays(params, cfg, ids, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (64 * cfg.num_heads * 128 * 128) * 4
 
     def test_identical_inputs_identical_logits(self):
         params = init_params(TINY, seed=3)
@@ -289,6 +318,10 @@ class TestPaddingTrim:
             if v.ndim >= 2:
                 v *= 20.0
         texts = ["w1", "w2 w3 w4 w5 w6 w7 w8", "", "w9 w10", "w11 " * 12]
+        texts += [" ".join(f"w{(i + j) % 12}" for j in range(i * 5 % 11))
+                  for i in range(PREDICT_BATCH)]
+        lengths = [len(t.split()) for t in texts]
+        assert len(texts) > PREDICT_BATCH and lengths != sorted(lengths)
         labels, probs_all = predict(params, cfg, vocab, tok, texts)
         for text, label, probs in zip(texts, labels, probs_all):
             [alone_label], [alone_probs] = predict(params, cfg, vocab, tok, [text])
