@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LABELS, SentimentLabel
-from .errors import InputError, TrainingError
+from .errors import InputError, TrainingError, parse_json_object, read_file
 from .features import FeatureMatrix
 from .rng import SplitMix64, derive_seed, shuffled
 
@@ -213,11 +213,9 @@ def _class_array(payload: dict, key: str, ndim: int) -> np.ndarray:
 
 
 def load_baseline(path: str | Path) -> tuple[NaiveBayesModel | LinearSvmModel, dict | None]:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"model file not found: {path}")
+    payload = parse_json_object(read_file(path, "model file"),
+                                f"malformed model file {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
         kind = payload["model_type"]
         if kind == "nb":
             model = NaiveBayesModel(
@@ -234,5 +232,5 @@ def load_baseline(path: str | Path) -> tuple[NaiveBayesModel | LinearSvmModel, d
         else:
             raise InputError(f"unknown model_type {kind!r} in {path}")
         return model, payload.get("term_index_ref")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"malformed model file {path}: {e}") from None

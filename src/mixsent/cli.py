@@ -25,7 +25,8 @@ from . import transformer as tfm
 from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      class_distribution, load_corpus, load_label_map, merge,
                      save_corpus, split)
-from .errors import InputError, MixsentError, check_value
+from .errors import (InputError, MixsentError, check_value, open_file,
+                     parse_json_object, read_file)
 from .features import (fit_term_index, load_term_index, save_term_index,
                        tfidf_transform)
 from .metrics import (compare_models, evaluate, format_report, load_report,
@@ -38,7 +39,7 @@ from .tokenizer import (TokenizerConfig, load_vocabulary, save_vocabulary,
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    with path.open("rb") as fh:
+    with open_file(path, "file") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
@@ -53,17 +54,9 @@ def _load_overrides(arg: str | None) -> dict:
     """--config: inline JSON when it starts with '{', else a JSON file path."""
     if not arg:
         return {}
-    try:
-        text = arg if arg.lstrip().startswith("{") else Path(arg).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise InputError(f"cannot read config file {arg}: {e}") from None
-    try:
-        overrides = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"config is not valid JSON: {e}") from None
-    if not isinstance(overrides, dict):
-        raise InputError("config must be a JSON object")
-    return overrides
+    if arg.lstrip().startswith("{"):
+        return parse_json_object(arg, "malformed config")
+    return parse_json_object(read_file(arg, "config file"), f"malformed config {arg}")
 
 
 def _section(overrides: dict, name: str, defaults: dict) -> dict:
@@ -100,13 +93,15 @@ def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
     """The cleaning config prepare recorded in model_dir/manifest.json, checked
     as --config is; each file it names must still have its recorded digest."""
     path = model_dir / "manifest.json"
+    manifest = parse_json_object(read_file(path, "manifest"),
+                                 f"malformed manifest {path}")
     try:
-        recorded = json.loads(path.read_text(encoding="utf-8"))["config"]["preprocess"]
+        recorded = manifest["config"]["preprocess"]
         digests = recorded.pop("sha256")
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+    except (LookupError, TypeError, AttributeError):
         digests = None
     if not isinstance(digests, dict):
-        raise InputError(f"{path} is missing or records no preprocessing; "
+        raise InputError(f"{path} records no preprocessing; "
                          f"predict cleans text as the 'prepare' that wrote it did")
     section = _section({"preprocess": recorded}, "preprocess", _PREPROCESS)
     for key in _PREPROCESS_FILES:
@@ -131,7 +126,7 @@ def _split_corpus_file(out_dir: Path, name: str) -> Corpus:
     path = out_dir / f"{name}.jsonl"
     if not path.exists():
         raise InputError(f"missing split file {path}; run 'prepare' first")
-    return load_corpus(path, "jsonl", CANONICAL_LABEL_MAP)
+    return load_corpus(path, CANONICAL_LABEL_MAP)
 
 
 def cmd_prepare(args) -> int:
@@ -146,7 +141,7 @@ def cmd_prepare(args) -> int:
     section["remove_stop_words"] &= not args.no_stop_words
     pre_cfg = _preprocess_config(section)
 
-    corpus = reduce(merge, [load_corpus(item, None, label_map) for item in args.input])
+    corpus = reduce(merge, [load_corpus(item, label_map) for item in args.input])
 
     clean, drops = preprocess_corpus(corpus, pre_cfg)
     if len(clean) == 0:
@@ -195,8 +190,6 @@ def _verify_ref(base: Path, ref, what: str) -> Path:
         path, expected = base / ref["file"], ref["sha256"]
     except (TypeError, KeyError):
         raise InputError(f"no {what} reference with a file and a digest") from None
-    if not path.is_file():
-        raise InputError(f"{what} file is missing: {path}")
     digest = _sha256(path)
     if digest != expected:
         raise InputError(f"{what} digest mismatch for {path}: recorded "
@@ -251,9 +244,13 @@ def _train_transformer(model_path: Path, train_c: Corpus, overrides: dict, seed:
     save_vocabulary(vocab, vocab_path)
     vocab_ref = {"file": vocab_path.name, "sha256": _sha256(vocab_path)}
 
-    enc = _section(overrides, "encoder", dataclasses.asdict(tfm.EncoderConfig()))
-    cfg = tfm.EncoderConfig(**{**enc, "max_len": tok_cfg.max_len,
-                               "vocab_size": len(vocab), "num_classes": 3})
+    # max_len, vocab_size and num_classes follow the tokenizer, the
+    # vocabulary and the label set, so the section may not set them.
+    enc = _section(overrides, "encoder",
+                   {k: v for k, v in dataclasses.asdict(tfm.EncoderConfig()).items()
+                    if k not in ("max_len", "vocab_size", "num_classes")})
+    cfg = tfm.EncoderConfig(**enc, max_len=tok_cfg.max_len, vocab_size=len(vocab),
+                            num_classes=3)
     tc = tfm.TrainConfig(**_section(overrides, "train", {
         **dataclasses.asdict(tfm.TrainConfig()), "seed": seed}))
 
@@ -299,15 +296,10 @@ MODELS = {
 def _load_model(path: Path):
     """(kind, texts -> (labels, scores)) for a model file; the `kind` or
     `model_type` in its first line names the MODELS entry."""
-    try:
-        with path.open("rb") as fh:
-            header = json.loads(fh.readline().decode("utf-8"))
-    except OSError as e:
-        raise InputError(f"cannot read model file {path}: {e.strerror}") from None
-    except ValueError:                      # not UTF-8 or not JSON
-        header = None
-    kind = (header.get("kind", header.get("model_type"))
-            if isinstance(header, dict) else None)
+    with open_file(path, "model file") as fh:
+        first_line = fh.readline()
+    header = parse_json_object(first_line, f"{path} is not a recognized model file")
+    kind = header.get("kind", header.get("model_type"))
     if not isinstance(kind, str) or kind not in MODELS:
         raise InputError(f"{path} is not a recognized model file")
     return kind, MODELS[kind][2](path)
@@ -356,11 +348,7 @@ def cmd_predict(args) -> int:
     pre_cfg = _recorded_preprocess(model_path.parent)
     if not args.input and sys.stdin.isatty():
         raise InputError("predict needs --input or text on stdin")
-    try:
-        texts = ([Path(item).read_text(encoding="utf-8") for item in args.input]
-                 or [sys.stdin.read()])
-    except (OSError, UnicodeDecodeError) as e:
-        raise InputError(f"cannot read input: {e}") from None
+    texts = [read_file(item, "input") for item in args.input] or [sys.stdin.read()]
     lines = [line for text in texts for line in text.splitlines() if line.strip()]
     if not lines:
         return 0

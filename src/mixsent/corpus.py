@@ -1,22 +1,24 @@
 """Corpus ingestion, label harmonization, statistics, and splits.
 
 Records come from JSONL ({"id": str?, "text": str, "label": str,
-"source": str?}) or headered CSV (columns text,label[,id,source]).  Raw
-label strings are harmonized through a user-supplied mapping onto the
-three-class scheme Negative(0) / Neutral(1) / Positive(2).  Records are
-kept as loaded; exact-text dedup is part of preprocess.preprocess_corpus.
+"source": str?}) or, for a .csv file, headered CSV (columns
+text,label[,id,source]).  Raw label strings are harmonized through a
+user-supplied mapping onto the three-class scheme Negative(0) / Neutral(1)
+/ Positive(2).  Records are kept as loaded; exact-text dedup is part of
+preprocess.preprocess_corpus.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, parse_json_object, read_file
 from .rng import SplitMix64, derive_seed, shuffled
 
 
@@ -99,17 +101,7 @@ class ClassDistribution:
 def load_label_map(path: str | Path) -> dict[str, SentimentLabel]:
     """Read a JSON object mapping raw label strings to
     "negative" | "neutral" | "positive"."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"label map file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as e:
-        raise InputError(f"cannot read label map {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"label map {path} is not valid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise InputError(f"label map {path} must be a JSON object")
+    raw = parse_json_object(read_file(path, "label map"), f"malformed label map {path}")
     out = {}
     for key, value in raw.items():
         if not isinstance(value, str):
@@ -137,55 +129,40 @@ def _record_from_fields(fields: dict, line_no: int, path: Path,
     return LabeledTweet(id=rid, text=text, label=label_map[raw_label], source=source)
 
 
-def _rows(fh, path: Path, format: str):
-    """(line number, field dict) for each record of an open JSONL or CSV file."""
-    if format == "csv":
-        reader = csv.DictReader(fh)
+def _rows(text: str, path: Path):
+    """(line number, field dict) for each record of a JSONL file's text or,
+    by its suffix, a CSV file's.  A quoted CSV field keeps its line ends as
+    written; JSONL lines end where a text-mode file's do (LF, CRLF or CR),
+    so a U+2028 inside a text stays in its record."""
+    if path.suffix.lower() == ".csv":
+        reader = csv.DictReader(io.StringIO(text, newline=""))
         if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
             raise InputError(f"{path}: CSV header must include 'text' and 'label'")
         yield from enumerate(reader, start=2)
         return
-    for line_no, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{path}:{line_no}: malformed JSON: {e.msg}") from None
-        if not isinstance(obj, dict):
-            raise InputError(f"{path}:{line_no}: row is not a JSON object")
-        yield line_no, obj
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if line.strip():
+            yield line_no, parse_json_object(line, f"{path}:{line_no}")
 
 
-def load_corpus(path: str | Path, format: str | None = None,
-                label_map: dict[str, SentimentLabel] | None = None) -> Corpus:
-    """Load a JSONL or CSV file of labeled texts.
+def load_corpus(path: str | Path, label_map: dict[str, SentimentLabel]) -> Corpus:
+    """Load a JSONL file, or a CSV file by its .csv suffix, of labeled texts.
 
-    `format` defaults from the file suffix.  Every raw label encountered
-    must appear in `label_map`; otherwise the load fails listing all
-    offending labels.  Missing ids are assigned from the row index.
+    Every raw label encountered must appear in `label_map`; otherwise the
+    load fails listing all offending labels.  Missing ids are assigned from
+    the row index.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
-    if label_map is None:
-        raise InputError("load_corpus requires a label_map")
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format not in ("jsonl", "csv"):
-        raise InputError(f"unknown corpus format: {format!r}")
-
+    text = read_file(path, "corpus file")
     records: list[LabeledTweet] = []
     unmapped: set[str] = set()
     try:
-        with path.open(encoding="utf-8",
-                       newline="" if format == "csv" else None) as fh:
-            for line_no, fields in _rows(fh, path, format):
-                rec = _record_from_fields(fields, line_no, path, label_map, unmapped)
-                if rec is not None:
-                    records.append(rec)
-    except (OSError, UnicodeDecodeError, csv.Error) as e:
-        raise InputError(f"cannot read corpus file {path}: {e}") from None
+        for line_no, fields in _rows(text, path):
+            rec = _record_from_fields(fields, line_no, path, label_map, unmapped)
+            if rec is not None:
+                records.append(rec)
+    except csv.Error as e:
+        raise InputError(f"{path}: malformed CSV: {e}") from None
 
     if unmapped:
         raise InputError(

@@ -1,11 +1,15 @@
-"""Exception hierarchy shared across the toolkit, and the type checks that
-turn a malformed config value into an InputError.
+"""Exception hierarchy shared across the toolkit, the type checks that turn
+a malformed config value into an InputError, and the one reader of every
+file the toolkit loads, which turns an unreadable or malformed file into an
+InputError as well.
 
 InputError covers bad files, bad flags, and bad data (CLI exit code 2);
 TrainingError covers runtime failures such as numeric divergence (exit 1).
 """
 
+import contextlib
 import dataclasses
+import json
 import math
 
 
@@ -42,3 +46,41 @@ def check_fields(cfg) -> None:
     for f in dataclasses.fields(cfg):
         if f.type in ("int", "float", "bool", "str"):
             check_value(f"{type(cfg).__name__}.{f.name}", getattr(cfg, f.name), f.type)
+
+
+@contextlib.contextmanager
+def open_file(path, what: str):
+    """The file at path, open for reading bytes.  A missing or unreadable
+    path (a directory, say), or non-UTF-8 text decoded from it inside the
+    with block, raises InputError naming the file as what."""
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {path}") from None
+    except OSError as e:
+        raise InputError(f"cannot read {what} {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {what} {path}: not UTF-8 text "
+                         f"({e.reason} at byte {e.start})") from None
+
+
+def read_file(path, what: str) -> str:
+    """The UTF-8 text of the file at path, line ends as written; open_file
+    says which failures raise InputError."""
+    with open_file(path, what) as fh:
+        return fh.read().decode("utf-8")
+
+
+def parse_json_object(text: str | bytes, what: str) -> dict:
+    """text, or UTF-8 bytes, parsed as one JSON object; anything else raises
+    InputError whose message starts with what."""
+    try:
+        value = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except RecursionError:
+        raise InputError(f"{what}: JSON nested too deeply") from None
+    except ValueError as e:               # JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"{what}: not valid JSON ({e})") from None
+    if not isinstance(value, dict):
+        raise InputError(f"{what}: not a JSON object")
+    return value

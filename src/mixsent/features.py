@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, parse_json_object, read_file
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +134,11 @@ def save_term_index(idx: TermIndex, path: str | Path) -> None:
 
 
 def load_term_index(path: str | Path) -> TermIndex:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"term index file not found: {path}")
+    payload = parse_json_object(read_file(path, "term index"),
+                                f"malformed term index {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
         return TermIndex(terms=tuple(payload["terms"]),
                          document_frequency=tuple(payload["df"]),
                          num_docs=int(payload["num_docs"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"malformed term index {path}: {e}") from None

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LABELS, SentimentLabel
-from .errors import InputError
+from .errors import InputError, parse_json_object, read_file
 
 NUM_CLASSES = len(LABELS)
 
@@ -172,13 +172,8 @@ def save_report(report: EvalReport, path, extra: dict | None = None) -> None:
 def load_report(path) -> tuple[EvalReport, dict]:
     """A saved report plus its whole JSON object, whose extra keys (such
     as model and split) the caller may read."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"report file not found: {path}")
+    payload = parse_json_object(read_file(path, "report"), f"malformed report {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise TypeError("not a JSON object")
         return EvalReport.from_dict(payload), payload
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"malformed report {path}: {e}") from None

@@ -9,14 +9,13 @@ finally dedup by exact text.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .corpus import Corpus, LabeledTweet
-from .errors import InputError
+from .errors import InputError, parse_json_object, read_file
 
 DROP_REASONS = ("no_alpha", "filler", "empty", "duplicate")
 
@@ -97,29 +96,22 @@ class FillerList:
                 raise InputError(f"filler phrase must be lowercase: {p!r}")
 
 
-def _read_text(path: str | Path | None, default_name: str) -> str:
-    """path's UTF-8 text, or the packaged data file's when path is empty."""
-    source = Path(path) if path else resources.files("mixsent") / "data" / default_name
-    try:
-        return source.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise InputError(f"cannot read {path}: {e}") from None
+def _source(path: str | Path | None, default_name: str):
+    """path, or the packaged data file default_name when path is empty."""
+    return path or resources.files("mixsent") / "data" / default_name
 
 
 def load_emoji_lexicon(path: str | Path | None = None) -> EmojiLexicon:
     """JSON object of emoji string -> affect token; default ships ~45 entries."""
-    try:
-        mapping = json.loads(_read_text(path, "emoji_lexicon.json"))
-    except json.JSONDecodeError as e:
-        raise InputError(f"emoji lexicon is not valid JSON: {e}") from None
-    if not isinstance(mapping, dict):
-        raise InputError("emoji lexicon must be a JSON object")
-    return EmojiLexicon(mapping)
+    source = _source(path, "emoji_lexicon.json")
+    return EmojiLexicon(parse_json_object(read_file(source, "emoji lexicon"),
+                                          f"malformed emoji lexicon {source}"))
 
 
 def _word_list(path: str | Path | None, default_name: str) -> frozenset[str]:
     """One entry per line; blank lines and '#'-prefixed comments ignored."""
-    lines = (line.strip() for line in _read_text(path, default_name).splitlines())
+    text = read_file(_source(path, default_name), "word list")
+    lines = (line.strip() for line in text.splitlines())
     return frozenset(line for line in lines if line and not line.startswith("#"))
 
 

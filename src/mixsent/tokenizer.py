@@ -13,11 +13,12 @@ desk-scale vocabularies from raw text.
 from __future__ import annotations
 
 import heapq
+import io
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InputError, check_fields
+from .errors import InputError, check_fields, read_file
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
@@ -225,20 +226,18 @@ def save_vocabulary(v: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"vocabulary file not found: {path}")
+    """One token per line, split where a text-mode file splits lines."""
     tokens = []
     seen = set()
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            tok = line.rstrip("\n")
-            if not tok:
-                raise InputError(f"{path}:{line_no + 1}: empty vocabulary line")
-            if tok in seen:
-                raise InputError(f"{path}:{line_no + 1}: duplicate token {tok!r}")
-            seen.add(tok)
-            tokens.append(tok)
+    lines = io.StringIO(read_file(path, "vocabulary"), newline=None)
+    for line_no, line in enumerate(lines):
+        tok = line.rstrip("\n")
+        if not tok:
+            raise InputError(f"{path}:{line_no + 1}: empty vocabulary line")
+        if tok in seen:
+            raise InputError(f"{path}:{line_no + 1}: duplicate token {tok!r}")
+        seen.add(tok)
+        tokens.append(tok)
     if len(tokens) < 4 or tuple(tokens[:4]) != SPECIALS:
         raise InputError(
             f"{path}: lines 0-3 must be the specials {' '.join(SPECIALS)}")

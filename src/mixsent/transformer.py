@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SentimentLabel
-from .errors import InputError, TrainingError, check_fields
+from .errors import (InputError, TrainingError, check_fields, open_file,
+                     parse_json_object)
 from .metrics import evaluate
 from .rng import SplitMix64, derive_seed, shuffled
 from .tokenizer import PAD_ID, TokenizerConfig, Vocabulary, encode
@@ -500,7 +501,8 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
     Per epoch: seeded reshuffle, minibatch AdamW with the warmup/decay
     schedule, mean train loss recorded; when a validation set is given the
     weighted F1 is logged and the best-epoch parameters are retained
-    alongside the final ones.
+    alongside the final ones.  Training and validation texts are each
+    encoded once per run.
     """
     if not train_texts:
         raise InputError("training split is empty")
@@ -510,6 +512,7 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
         return TrainResult(params, _copy_params(params), 0, [])
 
     rows = [encode(t, vocab, tok_cfg) for t in train_texts]
+    val_rows = [encode(t, vocab, tok_cfg) for t in val_texts]
     y_all = np.asarray([int(l) for l in train_labels], dtype=np.int64)
     n = len(rows)
     steps_per_epoch = math.ceil(n / tc.batch_size)
@@ -537,8 +540,8 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
             adamw_step(params, grads, state, tc, lr)
             epoch_loss += loss * len(sel)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n}
-        if val_texts:
-            preds, _ = predict(params, cfg, vocab, tok_cfg, val_texts)
+        if val_rows:
+            preds, _ = _predict_rows(params, cfg, val_rows)
             entry["val_weighted_f1"] = evaluate(val_labels, preds).weighted_f1
             if entry["val_weighted_f1"] > best_f1:
                 best_f1 = entry["val_weighted_f1"]
@@ -562,11 +565,16 @@ def predict(params: dict, cfg: EncoderConfig, vocab: Vocabulary,
     """Eval-mode prediction: argmax label per text (lowest label id on exact
     ties) and [N, C] float64 softmax probabilities, in input order.
 
-    Texts are encoded once and run PREDICT_BATCH per forward pass in order of
-    encoded length (stable in input position), so each batch pads little."""
-    rows = [encode(t, vocab, tok_cfg) for t in texts]
+    Each text is encoded once."""
+    return _predict_rows(params, cfg, [encode(t, vocab, tok_cfg) for t in texts])
+
+
+def _predict_rows(params: dict, cfg: EncoderConfig, rows: list[list[int]]
+                  ) -> tuple[list[SentimentLabel], np.ndarray]:
+    """predict on encoded rows, run PREDICT_BATCH per forward pass in order of
+    length (stable in input position), so each batch pads little."""
     order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
-    probs = np.empty((len(texts), cfg.num_classes))
+    probs = np.empty((len(rows), cfg.num_classes))
     for start in range(0, len(order), PREDICT_BATCH):
         sel = order[start:start + PREDICT_BATCH]
         logits, _ = forward_arrays(params, cfg, *_pad([rows[i] for i in sel]))
@@ -613,18 +621,11 @@ def load_transformer(path: str | Path):
     Every tensor spec must name the tensor and shape that the encoder config
     implies, in order, and lie inside the file; a header without
     max_word_chars gets the default."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"model file not found: {path}")
-    with path.open("rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise InputError(f"{path}: bad transformer header: {e}") from None
-        if not isinstance(header, dict) or header.get("kind") != "transformer":
-            raise InputError(f"{path} is not a transformer model file")
-        payload = fh.read()
+    with open_file(path, "model file") as fh:
+        header_line, payload = fh.readline(), fh.read()
+    header = parse_json_object(header_line, f"{path}: bad transformer header")
+    if header.get("kind") != "transformer":
+        raise InputError(f"{path} is not a transformer model file")
     try:
         cfg = EncoderConfig(**header["encoder_config"])
         tc = TrainConfig(**header["train_config"])
@@ -645,7 +646,7 @@ def load_transformer(path: str | Path):
         try:
             got = (spec["name"], tuple(spec["shape"]))
             start, nbytes = int(spec["offset"]), int(spec["nbytes"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise InputError(f"{path}: malformed tensor spec {spec!r}") from None
         if got != (name, shape):
             raise InputError(f"{path}: tensor {got[0]} {list(got[1])} does not "

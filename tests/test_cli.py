@@ -133,7 +133,7 @@ class TestTrain:
         model, ref = load_baseline(out / "nb.json")
         idx = load_term_index(out / ref["file"])
 
-        train_c = load_corpus(out / "train.jsonl", "jsonl", CANONICAL_LABEL_MAP)
+        train_c = load_corpus(out / "train.jsonl", CANONICAL_LABEL_MAP)
         expected_idx = fit_term_index(train_c.texts(), min_df=1)
         assert expected_idx == idx
         X = tfidf_transform(train_c.texts(), idx)
@@ -198,9 +198,14 @@ class TestTrain:
         ("transformer", "encoder", [1]),                   # not an object
         ("nb", "nb", {"alpha": "abc"}),
         ("transformer", "train", {"lr_constant_after_warmup": "no"}),
+        # set from the tokenizer, the vocabulary and the label set
+        ("transformer", "encoder", {"max_len": 64}),
+        ("transformer", "encoder", {"vocab_size": 7}),
+        ("transformer", "encoder", {"num_classes": 5}),
     ], ids=["num_layers-float", "batch_size-float", "epochs-float",
             "dropout-str", "unknown-key", "seed-str", "section-list",
-            "alpha-str", "bool-str"])
+            "alpha-str", "bool-str", "max_len-derived", "vocab_size-derived",
+            "num_classes-derived"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, model, section, value):
         out = run_prepare(tmp_path, tmp_path / "run")
         config = json.loads(TINY_TRANSFORMER_CONFIG)
@@ -319,8 +324,7 @@ class TestBaselineArtifact:
 
     def test_batch_predict_matches_evaluate(self, baseline_dir, capsys):
         """evaluate and predict score the same cleaned texts identically."""
-        test_c = load_corpus(baseline_dir / "test.jsonl", "jsonl",
-                             CANONICAL_LABEL_MAP)
+        test_c = load_corpus(baseline_dir / "test.jsonl", CANONICAL_LABEL_MAP)
         texts = baseline_dir / "texts.txt"
         texts.write_text("\n".join(test_c.texts()) + "\n", encoding="utf-8")
         for model in ("nb", "svm"):
@@ -375,7 +379,7 @@ class TestTransformerArtifact:
         vocab = load_vocabulary(out / "vocab.txt")
         tok = TokenizerConfig(max_len=12, max_word_chars=3)
 
-        train_c = load_corpus(out / "train.jsonl", "jsonl", CANONICAL_LABEL_MAP)
+        train_c = load_corpus(out / "train.jsonl", CANONICAL_LABEL_MAP)
         assert main(["evaluate", "--model-file", str(out / "transformer.bin"),
                      "--split", "train"]) == 0
         expected = evaluate(train_c.labels(),
@@ -585,6 +589,47 @@ def test_transformer_header_with_fractional_num_layers_exit_2(tmp_path, capsys):
     model.write_bytes(json.dumps(header).encode() + b"\n")
     assert main(["evaluate", "--model-file", str(model)]) == 2
     assert "num_layers" in capsys.readouterr().err
+
+
+DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("target", [
+    "label-map", "corpus", "emoji-lexicon", "config-inline", "config-file",
+    "evaluate-model", "predict-manifest", "report-eval"])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, target):
+    """JSON nested 100,000 deep, wherever the CLI reads JSON, is an input
+    error and not a RecursionError traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    if target in ("evaluate-model", "predict-manifest", "report-eval"):
+        out = run_prepare(tmp_path, tmp_path / "run")
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        model = str(out / "nb.json")
+        file, argv = {
+            "evaluate-model": ("nb.json", ["evaluate", "--model-file", model]),
+            "predict-manifest": ("manifest.json", ["predict", "--model-file", model,
+                                                   "--input", str(texts)]),
+            "report-eval": ("eval_nb_test.json", ["report", "--out-dir", str(out)]),
+        }[target]
+        (out / file).write_text(DEEP_JSON, encoding="utf-8")
+    else:
+        jsonl, map_path = write_inputs(tmp_path)
+        config = {"emoji-lexicon": json.dumps({"preprocess": {
+                      "emoji_lexicon_file": str(deep)}}),
+                  "config-inline": '{"split": ' + DEEP_JSON,
+                  "config-file": str(deep)}.get(target)
+        argv = ["prepare", "--input", str(deep if target == "corpus" else jsonl),
+                "--label-map", str(deep if target == "label-map" else map_path),
+                "--out-dir", str(tmp_path / "prepared"),
+                *(["--config", config] if config else [])]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_no_command_usage_error():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from mixsent.corpus import (CANONICAL_LABEL_MAP, Corpus, LabeledTweet,
                             SentimentLabel, SplitSpec, class_distribution,
-                            load_corpus, load_label_map, merge, split)
+                            load_corpus, load_label_map, merge, save_corpus,
+                            split)
 from mixsent.errors import InputError
 from mixsent.metrics import round_half_up
 from mixsent.preprocess import preprocess_corpus
@@ -26,14 +27,14 @@ class TestLoadCorpus:
     def test_raw_label_mapped_through_label_map(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"text": "theek hai", "label": "Neutral"}])
-        c = load_corpus(path, "jsonl", FULL_MAP)
+        c = load_corpus(path, FULL_MAP)
         assert c.records[0].label == SentimentLabel.NEUTRAL
         assert int(c.records[0].label) == 1
 
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("", encoding="utf-8")
-        assert len(load_corpus(path, "jsonl", FULL_MAP)) == 0
+        assert len(load_corpus(path, FULL_MAP)) == 0
 
     def test_unmapped_label_is_fatal_and_listed(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -41,30 +42,30 @@ class TestLoadCorpus:
                            {"text": "b", "label": "Neutral"},
                            {"text": "c", "label": "neg"}])
         with pytest.raises(InputError) as err:
-            load_corpus(path, "jsonl", FULL_MAP)
+            load_corpus(path, FULL_MAP)
         assert "pos" in str(err.value) and "neg" in str(err.value)
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"text": "ok", "label": "Neutral"}\n{broken\n', encoding="utf-8")
         with pytest.raises(InputError, match=":2"):
-            load_corpus(path, "jsonl", FULL_MAP)
+            load_corpus(path, FULL_MAP)
 
     def test_empty_text_rejected_with_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"text": "", "label": "Neutral"}])
         with pytest.raises(InputError, match=":1"):
-            load_corpus(path, "jsonl", FULL_MAP)
+            load_corpus(path, FULL_MAP)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
-            load_corpus(tmp_path / "nope.jsonl", "jsonl", FULL_MAP)
+            load_corpus(tmp_path / "nope.jsonl", FULL_MAP)
 
     def test_ids_assigned_sequentially_when_absent(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"text": "a", "label": "Neutral"},
                            {"text": "b", "label": "Positive"}])
-        c = load_corpus(path, "jsonl", FULL_MAP)
+        c = load_corpus(path, FULL_MAP)
         assert [r.id for r in c.records] == ["0", "1"]
 
     def test_duplicate_explicit_ids_rejected(self, tmp_path):
@@ -72,28 +73,48 @@ class TestLoadCorpus:
         write_jsonl(path, [{"id": "x", "text": "a", "label": "Neutral"},
                            {"id": "x", "text": "b", "label": "Neutral"}])
         with pytest.raises(InputError, match="duplicate"):
-            load_corpus(path, "jsonl", FULL_MAP)
+            load_corpus(path, FULL_MAP)
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("text,label,source\nmast hai,Positive,unit\n", encoding="utf-8")
-        c = load_corpus(path, None, FULL_MAP)  # format inferred from suffix
+        c = load_corpus(path, FULL_MAP)  # format inferred from suffix
         assert c.records[0].text == "mast hai"
         assert c.records[0].label == SentimentLabel.POSITIVE
         assert c.records[0].source == "unit"
+
+    def test_csv_quoted_crlf_kept(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b'text,label\r\n"a\r\nb",Positive\r\n')
+        assert load_corpus(path, FULL_MAP).texts() == ["a\r\nb"]
+
+    def test_jsonl_line_separator_stays_in_its_record(self, tmp_path):
+        """save_corpus writes U+2028 raw; it does not end a JSONL line."""
+        path = tmp_path / "c.jsonl"
+        save_corpus(Corpus([LabeledTweet("x", "a\u2028b", SentimentLabel.POSITIVE)]), path)
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        assert load_corpus(path, CANONICAL_LABEL_MAP).records == [
+            LabeledTweet("x", "a\u2028b", SentimentLabel.POSITIVE)]
+
+    def test_jsonl_lines_end_at_lf_crlf_or_cr(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        rows = [json.dumps({"text": t, "label": "Neutral"}) for t in "abc"]
+        path.write_bytes("\r\n".join(rows[:2]).encode() + b"\r" + rows[2].encode())
+        c = load_corpus(path, FULL_MAP)
+        assert c.texts() == ["a", "b", "c"] and [r.id for r in c] == ["0", "1", "2"]
 
     def test_csv_missing_header_columns(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("body,tag\nx,y\n", encoding="utf-8")
         with pytest.raises(InputError, match="header"):
-            load_corpus(path, "csv", FULL_MAP)
+            load_corpus(path, FULL_MAP)
 
     def test_csv_field_over_parser_limit_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text('text,label\n"' + "a " * 70000 + '",Positive\n',
                         encoding="utf-8")
         with pytest.raises(InputError, match="field larger"):
-            load_corpus(path, "csv", FULL_MAP)
+            load_corpus(path, FULL_MAP)
 
     def test_label_map_file(self, tmp_path):
         path = tmp_path / "map.json"

@@ -8,8 +8,9 @@ import pytest
 
 from mixsent.corpus import SentimentLabel
 from mixsent.errors import InputError
+from mixsent.metrics import evaluate
 from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, TokenizerConfig,
-                               Vocabulary)
+                               Vocabulary, encode)
 from mixsent.transformer import (PREDICT_BATCH, EncoderConfig, TrainConfig,
                                  adamw_init, adamw_step, cross_entropy,
                                  forward_arrays,
@@ -419,6 +420,28 @@ class TestTrainLoop:
         f1s = [e["val_weighted_f1"] for e in res.log]
         assert res.best_epoch == int(np.argmax(f1s)) + 1
         assert len(res.log) == 3
+
+    def test_each_text_encoded_once_per_run(self, monkeypatch):
+        """Validation rows are encoded once, not once per epoch, and score
+        as predict scores the texts."""
+        import mixsent.transformer as tfm
+        calls = []
+
+        def counting_encode(text, vocab, cfg):
+            calls.append(text)
+            return encode(text, vocab, cfg)
+
+        monkeypatch.setattr(tfm, "encode", counting_encode)
+        all_texts, all_labels = self._data(n=18)
+        texts, val_texts = all_texts[:9], all_texts[9:]
+        labels, val_labels = all_labels[:9], all_labels[9:]
+        tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4,
+                         warmup_steps=2, seed=5, precision="double")
+        res = train(texts, labels, val_texts, val_labels, self.VOCAB, self.TOK,
+                    self.CFG, tc)
+        assert len(calls) == 18
+        preds, _ = predict(res.final_params, self.CFG, self.VOCAB, self.TOK, val_texts)
+        assert res.log[-1]["val_weighted_f1"] == evaluate(val_labels, preds).weighted_f1
 
     def test_predict_uniform_for_zero_head(self):
         params = init_params(self.CFG, seed=1)
