@@ -50,13 +50,27 @@ def _write_json(path: Path, payload: dict) -> None:
                                sort_keys=True) + "\n", encoding="utf-8")
 
 
+# Every --config section; a command reads the ones it uses and passes over
+# the rest, so one config file serves every command and model.
+_SECTIONS = ("preprocess", "split", "features", "nb", "svm", "tokenizer",
+             "encoder", "train")
+
+
 def _load_overrides(arg: str | None) -> dict:
-    """--config: inline JSON when it starts with '{', else a JSON file path."""
+    """--config: inline JSON when it starts with '{', else a JSON file path;
+    a top-level key that is not a config section is refused."""
     if not arg:
         return {}
     if arg.lstrip().startswith("{"):
-        return parse_json_object(arg, "malformed config")
-    return parse_json_object(read_file(arg, "config file"), f"malformed config {arg}")
+        overrides = parse_json_object(arg, "malformed config")
+    else:
+        overrides = parse_json_object(read_file(arg, "config file"),
+                                      f"malformed config {arg}")
+    unknown = sorted(set(overrides) - set(_SECTIONS))
+    if unknown:
+        raise InputError(f"config sections {unknown} unknown; "
+                         f"the sections are {list(_SECTIONS)}")
+    return overrides
 
 
 def _section(overrides: dict, name: str, defaults: dict) -> dict:

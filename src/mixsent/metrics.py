@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LABELS, SentimentLabel
-from .errors import InputError, parse_json_object, read_file
+from .errors import (InputError, check_fields, check_value, parse_json_object,
+                     read_file)
 
 NUM_CLASSES = len(LABELS)
 
@@ -37,6 +38,9 @@ class ClassMetrics:
     f1: float
     support: int
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -46,6 +50,9 @@ class EvalReport:
     weighted_recall: float
     weighted_f1: float
     confusion: np.ndarray                     # [true, predicted]
+
+    def __post_init__(self):
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return {
@@ -64,13 +71,21 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
+        """The report of to_dict's output.  Metrics must be finite numbers,
+        supports and confusion counts integers (InputError otherwise)."""
         per_class = tuple(
             ClassMetrics(**d["per_class"][label.name.lower()]) for label in LABELS)
+        for row in d["confusion"]:
+            for count in row:
+                check_value("confusion count", count, "int")
+        confusion = np.asarray(d["confusion"], dtype=np.int64)
+        if confusion.shape != (NUM_CLASSES, NUM_CLASSES):
+            raise InputError(f"confusion must be {NUM_CLASSES} x {NUM_CLASSES}, "
+                             f"got shape {list(confusion.shape)}")
         return cls(accuracy=d["accuracy"], per_class=per_class,
                    weighted_precision=d["weighted"]["precision"],
                    weighted_recall=d["weighted"]["recall"],
-                   weighted_f1=d["weighted"]["f1"],
-                   confusion=np.asarray(d["confusion"], dtype=np.int64))
+                   weighted_f1=d["weighted"]["f1"], confusion=confusion)
 
 
 def confusion_matrix(y_true, y_pred) -> np.ndarray:
@@ -175,5 +190,5 @@ def load_report(path) -> tuple[EvalReport, dict]:
     payload = parse_json_object(read_file(path, "report"), f"malformed report {path}")
     try:
         return EvalReport.from_dict(payload), payload
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
         raise InputError(f"malformed report {path}: {e}") from None

@@ -6,8 +6,8 @@ then a GELU feed-forward), and a linear head reads the first-position
 ([CLS]) hidden state into three class logits.  Backpropagation is exact
 and hand-written; training uses AdamW with linear warmup/decay.
 
-Parameters live in an ordered dict of numpy arrays so the same structure
-serves the optimizer, gradient checking, and serialization.
+Parameters, gradients and optimizer moments are each one 1-D array laid
+out in _param_specs order, whose tensors _views names.
 """
 
 from __future__ import annotations
@@ -123,17 +123,36 @@ def _param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
     return specs
 
 
-def init_params(cfg: EncoderConfig, seed: int, dtype=np.float64) -> dict[str, np.ndarray]:
-    """Seeded initialization: N(0, 0.02) matrices, zero biases, unit layer
-    norm gains.  Key order is the canonical tensor order for serialization."""
+def _layout(cfg: EncoderConfig) -> list[dict]:
+    """The model header's tensor list: name, shape, and byte offset and count
+    of each tensor in the float32 payload, in _param_specs order.  Divided by
+    4, the byte ranges are the tensors' ranges in the flat parameter array."""
+    tensors, offset = [], 0
+    for name, shape, _ in _param_specs(cfg):
+        tensors.append({"name": name, "shape": list(shape), "offset": offset,
+                        "nbytes": 4 * math.prod(shape)})
+        offset += tensors[-1]["nbytes"]
+    return tensors
+
+
+def _views(flat: np.ndarray, cfg: EncoderConfig) -> dict[str, np.ndarray]:
+    """Each tensor of a flat parameter (or gradient) array as a named view."""
+    views, start = {}, 0
+    for name, shape, _ in _param_specs(cfg):
+        views[name] = flat[start:start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    return views
+
+
+def init_params(cfg: EncoderConfig, seed: int, dtype=np.float64) -> np.ndarray:
+    """Seeded initialization as one flat array: N(0, 0.02) matrices, zero
+    biases, unit layer norm gains, drawn in float64 in _param_specs order and
+    rounded to dtype."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    p: dict[str, np.ndarray] = {}
-    for name, shape, init in _param_specs(cfg):
-        if init == "normal":
-            p[name] = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
-        else:
-            p[name] = (np.ones if init == "ones" else np.zeros)(shape, dtype=dtype)
-    return p
+    return np.concatenate([
+        rng.normal(0.0, INIT_STD, size=math.prod(shape)) if init == "normal"
+        else np.full(math.prod(shape), float(init == "ones"))
+        for _, shape, init in _param_specs(cfg)]).astype(dtype, copy=False)
 
 
 def _horner(z: np.ndarray, coefs: tuple, out: np.ndarray) -> np.ndarray:
@@ -229,10 +248,11 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
-def _dropout(x: np.ndarray, rate: float, train_mode: bool, rng, max_len: int):
-    """The keep mask is drawn at [B, max_len, D] and cut to x's length, so the
-    numbers drawn do not depend on how far the batch is padded."""
-    if not train_mode or rate == 0.0:
+def _dropout(x: np.ndarray, rate: float, rng, max_len: int):
+    """Dropout runs when an rng is given.  The keep mask is drawn at
+    [B, max_len, D] and cut to x's length, so the numbers drawn do not depend
+    on how far the batch is padded."""
+    if rng is None or rate == 0.0:
         return x, None
     b, l, d = x.shape
     keep = (rng.random((b, max_len, d)) >= rate)[:, :l].astype(x.dtype)
@@ -290,18 +310,17 @@ def _feed_forward(params: dict, pre: str, x1: np.ndarray,
 
 
 def _block(params: dict, pre: str, x: np.ndarray, pad_keys: np.ndarray,
-           cfg: EncoderConfig, train_mode: bool, rng,
-           saved: dict | None) -> np.ndarray:
+           cfg: EncoderConfig, rng, saved: dict | None) -> np.ndarray:
     """One post-norm residual block: x1 = LN(x + dropout(attention(x))),
     then LN(x1 + dropout(ffn(x1))).  What backward needs goes into saved
     when it is a dict; the rest is freed on return."""
     od, keep_o = _dropout(_attention(params, pre, x, pad_keys, cfg, saved),
-                          cfg.dropout, train_mode, rng, cfg.max_len)
+                          cfg.dropout, rng, cfg.max_len)
     od += x
     x1, ln1 = _layer_norm(od, params[pre + "norm1.gain"],
                           params[pre + "norm1.bias"])
     fd, keep_f = _dropout(_feed_forward(params, pre, x1, saved),
-                          cfg.dropout, train_mode, rng, cfg.max_len)
+                          cfg.dropout, rng, cfg.max_len)
     fd += x1
     x2, ln2 = _layer_norm(fd, params[pre + "norm2.gain"],
                           params[pre + "norm2.bias"])
@@ -311,12 +330,12 @@ def _block(params: dict, pre: str, x: np.ndarray, pad_keys: np.ndarray,
     return x2
 
 
-def forward_arrays(params: dict, cfg: EncoderConfig, ids: np.ndarray,
-                   mask: np.ndarray, train_mode: bool = False, rng=None,
-                   keep_cache: bool = False):
+def forward_arrays(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
+                   mask: np.ndarray, rng=None, keep_cache: bool = False):
     """Forward pass on id/mask arrays [B, L]; returns (logits, cache).
 
-    L may be smaller than cfg.max_len (position rows beyond L are unused);
+    Dropout runs, drawing from rng, exactly when an rng is given.  L may be
+    smaller than cfg.max_len (position rows beyond L are unused);
     PAD positions are excluded from attention via the key mask.  cache holds
     every activation backward_arrays needs and is built only when keep_cache
     is set; otherwise it is None and each block's activations are freed when
@@ -324,21 +343,19 @@ def forward_arrays(params: dict, cfg: EncoderConfig, ids: np.ndarray,
     """
     if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
         raise InputError("token id outside vocabulary range")
-    if train_mode and cfg.dropout > 0 and rng is None:
-        raise InputError("train-mode forward with dropout needs an rng")
+    p = _views(params, cfg)
     L = ids.shape[1]
-    x = params["token_embedding"][ids] + params["position_embedding"][:L]
+    x = p["token_embedding"][ids] + p["position_embedding"][:L]
     pad_keys = (mask == 0)[:, None, None, :]                  # [B,1,1,L]
     cache = {"ids": ids, "layers": []} if keep_cache else None
 
     for i in range(cfg.num_layers):
         saved = {} if keep_cache else None
-        x = _block(params, f"layers.{i}.", x, pad_keys, cfg, train_mode, rng,
-                   saved)
+        x = _block(p, f"layers.{i}.", x, pad_keys, cfg, rng, saved)
         if keep_cache:
             cache["layers"].append(saved)
 
-    logits = x[:, 0, :] @ params["head.w"] + params["head.b"]
+    logits = x[:, 0, :] @ p["head.w"] + p["head.b"]
     if keep_cache:
         cache["x_final"] = x
     if not np.all(np.isfinite(logits)):
@@ -358,18 +375,20 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, dlogits / n
 
 
-def backward_arrays(params: dict, cfg: EncoderConfig, cache: dict,
-                    dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients for every parameter, mirroring forward_arrays."""
+def backward_arrays(params: np.ndarray, cfg: EncoderConfig, cache: dict,
+                    dlogits: np.ndarray) -> np.ndarray:
+    """Exact gradients for every parameter, mirroring forward_arrays, as one
+    array laid out as params is."""
     H = cfg.num_heads
     scale = 1.0 / math.sqrt(cfg.d_model // H)
-    grads = {key: np.zeros_like(val) for key, val in params.items()}
+    grads = np.zeros_like(params)
+    p, g = _views(params, cfg), _views(grads, cfg)
 
     x_final = cache["x_final"]
-    grads["head.w"] = x_final[:, 0, :].T @ dlogits
-    grads["head.b"] = dlogits.sum(axis=0)
+    g["head.w"][...] = x_final[:, 0, :].T @ dlogits
+    g["head.b"][...] = dlogits.sum(axis=0)
     dx = np.zeros_like(x_final)
-    dx[:, 0, :] = dlogits @ params["head.w"].T
+    dx[:, 0, :] = dlogits @ p["head.w"].T
 
     for i in reversed(range(cfg.num_layers)):
         pre = f"layers.{i}."
@@ -378,29 +397,29 @@ def backward_arrays(params: dict, cfg: EncoderConfig, cache: dict,
         D, F = cfg.d_model, cfg.d_ff
 
         dr2, dgain2, dbias2 = _layer_norm_backward(dx, lc["ln2"],
-                                                   params[pre + "norm2.gain"])
-        grads[pre + "norm2.gain"] = dgain2
-        grads[pre + "norm2.bias"] = dbias2
+                                                   p[pre + "norm2.gain"])
+        g[pre + "norm2.gain"][...] = dgain2
+        g[pre + "norm2.bias"][...] = dbias2
         dx1 = dr2.copy()
         df = _dropout_backward(dr2, lc["keep_f"], cfg.dropout)
         h, cdf2 = lc["h"], lc["cdf2"]
-        dg = df @ params[pre + "ffn.w2"].T
-        grads[pre + "ffn.w2"] = _gelu(h, cdf2).reshape(-1, F).T @ df.reshape(-1, D)
-        grads[pre + "ffn.b2"] = df.sum(axis=(0, 1))
+        dg = df @ p[pre + "ffn.w2"].T
+        g[pre + "ffn.w2"][...] = _gelu(h, cdf2).reshape(-1, F).T @ df.reshape(-1, D)
+        g[pre + "ffn.b2"][...] = df.sum(axis=(0, 1))
         dh = dg * _gelu_grad(h, cdf2)
-        dx1 += dh @ params[pre + "ffn.w1"].T
-        grads[pre + "ffn.w1"] = x1.reshape(-1, D).T @ dh.reshape(-1, F)
-        grads[pre + "ffn.b1"] = dh.sum(axis=(0, 1))
+        dx1 += dh @ p[pre + "ffn.w1"].T
+        g[pre + "ffn.w1"][...] = x1.reshape(-1, D).T @ dh.reshape(-1, F)
+        g[pre + "ffn.b1"][...] = dh.sum(axis=(0, 1))
 
         dr1, dgain1, dbias1 = _layer_norm_backward(dx1, lc["ln1"],
-                                                   params[pre + "norm1.gain"])
-        grads[pre + "norm1.gain"] = dgain1
-        grads[pre + "norm1.bias"] = dbias1
+                                                   p[pre + "norm1.gain"])
+        g[pre + "norm1.gain"][...] = dgain1
+        g[pre + "norm1.bias"][...] = dbias1
         dx = dr1.copy()
         do = _dropout_backward(dr1, lc["keep_o"], cfg.dropout)
-        dctx = do @ params[pre + "attn.o_w"].T
-        grads[pre + "attn.o_w"] = lc["ctx"].reshape(-1, D).T @ do.reshape(-1, D)
-        grads[pre + "attn.o_b"] = do.sum(axis=(0, 1))
+        dctx = do @ p[pre + "attn.o_w"].T
+        g[pre + "attn.o_w"][...] = lc["ctx"].reshape(-1, D).T @ do.reshape(-1, D)
+        g[pre + "attn.o_b"][...] = do.sum(axis=(0, 1))
 
         dctx_h = _split_heads(dctx, H)                        # [B,H,L,dh]
         attn, qh, kh, vh = lc["attn"], lc["qh"], lc["kh"], lc["vh"]
@@ -414,24 +433,23 @@ def backward_arrays(params: dict, cfg: EncoderConfig, cache: dict,
 
         x_in_flat = x_in.reshape(-1, D)
         for name, dt in (("q", dq), ("k", dk), ("v", dv)):
-            grads[pre + f"attn.{name}_w"] = x_in_flat.T @ dt.reshape(-1, D)
-            grads[pre + f"attn.{name}_b"] = dt.sum(axis=(0, 1))
-            dx += dt @ params[pre + f"attn.{name}_w"].T
+            g[pre + f"attn.{name}_w"][...] = x_in_flat.T @ dt.reshape(-1, D)
+            g[pre + f"attn.{name}_b"][...] = dt.sum(axis=(0, 1))
+            dx += dt @ p[pre + f"attn.{name}_w"].T
 
     ids = cache["ids"]
     L = ids.shape[1]
-    np.add.at(grads["token_embedding"], ids.reshape(-1),
+    np.add.at(g["token_embedding"], ids.reshape(-1),
               dx.reshape(-1, cfg.d_model))
-    grads["position_embedding"][:L] = dx.sum(axis=0)
+    g["position_embedding"][:L] = dx.sum(axis=0)
     return grads
 
 
-def loss_and_grads(params: dict, cfg: EncoderConfig, ids: np.ndarray,
-                   mask: np.ndarray, y: np.ndarray, train_mode: bool = False,
-                   rng=None) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch plus exact gradients."""
-    logits, cache = forward_arrays(params, cfg, ids, mask, train_mode, rng,
-                                   keep_cache=True)
+def loss_and_grads(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
+                   mask: np.ndarray, y: np.ndarray, rng=None) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch plus exact gradients; dropout runs
+    when an rng is given."""
+    logits, cache = forward_arrays(params, cfg, ids, mask, rng, keep_cache=True)
     loss, dlogits = cross_entropy(logits, y)
     if not math.isfinite(loss):
         raise TrainingError("non-finite loss")
@@ -453,41 +471,46 @@ def lr_schedule(step: int, tc: TrainConfig, total_steps: int) -> float:
     return tc.learning_rate * (total_steps - step) / span
 
 
-def adamw_init(params: dict) -> dict:
-    return {"t": 0,
-            "m": {k: np.zeros_like(v) for k, v in params.items()},
-            "v": {k: np.zeros_like(v) for k, v in params.items()}}
+def adamw_init(params: np.ndarray, cfg: EncoderConfig) -> dict:
+    """Zero moments laid out as params, and the mask of the matrix entries
+    that weight decay applies to."""
+    decay = np.concatenate([np.full(t["nbytes"] // 4, len(t["shape"]) >= 2)
+                            for t in _layout(cfg)])
+    return {"t": 0, "m": np.zeros_like(params), "v": np.zeros_like(params),
+            "decay": decay, "cfg": cfg}
 
 
-def adamw_step(params: dict, grads: dict, state: dict, tc: TrainConfig,
-               lr: float) -> None:
+def adamw_step(params: np.ndarray, grads: np.ndarray, state: dict,
+               tc: TrainConfig, lr: float) -> None:
     """In-place AdamW update.  Weight decay is decoupled (p -= lr*wd*p) and
-    applies only to matrices; biases and layer-norm vectors (ndim 1) are
-    exempt."""
+    applies only to matrices; biases and layer-norm vectors are exempt.  A
+    non-finite update raises TrainingError naming the first tensor it hits."""
     state["t"] += 1
     t = state["t"]
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for key, p in params.items():
-        g = grads[key]
-        m = state["m"][key]
-        v = state["v"][key]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if not np.all(np.isfinite(update)):
-            raise TrainingError(f"non-finite optimizer update for {key}")
-        p -= lr * update
-        if tc.weight_decay > 0 and p.ndim >= 2:
-            p -= lr * tc.weight_decay * p
+    m, v = state["m"], state["v"]
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grads * grads)
+    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    finite = np.isfinite(update)
+    if not finite.all():
+        bad = 4 * int(np.argmin(finite))
+        name = next(spec["name"] for spec in _layout(state["cfg"])
+                    if bad < spec["offset"] + spec["nbytes"])
+        raise TrainingError(f"non-finite optimizer update for {name}")
+    params -= lr * update
+    if tc.weight_decay > 0:
+        np.subtract(params, lr * tc.weight_decay * params, out=params,
+                    where=state["decay"])
 
 
 @dataclass
 class TrainResult:
-    final_params: dict[str, np.ndarray]
-    best_params: dict[str, np.ndarray]
+    final_params: np.ndarray
+    best_params: np.ndarray
     best_epoch: int
     log: list[dict] = field(default_factory=list)
 
@@ -507,9 +530,9 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
     if not train_texts:
         raise InputError("training split is empty")
     dtype = np.float32 if tc.precision == "single" else np.float64
-    params = {k: v.astype(dtype) for k, v in init_params(cfg, tc.seed).items()}
+    params = init_params(cfg, tc.seed, dtype)
     if tc.epochs == 0:
-        return TrainResult(params, _copy_params(params), 0, [])
+        return TrainResult(params, params.copy(), 0, [])
 
     rows = [encode(t, vocab, tok_cfg) for t in train_texts]
     val_rows = [encode(t, vocab, tok_cfg) for t in val_texts]
@@ -518,7 +541,7 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
     steps_per_epoch = math.ceil(n / tc.batch_size)
     total_steps = tc.epochs * steps_per_epoch
 
-    state = adamw_init(params)
+    state = adamw_init(params, cfg)
     drop_rng = np.random.Generator(np.random.PCG64(derive_seed(tc.seed, 101)))
     shuffle_rng = SplitMix64(derive_seed(tc.seed, 202))
     log: list[dict] = []
@@ -536,7 +559,7 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
             lr = lr_schedule(step, tc, total_steps)
             ids, mask = _pad([rows[i] for i in sel])
             loss, grads = loss_and_grads(params, cfg, ids, mask, y_all[sel],
-                                         train_mode=True, rng=drop_rng)
+                                         drop_rng)
             adamw_step(params, grads, state, tc, lr)
             epoch_loss += loss * len(sel)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n}
@@ -546,20 +569,16 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
             if entry["val_weighted_f1"] > best_f1:
                 best_f1 = entry["val_weighted_f1"]
                 best_epoch = epoch
-                best_params = _copy_params(params)
+                best_params = params.copy()
         log.append(entry)
 
     if best_params is None:
-        best_params = _copy_params(params)
+        best_params = params.copy()
         best_epoch = tc.epochs
     return TrainResult(params, best_params, best_epoch, log)
 
 
-def _copy_params(params: dict) -> dict:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def predict(params: dict, cfg: EncoderConfig, vocab: Vocabulary,
+def predict(params: np.ndarray, cfg: EncoderConfig, vocab: Vocabulary,
             tok_cfg: TokenizerConfig, texts: list[str]
             ) -> tuple[list[SentimentLabel], np.ndarray]:
     """Eval-mode prediction: argmax label per text (lowest label id on exact
@@ -569,7 +588,7 @@ def predict(params: dict, cfg: EncoderConfig, vocab: Vocabulary,
     return _predict_rows(params, cfg, [encode(t, vocab, tok_cfg) for t in texts])
 
 
-def _predict_rows(params: dict, cfg: EncoderConfig, rows: list[list[int]]
+def _predict_rows(params: np.ndarray, cfg: EncoderConfig, rows: list[list[int]]
                   ) -> tuple[list[SentimentLabel], np.ndarray]:
     """predict on encoded rows, run PREDICT_BATCH per forward pass in order of
     length (stable in input position), so each batch pads little."""
@@ -584,21 +603,13 @@ def _predict_rows(params: dict, cfg: EncoderConfig, rows: list[list[int]]
 
 # --- serialization ---------------------------------------------------------
 
-def save_transformer(path: str | Path, params: dict, cfg: EncoderConfig,
+def save_transformer(path: str | Path, params: np.ndarray, cfg: EncoderConfig,
                      tc: TrainConfig, tok_cfg: TokenizerConfig,
                      vocab_ref: dict | None = None) -> None:
-    """Single file: one JSON header line, then all tensors as little-endian
-    float32 in the header's order with explicit shapes and byte offsets.
-    The header records tok_cfg.max_word_chars; its max_len is the encoder's."""
-    tensors = []
-    offset = 0
-    payloads = []
-    for name, arr in params.items():
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        tensors.append({"name": name, "shape": list(arr.shape),
-                        "offset": offset, "nbytes": len(data)})
-        payloads.append(data)
-        offset += len(data)
+    """Single file: one JSON header line, then params as little-endian
+    float32, whose layout the header's tensor list spells out (names, shapes
+    and byte offsets).  The header records tok_cfg.max_word_chars; its
+    max_len is the encoder's."""
     header = {
         "format_version": 1,
         "kind": "transformer",
@@ -606,21 +617,20 @@ def save_transformer(path: str | Path, params: dict, cfg: EncoderConfig,
         "train_config": asdict(tc),
         "max_word_chars": tok_cfg.max_word_chars,
         "vocab_ref": vocab_ref,
-        "tensors": tensors,
+        "tensors": _layout(cfg),
     }
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for data in payloads:
-            fh.write(data)
+        fh.write(params.astype("<f4").tobytes())
 
 
 def load_transformer(path: str | Path):
     """Returns (params, EncoderConfig, TrainConfig, vocab_ref, TokenizerConfig).
 
-    Every tensor spec must name the tensor and shape that the encoder config
-    implies, in order, and lie inside the file; a header without
-    max_word_chars gets the default."""
+    The header's tensor list must be exactly the one the encoder config
+    implies, and the payload exactly as long as that layout; a header
+    without max_word_chars gets the default."""
     with open_file(path, "model file") as fh:
         header_line, payload = fh.readline(), fh.read()
     header = parse_json_object(header_line, f"{path}: bad transformer header")
@@ -637,27 +647,15 @@ def load_transformer(path: str | Path):
     except (KeyError, TypeError, InputError) as e:
         raise InputError(f"{path}: bad transformer header: {e!r}") from None
 
-    expected = _param_specs(cfg)
-    if len(specs) != len(expected):
-        raise InputError(f"{path}: header lists {len(specs)} tensors, the "
-                         f"encoder config needs {len(expected)}")
-    params = {}
-    for spec, (name, shape, _) in zip(specs, expected):
-        try:
-            got = (spec["name"], tuple(spec["shape"]))
-            start, nbytes = int(spec["offset"]), int(spec["nbytes"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise InputError(f"{path}: malformed tensor spec {spec!r}") from None
-        if got != (name, shape):
-            raise InputError(f"{path}: tensor {got[0]} {list(got[1])} does not "
-                             f"match the encoder config's {name} {list(shape)}")
-        count = math.prod(shape)
-        if nbytes != 4 * count:
-            raise InputError(f"{path}: tensor {name} has {nbytes} bytes, its "
-                             f"shape needs {4 * count}")
-        if start < 0 or start + nbytes > len(payload):
-            raise InputError(f"{path}: tensor {name} lies outside the "
-                             f"{len(payload)}-byte payload (file truncated?)")
-        flat = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-        params[name] = flat.reshape(shape).copy()
+    layout = _layout(cfg)
+    if specs != layout:
+        wrong = next((t["name"] for spec, t in zip(specs, layout) if spec != t),
+                     f"{len(specs)} tensors, not {len(layout)}")
+        raise InputError(f"{path}: the header's tensor list does not match the "
+                         f"encoder config's layout at {wrong}")
+    size = layout[-1]["offset"] + layout[-1]["nbytes"]
+    if len(payload) != size:
+        raise InputError(f"{path}: the payload has {len(payload)} bytes, the "
+                         f"layout needs {size} (file truncated or padded?)")
+    params = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     return params, cfg, tc, header.get("vocab_ref"), tok_cfg

@@ -18,7 +18,7 @@ import mixsent
 from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_predict, nb_train
 from mixsent.cli import main
-from mixsent.corpus import CANONICAL_LABEL_MAP, load_corpus
+from mixsent.corpus import CANONICAL_LABEL_MAP, SentimentLabel, load_corpus
 from mixsent.features import fit_term_index, load_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, clean_text
@@ -99,8 +99,9 @@ class TestPrepare:
         {"preprocess": {"remove_stopwords": False}},
         {"preprocess": {"keep_hashtag_text": "no"}},
         {"preprocess": {"stopwords_file": 5}},
+        {"splits": {"train_frac": 0.5}},
     ], ids=["train_frac-str", "section-list", "unknown-key", "bool-str",
-            "file-int"])
+            "file-int", "unknown-section"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, config):
         jsonl, map_path = write_inputs(tmp_path)
         assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
@@ -178,6 +179,30 @@ class TestTrain:
     def test_train_without_prepare_fails(self, tmp_path):
         code = main(["train", "--model", "nb", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_misspelt_config_section_exit_2(self, tmp_path, capsys):
+        out = run_prepare(tmp_path, tmp_path / "run")
+        assert main(["train", "--model", "nb", "--out-dir", str(out),
+                     "--config", '{"nbb": {"alpha": 0.5}}']) == 2
+        assert "error: config sections ['nbb'] unknown" in capsys.readouterr().err
+        assert not (out / "nb.json").exists()
+
+    def test_one_config_file_serves_every_command(self, tmp_path):
+        """Each command passes over the sections of other commands and models."""
+        config = json.loads(TINY_TRANSFORMER_CONFIG)
+        config.update(preprocess={"keep_hashtag_text": True},
+                      split={"train_frac": 0.7, "val_frac": 0.1},
+                      features={"min_df": 1}, nb={"alpha": 0.5},
+                      svm={"epochs": 2})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        jsonl, map_path = write_inputs(tmp_path)
+        out = tmp_path / "run"
+        assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                     "--out-dir", str(out), "--config", str(path)]) == 0
+        assert main(["train", "--model", "nb", "--out-dir", str(out),
+                     "--config", str(path)]) == 0
+        assert json.loads((out / "nb.manifest.json").read_text())["config"]["alpha"] == 0.5
 
     def test_long_inline_config(self, tmp_path):
         """An inline --config longer than a file name may be is still read."""
@@ -278,6 +303,28 @@ class TestEvaluateAndReport:
         (tmp_path / "eval_nb_test.json").write_text(content, encoding="utf-8")
         assert main(["report", "--out-dir", str(tmp_path)]) == 2
         assert "malformed report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(accuracy="x"), "accuracy must be a finite number"),
+        (lambda d: d["weighted"].update(f1=None), "weighted_f1 must be a finite"),
+        (lambda d: d["per_class"]["neutral"].update(recall=[0.5]),
+         "recall must be a finite number"),
+        (lambda d: d["per_class"]["positive"].update(support=2.5),
+         "support must be an integer"),
+        (lambda d: d["confusion"][1].__setitem__(2, True),
+         "confusion count must be an integer"),
+        (lambda d: d["confusion"].pop(), "confusion must be 3 x 3"),
+    ], ids=["accuracy-str", "f1-null", "recall-list", "support-float",
+            "confusion-bool", "confusion-2-rows"])
+    def test_report_wrong_value_type_exit_2(self, tmp_path, capsys, edit, message):
+        labels = [SentimentLabel(i) for i in (0, 1, 2, 2)]
+        report = evaluate(labels, labels[::-1]).to_dict()
+        edit(report)
+        (tmp_path / "eval_nb_test.json").write_text(json.dumps(report),
+                                                    encoding="utf-8")
+        assert main(["report", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed report" in err and message in err
 
 
 class TestBaselineArtifact:

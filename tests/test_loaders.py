@@ -57,9 +57,9 @@ def _write_samples(d: Path) -> dict[str, Path]:
     save_baseline(nb_train(X, LABELS3), paths["nb.json"], term_index_ref=ref)
     save_baseline(svm_train(X, LABELS3, SvmHyper(epochs=2)), paths["svm.json"],
                   term_index_ref=ref)
-    params = {k: v.astype(np.float32) for k, v in init_params(TINY, 1).items()}
-    save_transformer(paths["model.bin"], params, TINY, TrainConfig(),
-                     TokenizerConfig(max_len=TINY.max_len), {"file": "v", "sha256": "0"})
+    save_transformer(paths["model.bin"], init_params(TINY, 1, np.float32), TINY,
+                     TrainConfig(), TokenizerConfig(max_len=TINY.max_len),
+                     {"file": "v", "sha256": "0"})
     return paths
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixsent.corpus import SentimentLabel
-from mixsent.errors import InputError
+from mixsent.errors import InputError, TrainingError
 from mixsent.metrics import evaluate
 from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, TokenizerConfig,
                                Vocabulary, encode)
@@ -17,7 +18,7 @@ from mixsent.transformer import (PREDICT_BATCH, EncoderConfig, TrainConfig,
                                  init_params, load_transformer,
                                  loss_and_grads, lr_schedule, predict,
                                  save_transformer, train, _erf, _layer_norm,
-                                 _pad)
+                                 _pad, _views)
 
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16, dropout=0.0,
                      max_len=12, vocab_size=20, num_classes=3)
@@ -39,14 +40,28 @@ def padded(rows, length):
 class TestInitAndForward:
     def test_init_deterministic_and_shaped(self):
         a = init_params(TINY, seed=1)
-        b = init_params(TINY, seed=1)
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key])
-        assert a["token_embedding"].shape == (20, 8)
-        assert a["layers.0.ffn.w1"].shape == (8, 16)
-        assert a["head.w"].shape == (8, 3)
-        np.testing.assert_array_equal(a["layers.0.norm1.gain"], 1.0)
-        np.testing.assert_array_equal(a["layers.0.norm1.bias"], 0.0)
+        np.testing.assert_array_equal(a, init_params(TINY, seed=1))
+        views = _views(a, TINY)
+        assert a.ndim == 1 and a.size == sum(v.size for v in views.values())
+        assert views["token_embedding"].shape == (20, 8)
+        assert views["layers.0.ffn.w1"].shape == (8, 16)
+        assert views["head.w"].shape == (8, 3)
+        np.testing.assert_array_equal(views["layers.0.norm1.gain"], 1.0)
+        np.testing.assert_array_equal(views["layers.0.norm1.bias"], 0.0)
+        # Drawn tensor by tensor, in layout order, from one generator.
+        rng = np.random.Generator(np.random.PCG64(1))
+        np.testing.assert_array_equal(views["token_embedding"],
+                                      rng.normal(0.0, 0.02, size=(20, 8)))
+        np.testing.assert_array_equal(views["position_embedding"],
+                                      rng.normal(0.0, 0.02, size=(12, 8)))
+
+    def test_views_share_the_flat_array(self):
+        params = init_params(TINY, seed=1)
+        views = _views(params, TINY)
+        assert list(views)[0] == "token_embedding" and list(views)[-1] == "head.b"
+        assert all(np.shares_memory(v, params) for v in views.values())
+        views["head.b"][:] = 7.0
+        np.testing.assert_array_equal(params[-3:], 7.0)
 
     def test_attention_rows_sum_to_one_over_unmasked(self):
         params = init_params(TINY, seed=2)
@@ -61,7 +76,7 @@ class TestInitAndForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cache_does_not_change_logits(self, dtype):
         cfg = TestPaddingTrim.CFG
-        params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=2).items()}
+        params = init_params(cfg, seed=2, dtype=dtype)
         batch = _pad([row([4, 5, 6]), row([7]), row(list(range(8, 30)))])
         plain, no_cache = forward_arrays(params, cfg, *batch)
         cached, cache = forward_arrays(params, cfg, *batch, keep_cache=True)
@@ -73,7 +88,7 @@ class TestInitAndForward:
         """Without a cache, an eval forward at B=64, L=128 on the default
         encoder peaks under four [B, H, L, L] float32 score buffers."""
         cfg = EncoderConfig()
-        params = {k: v.astype(np.float32) for k, v in init_params(cfg, seed=0).items()}
+        params = init_params(cfg, seed=0, dtype=np.float32)
         ids = np.random.default_rng(0).integers(4, cfg.vocab_size, size=(64, 128))
         mask = np.ones_like(ids)
         tracemalloc.start()
@@ -92,7 +107,7 @@ class TestInitAndForward:
 
     def test_zero_position_embeddings_make_logits_permutation_invariant(self):
         params = init_params(TINY, seed=4)
-        params["position_embedding"][:] = 0.0
+        _views(params, TINY)["position_embedding"][:] = 0.0
         a = padded([row([5, 6, 7, 8])], TINY.max_len)
         b = padded([row([7, 5, 8, 6])], TINY.max_len)
         la, _ = forward_arrays(params, TINY, *a)
@@ -192,7 +207,7 @@ class TestErf:
 class TestLossAndGradients:
     def test_zero_head_loss_is_ln3(self):
         params = init_params(TINY, seed=7)
-        params["head.w"][:] = 0.0
+        _views(params, TINY)["head.w"][:] = 0.0
         batch = padded([row([4, 5]), row([9])], TINY.max_len)
         labels = np.array([SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE])
         loss, _ = loss_and_grads(params, TINY, *batch, labels)
@@ -218,7 +233,7 @@ class TestLossAndGradients:
         """
         cfg = TINY
         params = init_params(cfg, seed=9)
-        for v in params.values():
+        for v in _views(params, cfg).values():
             if v.ndim >= 2:
                 v *= 20.0
         rng = np.random.default_rng(1)
@@ -228,20 +243,19 @@ class TestLossAndGradients:
         _, grads = loss_and_grads(params, cfg, *batch, labels)
 
         h = 1e-5
-        for key, arr in params.items():
-            fd = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                mi = it.multi_index
-                orig = arr[mi]
-                arr[mi] = orig + h
-                lp, _ = loss_and_grads(params, cfg, *batch, labels)
-                arr[mi] = orig - h
-                lm, _ = loss_and_grads(params, cfg, *batch, labels)
-                arr[mi] = orig
-                fd[mi] = (lp - lm) / (2 * h)
-            rel = np.abs(fd - grads[key]) / np.maximum(1e-6, np.abs(fd) + np.abs(grads[key]))
-            assert rel.max() < 1e-4, (key, rel.max())
+        fd = np.zeros_like(params)
+        for i in range(params.size):
+            orig = params[i]
+            params[i] = orig + h
+            lp, _ = loss_and_grads(params, cfg, *batch, labels)
+            params[i] = orig - h
+            lm, _ = loss_and_grads(params, cfg, *batch, labels)
+            params[i] = orig
+            fd[i] = (lp - lm) / (2 * h)
+        rel = np.abs(fd - grads) / np.maximum(1e-6, np.abs(fd) + np.abs(grads))
+        failing = {key: r.max() for key, r in _views(rel, cfg).items()
+                   if r.max() >= 1e-4}
+        assert failing == {}
 
     def test_cross_entropy_gradient_shape_and_sign(self):
         logits = np.array([[2.0, 0.0, -1.0]])
@@ -257,9 +271,9 @@ class TestLossAndGradients:
         params = init_params(cfg, seed=10)
         batch = padded([row([4, 5, 6])], cfg.max_len)
         labels = np.array([SentimentLabel.NEUTRAL])
-        eval_loss, _ = loss_and_grads(params, cfg, *batch, labels, train_mode=False)
-        eval_loss2, _ = loss_and_grads(params, cfg, *batch, labels, train_mode=False)
-        train_loss, _ = loss_and_grads(params, cfg, *batch, labels, train_mode=True,
+        eval_loss, _ = loss_and_grads(params, cfg, *batch, labels)
+        eval_loss2, _ = loss_and_grads(params, cfg, *batch, labels)
+        train_loss, _ = loss_and_grads(params, cfg, *batch, labels,
                                        rng=np.random.Generator(np.random.PCG64(1)))
         assert eval_loss == eval_loss2
         assert train_loss != eval_loss
@@ -285,7 +299,7 @@ class TestPaddingTrim:
         """Same loss, gradients and dropout stream whether a mixed-length
         batch is padded to its longest row or to max_len."""
         cfg = self.CFG
-        params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=13).items()}
+        params = init_params(cfg, seed=13, dtype=dtype)
         rng = np.random.default_rng(3)
         rows = [row(rng.integers(4, cfg.vocab_size, size=n).tolist())
                 for n in (9, 2, 5, 0)]
@@ -299,14 +313,12 @@ class TestPaddingTrim:
         runs = []
         for a, m in ((ids, mask), (short_ids, short_mask)):
             gen = np.random.Generator(np.random.PCG64(21))
-            loss, grads = loss_and_grads(params, cfg, a, m, y, True, gen)
+            loss, grads = loss_and_grads(params, cfg, a, m, y, gen)
             runs.append((loss, grads, gen.bit_generator.state))
         (loss_full, g_full, state_full), (loss_short, g_short, state_short) = runs
         assert abs(loss_short - loss_full) <= 1e-6 * abs(loss_full)
-        for key in g_full:
-            assert g_short[key].dtype == dtype
-            np.testing.assert_allclose(g_short[key], g_full[key], rtol=tol,
-                                       atol=tol, err_msg=key)
+        assert g_short.dtype == g_full.dtype == dtype
+        np.testing.assert_allclose(g_short, g_full, rtol=tol, atol=tol)
         assert state_short == state_full
 
     def test_predict_mixed_lengths_matches_single_texts(self):
@@ -315,7 +327,7 @@ class TestPaddingTrim:
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32,
                             max_len=10, vocab_size=len(vocab))
         params = init_params(cfg, seed=14)
-        for v in params.values():
+        for v in _views(params, cfg).values():
             if v.ndim >= 2:
                 v *= 20.0
         texts = ["w1", "w2 w3 w4 w5 w6 w7 w8", "", "w9 w10", "w11 " * 12]
@@ -355,29 +367,70 @@ class TestSchedulerAndOptimizer:
             lr_schedule(2001, self.TC, 2000)
 
     def test_zero_grad_zero_decay_is_fixed_point(self):
-        params = {"w": np.ones((2, 2)), "b": np.zeros(2)}
-        grads = {"w": np.zeros((2, 2)), "b": np.zeros(2)}
-        state = adamw_init(params)
+        params = init_params(TINY, seed=0)
+        before = params.copy()
+        state = adamw_init(params, TINY)
         tc = TrainConfig(weight_decay=0.0)
-        adamw_step(params, grads, state, tc, lr=0.5)
-        np.testing.assert_array_equal(params["w"], 1.0)
+        adamw_step(params, np.zeros_like(params), state, tc, lr=0.5)
+        np.testing.assert_array_equal(params, before)
 
     def test_decoupled_decay_multiplies_matrices_only(self):
-        params = {"w": np.full((2, 2), 2.0), "gain": np.full(2, 2.0)}
-        grads = {"w": np.zeros((2, 2)), "gain": np.zeros(2)}
-        state = adamw_init(params)
+        params = np.full_like(init_params(TINY, seed=0), 2.0)
+        state = adamw_init(params, TINY)
         tc = TrainConfig(weight_decay=0.01)
-        adamw_step(params, grads, state, tc, lr=1.0)
-        np.testing.assert_allclose(params["w"], 2.0 * 0.99)
-        np.testing.assert_array_equal(params["gain"], 2.0)  # 1-D exempt
+        adamw_step(params, np.zeros_like(params), state, tc, lr=1.0)
+        for key, view in _views(params, TINY).items():
+            # biases and layer-norm vectors (1-D) are exempt
+            expected = 2.0 * 0.99 if view.ndim >= 2 else 2.0
+            np.testing.assert_allclose(view, expected, rtol=1e-15, err_msg=key)
 
     def test_first_adam_step_magnitude_is_lr(self):
-        params = {"w": np.array([[0.0]])}
-        grads = {"w": np.array([[1.0]])}
-        state = adamw_init(params)
+        params = np.zeros_like(init_params(TINY, seed=0))
+        state = adamw_init(params, TINY)
         tc = TrainConfig(weight_decay=0.0)
-        adamw_step(params, grads, state, tc, lr=0.25)
-        assert params["w"][0, 0] == pytest.approx(-0.25, rel=1e-6)
+        adamw_step(params, np.ones_like(params), state, tc, lr=0.25)
+        np.testing.assert_allclose(params, -0.25, rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_step_matches_per_tensor_reference(self, dtype):
+        """The whole-array update equals AdamW run tensor by tensor, bit for
+        bit: every element sees the same operations."""
+        params = init_params(TINY, seed=0, dtype=dtype)
+        ref = {key: v.copy() for key, v in _views(params, TINY).items()}
+        moments = {key: [np.zeros_like(v), np.zeros_like(v)] for key, v in ref.items()}
+        state = adamw_init(params, TINY)
+        tc = TrainConfig(weight_decay=0.01)
+        rng = np.random.default_rng(4)
+        for t in (1, 2):
+            grads = rng.normal(size=params.shape).astype(dtype)
+            adamw_step(params, grads, state, tc, lr=1e-2)
+            for key, g in _views(grads, TINY).items():
+                p, (m, v) = ref[key], moments[key]
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                p -= 1e-2 * ((m / (1.0 - 0.9 ** t))
+                             / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8))
+                if p.ndim >= 2:
+                    p -= 1e-2 * 0.01 * p
+        for key, view in _views(params, TINY).items():
+            np.testing.assert_array_equal(view, ref[key], err_msg=key)
+
+    @pytest.mark.parametrize("key, index", [
+        ("token_embedding", 0), ("position_embedding", -1),
+        ("layers.0.norm1.gain", 0), ("layers.0.ffn.b1", 5), ("head.b", -1)])
+    def test_non_finite_update_names_the_first_bad_tensor(self, key, index):
+        """The first tensor holding a non-finite update is named, also when
+        the bad entry is at either end of the tensor's range."""
+        params = init_params(TINY, seed=0)
+        grads = np.zeros_like(params)
+        views = _views(grads, TINY)
+        views[key].reshape(-1)[index] = np.nan
+        views["head.b"][-1] = np.nan
+        state = adamw_init(params, TINY)
+        with pytest.raises(TrainingError, match=rf"update for {re.escape(key)}$"):
+            adamw_step(params, grads, state, TrainConfig(), lr=1e-3)
 
 
 class TestTrainLoop:
@@ -397,9 +450,9 @@ class TestTrainLoop:
         texts, labels = self._data()
         tc = TrainConfig(epochs=0, seed=3, precision="double")
         res = train(texts, labels, [], [], self.VOCAB, self.TOK, self.CFG, tc)
-        init = init_params(self.CFG, seed=3)
-        for key in init:
-            np.testing.assert_array_equal(res.final_params[key], init[key])
+        np.testing.assert_array_equal(res.final_params, init_params(self.CFG, seed=3))
+        np.testing.assert_array_equal(res.best_params, res.final_params)
+        assert res.best_params is not res.final_params
         assert res.log == []
 
     def test_same_seed_identical_logs_and_params(self):
@@ -409,8 +462,7 @@ class TestTrainLoop:
         a = train(texts, labels, texts, labels, self.VOCAB, self.TOK, self.CFG, tc)
         b = train(texts, labels, texts, labels, self.VOCAB, self.TOK, self.CFG, tc)
         assert a.log == b.log
-        for key in a.final_params:
-            np.testing.assert_array_equal(a.final_params[key], b.final_params[key])
+        np.testing.assert_array_equal(a.final_params, b.final_params)
 
     def test_best_epoch_tracked_with_validation(self):
         texts, labels = self._data()
@@ -445,8 +497,9 @@ class TestTrainLoop:
 
     def test_predict_uniform_for_zero_head(self):
         params = init_params(self.CFG, seed=1)
-        params["head.w"][:] = 0.0
-        params["head.b"][:] = 0.0
+        head = _views(params, self.CFG)
+        head["head.w"][:] = 0.0
+        head["head.b"][:] = 0.0
         out = predict(params, self.CFG, self.VOCAB, self.TOK, ["w1 w2", "w3"])
         for label, probs in zip(*out):
             np.testing.assert_allclose(probs, 1 / 3, atol=1e-12)
@@ -463,7 +516,7 @@ class TestTrainLoop:
 class TestSerialization:
     def test_roundtrip_float32_exact(self, tmp_path):
         cfg = TINY
-        params = {k: v.astype(np.float32) for k, v in init_params(cfg, 3).items()}
+        params = init_params(cfg, 3, np.float32)
         tc = TrainConfig()
         tok = TokenizerConfig(max_len=cfg.max_len, max_word_chars=3)
         path = tmp_path / "model.bin"
@@ -472,8 +525,16 @@ class TestSerialization:
         loaded, cfg2, tc2, ref, tok2 = load_transformer(path)
         assert cfg2 == cfg and tc2 == tc and tok2 == tok
         assert ref == {"file": "v.txt", "sha256": "abc"}
-        for key in params:
-            np.testing.assert_array_equal(loaded[key], params[key])
+        assert loaded.dtype == np.float32
+        np.testing.assert_array_equal(loaded, params)
+
+    def test_double_precision_saved_as_rounded_float32(self, tmp_path):
+        params = init_params(TINY, 3)
+        path = tmp_path / "model.bin"
+        save_transformer(path, params, TINY, TrainConfig(precision="double"),
+                         TokenizerConfig(max_len=TINY.max_len))
+        np.testing.assert_array_equal(load_transformer(path)[0],
+                                      params.astype(np.float32))
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -483,7 +544,7 @@ class TestSerialization:
 
     @staticmethod
     def _saved(tmp_path):
-        params = {k: v.astype(np.float32) for k, v in init_params(TINY, 3).items()}
+        params = init_params(TINY, 3, np.float32)
         path = tmp_path / "model.bin"
         save_transformer(path, params, TINY, TrainConfig(),
                          TokenizerConfig(max_len=TINY.max_len))
@@ -506,10 +567,27 @@ class TestSerialization:
         with pytest.raises(InputError, match="truncated"):
             load_transformer(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, _, _ = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(InputError, match="payload has"):
+            load_transformer(path)
+
+    def test_every_offset_zero_rejected(self, tmp_path):
+        """A header pointing every tensor at the start of the payload would
+        read token_embedding's bytes as every other tensor."""
+        path, header, payload = self._saved(tmp_path)
+        for spec in header["tensors"]:
+            spec["offset"] = 0
+        self._rewrite(path, header, payload)
+        with pytest.raises(InputError, match="position_embedding"):
+            load_transformer(path)
+
     @pytest.mark.parametrize("field, value", [
         ("shape", [3, 8]),            # head.w transposed: same byte count
         ("nbytes", 4 * 8 * 3 + 4),
         ("name", "head.weight"),
+        ("offset", 0),
     ])
     def test_tampered_tensor_spec_rejected(self, tmp_path, field, value):
         path, header, payload = self._saved(tmp_path)
