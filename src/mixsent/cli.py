@@ -90,7 +90,11 @@ def _section(overrides: dict, name: str, defaults: dict) -> dict:
 _PREPROCESS = {"emoji_lexicon_file": None, "stopwords_file": None,
                "fillers_file": None, "keep_hashtag_text": False,
                "remove_stop_words": True}
-_PREPROCESS_FILES = ("emoji_lexicon_file", "stopwords_file", "fillers_file")
+# The name each preprocess file gets in the run directory, so a run
+# directory carries its own copies and predict reads them wherever it runs.
+_PREPROCESS_FILES = {"emoji_lexicon_file": "emoji_lexicon.json",
+                     "stopwords_file": "stopwords.txt",
+                     "fillers_file": "fillers.txt"}
 
 
 def _preprocess_config(section: dict) -> PreprocessConfig:
@@ -105,7 +109,8 @@ def _preprocess_config(section: dict) -> PreprocessConfig:
 
 def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
     """The cleaning config prepare recorded in model_dir/manifest.json, checked
-    as --config is; each file it names must still have its recorded digest."""
+    as --config is; each file it names, read from model_dir, must still have
+    its recorded digest."""
     path = model_dir / "manifest.json"
     manifest = parse_json_object(read_file(path, "manifest"),
                                  f"malformed manifest {path}")
@@ -120,8 +125,9 @@ def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
     section = _section({"preprocess": recorded}, "preprocess", _PREPROCESS)
     for key in _PREPROCESS_FILES:
         if section[key]:
-            _verify_ref(Path(), {"file": section[key], "sha256": digests.get(key)},
-                        f"preprocess.{key}")
+            section[key] = _verify_ref(
+                model_dir, {"file": section[key], "sha256": digests.get(key)},
+                f"preprocess.{key}")
     return _preprocess_config(section)
 
 
@@ -174,6 +180,10 @@ def cmd_prepare(args) -> int:
     (out_dir / "distribution.txt").write_text(_distribution_report(dist) + "\n",
                                               encoding="utf-8")
     _write_json(out_dir / "drops.json", drops)
+    copies = {key: name for key, name in _PREPROCESS_FILES.items() if section[key]}
+    for key, name in copies.items():
+        with open_file(section[key], f"preprocess.{key}") as fh:
+            (out_dir / name).write_bytes(fh.read())
     _write_json(out_dir / "manifest.json", {
         "pipeline_version": __version__,
         "command": "prepare",
@@ -181,16 +191,15 @@ def cmd_prepare(args) -> int:
         "label_map": _sha256(Path(args.label_map)),
         "seed": args.seed,
         "config": {
-            "preprocess": {**section, "sha256": {
-                key: _sha256(Path(section[key]))
-                for key in _PREPROCESS_FILES if section[key]}},
+            "preprocess": {**section, **copies, "sha256": {
+                key: _sha256(out_dir / name) for key, name in copies.items()}},
             "split": {"train_frac": spec.train_frac, "val_frac": spec.val_frac},
             "overrides": overrides,
         },
         "split_sizes": {"train": len(train_c), "val": len(val_c),
                         "test": len(test_c)},
         "outputs": [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
-                    "drops.json"],
+                    "drops.json", *copies.values()],
     })
     print(_distribution_report(dist))
     print(f"dropped: {json.dumps(drops, sort_keys=True)}")

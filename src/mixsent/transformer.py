@@ -248,14 +248,28 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
+def _uniform_rows(rng, shape: tuple[int, int, int], max_len: int) -> np.ndarray:
+    """rng.random((B, max_len, D)) cut to shape [B, L, D], drawing only those
+    L positions of each batch row: PCG64 spends one output per double, so
+    advancing the generator past the other max_len - L leaves the stream
+    where the full draw would.  At L == max_len one draw is faster."""
+    b, l, d = shape
+    if l == max_len:
+        return rng.random(shape)
+    u = np.empty(shape)
+    for batch_row in u:
+        rng.random(out=batch_row)
+        rng.bit_generator.advance((max_len - l) * d)
+    return u
+
+
 def _dropout(x: np.ndarray, rate: float, rng, max_len: int):
-    """Dropout runs when an rng is given.  The keep mask is drawn at
-    [B, max_len, D] and cut to x's length, so the numbers drawn do not depend
-    on how far the batch is padded."""
+    """Dropout runs when an rng is given.  The keep mask is that of a
+    [B, max_len, D] draw cut to x's length, so the numbers drawn do not
+    depend on how far the batch is padded."""
     if rng is None or rate == 0.0:
         return x, None
-    b, l, d = x.shape
-    keep = (rng.random((b, max_len, d)) >= rate)[:, :l].astype(x.dtype)
+    keep = (_uniform_rows(rng, x.shape, max_len) >= rate).astype(x.dtype)
     return x * keep / (1.0 - rate), keep
 
 
@@ -276,23 +290,25 @@ def _pad(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
-def _attention(params: dict, pre: str, x: np.ndarray, pad_keys: np.ndarray,
-               cfg: EncoderConfig, saved: dict | None) -> np.ndarray:
-    """Multi-head self-attention of one block, through its output projection.
+def _attention(params: dict, pre: str, xq: np.ndarray, x: np.ndarray,
+               pad_keys: np.ndarray, cfg: EncoderConfig,
+               saved: dict | None) -> np.ndarray:
+    """Multi-head attention of one block, through its output projection:
+    queries from the Q rows of xq, keys and values from all L rows of x.
 
-    Scale, PAD mask and softmax run in place on the [B, H, L, L] scores
+    Scale, PAD mask and softmax run in place on the [B, H, Q, L] scores
     buffer.  What backward needs goes into saved when it is a dict; the rest
     is freed on return."""
     H = cfg.num_heads
-    q = x @ params[pre + "attn.q_w"] + params[pre + "attn.q_b"]
+    q = xq @ params[pre + "attn.q_w"] + params[pre + "attn.q_b"]
     k = x @ params[pre + "attn.k_w"] + params[pre + "attn.k_b"]
     v = x @ params[pre + "attn.v_w"] + params[pre + "attn.v_b"]
     qh, kh, vh = (_split_heads(t, H) for t in (q, k, v))
-    attn = qh @ kh.transpose(0, 1, 3, 2)                      # [B,H,L,L]
+    attn = qh @ kh.transpose(0, 1, 3, 2)                      # [B,H,Q,L]
     attn *= 1.0 / math.sqrt(cfg.d_model // H)
     np.copyto(attn, -np.inf, where=pad_keys)
     _softmax(attn)
-    ctx = _merge_heads(attn @ vh)                             # [B,L,D]
+    ctx = _merge_heads(attn @ vh)                             # [B,Q,D]
     if saved is not None:
         saved.update(qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx)
     return ctx @ params[pre + "attn.o_w"] + params[pre + "attn.o_b"]
@@ -310,13 +326,17 @@ def _feed_forward(params: dict, pre: str, x1: np.ndarray,
 
 
 def _block(params: dict, pre: str, x: np.ndarray, pad_keys: np.ndarray,
-           cfg: EncoderConfig, rng, saved: dict | None) -> np.ndarray:
+           cfg: EncoderConfig, rng, saved: dict | None,
+           cls_only: bool) -> np.ndarray:
     """One post-norm residual block: x1 = LN(x + dropout(attention(x))),
-    then LN(x1 + dropout(ffn(x1))).  What backward needs goes into saved
-    when it is a dict; the rest is freed on return."""
-    od, keep_o = _dropout(_attention(params, pre, x, pad_keys, cfg, saved),
+    then LN(x1 + dropout(ffn(x1))).  With cls_only everything but the keys
+    and values runs on the [CLS] row alone, and the block returns [B, 1, D].
+    What backward needs goes into saved when it is a dict; the rest is freed
+    on return."""
+    xq = x[:, :1] if cls_only else x
+    od, keep_o = _dropout(_attention(params, pre, xq, x, pad_keys, cfg, saved),
                           cfg.dropout, rng, cfg.max_len)
-    od += x
+    od += xq
     x1, ln1 = _layer_norm(od, params[pre + "norm1.gain"],
                           params[pre + "norm1.bias"])
     fd, keep_f = _dropout(_feed_forward(params, pre, x1, saved),
@@ -336,7 +356,9 @@ def forward_arrays(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
 
     Dropout runs, drawing from rng, exactly when an rng is given.  L may be
     smaller than cfg.max_len (position rows beyond L are unused);
-    PAD positions are excluded from attention via the key mask.  cache holds
+    PAD positions are excluded from attention via the key mask.  The head
+    reads only the [CLS] row, so the last block computes only that row, with
+    keys and values over every position.  cache holds
     every activation backward_arrays needs and is built only when keep_cache
     is set; otherwise it is None and each block's activations are freed when
     the block returns.
@@ -351,7 +373,8 @@ def forward_arrays(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
 
     for i in range(cfg.num_layers):
         saved = {} if keep_cache else None
-        x = _block(p, f"layers.{i}.", x, pad_keys, cfg, rng, saved)
+        x = _block(p, f"layers.{i}.", x, pad_keys, cfg, rng, saved,
+                   cls_only=i == cfg.num_layers - 1)
         if keep_cache:
             cache["layers"].append(saved)
 
@@ -384,11 +407,10 @@ def backward_arrays(params: np.ndarray, cfg: EncoderConfig, cache: dict,
     grads = np.zeros_like(params)
     p, g = _views(params, cfg), _views(grads, cfg)
 
-    x_final = cache["x_final"]
+    x_final = cache["x_final"]                                # [B,1,D]
     g["head.w"][...] = x_final[:, 0, :].T @ dlogits
     g["head.b"][...] = dlogits.sum(axis=0)
-    dx = np.zeros_like(x_final)
-    dx[:, 0, :] = dlogits @ p["head.w"].T
+    dx = (dlogits @ p["head.w"].T)[:, None, :]
 
     for i in reversed(range(cfg.num_layers)):
         pre = f"layers.{i}."
@@ -415,15 +437,19 @@ def backward_arrays(params: np.ndarray, cfg: EncoderConfig, cache: dict,
                                                    p[pre + "norm1.gain"])
         g[pre + "norm1.gain"][...] = dgain1
         g[pre + "norm1.bias"][...] = dbias1
-        dx = dr1.copy()
+        # The block's Q query rows (1 in the last block, else L) take the
+        # residual; keys and values pass gradient to all L rows below.
+        Q = dr1.shape[1]
+        dx = np.zeros_like(x_in)
+        dx[:, :Q] = dr1
         do = _dropout_backward(dr1, lc["keep_o"], cfg.dropout)
         dctx = do @ p[pre + "attn.o_w"].T
         g[pre + "attn.o_w"][...] = lc["ctx"].reshape(-1, D).T @ do.reshape(-1, D)
         g[pre + "attn.o_b"][...] = do.sum(axis=(0, 1))
 
-        dctx_h = _split_heads(dctx, H)                        # [B,H,L,dh]
+        dctx_h = _split_heads(dctx, H)                        # [B,H,Q,dh]
         attn, qh, kh, vh = lc["attn"], lc["qh"], lc["kh"], lc["vh"]
-        dattn = dctx_h @ vh.transpose(0, 1, 3, 2)             # [B,H,L,L]
+        dattn = dctx_h @ vh.transpose(0, 1, 3, 2)             # [B,H,Q,L]
         dvh = attn.transpose(0, 1, 3, 2) @ dctx_h
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
         dscores *= scale
@@ -431,11 +457,12 @@ def backward_arrays(params: np.ndarray, cfg: EncoderConfig, cache: dict,
         dkh = dscores.transpose(0, 1, 3, 2) @ qh
         dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
 
-        x_in_flat = x_in.reshape(-1, D)
         for name, dt in (("q", dq), ("k", dk), ("v", dv)):
-            g[pre + f"attn.{name}_w"][...] = x_in_flat.T @ dt.reshape(-1, D)
+            rows = dt.shape[1]
+            g[pre + f"attn.{name}_w"][...] = (x_in[:, :rows].reshape(-1, D).T
+                                              @ dt.reshape(-1, D))
             g[pre + f"attn.{name}_b"][...] = dt.sum(axis=(0, 1))
-            dx += dt @ p[pre + f"attn.{name}_w"].T
+            dx[:, :rows] += dt @ p[pre + f"attn.{name}_w"].T
 
     ids = cache["ids"]
     L = ids.shape[1]

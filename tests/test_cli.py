@@ -538,20 +538,45 @@ class TestServedAsPrepared:
                          for label, row in zip(labels, np.exp(log_posterior))]
 
     def test_word_list_edited_after_prepare_exit_2(self, tmp_path, capsys):
+        """prepare serves its own copy of a named word list, recorded by its
+        run-directory name and digest; editing that copy is refused."""
         stop = tmp_path / "stop.txt"
         stop.write_text("hai\ntha\n", encoding="utf-8")
         out = self.prepared_nb(tmp_path, "--config", json.dumps(
             {"preprocess": {"stopwords_file": str(stop)}}))
-        recorded = json.loads((out / "manifest.json").read_text())["config"]["preprocess"]
-        assert recorded["stopwords_file"] == str(stop)
+        manifest = json.loads((out / "manifest.json").read_text())
+        recorded = manifest["config"]["preprocess"]
+        assert recorded["stopwords_file"] == "stopwords.txt"
+        assert (out / "stopwords.txt").read_bytes() == stop.read_bytes()
+        assert "stopwords.txt" in manifest["outputs"]
         assert recorded["sha256"] == {
             "stopwords_file": hashlib.sha256(stop.read_bytes()).hexdigest()}
         assert self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)[0] == 0
 
-        stop.write_text("hai\n", encoding="utf-8")
+        (out / "stopwords.txt").write_text("hai\n", encoding="utf-8")
         code, captured = self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)
         assert code == 2 and captured.out == ""
         assert "preprocess.stopwords_file digest mismatch" in captured.err
+
+    def test_relative_word_list_served_from_another_directory(
+            self, tmp_path, capsys, monkeypatch):
+        """A run directory prepared with a relative word-list path predicts
+        from any working directory, also once the original list is gone."""
+        (tmp_path / "stop.txt").write_text("hai\ntha\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        out = self.prepared_nb(tmp_path, "--config", json.dumps(
+            {"preprocess": {"stopwords_file": "stop.txt"}}))
+        texts = ["movie mast hai", "bakwas tha khana"]
+        code, here = self.predict(out / "nb.json", texts, tmp_path, capsys)
+        assert code == 0
+
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        (tmp_path / "stop.txt").unlink()
+        code, there = self.predict(out / "nb.json", texts, tmp_path, capsys)
+        assert code == 0, there.err
+        assert there.out == here.out
 
     def test_model_without_manifest_exit_2(self, tmp_path, capsys):
         out = self.prepared_nb(tmp_path)
@@ -609,7 +634,7 @@ def test_predict_on_damaged_model_or_manifest_exits_0_or_2(served_dir, data):
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp)
         for name in ("nb.json", "term_index.json", "transformer.bin", "vocab.txt",
-                     "manifest.json"):
+                     "manifest.json", "stopwords.txt"):
             shutil.copy(out / name, run / name)
         (run / target).write_bytes(damaged)
         with contextlib.redirect_stdout(io.StringIO()), \

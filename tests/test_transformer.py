@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -17,11 +18,14 @@ from mixsent.transformer import (PREDICT_BATCH, EncoderConfig, TrainConfig,
                                  forward_arrays,
                                  init_params, load_transformer,
                                  loss_and_grads, lr_schedule, predict,
-                                 save_transformer, train, _erf, _layer_norm,
-                                 _pad, _views)
+                                 save_transformer, train, _dropout, _erf,
+                                 _layer_norm, _pad, _views)
+
+from transformer_reference import forward_reference
 
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16, dropout=0.0,
                      max_len=12, vocab_size=20, num_classes=3)
+TINY_2 = dataclasses.replace(TINY, num_layers=2)
 
 
 def row(ids_core):
@@ -72,6 +76,36 @@ class TestInitAndForward:
         sums = attn.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         assert np.all(attn[..., len(r):] == 0.0)
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_logits_match_all_positions_reference(self, num_layers, dtype, atol):
+        """Computing only the [CLS] row in the last block gives the logits of
+        every block run on every position, up to summation order."""
+        cfg = dataclasses.replace(TestPaddingTrim.CFG, num_layers=num_layers)
+        params = init_params(cfg, seed=15, dtype=dtype)
+        for v in _views(params, cfg).values():
+            if v.ndim >= 2:
+                v *= 5.0
+        rng = np.random.default_rng(5)
+        batch = _pad([row(rng.integers(4, cfg.vocab_size, size=n).tolist())
+                      for n in (9, 0, 4, 22, 1)])
+        logits, _ = forward_arrays(params, cfg, *batch)
+        reference = forward_reference(params, cfg, *batch)
+        assert logits.dtype == reference.dtype == dtype
+        np.testing.assert_allclose(logits, reference, rtol=0, atol=atol)
+
+    def test_last_block_attends_from_cls_only(self):
+        """Earlier blocks attend from every position; the last block's
+        queries are the [CLS] row alone, over every key."""
+        cfg = TestPaddingTrim.CFG
+        params = init_params(cfg, seed=2)
+        ids, mask = _pad([row([4, 5, 6]), row([7])])
+        _, cache = forward_arrays(params, cfg, ids, mask, keep_cache=True)
+        (B, L), H = ids.shape, cfg.num_heads
+        assert cache["layers"][0]["attn"].shape == (B, H, L, L)
+        assert cache["layers"][-1]["attn"].shape == (B, H, 1, L)
+        assert cache["x_final"].shape == (B, 1, cfg.d_model)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cache_does_not_change_logits(self, dtype):
@@ -224,14 +258,16 @@ class TestLossAndGradients:
                                        np.array(labels * 2))
         assert abs(loss_once - loss_twice) < 1e-12
 
-    def test_gradcheck_all_parameter_groups(self):
+    @pytest.mark.parametrize("cfg", [TINY, TINY_2], ids=["1-layer", "2-layer"])
+    def test_gradcheck_all_parameter_groups(self, cfg):
         """Backprop vs central finite differences at double precision.
 
-        Matrices are scaled up so attention is non-degenerate; the
-        denominator floor covers entries whose true gradient is ~0 (the key
-        bias is exactly softmax-invariant).
+        With two layers the first block runs on every position and the last
+        on [CLS] alone, so both backward paths and the scatter from the last
+        into the first are checked.  Matrices are scaled up so attention is
+        non-degenerate; the denominator floor covers entries whose true
+        gradient is ~0 (the key bias is exactly softmax-invariant).
         """
-        cfg = TINY
         params = init_params(cfg, seed=9)
         for v in _views(params, cfg).values():
             if v.ndim >= 2:
@@ -277,6 +313,24 @@ class TestLossAndGradients:
                                        rng=np.random.Generator(np.random.PCG64(1)))
         assert eval_loss == eval_loss2
         assert train_loss != eval_loss
+
+
+class TestDropout:
+    @pytest.mark.parametrize("length", [1, 5, 12])
+    def test_skip_ahead_matches_draw_and_cut(self, length):
+        """Drawing only the real positions and skipping the rest gives the
+        mask of a [B, max_len, D] draw cut to the length, and leaves the
+        generator where that draw would."""
+        max_len, rate = 12, 0.3
+        x = np.ones((3, length, 8), dtype=np.float32)
+        gen = np.random.Generator(np.random.PCG64(7))
+        ref = np.random.Generator(np.random.PCG64(7))
+        out, keep = _dropout(x, rate, gen, max_len)
+        expected = (ref.random((3, max_len, 8)) >= rate)[:, :length]
+        np.testing.assert_array_equal(keep, expected)
+        np.testing.assert_array_equal(out, expected / np.float32(1.0 - rate))
+        assert keep.dtype == out.dtype == np.float32
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestPaddingTrim:
