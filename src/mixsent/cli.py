@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from collections import Counter
 from functools import partial, reduce
@@ -175,8 +176,9 @@ def cmd_prepare(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpora = {"clean": clean, "train": train_c, "val": val_c, "test": test_c}
+    lines: dict[str, str] = {}
     for name, part in corpora.items():
-        save_corpus(part, out_dir / f"{name}.jsonl")
+        save_corpus(part, out_dir / f"{name}.jsonl", lines)
     (out_dir / "distribution.txt").write_text(_distribution_report(dist) + "\n",
                                               encoding="utf-8")
     _write_json(out_dir / "drops.json", drops)
@@ -457,10 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except MixsentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, InputError) else 1
+    except BrokenPipeError:
+        # The reader of stdout went away (`mixsent ... | head -1`).  Point
+        # stdout at devnull so the flush at exit cannot fail again; see the
+        # "Note on SIGPIPE" in the Python docs of the signal module.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

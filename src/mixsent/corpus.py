@@ -283,15 +283,25 @@ def split(c: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     return take(train_pos), take(val_pos), take(test_pos)
 
 
-def save_corpus(c: Corpus, path: str | Path) -> None:
-    """Write JSONL with canonical lowercase label names."""
+def save_corpus(c: Corpus, path: str | Path,
+                lines: dict[str, str] | None = None) -> None:
+    """Write JSONL with canonical lowercase label names.
+
+    `lines` maps record id to its written line.  Pass one dict to every
+    save of parts of one corpus (record ids name the same record there),
+    and each record is JSON-encoded once however many files hold it.
+    """
+    lines = {} if lines is None else lines
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for rec in c.records:
-            row = {"id": rec.id, "text": rec.text, "label": rec.label.name.lower()}
-            if rec.source:
-                row["source"] = rec.source
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            line = lines.get(rec.id)
+            if line is None:
+                row = {"id": rec.id, "text": rec.text, "label": rec.label.name.lower()}
+                if rec.source:
+                    row["source"] = rec.source
+                line = lines[rec.id] = json.dumps(row, ensure_ascii=False) + "\n"
+            fh.write(line)
 
 
 CANONICAL_LABEL_MAP = {

@@ -43,6 +43,11 @@ class TokenizerConfig:
 class Vocabulary:
     tokens: tuple[str, ...]
     token_to_id: dict[str, int] = field(hash=False, compare=False, default=None)
+    # Length of the longest token: no longer candidate can match.
+    max_token_chars: int = field(init=False, hash=False, compare=False, repr=False)
+    # encode's memo: max_word_chars -> word -> the word's ids.
+    _word_ids: dict[int, dict[str, tuple[int, ...]]] = field(
+        init=False, hash=False, compare=False, repr=False)
 
     def __post_init__(self):
         if tuple(self.tokens[:4]) != SPECIALS:
@@ -58,6 +63,8 @@ class Vocabulary:
                 raise InputError("empty token in vocabulary")
         object.__setattr__(self, "token_to_id",
                            {tok: i for i, tok in enumerate(self.tokens)})
+        object.__setattr__(self, "max_token_chars", max(map(len, self.tokens)))
+        object.__setattr__(self, "_word_ids", {})
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -78,7 +85,8 @@ def tokenize_word(word: str, v: Vocabulary, cfg: TokenizerConfig) -> list[str]:
     """Greedy longest-match segmentation of one whitespace-free word.
 
     Returns [UNK] when the word is over-long or any position has no
-    matching piece.
+    matching piece.  Candidates longer than the vocabulary's longest token
+    are not tried (Song et al., "Fast WordPiece Tokenization", 2021).
     """
     if not word or any(ch.isspace() for ch in word):
         raise InputError(f"tokenize_word expects a non-empty whitespace-free word: {word!r}")
@@ -87,12 +95,11 @@ def tokenize_word(word: str, v: Vocabulary, cfg: TokenizerConfig) -> list[str]:
     pieces = []
     start = 0
     while start < len(word):
-        end = len(word)
+        prefix = CONTINUATION_PREFIX if start else ""
+        end = min(len(word), start + v.max_token_chars - len(prefix))
         match = None
         while start < end:
-            candidate = word[start:end]
-            if start > 0:
-                candidate = CONTINUATION_PREFIX + candidate
+            candidate = prefix + word[start:end]
             if candidate in v:
                 match = candidate
                 break
@@ -105,14 +112,26 @@ def tokenize_word(word: str, v: Vocabulary, cfg: TokenizerConfig) -> list[str]:
 
 
 def encode(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
-    """[CLS] + pieces + [SEP], tail-truncated to max_len; no padding."""
-    pieces = [p for word in text.split() for p in tokenize_word(word, v, cfg)]
-    return [CLS_ID] + [v.id_of(p) for p in pieces[:cfg.max_len - 2]] + [SEP_ID]
+    """[CLS] + pieces + [SEP], tail-truncated to max_len; no padding.
+
+    Each distinct word is segmented once per vocabulary and max_word_chars;
+    its ids are kept on the vocabulary for later texts.
+    """
+    word_ids = v._word_ids.setdefault(cfg.max_word_chars, {})
+    budget = cfg.max_len - 2
+    ids: list[int] = []
+    for word in text.split():
+        if len(ids) >= budget:
+            break
+        hit = word_ids.get(word)
+        if hit is None:
+            hit = word_ids[word] = tuple(v.id_of(p) for p in tokenize_word(word, v, cfg))
+        ids.extend(hit)
+    return [CLS_ID] + ids[:budget] + [SEP_ID]
 
 
-def _word_to_initial_pieces(word: str) -> tuple[str, ...]:
-    return tuple(ch if i == 0 else CONTINUATION_PREFIX + ch
-                 for i, ch in enumerate(word))
+def _word_to_initial_pieces(word: str) -> list[str]:
+    return [word[0], *[CONTINUATION_PREFIX + ch for ch in word[1:]]]
 
 
 def _merge_str(pair: tuple[str, str]) -> str:
@@ -120,19 +139,37 @@ def _merge_str(pair: tuple[str, str]) -> str:
     return a + b[len(CONTINUATION_PREFIX):]
 
 
-def _apply_merge(pieces: tuple[str, ...], pair: tuple[str, str],
-                 new_piece: str) -> tuple[str, ...]:
-    """Replace each occurrence of pair, scanning left to right."""
-    out = []
+def _merge_word(pieces: list[str], pair: tuple[str, str],
+                new_piece: str) -> dict[tuple[str, str], int]:
+    """Merge each occurrence of pair in place, scanning left to right, and
+    return the change in the word's count of each adjacent pair.
+
+    Only the pairs next to a merge site change: (left, a), (a, b) and
+    (b, right) give way to (left, new) and (new, right).  Sites are found by
+    position, so a piece equal to new_piece from an earlier merge is left
+    alone.  A pair added at one site and removed at the next nets to zero.
+    """
+    a, b = pair
+    delta: dict[tuple[str, str], int] = defaultdict(int)
     i = 0
-    while i < len(pieces):
-        if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == pair:
-            out.append(new_piece)
-            i += 2
-        else:
-            out.append(pieces[i])
-            i += 1
-    return tuple(out)
+    while True:
+        try:
+            i = pieces.index(a, i)
+        except ValueError:
+            break
+        if i + 1 < len(pieces) and pieces[i + 1] == b:
+            delta[pair] -= 1
+            if i:
+                left = pieces[i - 1]
+                delta[(left, a)] -= 1
+                delta[(left, new_piece)] += 1
+            pieces[i:i + 2] = [new_piece]
+            if i + 1 < len(pieces):
+                right = pieces[i + 1]
+                delta[(b, right)] -= 1
+                delta[(new_piece, right)] += 1
+        i += 1
+    return delta
 
 
 def train_vocabulary(texts: list[str], target_size: int,
@@ -146,16 +183,15 @@ def train_vocabulary(texts: list[str], target_size: int,
     The result encodes every in-limit training word without [UNK].
 
     Pair counts and a pair -> words index persist across merges, so each
-    merge recounts only the words that contain the merged pair (Sennrich
-    et al., 2016).  A heap keyed on (-count, merged string, pair) picks
-    the merge; entries whose count is out of date are skipped when popped.
+    merge visits only the words that contain the merged pair, and in them
+    recounts only the pairs next to a merge site (Sennrich et al., 2016).
+    A heap keyed on (-count, merged string, pair) picks the merge; entries
+    whose count is out of date are skipped when popped.
     """
     cfg = cfg or TokenizerConfig()
-    word_counts: Counter[str] = Counter()
-    for text in texts:
-        for word in text.split():
-            if len(word) <= cfg.max_word_chars:
-                word_counts[word] += 1
+    word_counts = {word: n for word, n in
+                   Counter(w for text in texts for w in text.split()).items()
+                   if len(word) <= cfg.max_word_chars}
 
     freqs = list(word_counts.values())
     word_pieces = [_word_to_initial_pieces(w) for w in word_counts]
@@ -176,11 +212,12 @@ def train_vocabulary(texts: list[str], target_size: int,
     merged_tokens: list[str] = []
     known = set(vocab)
 
-    pair_counts: Counter[tuple[str, str]] = Counter()
+    pair_counts: defaultdict[tuple[str, str], int] = defaultdict(int)
     pair_words: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
     for w, pieces in enumerate(word_pieces):
+        n = freqs[w]
         for pair in zip(pieces, pieces[1:]):
-            pair_counts[pair] += freqs[w]
+            pair_counts[pair] += n
             pair_words[pair].add(w)
     heap = [(-c, _merge_str(p), p) for p, c in pair_counts.items()]
     heapq.heapify(heap)
@@ -195,21 +232,17 @@ def train_vocabulary(texts: list[str], target_size: int,
             known.add(new_piece)
             merged_tokens.append(new_piece)
         # After the merge no word holds the pair, so its index entry goes.
+        # A word listed there may have lost the pair to an earlier merge;
+        # _merge_word then finds no site and reports no change.
         changed = set()
         for w in pair_words.pop(best):
-            old = word_pieces[w]
-            new = _apply_merge(old, best, new_piece)
-            if new == old:  # merged away by an earlier merge
-                continue
             n = freqs[w]
-            for pair in zip(old, old[1:]):
-                pair_counts[pair] -= n
-                changed.add(pair)
-            for pair in zip(new, new[1:]):
-                pair_counts[pair] += n
-                pair_words[pair].add(w)
-                changed.add(pair)
-            word_pieces[w] = new
+            for pair, d in _merge_word(word_pieces[w], best, new_piece).items():
+                if d:
+                    pair_counts[pair] += d * n
+                    changed.add(pair)
+                    if d > 0:
+                        pair_words[pair].add(w)
         for pair in changed:
             count = pair_counts[pair]
             if count:

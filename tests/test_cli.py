@@ -83,6 +83,39 @@ class TestPrepare:
                      "distribution.txt", "drops.json", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_jsonl_outputs_are_per_record_json_dumps(self, tmp_path):
+        """Each kept record is one `json.dumps(..., ensure_ascii=False)` line,
+        in clean.jsonl and again in its split file."""
+        rows = [{"text": f"u{i} khana बहुत {word}", "label": tag,
+                 **({"source": f"feed{i % 2}"} if i % 3 else {})}
+                for i, (tag, word) in enumerate(
+                    [("pos", w) for w in POS_WORDS] + [("neg", w) for w in NEG_WORDS]
+                    + [("neu", w) for w in NEU_WORDS])]
+        jsonl = tmp_path / "tweets.jsonl"
+        jsonl.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        map_path = tmp_path / "labels.json"
+        map_path.write_text(json.dumps(LABEL_MAP), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                     "--out-dir", str(out)]) == 0
+
+        def expected(name):
+            return "".join(
+                json.dumps({"id": r.id, "text": r.text, "label": r.label.name.lower(),
+                            **({"source": r.source} if r.source else {})},
+                           ensure_ascii=False) + "\n"
+                for r in load_corpus(out / name, CANONICAL_LABEL_MAP))
+
+        clean_lines = set((out / "clean.jsonl").read_text(encoding="utf-8").splitlines())
+        assert any("बहुत" in line and "source" in line for line in clean_lines)
+        split_lines = []
+        for name in ("clean.jsonl", "train.jsonl", "val.jsonl", "test.jsonl"):
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == expected(name), name
+            if name != "clean.jsonl":
+                split_lines += text.splitlines()
+        assert sorted(split_lines) == sorted(clean_lines)
+
     def test_unmapped_label_exits_2_and_lists_it(self, tmp_path, capsys):
         jsonl = tmp_path / "bad.jsonl"
         jsonl.write_text('{"text": "x y", "label": "mixed"}\n', encoding="utf-8")
@@ -749,3 +782,56 @@ def test_cli_runs_without_scipy(tmp_path):
     predictions = proc.stdout.strip().splitlines()[-2:]
     assert [line.split("\t")[0] in ("negative", "neutral", "positive")
             for line in predictions] == [True, True]
+
+
+def _subprocess_env(**extra):
+    return dict(os.environ,
+                PYTHONPATH=str(Path(mixsent.__file__).resolve().parents[1]),
+                **extra)
+
+
+def test_evaluate_into_closed_pipe_exits_1_without_traceback(tmp_path):
+    """`mixsent evaluate ... | head -1`: the reader closes stdout before the
+    report is written."""
+    out = run_prepare(tmp_path, tmp_path / "run")
+    assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mixsent", "evaluate",
+         "--model-file", str(out / "nb.json"), "--split", "test"],
+        env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()       # long before the child has imported numpy
+    err = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_training_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    """Importing mixsent pins BLAS to one thread.  This encoder's weight
+    gradients are products over batch rows x positions of 456 or more, long
+    enough for OpenBLAS to split them across threads and round differently
+    when it is allowed two."""
+    jsonl, map_path = write_inputs(tmp_path, n_per_class=40)
+    prepared = tmp_path / "prepared"
+    assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                 "--out-dir", str(prepared)]) == 0
+    config = json.dumps({
+        "tokenizer": {"max_len": 32, "vocab_size": 200},
+        "encoder": {"num_layers": 1, "num_heads": 2, "d_model": 64, "d_ff": 128,
+                    "dropout": 0.0},
+        "train": {"learning_rate": 1e-3, "epochs": 2, "batch_size": 80,
+                  "warmup_steps": 1}})
+    runs = {}
+    for threads in ("1", "2"):
+        runs[threads] = shutil.copytree(prepared, tmp_path / f"threads{threads}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixsent", "train", "--model", "transformer",
+             "--out-dir", str(runs[threads]), "--config", config],
+            env=_subprocess_env(**dict.fromkeys(BLAS_THREAD_VARS, threads)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("transformer.bin", "training_log.json"):
+        assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import decode
+from tokenizer_reference import encode_reference, tokenize_word_reference
 from vocab_reference import train_vocabulary_reference
 
 from mixsent.errors import InputError
@@ -97,6 +98,59 @@ class TestEncode:
         assert all(i == PAD_ID for i in ids[0, n:])
 
 
+# Initial or "##" continuation pieces over "abc"; texts may also hold "d",
+# which no piece covers.
+_PIECES = st.tuples(st.booleans(), st.text(alphabet="abc", min_size=1, max_size=4)
+                    ).map(lambda t: ("##" if t[0] else "") + t[1])
+
+
+class TestEncodeMatchesReference:
+    """encode stops at the vocabulary's longest token and memoizes each
+    word's ids on the vocabulary; tokenizer_reference.py segments every word
+    afresh from the rest of the word down."""
+
+    @given(st.lists(_PIECES, unique=True, max_size=12),
+           st.lists(st.text(alphabet="abcd ", max_size=40), min_size=1, max_size=6),
+           st.integers(3, 12), st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_random_vocabularies_and_texts(self, pieces, texts, max_len, max_chars):
+        v = Vocabulary.from_pieces(pieces)
+        cfg = TokenizerConfig(max_len=max_len, max_word_chars=max_chars)
+        for text in texts + texts:  # the second pass reads memoized words
+            assert encode(text, v, cfg) == encode_reference(text, v, cfg)
+        for word in {w for text in texts for w in text.split()}:
+            assert tokenize_word(word, v, cfg) == tokenize_word_reference(word, v, cfg)
+
+    @pytest.mark.parametrize("text,max_len,max_word_chars", [
+        ("likhna li", 16, 5),                 # over-long word
+        ("likhnax xli likhna", 16, 100),      # no piece at 'x'
+        ("likhna likhna likhna", 6, 100),     # cut inside the second word
+        ("li " * 20 + "likhna qqq", 8, 100),  # cut long before the last words
+        ("  ", 3, 100),
+    ], ids=["over-long", "no-match", "cut-mid-word", "cut-early", "blank"])
+    def test_edge_cases(self, segment_vocab, text, max_len, max_word_chars):
+        cfg = TokenizerConfig(max_len=max_len, max_word_chars=max_word_chars)
+        assert encode(text, segment_vocab, cfg) == encode_reference(text, segment_vocab, cfg)
+
+    def test_one_vocabulary_under_two_word_limits(self, segment_vocab):
+        """The memo is keyed by max_word_chars: "likhna" is [UNK] at 5 and
+        three pieces at 6, in either order."""
+        fits = TokenizerConfig(max_len=16, max_word_chars=6)
+        over = TokenizerConfig(max_len=16, max_word_chars=5)
+        for cfg in (fits, over, fits, over):
+            assert (encode("likhna li", segment_vocab, cfg)
+                    == encode_reference("likhna li", segment_vocab, cfg))
+        assert encode("likhna", segment_vocab, over) == [CLS_ID, UNK_ID, SEP_ID]
+        assert len(encode("likhna", segment_vocab, fits)) == 5
+
+    def test_longest_token_bounds_candidates(self, tok_cfg):
+        v = Vocabulary.from_pieces(["a", "##b", "ab", "##abab"])
+        assert v.max_token_chars == len("##abab")
+        assert tokenize_word("ababab", v, tok_cfg) == ["ab", "##abab"]
+        assert (tokenize_word("ababab", v, tok_cfg)
+                == tokenize_word_reference("ababab", v, tok_cfg))
+
+
 class TestDecode:
     def test_roundtrip_reference_example(self, segment_vocab, tok_cfg):
         e = encode("likhna", segment_vocab, tok_cfg)
@@ -182,6 +236,18 @@ class TestIncrementalTrainerMatchesReference:
         cfg = TokenizerConfig(max_len=16, max_word_chars=max_chars)
         assert (_outcome(train_vocabulary, texts, target_size, cfg)
                 == _outcome(train_vocabulary_reference, texts, target_size, cfg))
+
+    @pytest.mark.parametrize("texts", [
+        ["aaaa"], ["abab"], ["aaa aa"], ["aaaaaaa aaaa aa"], ["abababa abab ab"],
+        ["aabaab aab", "baabaa"], ["abcabc abc", "cabcab"],
+    ])
+    def test_overlapping_merges(self, texts):
+        """Merge sites next to each other in one word, and pieces equal to a
+        new merge already present from an earlier one."""
+        cfg = TokenizerConfig()
+        for target_size in range(5, 40):
+            assert (_outcome(train_vocabulary, texts, target_size, cfg)
+                    == _outcome(train_vocabulary_reference, texts, target_size, cfg))
 
     def test_benchmark_shaped_corpus(self):
         """Posts of 5-25 words drawn Zipf-like from a lexicon of syllable

@@ -1,0 +1,40 @@
+"""Reference encoder: segments every word of every text afresh, trying each
+candidate from the rest of the word down to one character.
+`mixsent.tokenizer.encode` bounds the candidates by the vocabulary's longest
+token and memoizes each word's ids, and must return the same ids; the tests
+compare the two."""
+
+from __future__ import annotations
+
+from mixsent.tokenizer import (CLS_ID, CONTINUATION_PREFIX, SEP_ID, UNK,
+                               TokenizerConfig, Vocabulary)
+
+
+def tokenize_word_reference(word: str, v: Vocabulary,
+                            cfg: TokenizerConfig) -> list[str]:
+    if len(word) > cfg.max_word_chars:
+        return [UNK]
+    pieces = []
+    start = 0
+    while start < len(word):
+        end = len(word)
+        match = None
+        while start < end:
+            candidate = word[start:end]
+            if start > 0:
+                candidate = CONTINUATION_PREFIX + candidate
+            if candidate in v:
+                match = candidate
+                break
+            end -= 1
+        if match is None:
+            return [UNK]
+        pieces.append(match)
+        start = end
+    return pieces
+
+
+def encode_reference(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
+    pieces = [p for word in text.split()
+              for p in tokenize_word_reference(word, v, cfg)]
+    return [CLS_ID] + [v.id_of(p) for p in pieces[:cfg.max_len - 2]] + [SEP_ID]
