@@ -352,17 +352,19 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else model_path.parent
     split_c = _split_corpus_file(out_dir, args.split)
     report = evaluate(split_c.labels(), predict(split_c.texts())[0])
-
-    print(format_report(report))
-    print(per_class_f1_report(report))
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
+    # Saved before anything is printed, so a reader that closes stdout
+    # early cannot cost the evaluation file.
     out_path = out_dir / f"eval_{model_path.stem}_{args.split}.json"
     save_report(report, out_path,
                 extra={"model": kind, "split": args.split,
                        "manifest": {"pipeline_version": __version__,
                                     "model_file": model_path.name,
                                     "model_sha256": _sha256(model_path)}})
+
+    print(format_report(report))
+    print(per_class_f1_report(report))
+    if args.json:
+        print(json.dumps(report.to_dict(), sort_keys=True))
     print(f"wrote {out_path}")
     return 0
 

@@ -29,7 +29,12 @@ from .tokenizer import PAD_ID, TokenizerConfig, Vocabulary, encode
 LN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 INIT_STD = 0.02
-PREDICT_BATCH = 64
+# Elements of the largest activation an eval batch may build: rows times
+# max(num_heads * L^2 attention scores, L * max(d_model, d_ff)), L the
+# batch's longest row.  2^18 float32 values (1 MiB) keep a batch's working
+# set near a core's L2 cache (1-2 MiB on current x86 cores), whatever
+# the model size or text length.
+EVAL_BUDGET = 1 << 18
 
 # Cephes ndtr.c (Moshier, "Methods and Programs for Mathematical Functions",
 # 1989): erf = x*T(x^2)/U(x^2) for |x| <= 1 and
@@ -207,8 +212,15 @@ def _gelu(h: np.ndarray, cdf2: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grad(h: np.ndarray, cdf2: np.ndarray) -> np.ndarray:
-    phi = np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
-    return 0.5 * cdf2 + h * phi
+    """0.5*cdf2 + h*phi(h), phi the normal density, in two buffers."""
+    phi = -0.5 * h
+    phi *= h
+    np.exp(phi, out=phi)
+    phi /= math.sqrt(2.0 * math.pi)
+    phi *= h
+    grad = 0.5 * cdf2
+    grad += phi
+    return grad
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -229,12 +241,19 @@ def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def _layer_norm_backward(dout: np.ndarray, cache, gain: np.ndarray):
+    """dz = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
+    dxhat = dout * gain, built in one [B, L, D] buffer plus one scratch."""
     xhat, inv = cache
-    dgain = (dout * xhat).sum(axis=(0, 1))
+    scratch = dout * xhat
+    dgain = scratch.sum(axis=(0, 1))
     dbias = dout.sum(axis=(0, 1))
     dxhat = dout * gain
-    dz = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    np.multiply(dxhat, xhat, out=scratch)
+    proj = scratch.mean(axis=-1, keepdims=True)
+    dz = dxhat - dxhat.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, proj, out=scratch)
+    dz -= scratch
+    dz *= inv
     return dz, dgain, dbias
 
 
@@ -264,13 +283,15 @@ def _uniform_rows(rng, shape: tuple[int, int, int], max_len: int) -> np.ndarray:
 
 
 def _dropout(x: np.ndarray, rate: float, rng, max_len: int):
-    """Dropout runs when an rng is given.  The keep mask is that of a
-    [B, max_len, D] draw cut to x's length, so the numbers drawn do not
-    depend on how far the batch is padded."""
+    """Dropout runs when an rng is given, scaling x in place.  The bool keep
+    mask is that of a [B, max_len, D] draw cut to x's length, so the numbers
+    drawn do not depend on how far the batch is padded."""
     if rng is None or rate == 0.0:
         return x, None
-    keep = (_uniform_rows(rng, x.shape, max_len) >= rate).astype(x.dtype)
-    return x * keep / (1.0 - rate), keep
+    keep = _uniform_rows(rng, x.shape, max_len) >= rate
+    x *= keep
+    x /= 1.0 - rate
+    return x, keep
 
 
 def _dropout_backward(dout: np.ndarray, keep, rate: float) -> np.ndarray:
@@ -359,9 +380,9 @@ def forward_arrays(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
     PAD positions are excluded from attention via the key mask.  The head
     reads only the [CLS] row, so the last block computes only that row, with
     keys and values over every position.  cache holds
-    every activation backward_arrays needs and is built only when keep_cache
-    is set; otherwise it is None and each block's activations are freed when
-    the block returns.
+    every activation backward_arrays needs, which takes it apart, and is
+    built only when keep_cache is set; otherwise it is None and each block's
+    activations are freed when the block returns.
     """
     if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
         raise InputError("token id outside vocabulary range")
@@ -398,77 +419,113 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, dlogits / n
 
 
+def _attention_backward(p: dict, g: dict, pre: str, saved: dict,
+                        do: np.ndarray, x: np.ndarray, dx: np.ndarray,
+                        cfg: EncoderConfig) -> None:
+    """Gradients of _attention's parameters into g, from do, the gradient of
+    its output [B, Q, D]; adds the gradient of its input x to dx.  Takes
+    what it uses out of saved."""
+    H, D = cfg.num_heads, cfg.d_model
+    dctx_h = _split_heads(do @ p[pre + "attn.o_w"].T, H)      # [B,H,Q,dh]
+    g[pre + "attn.o_w"][...] = saved.pop("ctx").reshape(-1, D).T @ do.reshape(-1, D)
+    g[pre + "attn.o_b"][...] = do.sum(axis=(0, 1))
+    del do
+
+    attn = saved.pop("attn")
+    dattn = dctx_h @ saved.pop("vh").transpose(0, 1, 3, 2)    # [B,H,Q,L]
+    dvh = attn.transpose(0, 1, 3, 2) @ dctx_h
+    del dctx_h
+    # Softmax backward in place: attn * (dattn - sum(dattn * attn)), scaled.
+    dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+    dattn *= attn
+    dattn *= 1.0 / math.sqrt(D // H)
+    del attn
+    dqh = dattn @ saved.pop("kh")
+    dkh = dattn.transpose(0, 1, 3, 2) @ saved.pop("qh")
+    del dattn
+
+    for name, dth in (("q", dqh), ("k", dkh), ("v", dvh)):
+        dt = _merge_heads(dth)
+        rows = dt.shape[1]
+        g[pre + f"attn.{name}_w"][...] = x[:, :rows].reshape(-1, D).T @ dt.reshape(-1, D)
+        g[pre + f"attn.{name}_b"][...] = dt.sum(axis=(0, 1))
+        dx[:, :rows] += dt @ p[pre + f"attn.{name}_w"].T
+
+
+def _feed_forward_backward(p: dict, g: dict, pre: str, saved: dict,
+                           df: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """Gradients of _feed_forward's parameters into g, from df, the gradient
+    of its output; returns the gradient of its input.  Takes what it uses
+    out of saved."""
+    D, F = cfg.d_model, cfg.d_ff
+    h, cdf2 = saved.pop("h"), saved.pop("cdf2")
+    dh = df @ p[pre + "ffn.w2"].T
+    g[pre + "ffn.w2"][...] = _gelu(h, cdf2).reshape(-1, F).T @ df.reshape(-1, D)
+    g[pre + "ffn.b2"][...] = df.sum(axis=(0, 1))
+    del df
+    dh *= _gelu_grad(h, cdf2)
+    del h, cdf2
+    g[pre + "ffn.w1"][...] = saved.pop("x1").reshape(-1, D).T @ dh.reshape(-1, F)
+    g[pre + "ffn.b1"][...] = dh.sum(axis=(0, 1))
+    return dh @ p[pre + "ffn.w1"].T
+
+
+def _block_backward(p: dict, g: dict, pre: str, saved: dict, dx2: np.ndarray,
+                    cfg: EncoderConfig) -> np.ndarray:
+    """Gradients of one _block's parameters into g, from dx2, the gradient
+    of its output; returns the gradient of its input x [B, L, D].  Takes
+    what it uses out of saved, so each activation goes after its last use."""
+    dx1, dgain2, dbias2 = _layer_norm_backward(dx2, saved.pop("ln2"),
+                                               p[pre + "norm2.gain"])
+    g[pre + "norm2.gain"][...] = dgain2
+    g[pre + "norm2.bias"][...] = dbias2
+    # The dropout gradient may be dx1 itself; the feed-forward's backward
+    # has read all of it before dx1 is added to.
+    dx1 += _feed_forward_backward(
+        p, g, pre, saved, _dropout_backward(dx1, saved.pop("keep_f"), cfg.dropout),
+        cfg)
+
+    dr1, dgain1, dbias1 = _layer_norm_backward(dx1, saved.pop("ln1"),
+                                               p[pre + "norm1.gain"])
+    del dx1
+    g[pre + "norm1.gain"][...] = dgain1
+    g[pre + "norm1.bias"][...] = dbias1
+    # The block's Q query rows (1 in the last block, else L) take the
+    # residual; keys and values pass gradient to all L rows below.
+    x = saved.pop("x_in")
+    dx = np.zeros_like(x)
+    dx[:, :dr1.shape[1]] = dr1
+    _attention_backward(
+        p, g, pre, saved, _dropout_backward(dr1, saved.pop("keep_o"), cfg.dropout),
+        x, dx, cfg)
+    return dx
+
+
 def backward_arrays(params: np.ndarray, cfg: EncoderConfig, cache: dict,
                     dlogits: np.ndarray) -> np.ndarray:
     """Exact gradients for every parameter, mirroring forward_arrays, as one
-    array laid out as params is."""
-    H = cfg.num_heads
-    scale = 1.0 / math.sqrt(cfg.d_model // H)
+    array laid out as params is.
+
+    Backward takes cache apart as it goes: each layer's saved activations
+    leave cache when backward reaches that layer, and each array is released
+    after its last use, so one layer's temporaries are live only beside the
+    layers below it."""
     grads = np.zeros_like(params)
     p, g = _views(params, cfg), _views(grads, cfg)
-
-    x_final = cache["x_final"]                                # [B,1,D]
-    g["head.w"][...] = x_final[:, 0, :].T @ dlogits
+    g["head.w"][...] = cache.pop("x_final")[:, 0, :].T @ dlogits
     g["head.b"][...] = dlogits.sum(axis=0)
-    dx = (dlogits @ p["head.w"].T)[:, None, :]
+    dx = (dlogits @ p["head.w"].T)[:, None, :]                # [B,1,D]
+    layers = cache["layers"]
+    while layers:
+        pre = f"layers.{len(layers) - 1}."
+        dx = _block_backward(p, g, pre, layers.pop(), dx, cfg)
 
-    for i in reversed(range(cfg.num_layers)):
-        pre = f"layers.{i}."
-        lc = cache["layers"][i]
-        x_in, x1 = lc["x_in"], lc["x1"]
-        D, F = cfg.d_model, cfg.d_ff
-
-        dr2, dgain2, dbias2 = _layer_norm_backward(dx, lc["ln2"],
-                                                   p[pre + "norm2.gain"])
-        g[pre + "norm2.gain"][...] = dgain2
-        g[pre + "norm2.bias"][...] = dbias2
-        dx1 = dr2.copy()
-        df = _dropout_backward(dr2, lc["keep_f"], cfg.dropout)
-        h, cdf2 = lc["h"], lc["cdf2"]
-        dg = df @ p[pre + "ffn.w2"].T
-        g[pre + "ffn.w2"][...] = _gelu(h, cdf2).reshape(-1, F).T @ df.reshape(-1, D)
-        g[pre + "ffn.b2"][...] = df.sum(axis=(0, 1))
-        dh = dg * _gelu_grad(h, cdf2)
-        dx1 += dh @ p[pre + "ffn.w1"].T
-        g[pre + "ffn.w1"][...] = x1.reshape(-1, D).T @ dh.reshape(-1, F)
-        g[pre + "ffn.b1"][...] = dh.sum(axis=(0, 1))
-
-        dr1, dgain1, dbias1 = _layer_norm_backward(dx1, lc["ln1"],
-                                                   p[pre + "norm1.gain"])
-        g[pre + "norm1.gain"][...] = dgain1
-        g[pre + "norm1.bias"][...] = dbias1
-        # The block's Q query rows (1 in the last block, else L) take the
-        # residual; keys and values pass gradient to all L rows below.
-        Q = dr1.shape[1]
-        dx = np.zeros_like(x_in)
-        dx[:, :Q] = dr1
-        do = _dropout_backward(dr1, lc["keep_o"], cfg.dropout)
-        dctx = do @ p[pre + "attn.o_w"].T
-        g[pre + "attn.o_w"][...] = lc["ctx"].reshape(-1, D).T @ do.reshape(-1, D)
-        g[pre + "attn.o_b"][...] = do.sum(axis=(0, 1))
-
-        dctx_h = _split_heads(dctx, H)                        # [B,H,Q,dh]
-        attn, qh, kh, vh = lc["attn"], lc["qh"], lc["kh"], lc["vh"]
-        dattn = dctx_h @ vh.transpose(0, 1, 3, 2)             # [B,H,Q,L]
-        dvh = attn.transpose(0, 1, 3, 2) @ dctx_h
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores *= scale
-        dqh = dscores @ kh
-        dkh = dscores.transpose(0, 1, 3, 2) @ qh
-        dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
-
-        for name, dt in (("q", dq), ("k", dk), ("v", dv)):
-            rows = dt.shape[1]
-            g[pre + f"attn.{name}_w"][...] = (x_in[:, :rows].reshape(-1, D).T
-                                              @ dt.reshape(-1, D))
-            g[pre + f"attn.{name}_b"][...] = dt.sum(axis=(0, 1))
-            dx[:, :rows] += dt @ p[pre + f"attn.{name}_w"].T
-
-    ids = cache["ids"]
-    L = ids.shape[1]
-    np.add.at(g["token_embedding"], ids.reshape(-1),
-              dx.reshape(-1, cfg.d_model))
-    g["position_embedding"][:L] = dx.sum(axis=0)
+    # One scalar add per (position, column), in position order, as a 2-D
+    # np.add.at over rows would make, without its per-row overhead.
+    ids, D = cache["ids"], cfg.d_model
+    np.add.at(g["token_embedding"].reshape(-1),
+              (ids.reshape(-1, 1) * D + np.arange(D)).reshape(-1), dx.reshape(-1))
+    g["position_embedding"][:ids.shape[1]] = dx.sum(axis=0)
     return grads
 
 
@@ -499,11 +556,13 @@ def lr_schedule(step: int, tc: TrainConfig, total_steps: int) -> float:
 
 
 def adamw_init(params: np.ndarray, cfg: EncoderConfig) -> dict:
-    """Zero moments laid out as params, and the mask of the matrix entries
-    that weight decay applies to."""
+    """Zero moments laid out as params, two scratch arrays of that size for
+    the update, and the mask of the matrix entries that weight decay
+    applies to."""
     decay = np.concatenate([np.full(t["nbytes"] // 4, len(t["shape"]) >= 2)
                             for t in _layout(cfg)])
     return {"t": 0, "m": np.zeros_like(params), "v": np.zeros_like(params),
+            "scratch": (np.empty_like(params), np.empty_like(params)),
             "decay": decay, "cfg": cfg}
 
 
@@ -511,27 +570,38 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: dict,
                tc: TrainConfig, lr: float) -> None:
     """In-place AdamW update.  Weight decay is decoupled (p -= lr*wd*p) and
     applies only to matrices; biases and layer-norm vectors are exempt.  A
-    non-finite update raises TrainingError naming the first tensor it hits."""
+    non-finite update raises TrainingError naming the first tensor it hits.
+    Every temporary is one of the state's two scratch arrays."""
     state["t"] += 1
     t = state["t"]
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     m, v = state["m"], state["v"]
+    update, denom = state["scratch"]
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=update)
+    m += update
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (grads * grads)
-    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    np.multiply(grads, grads, out=update)
+    update *= 1.0 - ADAM_BETA2
+    v += update
+    # update = (m / bc1) / (sqrt(v / bc2) + eps)
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, bc1, out=update)
+    update /= denom
     finite = np.isfinite(update)
     if not finite.all():
         bad = 4 * int(np.argmin(finite))
         name = next(spec["name"] for spec in _layout(state["cfg"])
                     if bad < spec["offset"] + spec["nbytes"])
         raise TrainingError(f"non-finite optimizer update for {name}")
-    params -= lr * update
+    update *= lr
+    params -= update
     if tc.weight_decay > 0:
-        np.subtract(params, lr * tc.weight_decay * params, out=params,
-                    where=state["decay"])
+        np.multiply(params, lr * tc.weight_decay, out=update)
+        np.subtract(params, update, out=params, where=state["decay"])
 
 
 @dataclass
@@ -588,6 +658,7 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
             loss, grads = loss_and_grads(params, cfg, ids, mask, y_all[sel],
                                          drop_rng)
             adamw_step(params, grads, state, tc, lr)
+            del grads              # not held through the next step's forward
             epoch_loss += loss * len(sel)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n}
         if val_rows:
@@ -615,14 +686,29 @@ def predict(params: np.ndarray, cfg: EncoderConfig, vocab: Vocabulary,
     return _predict_rows(params, cfg, [encode(t, vocab, tok_cfg) for t in texts])
 
 
+def _eval_batches(rows: list[list[int]], cfg: EncoderConfig):
+    """Indices of rows in order of length (stable in input position), so
+    each batch pads little, cut into batches whose largest activation,
+    rows * max(num_heads * L^2, L * max(d_model, d_ff)) for L the batch's
+    longest row, stays within EVAL_BUDGET; a row over budget goes alone."""
+    width = max(cfg.d_model, cfg.d_ff)
+    batch: list[int] = []
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        longest = len(rows[i])
+        if batch and ((len(batch) + 1) * longest
+                      * max(cfg.num_heads * longest, width) > EVAL_BUDGET):
+            yield batch
+            batch = []
+        batch.append(i)
+    if batch:
+        yield batch
+
+
 def _predict_rows(params: np.ndarray, cfg: EncoderConfig, rows: list[list[int]]
                   ) -> tuple[list[SentimentLabel], np.ndarray]:
-    """predict on encoded rows, run PREDICT_BATCH per forward pass in order of
-    length (stable in input position), so each batch pads little."""
-    order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    """predict on encoded rows, one forward pass per _eval_batches batch."""
     probs = np.empty((len(rows), cfg.num_classes))
-    for start in range(0, len(order), PREDICT_BATCH):
-        sel = order[start:start + PREDICT_BATCH]
+    for sel in _eval_batches(rows, cfg):
         logits, _ = forward_arrays(params, cfg, *_pad([rows[i] for i in sel]))
         probs[sel] = _softmax(logits.astype(np.float64))
     return [SentimentLabel(int(i)) for i in np.argmax(probs, axis=1)], probs

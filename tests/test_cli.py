@@ -806,6 +806,33 @@ def test_evaluate_into_closed_pipe_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_evaluate_into_closed_pipe_still_writes_the_report(tmp_path, capsys,
+                                                           lines_read):
+    """`mixsent evaluate ... | head -1` with unbuffered output: whenever the
+    reader goes, the evaluation file is written as by an unpiped run."""
+    out = run_prepare(tmp_path, tmp_path / "run")
+    assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+    args = ["evaluate", "--model-file", str(out / "nb.json"), "--split", "test"]
+    assert main(args) == 0
+    capsys.readouterr()
+    report = out / "eval_nb_test.json"
+    expected = report.read_bytes()
+    report.unlink()
+    proc = subprocess.Popen([sys.executable, "-m", "mixsent", *args],
+                            env=_subprocess_env(PYTHONUNBUFFERED="1"),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    # A reader gone before the first line always costs the exit code.
+    assert proc.wait(timeout=60) in ((1,) if lines_read == 0 else (0, 1))
+    assert "Traceback" not in err, err
+    assert report.read_bytes() == expected
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

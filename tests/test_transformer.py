@@ -13,15 +13,16 @@ from mixsent.errors import InputError, TrainingError
 from mixsent.metrics import evaluate
 from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, TokenizerConfig,
                                Vocabulary, encode)
-from mixsent.transformer import (PREDICT_BATCH, EncoderConfig, TrainConfig,
+from mixsent.transformer import (EVAL_BUDGET, EncoderConfig, TrainConfig,
                                  adamw_init, adamw_step, cross_entropy,
                                  forward_arrays,
                                  init_params, load_transformer,
                                  loss_and_grads, lr_schedule, predict,
                                  save_transformer, train, _dropout, _erf,
-                                 _layer_norm, _pad, _views)
+                                 _eval_batches, _layer_norm, _pad,
+                                 _predict_rows, _views)
 
-from transformer_reference import forward_reference
+from transformer_reference import backward_reference, forward_reference
 
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16, dropout=0.0,
                      max_len=12, vocab_size=20, num_classes=3)
@@ -132,6 +133,24 @@ class TestInitAndForward:
         finally:
             tracemalloc.stop()
         assert peak < 4 * (64 * cfg.num_heads * 128 * 128) * 4
+
+    def test_predict_peak_memory_does_not_grow_with_rows(self):
+        """Eval batches are sized by EVAL_BUDGET, not by row count: 256 rows
+        of max_len peak within 1.2 times what 16 such rows do."""
+        cfg = EncoderConfig()
+        params = init_params(cfg, seed=0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n in (16, 256):
+            rows = [row(rng.integers(4, cfg.vocab_size, size=cfg.max_len - 2).tolist())
+                    for _ in range(n)]
+            tracemalloc.start()
+            try:
+                _predict_rows(params, cfg, rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
 
     def test_identical_inputs_identical_logits(self):
         params = init_params(TINY, seed=3)
@@ -293,6 +312,52 @@ class TestLossAndGradients:
                    if r.max() >= 1e-4}
         assert failing == {}
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_grads_equal_backward_reference(self, dtype, num_layers, dropout):
+        """backward_arrays, which frees the cache as it goes and works in
+        place, gives the reference's gradients bit for bit, repeated token
+        ids and PAD rows included."""
+        cfg = EncoderConfig(num_layers=num_layers, num_heads=2, d_model=16,
+                            d_ff=32, dropout=dropout, max_len=24, vocab_size=9)
+        params = init_params(cfg, seed=11, dtype=dtype)
+        for v in _views(params, cfg).values():
+            if v.ndim >= 2:
+                v *= 20.0
+        rng = np.random.default_rng(num_layers)
+        ids, mask = _pad([row(rng.integers(4, cfg.vocab_size, size=n).tolist())
+                          for n in (17, 3, 0, 9)])
+        y = np.array([0, 2, 1, 1])
+        loss, grads = loss_and_grads(params, cfg, ids, mask, y,
+                                     np.random.Generator(np.random.PCG64(6)))
+        logits, cache = forward_arrays(params, cfg, ids, mask,
+                                       np.random.Generator(np.random.PCG64(6)),
+                                       keep_cache=True)
+        ref_loss, dlogits = cross_entropy(logits, y)
+        ref = backward_reference(params, cfg, cache, dlogits.astype(dtype))
+        assert loss == ref_loss
+        assert grads.dtype == ref.dtype == dtype
+        assert np.array_equal(grads, ref)
+
+    def test_train_step_peak_memory(self):
+        """One default-encoder step at B=8, L=128 frees each layer's
+        activations as backward passes it: it peaks under ten [B, H, L, L]
+        float32 score buffers (holding the whole cache through backward
+        took about twelve and a half)."""
+        cfg = EncoderConfig()
+        params = init_params(cfg, seed=0, dtype=np.float32)
+        ids = np.random.default_rng(0).integers(4, cfg.vocab_size, size=(8, 128))
+        y = np.arange(8) % cfg.num_classes
+        rng = np.random.Generator(np.random.PCG64(1))
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, cfg, ids, np.ones_like(ids), y, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * (8 * cfg.num_heads * 128 * 128) * 4
+
     def test_cross_entropy_gradient_shape_and_sign(self):
         logits = np.array([[2.0, 0.0, -1.0]])
         loss, dl = cross_entropy(logits, np.array([0]))
@@ -329,7 +394,7 @@ class TestDropout:
         expected = (ref.random((3, max_len, 8)) >= rate)[:, :length]
         np.testing.assert_array_equal(keep, expected)
         np.testing.assert_array_equal(out, expected / np.float32(1.0 - rate))
-        assert keep.dtype == out.dtype == np.float32
+        assert keep.dtype == bool and out.dtype == np.float32
         assert gen.bit_generator.state == ref.bit_generator.state
 
 
@@ -375,7 +440,10 @@ class TestPaddingTrim:
         np.testing.assert_allclose(g_short, g_full, rtol=tol, atol=tol)
         assert state_short == state_full
 
-    def test_predict_mixed_lengths_matches_single_texts(self):
+    def test_predict_mixed_lengths_matches_single_texts(self, monkeypatch):
+        """With a budget small enough for several batches, each text gets
+        the label and probabilities it gets alone."""
+        import mixsent.transformer as tfm
         vocab = Vocabulary.from_pieces([f"w{i}" for i in range(12)])
         tok = TokenizerConfig(max_len=10)
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32,
@@ -386,14 +454,44 @@ class TestPaddingTrim:
                 v *= 20.0
         texts = ["w1", "w2 w3 w4 w5 w6 w7 w8", "", "w9 w10", "w11 " * 12]
         texts += [" ".join(f"w{(i + j) % 12}" for j in range(i * 5 % 11))
-                  for i in range(PREDICT_BATCH)]
+                  for i in range(64)]
         lengths = [len(t.split()) for t in texts]
-        assert len(texts) > PREDICT_BATCH and lengths != sorted(lengths)
+        assert lengths != sorted(lengths)
+        monkeypatch.setattr(tfm, "EVAL_BUDGET", 16 * 10 * 32)
+        assert len(list(_eval_batches([encode(t, vocab, tok) for t in texts], cfg))) > 1
         labels, probs_all = predict(params, cfg, vocab, tok, texts)
         for text, label, probs in zip(texts, labels, probs_all):
             [alone_label], [alone_probs] = predict(params, cfg, vocab, tok, [text])
             assert label == alone_label
             np.testing.assert_allclose(probs, alone_probs, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("cfg", [
+        EncoderConfig(num_layers=1, num_heads=2, d_model=32, d_ff=64),
+        EncoderConfig(num_heads=8, d_model=64, d_ff=512)])
+    def test_eval_batches_fill_the_activation_budget(self, cfg, monkeypatch):
+        """Each eval batch is the longest run of length-sorted rows whose
+        largest activation, rows * max(H * L^2, L * max(d_model, d_ff)),
+        stays within EVAL_BUDGET; a row over budget alone is a batch."""
+        import mixsent.transformer as tfm
+        rng = np.random.default_rng(5)
+        rows = [[CLS_ID] * int(n) for n in rng.integers(2, cfg.max_len + 1, size=300)]
+        order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+
+        def cost(batch):
+            longest = max(len(rows[i]) for i in batch)
+            return len(batch) * longest * max(cfg.num_heads * longest,
+                                               cfg.d_model, cfg.d_ff)
+
+        for budget in (EVAL_BUDGET, 100):
+            monkeypatch.setattr(tfm, "EVAL_BUDGET", budget)
+            batches = list(_eval_batches(rows, cfg))
+            assert [i for batch in batches for i in batch] == order
+            start = 0
+            for batch in batches:
+                start += len(batch)
+                assert len(batch) == 1 or cost(batch) <= budget
+                assert start == len(rows) or cost(batch + [order[start]]) > budget
+        assert all(len(batch) == 1 for batch in batches)
 
 
 class TestSchedulerAndOptimizer:
