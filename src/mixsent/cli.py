@@ -467,6 +467,10 @@ def main(argv=None) -> int:
     except MixsentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, InputError) else 1
+    except MemoryError as e:
+        # A runtime failure: the same inputs may fit on a larger machine.
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader of stdout went away (`mixsent ... | head -1`).  Point
         # stdout at devnull so the flush at exit cannot fail again; see the

@@ -6,6 +6,14 @@ then a GELU feed-forward), and a linear head reads the first-position
 ([CLS]) hidden state into three class logits.  Backpropagation is exact
 and hand-written; training uses AdamW with linear warmup/decay.
 
+A batch arrives padded to its longest row, but its real positions are
+packed once into [T, D] rows, T the number of real tokens, and every
+position-wise layer (embeddings, projections, residuals, layer norms, GELU,
+dropout) runs on those rows alone, forward and backward (Zhai et al.,
+"ByteTransformer", IPDPS 2023).  Only the attention core scatters Q, K and
+V into the padded [B, H, L, dh] layout, masks the PAD keys and gathers the
+context rows back.
+
 Parameters, gradients and optimizer moments are each one 1-D array laid
 out in _param_specs order, whose tensors _views names.
 """
@@ -33,7 +41,9 @@ INIT_STD = 0.02
 # max(num_heads * L^2 attention scores, L * max(d_model, d_ff)), L the
 # batch's longest row.  2^18 float32 values (1 MiB) keep a batch's working
 # set near a core's L2 cache (1-2 MiB on current x86 cores), whatever
-# the model size or text length.
+# the model size or text length.  Packed rows only shrink the position-wise
+# activations, and attention still builds [B, H, L, L] scores, so the bound
+# holds unchanged.
 EVAL_BUDGET = 1 << 18
 
 # Cephes ndtr.c (Moshier, "Methods and Programs for Mathematical Functions",
@@ -242,11 +252,12 @@ def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 def _layer_norm_backward(dout: np.ndarray, cache, gain: np.ndarray):
     """dz = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
-    dxhat = dout * gain, built in one [B, L, D] buffer plus one scratch."""
+    dxhat = dout * gain, built in one buffer the size of dout plus one
+    scratch."""
     xhat, inv = cache
     scratch = dout * xhat
-    dgain = scratch.sum(axis=(0, 1))
-    dbias = dout.sum(axis=(0, 1))
+    dgain = _row_sum(scratch)
+    dbias = _row_sum(dout)
     dxhat = dout * gain
     np.multiply(dxhat, xhat, out=scratch)
     proj = scratch.mean(axis=-1, keepdims=True)
@@ -255,6 +266,11 @@ def _layer_norm_backward(dout: np.ndarray, cache, gain: np.ndarray):
     dz -= scratch
     dz *= inv
     return dz, dgain, dbias
+
+
+def _row_sum(t: np.ndarray) -> np.ndarray:
+    """The sum of t's rows, [T, D] or [B, 1, D], added in row order."""
+    return t.reshape(-1, t.shape[-1]).sum(axis=0)
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -267,28 +283,59 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
-def _uniform_rows(rng, shape: tuple[int, int, int], max_len: int) -> np.ndarray:
-    """rng.random((B, max_len, D)) cut to shape [B, L, D], drawing only those
-    L positions of each batch row: PCG64 spends one output per double, so
-    advancing the generator past the other max_len - L leaves the stream
-    where the full draw would.  At L == max_len one draw is faster."""
-    b, l, d = shape
-    if l == max_len:
-        return rng.random(shape)
-    u = np.empty(shape)
-    for batch_row in u:
-        rng.random(out=batch_row)
-        rng.bit_generator.advance((max_len - l) * d)
+class _Rows:
+    """Where the real positions of a padded [B, L] batch go in the packed
+    [T, D] activations, T = mask.sum(): row by row, each row's positions in
+    order.  mask marks a prefix of each row, as _pad makes it."""
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask.astype(bool)
+        self.lengths = self.mask.sum(axis=1)
+        self.starts = np.cumsum(self.lengths) - self.lengths   # [CLS] rows
+
+    def scatter(self, t: np.ndarray) -> np.ndarray:
+        """Packed [T, D] rows into a zero-filled [B, L, D] array, or viewed
+        as one when no row is padded."""
+        if len(t) == self.mask.size:
+            return t.reshape(self.mask.shape + t.shape[-1:])
+        out = np.zeros(self.mask.shape + t.shape[-1:], dtype=t.dtype)
+        out[self.mask] = t
+        return out
+
+    def gather_heads(self, th: np.ndarray) -> np.ndarray:
+        """The real rows of a [B, H, L, dh] array, merged to packed [T, D]."""
+        packed = th.transpose(0, 2, 1, 3)[self.mask]
+        return packed.reshape(len(packed), -1)
+
+
+def _uniform_rows(rng, lengths: np.ndarray, d: int, max_len: int) -> np.ndarray:
+    """rng.random((B, max_len, d)) at each row's first lengths[b] positions,
+    stacked as [T, d]: PCG64 spends one output per double, so advancing the
+    generator past a row's other max_len - lengths[b] positions leaves the
+    stream where the full draw would.  With no row short one draw is
+    faster."""
+    lengths = lengths.tolist()
+    if min(lengths) == max_len:
+        return rng.random((len(lengths) * max_len, d))
+    u = np.empty((sum(lengths), d))
+    start, advance = 0, rng.bit_generator.advance
+    for n in lengths:
+        rng.random(out=u[start:start + n])
+        advance((max_len - n) * d)
+        start += n
     return u
 
 
-def _dropout(x: np.ndarray, rate: float, rng, max_len: int):
-    """Dropout runs when an rng is given, scaling x in place.  The bool keep
-    mask is that of a [B, max_len, D] draw cut to x's length, so the numbers
-    drawn do not depend on how far the batch is padded."""
+def _dropout(x: np.ndarray, rate: float, rng, lengths: np.ndarray, max_len: int):
+    """Dropout runs when an rng is given, scaling x in place.  x holds the
+    rows of a batch whose rows have the given lengths, packed as [T, D] (or
+    [B, 1, D], lengths all 1).  The bool keep mask is that of a
+    [B, max_len, D] draw at those positions, so the numbers drawn depend
+    neither on how far the batch is padded nor on the packing."""
     if rng is None or rate == 0.0:
         return x, None
-    keep = _uniform_rows(rng, x.shape, max_len) >= rate
+    keep = (_uniform_rows(rng, lengths, x.shape[-1], max_len) >= rate
+            ).reshape(x.shape)
     x *= keep
     x /= 1.0 - rate
     return x, keep
@@ -298,6 +345,13 @@ def _dropout_backward(dout: np.ndarray, keep, rate: float) -> np.ndarray:
     if keep is None:
         return dout
     return dout * keep / (1.0 - rate)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added in place: one array allocated, not two."""
+    y = x @ w
+    y += b
+    return y
 
 
 def _pad(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -312,62 +366,71 @@ def _pad(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _attention(params: dict, pre: str, xq: np.ndarray, x: np.ndarray,
-               pad_keys: np.ndarray, cfg: EncoderConfig,
+               rows: _Rows, cfg: EncoderConfig,
                saved: dict | None) -> np.ndarray:
     """Multi-head attention of one block, through its output projection:
-    queries from the Q rows of xq, keys and values from all L rows of x.
+    keys and values from the packed rows x [T, D], queries from xq, which
+    is x itself or the [CLS] rows [B, 1, D].
 
-    Scale, PAD mask and softmax run in place on the [B, H, Q, L] scores
-    buffer.  What backward needs goes into saved when it is a dict; the rest
-    is freed on return."""
+    The projections run on packed rows.  Only the attention core uses the
+    padded layout: Q, K and V are scattered into zero-filled [B, L, D]
+    arrays, and scale, PAD mask and softmax run in place on the [B, H, Q, L]
+    scores buffer.  The context comes back packed as xq is.  What backward
+    needs goes into saved when it is a dict; the rest is freed on return."""
     H = cfg.num_heads
-    q = xq @ params[pre + "attn.q_w"] + params[pre + "attn.q_b"]
-    k = x @ params[pre + "attn.k_w"] + params[pre + "attn.k_b"]
-    v = x @ params[pre + "attn.v_w"] + params[pre + "attn.v_b"]
-    qh, kh, vh = (_split_heads(t, H) for t in (q, k, v))
+    q = _affine(xq, params[pre + "attn.q_w"], params[pre + "attn.q_b"])
+    qh = _split_heads(q if q.ndim == 3 else rows.scatter(q), H)
+    kh, vh = (_split_heads(rows.scatter(_affine(x, params[pre + f"attn.{name}_w"],
+                                                params[pre + f"attn.{name}_b"])), H)
+              for name in ("k", "v"))
     attn = qh @ kh.transpose(0, 1, 3, 2)                      # [B,H,Q,L]
     attn *= 1.0 / math.sqrt(cfg.d_model // H)
-    np.copyto(attn, -np.inf, where=pad_keys)
+    np.copyto(attn, -np.inf, where=~rows.mask[:, None, None, :])
     _softmax(attn)
-    ctx = _merge_heads(attn @ vh)                             # [B,Q,D]
+    ctx_h = attn @ vh                                         # [B,H,Q,dh]
+    ctx = _merge_heads(ctx_h) if q.ndim == 3 else rows.gather_heads(ctx_h)
+    del ctx_h
     if saved is not None:
         saved.update(qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx)
-    return ctx @ params[pre + "attn.o_w"] + params[pre + "attn.o_b"]
+    return _affine(ctx, params[pre + "attn.o_w"], params[pre + "attn.o_b"])
 
 
 def _feed_forward(params: dict, pre: str, x1: np.ndarray,
                   saved: dict | None) -> np.ndarray:
     """The GELU feed-forward of one block; what backward needs goes into
     saved when it is a dict, the rest is freed on return."""
-    h = x1 @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
+    h = _affine(x1, params[pre + "ffn.w1"], params[pre + "ffn.b1"])
     cdf2 = _gelu_cdf2(h)
     if saved is not None:
         saved.update(h=h, cdf2=cdf2)
-    return _gelu(h, cdf2) @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
+    return _affine(_gelu(h, cdf2), params[pre + "ffn.w2"], params[pre + "ffn.b2"])
 
 
-def _block(params: dict, pre: str, x: np.ndarray, pad_keys: np.ndarray,
+def _block(params: dict, pre: str, x: np.ndarray, rows: _Rows,
            cfg: EncoderConfig, rng, saved: dict | None,
            cls_only: bool) -> np.ndarray:
-    """One post-norm residual block: x1 = LN(x + dropout(attention(x))),
-    then LN(x1 + dropout(ffn(x1))).  With cls_only everything but the keys
-    and values runs on the [CLS] row alone, and the block returns [B, 1, D].
-    What backward needs goes into saved when it is a dict; the rest is freed
-    on return."""
-    xq = x[:, :1] if cls_only else x
-    od, keep_o = _dropout(_attention(params, pre, xq, x, pad_keys, cfg, saved),
-                          cfg.dropout, rng, cfg.max_len)
+    """One post-norm residual block on packed rows x [T, D]:
+    x1 = LN(x + dropout(attention(x))), then LN(x1 + dropout(ffn(x1))).
+    With cls_only everything but the keys and values runs on the [CLS] rows
+    alone, and the block returns [B, 1, D].  What backward needs goes into
+    saved when it is a dict; the rest is freed on return."""
+    if cls_only:
+        xq, lengths = x[rows.starts][:, None, :], np.ones_like(rows.lengths)
+    else:
+        xq, lengths = x, rows.lengths
+    od, keep_o = _dropout(_attention(params, pre, xq, x, rows, cfg, saved),
+                          cfg.dropout, rng, lengths, cfg.max_len)
     od += xq
     x1, ln1 = _layer_norm(od, params[pre + "norm1.gain"],
                           params[pre + "norm1.bias"])
     fd, keep_f = _dropout(_feed_forward(params, pre, x1, saved),
-                          cfg.dropout, rng, cfg.max_len)
+                          cfg.dropout, rng, lengths, cfg.max_len)
     fd += x1
     x2, ln2 = _layer_norm(fd, params[pre + "norm2.gain"],
                           params[pre + "norm2.bias"])
     if saved is not None:
-        saved.update(x_in=x, keep_o=keep_o, ln1=ln1, x1=x1, keep_f=keep_f,
-                     ln2=ln2)
+        saved.update(x_in=x, x_q=xq, keep_o=keep_o, ln1=ln1, x1=x1,
+                     keep_f=keep_f, ln2=ln2)
     return x2
 
 
@@ -376,10 +439,12 @@ def forward_arrays(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
     """Forward pass on id/mask arrays [B, L]; returns (logits, cache).
 
     Dropout runs, drawing from rng, exactly when an rng is given.  L may be
-    smaller than cfg.max_len (position rows beyond L are unused);
-    PAD positions are excluded from attention via the key mask.  The head
-    reads only the [CLS] row, so the last block computes only that row, with
-    keys and values over every position.  cache holds
+    smaller than cfg.max_len (position rows beyond L are unused).  The real
+    positions are packed once into [T, D] activations, T = mask.sum(), and
+    every position-wise layer runs on those rows alone; only attention
+    scatters them into the padded layout, where PAD keys are masked.  The
+    head reads only the [CLS] row, so the last block computes only that row
+    ([B, 1, D]), with keys and values over every real position.  cache holds
     every activation backward_arrays needs, which takes it apart, and is
     built only when keep_cache is set; otherwise it is None and each block's
     activations are freed when the block returns.
@@ -387,14 +452,15 @@ def forward_arrays(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
     if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
         raise InputError("token id outside vocabulary range")
     p = _views(params, cfg)
-    L = ids.shape[1]
-    x = p["token_embedding"][ids] + p["position_embedding"][:L]
-    pad_keys = (mask == 0)[:, None, None, :]                  # [B,1,1,L]
-    cache = {"ids": ids, "layers": []} if keep_cache else None
+    rows = _Rows(mask)
+    real_ids = ids[rows.mask]
+    x = p["token_embedding"][real_ids]
+    x += p["position_embedding"][np.nonzero(rows.mask)[1]]
+    cache = {"ids": real_ids, "rows": rows, "layers": []} if keep_cache else None
 
     for i in range(cfg.num_layers):
         saved = {} if keep_cache else None
-        x = _block(p, f"layers.{i}.", x, pad_keys, cfg, rng, saved,
+        x = _block(p, f"layers.{i}.", x, rows, cfg, rng, saved,
                    cls_only=i == cfg.num_layers - 1)
         if keep_cache:
             cache["layers"].append(saved)
@@ -420,15 +486,18 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 
 
 def _attention_backward(p: dict, g: dict, pre: str, saved: dict,
-                        do: np.ndarray, x: np.ndarray, dx: np.ndarray,
+                        do: np.ndarray, rows: _Rows, dx: np.ndarray,
                         cfg: EncoderConfig) -> None:
     """Gradients of _attention's parameters into g, from do, the gradient of
-    its output [B, Q, D]; adds the gradient of its input x to dx.  Takes
-    what it uses out of saved."""
+    its output (packed as its queries); adds the gradient of its input to
+    the packed dx [T, D].  Takes what it uses out of saved."""
     H, D = cfg.num_heads, cfg.d_model
-    dctx_h = _split_heads(do @ p[pre + "attn.o_w"].T, H)      # [B,H,Q,dh]
+    cls_only = do.ndim == 3
+    dctx = do @ p[pre + "attn.o_w"].T
+    dctx_h = _split_heads(dctx if cls_only else rows.scatter(dctx), H)
+    del dctx
     g[pre + "attn.o_w"][...] = saved.pop("ctx").reshape(-1, D).T @ do.reshape(-1, D)
-    g[pre + "attn.o_b"][...] = do.sum(axis=(0, 1))
+    g[pre + "attn.o_b"][...] = _row_sum(do)
     del do
 
     attn = saved.pop("attn")
@@ -444,12 +513,17 @@ def _attention_backward(p: dict, g: dict, pre: str, saved: dict,
     dkh = dattn.transpose(0, 1, 3, 2) @ saved.pop("qh")
     del dattn
 
-    for name, dth in (("q", dqh), ("k", dkh), ("v", dvh)):
-        dt = _merge_heads(dth)
-        rows = dt.shape[1]
-        g[pre + f"attn.{name}_w"][...] = x[:, :rows].reshape(-1, D).T @ dt.reshape(-1, D)
-        g[pre + f"attn.{name}_b"][...] = dt.sum(axis=(0, 1))
-        dx[:, :rows] += dt @ p[pre + f"attn.{name}_w"].T
+    # The queries' rows (the [CLS] rows in the last block, else all T) take
+    # the Q gradient; keys and values pass gradient to all T rows.
+    x, xq = saved.pop("x_in"), saved.pop("x_q")
+    q_rows = rows.starts if cls_only else slice(None)
+    for name, dth, xs, at in (("q", dqh, xq, q_rows),
+                              ("k", dkh, x, slice(None)),
+                              ("v", dvh, x, slice(None))):
+        dt = _merge_heads(dth) if xs.ndim == 3 else rows.gather_heads(dth)
+        g[pre + f"attn.{name}_w"][...] = xs.reshape(-1, D).T @ dt.reshape(-1, D)
+        g[pre + f"attn.{name}_b"][...] = _row_sum(dt)
+        dx[at] += (dt @ p[pre + f"attn.{name}_w"].T).reshape(-1, D)
 
 
 def _feed_forward_backward(p: dict, g: dict, pre: str, saved: dict,
@@ -461,19 +535,19 @@ def _feed_forward_backward(p: dict, g: dict, pre: str, saved: dict,
     h, cdf2 = saved.pop("h"), saved.pop("cdf2")
     dh = df @ p[pre + "ffn.w2"].T
     g[pre + "ffn.w2"][...] = _gelu(h, cdf2).reshape(-1, F).T @ df.reshape(-1, D)
-    g[pre + "ffn.b2"][...] = df.sum(axis=(0, 1))
+    g[pre + "ffn.b2"][...] = _row_sum(df)
     del df
     dh *= _gelu_grad(h, cdf2)
     del h, cdf2
     g[pre + "ffn.w1"][...] = saved.pop("x1").reshape(-1, D).T @ dh.reshape(-1, F)
-    g[pre + "ffn.b1"][...] = dh.sum(axis=(0, 1))
+    g[pre + "ffn.b1"][...] = _row_sum(dh)
     return dh @ p[pre + "ffn.w1"].T
 
 
 def _block_backward(p: dict, g: dict, pre: str, saved: dict, dx2: np.ndarray,
-                    cfg: EncoderConfig) -> np.ndarray:
+                    rows: _Rows, cfg: EncoderConfig) -> np.ndarray:
     """Gradients of one _block's parameters into g, from dx2, the gradient
-    of its output; returns the gradient of its input x [B, L, D].  Takes
+    of its output; returns the gradient of its packed input x [T, D].  Takes
     what it uses out of saved, so each activation goes after its last use."""
     dx1, dgain2, dbias2 = _layer_norm_backward(dx2, saved.pop("ln2"),
                                                p[pre + "norm2.gain"])
@@ -490,21 +564,20 @@ def _block_backward(p: dict, g: dict, pre: str, saved: dict, dx2: np.ndarray,
     del dx1
     g[pre + "norm1.gain"][...] = dgain1
     g[pre + "norm1.bias"][...] = dbias1
-    # The block's Q query rows (1 in the last block, else L) take the
-    # residual; keys and values pass gradient to all L rows below.
-    x = saved.pop("x_in")
-    dx = np.zeros_like(x)
-    dx[:, :dr1.shape[1]] = dr1
+    # The query rows take the residual.
+    dx = np.zeros_like(saved["x_in"])
+    dx[rows.starts if dr1.ndim == 3 else slice(None)] = dr1.reshape(-1, cfg.d_model)
     _attention_backward(
         p, g, pre, saved, _dropout_backward(dr1, saved.pop("keep_o"), cfg.dropout),
-        x, dx, cfg)
+        rows, dx, cfg)
     return dx
 
 
 def backward_arrays(params: np.ndarray, cfg: EncoderConfig, cache: dict,
                     dlogits: np.ndarray) -> np.ndarray:
     """Exact gradients for every parameter, mirroring forward_arrays, as one
-    array laid out as params is.
+    array laid out as params is.  Weight and bias gradients sum the T packed
+    rows, and the embeddings take gradient at real positions only.
 
     Backward takes cache apart as it goes: each layer's saved activations
     leave cache when backward reaches that layer, and each array is released
@@ -515,17 +588,17 @@ def backward_arrays(params: np.ndarray, cfg: EncoderConfig, cache: dict,
     g["head.w"][...] = cache.pop("x_final")[:, 0, :].T @ dlogits
     g["head.b"][...] = dlogits.sum(axis=0)
     dx = (dlogits @ p["head.w"].T)[:, None, :]                # [B,1,D]
-    layers = cache["layers"]
+    layers, rows = cache["layers"], cache["rows"]
     while layers:
         pre = f"layers.{len(layers) - 1}."
-        dx = _block_backward(p, g, pre, layers.pop(), dx, cfg)
+        dx = _block_backward(p, g, pre, layers.pop(), dx, rows, cfg)
 
     # One scalar add per (position, column), in position order, as a 2-D
     # np.add.at over rows would make, without its per-row overhead.
     ids, D = cache["ids"], cfg.d_model
     np.add.at(g["token_embedding"].reshape(-1),
               (ids.reshape(-1, 1) * D + np.arange(D)).reshape(-1), dx.reshape(-1))
-    g["position_embedding"][:ids.shape[1]] = dx.sum(axis=0)
+    g["position_embedding"][:rows.mask.shape[1]] = rows.scatter(dx).sum(axis=0)
     return grads
 
 
@@ -619,10 +692,11 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
     """Supervised training loop.
 
     Per epoch: seeded reshuffle, minibatch AdamW with the warmup/decay
-    schedule, mean train loss recorded; when a validation set is given the
-    weighted F1 is logged and the best-epoch parameters are retained
-    alongside the final ones.  Training and validation texts are each
-    encoded once per run.
+    schedule, and a log entry with the mean train loss and the epoch's
+    padded positions (rows times longest row, summed over batches) and
+    real tokens; when a validation set is given the weighted F1 is logged
+    and the best-epoch parameters are retained alongside the final ones.
+    Training and validation texts are each encoded once per run.
     """
     if not train_texts:
         raise InputError("training split is empty")
@@ -650,17 +724,21 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
     for epoch in range(1, tc.epochs + 1):
         order = shuffled(list(range(n)), shuffle_rng)
         epoch_loss = 0.0
+        positions = tokens = 0
         for start in range(0, n, tc.batch_size):
             sel = order[start:start + tc.batch_size]
             step += 1
             lr = lr_schedule(step, tc, total_steps)
             ids, mask = _pad([rows[i] for i in sel])
+            positions += ids.size
+            tokens += int(mask.sum())
             loss, grads = loss_and_grads(params, cfg, ids, mask, y_all[sel],
                                          drop_rng)
             adamw_step(params, grads, state, tc, lr)
             del grads              # not held through the next step's forward
             epoch_loss += loss * len(sel)
-        entry = {"epoch": epoch, "train_loss": epoch_loss / n}
+        entry = {"epoch": epoch, "train_loss": epoch_loss / n,
+                 "positions": positions, "tokens": tokens}
         if val_rows:
             preds, _ = _predict_rows(params, cfg, val_rows)
             entry["val_weighted_f1"] = evaluate(val_labels, preds).weighted_f1

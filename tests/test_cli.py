@@ -204,6 +204,22 @@ class TestTrain:
         assert (out / "transformer_best.bin").exists()
         assert (out / "vocab.txt").exists()
 
+    def test_out_of_memory_exit_1_without_traceback(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """An allocation that fails, as numpy's does for an encoder whose
+        max_len is 2e9, is a runtime failure reported on one line."""
+        out = run_prepare(tmp_path, tmp_path / "run")
+        capsys.readouterr()
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.86 TiB for an array")
+
+        monkeypatch.setattr(tfm, "init_params", no_memory)
+        assert main(["train", "--model", "transformer", "--out-dir", str(out),
+                     "--config", TINY_TRANSFORMER_CONFIG]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 1.86 TiB for an array\n"
+
     def test_unknown_model_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--model", "tree", "--out-dir", str(tmp_path)])

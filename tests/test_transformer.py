@@ -22,7 +22,8 @@ from mixsent.transformer import (EVAL_BUDGET, EncoderConfig, TrainConfig,
                                  _eval_batches, _layer_norm, _pad,
                                  _predict_rows, _views)
 
-from transformer_reference import backward_reference, forward_reference
+from transformer_reference import (backward_reference, forward_reference,
+                                   padded_forward)
 
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16, dropout=0.0,
                      max_len=12, vocab_size=20, num_classes=3)
@@ -312,13 +313,11 @@ class TestLossAndGradients:
                    if r.max() >= 1e-4}
         assert failing == {}
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("num_layers", [1, 2, 3])
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_grads_equal_backward_reference(self, dtype, num_layers, dropout):
-        """backward_arrays, which frees the cache as it goes and works in
-        place, gives the reference's gradients bit for bit, repeated token
-        ids and PAD rows included."""
+    @staticmethod
+    def packing_case(dtype, num_layers, dropout, full=False):
+        """An encoder, scaled-up parameters so attention is far from uniform,
+        and a batch with rows of length 1 up to max_len, PAD and repeated
+        token ids (with full, every row max_len long and no PAD)."""
         cfg = EncoderConfig(num_layers=num_layers, num_heads=2, d_model=16,
                             d_ff=32, dropout=dropout, max_len=24, vocab_size=9)
         params = init_params(cfg, seed=11, dtype=dtype)
@@ -326,19 +325,81 @@ class TestLossAndGradients:
             if v.ndim >= 2:
                 v *= 20.0
         rng = np.random.default_rng(num_layers)
-        ids, mask = _pad([row(rng.integers(4, cfg.vocab_size, size=n).tolist())
-                          for n in (17, 3, 0, 9)])
-        y = np.array([0, 2, 1, 1])
-        loss, grads = loss_and_grads(params, cfg, ids, mask, y,
-                                     np.random.Generator(np.random.PCG64(6)))
-        logits, cache = forward_arrays(params, cfg, ids, mask,
-                                       np.random.Generator(np.random.PCG64(6)),
-                                       keep_cache=True)
-        ref_loss, dlogits = cross_entropy(logits, y)
-        ref = backward_reference(params, cfg, cache, dlogits.astype(dtype))
-        assert loss == ref_loss
-        assert grads.dtype == ref.dtype == dtype
-        assert np.array_equal(grads, ref)
+        lengths = [cfg.max_len - 2] * 3 if full else [17, 3, 0, cfg.max_len - 2, 9]
+        rows = [row(rng.integers(4, cfg.vocab_size, size=n).tolist())
+                for n in lengths]
+        if not full:
+            rows.insert(0, [CLS_ID])
+        ids, mask = _pad(rows)
+        return cfg, params, ids, mask, np.arange(len(rows)) % 3
+
+    @pytest.mark.parametrize("full", [False, True], ids=["padded", "full"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_packed_forward_equals_padded(self, dtype, num_layers, dropout, full):
+        """Running the position-wise layers on packed rows changes no bit of
+        the eval logits, the training loss, the dropout masks or where the
+        generator is left."""
+        cfg, params, ids, mask, y = self.packing_case(dtype, num_layers, dropout,
+                                                      full)
+        np.testing.assert_array_equal(forward_arrays(params, cfg, ids, mask)[0],
+                                      padded_forward(params, cfg, ids, mask)[0])
+        gen, ref_gen = (np.random.Generator(np.random.PCG64(6)) for _ in range(2))
+        logits, cache = forward_arrays(params, cfg, ids, mask, gen, keep_cache=True)
+        ref_logits, ref_cache = padded_forward(params, cfg, ids, mask, ref_gen)
+        assert logits.dtype == dtype
+        np.testing.assert_array_equal(logits, ref_logits)
+        assert cross_entropy(logits, y)[0] == cross_entropy(ref_logits, y)[0]
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        real = mask == 1
+        for i, (saved, ref) in enumerate(zip(cache["layers"], ref_cache["layers"])):
+            for key in ("keep_o", "keep_f"):
+                if dropout == 0.0:
+                    assert saved[key] is None and ref[key] is None
+                elif i == num_layers - 1:
+                    np.testing.assert_array_equal(saved[key], ref[key])
+                else:
+                    np.testing.assert_array_equal(saved[key], ref[key][real])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_grads_equal_backward_reference(self, dtype, num_layers, dropout):
+        """backward_arrays, which frees the packed cache as it goes and works
+        in place, gives the padded reference's gradients up to the order in
+        which BLAS sums T rows rather than B * L, with PAD in the batch or
+        not."""
+        for full in (False, True):
+            cfg, params, ids, mask, y = self.packing_case(dtype, num_layers,
+                                                          dropout, full)
+            loss, grads = loss_and_grads(params, cfg, ids, mask, y,
+                                         np.random.Generator(np.random.PCG64(6)))
+            logits, cache = padded_forward(params, cfg, ids, mask,
+                                           np.random.Generator(np.random.PCG64(6)))
+            ref_loss, dlogits = cross_entropy(logits, y)
+            ref = backward_reference(params, cfg, cache, dlogits.astype(dtype))
+            assert loss == ref_loss
+            assert grads.dtype == ref.dtype == dtype
+            tol = 1e-6 if dtype == np.float32 else 1e-12
+            np.testing.assert_allclose(grads, ref, rtol=0,
+                                       atol=tol * np.abs(ref).max())
+
+    def test_cache_holds_packed_rows(self):
+        """Below the last block the cached activations have one row per real
+        token, not B * L."""
+        cfg, params, ids, mask, y = self.packing_case(np.float64, 2, 0.3)
+        _, cache = forward_arrays(params, cfg, ids, mask,
+                                  np.random.Generator(np.random.PCG64(6)),
+                                  keep_cache=True)
+        T, (B, L) = int(mask.sum()), ids.shape
+        assert T < B * L
+        layer0 = cache["layers"][0]
+        for key in ("x_in", "x_q", "ctx", "x1", "h", "cdf2", "keep_o", "keep_f"):
+            assert layer0[key].shape[0] == T, key
+        assert layer0["ln1"][0].shape == layer0["ln2"][0].shape == (T, cfg.d_model)
+        assert layer0["attn"].shape == (B, cfg.num_heads, L, L)
+        assert cache["ids"].shape == (T,)
 
     def test_train_step_peak_memory(self):
         """One default-encoder step at B=8, L=128 frees each layer's
@@ -383,15 +444,17 @@ class TestLossAndGradients:
 class TestDropout:
     @pytest.mark.parametrize("length", [1, 5, 12])
     def test_skip_ahead_matches_draw_and_cut(self, length):
-        """Drawing only the real positions and skipping the rest gives the
-        mask of a [B, max_len, D] draw cut to the length, and leaves the
-        generator where that draw would."""
+        """Drawing only each row's real positions and skipping the rest
+        gives the mask of a [B, max_len, D] draw at those positions, packed,
+        and leaves the generator where that draw would."""
         max_len, rate = 12, 0.3
-        x = np.ones((3, length, 8), dtype=np.float32)
+        lengths = np.array([length, 1, max_len])
+        x = np.ones((int(lengths.sum()), 8), dtype=np.float32)
         gen = np.random.Generator(np.random.PCG64(7))
         ref = np.random.Generator(np.random.PCG64(7))
-        out, keep = _dropout(x, rate, gen, max_len)
-        expected = (ref.random((3, max_len, 8)) >= rate)[:, :length]
+        out, keep = _dropout(x, rate, gen, lengths, max_len)
+        draw = ref.random((3, max_len, 8)) >= rate
+        expected = np.concatenate([draw[b, :n] for b, n in enumerate(lengths)])
         np.testing.assert_array_equal(keep, expected)
         np.testing.assert_array_equal(out, expected / np.float32(1.0 - rate))
         assert keep.dtype == bool and out.dtype == np.float32
@@ -615,6 +678,22 @@ class TestTrainLoop:
         b = train(texts, labels, texts, labels, self.VOCAB, self.TOK, self.CFG, tc)
         assert a.log == b.log
         np.testing.assert_array_equal(a.final_params, b.final_params)
+
+    def test_log_counts_positions_and_tokens(self):
+        """Each epoch logs its real tokens and the positions its batches
+        were padded to: the same at batch size 1, the rows times the
+        longest row when one batch holds the whole split."""
+        texts = ["w1", "w2 w3 w4", "", "w5 w6", "w7 w8 w9 w10 w11 w0"]
+        labels = [SentimentLabel(i % 3) for i in range(len(texts))]
+        lengths = [len(encode(t, self.VOCAB, self.TOK)) for t in texts]
+        assert max(lengths) == self.TOK.max_len
+        for batch_size, positions in ((1, sum(lengths)),
+                                      (len(texts), len(texts) * max(lengths))):
+            tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=batch_size,
+                             warmup_steps=0, seed=5, precision="double")
+            res = train(texts, labels, [], [], self.VOCAB, self.TOK, self.CFG, tc)
+            assert [(e["positions"], e["tokens"]) for e in res.log] == \
+                [(positions, sum(lengths))] * 2
 
     def test_best_epoch_tracked_with_validation(self):
         texts, labels = self._data()

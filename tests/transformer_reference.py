@@ -6,11 +6,19 @@ result.  `mixsent.transformer.forward_arrays` computes only the [CLS] row
 in its last block and must return the same logits up to float summation
 order.
 
-backward_reference: backpropagation that keeps the whole forward cache and
-every temporary until it returns, with its own layer-norm and GELU
-derivatives.  `mixsent.transformer.backward_arrays` releases the cache as
-it goes and works in place, with the same floating-point operations in the
-same order, so its gradients must be equal bit for bit."""
+padded_forward: the padded forward pass that `forward_arrays` replaced,
+frozen.  Every position-wise layer runs on all B * L positions, PAD
+included, and the last block on the [CLS] row alone.  Dropout draws each
+batch row's first L positions of a [B, max_len, D] draw.  The packed
+forward must return the same logits, loss, dropout masks and generator
+state bit for bit.
+
+backward_reference: backpropagation through padded_forward's cache, which
+it keeps whole with every temporary until it returns, with its own
+layer-norm and GELU derivatives.  It gave the padded `backward_arrays`'s
+gradients bit for bit.  The packed `backward_arrays` sums T rows where it
+summed B * L, and BLAS blocks a sum over rows differently when their count
+changes, so its gradients agree only up to float summation order."""
 
 from __future__ import annotations
 
@@ -20,6 +28,69 @@ import numpy as np
 
 from mixsent.transformer import (EncoderConfig, _gelu, _gelu_cdf2, _layer_norm,
                                  _merge_heads, _softmax, _split_heads, _views)
+
+
+def _padded_dropout(x, rate, rng, max_len):
+    """Scales x [B, L, D] in place by the keep mask of a [B, max_len, D]
+    draw cut to L, drawing only those L positions of each batch row."""
+    if rng is None or rate == 0.0:
+        return x, None
+    b, l, d = x.shape
+    if l == max_len:
+        u = rng.random(x.shape)
+    else:
+        u = np.empty(x.shape)
+        for batch_row in u:
+            rng.random(out=batch_row)
+            rng.bit_generator.advance((max_len - l) * d)
+    keep = u >= rate
+    x *= keep
+    x /= 1.0 - rate
+    return x, keep
+
+
+def padded_forward(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
+                   mask: np.ndarray, rng=None) -> tuple[np.ndarray, dict]:
+    """(logits, cache) of the padded forward pass; dropout runs when an rng
+    is given.  cache is what backward_reference reads."""
+    p = _views(params, cfg)
+    H = cfg.num_heads
+    L = ids.shape[1]
+    x = p["token_embedding"][ids] + p["position_embedding"][:L]
+    pad_keys = (mask == 0)[:, None, None, :]
+    cache = {"ids": ids, "layers": []}
+    for i in range(cfg.num_layers):
+        pre = f"layers.{i}."
+        saved = {"x_in": x}
+        xq = x[:, :1] if i == cfg.num_layers - 1 else x
+        q = xq @ p[pre + "attn.q_w"] + p[pre + "attn.q_b"]
+        k = x @ p[pre + "attn.k_w"] + p[pre + "attn.k_b"]
+        v = x @ p[pre + "attn.v_w"] + p[pre + "attn.v_b"]
+        qh, kh, vh = (_split_heads(t, H) for t in (q, k, v))
+        attn = qh @ kh.transpose(0, 1, 3, 2)
+        attn *= 1.0 / math.sqrt(cfg.d_model // H)
+        np.copyto(attn, -np.inf, where=pad_keys)
+        _softmax(attn)
+        ctx = _merge_heads(attn @ vh)
+        od, saved["keep_o"] = _padded_dropout(
+            ctx @ p[pre + "attn.o_w"] + p[pre + "attn.o_b"], cfg.dropout, rng,
+            cfg.max_len)
+        od += xq
+        x1, saved["ln1"] = _layer_norm(od, p[pre + "norm1.gain"],
+                                       p[pre + "norm1.bias"])
+        h = x1 @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
+        cdf2 = _gelu_cdf2(h)
+        fd, saved["keep_f"] = _padded_dropout(
+            _gelu(h, cdf2) @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"], cfg.dropout,
+            rng, cfg.max_len)
+        fd += x1
+        x, saved["ln2"] = _layer_norm(fd, p[pre + "norm2.gain"],
+                                      p[pre + "norm2.bias"])
+        saved.update(qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx, h=h, cdf2=cdf2,
+                     x1=x1)
+        cache["layers"].append(saved)
+    cache["x_final"] = x
+    return x[:, 0, :] @ p["head.w"] + p["head.b"], cache
 
 
 def forward_reference(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
@@ -71,7 +142,7 @@ def _dropout_backward(dout, keep, rate):
 def backward_reference(params: np.ndarray, cfg: EncoderConfig, cache: dict,
                        dlogits: np.ndarray) -> np.ndarray:
     """Gradients of every parameter, laid out as params, from the cache of
-    forward_arrays(..., keep_cache=True); cache is left as it was."""
+    padded_forward; cache is left as it was."""
     H = cfg.num_heads
     scale = 1.0 / math.sqrt(cfg.d_model // H)
     grads = np.zeros_like(params)
