@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -51,51 +52,63 @@ def _write_json(path: Path, payload: dict) -> None:
                                sort_keys=True) + "\n", encoding="utf-8")
 
 
-# Every --config section; a command reads the ones it uses and passes over
-# the rest, so one config file serves every command and model.
-_SECTIONS = ("preprocess", "split", "features", "nb", "svm", "tokenizer",
-             "encoder", "train")
-
-
-def _load_overrides(arg: str | None) -> dict:
-    """--config: inline JSON when it starts with '{', else a JSON file path;
-    a top-level key that is not a config section is refused."""
-    if not arg:
-        return {}
-    if arg.lstrip().startswith("{"):
-        overrides = parse_json_object(arg, "malformed config")
-    else:
-        overrides = parse_json_object(read_file(arg, "config file"),
-                                      f"malformed config {arg}")
-    unknown = sorted(set(overrides) - set(_SECTIONS))
-    if unknown:
-        raise InputError(f"config sections {unknown} unknown; "
-                         f"the sections are {list(_SECTIONS)}")
-    return overrides
-
-
-def _section(overrides: dict, name: str, defaults: dict) -> dict:
-    """defaults updated from overrides[name]: a JSON object with no other
-    keys, each value of its default's kind (an int, a number, true/false or
-    a string; a string or null where the default is None)."""
-    section = overrides.get(name, {})
-    if not isinstance(section, dict) or not set(section) <= set(defaults):
-        raise InputError(f"config section {name!r} must be a JSON object with "
-                         f"keys among {sorted(defaults)}")
-    for key, value in section.items():
-        kind = "str | None" if defaults[key] is None else type(defaults[key]).__name__
-        check_value(f"config value {name}.{key}", value, kind)
-    return {**defaults, **section}
-
-
-_PREPROCESS = {"emoji_lexicon_file": None, "stopwords_file": None,
-               "fillers_file": None, "keep_hashtag_text": False,
-               "remove_stop_words": True}
 # The name each preprocess file gets in the run directory, so a run
 # directory carries its own copies and predict reads them wherever it runs.
 _PREPROCESS_FILES = {"emoji_lexicon_file": "emoji_lexicon.json",
                      "stopwords_file": "stopwords.txt",
                      "fillers_file": "fillers.txt"}
+
+
+def _defaults(source, *set_by_code: str) -> dict:
+    """The argument defaults of a library function or dataclass, less set_by_code."""
+    return {name: p.default for name, p in inspect.signature(source).parameters.items()
+            if name not in set_by_code}
+
+
+# Every --config section: key -> default.  --config is checked whole when it
+# is read, so one config file serves every command and model.
+SETTINGS = {
+    "preprocess": {**dict.fromkeys(_PREPROCESS_FILES),
+                   **_defaults(PreprocessConfig, "emoji_lexicon", "stop_words", "fillers")},
+    "split": _defaults(SplitSpec, "seed"),
+    "features": _defaults(fit_term_index, "texts"),
+    "nb": _defaults(baselines.nb_train, "X", "y"),
+    "svm": {"lambda": baselines.SvmHyper.lambda_, "epochs": baselines.SvmHyper.epochs},
+    "tokenizer": {**_defaults(TokenizerConfig), "vocab_size": tfm.EncoderConfig.vocab_size},
+    # max_len, vocab_size and num_classes follow the tokenizer, vocabulary and labels.
+    "encoder": _defaults(tfm.EncoderConfig, "max_len", "vocab_size", "num_classes"),
+    "train": _defaults(tfm.TrainConfig, "seed"),
+}
+
+
+def _section(name: str, given) -> dict:
+    """SETTINGS[name] updated from given: a JSON object with no other keys,
+    each value of its default's kind (an int, a number, true/false or a
+    string; a string or null where the default is None)."""
+    defaults = SETTINGS[name]
+    if not isinstance(given, dict) or not set(given) <= set(defaults):
+        raise InputError(f"config section {name!r} must be a JSON object with "
+                         f"keys among {sorted(defaults)}")
+    for key, value in given.items():
+        kind = "str | None" if defaults[key] is None else type(defaults[key]).__name__
+        check_value(f"config value {name}.{key}", value, kind)
+    return {**defaults, **given}
+
+
+def _load_config(arg: str) -> tuple[dict, dict]:
+    """--config as given, and the settings: every section of SETTINGS
+    resolved from it.  Inline JSON when arg starts with '{', else a JSON
+    file path; a top-level key that is not a section is refused."""
+    if arg.lstrip().startswith("{"):
+        overrides = parse_json_object(arg, "malformed config")
+    else:
+        overrides = parse_json_object(read_file(arg, "config file"),
+                                      f"malformed config {arg}")
+    unknown = sorted(set(overrides) - set(SETTINGS))
+    if unknown:
+        raise InputError(f"config sections {unknown} unknown; "
+                         f"the sections are {list(SETTINGS)}")
+    return overrides, {name: _section(name, overrides.get(name, {})) for name in SETTINGS}
 
 
 def _preprocess_config(section: dict) -> PreprocessConfig:
@@ -123,7 +136,7 @@ def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
     if not isinstance(digests, dict):
         raise InputError(f"{path} records no preprocessing; "
                          f"predict cleans text as the 'prepare' that wrote it did")
-    section = _section({"preprocess": recorded}, "preprocess", _PREPROCESS)
+    section = _section("preprocess", recorded)
     for key in _PREPROCESS_FILES:
         if section[key]:
             section[key] = _verify_ref(
@@ -151,15 +164,13 @@ def _split_corpus_file(out_dir: Path, name: str) -> Corpus:
 
 
 def cmd_prepare(args) -> int:
-    overrides = _load_overrides(args.config)
+    overrides, settings = _load_config(args.config)
     if not args.input:
         raise InputError("prepare needs at least one --input file")
     if not args.label_map:
         raise InputError("prepare needs --label-map")
     label_map = load_label_map(args.label_map)
-    section = _section(overrides, "preprocess", _PREPROCESS)
-    section["keep_hashtag_text"] |= args.keep_hashtag_text
-    section["remove_stop_words"] &= not args.no_stop_words
+    section = settings["preprocess"]
     pre_cfg = _preprocess_config(section)
 
     corpus = reduce(merge, [load_corpus(item, label_map) for item in args.input])
@@ -169,8 +180,7 @@ def cmd_prepare(args) -> int:
         raise InputError("no records survived preprocessing")
     dist = class_distribution(clean)
 
-    spec = SplitSpec(**_section(overrides, "split",
-                                {"train_frac": 0.8, "val_frac": 0.1}), seed=args.seed)
+    spec = SplitSpec(**settings["split"], seed=args.seed)
     train_c, val_c, test_c = split(clean, spec)
 
     out_dir = Path(args.out_dir)
@@ -195,7 +205,7 @@ def cmd_prepare(args) -> int:
         "config": {
             "preprocess": {**section, **copies, "sha256": {
                 key: _sha256(out_dir / name) for key, name in copies.items()}},
-            "split": {"train_frac": spec.train_frac, "val_frac": spec.val_frac},
+            "split": settings["split"],
             "overrides": overrides,
         },
         "split_sizes": {"train": len(train_c), "val": len(val_c),
@@ -223,25 +233,25 @@ def _verify_ref(base: Path, ref, what: str) -> Path:
     return path
 
 
-def _fit_nb(X, labels, overrides: dict, seed: int):
-    alpha = float(_section(overrides, "nb", {"alpha": 1.0})["alpha"])
+def _fit_nb(X, labels, settings: dict, seed: int):
+    alpha = float(settings["nb"]["alpha"])
     return baselines.nb_train(X, labels, alpha=alpha), {"alpha": alpha}
 
 
-def _fit_svm(X, labels, overrides: dict, seed: int):
-    svm = _section(overrides, "svm", {"lambda": 1e-4, "epochs": 20})
+def _fit_svm(X, labels, settings: dict, seed: int):
+    svm = settings["svm"]
     hyper = baselines.SvmHyper(float(svm["lambda"]), svm["epochs"], seed)
     return baselines.svm_train(X, labels, hyper), {**svm, "lambda": hyper.lambda_}
 
 
-def _train_baseline(fit, model_path: Path, train_c: Corpus, overrides: dict, seed: int):
-    min_df = _section(overrides, "features", {"min_df": 1})["min_df"]
+def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int):
+    min_df = settings["features"]["min_df"]
     idx = fit_term_index(train_c.texts(), min_df=min_df)
     index_path = model_path.parent / "term_index.json"
     save_term_index(idx, index_path)
     ref = {"file": index_path.name, "sha256": _sha256(index_path)}
     model, config = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(),
-                        overrides, seed)
+                        settings, seed)
     baselines.save_baseline(model, model_path, term_index_ref=ref)
     return {index_path.name: ref["sha256"]}, {**config, "min_df": min_df}, [index_path.name]
 
@@ -257,27 +267,19 @@ def _load_baseline(scores, model_path: Path):
     return lambda texts: scores(model, tfidf_transform(texts, idx))
 
 
-def _train_transformer(model_path: Path, train_c: Corpus, overrides: dict, seed: int):
+def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: int):
     out_dir = model_path.parent
     val_c = _split_corpus_file(out_dir, "val")
-    tok = _section(overrides, "tokenizer",
-                   {**dataclasses.asdict(TokenizerConfig()), "vocab_size": 4000})
+    tok = dict(settings["tokenizer"])
     vocab_size = tok.pop("vocab_size")
     tok_cfg = TokenizerConfig(**tok)
     vocab = train_vocabulary(train_c.texts(), vocab_size, tok_cfg)
     vocab_path = out_dir / "vocab.txt"
     save_vocabulary(vocab, vocab_path)
     vocab_ref = {"file": vocab_path.name, "sha256": _sha256(vocab_path)}
-
-    # max_len, vocab_size and num_classes follow the tokenizer, the
-    # vocabulary and the label set, so the section may not set them.
-    enc = _section(overrides, "encoder",
-                   {k: v for k, v in dataclasses.asdict(tfm.EncoderConfig()).items()
-                    if k not in ("max_len", "vocab_size", "num_classes")})
-    cfg = tfm.EncoderConfig(**enc, max_len=tok_cfg.max_len, vocab_size=len(vocab),
-                            num_classes=3)
-    tc = tfm.TrainConfig(**_section(overrides, "train", {
-        **dataclasses.asdict(tfm.TrainConfig()), "seed": seed}))
+    cfg = tfm.EncoderConfig(**settings["encoder"], max_len=tok_cfg.max_len,
+                            vocab_size=len(vocab), num_classes=3)
+    tc = tfm.TrainConfig(**settings["train"], seed=seed)
 
     result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                        val_c.labels(), vocab, tok_cfg, cfg, tc)
@@ -305,7 +307,7 @@ def _load_transformer(model_path: Path):
 
 
 # kind -> (artifact file, train, load).  train(model_path, train_corpus,
-# overrides, seed) writes the artifact and returns the train manifest's other
+# settings, seed) writes the artifact and returns the train manifest's other
 # inputs, config and other outputs; load(model_path) returns texts -> (labels,
 # [N, 3] scores).  Entries reach the library through module attributes and
 # this module's globals at call time, so wrappers set on those names see calls.
@@ -331,12 +333,12 @@ def _load_model(path: Path):
 
 
 def cmd_train(args) -> int:
-    overrides = _load_overrides(args.config)
+    settings = _load_config(args.config)[1]
     out_dir = Path(args.out_dir)
     train_c = _split_corpus_file(out_dir, "train")
     file, train, _ = MODELS[args.model]
     model_path = out_dir / file
-    inputs, config, outputs = train(model_path, train_c, overrides, args.seed)
+    inputs, config, outputs = train(model_path, train_c, settings, args.seed)
     _write_json(out_dir / f"{args.model}.manifest.json", {
         "pipeline_version": __version__, "command": "train", "model": args.model,
         "inputs": {"train.jsonl": _sha256(out_dir / "train.jsonl"), **inputs},
@@ -422,11 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "negative/neutral/positive")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="JSON overrides (file path or inline)")
-    p.add_argument("--keep-hashtag-text", action="store_true",
-                   help="keep hashtag words, dropping only the '#'")
-    p.add_argument("--no-stop-words", action="store_true",
-                   help="disable stop-word removal")
+    p.add_argument("--config", default="{}", help="JSON overrides (file path or inline)")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model on the prepared splits")
@@ -434,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True,
                    help="directory holding the prepared splits")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="JSON overrides (file path or inline)")
+    p.add_argument("--config", default="{}", help="JSON overrides (file path or inline)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a model file on a split")

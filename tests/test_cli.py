@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import mixsent
 from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_predict, nb_train
-from mixsent.cli import main
+from mixsent.cli import SETTINGS, main
 from mixsent.corpus import CANONICAL_LABEL_MAP, SentimentLabel, load_corpus
 from mixsent.features import fit_term_index, load_term_index, tfidf_transform
 from mixsent.metrics import evaluate
@@ -159,6 +159,16 @@ class TestPrepare:
         code = main(["prepare", "--out-dir", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--keep-hashtag-text", "--no-stop-words"])
+    def test_preprocess_switches_are_config_keys_only(self, tmp_path, flag):
+        """preprocess.keep_hashtag_text and remove_stop_words have no flag."""
+        jsonl, map_path = write_inputs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                  "--out-dir", str(tmp_path / "run"), flag])
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+
 
 class TestTrain:
     def test_nb_model_matches_library_path(self, tmp_path):
@@ -269,6 +279,7 @@ class TestTrain:
         ("transformer", "encoder", {"dropout": "x"}),
         ("transformer", "encoder", {"num_layer": 2}),       # unknown key
         ("transformer", "train", {"seed": "3"}),
+        ("transformer", "train", {"seed": 3}),             # --seed sets it
         ("transformer", "encoder", [1]),                   # not an object
         ("nb", "nb", {"alpha": "abc"}),
         ("transformer", "train", {"lr_constant_after_warmup": "no"}),
@@ -276,18 +287,24 @@ class TestTrain:
         ("transformer", "encoder", {"max_len": 64}),
         ("transformer", "encoder", {"vocab_size": 7}),
         ("transformer", "encoder", {"num_classes": 5}),
+        # every section is checked, also those the model does not read
+        ("nb", "encoder", {"num_layers": 1.5}),
+        ("svm", "train", {"seed": 3}),
     ], ids=["num_layers-float", "batch_size-float", "epochs-float",
-            "dropout-str", "unknown-key", "seed-str", "section-list",
-            "alpha-str", "bool-str", "max_len-derived", "vocab_size-derived",
-            "num_classes-derived"])
+            "dropout-str", "unknown-key", "seed-str", "seed-removed",
+            "section-list", "alpha-str", "bool-str", "max_len-derived",
+            "vocab_size-derived", "num_classes-derived", "nb-encoder-float",
+            "svm-train-seed"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, model, section, value):
         out = run_prepare(tmp_path, tmp_path / "run")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
         config = json.loads(TINY_TRANSFORMER_CONFIG)
         config[section] = ({**config.get(section, {}), **value}
                            if isinstance(value, dict) else value)
         assert main(["train", "--model", model, "--out-dir", str(out),
                      "--config", json.dumps(config)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: config" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestEvaluateAndReport:
@@ -572,7 +589,8 @@ class TestServedAsPrepared:
         return code, capsys.readouterr()
 
     def test_hashtag_text_kept_without_a_flag(self, tmp_path, capsys):
-        out = self.prepared_nb(tmp_path, "--keep-hashtag-text", prefix="#")
+        out = self.prepared_nb(tmp_path, "--config", json.dumps(
+            {"preprocess": {"keep_hashtag_text": True}}), prefix="#")
         texts = ["#bakwas", "#mast"]
         code, captured = self.predict(out / "nb.json", texts, tmp_path, capsys)
         assert code == 0
@@ -878,3 +896,13 @@ def test_training_bytes_do_not_depend_on_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
     for name in ("transformer.bin", "training_log.json"):
         assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration and file formats")[1].split("\n## ")[0]
+    bullets = {bullet.split("`")[0]: bullet for bullet in section.split("\n  - `")[1:]}
+    assert sorted(bullets) == sorted(SETTINGS)
+    missing = [f"{name}.{key}" for name, keys in SETTINGS.items() for key in keys
+               if f"`{key}`" not in bullets[name]]
+    assert missing == []
