@@ -29,7 +29,7 @@ from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      save_corpus, split)
 from .errors import (InputError, MixsentError, check_value, open_file,
                      parse_json_object, read_file)
-from .features import (fit_term_index, load_term_index, save_term_index,
+from .features import (fit_term_index, load_term_index, term_index_bytes,
                        tfidf_transform)
 from .metrics import (compare_models, evaluate, format_report, load_report,
                       per_class_f1_report, round_half_up, save_report)
@@ -244,16 +244,34 @@ def _fit_svm(X, labels, settings: dict, seed: int):
     return baselines.svm_train(X, labels, hyper), {**svm, "lambda": hyper.lambda_}
 
 
+def _check_shared_index(model_path: Path, digest: str) -> None:
+    """Both baselines read term_index.json: refuse to rewrite it with a
+    digest that the other baseline's model file does not record."""
+    for kind in ("nb", "svm"):
+        other = model_path.parent / MODELS[kind][0]
+        if other == model_path or not other.exists():
+            continue
+        ref = baselines.load_baseline(other)[1]
+        recorded = str(ref.get("sha256") if isinstance(ref, dict) else None)
+        if recorded != digest:
+            raise InputError(
+                f"{other} was trained on another term_index.json ({recorded[:12]}..., "
+                f"this one is {digest[:12]}...), which both baselines share; train "
+                f"them with the same features section, or in another --out-dir")
+
+
 def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int):
     min_df = settings["features"]["min_df"]
     idx = fit_term_index(train_c.texts(), min_df=min_df)
-    index_path = model_path.parent / "term_index.json"
-    save_term_index(idx, index_path)
-    ref = {"file": index_path.name, "sha256": _sha256(index_path)}
+    index_bytes = term_index_bytes(idx)
+    ref = {"file": "term_index.json", "sha256": hashlib.sha256(index_bytes).hexdigest()}
+    _check_shared_index(model_path, ref["sha256"])
     model, config = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(),
                         settings, seed)
+    # Written once the fit has returned: a failed train keeps the old run.
+    (model_path.parent / ref["file"]).write_bytes(index_bytes)
     baselines.save_baseline(model, model_path, term_index_ref=ref)
-    return {index_path.name: ref["sha256"]}, {**config, "min_df": min_df}, [index_path.name]
+    return {ref["file"]: ref["sha256"]}, {**config, "min_df": min_df}, [ref["file"]]
 
 
 def _nb_scores(model, X):
@@ -274,15 +292,16 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
     vocab_size = tok.pop("vocab_size")
     tok_cfg = TokenizerConfig(**tok)
     vocab = train_vocabulary(train_c.texts(), vocab_size, tok_cfg)
-    vocab_path = out_dir / "vocab.txt"
-    save_vocabulary(vocab, vocab_path)
-    vocab_ref = {"file": vocab_path.name, "sha256": _sha256(vocab_path)}
     cfg = tfm.EncoderConfig(**settings["encoder"], max_len=tok_cfg.max_len,
                             vocab_size=len(vocab), num_classes=3)
     tc = tfm.TrainConfig(**settings["train"], seed=seed)
 
     result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                        val_c.labels(), vocab, tok_cfg, cfg, tc)
+    # Written once training has returned: a failed train keeps the old run.
+    vocab_path = out_dir / "vocab.txt"
+    save_vocabulary(vocab, vocab_path)
+    vocab_ref = {"file": vocab_path.name, "sha256": _sha256(vocab_path)}
     tfm.save_transformer(model_path, result.final_params, cfg, tc, tok_cfg, vocab_ref)
     tfm.save_transformer(out_dir / "transformer_best.bin", result.best_params,
                          cfg, tc, tok_cfg, vocab_ref)

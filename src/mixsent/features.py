@@ -126,11 +126,12 @@ def tfidf_transform(texts: list[str], idx: TermIndex) -> FeatureMatrix:
                          num_features=len(idx))
 
 
-def save_term_index(idx: TermIndex, path: str | Path) -> None:
+def term_index_bytes(idx: TermIndex) -> bytes:
+    """The bytes of a term-index file, which load_term_index reads back."""
     payload = {"terms": list(idx.terms),
                "df": list(idx.document_frequency),
                "num_docs": idx.num_docs}
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    return json.dumps(payload, ensure_ascii=False).encode("utf-8")
 
 
 def load_term_index(path: str | Path) -> TermIndex:

@@ -72,7 +72,8 @@ class EvalReport:
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
         """The report of to_dict's output.  Metrics must be finite numbers,
-        supports and confusion counts integers (InputError otherwise)."""
+        supports and confusion counts integers, and every metric the one
+        that the confusion counts give (InputError otherwise)."""
         per_class = tuple(
             ClassMetrics(**d["per_class"][label.name.lower()]) for label in LABELS)
         for row in d["confusion"]:
@@ -82,10 +83,18 @@ class EvalReport:
         if confusion.shape != (NUM_CLASSES, NUM_CLASSES):
             raise InputError(f"confusion must be {NUM_CLASSES} x {NUM_CLASSES}, "
                              f"got shape {list(confusion.shape)}")
-        return cls(accuracy=d["accuracy"], per_class=per_class,
-                   weighted_precision=d["weighted"]["precision"],
-                   weighted_recall=d["weighted"]["recall"],
-                   weighted_f1=d["weighted"]["f1"], confusion=confusion)
+        report = cls(accuracy=d["accuracy"], per_class=per_class,
+                     weighted_precision=d["weighted"]["precision"],
+                     weighted_recall=d["weighted"]["recall"],
+                     weighted_f1=d["weighted"]["f1"], confusion=confusion)
+        if confusion.min() < 0:
+            raise InputError("confusion counts must be >= 0")
+        expected = _report(confusion)
+        if report.to_dict() != expected.to_dict():
+            raise InputError(f"metrics disagree with the confusion counts, which "
+                             f"give accuracy {expected.accuracy!r} and weighted f1 "
+                             f"{expected.weighted_f1!r}")
+        return report
 
 
 def confusion_matrix(y_true, y_pred) -> np.ndarray:
@@ -101,9 +110,14 @@ def evaluate(y_true: list[SentimentLabel], y_pred: list[SentimentLabel]) -> Eval
         raise InputError(f"length mismatch: {len(y_true)} true vs {len(y_pred)} predicted")
     if not y_true:
         raise InputError("cannot evaluate an empty label list")
+    return _report(confusion_matrix(y_true, y_pred))
 
-    cm = confusion_matrix(y_true, y_pred)
-    n = len(y_true)
+
+def _report(cm: np.ndarray) -> EvalReport:
+    """Every metric of a confusion matrix, in exact rationals."""
+    n = int(cm.sum())
+    if n == 0:
+        raise InputError("confusion counts are all zero")
     per_class = []
     weighted = {"precision": Fraction(0), "recall": Fraction(0), "f1": Fraction(0)}
     for c in range(NUM_CLASSES):

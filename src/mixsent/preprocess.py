@@ -19,9 +19,11 @@ from .errors import InputError, parse_json_object, read_file
 
 DROP_REASONS = ("no_alpha", "filler", "empty", "duplicate")
 
-_URL_RE = re.compile(r"https?://\S*|(?<!\S)www\.\S*")
-_MENTION_RE = re.compile(r"(?<!\S)@\S*")
-_HASHTAG_TOKEN_RE = re.compile(r"(?<!\S)#\S*")
+# URLs, @-mentions and, unless hashtag text is kept, hashtag tokens, keyed
+# by keep_hashtag_text.  Each match runs to the next whitespace, so removing
+# one never starts a new token: one pass removes what a pass per kind would.
+_NOISE_RE = {False: re.compile(r"https?://\S*|(?<!\S)(?:www\.|[@#])\S*"),
+             True: re.compile(r"https?://\S*|(?<!\S)(?:www\.|@)\S*")}
 
 # Pictographic / emoji codepoint ranges; none of these contain letters, so
 # removing them can never delete alphabetic text.
@@ -138,11 +140,7 @@ def normalize_text(text: str, keep_hashtag_text: bool = False) -> str:
     keep_hashtag_text=False removes hashtag tokens whole; True keeps the
     word and drops only the '#'.  No '#' survives in either mode.
     """
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    if not keep_hashtag_text:
-        text = _HASHTAG_TOKEN_RE.sub(" ", text)
-    text = text.replace("#", "")
+    text = _NOISE_RE[keep_hashtag_text].sub(" ", text).replace("#", "")
     return " ".join(text.split())
 
 

@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixsent
+from mixsent import baselines
 from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_predict, nb_train
 from mixsent.cli import SETTINGS, main
 from mixsent.corpus import CANONICAL_LABEL_MAP, SentimentLabel, load_corpus
+from mixsent.errors import TrainingError
 from mixsent.features import fit_term_index, load_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, clean_text
@@ -230,6 +232,49 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 1.86 TiB for an array\n"
 
+    def test_failed_train_keeps_the_old_run(self, tmp_path, capsys, monkeypatch):
+        """A train that fails in its fit writes nothing, so the models
+        already in the run directory still match their references."""
+        out = run_prepare(tmp_path, tmp_path / "run")
+        assert main(["train", "--model", "svm", "--out-dir", str(out)]) == 0
+        assert main(["train", "--model", "transformer", "--out-dir", str(out),
+                     "--config", TINY_TRANSFORMER_CONFIG]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def diverge(*args, **kwargs):
+            raise TrainingError("non-finite loss")
+
+        monkeypatch.setattr(baselines, "svm_train", diverge)
+        monkeypatch.setattr(tfm, "train", diverge)
+        config = json.loads(TINY_TRANSFORMER_CONFIG)
+        config["tokenizer"]["vocab_size"] = 60       # another vocabulary
+        assert main(["train", "--model", "svm", "--out-dir", str(out),
+                     "--config", '{"features": {"min_df": 2}}']) == 1
+        assert main(["train", "--model", "transformer", "--out-dir", str(out),
+                     "--config", json.dumps(config)]) == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+        monkeypatch.undo()
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        for model_file in ("svm.json", "transformer.bin"):
+            assert main(["predict", "--model-file", str(out / model_file),
+                         "--input", str(texts)]) == 0
+
+    def test_baselines_keep_one_term_index(self, tmp_path, capsys):
+        """nb and svm share term_index.json: a train that would rewrite it
+        under the other baseline exits 2, names that model and writes nothing."""
+        out = run_prepare(tmp_path, tmp_path / "run")
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main(["train", "--model", "svm", "--out-dir", str(out),
+                     "--config", '{"features": {"min_df": 2}}']) == 2
+        assert (f"error: {out / 'nb.json'} was trained on another term_index.json"
+                in capsys.readouterr().err)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
+
     def test_unknown_model_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--model", "tree", "--out-dir", str(tmp_path)])
@@ -391,6 +436,27 @@ class TestEvaluateAndReport:
         assert main(["report", "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "malformed report" in err and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: (d.update(accuracy=0.5), d["weighted"].update(f1=0.99)),
+         "metrics disagree with the confusion counts, which give accuracy 1.0"),
+        (lambda d: d["per_class"]["negative"].update(support=3),
+         "metrics disagree with the confusion counts"),
+        (lambda d: d["confusion"][0].__setitem__(1, -1),
+         "confusion counts must be >= 0"),
+        (lambda d: d.update(confusion=[[0] * 3] * 3), "confusion counts are all zero"),
+    ], ids=["metrics-edited", "support-edited", "negative-count", "all-zero"])
+    def test_report_contradicting_confusion_exit_2(self, tmp_path, capsys, edit,
+                                                   message):
+        labels = [SentimentLabel(i) for i in (0, 1, 2, 2)]
+        report = evaluate(labels, labels).to_dict()
+        edit(report)
+        (tmp_path / "eval_nb_test.json").write_text(json.dumps(report),
+                                                    encoding="utf-8")
+        assert main(["report", "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed report" in captured.err and message in captured.err
 
 
 class TestBaselineArtifact:

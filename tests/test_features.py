@@ -9,7 +9,7 @@ import baselines_reference as ref
 from mixsent.baselines import LinearSvmModel, SvmHyper, svm_predict
 from mixsent.errors import InputError
 from mixsent.features import (FeatureMatrix, TermIndex, fit_term_index,
-                              load_term_index, save_term_index,
+                              load_term_index, term_index_bytes,
                               tfidf_transform)
 
 from conftest import feature_matrix
@@ -171,7 +171,7 @@ class TestTermIndexIO:
     def test_roundtrip(self, tmp_path):
         idx = fit_term_index(["mast movie", "bekar khana", "movie"])
         path = tmp_path / "term_index.json"
-        save_term_index(idx, path)
+        path.write_bytes(term_index_bytes(idx))
         loaded = load_term_index(path)
         assert loaded == idx
 

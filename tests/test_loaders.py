@@ -16,7 +16,7 @@ from mixsent.baselines import (SvmHyper, load_baseline, nb_train, save_baseline,
 from mixsent.corpus import (CANONICAL_LABEL_MAP, SentimentLabel, load_corpus,
                             load_label_map, save_corpus)
 from mixsent.errors import InputError
-from mixsent.features import fit_term_index, load_term_index, save_term_index
+from mixsent.features import fit_term_index, load_term_index, term_index_bytes
 from mixsent.metrics import evaluate, load_report, save_report
 from mixsent.preprocess import load_emoji_lexicon, load_fillers, load_stop_words
 from mixsent.tokenizer import TokenizerConfig, Vocabulary, load_vocabulary, save_vocabulary
@@ -49,7 +49,8 @@ def _write_samples(d: Path) -> dict[str, Path]:
     paths["stop.txt"].write_bytes(_packaged("stopwords.txt"))
     paths["fillers.txt"].write_bytes(_packaged("fillers.txt"))
     save_vocabulary(Vocabulary.from_pieces(["li", "##kh", "##na"]), paths["vocab.txt"])
-    save_term_index(fit_term_index(["a b", "b c", "c"]), paths["index.json"])
+    paths["index.json"].write_bytes(
+        term_index_bytes(fit_term_index(["a b", "b c", "c"])))
     save_report(evaluate(LABELS3, LABELS3[::-1]), paths["report.json"],
                 extra={"model": "nb", "split": "test"})
     X = feature_matrix([{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.5}])

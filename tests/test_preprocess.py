@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
@@ -11,6 +11,7 @@ from mixsent.preprocess import (DROP_REASONS, EmojiLexicon, FillerList,
                                 load_emoji_lexicon,
                                 normalize_case_and_stopwords, normalize_text,
                                 preprocess_corpus, replace_emojis)
+from preprocess_reference import normalize_text_reference
 
 CFG = PreprocessConfig()
 
@@ -40,6 +41,14 @@ class TestNormalizeText:
     def test_no_hash_character_survives_either_mode(self):
         for keep in (False, True):
             assert "#" not in normalize_text("a#b #tag c#", keep_hashtag_text=keep)
+
+    @settings(max_examples=500)
+    @given(text=st.lists(st.sampled_from(
+               ["http://", "https://", "www.", "@", "#", "a", "Z", "k", "😂", "❤️",
+                " ", "\t", "\n", "\u00a0"]), max_size=30).map("".join),
+           keep=st.booleans())
+    def test_one_pass_matches_a_pass_per_kind(self, text, keep):
+        assert normalize_text(text, keep) == normalize_text_reference(text, keep)
 
 
 class TestReplaceEmojis:
