@@ -249,15 +249,12 @@ def _check_shared_index(model_path: Path, digest: str) -> None:
     digest that the other baseline's model file does not record."""
     for kind in ("nb", "svm"):
         other = model_path.parent / MODELS[kind][0]
-        if other == model_path or not other.exists():
-            continue
-        ref = baselines.load_baseline(other)[1]
-        recorded = str(ref.get("sha256") if isinstance(ref, dict) else None)
-        if recorded != digest:
-            raise InputError(
-                f"{other} was trained on another term_index.json ({recorded[:12]}..., "
-                f"this one is {digest[:12]}...), which both baselines share; train "
-                f"them with the same features section, or in another --out-dir")
+        if other != model_path and other.exists():
+            ref = baselines.load_baseline(other)[1]
+            if not isinstance(ref, dict) or ref.get("sha256") != digest:
+                raise InputError(f"{other} was trained on another term_index.json, "
+                                 f"which both baselines share; train them with the "
+                                 f"same features section, or in another --out-dir")
 
 
 def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int):
