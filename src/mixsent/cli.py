@@ -108,7 +108,36 @@ def _load_config(arg: str) -> tuple[dict, dict]:
     if unknown:
         raise InputError(f"config sections {unknown} unknown; "
                          f"the sections are {list(SETTINGS)}")
-    return overrides, {name: _section(name, overrides.get(name, {})) for name in SETTINGS}
+    settings = {name: _section(name, overrides.get(name, {})) for name in SETTINGS}
+    _check_ranges(settings)
+    return overrides, settings
+
+
+def _check_ranges(settings: dict) -> None:
+    """Build each section's library object, which checks the ranges of its
+    values, so a config fails alike for every command, whichever sections it
+    reads.  The objects themselves are built again where they are used."""
+    tok = {key: v for key, v in settings["tokenizer"].items() if key != "vocab_size"}
+    builds = [
+        ("split", lambda: SplitSpec(**settings["split"])),
+        ("svm", lambda: baselines.SvmHyper(float(settings["svm"]["lambda"]),
+                                           settings["svm"]["epochs"])),
+        ("tokenizer", lambda: TokenizerConfig(**tok)),
+        ("encoder", lambda: tfm.EncoderConfig(
+            **settings["encoder"], max_len=tok["max_len"],
+            vocab_size=settings["tokenizer"]["vocab_size"], num_classes=3)),
+        ("train", lambda: tfm.TrainConfig(**settings["train"])),
+    ]
+    for name, build in builds:
+        try:
+            build()
+        except InputError as e:
+            raise InputError(f"config {name}: {e}") from None
+    # nb_train and fit_term_index check these only once given data.
+    if settings["nb"]["alpha"] <= 0:
+        raise InputError("config nb: alpha must be > 0")
+    if settings["features"]["min_df"] < 1:
+        raise InputError("config features: min_df must be >= 1")
 
 
 def _preprocess_config(section: dict) -> PreprocessConfig:
@@ -364,10 +393,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_held_out(model_path: Path, kind: str, out_dir: Path) -> None:
+    """Refuse a split directory whose train.jsonl is not the one the model's
+    train manifest records: after a re-run 'prepare' (or in another
+    directory) the other splits may hold the model's training rows."""
+    path = model_path.parent / f"{kind}.manifest.json"
+    manifest = parse_json_object(read_file(path, "train manifest"),
+                                 f"malformed manifest {path}")
+    inputs = manifest.get("inputs")
+    recorded = inputs.get("train.jsonl") if isinstance(inputs, dict) else None
+    if not isinstance(recorded, str):
+        raise InputError(f"{path} records no train.jsonl digest")
+    if _sha256(out_dir / "train.jsonl") != recorded:
+        raise InputError(f"{out_dir / 'train.jsonl'} is not the split {model_path.name} "
+                         f"was trained on, so the other splits may hold its training "
+                         f"rows; train again after 'prepare'")
+
+
 def cmd_evaluate(args) -> int:
     model_path = Path(args.model_file)
     kind, predict = _load_model(model_path)
     out_dir = Path(args.out_dir) if args.out_dir else model_path.parent
+    _check_held_out(model_path, kind, out_dir)
     split_c = _split_corpus_file(out_dir, args.split)
     report = evaluate(split_c.labels(), predict(split_c.texts())[0])
     # Saved before anything is printed, so a reader that closes stdout

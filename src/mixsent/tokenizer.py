@@ -42,9 +42,10 @@ class TokenizerConfig:
 @dataclass(frozen=True)
 class Vocabulary:
     tokens: tuple[str, ...]
-    token_to_id: dict[str, int] = field(hash=False, compare=False, default=None)
-    # Length of the longest token: no longer candidate can match.
-    max_token_chars: int = field(init=False, hash=False, compare=False, repr=False)
+    # A trie of every token's full string, specials and "##" pieces included:
+    # each node maps a character to its child, and "" to the id of the token
+    # that ends there.
+    _trie: dict = field(init=False, hash=False, compare=False, repr=False)
     # encode's memo: max_word_chars -> word -> the word's ids.
     _word_ids: dict[int, dict[str, tuple[int, ...]]] = field(
         init=False, hash=False, compare=False, repr=False)
@@ -61,19 +62,17 @@ class Vocabulary:
                 raise InputError(f"continuation piece needs >=1 char after '##': {tok!r}")
             if not tok:
                 raise InputError("empty token in vocabulary")
-        object.__setattr__(self, "token_to_id",
-                           {tok: i for i, tok in enumerate(self.tokens)})
-        object.__setattr__(self, "max_token_chars", max(map(len, self.tokens)))
+        trie: dict = {}
+        for i, tok in enumerate(self.tokens):
+            node = trie
+            for ch in tok:
+                node = node.setdefault(ch, {})
+            node[""] = i
+        object.__setattr__(self, "_trie", trie)
         object.__setattr__(self, "_word_ids", {})
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-    def id_of(self, token: str) -> int:
-        return self.token_to_id[token]
 
     @classmethod
     def from_pieces(cls, pieces: list[str] | tuple[str, ...]) -> "Vocabulary":
@@ -81,41 +80,46 @@ class Vocabulary:
         return cls(tuple(SPECIALS) + tuple(pieces))
 
 
-def tokenize_word(word: str, v: Vocabulary, cfg: TokenizerConfig) -> list[str]:
-    """Greedy longest-match segmentation of one whitespace-free word.
+def _segment(word: str, trie: dict) -> tuple[int, ...]:
+    """Greedy longest-match-first ids of one whitespace-free word, or
+    (UNK_ID,) when some position starts no piece.
 
-    Returns [UNK] when the word is over-long or any position has no
-    matching piece.  Candidates longer than the vocabulary's longest token
-    are not tried (Song et al., "Fast WordPiece Tokenization", 2021).
+    Each piece is one walk down the vocabulary trie: a word-initial piece
+    from the root, a continuation piece from the node reached by "##".  The
+    last token end passed is the longest match (Song et al., "Fast
+    WordPiece Tokenization", EMNLP 2021).
     """
-    if not word or any(ch.isspace() for ch in word):
-        raise InputError(f"tokenize_word expects a non-empty whitespace-free word: {word!r}")
-    if len(word) > cfg.max_word_chars:
-        return [UNK]
-    pieces = []
-    start = 0
-    while start < len(word):
-        prefix = CONTINUATION_PREFIX if start else ""
-        end = min(len(word), start + v.max_token_chars - len(prefix))
-        match = None
-        while start < end:
-            candidate = prefix + word[start:end]
-            if candidate in v:
-                match = candidate
+    continuation = trie  # the node reached by "##", or {} if no token has it
+    for ch in CONTINUATION_PREFIX:
+        continuation = continuation.get(ch, {})
+    node = trie
+    start, n = 0, len(word)
+    ids = []
+    while True:
+        best = -1
+        i = start
+        while i < n:
+            node = node.get(word[i])
+            if node is None:
                 break
-            end -= 1
-        if match is None:
-            return [UNK]
-        pieces.append(match)
-        start = end
-    return pieces
+            i += 1
+            end_id = node.get("")
+            if end_id is not None:
+                best, start = end_id, i
+        if best < 0:
+            return (UNK_ID,)
+        ids.append(best)
+        if start == n:
+            return tuple(ids)
+        node = continuation
 
 
 def encode(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
     """[CLS] + pieces + [SEP], tail-truncated to max_len; no padding.
 
-    Each distinct word is segmented once per vocabulary and max_word_chars;
-    its ids are kept on the vocabulary for later texts.
+    A word longer than max_word_chars is [UNK].  Each distinct word is
+    segmented once per vocabulary and max_word_chars; its ids are kept on
+    the vocabulary for later texts.
     """
     word_ids = v._word_ids.setdefault(cfg.max_word_chars, {})
     budget = cfg.max_len - 2
@@ -125,7 +129,8 @@ def encode(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
             break
         hit = word_ids.get(word)
         if hit is None:
-            hit = word_ids[word] = tuple(v.id_of(p) for p in tokenize_word(word, v, cfg))
+            hit = word_ids[word] = (_segment(word, v._trie)
+                                    if len(word) <= cfg.max_word_chars else (UNK_ID,))
         ids.extend(hit)
     return [CLS_ID] + ids[:budget] + [SEP_ID]
 

@@ -22,7 +22,7 @@ from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, preprocess_corpus
 from mixsent.tokenizer import (TokenizerConfig, Vocabulary, encode,
-                               tokenize_word, train_vocabulary)
+                               train_vocabulary)
 
 from conftest import DATA_DIR, decode, feature_matrix
 
@@ -93,7 +93,6 @@ def test_criterion_03_tokenizer_fixture():
     with criterion(3, "7-token vocabulary segments and inverts 'likhna'"):
         vocab = Vocabulary.from_pieces(["li", "##kh", "##na"])
         cfg = TokenizerConfig(max_len=16)
-        assert tokenize_word("likhna", vocab, cfg) == ["li", "##kh", "##na"]
         enc = encode("likhna", vocab, cfg)
         pieces = [vocab.tokens[i] for i in enc[1:-1]]
         assert pieces == ["li", "##kh", "##na"]

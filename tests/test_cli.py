@@ -291,6 +291,17 @@ class TestTrain:
         assert "error: config sections ['nbb'] unknown" in capsys.readouterr().err
         assert not (out / "nb.json").exists()
 
+    def test_out_of_range_sections_fail_every_command(self, tmp_path, capsys):
+        """Each range below is checked by a section nb training never reads."""
+        out = run_prepare(tmp_path, tmp_path / "run")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        config = {"split": {"train_frac": 2}, "encoder": {"d_model": 30},
+                  "svm": {"lambda": -1.0}, "tokenizer": {"max_len": 1}}
+        assert main(["train", "--model", "nb", "--out-dir", str(out),
+                     "--config", json.dumps(config)]) == 2
+        assert "error: config split: train_frac + val_frac" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_one_config_file_serves_every_command(self, tmp_path):
         """Each command passes over the sections of other commands and models."""
         config = json.loads(TINY_TRANSFORMER_CONFIG)
@@ -335,11 +346,27 @@ class TestTrain:
         # every section is checked, also those the model does not read
         ("nb", "encoder", {"num_layers": 1.5}),
         ("svm", "train", {"seed": 3}),
+        # and so are the ranges of its values
+        ("nb", "split", {"train_frac": 2}),
+        ("nb", "split", {"val_frac": 0}),
+        ("nb", "encoder", {"d_model": 30, "num_heads": 4}),
+        ("nb", "encoder", {"dropout": 1.0}),
+        ("nb", "svm", {"lambda": -1.0}),
+        ("transformer", "svm", {"epochs": -1}),
+        ("nb", "tokenizer", {"max_len": 1}),
+        ("nb", "tokenizer", {"vocab_size": 0}),
+        ("nb", "train", {"learning_rate": 0}),
+        ("svm", "nb", {"alpha": 0}),
+        ("nb", "features", {"min_df": 0}),
     ], ids=["num_layers-float", "batch_size-float", "epochs-float",
             "dropout-str", "unknown-key", "seed-str", "seed-removed",
             "section-list", "alpha-str", "bool-str", "max_len-derived",
             "vocab_size-derived", "num_classes-derived", "nb-encoder-float",
-            "svm-train-seed"])
+            "svm-train-seed", "nb-split-range", "nb-val-frac-range",
+            "nb-heads-divide", "nb-dropout-range", "nb-lambda-range",
+            "transformer-svm-epochs-range", "nb-max_len-range",
+            "nb-vocab_size-range", "nb-learning-rate-range", "svm-alpha-range",
+            "nb-min_df-range"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, model, section, value):
         out = run_prepare(tmp_path, tmp_path / "run")
         before = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -404,6 +431,53 @@ class TestEvaluateAndReport:
         code = main(["evaluate", "--model-file", str(trained_dir / "nb.json"),
                      "--split", "test"])
         assert code == 2
+
+    @staticmethod
+    def nb_run(tmp_path):
+        out = run_prepare(tmp_path, tmp_path / "run", seed=1)
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        return out
+
+    def test_resplit_after_train_refused(self, tmp_path, capsys):
+        """A second 'prepare' at another seed moves training rows into the
+        test split; evaluating the old model there would score them."""
+        out = self.nb_run(tmp_path)
+        run_prepare(tmp_path, out, seed=2)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 2
+        assert "is not the split nb.json was trained on" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_other_out_dir_needs_the_same_train_split(self, tmp_path, capsys):
+        out = self.nb_run(tmp_path)
+        same, other = tmp_path / "same", tmp_path / "other"
+        same.mkdir()
+        for name in ("train.jsonl", "test.jsonl"):
+            (same / name).write_bytes((out / name).read_bytes())
+        assert main(["evaluate", "--model-file", str(out / "nb.json"),
+                     "--out-dir", str(same)]) == 0
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
+        assert ((same / "eval_nb_test.json").read_bytes()
+                == (out / "eval_nb_test.json").read_bytes())
+        run_prepare(tmp_path, other, seed=2)
+        assert main(["evaluate", "--model-file", str(out / "nb.json"),
+                     "--out-dir", str(other)]) == 2
+        assert not (other / "eval_nb_test.json").exists()
+
+    @pytest.mark.parametrize("manifest", [None, "{}", '{"inputs": {}}',
+                                          '{"inputs": {"train.jsonl": 5}}', "[1]"])
+    def test_train_manifest_missing_or_without_digest_exit_2(self, tmp_path, capsys,
+                                                             manifest):
+        out = self.nb_run(tmp_path)
+        path = out / "nb.manifest.json"
+        if manifest is None:
+            path.unlink()
+        else:
+            path.write_text(manifest, encoding="utf-8")
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 2
+        assert "nb.manifest.json" in capsys.readouterr().err
+        assert not (out / "eval_nb_test.json").exists()
 
     def test_report_without_evals_exit_2(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,36 +11,47 @@ from vocab_reference import train_vocabulary_reference
 from mixsent.errors import InputError
 from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, SPECIALS, UNK, UNK_ID,
                                TokenizerConfig, Vocabulary, encode,
-                               load_vocabulary, save_vocabulary, tokenize_word,
+                               load_vocabulary, save_vocabulary,
                                train_vocabulary)
 from mixsent.transformer import _pad
 
 
+def _pieces(word, v, cfg):
+    """The pieces encode gives one word, as token strings (max_len leaves
+    room for every character of the word)."""
+    cfg = dataclasses.replace(cfg, max_len=len(word) + 2)
+    return [v.tokens[i] for i in encode(word, v, cfg)[1:-1]]
+
+
 class TestTokenizeWord:
     def test_reference_segmentation(self, segment_vocab, tok_cfg):
-        assert tokenize_word("likhna", segment_vocab, tok_cfg) == ["li", "##kh", "##na"]
+        assert _pieces("likhna", segment_vocab, tok_cfg) == ["li", "##kh", "##na"]
 
     def test_whole_word_hit(self, tok_cfg):
         v = Vocabulary.from_pieces(["good", "go", "##od"])
-        assert tokenize_word("good", v, tok_cfg) == ["good"]
+        assert _pieces("good", v, tok_cfg) == ["good"]
 
     def test_no_cover_falls_back_to_unk(self, segment_vocab, tok_cfg):
-        assert tokenize_word("xyz", segment_vocab, tok_cfg) == [UNK]
+        assert _pieces("xyz", segment_vocab, tok_cfg) == [UNK]
 
     def test_overlong_word_is_unk(self, segment_vocab):
         cfg = TokenizerConfig(max_len=16, max_word_chars=5)
-        assert tokenize_word("likhna", segment_vocab, cfg) == [UNK]
+        assert _pieces("likhna", segment_vocab, cfg) == [UNK]
 
-    def test_rejects_whitespace(self, segment_vocab, tok_cfg):
-        with pytest.raises(InputError):
-            tokenize_word("two words", segment_vocab, tok_cfg)
+    def test_whitespace_separates_words(self, segment_vocab, tok_cfg):
+        """Any Unicode whitespace ends a word, so no segmented word holds one."""
+        spaced = "likhna\tli\u2003likhna\n"
+        assert (encode(spaced, segment_vocab, tok_cfg)
+                == encode("likhna li likhna", segment_vocab, tok_cfg)
+                == encode_reference(spaced, segment_vocab, tok_cfg))
+        assert UNK_ID not in encode(spaced, segment_vocab, tok_cfg)
 
     def test_greedy_property(self, tok_cfg):
         # for every produced piece, no longer vocabulary entry matches there
         v = Vocabulary.from_pieces(["l", "li", "likh", "##h", "##hna",
                                     "##k", "##kh", "##n", "##na", "##a"])
         word = "likhna"
-        pieces = tokenize_word(word, v, tok_cfg)
+        pieces = _pieces(word, v, tok_cfg)
         pos = 0
         for piece in pieces:
             bare = piece[2:] if piece.startswith("##") else piece
@@ -46,9 +59,33 @@ class TestTokenizeWord:
                 candidate = word[pos:pos + longer]
                 if pos > 0:
                     candidate = "##" + candidate
-                assert candidate not in v, (piece, candidate)
+                assert candidate not in v.tokens, (piece, candidate)
             pos += len(bare)
         assert pos == len(word)
+
+    @pytest.mark.parametrize("pieces,word", [
+        (["##ab", "a", "##b"], "##ab"),          # a word spelled as a "##" piece
+        (["##ab", "a", "##b"], "##abb"),
+        (["#", "##a", "##b"], "#ab"),            # "#" is a piece; "##" is no word start
+        (["#", "##a", "##b"], "##a"),
+        (["#", "###", "##a"], "###a"),
+        (["[", "##U"], "[UNK]"),                 # a word equal to a special
+        (["[", "##U", "##x"], "[UNK]x"),         # a word starting with one
+        (["[", "##U"], "[UN"),
+        (["a", "abcd", "##b", "##c", "##e"], "abce"),  # no token end on "abc"
+        (["a", "abcd", "##bce"], "abce"),
+        (["a", "abcd"], "abce"),
+        (["ab", "a"], "ab"),                     # no continuation pieces at all
+        (["ab", "a"], "aba"),
+        (["#", "ab"], "ab#"),                    # "#" node, no "##" node
+        (["#", "ab"], "##"),
+    ])
+    def test_trie_edge_cases(self, pieces, word, tok_cfg):
+        """Words and vocabularies where a trie walk could part from trying
+        every candidate string: ids and pieces equal the reference's."""
+        v = Vocabulary.from_pieces(pieces)
+        assert _pieces(word, v, tok_cfg) == tokenize_word_reference(word, v, tok_cfg)
+        assert encode(word, v, tok_cfg) == encode_reference(word, v, tok_cfg)
 
 
 class TestEncode:
@@ -72,13 +109,13 @@ class TestEncode:
 
     def test_two_words_concatenate(self, segment_vocab, tok_cfg):
         e = encode("likhna likhna", segment_vocab, tok_cfg)
-        li, kh, na = (segment_vocab.id_of(t) for t in ("li", "##kh", "##na"))
+        li, kh, na = (segment_vocab.tokens.index(t) for t in ("li", "##kh", "##na"))
         assert e == [CLS_ID, li, kh, na, li, kh, na, SEP_ID]
 
     def test_truncation_keeps_head_and_sep(self, segment_vocab):
         cfg = TokenizerConfig(max_len=4)
         e = encode("likhna likhna likhna", segment_vocab, cfg)
-        li, kh = segment_vocab.id_of("li"), segment_vocab.id_of("##kh")
+        li, kh = segment_vocab.tokens.index("li"), segment_vocab.tokens.index("##kh")
         assert e == [CLS_ID, li, kh, SEP_ID]
 
     @given(st.text(alphabet="likhna xyz", max_size=80))
@@ -98,19 +135,21 @@ class TestEncode:
         assert all(i == PAD_ID for i in ids[0, n:])
 
 
-# Initial or "##" continuation pieces over "abc"; texts may also hold "d",
-# which no piece covers.
-_PIECES = st.tuples(st.booleans(), st.text(alphabet="abc", min_size=1, max_size=4)
-                    ).map(lambda t: ("##" if t[0] else "") + t[1])
+# Initial or "##" continuation pieces over "abc#" (so words and pieces may
+# start with "#" or "##"); texts may also hold "d", which no piece covers.
+# "##" alone is no piece.
+_PIECES = st.tuples(st.booleans(), st.text(alphabet="abc#", min_size=1, max_size=4)
+                    ).map(lambda t: ("##" if t[0] else "") + t[1]
+                          ).filter(lambda p: p != "##")
 
 
 class TestEncodeMatchesReference:
-    """encode stops at the vocabulary's longest token and memoizes each
-    word's ids on the vocabulary; tokenizer_reference.py segments every word
-    afresh from the rest of the word down."""
+    """encode walks a trie of the vocabulary and memoizes each word's ids on
+    the vocabulary; tokenizer_reference.py segments every word afresh,
+    looking up each candidate string from the rest of the word down."""
 
     @given(st.lists(_PIECES, unique=True, max_size=12),
-           st.lists(st.text(alphabet="abcd ", max_size=40), min_size=1, max_size=6),
+           st.lists(st.text(alphabet="abcd# ", max_size=40), min_size=1, max_size=6),
            st.integers(3, 12), st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
     def test_random_vocabularies_and_texts(self, pieces, texts, max_len, max_chars):
@@ -119,7 +158,7 @@ class TestEncodeMatchesReference:
         for text in texts + texts:  # the second pass reads memoized words
             assert encode(text, v, cfg) == encode_reference(text, v, cfg)
         for word in {w for text in texts for w in text.split()}:
-            assert tokenize_word(word, v, cfg) == tokenize_word_reference(word, v, cfg)
+            assert _pieces(word, v, cfg) == tokenize_word_reference(word, v, cfg)
 
     @pytest.mark.parametrize("text,max_len,max_word_chars", [
         ("likhna li", 16, 5),                 # over-long word
@@ -144,11 +183,12 @@ class TestEncodeMatchesReference:
         assert len(encode("likhna", segment_vocab, fits)) == 5
 
     def test_longest_token_bounds_candidates(self, tok_cfg):
+        """The walk for "##abab" reads past the longest initial token."""
         v = Vocabulary.from_pieces(["a", "##b", "ab", "##abab"])
-        assert v.max_token_chars == len("##abab")
-        assert tokenize_word("ababab", v, tok_cfg) == ["ab", "##abab"]
-        assert (tokenize_word("ababab", v, tok_cfg)
+        assert _pieces("ababab", v, tok_cfg) == ["ab", "##abab"]
+        assert (_pieces("ababab", v, tok_cfg)
                 == tokenize_word_reference("ababab", v, tok_cfg))
+        assert encode("ababab", v, tok_cfg) == encode_reference("ababab", v, tok_cfg)
 
 
 class TestDecode:
@@ -205,14 +245,14 @@ class TestTrainVocabulary:
 
     def test_spelling_variants_share_first_piece_fixture(self, tok_cfg):
         v = Vocabulary.from_pieces(["shukri", "##ya", "##a"])
-        a = tokenize_word("shukriya", v, tok_cfg)
-        b = tokenize_word("shukria", v, tok_cfg)
+        a = _pieces("shukriya", v, tok_cfg)
+        b = _pieces("shukria", v, tok_cfg)
         assert a[0] == b[0] == "shukri"
 
     def test_spelling_variants_share_first_piece_trained(self, tok_cfg):
         v = train_vocabulary(["shukriya", "shukria"] * 5, target_size=17)
-        a = tokenize_word("shukriya", v, tok_cfg)
-        b = tokenize_word("shukria", v, tok_cfg)
+        a = _pieces("shukriya", v, tok_cfg)
+        b = _pieces("shukria", v, tok_cfg)
         assert a[0] == b[0]
         assert len(a[0]) > 1
 
@@ -291,7 +331,7 @@ class TestVocabularyIO:
         path = tmp_path / "vocab.txt"
         path.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nli\n##kh\n##na\n", encoding="utf-8")
         v = load_vocabulary(path)
-        assert tokenize_word("likhna", v, tok_cfg) == ["li", "##kh", "##na"]
+        assert _pieces("likhna", v, tok_cfg) == ["li", "##kh", "##na"]
 
     def test_bad_continuation_piece(self, tmp_path):
         path = tmp_path / "vocab.txt"

@@ -1,8 +1,9 @@
 """Reference encoder: segments every word of every text afresh, trying each
-candidate from the rest of the word down to one character.
-`mixsent.tokenizer.encode` bounds the candidates by the vocabulary's longest
-token and memoizes each word's ids, and must return the same ids; the tests
-compare the two."""
+candidate string from the rest of the word down to one character and
+looking each up among the vocabulary's tokens.
+`mixsent.tokenizer.encode` walks a trie of the tokens once per piece and
+memoizes each word's ids, and must return the same ids; the tests compare
+the two."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ def tokenize_word_reference(word: str, v: Vocabulary,
                             cfg: TokenizerConfig) -> list[str]:
     if len(word) > cfg.max_word_chars:
         return [UNK]
+    tokens = set(v.tokens)
     pieces = []
     start = 0
     while start < len(word):
@@ -23,7 +25,7 @@ def tokenize_word_reference(word: str, v: Vocabulary,
             candidate = word[start:end]
             if start > 0:
                 candidate = CONTINUATION_PREFIX + candidate
-            if candidate in v:
+            if candidate in tokens:
                 match = candidate
                 break
             end -= 1
@@ -37,4 +39,4 @@ def tokenize_word_reference(word: str, v: Vocabulary,
 def encode_reference(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
     pieces = [p for word in text.split()
               for p in tokenize_word_reference(word, v, cfg)]
-    return [CLS_ID] + [v.id_of(p) for p in pieces[:cfg.max_len - 2]] + [SEP_ID]
+    return [CLS_ID] + [v.tokens.index(p) for p in pieces[:cfg.max_len - 2]] + [SEP_ID]
