@@ -404,10 +404,8 @@ def _check_held_out(model_path: Path, kind: str, out_dir: Path) -> None:
     recorded = inputs.get("train.jsonl") if isinstance(inputs, dict) else None
     if not isinstance(recorded, str):
         raise InputError(f"{path} records no train.jsonl digest")
-    if _sha256(out_dir / "train.jsonl") != recorded:
-        raise InputError(f"{out_dir / 'train.jsonl'} is not the split {model_path.name} "
-                         f"was trained on, so the other splits may hold its training "
-                         f"rows; train again after 'prepare'")
+    _verify_ref(out_dir, {"file": "train.jsonl", "sha256": recorded},
+                f"{model_path.name} training split")
 
 
 def cmd_evaluate(args) -> int:

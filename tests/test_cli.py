@@ -446,7 +446,7 @@ class TestEvaluateAndReport:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
         assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 2
-        assert "is not the split nb.json was trained on" in capsys.readouterr().err
+        assert "nb.json training split digest mismatch" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_other_out_dir_needs_the_same_train_split(self, tmp_path, capsys):
