@@ -212,9 +212,13 @@ def _class_array(payload: dict, key: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def load_baseline(path: str | Path) -> tuple[NaiveBayesModel | LinearSvmModel, dict | None]:
-    payload = parse_json_object(read_file(path, "model file"),
-                                f"malformed model file {path}")
+def load_baseline(path: str | Path, payload: dict | None = None
+                  ) -> tuple[NaiveBayesModel | LinearSvmModel, dict | None]:
+    """The model in the file at path and its term_index_ref; payload, when
+    given, is that file already parsed, and the file is not read again."""
+    if payload is None:
+        payload = parse_json_object(read_file(path, "model file"),
+                                    f"malformed model file {path}")
     try:
         kind = payload["model_type"]
         if kind == "nb":

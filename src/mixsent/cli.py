@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import os
 import sys
@@ -305,8 +306,8 @@ def _nb_scores(model, X):
     return labels, np.exp(log_posterior)
 
 
-def _load_baseline(scores, model_path: Path):
-    model, ref = baselines.load_baseline(model_path)
+def _load_baseline(scores, model_path: Path, payload: dict | None):
+    model, ref = baselines.load_baseline(model_path, payload)
     idx = load_term_index(_verify_ref(model_path.parent, ref, "term index"))
     return lambda texts: scores(model, tfidf_transform(texts, idx))
 
@@ -345,7 +346,7 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
             ["transformer_best.bin", "vocab.txt", "training_log.json"])
 
 
-def _load_transformer(model_path: Path):
+def _load_transformer(model_path: Path, payload: dict | None):
     params, cfg, _tc, vocab_ref, tok_cfg = tfm.load_transformer(model_path)
     vocab = load_vocabulary(_verify_ref(model_path.parent, vocab_ref, "vocabulary"))
     return lambda texts: tfm.predict(params, cfg, vocab, tok_cfg, texts)
@@ -353,9 +354,11 @@ def _load_transformer(model_path: Path):
 
 # kind -> (artifact file, train, load).  train(model_path, train_corpus,
 # settings, seed) writes the artifact and returns the train manifest's other
-# inputs, config and other outputs; load(model_path) returns texts -> (labels,
-# [N, 3] scores).  Entries reach the library through module attributes and
-# this module's globals at call time, so wrappers set on those names see calls.
+# inputs, config and other outputs; load(model_path, payload) returns texts ->
+# (labels, [N, 3] scores), payload being the file parsed as JSON when it is
+# one JSON line (a baseline's), else None.  Entries reach the library through
+# module attributes and this module's globals at call time, so wrappers set
+# on those names see calls.
 MODELS = {
     "nb": ("nb.json", partial(_train_baseline, _fit_nb),
            partial(_load_baseline, _nb_scores)),
@@ -370,11 +373,12 @@ def _load_model(path: Path):
     `model_type` in its first line names the MODELS entry."""
     with open_file(path, "model file") as fh:
         first_line = fh.readline()
+        one_line = not fh.read(1)
     header = parse_json_object(first_line, f"{path} is not a recognized model file")
     kind = header.get("kind", header.get("model_type"))
     if not isinstance(kind, str) or kind not in MODELS:
         raise InputError(f"{path} is not a recognized model file")
-    return kind, MODELS[kind][2](path)
+    return kind, MODELS[kind][2](path, header if one_line else None)
 
 
 def cmd_train(args) -> int:
@@ -439,7 +443,9 @@ def cmd_predict(args) -> int:
     if not args.input and sys.stdin.isatty():
         raise InputError("predict needs --input or text on stdin")
     texts = [read_file(item, "input") for item in args.input] or [sys.stdin.read()]
-    lines = [line for text in texts for line in text.splitlines() if line.strip()]
+    # Lines end at LF, CRLF or CR only, as load_corpus reads JSONL.
+    lines = [line for text in texts for line in io.StringIO(text, newline=None)
+             if line.strip()]
     if not lines:
         return 0
     labels, scores = predict([clean_text(line, pre_cfg) for line in lines])

@@ -75,9 +75,17 @@ class TermIndex:
             object.__setattr__(self, "_term_to_id", cached)
         return cached
 
-    def idf(self, feature_id: int) -> float:
-        df = self.document_frequency[feature_id]
-        return math.log((1 + self.num_docs) / (1 + df)) + 1.0
+    @property
+    def idf(self) -> tuple[float, ...]:
+        """Feature id -> smoothed idf."""
+        cached = getattr(self, "_idf", None)
+        if cached is None:
+            n, dfs = self.num_docs, self.document_frequency
+            # one log per distinct df: most terms share a small df
+            by_df = {df: math.log((1 + n) / (1 + df)) + 1.0 for df in set(dfs)}
+            cached = tuple(map(by_df.__getitem__, dfs))
+            object.__setattr__(self, "_idf", cached)
+        return cached
 
 
 def fit_term_index(texts: list[str], min_df: int = 1) -> TermIndex:
@@ -105,7 +113,7 @@ def fit_term_index(texts: list[str], min_df: int = 1) -> TermIndex:
 def tfidf_transform(texts: list[str], idx: TermIndex) -> FeatureMatrix:
     """One row per text: tf * idf, L2-normalized when nonzero; terms
     outside the index are ignored."""
-    t2i = idx.term_to_id
+    t2i, idf = idx.term_to_id, idx.idf
     indptr, indices, data = [0], [], []
     for text in texts:
         weights: dict[int, float] = {}
@@ -114,7 +122,7 @@ def tfidf_transform(texts: list[str], idx: TermIndex) -> FeatureMatrix:
             if fid is not None:
                 weights[fid] = weights.get(fid, 0.0) + 1.0
         for fid in weights:
-            weights[fid] *= idx.idf(fid)
+            weights[fid] *= idf[fid]
         norm = math.sqrt(sum(w * w for w in weights.values()))
         for fid in sorted(weights):
             indices.append(fid)

@@ -22,11 +22,12 @@ DROP_REASONS = ("no_alpha", "filler", "empty", "duplicate")
 # URLs, @-mentions and, unless hashtag text is kept, hashtag tokens, keyed
 # by keep_hashtag_text.  Each match runs to the next whitespace, so removing
 # one never starts a new token: one pass removes what a pass per kind would.
+# Every match holds "http", "www.", "@" or "#": a text without them has none.
 _NOISE_RE = {False: re.compile(r"https?://\S*|(?<!\S)(?:www\.|[@#])\S*"),
              True: re.compile(r"https?://\S*|(?<!\S)(?:www\.|@)\S*")}
 
 # Pictographic / emoji codepoint ranges; none of these contain letters, so
-# removing them can never delete alphabetic text.
+# removing them can never delete alphabetic text, and none is ASCII.
 _PICTO_RANGES = (
     (0x1F000, 0x1F0FF),   # mahjong, dominoes, playing cards
     (0x1F1E6, 0x1F1FF),   # regional indicators (flags)
@@ -52,10 +53,12 @@ class EmojiLexicon:
 
     `pattern` matches any mapped sequence, longest first, so variation
     selector forms take precedence over the bare codepoint; it is None for
-    an empty mapping.
+    an empty mapping.  `ascii_key` says whether some key is all ASCII (such
+    as ":)"); without one, no key can match inside an ASCII text.
     """
     mapping: dict[str, str]
     pattern: re.Pattern | None = field(init=False, repr=False, compare=False)
+    ascii_key: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for emoji, token in self.mapping.items():
@@ -70,6 +73,7 @@ class EmojiLexicon:
             pattern = re.compile("|".join(
                 re.escape(e) for e in sorted(self.mapping, key=len, reverse=True)))
         object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "ascii_key", any(e.isascii() for e in self.mapping))
 
 
 @dataclass(frozen=True)
@@ -140,14 +144,18 @@ def normalize_text(text: str, keep_hashtag_text: bool = False) -> str:
     keep_hashtag_text=False removes hashtag tokens whole; True keeps the
     word and drops only the '#'.  No '#' survives in either mode.
     """
-    text = _NOISE_RE[keep_hashtag_text].sub(" ", text).replace("#", "")
+    if "http" in text or "www." in text or "@" in text or "#" in text:
+        text = _NOISE_RE[keep_hashtag_text].sub(" ", text).replace("#", "")
     return " ".join(text.split())
 
 
 def replace_emojis(text: str, lex: EmojiLexicon) -> str:
     """Swap mapped emoji sequences for their affect words and delete any
     remaining pictographic codepoints.  Longest sequence wins, so variation
-    selector forms take precedence over the bare codepoint."""
+    selector forms take precedence over the bare codepoint.  An ASCII text
+    holds no pictograph, nor any key of a lexicon without ASCII keys."""
+    if text.isascii() and not lex.ascii_key:
+        return " ".join(text.split())
     if lex.pattern is not None:
         text = lex.pattern.sub(lambda m: f" {lex.mapping[m.group(0)]} ", text)
     text = _PICTO_RE.sub("", text)

@@ -26,7 +26,7 @@ def tfidf_row(text, idx):
         if fid is not None:
             weights[fid] = weights.get(fid, 0.0) + 1.0
     for fid in weights:
-        weights[fid] *= idx.idf(fid)
+        weights[fid] *= idx.idf[fid]
     norm = math.sqrt(sum(w * w for w in weights.values()))
     if norm > 0:
         for fid in weights:

@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
 from mixsent.errors import InputError
@@ -11,6 +13,11 @@ from mixsent.tokenizer import (CLS_ID, CONTINUATION_PREFIX, PAD_ID, SEP_ID,
                                TokenizerConfig, Vocabulary)
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# HYPOTHESIS_PROFILE=ci runs property tests that set no max_examples of their
+# own on ten times the default number of examples.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_corpus(labels, text_fn=None):

@@ -562,6 +562,43 @@ class TestBaselineArtifact:
         captured = capsys.readouterr()
         assert captured.out == "" and key in captured.err
 
+    @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
+    def test_predict_parses_the_model_once(self, baseline_dir, tmp_path, capsys,
+                                           monkeypatch, model_file):
+        path = baseline_dir / model_file
+        content = path.read_text(encoding="utf-8")
+        parses = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            if isinstance(text, str) and text.strip() == content.strip():
+                parses.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        assert main(["predict", "--model-file", str(path), "--input", str(texts)]) == 0
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("content,message", [
+        ('{"model_type": "nb"}', "malformed model file {}: 'class_log_prior'"),
+        ('{"model_type": "svm", "weights": 1}', "malformed model file {}: 'hyper'"),
+        ('{"model_type": "nb"}\n{}', "malformed model file {}: not valid JSON "
+                                     "(Extra data: line 2 column 1 (char 21))"),
+        ('{"model_type": "nb"', "{} is not a recognized model file: not valid JSON"),
+        ('{"model_type": "tree"}', "{} is not a recognized model file"),
+    ])
+    def test_malformed_or_unknown_model_exit_2(self, baseline_dir, tmp_path, capsys,
+                                               content, message):
+        path = baseline_dir / "nb.json"
+        path.write_text(content, encoding="utf-8")
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        assert main(["predict", "--model-file", str(path), "--input", str(texts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message.format(path) in captured.err
+
     def test_term_index_width_mismatch_exit_2(self, baseline_dir, capsys):
         index_path = baseline_dir / "term_index.json"
         self.edit_json(index_path, lambda index: (index["terms"].pop(),
@@ -677,6 +714,23 @@ class TestPredict:
         label, scores = lines[0].split("\t")
         assert label in ("negative", "neutral", "positive")
         assert len(scores.split()) == 3
+
+    def test_lines_end_only_at_lf_crlf_or_cr(self, nb_dir, tmp_path, capsys):
+        """U+2028, U+0085 and form feed are whitespace inside a line, as in
+        a JSONL record; only LF, CRLF and CR end one."""
+        texts = tmp_path / "texts.txt"
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_text("movie mast hai\nkhana bakwas tha\nsong theek\n",
+                          encoding="utf-8")
+        texts.write_text("movie\u2028mast hai\r\nkhana\x0cbakwas\u0085tha\rsong theek",
+                         encoding="utf-8", newline="")
+        outputs = []
+        for path in (spaced, texts):
+            assert main(["predict", "--model-file", str(nb_dir / "nb.json"),
+                         "--input", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(outputs[0].splitlines()) == 3
+        assert outputs[1] == outputs[0]
 
     def test_predict_applies_preprocessing(self, nb_dir, tmp_path, capsys):
         texts = tmp_path / "texts.txt"

@@ -88,9 +88,12 @@ class TestTfidfTransform:
         assert abs(weights[0] - 1.0) < 1e-12
 
     def test_idf_at_least_one(self):
-        idx = fit_term_index(["a b c", "a b", "a"])
-        for fid in range(len(idx)):
-            assert idx.idf(fid) >= 1.0
+        idx = fit_term_index(["a b c", "a b", "a", "d"])
+        assert len(idx.idf) == len(idx)
+        for fid, df in enumerate(idx.document_frequency):
+            assert idx.idf[fid] == math.log((1 + 4) / (1 + df)) + 1.0
+            assert idx.idf[fid] >= 1.0
+        assert idx.idf is idx.idf
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "d e"]), min_size=1, max_size=6))
     def test_unit_norm_when_any_term_indexed(self, docs):
@@ -104,9 +107,16 @@ class TestTfidfTransform:
     def test_weights_are_counts_times_idf(self):
         idx = fit_term_index(["a b", "a"])
         weights = row(tfidf_transform(["a a b"], idx), 0)
-        norm = math.sqrt((2.0 * idx.idf(0)) ** 2 + idx.idf(1) ** 2)
-        assert weights == pytest.approx({0: 2.0 * idx.idf(0) / norm,
-                                         1: idx.idf(1) / norm}, abs=1e-12)
+        norm = math.sqrt((2.0 * idx.idf[0]) ** 2 + idx.idf[1] ** 2)
+        assert weights == pytest.approx({0: 2.0 * idx.idf[0] / norm,
+                                         1: idx.idf[1] / norm}, abs=1e-12)
+
+    def test_bit_identical_on_repeated_and_unindexed_terms(self):
+        idx = fit_term_index(["a b c", "a b", "a", "d a"])
+        docs = ["a a b zz a", "qq d d d", "zz qq", "", "c b a c"]
+        X = tfidf_transform(docs, idx)
+        for i, doc in enumerate(docs):
+            assert tuple(row(X, i).items()) == ref.tfidf_row(doc, idx)
 
     @given(documents, documents)
     def test_bit_identical_to_per_text_reference(self, fit_docs, docs):

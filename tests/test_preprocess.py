@@ -11,9 +11,12 @@ from mixsent.preprocess import (DROP_REASONS, EmojiLexicon, FillerList,
                                 load_emoji_lexicon,
                                 normalize_case_and_stopwords, normalize_text,
                                 preprocess_corpus, replace_emojis)
-from preprocess_reference import normalize_text_reference
+from preprocess_reference import clean_text_reference, normalize_text_reference
 
 CFG = PreprocessConfig()
+# The packaged lexicon plus an all-ASCII key, which turns off the ASCII
+# fast path of replace_emojis.
+SMILEY = EmojiLexicon({**CFG.emoji_lexicon.mapping, ":)": "smile"})
 
 
 def one_record_corpus(text):
@@ -76,6 +79,14 @@ class TestReplaceEmojis:
         kept_alpha = [ch for ch in out if ch.isalpha()]
         original_alpha = [ch for ch in text if ch.isalpha()]
         assert kept_alpha == original_alpha
+
+    def test_ascii_key_maps_inside_ascii_text(self):
+        assert not CFG.emoji_lexicon.ascii_key and SMILEY.ascii_key
+        assert replace_emojis("movie :) mast", SMILEY) == "movie smile mast"
+        assert replace_emojis("mast:)", SMILEY) == "mast smile"
+        assert replace_emojis("movie :) mast", CFG.emoji_lexicon) == "movie :) mast"
+        cfg = PreprocessConfig(emoji_lexicon=SMILEY)
+        assert clean_text("Movie :) MAST", cfg) == "movie smile mast"
 
     def test_lexicon_validation(self):
         with pytest.raises(InputError):
@@ -195,6 +206,25 @@ class TestPreprocessCorpus:
         again, again_drops = preprocess_corpus(clean, CFG)
         assert [r.text for r in again.records] == [r.text for r in clean.records]
         assert sum(again_drops.values()) == 0
+
+
+# Pieces that reach every branch of the cleaning fast paths: the noise
+# marks, an ASCII lexicon key, mapped and unmapped pictographs, non-ASCII
+# letters and whitespace.  Half the texts are drawn from ASCII pieces only.
+_ASCII_PIECES = ["movie", "MAST", "hai", "ok", "http://x", "https://x", "www.x",
+                 "@x", "#x", "#", "@", "http", "www", ".", ":)", ":", ")",
+                 " ", " ", " ", "\t", "\n"]
+_PIECES = _ASCII_PIECES + ["😂", "❤️", "❤", "😞", "🦖", "⚽", "\u200d", "\ufe0f",
+                           "é", "खाना", "नमस्ते", "\u00a0", "\u2028"]
+
+
+@pytest.mark.parametrize("lex", [CFG.emoji_lexicon, SMILEY], ids=["packaged", "smiley"])
+@pytest.mark.parametrize("keep", [False, True], ids=["drop_hashtag", "keep_hashtag"])
+@given(text=st.sampled_from([_ASCII_PIECES, _PIECES]).flatmap(
+           lambda pieces: st.lists(st.sampled_from(pieces), max_size=10)).map("".join))
+def test_clean_text_matches_every_pass_reference(keep, lex, text):
+    cfg = PreprocessConfig(emoji_lexicon=lex, keep_hashtag_text=keep)
+    assert clean_text(text, cfg) == clean_text_reference(text, cfg)
 
 
 def test_clean_text_matches_pipeline_steps():
