@@ -18,10 +18,12 @@ import numpy as np
 
 from .corpus import LABELS, SentimentLabel
 from .errors import InputError, TrainingError, parse_json_object, read_file
-from .features import FeatureMatrix
+from .features import FeatureMatrix, TermIndex
 from .rng import SplitMix64, derive_seed, shuffled
 
 NUM_CLASSES = len(LABELS)
+# Version 2 holds the term index inside the model file.
+FORMAT_VERSION = 2
 
 
 def _label_ids(X: FeatureMatrix, y: list[SentimentLabel]) -> np.ndarray:
@@ -172,28 +174,25 @@ def svm_predict(m: LinearSvmModel, X: FeatureMatrix
     return _argmax_labels(scores), scores
 
 
-def save_baseline(model: NaiveBayesModel | LinearSvmModel, path: str | Path,
-                  term_index_ref: dict | None = None) -> None:
-    """JSON envelope with arrays in feature-id order."""
+def save_baseline(model: NaiveBayesModel | LinearSvmModel, idx: TermIndex,
+                  path: str | Path) -> None:
+    """JSON envelope holding the model, arrays in feature-id order, and the
+    term index that numbers those features."""
     if isinstance(model, NaiveBayesModel):
-        payload = {
-            "format_version": 1,
-            "model_type": "nb",
-            "term_index_ref": term_index_ref,
+        kind, fields = "nb", {
             "alpha": model.alpha,
             "class_log_prior": model.class_log_prior.tolist(),
-            "feature_log_likelihood": model.feature_log_likelihood.tolist(),
-        }
+            "feature_log_likelihood": model.feature_log_likelihood.tolist()}
     else:
-        payload = {
-            "format_version": 1,
-            "model_type": "svm",
-            "term_index_ref": term_index_ref,
+        kind, fields = "svm", {
             "hyper": {"lambda": model.hyper.lambda_, "epochs": model.hyper.epochs,
                       "seed": model.hyper.seed},
             "weights": model.weights.tolist(),
-            "bias": model.bias.tolist(),
-        }
+            "bias": model.bias.tolist()}
+    payload = {"format_version": FORMAT_VERSION, "model_type": kind,
+               "term_index": {"terms": list(idx.terms), "df": list(idx.document_frequency),
+                              "num_docs": idx.num_docs},
+               **fields}
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
@@ -213,8 +212,8 @@ def _class_array(payload: dict, key: str, ndim: int) -> np.ndarray:
 
 
 def load_baseline(path: str | Path, payload: dict | None = None
-                  ) -> tuple[NaiveBayesModel | LinearSvmModel, dict | None]:
-    """The model in the file at path and its term_index_ref; payload, when
+                  ) -> tuple[NaiveBayesModel | LinearSvmModel, TermIndex]:
+    """The model in the file at path and its term index; payload, when
     given, is that file already parsed, and the file is not read again."""
     if payload is None:
         payload = parse_json_object(read_file(path, "model file"),
@@ -235,6 +234,12 @@ def load_baseline(path: str | Path, payload: dict | None = None
                                seed=int(h["seed"])))
         else:
             raise InputError(f"unknown model_type {kind!r} in {path}")
-        return model, payload.get("term_index_ref")
+        if payload.get("format_version") != FORMAT_VERSION:
+            raise InputError(f"{path} has format_version {payload.get('format_version')!r}"
+                             f", not {FORMAT_VERSION}; train the model again")
+        index = payload["term_index"]
+        return model, TermIndex(terms=tuple(index["terms"]),
+                                document_frequency=tuple(index["df"]),
+                                num_docs=int(index["num_docs"]))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"malformed model file {path}: {e}") from None

@@ -30,8 +30,7 @@ from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      save_corpus, split)
 from .errors import (InputError, MixsentError, check_value, open_file,
                      parse_json_object, read_file)
-from .features import (fit_term_index, load_term_index, term_index_bytes,
-                       tfidf_transform)
+from .features import fit_term_index, tfidf_transform
 from .metrics import (compare_models, evaluate, format_report, load_report,
                       per_class_f1_report, round_half_up, save_report)
 from .preprocess import (PreprocessConfig, clean_text, load_emoji_lexicon,
@@ -61,9 +60,17 @@ _PREPROCESS_FILES = {"emoji_lexicon_file": "emoji_lexicon.json",
 
 
 def _defaults(source, *set_by_code: str) -> dict:
-    """The argument defaults of a library function or dataclass, less set_by_code."""
-    return {name: p.default for name, p in inspect.signature(source).parameters.items()
+    """The argument defaults of a library function or dataclass, less
+    set_by_code, keyed by config key: the name less a trailing "_" (lambda_)."""
+    return {name.rstrip("_"): p.default
+            for name, p in inspect.signature(source).parameters.items()
             if name not in set_by_code}
+
+
+def _recorded(cfg, *set_by_code: str) -> dict:
+    """A dataclass's fields as _defaults keys them, less set_by_code."""
+    return {f.name.rstrip("_"): getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+            if f.name not in set_by_code}
 
 
 # Every --config section: key -> default.  --config is checked whole when it
@@ -74,7 +81,7 @@ SETTINGS = {
     "split": _defaults(SplitSpec, "seed"),
     "features": _defaults(fit_term_index, "texts"),
     "nb": _defaults(baselines.nb_train, "X", "y"),
-    "svm": {"lambda": baselines.SvmHyper.lambda_, "epochs": baselines.SvmHyper.epochs},
+    "svm": _defaults(baselines.SvmHyper, "seed"),
     "tokenizer": {**_defaults(TokenizerConfig), "vocab_size": tfm.EncoderConfig.vocab_size},
     # max_len, vocab_size and num_classes follow the tokenizer, vocabulary and labels.
     "encoder": _defaults(tfm.EncoderConfig, "max_len", "vocab_size", "num_classes"),
@@ -97,9 +104,12 @@ def _section(name: str, given) -> dict:
 
 
 def _load_config(arg: str) -> tuple[dict, dict]:
-    """--config as given, and the settings: every section of SETTINGS
-    resolved from it.  Inline JSON when arg starts with '{', else a JSON
-    file path; a top-level key that is not a section is refused."""
+    """--config as given, and the settings: each section of SETTINGS resolved
+    from it and built, once, into the value the library takes, which checks
+    its ranges, so a config fails alike for every command.  Commands set only
+    the seed and the vocabulary's size, with dataclasses.replace.  Inline
+    JSON when arg starts with '{', else a JSON file path; a top-level key
+    that is not a section is refused."""
     if arg.lstrip().startswith("{"):
         overrides = parse_json_object(arg, "malformed config")
     else:
@@ -109,29 +119,21 @@ def _load_config(arg: str) -> tuple[dict, dict]:
     if unknown:
         raise InputError(f"config sections {unknown} unknown; "
                          f"the sections are {list(SETTINGS)}")
+    # preprocess (whose files only the cleaning commands read), features and nb stay dicts.
     settings = {name: _section(name, overrides.get(name, {})) for name in SETTINGS}
-    _check_ranges(settings)
-    return overrides, settings
-
-
-def _check_ranges(settings: dict) -> None:
-    """Build each section's library object, which checks the ranges of its
-    values, so a config fails alike for every command, whichever sections it
-    reads.  The objects themselves are built again where they are used."""
-    tok = {key: v for key, v in settings["tokenizer"].items() if key != "vocab_size"}
+    tok, svm = dict(settings["tokenizer"]), settings["svm"]
+    vocab_size = tok.pop("vocab_size")
     builds = [
         ("split", lambda: SplitSpec(**settings["split"])),
-        ("svm", lambda: baselines.SvmHyper(float(settings["svm"]["lambda"]),
-                                           settings["svm"]["epochs"])),
+        ("svm", lambda: baselines.SvmHyper(float(svm["lambda"]), svm["epochs"])),
         ("tokenizer", lambda: TokenizerConfig(**tok)),
-        ("encoder", lambda: tfm.EncoderConfig(
-            **settings["encoder"], max_len=tok["max_len"],
-            vocab_size=settings["tokenizer"]["vocab_size"], num_classes=3)),
+        ("encoder", lambda: tfm.EncoderConfig(**settings["encoder"], max_len=tok["max_len"],
+                                              vocab_size=vocab_size, num_classes=3)),
         ("train", lambda: tfm.TrainConfig(**settings["train"])),
     ]
     for name, build in builds:
         try:
-            build()
+            settings[name] = build()
         except InputError as e:
             raise InputError(f"config {name}: {e}") from None
     # nb_train and fit_term_index check these only once given data.
@@ -139,6 +141,8 @@ def _check_ranges(settings: dict) -> None:
         raise InputError("config nb: alpha must be > 0")
     if settings["features"]["min_df"] < 1:
         raise InputError("config features: min_df must be >= 1")
+    settings["nb"] = {"alpha": float(settings["nb"]["alpha"])}
+    return overrides, settings
 
 
 def _preprocess_config(section: dict) -> PreprocessConfig:
@@ -210,11 +214,14 @@ def cmd_prepare(args) -> int:
         raise InputError("no records survived preprocessing")
     dist = class_distribution(clean)
 
-    spec = SplitSpec(**settings["split"], seed=args.seed)
+    spec = dataclasses.replace(settings["split"], seed=args.seed)
     train_c, val_c, test_c = split(clean, spec)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:     # a file at out_dir or above it, say
+        raise InputError(f"cannot make --out-dir {out_dir}: {e.strerror or e}") from None
     corpora = {"clean": clean, "train": train_c, "val": val_c, "test": test_c}
     lines: dict[str, str] = {}
     for name, part in corpora.items():
@@ -235,7 +242,7 @@ def cmd_prepare(args) -> int:
         "config": {
             "preprocess": {**section, **copies, "sha256": {
                 key: _sha256(out_dir / name) for key, name in copies.items()}},
-            "split": settings["split"],
+            "split": _recorded(spec, "seed"),
             "overrides": overrides,
         },
         "split_sizes": {"train": len(train_c), "val": len(val_c),
@@ -264,41 +271,21 @@ def _verify_ref(base: Path, ref, what: str) -> Path:
 
 
 def _fit_nb(X, labels, settings: dict, seed: int):
-    alpha = float(settings["nb"]["alpha"])
-    return baselines.nb_train(X, labels, alpha=alpha), {"alpha": alpha}
+    return baselines.nb_train(X, labels, **settings["nb"]), settings["nb"]
 
 
 def _fit_svm(X, labels, settings: dict, seed: int):
-    svm = settings["svm"]
-    hyper = baselines.SvmHyper(float(svm["lambda"]), svm["epochs"], seed)
-    return baselines.svm_train(X, labels, hyper), {**svm, "lambda": hyper.lambda_}
-
-
-def _check_shared_index(model_path: Path, digest: str) -> None:
-    """Both baselines read term_index.json: refuse to rewrite it with a
-    digest that the other baseline's model file does not record."""
-    for kind in ("nb", "svm"):
-        other = model_path.parent / MODELS[kind][0]
-        if other != model_path and other.exists():
-            ref = baselines.load_baseline(other)[1]
-            if not isinstance(ref, dict) or ref.get("sha256") != digest:
-                raise InputError(f"{other} was trained on another term_index.json, "
-                                 f"which both baselines share; train them with the "
-                                 f"same features section, or in another --out-dir")
+    hyper = dataclasses.replace(settings["svm"], seed=seed)
+    return baselines.svm_train(X, labels, hyper), _recorded(hyper, "seed")
 
 
 def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int):
-    min_df = settings["features"]["min_df"]
-    idx = fit_term_index(train_c.texts(), min_df=min_df)
-    index_bytes = term_index_bytes(idx)
-    ref = {"file": "term_index.json", "sha256": hashlib.sha256(index_bytes).hexdigest()}
-    _check_shared_index(model_path, ref["sha256"])
+    idx = fit_term_index(train_c.texts(), **settings["features"])
     model, config = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(),
                         settings, seed)
     # Written once the fit has returned: a failed train keeps the old run.
-    (model_path.parent / ref["file"]).write_bytes(index_bytes)
-    baselines.save_baseline(model, model_path, term_index_ref=ref)
-    return {ref["file"]: ref["sha256"]}, {**config, "min_df": min_df}, [ref["file"]]
+    baselines.save_baseline(model, idx, model_path)
+    return {}, {**config, **settings["features"]}, []
 
 
 def _nb_scores(model, X):
@@ -307,21 +294,17 @@ def _nb_scores(model, X):
 
 
 def _load_baseline(scores, model_path: Path, payload: dict | None):
-    model, ref = baselines.load_baseline(model_path, payload)
-    idx = load_term_index(_verify_ref(model_path.parent, ref, "term index"))
+    model, idx = baselines.load_baseline(model_path, payload)
     return lambda texts: scores(model, tfidf_transform(texts, idx))
 
 
 def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: int):
     out_dir = model_path.parent
     val_c = _split_corpus_file(out_dir, "val")
-    tok = dict(settings["tokenizer"])
-    vocab_size = tok.pop("vocab_size")
-    tok_cfg = TokenizerConfig(**tok)
-    vocab = train_vocabulary(train_c.texts(), vocab_size, tok_cfg)
-    cfg = tfm.EncoderConfig(**settings["encoder"], max_len=tok_cfg.max_len,
-                            vocab_size=len(vocab), num_classes=3)
-    tc = tfm.TrainConfig(**settings["train"], seed=seed)
+    tok_cfg, cfg = settings["tokenizer"], settings["encoder"]
+    vocab = train_vocabulary(train_c.texts(), cfg.vocab_size, tok_cfg)
+    cfg = dataclasses.replace(cfg, vocab_size=len(vocab))
+    tc = dataclasses.replace(settings["train"], seed=seed)
 
     result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                        val_c.labels(), vocab, tok_cfg, cfg, tc)

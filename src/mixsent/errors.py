@@ -25,14 +25,22 @@ class TrainingError(MixsentError):
     """Training-time failure, e.g. non-finite loss or weights."""
 
 
+def _finite(value) -> bool:
+    """float(value) exists and is finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:                 # an int too large for a float
+        return False
+
+
 def check_value(what: str, value, kind: str) -> None:
-    """Raise InputError unless value is of kind: "int" an int, "float" a finite
-    int or float (a bool is neither), "bool", "str", or "str | None"."""
+    """Raise InputError unless value is of kind: "int" an int, "float" an int
+    or float whose float is finite (a bool is neither), "bool", "str", or
+    "str | None"."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     ok, noun = {
         "int": (number and isinstance(value, int), "an integer"),
-        "float": (number and (isinstance(value, int) or math.isfinite(value)),
-                  "a finite number"),
+        "float": (number and _finite(value), "a finite number"),
         "bool": (isinstance(value, bool), "true or false"),
         "str": (isinstance(value, str), "a string"),
         "str | None": (value is None or isinstance(value, str), "a string or null"),

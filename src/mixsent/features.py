@@ -7,14 +7,12 @@ smoothed idf ln((1+N)/(1+df)) + 1, L2-normalized per document.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, parse_json_object, read_file
+from .errors import InputError
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +59,8 @@ class TermIndex:
         if len(self.terms) != len(self.document_frequency):
             raise InputError("terms and document_frequency lengths differ")
         for term, df in zip(self.terms, self.document_frequency):
+            if not isinstance(term, str):
+                raise InputError(f"term {term!r} is not a string")
             if not (1 <= df <= self.num_docs):
                 raise InputError(f"df for {term!r} out of range: {df}")
 
@@ -132,22 +132,3 @@ def tfidf_transform(texts: list[str], idx: TermIndex) -> FeatureMatrix:
                          indices=np.array(indices, dtype=np.int64),
                          data=np.array(data, dtype=np.float64),
                          num_features=len(idx))
-
-
-def term_index_bytes(idx: TermIndex) -> bytes:
-    """The bytes of a term-index file, which load_term_index reads back."""
-    payload = {"terms": list(idx.terms),
-               "df": list(idx.document_frequency),
-               "num_docs": idx.num_docs}
-    return json.dumps(payload, ensure_ascii=False).encode("utf-8")
-
-
-def load_term_index(path: str | Path) -> TermIndex:
-    payload = parse_json_object(read_file(path, "term index"),
-                                f"malformed term index {path}")
-    try:
-        return TermIndex(terms=tuple(payload["terms"]),
-                         document_frequency=tuple(payload["df"]),
-                         num_docs=int(payload["num_docs"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise InputError(f"malformed term index {path}: {e}") from None

@@ -365,7 +365,7 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
             assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
             compared.append(path_a.name)
         for name in ("nb.json", "svm.json", "transformer.bin",
-                     "transformer_best.bin", "term_index.json", "vocab.txt",
+                     "transformer_best.bin", "vocab.txt",
                      "eval_nb_test.json", "eval_svm_test.json",
                      "eval_transformer_test.json", "comparison.csv"):
             assert name in compared, name

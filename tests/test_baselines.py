@@ -234,15 +234,19 @@ def test_no_dense_rows_by_features_array():
     assert peak < 8 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
 
 
+# The term index of two_doc_fixture's features.
+TWO_DOC_INDEX = fit_term_index(["bad movie", "good movie", "movie"])
+
+
 class TestModelIO:
     def test_nb_roundtrip(self, tmp_path, two_doc_fixture):
         X, y = two_doc_fixture
         m = nb_train(X, y)
         path = tmp_path / "nb.json"
-        save_baseline(m, path, term_index_ref={"file": "ti.json", "sha256": "x"})
-        loaded, ref = load_baseline(path)
+        save_baseline(m, TWO_DOC_INDEX, path)
+        loaded, idx = load_baseline(path)
         assert isinstance(loaded, NaiveBayesModel)
-        assert ref["file"] == "ti.json"
+        assert idx == TWO_DOC_INDEX
         np.testing.assert_array_equal(loaded.class_log_prior, m.class_log_prior)
         np.testing.assert_array_equal(loaded.feature_log_likelihood,
                                       m.feature_log_likelihood)
@@ -252,9 +256,10 @@ class TestModelIO:
         y = [NEG, NEU, POS]
         m = svm_train(X, y, SvmHyper(epochs=3, seed=5))
         path = tmp_path / "svm.json"
-        save_baseline(m, path)
-        loaded, _ = load_baseline(path)
+        save_baseline(m, TWO_DOC_INDEX, path)
+        loaded, idx = load_baseline(path)
         assert isinstance(loaded, LinearSvmModel)
+        assert idx == TWO_DOC_INDEX
         np.testing.assert_array_equal(loaded.weights, m.weights)
         assert loaded.hyper == m.hyper
 
@@ -279,7 +284,7 @@ class TestModelIO:
         X, y = two_doc_fixture
         m = nb_train(X, y) if model == "nb" else svm_train(X, y, SvmHyper(epochs=1))
         path = tmp_path / f"{model}.json"
-        save_baseline(m, path)
+        save_baseline(m, TWO_DOC_INDEX, path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload[key] = value
         path.write_text(json.dumps(payload), encoding="utf-8")

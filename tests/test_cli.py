@@ -21,7 +21,7 @@ from mixsent.baselines import load_baseline, nb_predict, nb_train
 from mixsent.cli import SETTINGS, main
 from mixsent.corpus import CANONICAL_LABEL_MAP, SentimentLabel, load_corpus
 from mixsent.errors import TrainingError
-from mixsent.features import fit_term_index, load_term_index, tfidf_transform
+from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, clean_text
 from mixsent.tokenizer import TokenizerConfig, load_vocabulary
@@ -161,6 +161,16 @@ class TestPrepare:
         code = main(["prepare", "--out-dir", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("out_dir", ["file", "file/run"], ids=["file", "under-file"])
+    def test_out_dir_not_a_directory_exit_2(self, tmp_path, capsys, out_dir):
+        jsonl, map_path = write_inputs(tmp_path)
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                     "--out-dir", str(tmp_path / out_dir)]) == 2
+        assert (f"error: cannot make --out-dir {tmp_path / out_dir}: "
+                in capsys.readouterr().err)
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "x"
+
     @pytest.mark.parametrize("flag", ["--keep-hashtag-text", "--no-stop-words"])
     def test_preprocess_switches_are_config_keys_only(self, tmp_path, flag):
         """preprocess.keep_hashtag_text and remove_stop_words have no flag."""
@@ -176,8 +186,7 @@ class TestTrain:
     def test_nb_model_matches_library_path(self, tmp_path):
         out = run_prepare(tmp_path, tmp_path / "run")
         assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
-        model, ref = load_baseline(out / "nb.json")
-        idx = load_term_index(out / ref["file"])
+        model, idx = load_baseline(out / "nb.json")
 
         train_c = load_corpus(out / "train.jsonl", CANONICAL_LABEL_MAP)
         expected_idx = fit_term_index(train_c.texts(), min_df=1)
@@ -261,19 +270,25 @@ class TestTrain:
             assert main(["predict", "--model-file", str(out / model_file),
                          "--input", str(texts)]) == 0
 
-    def test_baselines_keep_one_term_index(self, tmp_path, capsys):
-        """nb and svm share term_index.json: a train that would rewrite it
-        under the other baseline exits 2, names that model and writes nothing."""
-        out = run_prepare(tmp_path, tmp_path / "run")
-        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
-        before = {path.name: path.read_bytes() for path in out.iterdir()}
-        capsys.readouterr()
-        assert main(["train", "--model", "svm", "--out-dir", str(out),
-                     "--config", '{"features": {"min_df": 2}}']) == 2
-        assert (f"error: {out / 'nb.json'} was trained on another term_index.json"
-                in capsys.readouterr().err)
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
+    def test_each_baseline_keeps_its_own_term_index(self, tmp_path):
+        """nb and svm trained in one run directory with different features
+        sections each evaluate exactly as when trained alone."""
+        shared = run_prepare(tmp_path, tmp_path / "shared")
+        runs = {"nb": (1, run_prepare(tmp_path, tmp_path / "nb")),
+                "svm": (2, run_prepare(tmp_path, tmp_path / "svm"))}
+        for model, (min_df, alone) in runs.items():
+            config = json.dumps({"features": {"min_df": min_df}})
+            for out in (shared, alone):
+                assert main(["train", "--model", model, "--out-dir", str(out),
+                             "--config", config]) == 0
+        assert not (shared / "term_index.json").exists()
+        widths = {model: len(load_baseline(shared / f"{model}.json")[1]) for model in runs}
+        assert widths["svm"] < widths["nb"]
+        for model, (_, alone) in runs.items():
+            for out in (shared, alone):
+                assert main(["evaluate", "--model-file", str(out / f"{model}.json")]) == 0
+            assert ((shared / f"eval_{model}_test.json").read_bytes()
+                    == (alone / f"eval_{model}_test.json").read_bytes())
 
     def test_unknown_model_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -358,6 +373,10 @@ class TestTrain:
         ("nb", "train", {"learning_rate": 0}),
         ("svm", "nb", {"alpha": 0}),
         ("nb", "features", {"min_df": 0}),
+        # a number too large for a float
+        ("nb", "svm", {"lambda": 10 ** 400}),
+        ("svm", "nb", {"alpha": 10 ** 400}),
+        ("transformer", "train", {"learning_rate": 10 ** 400}),
     ], ids=["num_layers-float", "batch_size-float", "epochs-float",
             "dropout-str", "unknown-key", "seed-str", "seed-removed",
             "section-list", "alpha-str", "bool-str", "max_len-derived",
@@ -366,7 +385,8 @@ class TestTrain:
             "nb-heads-divide", "nb-dropout-range", "nb-lambda-range",
             "transformer-svm-epochs-range", "nb-max_len-range",
             "nb-vocab_size-range", "nb-learning-rate-range", "svm-alpha-range",
-            "nb-min_df-range"])
+            "nb-min_df-range", "nb-lambda-huge", "svm-alpha-huge",
+            "transformer-learning-rate-huge"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, model, section, value):
         out = run_prepare(tmp_path, tmp_path / "run")
         before = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -425,12 +445,13 @@ class TestEvaluateAndReport:
                      "--split", "test"])
         assert code == 2
 
-    def test_digest_mismatch_refused(self, trained_dir):
-        (trained_dir / "term_index.json").write_text(
-            '{"terms": ["x"], "df": [1], "num_docs": 1}', encoding="utf-8")
-        code = main(["evaluate", "--model-file", str(trained_dir / "nb.json"),
+    def test_digest_mismatch_refused(self, trained_dir, capsys):
+        (trained_dir / "vocab.txt").write_text(
+            "[PAD]\n[UNK]\n[CLS]\n[SEP]\nx\n", encoding="utf-8")
+        code = main(["evaluate", "--model-file", str(trained_dir / "transformer.bin"),
                      "--split", "test"])
         assert code == 2
+        assert "vocabulary digest mismatch" in capsys.readouterr().err
 
     @staticmethod
     def nb_run(tmp_path):
@@ -600,17 +621,33 @@ class TestBaselineArtifact:
         assert captured.out == "" and message.format(path) in captured.err
 
     def test_term_index_width_mismatch_exit_2(self, baseline_dir, capsys):
-        index_path = baseline_dir / "term_index.json"
-        self.edit_json(index_path, lambda index: (index["terms"].pop(),
-                                                  index["df"].pop()))
-        digest = hashlib.sha256(index_path.read_bytes()).hexdigest()
         for model_file in ("nb.json", "svm.json"):
             path = baseline_dir / model_file
-            self.edit_json(path, lambda payload: payload["term_index_ref"].update(
-                sha256=digest))
+            self.edit_json(path, lambda payload: (payload["term_index"]["terms"].pop(),
+                                                  payload["term_index"]["df"].pop()))
             assert main(["evaluate", "--model-file", str(path),
                          "--split", "test"]) == 2
             assert "width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
+    def test_format_version_1_model_exit_2(self, baseline_dir, tmp_path, capsys,
+                                           model_file):
+        """A model file of the earlier format refers to a term_index.json."""
+        path = baseline_dir / model_file
+        index = json.loads(path.read_text(encoding="utf-8"))["term_index"]
+        (baseline_dir / "term_index.json").write_text(json.dumps(index),
+                                                      encoding="utf-8")
+        digest = hashlib.sha256((baseline_dir / "term_index.json").read_bytes()).hexdigest()
+        self.edit_json(path, lambda payload: (
+            payload.update(format_version=1, term_index_ref={
+                "file": "term_index.json", "sha256": digest}),
+            payload.pop("term_index")))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        assert main(["predict", "--model-file", str(path), "--input", str(texts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path} has format_version 1, not 2; train the model again" in captured.err
 
     def test_batch_predict_matches_evaluate(self, baseline_dir, capsys):
         """evaluate and predict score the same cleaned texts identically."""
@@ -791,10 +828,9 @@ class TestServedAsPrepared:
         lines = captured.out.splitlines()
         assert [line.split("\t")[0] for line in lines] == ["negative", "positive"]
 
-        model, ref = load_baseline(out / "nb.json")
+        model, idx = load_baseline(out / "nb.json")
         cleaned = [clean_text(t, PreprocessConfig(keep_hashtag_text=True)) for t in texts]
-        labels, log_posterior = nb_predict(
-            model, tfidf_transform(cleaned, load_term_index(out / ref["file"])))
+        labels, log_posterior = nb_predict(model, tfidf_transform(cleaned, idx))
         assert lines == [f"{label.name.lower()}\t" + " ".join(f"{v:.6f}" for v in row)
                          for label, row in zip(labels, np.exp(log_posterior))]
 
@@ -894,7 +930,7 @@ def test_predict_on_damaged_model_or_manifest_exits_0_or_2(served_dir, data):
         damaged = original[:pos] + bytes([data.draw(st.integers(0, 255))]) + original[pos + 1:]
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp)
-        for name in ("nb.json", "term_index.json", "transformer.bin", "vocab.txt",
+        for name in ("nb.json", "transformer.bin", "vocab.txt",
                      "manifest.json", "stopwords.txt"):
             shutil.copy(out / name, run / name)
         (run / target).write_bytes(damaged)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import baselines_reference as ref
-from mixsent.baselines import LinearSvmModel, SvmHyper, svm_predict
+from mixsent.baselines import (LinearSvmModel, SvmHyper, load_baseline,
+                               save_baseline, svm_predict)
 from mixsent.errors import InputError
 from mixsent.features import (FeatureMatrix, TermIndex, fit_term_index,
-                              load_term_index, term_index_bytes,
                               tfidf_transform)
 
 from conftest import feature_matrix
@@ -178,19 +179,34 @@ class TestSparseOps:
 
 
 class TestTermIndexIO:
+    """A term index is saved inside the baseline model file it numbers."""
+
+    @staticmethod
+    def save(idx, path):
+        model = LinearSvmModel(weights=np.zeros((3, len(idx))), bias=np.zeros(3),
+                               hyper=SvmHyper())
+        save_baseline(model, idx, path)
+
     def test_roundtrip(self, tmp_path):
         idx = fit_term_index(["mast movie", "bekar khana", "movie"])
-        path = tmp_path / "term_index.json"
-        path.write_bytes(term_index_bytes(idx))
-        loaded = load_term_index(path)
-        assert loaded == idx
+        path = tmp_path / "svm.json"
+        self.save(idx, path)
+        assert load_baseline(path)[1] == idx
 
     def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "term_index.json"
-        path.write_text('{"terms": ["a"]}', encoding="utf-8")
+        path = tmp_path / "svm.json"
+        self.save(fit_term_index(["a"]), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["term_index"] = {"terms": ["a"]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(InputError):
-            load_term_index(path)
+            load_baseline(path)
 
     def test_df_bounds_validated(self):
         with pytest.raises(InputError):
             TermIndex(terms=("a",), document_frequency=(3,), num_docs=2)
+
+    def test_terms_must_be_strings(self):
+        """A list read from an edited model file would not fit in term_to_id."""
+        with pytest.raises(InputError, match="not a string"):
+            TermIndex(terms=(["a"],), document_frequency=(1,), num_docs=1)

@@ -16,7 +16,7 @@ from mixsent.baselines import (SvmHyper, load_baseline, nb_train, save_baseline,
 from mixsent.corpus import (CANONICAL_LABEL_MAP, SentimentLabel, load_corpus,
                             load_label_map, save_corpus)
 from mixsent.errors import InputError
-from mixsent.features import fit_term_index, load_term_index, term_index_bytes
+from mixsent.features import fit_term_index
 from mixsent.metrics import evaluate, load_report, save_report
 from mixsent.preprocess import load_emoji_lexicon, load_fillers, load_stop_words
 from mixsent.tokenizer import TokenizerConfig, Vocabulary, load_vocabulary, save_vocabulary
@@ -38,7 +38,7 @@ def _write_samples(d: Path) -> dict[str, Path]:
     """One well-formed file per loader, written by the library's own savers."""
     paths = {name: d / name for name in (
         "corpus.jsonl", "corpus.csv", "labels.json", "emoji.json", "stop.txt",
-        "fillers.txt", "vocab.txt", "index.json", "report.json", "nb.json",
+        "fillers.txt", "vocab.txt", "report.json", "nb.json",
         "svm.json", "model.bin")}
     save_corpus(make_corpus([0, 1, 2, 2]), paths["corpus.jsonl"])
     paths["corpus.csv"].write_text('text,label,id\r\nmast hai,positive,a\r\n'
@@ -49,15 +49,12 @@ def _write_samples(d: Path) -> dict[str, Path]:
     paths["stop.txt"].write_bytes(_packaged("stopwords.txt"))
     paths["fillers.txt"].write_bytes(_packaged("fillers.txt"))
     save_vocabulary(Vocabulary.from_pieces(["li", "##kh", "##na"]), paths["vocab.txt"])
-    paths["index.json"].write_bytes(
-        term_index_bytes(fit_term_index(["a b", "b c", "c"])))
     save_report(evaluate(LABELS3, LABELS3[::-1]), paths["report.json"],
                 extra={"model": "nb", "split": "test"})
     X = feature_matrix([{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.5}])
-    ref = {"file": "index.json", "sha256": "0" * 64}
-    save_baseline(nb_train(X, LABELS3), paths["nb.json"], term_index_ref=ref)
-    save_baseline(svm_train(X, LABELS3, SvmHyper(epochs=2)), paths["svm.json"],
-                  term_index_ref=ref)
+    idx = fit_term_index(["a b", "b", "a"])
+    save_baseline(nb_train(X, LABELS3), idx, paths["nb.json"])
+    save_baseline(svm_train(X, LABELS3, SvmHyper(epochs=2)), idx, paths["svm.json"])
     save_transformer(paths["model.bin"], init_params(TINY, 1, np.float32), TINY,
                      TrainConfig(), TokenizerConfig(max_len=TINY.max_len),
                      {"file": "v", "sha256": "0"})
@@ -73,7 +70,6 @@ LOADERS = {
     "stop.txt": load_stop_words,
     "fillers.txt": load_fillers,
     "vocab.txt": load_vocabulary,
-    "index.json": load_term_index,
     "report.json": load_report,
     "nb.json": load_baseline,
     "svm.json": load_baseline,
@@ -151,7 +147,7 @@ def test_missing_file_rejected(tmp_path, name):
 
 
 @pytest.mark.parametrize("name, old, new", [
-    ("index.json", b'"num_docs": 3', b'"num_docs": 1e999'),
+    ("nb.json", b'"num_docs": 3', b'"num_docs": 1e999'),
     ("report.json", b"[\n      1,", b"[\n      1e999,"),
     ("svm.json", b'"epochs": 2', b'"epochs": 1e999'),
     ("model.bin", b'"offset": 0', b'"offset": 1e999'),
