@@ -9,6 +9,7 @@ runtime failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import inspect
@@ -28,8 +29,8 @@ from . import transformer as tfm
 from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      class_distribution, load_corpus, load_label_map, merge,
                      save_corpus, split)
-from .errors import (InputError, MixsentError, check_value, open_file,
-                     parse_json_object, read_file)
+from .errors import (InputError, MixsentError, TrainingError, check_value,
+                     open_file, parse_json_object, read_file)
 from .features import fit_term_index, tfidf_transform
 from .metrics import (compare_models, evaluate, format_report, load_report,
                       per_class_f1_report, round_half_up, save_report)
@@ -332,7 +333,14 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
 def _load_transformer(model_path: Path, payload: dict | None):
     params, cfg, _tc, vocab_ref, tok_cfg = tfm.load_transformer(model_path)
     vocab = load_vocabulary(_verify_ref(model_path.parent, vocab_ref, "vocabulary"))
-    return lambda texts: tfm.predict(params, cfg, vocab, tok_cfg, texts)
+
+    def predict(texts):
+        try:
+            return tfm.predict(params, cfg, vocab, tok_cfg, texts)
+        except TrainingError as e:
+            # Served weights that overflow are a bad input file, not a failed run.
+            raise InputError(f"{model_path}: {e} (damaged model file?)") from None
+    return predict
 
 
 # kind -> (artifact file, train, load).  train(model_path, train_corpus,
@@ -506,8 +514,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h) and the values main sets.  The mmap
+# threshold is glibc's largest on 64-bit; the trim threshold is far above the
+# heap an encoder step frees.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 1 << 30
+
+
+def _keep_freed_memory() -> None:
+    """On glibc, keep freed heap memory in the process for reuse.  By default
+    glibc serves each block over 128 KiB (most numpy arrays here) by mmap and
+    returns it to the OS on free, so every encoder step page-faults its
+    attention, dropout and hidden buffers in afresh.  Called by main only:
+    library callers keep their allocator settings.  Any other libc, or a
+    mallopt that refuses the mmap threshold, keeps the defaults."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_memory()
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -24,6 +24,9 @@ PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 CONTINUATION_PREFIX = "##"
+# The largest max_len: the encoder builds [rows, heads, L, L] attention
+# scores and a [max_len, d_model] position table from it.
+MAX_LEN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,8 @@ class TokenizerConfig:
         check_fields(self)
         if self.max_len < 3:
             raise InputError("max_len must be >= 3 (room for [CLS], a piece, [SEP])")
+        if self.max_len > MAX_LEN:
+            raise InputError(f"max_len must be <= {MAX_LEN}")
         if self.max_word_chars < 1:
             raise InputError("max_word_chars must be positive")
 

@@ -32,7 +32,7 @@ from .errors import (InputError, TrainingError, check_fields, open_file,
                      parse_json_object)
 from .metrics import evaluate
 from .rng import SplitMix64, derive_seed, shuffled
-from .tokenizer import PAD_ID, TokenizerConfig, Vocabulary, encode
+from .tokenizer import MAX_LEN, PAD_ID, TokenizerConfig, Vocabulary, encode
 
 LN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -68,6 +68,18 @@ _ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
            1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
 _ERF_BLOCK = 1 << 14
+# Upper bounds on the encoder's shape keys.  Within them the parameter array
+# holds under 2^46 elements and one row's attention scores at most 2^48,
+# sizes numpy can at least try to allocate (a failed allocation is a
+# MemoryError); a larger key can end in a ValueError from numpy's limit on
+# array dimensions.
+SHAPE_BOUNDS = {"num_layers": 1 << 10, "num_heads": 1 << 16, "d_model": 1 << 16,
+                "d_ff": 1 << 16, "max_len": MAX_LEN, "vocab_size": 1 << 24}
+# Elements per block of adamw_step's passes: a block of params, grads, both
+# moments and the two scratch arrays is 2^15 * 6 float32 values (768 KiB),
+# within a core's L2 cache (1-2 MiB on current x86 cores), where whole-array
+# passes stream every array through memory once per operation.
+ADAMW_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,9 @@ class EncoderConfig:
         if min(self.num_layers, self.num_heads, self.d_model, self.d_ff,
                self.max_len, self.vocab_size, self.num_classes) < 1:
             raise InputError("all encoder dimensions must be positive")
+        for key, bound in SHAPE_BOUNDS.items():
+            if getattr(self, key) > bound:
+                raise InputError(f"{key} must be <= {bound}")
         if self.d_model % self.num_heads != 0:
             raise InputError(f"d_model {self.d_model} not divisible by "
                              f"num_heads {self.num_heads}")
@@ -629,52 +644,60 @@ def lr_schedule(step: int, tc: TrainConfig, total_steps: int) -> float:
 
 
 def adamw_init(params: np.ndarray, cfg: EncoderConfig) -> dict:
-    """Zero moments laid out as params, two scratch arrays of that size for
-    the update, and the mask of the matrix entries that weight decay
-    applies to."""
+    """Zero moments laid out as params, two scratch arrays of one
+    ADAMW_BLOCK for the update, and the mask of the matrix entries that
+    weight decay applies to."""
     decay = np.concatenate([np.full(t["nbytes"] // 4, len(t["shape"]) >= 2)
                             for t in _layout(cfg)])
+    block = min(ADAMW_BLOCK, params.size)
     return {"t": 0, "m": np.zeros_like(params), "v": np.zeros_like(params),
-            "scratch": (np.empty_like(params), np.empty_like(params)),
+            "scratch": (np.empty(block, params.dtype), np.empty(block, params.dtype)),
             "decay": decay, "cfg": cfg}
 
 
 def adamw_step(params: np.ndarray, grads: np.ndarray, state: dict,
                tc: TrainConfig, lr: float) -> None:
     """In-place AdamW update.  Weight decay is decoupled (p -= lr*wd*p) and
-    applies only to matrices; biases and layer-norm vectors are exempt.  A
-    non-finite update raises TrainingError naming the first tensor it hits.
-    Every temporary is one of the state's two scratch arrays."""
+    applies only to matrices; biases and layer-norm vectors are exempt.
+    Every pass runs block by block, a block the length of the state's two
+    scratch arrays (its only temporaries), so each block stays in cache.  A
+    non-finite update raises TrainingError naming the first tensor it hits;
+    the blocks before it are then already updated, and the run is over."""
     state["t"] += 1
     t = state["t"]
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    m, v = state["m"], state["v"]
-    update, denom = state["scratch"]
-    m *= ADAM_BETA1
-    np.multiply(grads, 1.0 - ADAM_BETA1, out=update)
-    m += update
-    v *= ADAM_BETA2
-    np.multiply(grads, grads, out=update)
-    update *= 1.0 - ADAM_BETA2
-    v += update
-    # update = (m / bc1) / (sqrt(v / bc2) + eps)
-    np.divide(v, bc2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    np.divide(m, bc1, out=update)
-    update /= denom
-    finite = np.isfinite(update)
-    if not finite.all():
-        bad = 4 * int(np.argmin(finite))
-        name = next(spec["name"] for spec in _layout(state["cfg"])
-                    if bad < spec["offset"] + spec["nbytes"])
-        raise TrainingError(f"non-finite optimizer update for {name}")
-    update *= lr
-    params -= update
-    if tc.weight_decay > 0:
-        np.multiply(params, lr * tc.weight_decay, out=update)
-        np.subtract(params, update, out=params, where=state["decay"])
+    m_all, v_all, decay = state["m"], state["v"], state["decay"]
+    scratch_u, scratch_d = state["scratch"]
+    block = len(scratch_u)
+    for start in range(0, len(params), block):
+        part = slice(start, start + block)
+        p, g, m, v = params[part], grads[part], m_all[part], v_all[part]
+        update, denom = scratch_u[:len(p)], scratch_d[:len(p)]
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=update)
+        m += update
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=update)
+        update *= 1.0 - ADAM_BETA2
+        v += update
+        # update = (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, bc1, out=update)
+        update /= denom
+        finite = np.isfinite(update)
+        if not finite.all():
+            bad = 4 * (start + int(np.argmin(finite)))
+            name = next(spec["name"] for spec in _layout(state["cfg"])
+                        if bad < spec["offset"] + spec["nbytes"])
+            raise TrainingError(f"non-finite optimizer update for {name}")
+        update *= lr
+        p -= update
+        if tc.weight_decay > 0:
+            np.multiply(p, lr * tc.weight_decay, out=update)
+            np.subtract(p, update, out=p, where=decay[part])
 
 
 @dataclass

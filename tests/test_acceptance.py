@@ -70,8 +70,10 @@ def full_scale_run(tmp_path_factory):
 def test_criterion_01_split_arithmetic(full_scale_run):
     out, elapsed = full_scale_run
     with criterion(1, "split arithmetic 19288/2411/2412 under 5 s"):
-        sizes = {name: sum(1 for _ in (out / f"{name}.jsonl").open(encoding="utf-8"))
-                 for name in ("train", "val", "test")}
+        sizes = {}
+        for name in ("train", "val", "test"):
+            with (out / f"{name}.jsonl").open(encoding="utf-8") as fh:
+                sizes[name] = sum(1 for _ in fh)
         assert sizes == {"train": 19288, "val": 2411, "test": 2412}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["split_sizes"] == sizes

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -227,8 +229,8 @@ class TestTrain:
 
     def test_out_of_memory_exit_1_without_traceback(self, tmp_path, capsys,
                                                     monkeypatch):
-        """An allocation that fails, as numpy's does for an encoder whose
-        max_len is 2e9, is a runtime failure reported on one line."""
+        """An allocation that fails, as numpy's does for an encoder too
+        large for memory, is a runtime failure reported on one line."""
         out = run_prepare(tmp_path, tmp_path / "run")
         capsys.readouterr()
 
@@ -316,6 +318,22 @@ class TestTrain:
                      "--config", json.dumps(config)]) == 2
         assert "error: config split: train_frac + val_frac" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("config, message", [
+        ({"tokenizer": {"max_len": 10 ** 20}}, "tokenizer: max_len must be <= 65536"),
+        ({"encoder": {"d_model": 10 ** 23, "num_heads": 1}},
+         "encoder: d_model must be <= 65536"),
+    ], ids=["max_len", "d_model"])
+    def test_shape_key_too_large_for_numpy_exit_2(self, tmp_path, config, message):
+        """A shape key past its bound is refused when --config is read, not
+        by numpy's array dimension limit as a traceback."""
+        out = run_prepare(tmp_path, tmp_path / "run")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixsent", "train", "--model", "transformer",
+             "--out-dir", str(out), "--config", json.dumps(config)],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: config {message}\n"
 
     def test_one_config_file_serves_every_command(self, tmp_path):
         """Each command passes over the sections of other commands and models."""
@@ -911,6 +929,23 @@ def served_dir(tmp_path_factory):
     return out, texts
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_non_finite_model_weight_exit_2(served_dir, tmp_path, capsys, command, weight):
+    """A transformer file whose weights make the forward pass non-finite is
+    a damaged input: exit 2, for predict and evaluate alike."""
+    out, texts = served_dir
+    run = shutil.copytree(out, tmp_path / "run")
+    model = run / "transformer.bin"
+    model.write_bytes(model.read_bytes()[:-4] + np.float32(weight).astype("<f4").tobytes())
+    args = (["--input", str(texts)] if command == "predict" else ["--split", "test"])
+    capsys.readouterr()
+    assert main([command, "--model-file", str(model), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite activations" in err
+    assert "damaged model file" in err
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_predict_on_damaged_model_or_manifest_exits_0_or_2(served_dir, data):
@@ -1136,3 +1171,65 @@ def test_readme_lists_every_config_key():
     missing = [f"{name}.{key}" for name, keys in SETTINGS.items() for key in keys
                if f"`{key}`" not in bullets[name]]
     assert missing == []
+
+
+class TestAllocatorSetUp:
+    """main keeps freed heap memory in the process on glibc, and leaves the
+    allocator alone anywhere else."""
+
+    @staticmethod
+    def fake_libc(monkeypatch, result):
+        """Point ctypes.CDLL at a libc whose mallopt records its calls and
+        returns result."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return result
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        return calls, mallopt
+
+    def test_glibc_gets_both_thresholds(self, tmp_path, monkeypatch):
+        out = run_prepare(tmp_path, tmp_path / "run")
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        calls, mallopt = self.fake_libc(monkeypatch, 1)
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert mallopt.restype is ctypes.c_int
+
+    def test_refused_mmap_threshold_keeps_the_defaults(self, tmp_path, monkeypatch):
+        out = run_prepare(tmp_path, tmp_path / "run")
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        calls, _ = self.fake_libc(monkeypatch, 0)
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        assert calls == [(-3, 32 << 20)]
+
+    @pytest.mark.parametrize("confstr", [None, ValueError, AttributeError],
+                             ids=["other-libc", "unknown-name", "no-confstr"])
+    def test_off_glibc_the_command_still_runs(self, tmp_path, monkeypatch, confstr):
+        out = run_prepare(tmp_path, tmp_path / "run")
+        if confstr is None:
+            monkeypatch.setattr(os, "confstr", lambda name: None)
+        elif confstr is AttributeError:
+            monkeypatch.delattr(os, "confstr")
+        else:
+            def unknown(name):
+                raise ValueError("unrecognized configuration name")
+            monkeypatch.setattr(os, "confstr", unknown)
+        calls, _ = self.fake_libc(monkeypatch, 1)
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        assert calls == []
+        assert (out / "nb.json").exists()
+
+    def test_no_libc_symbols_keeps_the_defaults(self, tmp_path, monkeypatch):
+        out = run_prepare(tmp_path, tmp_path / "run")
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+
+        def no_library(name):
+            raise OSError("cannot load the process's symbols")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0

@@ -647,6 +647,44 @@ class TestSchedulerAndOptimizer:
         with pytest.raises(TrainingError, match=rf"update for {re.escape(key)}$"):
             adamw_step(params, grads, state, TrainConfig(), lr=1e-3)
 
+    @pytest.mark.parametrize("key, index", [
+        ("layers.0.ffn.w1", 0), ("layers.0.ffn.b1", 5), ("head.b", -1)])
+    def test_non_finite_update_past_the_first_block(self, key, index, monkeypatch):
+        """Blocks of 64 elements: a bad entry in a later block is named by
+        its block's offset plus its index inside the block."""
+        import mixsent.transformer as tfm
+        monkeypatch.setattr(tfm, "ADAMW_BLOCK", 64)
+        params = init_params(TINY, seed=0)
+        grads = np.zeros_like(params)
+        views = _views(grads, TINY)
+        views[key].reshape(-1)[index] = np.nan
+        views["head.b"][-1] = np.nan
+        state = adamw_init(params, TINY)
+        assert len(state["scratch"][0]) == 64
+        assert next(t["offset"] for t in tfm._layout(TINY) if t["name"] == key) >= 4 * 64
+        with pytest.raises(TrainingError, match=rf"update for {re.escape(key)}$"):
+            adamw_step(params, grads, state, TrainConfig(), lr=1e-3)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 15])
+    def test_blocked_step_matches_one_block(self, block, monkeypatch):
+        """Blocks that cut through tensors (the last one short) give the
+        parameters and moments of one whole-array block, bit for bit."""
+        import mixsent.transformer as tfm
+        rng = np.random.default_rng(6)
+        grads = [rng.normal(size=init_params(TINY_2, seed=0).shape).astype(np.float32)
+                 for _ in range(3)]
+        runs = []
+        for size in (block, 1 << 30):
+            monkeypatch.setattr(tfm, "ADAMW_BLOCK", size)
+            params = init_params(TINY_2, seed=0)
+            state = adamw_init(params, TINY_2)
+            for t in range(6):
+                adamw_step(params, grads[t % 3], state, TrainConfig(weight_decay=0.01),
+                           lr=1e-2)
+            runs.append((params, state["m"], state["v"]))
+        for blocked, whole in zip(*runs):
+            np.testing.assert_array_equal(blocked, whole)
+
 
 class TestTrainLoop:
     VOCAB = Vocabulary.from_pieces([f"w{i}" for i in range(12)])
