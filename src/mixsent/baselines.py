@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LABELS, SentimentLabel
-from .errors import InputError, TrainingError, parse_json_object, read_file
+from .errors import InputError, TrainingError, check_fields, parse_json_object, read_file
 from .features import FeatureMatrix, TermIndex
 from .rng import SplitMix64, derive_seed, shuffled
 
@@ -108,6 +108,7 @@ class SvmHyper:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.lambda_ <= 0:
             raise InputError("lambda_ must be > 0")
         if self.epochs < 0:
@@ -132,6 +133,11 @@ def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
     stored and a step costs O(nnz of its row).  Example order is reshuffled
     each epoch from a per-class stream derived from the seed.  Labels absent
     from y keep a zero classifier.
+
+    A step gathers its row's entries of s once and writes them back only on
+    a violation.  It branches on y = +1 or -1 where the formula multiplies
+    by y, which changes no float result: the weights and bias are those of
+    the plain update.
     """
     hyper = hyper or SvmHyper()
     labels = _label_ids(X, y)
@@ -145,22 +151,30 @@ def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
         c = int(label)
         if not np.any(labels == c):
             continue
-        targets = np.where(labels == c, 1.0, -1.0).tolist()
+        positive = (labels == c).tolist()
         s = np.zeros(X.num_features)
         b = 0.0
         rng = SplitMix64(derive_seed(hyper.seed, c))
         t = 0
+        scale = lam  # lambda * max(t, 1); s is still zero at t = 0
         for _ in range(hyper.epochs):
             for i in shuffled(order0, rng):
                 cols, vals = rows[i]
-                yi = targets[i]
-                # w before this step is s/(lambda*t); s is still zero at t = 0
-                margin = yi * (float(vals @ s[cols]) / (lam * max(t, 1)) + b)
+                part = s[cols]
+                # w.x + b, with w before this step s/scale
+                score = float(vals.dot(part)) / scale + b
                 t += 1
-                if margin < 1.0:
-                    s[cols] += yi * vals
-                    b += yi / (lam * t)
-            weights[c] = s / (lam * t)
+                scale = lam * t
+                if positive[i]:
+                    if score < 1.0:
+                        part += vals
+                        s[cols] = part
+                        b += 1.0 / scale
+                elif -score < 1.0:
+                    part -= vals
+                    s[cols] = part
+                    b -= 1.0 / scale
+            weights[c] = s / scale
             if not (np.all(np.isfinite(weights[c])) and math.isfinite(b)):
                 raise TrainingError(f"SVM diverged for class {label.display_name}")
         bias[c] = b
@@ -225,13 +239,17 @@ def load_baseline(path: str | Path, payload: dict | None = None
                 class_log_prior=_class_array(payload, "class_log_prior", 1),
                 feature_log_likelihood=_class_array(payload, "feature_log_likelihood", 2),
                 alpha=float(payload["alpha"]))
+            if not (math.isfinite(model.alpha) and model.alpha > 0):   # as nb_train requires
+                raise ValueError(f"alpha is {model.alpha!r}, not a finite number > 0")
         elif kind == "svm":
             h = payload["hyper"]
-            model = LinearSvmModel(
-                weights=_class_array(payload, "weights", 2),
-                bias=_class_array(payload, "bias", 1),
-                hyper=SvmHyper(lambda_=float(h["lambda"]), epochs=int(h["epochs"]),
-                               seed=int(h["seed"])))
+            try:
+                hyper = SvmHyper(lambda_=float(h["lambda"]), epochs=int(h["epochs"]),
+                                 seed=int(h["seed"]))
+            except InputError as e:
+                raise ValueError(f"hyper: {e}") from None
+            model = LinearSvmModel(weights=_class_array(payload, "weights", 2),
+                                   bias=_class_array(payload, "bias", 1), hyper=hyper)
         else:
             raise InputError(f"unknown model_type {kind!r} in {path}")
         if payload.get("format_version") != FORMAT_VERSION:

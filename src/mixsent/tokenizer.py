@@ -149,39 +149,6 @@ def _merge_str(pair: tuple[str, str]) -> str:
     return a + b[len(CONTINUATION_PREFIX):]
 
 
-def _merge_word(pieces: list[str], pair: tuple[str, str],
-                new_piece: str) -> dict[tuple[str, str], int]:
-    """Merge each occurrence of pair in place, scanning left to right, and
-    return the change in the word's count of each adjacent pair.
-
-    Only the pairs next to a merge site change: (left, a), (a, b) and
-    (b, right) give way to (left, new) and (new, right).  Sites are found by
-    position, so a piece equal to new_piece from an earlier merge is left
-    alone.  A pair added at one site and removed at the next nets to zero.
-    """
-    a, b = pair
-    delta: dict[tuple[str, str], int] = defaultdict(int)
-    i = 0
-    while True:
-        try:
-            i = pieces.index(a, i)
-        except ValueError:
-            break
-        if i + 1 < len(pieces) and pieces[i + 1] == b:
-            delta[pair] -= 1
-            if i:
-                left = pieces[i - 1]
-                delta[(left, a)] -= 1
-                delta[(left, new_piece)] += 1
-            pieces[i:i + 2] = [new_piece]
-            if i + 1 < len(pieces):
-                right = pieces[i + 1]
-                delta[(b, right)] -= 1
-                delta[(new_piece, right)] += 1
-        i += 1
-    return delta
-
-
 def train_vocabulary(texts: list[str], target_size: int,
                      cfg: TokenizerConfig | None = None) -> Vocabulary:
     """Frequency-driven vocabulary trainer.
@@ -193,10 +160,14 @@ def train_vocabulary(texts: list[str], target_size: int,
     The result encodes every in-limit training word without [UNK].
 
     Pair counts and a pair -> words index persist across merges, so each
-    merge visits only the words that contain the merged pair, and in them
-    recounts only the pairs next to a merge site (Sennrich et al., 2016).
-    A heap keyed on (-count, merged string, pair) picks the merge; entries
-    whose count is out of date are skipped when popped.
+    merge visits only the words listed for the merged pair, and in them
+    recounts only the pairs next to a merge site (Sennrich et al., 2016):
+    (left, a), (a, b) and (b, right) give way to (left, new) and
+    (new, right).  Sites are found by position, left to right, so a piece
+    equal to the new one from an earlier merge is left alone.  A heap keyed
+    on (-count, merged string, pair) picks the merge; entries whose count
+    is out of date are skipped when popped.  The key is total, so a pair
+    pushed again with an unchanged count changes no merge.
     """
     cfg = cfg or TokenizerConfig()
     word_counts = {word: n for word, n in
@@ -242,17 +213,36 @@ def train_vocabulary(texts: list[str], target_size: int,
             known.add(new_piece)
             merged_tokens.append(new_piece)
         # After the merge no word holds the pair, so its index entry goes.
-        # A word listed there may have lost the pair to an earlier merge;
-        # _merge_word then finds no site and reports no change.
-        changed = set()
+        # A word listed there may have lost the pair to an earlier merge.
+        a, b = best
+        changed = {best}
         for w in pair_words.pop(best):
+            pieces = word_pieces[w]
+            if a not in pieces:
+                continue
             n = freqs[w]
-            for pair, d in _merge_word(word_pieces[w], best, new_piece).items():
-                if d:
-                    pair_counts[pair] += d * n
-                    changed.add(pair)
-                    if d > 0:
-                        pair_words[pair].add(w)
+            i = pieces.index(a)
+            while i < len(pieces) - 1:
+                if pieces[i] == a and pieces[i + 1] == b:
+                    pair_counts[best] -= n
+                    if i:
+                        left = pieces[i - 1]
+                        lost, gained = (left, a), (left, new_piece)
+                        pair_counts[lost] -= n
+                        pair_counts[gained] += n
+                        pair_words[gained].add(w)
+                        changed.add(lost)
+                        changed.add(gained)
+                    pieces[i:i + 2] = [new_piece]
+                    if i + 1 < len(pieces):
+                        right = pieces[i + 1]
+                        lost, gained = (b, right), (new_piece, right)
+                        pair_counts[lost] -= n
+                        pair_counts[gained] += n
+                        pair_words[gained].add(w)
+                        changed.add(lost)
+                        changed.add(gained)
+                i += 1
         for pair in changed:
             count = pair_counts[pair]
             if count:

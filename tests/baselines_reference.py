@@ -6,6 +6,10 @@ replaced with one CSR matrix per batch: the tests require bit-identical
 TF-IDF weights and Naive Bayes scores, and SVM weights within float
 tolerance, because the SVM now stores w as a scaled sum instead of
 shrinking it at every step.
+
+`sparse_svm_train` is that scaled-sum loop in its plain form, multiplying
+by the target y where `mixsent.baselines.svm_train` branches on its sign;
+the tests require the two to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -77,4 +81,35 @@ def svm_train(rows, y, lambda_, epochs, seed, num_features):
                     for fid, v in rows[i]:
                         w[fid] += eta * targets[i] * v
                     bias[c] += eta * targets[i]
+    return weights, bias
+
+
+def sparse_svm_train(X, y, lambda_, epochs, seed):
+    """(weights [C, T], bias [C]) for a FeatureMatrix X, storing w after
+    step t as s/(lambda*t) and touching only the row's columns of s."""
+    labels = np.array([int(label) for label in y])
+    rows = [(X.indices[a:b], X.data[a:b]) for a, b in zip(X.indptr[:-1], X.indptr[1:])]
+    weights = np.zeros((NUM_CLASSES, X.num_features))
+    bias = np.zeros(NUM_CLASSES)
+    order0 = list(range(len(X)))
+    for c in range(NUM_CLASSES):
+        if not np.any(labels == c):
+            continue
+        targets = np.where(labels == c, 1.0, -1.0).tolist()
+        s = np.zeros(X.num_features)
+        b = 0.0
+        rng = SplitMix64(derive_seed(seed, c))
+        t = 0
+        for _ in range(epochs):
+            for i in shuffled(order0, rng):
+                cols, vals = rows[i]
+                yi = targets[i]
+                # w before this step is s/(lambda*t); s is still zero at t = 0
+                margin = yi * (float(vals @ s[cols]) / (lambda_ * max(t, 1)) + b)
+                t += 1
+                if margin < 1.0:
+                    s[cols] += yi * vals
+                    b += yi / (lambda_ * t)
+        weights[c] = s / (lambda_ * max(t, 1))
+        bias[c] = b
     return weights, bias

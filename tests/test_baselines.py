@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import baselines_reference as ref
 from mixsent.baselines import (LinearSvmModel, NaiveBayesModel, SvmHyper,
                                load_baseline, nb_predict, nb_train,
                                save_baseline, svm_predict, svm_train)
-from mixsent.corpus import SentimentLabel
+from mixsent.corpus import LABELS, SentimentLabel
 from mixsent.errors import InputError
 from mixsent.features import fit_term_index, tfidf_transform
 
@@ -211,6 +213,48 @@ class TestLinearSvm:
             np.testing.assert_array_equal(scores[i], expected)
             assert labels[i] == int(np.argmax(expected))
 
+    @settings(deadline=None)
+    @given(data=st.data(), lambda_=st.sampled_from([1e-4, 1e-2]))
+    def test_bit_identical_to_sparse_reference(self, data, lambda_):
+        """Small matrices with an empty row, weights of either sign, and
+        labels from one or two classes, so at least one class is absent."""
+        T = data.draw(st.integers(1, 6), label="features")
+        rows = data.draw(st.lists(st.dictionaries(st.integers(0, T - 1),
+                                                  st.floats(-4.0, 4.0).filter(bool),
+                                                  max_size=T),
+                                  min_size=1, max_size=12), label="rows")
+        rows.insert(data.draw(st.integers(0, len(rows)), label="empty row at"), {})
+        classes = data.draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=2,
+                                     unique=True), label="classes")
+        y = data.draw(st.lists(st.sampled_from(classes), min_size=len(rows),
+                               max_size=len(rows)), label="labels")
+        epochs = data.draw(st.integers(0, 4), label="epochs")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        X = feature_matrix(rows, T)
+        m = svm_train(X, y, SvmHyper(lambda_=lambda_, epochs=epochs, seed=seed))
+        weights, bias = ref.sparse_svm_train(X, y, lambda_, epochs, seed)
+        np.testing.assert_array_equal(m.weights, weights)
+        np.testing.assert_array_equal(m.bias, bias)
+
+    def test_bit_identical_to_sparse_reference_on_short_posts(self):
+        """800 posts of 5-25 words from a Zipfian 20,000-word lexicon, most
+        with a class cue word: the shape of the benchmark's short posts."""
+        rng = np.random.default_rng(5)
+        zipf = 1.0 / np.arange(1, 20_001) ** 1.05
+        lengths = rng.integers(5, 26, size=800)
+        words = iter(rng.choice(20_000, size=int(lengths.sum()), p=zipf / zipf.sum()))
+        texts, y = [], []
+        for n in lengths:
+            c = int(rng.integers(0, 3))
+            cue = [f"cue{c}"] if rng.random() < 0.8 else []
+            texts.append(" ".join(cue + [f"w{next(words)}" for _ in range(n)]))
+            y.append(SentimentLabel(c))
+        X = tfidf_transform(texts, fit_term_index(texts))
+        m = svm_train(X, y, SvmHyper(seed=1))
+        weights, bias = ref.sparse_svm_train(X, y, 1e-4, 20, 1)
+        np.testing.assert_array_equal(m.weights, weights)
+        np.testing.assert_array_equal(m.bias, bias)
+
     def test_zero_epochs_gives_zero_model(self, two_doc_fixture):
         X, y = two_doc_fixture
         m = svm_train(X, y, SvmHyper(epochs=0))
@@ -278,6 +322,13 @@ class TestModelIO:
         ("svm", "bias", [0.0, float("inf"), 0.0]),
         ("svm", "weights", [[1.0, 2.0], [1.0], [1.0, 2.0]]),
         ("svm", "weights", [1.0, 2.0, 3.0]),
+        # Hyper-parameters that training refuses.
+        ("nb", "alpha", float("nan")),
+        ("nb", "alpha", 0.0),
+        ("nb", "alpha", -5.0),
+        ("svm", "hyper.lambda", float("nan")),
+        ("svm", "hyper.lambda", float("inf")),
+        ("svm", "hyper.lambda", -5.0),
     ])
     def test_shape_and_finiteness_validated(self, tmp_path, two_doc_fixture,
                                             model, key, value):
@@ -286,7 +337,11 @@ class TestModelIO:
         path = tmp_path / f"{model}.json"
         save_baseline(m, TWO_DOC_INDEX, path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload[key] = value
+        *parents, name = key.split(".")
+        target = payload
+        for parent in parents:
+            target = target[parent]
+        target[name] = value
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(InputError, match=key):
+        with pytest.raises(InputError, match=name):
             load_baseline(path)

@@ -601,6 +601,33 @@ class TestBaselineArtifact:
         captured = capsys.readouterr()
         assert captured.out == "" and key in captured.err
 
+    @pytest.mark.parametrize("model_file,keys,literal", [
+        ("svm.json", ("hyper", "lambda"), "NaN"),
+        ("svm.json", ("hyper", "lambda"), "1e999"),
+        ("nb.json", ("alpha",), "NaN"),
+        ("nb.json", ("alpha",), "0"),
+        ("nb.json", ("alpha",), "-5"),
+    ])
+    def test_untrainable_hyper_parameter_exit_2(self, baseline_dir, tmp_path, capsys,
+                                                model_file, keys, literal):
+        """A model file holding a value that training refuses is not served."""
+        path = baseline_dir / model_file
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = "VALUE"
+        path.write_text(json.dumps(payload).replace('"VALUE"', literal), encoding="utf-8")
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        for argv in (["predict", "--model-file", str(path), "--input", str(texts)],
+                     ["evaluate", "--model-file", str(path), "--split", "test"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: malformed model file {path}: ")
+            assert captured.err.count("\n") == 1 and keys[-1] in captured.err
+
     @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
     def test_predict_parses_the_model_once(self, baseline_dir, tmp_path, capsys,
                                            monkeypatch, model_file):

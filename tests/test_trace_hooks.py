@@ -50,8 +50,8 @@ def test_traced_transformer_train_and_predict_record_layer_spans(tmp_path):
     train = _traced_span_names(tmp_path, "train", [
         "train", "--model", "transformer", "--out-dir", str(out),
         "--config", json.dumps(config)])
-    assert {"tokenizer.encode", "transformer.forward", "transformer.backward",
-            "transformer.adamw"} <= train
+    assert {"tokenizer.vocab_train", "tokenizer.encode", "transformer.forward",
+            "transformer.backward", "transformer.adamw"} <= train
     predict = _traced_span_names(tmp_path, "predict", [
         "predict", "--model-file", str(out / "transformer.bin"),
         "--input", str(texts)])
