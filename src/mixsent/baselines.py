@@ -258,6 +258,6 @@ def load_baseline(path: str | Path, payload: dict | None = None
         index = payload["term_index"]
         return model, TermIndex(terms=tuple(index["terms"]),
                                 document_frequency=tuple(index["df"]),
-                                num_docs=int(index["num_docs"]))
+                                num_docs=index["num_docs"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"malformed model file {path}: {e}") from None

@@ -36,8 +36,7 @@ from .metrics import (compare_models, evaluate, format_report, load_report,
                       per_class_f1_report, round_half_up, save_report)
 from .preprocess import (PreprocessConfig, clean_text, load_emoji_lexicon,
                          load_fillers, load_stop_words, preprocess_corpus)
-from .tokenizer import (TokenizerConfig, load_vocabulary, save_vocabulary,
-                        train_vocabulary)
+from .tokenizer import TokenizerConfig, train_vocabulary
 
 
 def _sha256(path: Path) -> str:
@@ -84,8 +83,8 @@ SETTINGS = {
     "nb": _defaults(baselines.nb_train, "X", "y"),
     "svm": _defaults(baselines.SvmHyper, "seed"),
     "tokenizer": {**_defaults(TokenizerConfig), "vocab_size": tfm.EncoderConfig.vocab_size},
-    # max_len, vocab_size and num_classes follow the tokenizer, vocabulary and labels.
-    "encoder": _defaults(tfm.EncoderConfig, "max_len", "vocab_size", "num_classes"),
+    # max_len and vocab_size follow the tokenizer and the vocabulary.
+    "encoder": _defaults(tfm.EncoderConfig, "max_len", "vocab_size"),
     "train": _defaults(tfm.TrainConfig, "seed"),
 }
 
@@ -129,7 +128,7 @@ def _load_config(arg: str) -> tuple[dict, dict]:
         ("svm", lambda: baselines.SvmHyper(float(svm["lambda"]), svm["epochs"])),
         ("tokenizer", lambda: TokenizerConfig(**tok)),
         ("encoder", lambda: tfm.EncoderConfig(**settings["encoder"], max_len=tok["max_len"],
-                                              vocab_size=vocab_size, num_classes=3)),
+                                              vocab_size=vocab_size)),
         ("train", lambda: tfm.TrainConfig(**settings["train"])),
     ]
     for name, build in builds:
@@ -310,12 +309,9 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
     result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                        val_c.labels(), vocab, tok_cfg, cfg, tc)
     # Written once training has returned: a failed train keeps the old run.
-    vocab_path = out_dir / "vocab.txt"
-    save_vocabulary(vocab, vocab_path)
-    vocab_ref = {"file": vocab_path.name, "sha256": _sha256(vocab_path)}
-    tfm.save_transformer(model_path, result.final_params, cfg, tc, tok_cfg, vocab_ref)
+    tfm.save_transformer(model_path, result.final_params, cfg, tc, tok_cfg, vocab)
     tfm.save_transformer(out_dir / "transformer_best.bin", result.best_params,
-                         cfg, tc, tok_cfg, vocab_ref)
+                         cfg, tc, tok_cfg, vocab)
     _write_json(out_dir / "training_log.json",
                 {"epochs": result.log, "best_epoch": result.best_epoch})
     for entry in result.log:
@@ -323,16 +319,14 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
         if "val_weighted_f1" in entry:
             line += f" val_weighted_f1 {entry['val_weighted_f1']:.4f}"
         print(line)
-    return ({"val.jsonl": _sha256(out_dir / "val.jsonl"),
-             "vocab.txt": vocab_ref["sha256"]},
+    return ({"val.jsonl": _sha256(out_dir / "val.jsonl")},
             {"tokenizer": {**dataclasses.asdict(tok_cfg), "vocab_size": len(vocab)},
              "encoder": dataclasses.asdict(cfg), "train": dataclasses.asdict(tc)},
-            ["transformer_best.bin", "vocab.txt", "training_log.json"])
+            ["transformer_best.bin", "training_log.json"])
 
 
 def _load_transformer(model_path: Path, payload: dict | None):
-    params, cfg, _tc, vocab_ref, tok_cfg = tfm.load_transformer(model_path)
-    vocab = load_vocabulary(_verify_ref(model_path.parent, vocab_ref, "vocabulary"))
+    params, cfg, _tc, vocab, tok_cfg = tfm.load_transformer(model_path)
 
     def predict(texts):
         try:

@@ -8,11 +8,11 @@ smoothed idf ln((1+N)/(1+df)) + 1, L2-normalized per document.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,26 +54,27 @@ class TermIndex:
     terms: tuple[str, ...]            # feature id -> term
     document_frequency: tuple[int, ...]
     num_docs: int
+    term_to_id: dict[str, int] = field(init=False, hash=False, compare=False, repr=False)
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.terms) != len(self.document_frequency):
             raise InputError("terms and document_frequency lengths differ")
         for term, df in zip(self.terms, self.document_frequency):
             if not isinstance(term, str):
                 raise InputError(f"term {term!r} is not a string")
-            if not (1 <= df <= self.num_docs):
-                raise InputError(f"df for {term!r} out of range: {df}")
+            # A bool or a float df is refused: JSON and fit_term_index give ints.
+            if type(df) is not int or not 1 <= df <= self.num_docs:
+                raise InputError(f"df for {term!r} must be an integer in "
+                                 f"[1, {self.num_docs}], got {df!r}")
+        term_to_id = dict(zip(self.terms, range(len(self.terms))))
+        if len(term_to_id) != len(self.terms):
+            repeated = next(t for i, t in enumerate(self.terms) if term_to_id[t] != i)
+            raise InputError(f"term {repeated!r} repeated in terms")
+        object.__setattr__(self, "term_to_id", term_to_id)
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    @property
-    def term_to_id(self) -> dict[str, int]:
-        cached = getattr(self, "_term_to_id", None)
-        if cached is None:
-            cached = {t: i for i, t in enumerate(self.terms)}
-            object.__setattr__(self, "_term_to_id", cached)
-        return cached
 
     @property
     def idf(self) -> tuple[float, ...]:

@@ -13,12 +13,10 @@ desk-scale vocabularies from raw text.
 from __future__ import annotations
 
 import heapq
-import io
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .errors import InputError, check_fields, read_file
+from .errors import InputError, check_fields
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
@@ -58,20 +56,17 @@ class Vocabulary:
     def __post_init__(self):
         if tuple(self.tokens[:4]) != SPECIALS:
             raise InputError(f"vocabulary must start with {SPECIALS} at ids 0-3")
-        if len(set(self.tokens)) != len(self.tokens):
-            raise InputError("vocabulary contains duplicate tokens")
-        for tok in self.tokens[4:]:
-            if tok in SPECIALS:
-                raise InputError(f"special token {tok} repeated past id 3")
-            if tok.startswith(CONTINUATION_PREFIX) and len(tok) <= 2:
-                raise InputError(f"continuation piece needs >=1 char after '##': {tok!r}")
-            if not tok:
-                raise InputError("empty token in vocabulary")
         trie: dict = {}
         for i, tok in enumerate(self.tokens):
+            if not isinstance(tok, str) or not tok:
+                raise InputError(f"vocabulary token {tok!r} is not a non-empty string")
+            if tok.startswith(CONTINUATION_PREFIX) and len(tok) <= 2:
+                raise InputError(f"continuation piece needs >=1 char after '##': {tok!r}")
             node = trie
             for ch in tok:
                 node = node.setdefault(ch, {})
+            if "" in node:
+                raise InputError(f"vocabulary repeats token {tok!r}")
             node[""] = i
         object.__setattr__(self, "_trie", trie)
         object.__setattr__(self, "_word_ids", {})
@@ -252,29 +247,3 @@ def train_vocabulary(texts: list[str], target_size: int,
 
     return Vocabulary.from_pieces(vocab + merged_tokens)
 
-
-def save_vocabulary(v: Vocabulary, path: str | Path) -> None:
-    """One token per line; the line index is the token id."""
-    Path(path).write_text("\n".join(v.tokens) + "\n", encoding="utf-8")
-
-
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    """One token per line, split where a text-mode file splits lines."""
-    tokens = []
-    seen = set()
-    lines = io.StringIO(read_file(path, "vocabulary"), newline=None)
-    for line_no, line in enumerate(lines):
-        tok = line.rstrip("\n")
-        if not tok:
-            raise InputError(f"{path}:{line_no + 1}: empty vocabulary line")
-        if tok in seen:
-            raise InputError(f"{path}:{line_no + 1}: duplicate token {tok!r}")
-        seen.add(tok)
-        tokens.append(tok)
-    if len(tokens) < 4 or tuple(tokens[:4]) != SPECIALS:
-        raise InputError(
-            f"{path}: lines 0-3 must be the specials {' '.join(SPECIALS)}")
-    try:
-        return Vocabulary(tuple(tokens))
-    except InputError as e:
-        raise InputError(f"{path}: {e}") from None

@@ -27,13 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import SentimentLabel
+from .corpus import LABELS, SentimentLabel
 from .errors import (InputError, TrainingError, check_fields, open_file,
                      parse_json_object)
 from .metrics import evaluate
 from .rng import SplitMix64, derive_seed, shuffled
 from .tokenizer import MAX_LEN, PAD_ID, TokenizerConfig, Vocabulary, encode
 
+# The head's width: one logit per label.
+NUM_CLASSES = len(LABELS)
 LN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 INIT_STD = 0.02
@@ -80,6 +82,8 @@ SHAPE_BOUNDS = {"num_layers": 1 << 10, "num_heads": 1 << 16, "d_model": 1 << 16,
 # within a core's L2 cache (1-2 MiB on current x86 cores), where whole-array
 # passes stream every array through memory once per operation.
 ADAMW_BLOCK = 1 << 15
+# Version 2 holds the vocabulary in the header.
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -91,12 +95,11 @@ class EncoderConfig:
     dropout: float = 0.1
     max_len: int = 128
     vocab_size: int = 4000
-    num_classes: int = 3
 
     def __post_init__(self):
         check_fields(self)
         if min(self.num_layers, self.num_heads, self.d_model, self.d_ff,
-               self.max_len, self.vocab_size, self.num_classes) < 1:
+               self.max_len, self.vocab_size) < 1:
             raise InputError("all encoder dimensions must be positive")
         for key, bound in SHAPE_BOUNDS.items():
             if getattr(self, key) > bound:
@@ -148,8 +151,8 @@ def _param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
                   (pre + "ffn.b2", (D,), "zeros"),
                   (pre + "norm2.gain", (D,), "ones"),
                   (pre + "norm2.bias", (D,), "zeros")]
-    specs += [("head.w", (D, cfg.num_classes), "normal"),
-              ("head.b", (cfg.num_classes,), "zeros")]
+    specs += [("head.w", (D, NUM_CLASSES), "normal"),
+              ("head.b", (NUM_CLASSES,), "zeros")]
     return specs
 
 
@@ -808,7 +811,7 @@ def _eval_batches(rows: list[list[int]], cfg: EncoderConfig):
 def _predict_rows(params: np.ndarray, cfg: EncoderConfig, rows: list[list[int]]
                   ) -> tuple[list[SentimentLabel], np.ndarray]:
     """predict on encoded rows, one forward pass per _eval_batches batch."""
-    probs = np.empty((len(rows), cfg.num_classes))
+    probs = np.empty((len(rows), NUM_CLASSES))
     for sel in _eval_batches(rows, cfg):
         logits, _ = forward_arrays(params, cfg, *_pad([rows[i] for i in sel]))
         probs[sel] = _softmax(logits.astype(np.float64))
@@ -818,19 +821,18 @@ def _predict_rows(params: np.ndarray, cfg: EncoderConfig, rows: list[list[int]]
 # --- serialization ---------------------------------------------------------
 
 def save_transformer(path: str | Path, params: np.ndarray, cfg: EncoderConfig,
-                     tc: TrainConfig, tok_cfg: TokenizerConfig,
-                     vocab_ref: dict | None = None) -> None:
+                     tc: TrainConfig, tok_cfg: TokenizerConfig, vocab: Vocabulary) -> None:
     """Single file: one JSON header line, then params as little-endian
     float32, whose layout the header's tensor list spells out (names, shapes
-    and byte offsets).  The header records tok_cfg.max_word_chars; its
-    max_len is the encoder's."""
+    and byte offsets).  The header holds the vocabulary's tokens in id order
+    and tok_cfg.max_word_chars; its max_len is the encoder's."""
     header = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "kind": "transformer",
         "encoder_config": asdict(cfg),
         "train_config": asdict(tc),
         "max_word_chars": tok_cfg.max_word_chars,
-        "vocab_ref": vocab_ref,
+        "vocab": list(vocab.tokens),
         "tensors": _layout(cfg),
     }
     with Path(path).open("wb") as fh:
@@ -840,26 +842,31 @@ def save_transformer(path: str | Path, params: np.ndarray, cfg: EncoderConfig,
 
 
 def load_transformer(path: str | Path):
-    """Returns (params, EncoderConfig, TrainConfig, vocab_ref, TokenizerConfig).
+    """Returns (params, EncoderConfig, TrainConfig, Vocabulary, TokenizerConfig).
 
-    The header's tensor list must be exactly the one the encoder config
-    implies, and the payload exactly as long as that layout; a header
-    without max_word_chars gets the default."""
+    The header's vocabulary must have the encoder config's vocab_size
+    tokens, its tensor list must be exactly the one the encoder config
+    implies, and the payload exactly as long as that layout."""
     with open_file(path, "model file") as fh:
         header_line, payload = fh.readline(), fh.read()
     header = parse_json_object(header_line, f"{path}: bad transformer header")
     if header.get("kind") != "transformer":
         raise InputError(f"{path} is not a transformer model file")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise InputError(f"{path} has format_version {header.get('format_version')!r}"
+                         f", not {FORMAT_VERSION}; train the model again")
     try:
         cfg = EncoderConfig(**header["encoder_config"])
         tc = TrainConfig(**header["train_config"])
-        tok_cfg = TokenizerConfig(
-            max_len=cfg.max_len,
-            max_word_chars=header.get("max_word_chars",
-                                      TokenizerConfig.max_word_chars))
+        tok_cfg = TokenizerConfig(max_len=cfg.max_len,
+                                  max_word_chars=header["max_word_chars"])
+        vocab = Vocabulary(tuple(header["vocab"]))
         specs = list(header["tensors"])
     except (KeyError, TypeError, InputError) as e:
         raise InputError(f"{path}: bad transformer header: {e!r}") from None
+    if len(vocab) != cfg.vocab_size:
+        raise InputError(f"{path}: the header's vocab has {len(vocab)} tokens, "
+                         f"its encoder_config.vocab_size is {cfg.vocab_size}")
 
     layout = _layout(cfg)
     if specs != layout:
@@ -872,4 +879,4 @@ def load_transformer(path: str | Path):
         raise InputError(f"{path}: the payload has {len(payload)} bytes, the "
                          f"layout needs {size} (file truncated or padded?)")
     params = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    return params, cfg, tc, header.get("vocab_ref"), tok_cfg
+    return params, cfg, tc, vocab, tok_cfg

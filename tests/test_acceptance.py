@@ -186,8 +186,7 @@ def test_criterion_08_gradient_check():
     with criterion(8, "tiny-transformer backprop vs finite differences < 1e-4"):
         start = time.perf_counter()
         cfg = tfm.EncoderConfig(num_layers=2, num_heads=2, d_model=8, d_ff=16,
-                                dropout=0.0, max_len=16, vocab_size=30,
-                                num_classes=3)
+                                dropout=0.0, max_len=16, vocab_size=30)
         params = tfm.init_params(cfg, seed=3)
         rng = np.random.default_rng(0)
         ids, mask = [], []
@@ -366,8 +365,7 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
             assert path_b.exists(), path_a.name
             assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
             compared.append(path_a.name)
-        for name in ("nb.json", "svm.json", "transformer.bin",
-                     "transformer_best.bin", "vocab.txt",
+        for name in ("nb.json", "svm.json", "transformer.bin", "transformer_best.bin",
                      "eval_nb_test.json", "eval_svm_test.json",
                      "eval_transformer_test.json", "comparison.csv"):
             assert name in compared, name

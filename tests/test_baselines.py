@@ -329,6 +329,11 @@ class TestModelIO:
         ("svm", "hyper.lambda", float("nan")),
         ("svm", "hyper.lambda", float("inf")),
         ("svm", "hyper.lambda", -5.0),
+        # A term index that would number its features wrongly.
+        ("nb", "term_index.terms", ["bad", "bad", "movie"]),
+        ("nb", "term_index.df", [1.5, 1, 3]),
+        ("svm", "term_index.df", [True, 1, 3]),
+        ("nb", "term_index.num_docs", "7"),
     ])
     def test_shape_and_finiteness_validated(self, tmp_path, two_doc_fixture,
                                             model, key, value):

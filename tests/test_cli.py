@@ -26,7 +26,7 @@ from mixsent.errors import TrainingError
 from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, clean_text
-from mixsent.tokenizer import TokenizerConfig, load_vocabulary
+from mixsent.tokenizer import TokenizerConfig
 
 LABEL_MAP = {"neg": "negative", "neu": "neutral", "pos": "positive"}
 
@@ -225,7 +225,10 @@ class TestTrain:
         assert tc["epochs"] == 1  # the one explicit override
         assert (out / "transformer.bin").exists()
         assert (out / "transformer_best.bin").exists()
-        assert (out / "vocab.txt").exists()
+        # The vocabulary is in the model files' headers.
+        assert not (out / "vocab.txt").exists()
+        assert manifest["outputs"] == ["transformer.bin", "transformer_best.bin",
+                                       "training_log.json"]
 
     def test_out_of_memory_exit_1_without_traceback(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -462,14 +465,6 @@ class TestEvaluateAndReport:
         code = main(["evaluate", "--model-file", str(tmp_path / "none.json"),
                      "--split", "test"])
         assert code == 2
-
-    def test_digest_mismatch_refused(self, trained_dir, capsys):
-        (trained_dir / "vocab.txt").write_text(
-            "[PAD]\n[UNK]\n[CLS]\n[SEP]\nx\n", encoding="utf-8")
-        code = main(["evaluate", "--model-file", str(trained_dir / "transformer.bin"),
-                     "--split", "test"])
-        assert code == 2
-        assert "vocabulary digest mismatch" in capsys.readouterr().err
 
     @staticmethod
     def nb_run(tmp_path):
@@ -747,8 +742,7 @@ class TestTransformerArtifact:
     def test_served_with_trained_max_word_chars(self, short_words_dir, tmp_path,
                                                 capsys):
         out = short_words_dir
-        params, cfg, _, _, _ = tfm.load_transformer(out / "transformer.bin")
-        vocab = load_vocabulary(out / "vocab.txt")
+        params, cfg, _, vocab, _ = tfm.load_transformer(out / "transformer.bin")
         tok = TokenizerConfig(max_len=12, max_word_chars=3)
 
         train_c = load_corpus(out / "train.jsonl", CANONICAL_LABEL_MAP)
@@ -973,6 +967,95 @@ def test_non_finite_model_weight_exit_2(served_dir, tmp_path, capsys, command, w
     assert "damaged model file" in err
 
 
+def _edit_header(model: Path, edit) -> None:
+    """Rewrite the JSON header line of the transformer file model by edit."""
+    header_line, payload = model.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    edit(header)
+    model.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+def _predict_output(model: Path, texts: Path, capsys) -> tuple[int, str, str]:
+    capsys.readouterr()
+    code = main(["predict", "--model-file", str(model), "--input", str(texts)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_model_file_stands_alone(served_dir, tmp_path, capsys):
+    """transformer.bin, manifest.json and its preprocessing copies serve
+    anywhere, and a vocab.txt beside them is not read."""
+    out, texts = served_dir
+    assert not (out / "vocab.txt").exists()
+    code, expected, _ = _predict_output(out / "transformer.bin", texts, capsys)
+    assert code == 0 and expected
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    for name in ("transformer.bin", "manifest.json", "stopwords.txt"):
+        shutil.copy(out / name, alone / name)
+    assert _predict_output(alone / "transformer.bin", texts, capsys) == (0, expected, "")
+    (alone / "vocab.txt").write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nx\n", encoding="utf-8")
+    assert _predict_output(alone / "transformer.bin", texts, capsys) == (0, expected, "")
+
+
+def test_format_version_1_transformer_exit_2(served_dir, tmp_path, capsys):
+    """A model file of the earlier format refers to a vocab.txt."""
+    out, texts = served_dir
+    run = shutil.copytree(out, tmp_path / "run")
+    model = run / "transformer.bin"
+
+    def to_version_1(header):
+        (run / "vocab.txt").write_text("\n".join(header.pop("vocab")) + "\n",
+                                       encoding="utf-8")
+        digest = hashlib.sha256((run / "vocab.txt").read_bytes()).hexdigest()
+        header.update(format_version=1, vocab_ref={"file": "vocab.txt", "sha256": digest})
+        header["encoder_config"]["num_classes"] = 3
+    _edit_header(model, to_version_1)
+    code, stdout, err = _predict_output(model, texts, capsys)
+    assert (code, stdout) == (2, "")
+    assert f"{model} has format_version 1, not 2; train the model again" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda vocab: vocab.remove("[UNK]"),
+    lambda vocab: vocab.__setitem__(-1, vocab[4]),
+    lambda vocab: vocab.__setitem__(-1, "##"),
+    lambda vocab: vocab.__setitem__(-1, 7),
+], ids=["no-unk", "repeated", "bare-prefix", "not-a-string"])
+def test_bad_header_vocab_exit_2(served_dir, tmp_path, capsys, edit):
+    out, texts = served_dir
+    run = shutil.copytree(out, tmp_path / "run")
+    _edit_header(run / "transformer.bin", lambda header: edit(header["vocab"]))
+    code, stdout, err = _predict_output(run / "transformer.bin", texts, capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad transformer header" in err
+
+
+def test_header_num_classes_exit_2(served_dir, tmp_path, capsys):
+    """A header may not size the head: five classes, with a payload of the
+    matching size, would print five scores a line and then fail on a label
+    that does not exist."""
+    out, texts = served_dir
+    run = shutil.copytree(out, tmp_path / "run")
+    model = run / "transformer.bin"
+    header_line, payload = model.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header["encoder_config"]["num_classes"] = 5
+    *_, head_w, head_b = header["tensors"]
+    d_model = header["encoder_config"]["d_model"]
+    head_w.update(shape=[d_model, 5], nbytes=4 * d_model * 5)
+    head_b.update(offset=head_w["offset"] + head_w["nbytes"], shape=[5], nbytes=20)
+    head = np.zeros(d_model * 5 + 5, dtype="<f4")
+    head[-1] = 1.0                                  # class 4 wins
+    model.write_bytes(json.dumps(header).encode() + b"\n"
+                      + payload[:head_w["offset"]] + head.tobytes())
+    code, stdout, err = _predict_output(model, texts, capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "num_classes" in err
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_predict_on_damaged_model_or_manifest_exits_0_or_2(served_dir, data):
@@ -992,8 +1075,7 @@ def test_predict_on_damaged_model_or_manifest_exits_0_or_2(served_dir, data):
         damaged = original[:pos] + bytes([data.draw(st.integers(0, 255))]) + original[pos + 1:]
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp)
-        for name in ("nb.json", "transformer.bin", "vocab.txt",
-                     "manifest.json", "stopwords.txt"):
+        for name in ("nb.json", "transformer.bin", "manifest.json", "stopwords.txt"):
             shutil.copy(out / name, run / name)
         (run / target).write_bytes(damaged)
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -1014,7 +1096,8 @@ def test_model_file_with_non_object_header_exit_2(tmp_path, capsys):
 
 def test_transformer_header_with_fractional_num_layers_exit_2(tmp_path, capsys):
     out = run_prepare(tmp_path, tmp_path / "run")
-    header = {"kind": "transformer", "encoder_config": {"num_layers": 1.0},
+    header = {"kind": "transformer", "format_version": 2,
+              "encoder_config": {"num_layers": 1.0},
               "train_config": {}, "tensors": []}
     model = out / "transformer.bin"
     model.write_bytes(json.dumps(header).encode() + b"\n")

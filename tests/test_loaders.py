@@ -19,7 +19,7 @@ from mixsent.errors import InputError
 from mixsent.features import fit_term_index
 from mixsent.metrics import evaluate, load_report, save_report
 from mixsent.preprocess import load_emoji_lexicon, load_fillers, load_stop_words
-from mixsent.tokenizer import TokenizerConfig, Vocabulary, load_vocabulary, save_vocabulary
+from mixsent.tokenizer import TokenizerConfig, Vocabulary
 from mixsent.transformer import (EncoderConfig, TrainConfig, init_params,
                                  load_transformer, save_transformer)
 
@@ -27,7 +27,7 @@ from conftest import feature_matrix, make_corpus
 
 LABELS3 = [SentimentLabel(i) for i in (0, 1, 2)]
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=4, dropout=0.0,
-                     max_len=6, vocab_size=8, num_classes=3)
+                     max_len=6, vocab_size=8)
 
 
 def _packaged(name):
@@ -38,7 +38,7 @@ def _write_samples(d: Path) -> dict[str, Path]:
     """One well-formed file per loader, written by the library's own savers."""
     paths = {name: d / name for name in (
         "corpus.jsonl", "corpus.csv", "labels.json", "emoji.json", "stop.txt",
-        "fillers.txt", "vocab.txt", "report.json", "nb.json",
+        "fillers.txt", "report.json", "nb.json",
         "svm.json", "model.bin")}
     save_corpus(make_corpus([0, 1, 2, 2]), paths["corpus.jsonl"])
     paths["corpus.csv"].write_text('text,label,id\r\nmast hai,positive,a\r\n'
@@ -48,7 +48,6 @@ def _write_samples(d: Path) -> dict[str, Path]:
     paths["emoji.json"].write_bytes(_packaged("emoji_lexicon.json"))
     paths["stop.txt"].write_bytes(_packaged("stopwords.txt"))
     paths["fillers.txt"].write_bytes(_packaged("fillers.txt"))
-    save_vocabulary(Vocabulary.from_pieces(["li", "##kh", "##na"]), paths["vocab.txt"])
     save_report(evaluate(LABELS3, LABELS3[::-1]), paths["report.json"],
                 extra={"model": "nb", "split": "test"})
     X = feature_matrix([{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.5}])
@@ -57,7 +56,7 @@ def _write_samples(d: Path) -> dict[str, Path]:
     save_baseline(svm_train(X, LABELS3, SvmHyper(epochs=2)), idx, paths["svm.json"])
     save_transformer(paths["model.bin"], init_params(TINY, 1, np.float32), TINY,
                      TrainConfig(), TokenizerConfig(max_len=TINY.max_len),
-                     {"file": "v", "sha256": "0"})
+                     Vocabulary.from_pieces(["li", "##kh", "##na", "bé"]))
     return paths
 
 
@@ -69,7 +68,6 @@ LOADERS = {
     "emoji.json": load_emoji_lexicon,
     "stop.txt": load_stop_words,
     "fillers.txt": load_fillers,
-    "vocab.txt": load_vocabulary,
     "report.json": load_report,
     "nb.json": load_baseline,
     "svm.json": load_baseline,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from vocab_reference import train_vocabulary_reference
 from mixsent.errors import InputError
 from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, SPECIALS, UNK, UNK_ID,
                                TokenizerConfig, Vocabulary, encode,
-                               load_vocabulary, save_vocabulary,
                                train_vocabulary)
-from mixsent.transformer import _pad
+from mixsent.transformer import (EncoderConfig, TrainConfig, _pad, init_params,
+                                 load_transformer, save_transformer)
 
 
 def _pieces(word, v, cfg):
@@ -309,35 +310,64 @@ class TestIncrementalTrainerMatchesReference:
 
 
 class TestVocabularyIO:
+    """The vocabulary travels as the "vocab" list of the transformer model
+    file's header."""
+
+    @staticmethod
+    def _saved(path, vocab):
+        """A tiny transformer model file for vocab; its header, as a dict."""
+        cfg = EncoderConfig(num_layers=1, num_heads=1, d_model=2, d_ff=2,
+                            max_len=8, vocab_size=len(vocab))
+        save_transformer(path, init_params(cfg, 0, np.float32), cfg, TrainConfig(),
+                         TokenizerConfig(max_len=8), vocab)
+        return json.loads(path.read_bytes().split(b"\n", 1)[0])
+
+    def _with_tokens(self, tmp_path, tokens):
+        """A model file whose header's vocab is tokens, as written by hand."""
+        path = tmp_path / "model.bin"
+        header = self._saved(path, Vocabulary.from_pieces(
+            [f"p{i}" for i in range(len(tokens) - 4)]))
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        header["vocab"] = tokens
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        return path
+
     def test_roundtrip(self, tmp_path):
-        v = train_vocabulary(["mast movie hai"], 30)
-        path = tmp_path / "vocab.txt"
-        save_vocabulary(v, path)
-        assert load_vocabulary(path).tokens == v.tokens
+        texts = ["mast movie hai", "movie bakwas hai"]
+        v = train_vocabulary(texts, 30)
+        path = tmp_path / "model.bin"
+        assert self._saved(path, v)["vocab"] == list(v.tokens)
+        loaded = load_transformer(path)[3]
+        assert loaded.tokens == v.tokens
+        cfg = TokenizerConfig(max_len=16)
+        assert ([encode(t, loaded, cfg) for t in texts]
+                == [encode(t, v, cfg) for t in texts])
 
     def test_missing_unk_line(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_text("[PAD]\n[CLS]\n[SEP]\nli\n", encoding="utf-8")
-        with pytest.raises(InputError, match=r"\[UNK\]|specials"):
-            load_vocabulary(path)
+        path = self._with_tokens(tmp_path, ["[PAD]", "[CLS]", "[SEP]", "li", "na"])
+        with pytest.raises(InputError, match=r"\[UNK\]"):
+            load_transformer(path)
 
     def test_duplicate_line_reported(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_text("\n".join(SPECIALS + ("li", "li")) + "\n", encoding="utf-8")
-        with pytest.raises(InputError, match=":6"):
-            load_vocabulary(path)
+        path = self._with_tokens(tmp_path, list(SPECIALS) + ["li", "li"])
+        with pytest.raises(InputError, match="repeats token 'li'"):
+            load_transformer(path)
 
     def test_handwritten_seven_line_file(self, tmp_path, tok_cfg):
-        path = tmp_path / "vocab.txt"
-        path.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nli\n##kh\n##na\n", encoding="utf-8")
-        v = load_vocabulary(path)
+        path = self._with_tokens(tmp_path, list(SPECIALS) + ["li", "##kh", "##na"])
+        v = load_transformer(path)[3]
         assert _pieces("likhna", v, tok_cfg) == ["li", "##kh", "##na"]
 
     def test_bad_continuation_piece(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_text("\n".join(SPECIALS + ("##",)) + "\n", encoding="utf-8")
-        with pytest.raises(InputError):
-            load_vocabulary(path)
+        path = self._with_tokens(tmp_path, list(SPECIALS) + ["##"])
+        with pytest.raises(InputError, match="continuation"):
+            load_transformer(path)
+
+    @pytest.mark.parametrize("token", [7, ["li"], None, ""])
+    def test_token_not_a_nonempty_string(self, tmp_path, token):
+        path = self._with_tokens(tmp_path, list(SPECIALS) + ["li", token])
+        with pytest.raises(InputError, match="not a non-empty string"):
+            load_transformer(path)
 
 
 def test_vocabulary_invariants():
@@ -347,5 +377,7 @@ def test_vocabulary_invariants():
         Vocabulary.from_pieces(["li", "li"])
     with pytest.raises(InputError):
         Vocabulary.from_pieces(["[UNK]"])
+    with pytest.raises(InputError, match="not a non-empty string"):
+        Vocabulary.from_pieces([("l", "i")])
     with pytest.raises(InputError):
         TokenizerConfig(max_len=2)

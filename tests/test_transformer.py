@@ -26,8 +26,9 @@ from transformer_reference import (backward_reference, forward_reference,
                                    padded_forward)
 
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16, dropout=0.0,
-                     max_len=12, vocab_size=20, num_classes=3)
+                     max_len=12, vocab_size=20)
 TINY_2 = dataclasses.replace(TINY, num_layers=2)
+TINY_VOCAB = Vocabulary.from_pieces([f"w{i}" for i in range(TINY.vocab_size - 4)])
 
 
 def row(ids_core):
@@ -409,7 +410,7 @@ class TestLossAndGradients:
         cfg = EncoderConfig()
         params = init_params(cfg, seed=0, dtype=np.float32)
         ids = np.random.default_rng(0).integers(4, cfg.vocab_size, size=(8, 128))
-        y = np.arange(8) % cfg.num_classes
+        y = np.arange(8) % 3
         rng = np.random.Generator(np.random.PCG64(1))
         tracemalloc.start()
         try:
@@ -690,7 +691,7 @@ class TestTrainLoop:
     VOCAB = Vocabulary.from_pieces([f"w{i}" for i in range(12)])
     TOK = TokenizerConfig(max_len=8)
     CFG = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32,
-                        dropout=0.0, max_len=8, vocab_size=16, num_classes=3)
+                        dropout=0.0, max_len=8, vocab_size=16)
 
     def _data(self, n=9):
         rng = np.random.default_rng(2)
@@ -789,11 +790,10 @@ class TestSerialization:
         tc = TrainConfig()
         tok = TokenizerConfig(max_len=cfg.max_len, max_word_chars=3)
         path = tmp_path / "model.bin"
-        save_transformer(path, params, cfg, tc, tok,
-                         vocab_ref={"file": "v.txt", "sha256": "abc"})
-        loaded, cfg2, tc2, ref, tok2 = load_transformer(path)
+        save_transformer(path, params, cfg, tc, tok, TINY_VOCAB)
+        loaded, cfg2, tc2, vocab, tok2 = load_transformer(path)
         assert cfg2 == cfg and tc2 == tc and tok2 == tok
-        assert ref == {"file": "v.txt", "sha256": "abc"}
+        assert vocab.tokens == TINY_VOCAB.tokens
         assert loaded.dtype == np.float32
         np.testing.assert_array_equal(loaded, params)
 
@@ -801,7 +801,7 @@ class TestSerialization:
         params = init_params(TINY, 3)
         path = tmp_path / "model.bin"
         save_transformer(path, params, TINY, TrainConfig(precision="double"),
-                         TokenizerConfig(max_len=TINY.max_len))
+                         TokenizerConfig(max_len=TINY.max_len), TINY_VOCAB)
         np.testing.assert_array_equal(load_transformer(path)[0],
                                       params.astype(np.float32))
 
@@ -816,7 +816,7 @@ class TestSerialization:
         params = init_params(TINY, 3, np.float32)
         path = tmp_path / "model.bin"
         save_transformer(path, params, TINY, TrainConfig(),
-                         TokenizerConfig(max_len=TINY.max_len))
+                         TokenizerConfig(max_len=TINY.max_len), TINY_VOCAB)
         header_line, payload = path.read_bytes().split(b"\n", 1)
         return path, json.loads(header_line), payload
 
@@ -824,11 +824,28 @@ class TestSerialization:
     def _rewrite(path, header, payload):
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
-    def test_header_without_max_word_chars_gets_default(self, tmp_path):
+    @pytest.mark.parametrize("key", ["max_word_chars", "vocab"])
+    def test_header_without_key_rejected(self, tmp_path, key):
         path, header, payload = self._saved(tmp_path)
-        del header["max_word_chars"]
+        del header[key]
         self._rewrite(path, header, payload)
-        assert load_transformer(path)[4] == TokenizerConfig(max_len=TINY.max_len)
+        with pytest.raises(InputError, match=f"bad transformer header: KeyError\\('{key}'"):
+            load_transformer(path)
+
+    @pytest.mark.parametrize("version", [1, None, "2"])
+    def test_other_format_version_rejected(self, tmp_path, version):
+        path, header, payload = self._saved(tmp_path)
+        header["format_version"] = version
+        self._rewrite(path, header, payload)
+        with pytest.raises(InputError, match=f"has format_version {version!r}, not 2"):
+            load_transformer(path)
+
+    def test_vocab_size_must_match_vocab(self, tmp_path):
+        path, header, payload = self._saved(tmp_path)
+        header["vocab"].append("extra")
+        self._rewrite(path, header, payload)
+        with pytest.raises(InputError, match="vocab has 21 tokens.*vocab_size is 20"):
+            load_transformer(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path, _, _ = self._saved(tmp_path)
