@@ -256,8 +256,11 @@ def load_baseline(path: str | Path, payload: dict | None = None
             raise InputError(f"{path} has format_version {payload.get('format_version')!r}"
                              f", not {FORMAT_VERSION}; train the model again")
         index = payload["term_index"]
-        return model, TermIndex(terms=tuple(index["terms"]),
-                                document_frequency=tuple(index["df"]),
-                                num_docs=index["num_docs"])
+        try:
+            return model, TermIndex(terms=tuple(index["terms"]),
+                                    document_frequency=tuple(index["df"]),
+                                    num_docs=index["num_docs"])
+        except InputError as e:
+            raise ValueError(f"term_index: {e}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"malformed model file {path}: {e}") from None

@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from collections import Counter
 from functools import partial, reduce
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .metrics import (compare_models, evaluate, format_report, load_report,
                       per_class_f1_report, round_half_up, save_report)
 from .preprocess import (PreprocessConfig, clean_text, load_emoji_lexicon,
                          load_fillers, load_stop_words, preprocess_corpus)
-from .tokenizer import TokenizerConfig, train_vocabulary
+from .tokenizer import train_vocabulary
 
 
 def _sha256(path: Path) -> str:
@@ -82,8 +81,8 @@ SETTINGS = {
     "features": _defaults(fit_term_index, "texts"),
     "nb": _defaults(baselines.nb_train, "X", "y"),
     "svm": _defaults(baselines.SvmHyper, "seed"),
-    "tokenizer": {**_defaults(TokenizerConfig), "vocab_size": tfm.EncoderConfig.vocab_size},
-    # max_len and vocab_size follow the tokenizer and the vocabulary.
+    # The encoder's max_len and vocab_size are set in the tokenizer section.
+    "tokenizer": {key: getattr(tfm.EncoderConfig, key) for key in ("max_len", "vocab_size")},
     "encoder": _defaults(tfm.EncoderConfig, "max_len", "vocab_size"),
     "train": _defaults(tfm.TrainConfig, "seed"),
 }
@@ -121,14 +120,14 @@ def _load_config(arg: str) -> tuple[dict, dict]:
                          f"the sections are {list(SETTINGS)}")
     # preprocess (whose files only the cleaning commands read), features and nb stay dicts.
     settings = {name: _section(name, overrides.get(name, {})) for name in SETTINGS}
-    tok, svm = dict(settings["tokenizer"]), settings["svm"]
-    vocab_size = tok.pop("vocab_size")
+    svm = settings["svm"]
     builds = [
         ("split", lambda: SplitSpec(**settings["split"])),
         ("svm", lambda: baselines.SvmHyper(float(svm["lambda"]), svm["epochs"])),
-        ("tokenizer", lambda: TokenizerConfig(**tok)),
-        ("encoder", lambda: tfm.EncoderConfig(**settings["encoder"], max_len=tok["max_len"],
-                                              vocab_size=vocab_size)),
+        # The default encoder with the tokenizer's keys, so that an error in
+        # them names the section that sets them; then the encoder's keys.
+        ("tokenizer", lambda: tfm.EncoderConfig(**settings["tokenizer"])),
+        ("encoder", lambda: dataclasses.replace(settings["tokenizer"], **settings["encoder"])),
         ("train", lambda: tfm.TrainConfig(**settings["train"])),
     ]
     for name, build in builds:
@@ -301,17 +300,17 @@ def _load_baseline(scores, model_path: Path, payload: dict | None):
 def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: int):
     out_dir = model_path.parent
     val_c = _split_corpus_file(out_dir, "val")
-    tok_cfg, cfg = settings["tokenizer"], settings["encoder"]
-    vocab = train_vocabulary(train_c.texts(), cfg.vocab_size, tok_cfg)
+    cfg = settings["encoder"]
+    vocab = train_vocabulary(train_c.texts(), cfg.vocab_size)
     cfg = dataclasses.replace(cfg, vocab_size=len(vocab))
     tc = dataclasses.replace(settings["train"], seed=seed)
 
     result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
-                       val_c.labels(), vocab, tok_cfg, cfg, tc)
+                       val_c.labels(), vocab, cfg, tc)
     # Written once training has returned: a failed train keeps the old run.
-    tfm.save_transformer(model_path, result.final_params, cfg, tc, tok_cfg, vocab)
+    tfm.save_transformer(model_path, result.final_params, cfg, vocab)
     tfm.save_transformer(out_dir / "transformer_best.bin", result.best_params,
-                         cfg, tc, tok_cfg, vocab)
+                         cfg, vocab)
     _write_json(out_dir / "training_log.json",
                 {"epochs": result.log, "best_epoch": result.best_epoch})
     for entry in result.log:
@@ -320,17 +319,16 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
             line += f" val_weighted_f1 {entry['val_weighted_f1']:.4f}"
         print(line)
     return ({"val.jsonl": _sha256(out_dir / "val.jsonl")},
-            {"tokenizer": {**dataclasses.asdict(tok_cfg), "vocab_size": len(vocab)},
-             "encoder": dataclasses.asdict(cfg), "train": dataclasses.asdict(tc)},
+            {"encoder": dataclasses.asdict(cfg), "train": dataclasses.asdict(tc)},
             ["transformer_best.bin", "training_log.json"])
 
 
 def _load_transformer(model_path: Path, payload: dict | None):
-    params, cfg, _tc, vocab, tok_cfg = tfm.load_transformer(model_path)
+    params, cfg, vocab = tfm.load_transformer(model_path)
 
     def predict(texts):
         try:
-            return tfm.predict(params, cfg, vocab, tok_cfg, texts)
+            return tfm.predict(params, cfg, vocab, texts)
         except TrainingError as e:
             # Served weights that overflow are a bad input file, not a failed run.
             raise InputError(f"{model_path}: {e} (damaged model file?)") from None
@@ -444,17 +442,10 @@ def cmd_report(args) -> int:
     eval_paths = sorted(out_dir.glob("eval_*.json"))
     if not eval_paths:
         raise InputError(f"no eval_*.json files in {out_dir}; run 'evaluate' first")
-    loaded = []
-    for path in eval_paths:
-        report, payload = load_report(path)
-        loaded.append((str(payload.get("model", path.stem)),
-                       str(payload.get("split", "")), report))
-    model_counts = Counter(model for model, _, _ in loaded)
-    entries = [(f"{model}:{split_name}" if model_counts[model] > 1 else model, report)
-               for model, split_name, report in loaded]
-    rank = {kind: i for i, kind in enumerate(MODELS)}
-    entries.sort(key=lambda e: (rank.get(e[0].split(":")[0], len(rank)), e[0]))
-    table, csv_text = compare_models(entries)
+    # A row is named by its file: eval_transformer_best_test.json is
+    # transformer_best_test.
+    table, csv_text = compare_models([(path.stem.removeprefix("eval_"), load_report(path))
+                                      for path in eval_paths])
     (out_dir / "comparison.csv").write_text(csv_text, encoding="utf-8")
     print(table)
     print(f"wrote {out_dir / 'comparison.csv'}")

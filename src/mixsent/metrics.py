@@ -198,11 +198,10 @@ def save_report(report: EvalReport, path, extra: dict | None = None) -> None:
                           encoding="utf-8")
 
 
-def load_report(path) -> tuple[EvalReport, dict]:
-    """A saved report plus its whole JSON object, whose extra keys (such
-    as model and split) the caller may read."""
+def load_report(path) -> EvalReport:
+    """A saved report; keys save_report's extra added are passed over."""
     payload = parse_json_object(read_file(path, "report"), f"malformed report {path}")
     try:
-        return EvalReport.from_dict(payload), payload
+        return EvalReport.from_dict(payload)
     except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
         raise InputError(f"malformed report {path}: {e}") from None

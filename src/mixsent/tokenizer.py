@@ -16,30 +16,14 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .errors import InputError, check_fields
+from .errors import InputError
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 CONTINUATION_PREFIX = "##"
-# The largest max_len: the encoder builds [rows, heads, L, L] attention
-# scores and a [max_len, d_model] position table from it.
-MAX_LEN = 1 << 16
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    max_len: int = 128
-    max_word_chars: int = 100
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.max_len < 3:
-            raise InputError("max_len must be >= 3 (room for [CLS], a piece, [SEP])")
-        if self.max_len > MAX_LEN:
-            raise InputError(f"max_len must be <= {MAX_LEN}")
-        if self.max_word_chars < 1:
-            raise InputError("max_word_chars must be positive")
+# A longer word encodes as [UNK] and adds no pieces to a trained vocabulary.
+MAX_WORD_CHARS = 100
 
 
 @dataclass(frozen=True)
@@ -49,8 +33,8 @@ class Vocabulary:
     # each node maps a character to its child, and "" to the id of the token
     # that ends there.
     _trie: dict = field(init=False, hash=False, compare=False, repr=False)
-    # encode's memo: max_word_chars -> word -> the word's ids.
-    _word_ids: dict[int, dict[str, tuple[int, ...]]] = field(
+    # encode's memo: word -> the word's ids.
+    _word_ids: dict[str, tuple[int, ...]] = field(
         init=False, hash=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -114,15 +98,15 @@ def _segment(word: str, trie: dict) -> tuple[int, ...]:
         node = continuation
 
 
-def encode(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
+def encode(text: str, v: Vocabulary, max_len: int) -> list[int]:
     """[CLS] + pieces + [SEP], tail-truncated to max_len; no padding.
 
-    A word longer than max_word_chars is [UNK].  Each distinct word is
-    segmented once per vocabulary and max_word_chars; its ids are kept on
-    the vocabulary for later texts.
+    A word longer than MAX_WORD_CHARS is [UNK].  Each distinct word is
+    segmented once per vocabulary; its ids are kept on the vocabulary for
+    later texts.
     """
-    word_ids = v._word_ids.setdefault(cfg.max_word_chars, {})
-    budget = cfg.max_len - 2
+    word_ids = v._word_ids
+    budget = max_len - 2
     ids: list[int] = []
     for word in text.split():
         if len(ids) >= budget:
@@ -130,7 +114,7 @@ def encode(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
         hit = word_ids.get(word)
         if hit is None:
             hit = word_ids[word] = (_segment(word, v._trie)
-                                    if len(word) <= cfg.max_word_chars else (UNK_ID,))
+                                    if len(word) <= MAX_WORD_CHARS else (UNK_ID,))
         ids.extend(hit)
     return [CLS_ID] + ids[:budget] + [SEP_ID]
 
@@ -144,15 +128,15 @@ def _merge_str(pair: tuple[str, str]) -> str:
     return a + b[len(CONTINUATION_PREFIX):]
 
 
-def train_vocabulary(texts: list[str], target_size: int,
-                     cfg: TokenizerConfig | None = None) -> Vocabulary:
+def train_vocabulary(texts: list[str], target_size: int) -> Vocabulary:
     """Frequency-driven vocabulary trainer.
 
     Starts from the specials plus every observed single-character piece
     (word-initial and continuation forms), then repeatedly merges the most
     frequent adjacent pair (ties broken by lexicographically smallest
     merged string) until target_size is reached or no pair occurs twice.
-    The result encodes every in-limit training word without [UNK].
+    The result encodes every training word of at most MAX_WORD_CHARS
+    without [UNK].
 
     Pair counts and a pair -> words index persist across merges, so each
     merge visits only the words listed for the merged pair, and in them
@@ -164,10 +148,9 @@ def train_vocabulary(texts: list[str], target_size: int,
     is out of date are skipped when popped.  The key is total, so a pair
     pushed again with an unchanged count changes no merge.
     """
-    cfg = cfg or TokenizerConfig()
     word_counts = {word: n for word, n in
                    Counter(w for text in texts for w in text.split()).items()
-                   if len(word) <= cfg.max_word_chars}
+                   if len(word) <= MAX_WORD_CHARS}
 
     freqs = list(word_counts.values())
     word_pieces = [_word_to_initial_pieces(w) for w in word_counts]

@@ -32,7 +32,7 @@ from .errors import (InputError, TrainingError, check_fields, open_file,
                      parse_json_object)
 from .metrics import evaluate
 from .rng import SplitMix64, derive_seed, shuffled
-from .tokenizer import MAX_LEN, PAD_ID, TokenizerConfig, Vocabulary, encode
+from .tokenizer import PAD_ID, Vocabulary, encode
 
 # The head's width: one logit per label.
 NUM_CLASSES = len(LABELS)
@@ -76,14 +76,15 @@ _ERF_BLOCK = 1 << 14
 # MemoryError); a larger key can end in a ValueError from numpy's limit on
 # array dimensions.
 SHAPE_BOUNDS = {"num_layers": 1 << 10, "num_heads": 1 << 16, "d_model": 1 << 16,
-                "d_ff": 1 << 16, "max_len": MAX_LEN, "vocab_size": 1 << 24}
+                "d_ff": 1 << 16, "max_len": 1 << 16, "vocab_size": 1 << 24}
 # Elements per block of adamw_step's passes: a block of params, grads, both
 # moments and the two scratch arrays is 2^15 * 6 float32 values (768 KiB),
 # within a core's L2 cache (1-2 MiB on current x86 cores), where whole-array
 # passes stream every array through memory once per operation.
 ADAMW_BLOCK = 1 << 15
-# Version 2 holds the vocabulary in the header.
-FORMAT_VERSION = 2
+# Version 3's header holds the encoder config, the vocabulary and the tensor
+# list, and no train config or word-length limit.
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,8 @@ class EncoderConfig:
         if min(self.num_layers, self.num_heads, self.d_model, self.d_ff,
                self.max_len, self.vocab_size) < 1:
             raise InputError("all encoder dimensions must be positive")
+        if self.max_len < 3:
+            raise InputError("max_len must be >= 3 (room for [CLS], a piece, [SEP])")
         for key, bound in SHAPE_BOUNDS.items():
             if getattr(self, key) > bound:
                 raise InputError(f"{key} must be <= {bound}")
@@ -119,8 +122,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     warmup_steps: int = 500
     seed: int = 0
-    precision: str = "single"            # "single" | "double"
-    lr_constant_after_warmup: bool = False
 
     def __post_init__(self):
         check_fields(self)
@@ -128,8 +129,6 @@ class TrainConfig:
             raise InputError("learning_rate, batch_size must be positive; epochs >= 0")
         if self.warmup_steps < 0 or self.weight_decay < 0:
             raise InputError("warmup_steps and weight_decay must be >= 0")
-        if self.precision not in ("single", "double"):
-            raise InputError("precision must be 'single' or 'double'")
 
 
 def _param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -634,13 +633,12 @@ def loss_and_grads(params: np.ndarray, cfg: EncoderConfig, ids: np.ndarray,
 
 def lr_schedule(step: int, tc: TrainConfig, total_steps: int) -> float:
     """Linear warmup to the peak rate, then linear decay to zero at
-    total_steps (or flat, when configured).  Warmup-only when the run is
-    shorter than the warmup."""
+    total_steps.  Warmup-only when the run is shorter than the warmup."""
     if step < 0 or (total_steps and step > total_steps):
         raise InputError(f"step {step} outside [0, {total_steps}]")
     if tc.warmup_steps > 0 and step < tc.warmup_steps:
         return tc.learning_rate * step / tc.warmup_steps
-    if tc.lr_constant_after_warmup or total_steps <= tc.warmup_steps:
+    if total_steps <= tc.warmup_steps:
         return tc.learning_rate
     span = total_steps - tc.warmup_steps
     return tc.learning_rate * (total_steps - step) / span
@@ -713,9 +711,8 @@ class TrainResult:
 
 def train(train_texts: list[str], train_labels: list[SentimentLabel],
           val_texts: list[str], val_labels: list[SentimentLabel],
-          vocab: Vocabulary, tok_cfg: TokenizerConfig,
-          cfg: EncoderConfig, tc: TrainConfig) -> TrainResult:
-    """Supervised training loop.
+          vocab: Vocabulary, cfg: EncoderConfig, tc: TrainConfig) -> TrainResult:
+    """Supervised training loop, in float32.
 
     Per epoch: seeded reshuffle, minibatch AdamW with the warmup/decay
     schedule, and a log entry with the mean train loss and the epoch's
@@ -726,13 +723,12 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
     """
     if not train_texts:
         raise InputError("training split is empty")
-    dtype = np.float32 if tc.precision == "single" else np.float64
-    params = init_params(cfg, tc.seed, dtype)
+    params = init_params(cfg, tc.seed, np.float32)
     if tc.epochs == 0:
         return TrainResult(params, params.copy(), 0, [])
 
-    rows = [encode(t, vocab, tok_cfg) for t in train_texts]
-    val_rows = [encode(t, vocab, tok_cfg) for t in val_texts]
+    rows = [encode(t, vocab, cfg.max_len) for t in train_texts]
+    val_rows = [encode(t, vocab, cfg.max_len) for t in val_texts]
     y_all = np.asarray([int(l) for l in train_labels], dtype=np.int64)
     n = len(rows)
     steps_per_epoch = math.ceil(n / tc.batch_size)
@@ -781,13 +777,12 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
 
 
 def predict(params: np.ndarray, cfg: EncoderConfig, vocab: Vocabulary,
-            tok_cfg: TokenizerConfig, texts: list[str]
-            ) -> tuple[list[SentimentLabel], np.ndarray]:
+            texts: list[str]) -> tuple[list[SentimentLabel], np.ndarray]:
     """Eval-mode prediction: argmax label per text (lowest label id on exact
     ties) and [N, C] float64 softmax probabilities, in input order.
 
     Each text is encoded once."""
-    return _predict_rows(params, cfg, [encode(t, vocab, tok_cfg) for t in texts])
+    return _predict_rows(params, cfg, [encode(t, vocab, cfg.max_len) for t in texts])
 
 
 def _eval_batches(rows: list[list[int]], cfg: EncoderConfig):
@@ -821,17 +816,15 @@ def _predict_rows(params: np.ndarray, cfg: EncoderConfig, rows: list[list[int]]
 # --- serialization ---------------------------------------------------------
 
 def save_transformer(path: str | Path, params: np.ndarray, cfg: EncoderConfig,
-                     tc: TrainConfig, tok_cfg: TokenizerConfig, vocab: Vocabulary) -> None:
+                     vocab: Vocabulary) -> None:
     """Single file: one JSON header line, then params as little-endian
     float32, whose layout the header's tensor list spells out (names, shapes
-    and byte offsets).  The header holds the vocabulary's tokens in id order
-    and tok_cfg.max_word_chars; its max_len is the encoder's."""
+    and byte offsets).  The header holds the vocabulary's tokens in id
+    order."""
     header = {
         "format_version": FORMAT_VERSION,
         "kind": "transformer",
         "encoder_config": asdict(cfg),
-        "train_config": asdict(tc),
-        "max_word_chars": tok_cfg.max_word_chars,
         "vocab": list(vocab.tokens),
         "tensors": _layout(cfg),
     }
@@ -842,7 +835,7 @@ def save_transformer(path: str | Path, params: np.ndarray, cfg: EncoderConfig,
 
 
 def load_transformer(path: str | Path):
-    """Returns (params, EncoderConfig, TrainConfig, Vocabulary, TokenizerConfig).
+    """Returns (params, EncoderConfig, Vocabulary).
 
     The header's vocabulary must have the encoder config's vocab_size
     tokens, its tensor list must be exactly the one the encoder config
@@ -857,9 +850,6 @@ def load_transformer(path: str | Path):
                          f", not {FORMAT_VERSION}; train the model again")
     try:
         cfg = EncoderConfig(**header["encoder_config"])
-        tc = TrainConfig(**header["train_config"])
-        tok_cfg = TokenizerConfig(max_len=cfg.max_len,
-                                  max_word_chars=header["max_word_chars"])
         vocab = Vocabulary(tuple(header["vocab"]))
         specs = list(header["tensors"])
     except (KeyError, TypeError, InputError) as e:
@@ -879,4 +869,4 @@ def load_transformer(path: str | Path):
         raise InputError(f"{path}: the payload has {len(payload)} bytes, the "
                          f"layout needs {size} (file truncated or padded?)")
     params = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    return params, cfg, tc, vocab, tok_cfg
+    return params, cfg, vocab

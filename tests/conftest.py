@@ -10,7 +10,7 @@ from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
 from mixsent.errors import InputError
 from mixsent.features import FeatureMatrix
 from mixsent.tokenizer import (CLS_ID, CONTINUATION_PREFIX, PAD_ID, SEP_ID,
-                               TokenizerConfig, Vocabulary)
+                               Vocabulary)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -69,8 +69,8 @@ def segment_vocab():
 
 
 @pytest.fixture
-def tok_cfg():
-    return TokenizerConfig(max_len=16)
+def max_len():
+    return 16
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from mixsent.corpus import (Corpus, LabeledTweet, SentimentLabel, SplitSpec,
 from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, preprocess_corpus
-from mixsent.tokenizer import (TokenizerConfig, Vocabulary, encode,
+from mixsent.tokenizer import (Vocabulary, encode,
                                train_vocabulary)
 
 from conftest import DATA_DIR, decode, feature_matrix
@@ -94,8 +94,7 @@ def test_criterion_02_distribution_report(full_scale_run):
 def test_criterion_03_tokenizer_fixture():
     with criterion(3, "7-token vocabulary segments and inverts 'likhna'"):
         vocab = Vocabulary.from_pieces(["li", "##kh", "##na"])
-        cfg = TokenizerConfig(max_len=16)
-        enc = encode("likhna", vocab, cfg)
+        enc = encode("likhna", vocab, 16)
         pieces = [vocab.tokens[i] for i in enc[1:-1]]
         assert pieces == ["li", "##kh", "##na"]
         assert decode(enc, vocab) == "likhna"
@@ -225,21 +224,19 @@ def test_criterion_09_overfit_capacity():
         vocab = Vocabulary.from_pieces(words)
         texts = [" ".join(rng.choice(words, size=5)) for _ in range(16)]
         labels = [SentimentLabel(int(v)) for v in rng.integers(0, 3, 16)]
-        tok_cfg = TokenizerConfig(max_len=8)
         cfg = tfm.EncoderConfig(num_layers=2, num_heads=2, d_model=32, d_ff=64,
                                 dropout=0.0, max_len=8, vocab_size=len(vocab))
 
         params = tfm.init_params(cfg, seed=0)
         tfm._views(params, cfg)["head.w"][:] = 0.0
-        enc = [encode(t, vocab, tok_cfg) for t in texts]
+        enc = [encode(t, vocab, cfg.max_len) for t in texts]
         loss, _ = tfm.loss_and_grads(params, cfg, *tfm._pad(enc), np.array(labels))
         assert abs(loss - math.log(3)) < 1e-9
 
         tc = tfm.TrainConfig(learning_rate=1e-3, epochs=200, batch_size=8,
-                             weight_decay=0.01, warmup_steps=20, seed=5,
-                             precision="double")
-        result = tfm.train(texts, labels, [], [], vocab, tok_cfg, cfg, tc)
-        preds, _ = tfm.predict(result.final_params, cfg, vocab, tok_cfg, texts)
+                             weight_decay=0.01, warmup_steps=20, seed=5)
+        result = tfm.train(texts, labels, [], [], vocab, cfg, tc)
+        preds, _ = tfm.predict(result.final_params, cfg, vocab, texts)
         accuracy = sum(p == t for p, t in zip(preds, labels)) / len(labels)
         assert accuracy == 1.0
 
@@ -296,16 +293,14 @@ def test_criterion_10_model_ordering():
                         SvmHyper(lambda_=1e-3, epochs=20, seed=BENCH_SEED))
         svm_f1 = evaluate(test_c.labels(), svm_predict(svm, X_test)[0]).weighted_f1
 
-        tok_cfg = TokenizerConfig(max_len=16)
-        vocab = train_vocabulary(train_c.texts(), target_size=300, cfg=tok_cfg)
+        vocab = train_vocabulary(train_c.texts(), target_size=300)
         cfg = tfm.EncoderConfig(num_layers=2, num_heads=4, d_model=64, d_ff=128,
                                 dropout=0.1, max_len=16, vocab_size=len(vocab))
         tc = tfm.TrainConfig(learning_rate=1e-3, epochs=30, batch_size=16,
-                             warmup_steps=30, seed=BENCH_SEED, precision="single")
+                             warmup_steps=30, seed=BENCH_SEED)
         result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
-                           val_c.labels(), vocab, tok_cfg, cfg, tc)
-        preds, _ = tfm.predict(result.best_params, cfg, vocab, tok_cfg,
-                               test_c.texts())
+                           val_c.labels(), vocab, cfg, tc)
+        preds, _ = tfm.predict(result.best_params, cfg, vocab, test_c.texts())
         tfm_f1 = evaluate(test_c.labels(), preds).weighted_f1
 
         print(f"\n  weighted F1: transformer {tfm_f1:.4f} / svm {svm_f1:.4f} "

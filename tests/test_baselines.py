@@ -348,5 +348,6 @@ class TestModelIO:
             target = target[parent]
         target[name] = value
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(InputError, match=name):
+        with pytest.raises(InputError, match=name) as raised:
             load_baseline(path)
+        assert str(path) in str(raised.value)

@@ -26,7 +26,6 @@ from mixsent.errors import TrainingError
 from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, clean_text
-from mixsent.tokenizer import TokenizerConfig
 
 LABEL_MAP = {"neg": "negative", "neu": "neutral", "pos": "positive"}
 
@@ -374,7 +373,10 @@ class TestTrain:
         ("transformer", "train", {"seed": 3}),             # --seed sets it
         ("transformer", "encoder", [1]),                   # not an object
         ("nb", "nb", {"alpha": "abc"}),
-        ("transformer", "train", {"lr_constant_after_warmup": "no"}),
+        ("transformer", "preprocess", {"keep_hashtag_text": "no"}),
+        # knobs that are gone: float32 training, a fixed word-length limit
+        ("transformer", "train", {"precision": "double"}),
+        ("transformer", "tokenizer", {"max_word_chars": 3}),
         # set from the tokenizer, the vocabulary and the label set
         ("transformer", "encoder", {"max_len": 64}),
         ("transformer", "encoder", {"vocab_size": 7}),
@@ -400,7 +402,8 @@ class TestTrain:
         ("transformer", "train", {"learning_rate": 10 ** 400}),
     ], ids=["num_layers-float", "batch_size-float", "epochs-float",
             "dropout-str", "unknown-key", "seed-str", "seed-removed",
-            "section-list", "alpha-str", "bool-str", "max_len-derived",
+            "section-list", "alpha-str", "bool-str", "precision-removed",
+            "max_word_chars-removed", "max_len-derived",
             "vocab_size-derived", "num_classes-derived", "nb-encoder-float",
             "svm-train-seed", "nb-split-range", "nb-val-frac-range",
             "nb-heads-divide", "nb-dropout-range", "nb-lambda-range",
@@ -440,10 +443,24 @@ class TestEvaluateAndReport:
         out_text = capsys.readouterr().out
         lines = out_text.splitlines()
         assert lines[0].split()[:2] == ["Model", "Accuracy"]
-        assert [ln.split()[0] for ln in lines[1:4]] == ["nb", "svm", "transformer"]
+        assert [ln.split()[0] for ln in lines[1:4]] == ["nb_test", "svm_test",
+                                                         "transformer_test"]
         csv_lines = (trained_dir / "comparison.csv").read_text().splitlines()
         assert csv_lines[0] == "model,weighted_f1"
         assert len(csv_lines) == 4
+
+    def test_report_names_rows_by_model_file(self, trained_dir, capsys):
+        """The final and best-epoch transformers evaluated on one split are
+        two rows with two names."""
+        for model_file in ("transformer.bin", "transformer_best.bin"):
+            assert main(["evaluate", "--model-file", str(trained_dir / model_file)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out-dir", str(trained_dir)]) == 0
+        rows = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()[1:3]]
+        assert rows == ["transformer_best_test", "transformer_test"]
+        csv_names = [line.split(",")[0] for line in
+                     (trained_dir / "comparison.csv").read_text().splitlines()[1:]]
+        assert csv_names == rows
 
     def test_train_split_evaluation_not_worse_than_test(self, trained_dir):
         for split_name in ("train", "test"):
@@ -623,6 +640,22 @@ class TestBaselineArtifact:
             assert captured.err.startswith(f"error: malformed model file {path}: ")
             assert captured.err.count("\n") == 1 and keys[-1] in captured.err
 
+    @pytest.mark.parametrize("model_file,key,edit", [
+        ("nb.json", "terms", lambda terms: terms.__setitem__(1, terms[0])),
+        ("svm.json", "df", lambda dfs: dfs.__setitem__(0, 1.5)),
+    ], ids=["repeated-term", "fractional-df"])
+    def test_bad_term_index_names_the_file_exit_2(self, baseline_dir, tmp_path, capsys,
+                                                  model_file, key, edit):
+        path = baseline_dir / model_file
+        self.edit_json(path, lambda payload: edit(payload["term_index"][key]))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        assert main(["predict", "--model-file", str(path), "--input", str(texts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed model file {path}: term_index: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
     def test_predict_parses_the_model_once(self, baseline_dir, tmp_path, capsys,
                                            monkeypatch, model_file):
@@ -712,61 +745,8 @@ class TestBaselineArtifact:
 
 
 class TestTransformerArtifact:
-    SHORT = ["xy", "yx", "xyz", "zzy"]
-    LONG = {"pos": ["xyzx", "xxyy"], "neg": ["yzyx", "zyzy"], "neu": ["zxxy", "yyzz"]}
-
-    @pytest.fixture
-    def short_words_dir(self, tmp_path):
-        """A model trained with max_word_chars 3 on posts whose long words
-        are spelled with the short words' pieces, so serving it with any
-        other limit changes the encodings."""
-        rng = np.random.default_rng(1)
-        rows = [{"text": " ".join(list(rng.choice(self.SHORT, size=3))
-                                  + [self.LONG[tag][i % 2]]),
-                 "label": tag}
-                for i in range(30) for tag in ("pos", "neg", "neu")]
-        jsonl = tmp_path / "tweets.jsonl"
-        jsonl.write_text("\n".join(json.dumps(r) for r in rows) + "\n",
-                         encoding="utf-8")
-        map_path = tmp_path / "labels.json"
-        map_path.write_text(json.dumps(LABEL_MAP), encoding="utf-8")
-        out = tmp_path / "run"
-        assert main(["prepare", "--input", str(jsonl), "--label-map",
-                     str(map_path), "--out-dir", str(out)]) == 0
-        config = json.loads(TINY_TRANSFORMER_CONFIG)
-        config["tokenizer"]["max_word_chars"] = 3
-        assert main(["train", "--model", "transformer", "--out-dir", str(out),
-                     "--config", json.dumps(config)]) == 0
-        return out
-
-    def test_served_with_trained_max_word_chars(self, short_words_dir, tmp_path,
-                                                capsys):
-        out = short_words_dir
-        params, cfg, _, vocab, _ = tfm.load_transformer(out / "transformer.bin")
-        tok = TokenizerConfig(max_len=12, max_word_chars=3)
-
-        train_c = load_corpus(out / "train.jsonl", CANONICAL_LABEL_MAP)
-        assert main(["evaluate", "--model-file", str(out / "transformer.bin"),
-                     "--split", "train"]) == 0
-        expected = evaluate(train_c.labels(),
-                            tfm.predict(params, cfg, vocab, tok, train_c.texts())[0])
-        saved = json.loads((out / "eval_transformer_train.json").read_text())
-        assert saved["confusion"] == expected.to_dict()["confusion"]
-
-        texts = ["xy xyzx", "zzy yzyx yx", "yyzz xyz", "XXYY"]
-        (tmp_path / "texts.txt").write_text("\n".join(texts) + "\n",
-                                            encoding="utf-8")
-        capsys.readouterr()
-        assert main(["predict", "--model-file", str(out / "transformer.bin"),
-                     "--input", str(tmp_path / "texts.txt")]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        cleaned = [clean_text(t, PreprocessConfig()) for t in texts]
-        assert lines == [f"{label.name.lower()}\t" + " ".join(f"{v:.6f}" for v in probs)
-                         for label, probs in zip(*tfm.predict(params, cfg, vocab, tok,
-                                                              cleaned))]
-
-    def test_truncated_model_file_exit_2(self, short_words_dir, capsys):
-        path = short_words_dir / "transformer.bin"
+    def test_truncated_model_file_exit_2(self, served_dir, tmp_path, capsys):
+        path = shutil.copytree(served_dir[0], tmp_path / "run") / "transformer.bin"
         path.write_bytes(path.read_bytes()[:-10])
         assert main(["evaluate", "--model-file", str(path), "--split", "test"]) == 2
         assert "truncated" in capsys.readouterr().err
@@ -1013,7 +993,20 @@ def test_format_version_1_transformer_exit_2(served_dir, tmp_path, capsys):
     _edit_header(model, to_version_1)
     code, stdout, err = _predict_output(model, texts, capsys)
     assert (code, stdout) == (2, "")
-    assert f"{model} has format_version 1, not 2; train the model again" in err
+    assert f"{model} has format_version 1, not 3; train the model again" in err
+
+
+def test_format_version_2_transformer_exit_2(served_dir, tmp_path, capsys):
+    """A model file of the format whose header held the train config and the
+    word-length limit."""
+    out, texts = served_dir
+    run = shutil.copytree(out, tmp_path / "run")
+    model = run / "transformer.bin"
+    _edit_header(model, lambda header: header.update(
+        format_version=2, train_config={}, max_word_chars=100))
+    code, stdout, err = _predict_output(model, texts, capsys)
+    assert (code, stdout) == (2, "")
+    assert f"{model} has format_version 2, not 3; train the model again" in err
 
 
 @pytest.mark.parametrize("edit", [
@@ -1096,9 +1089,8 @@ def test_model_file_with_non_object_header_exit_2(tmp_path, capsys):
 
 def test_transformer_header_with_fractional_num_layers_exit_2(tmp_path, capsys):
     out = run_prepare(tmp_path, tmp_path / "run")
-    header = {"kind": "transformer", "format_version": 2,
-              "encoder_config": {"num_layers": 1.0},
-              "train_config": {}, "tensors": []}
+    header = {"kind": "transformer", "format_version": tfm.FORMAT_VERSION,
+              "encoder_config": {"num_layers": 1.0}, "tensors": []}
     model = out / "transformer.bin"
     model.write_bytes(json.dumps(header).encode() + b"\n")
     assert main(["evaluate", "--model-file", str(model)]) == 2

@@ -19,9 +19,9 @@ from mixsent.errors import InputError
 from mixsent.features import fit_term_index
 from mixsent.metrics import evaluate, load_report, save_report
 from mixsent.preprocess import load_emoji_lexicon, load_fillers, load_stop_words
-from mixsent.tokenizer import TokenizerConfig, Vocabulary
-from mixsent.transformer import (EncoderConfig, TrainConfig, init_params,
-                                 load_transformer, save_transformer)
+from mixsent.tokenizer import Vocabulary
+from mixsent.transformer import (EncoderConfig, init_params, load_transformer,
+                                 save_transformer)
 
 from conftest import feature_matrix, make_corpus
 
@@ -55,7 +55,6 @@ def _write_samples(d: Path) -> dict[str, Path]:
     save_baseline(nb_train(X, LABELS3), idx, paths["nb.json"])
     save_baseline(svm_train(X, LABELS3, SvmHyper(epochs=2)), idx, paths["svm.json"])
     save_transformer(paths["model.bin"], init_params(TINY, 1, np.float32), TINY,
-                     TrainConfig(), TokenizerConfig(max_len=TINY.max_len),
                      Vocabulary.from_pieces(["li", "##kh", "##na", "bé"]))
     return paths
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -10,49 +9,51 @@ from tokenizer_reference import encode_reference, tokenize_word_reference
 from vocab_reference import train_vocabulary_reference
 
 from mixsent.errors import InputError
-from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, SPECIALS, UNK, UNK_ID,
-                               TokenizerConfig, Vocabulary, encode,
-                               train_vocabulary)
-from mixsent.transformer import (EncoderConfig, TrainConfig, _pad, init_params,
+from mixsent.tokenizer import (CLS_ID, MAX_WORD_CHARS, PAD_ID, SEP_ID, SPECIALS,
+                               UNK, UNK_ID, Vocabulary, encode, train_vocabulary)
+from mixsent.transformer import (EncoderConfig, _pad, init_params,
                                  load_transformer, save_transformer)
 
 
-def _pieces(word, v, cfg):
+def _pieces(word, v):
     """The pieces encode gives one word, as token strings (max_len leaves
     room for every character of the word)."""
-    cfg = dataclasses.replace(cfg, max_len=len(word) + 2)
-    return [v.tokens[i] for i in encode(word, v, cfg)[1:-1]]
+    return [v.tokens[i] for i in encode(word, v, len(word) + 2)[1:-1]]
 
 
 class TestTokenizeWord:
-    def test_reference_segmentation(self, segment_vocab, tok_cfg):
-        assert _pieces("likhna", segment_vocab, tok_cfg) == ["li", "##kh", "##na"]
+    def test_reference_segmentation(self, segment_vocab):
+        assert _pieces("likhna", segment_vocab) == ["li", "##kh", "##na"]
 
-    def test_whole_word_hit(self, tok_cfg):
+    def test_whole_word_hit(self):
         v = Vocabulary.from_pieces(["good", "go", "##od"])
-        assert _pieces("good", v, tok_cfg) == ["good"]
+        assert _pieces("good", v) == ["good"]
 
-    def test_no_cover_falls_back_to_unk(self, segment_vocab, tok_cfg):
-        assert _pieces("xyz", segment_vocab, tok_cfg) == [UNK]
+    def test_no_cover_falls_back_to_unk(self, segment_vocab):
+        assert _pieces("xyz", segment_vocab) == [UNK]
 
     def test_overlong_word_is_unk(self, segment_vocab):
-        cfg = TokenizerConfig(max_len=16, max_word_chars=5)
-        assert _pieces("likhna", segment_vocab, cfg) == [UNK]
+        """A word of MAX_WORD_CHARS is segmented; one character more is [UNK]."""
+        kh = (MAX_WORD_CHARS - 4) // 2
+        fits = "li" + "kh" * kh + "na"
+        assert len(fits) == MAX_WORD_CHARS
+        assert _pieces(fits, segment_vocab) == ["li"] + ["##kh"] * kh + ["##na"]
+        assert _pieces(fits + "a", segment_vocab) == [UNK]
 
-    def test_whitespace_separates_words(self, segment_vocab, tok_cfg):
+    def test_whitespace_separates_words(self, segment_vocab, max_len):
         """Any Unicode whitespace ends a word, so no segmented word holds one."""
         spaced = "likhna\tli\u2003likhna\n"
-        assert (encode(spaced, segment_vocab, tok_cfg)
-                == encode("likhna li likhna", segment_vocab, tok_cfg)
-                == encode_reference(spaced, segment_vocab, tok_cfg))
-        assert UNK_ID not in encode(spaced, segment_vocab, tok_cfg)
+        assert (encode(spaced, segment_vocab, max_len)
+                == encode("likhna li likhna", segment_vocab, max_len)
+                == encode_reference(spaced, segment_vocab, max_len))
+        assert UNK_ID not in encode(spaced, segment_vocab, max_len)
 
-    def test_greedy_property(self, tok_cfg):
+    def test_greedy_property(self):
         # for every produced piece, no longer vocabulary entry matches there
         v = Vocabulary.from_pieces(["l", "li", "likh", "##h", "##hna",
                                     "##k", "##kh", "##n", "##na", "##a"])
         word = "likhna"
-        pieces = _pieces(word, v, tok_cfg)
+        pieces = _pieces(word, v)
         pos = 0
         for piece in pieces:
             bare = piece[2:] if piece.startswith("##") else piece
@@ -81,41 +82,39 @@ class TestTokenizeWord:
         (["#", "ab"], "ab#"),                    # "#" node, no "##" node
         (["#", "ab"], "##"),
     ])
-    def test_trie_edge_cases(self, pieces, word, tok_cfg):
+    def test_trie_edge_cases(self, pieces, word, max_len):
         """Words and vocabularies where a trie walk could part from trying
         every candidate string: ids and pieces equal the reference's."""
         v = Vocabulary.from_pieces(pieces)
-        assert _pieces(word, v, tok_cfg) == tokenize_word_reference(word, v, tok_cfg)
-        assert encode(word, v, tok_cfg) == encode_reference(word, v, tok_cfg)
+        assert _pieces(word, v) == tokenize_word_reference(word, v)
+        assert encode(word, v, max_len) == encode_reference(word, v, max_len)
 
 
 class TestEncode:
-    def test_empty_text(self, segment_vocab, tok_cfg):
-        e = encode("", segment_vocab, tok_cfg)
+    def test_empty_text(self, segment_vocab, max_len):
+        e = encode("", segment_vocab, max_len)
         assert e == [CLS_ID, SEP_ID]
-        full = [CLS_ID] * tok_cfg.max_len
+        full = [CLS_ID] * max_len
         ids, mask = _pad([e, full])
-        assert ids.shape == mask.shape == (2, tok_cfg.max_len)
+        assert ids.shape == mask.shape == (2, max_len)
         assert all(i == PAD_ID for i in ids[0, 2:])
-        assert mask[0].tolist() == [1, 1] + [0] * (tok_cfg.max_len - 2)
+        assert mask[0].tolist() == [1, 1] + [0] * (max_len - 2)
 
     def test_exact_fit_no_pad_no_truncation(self, segment_vocab):
-        cfg = TokenizerConfig(max_len=8)
-        e = encode("likhna likhna", segment_vocab, cfg)  # 6 pieces = max_len - 2
+        e = encode("likhna likhna", segment_vocab, 8)  # 6 pieces = max_len - 2
         assert len(e) == 8
         assert e[-1] == SEP_ID
         ids, mask = _pad([e])
         assert PAD_ID not in ids
         assert mask.all()
 
-    def test_two_words_concatenate(self, segment_vocab, tok_cfg):
-        e = encode("likhna likhna", segment_vocab, tok_cfg)
+    def test_two_words_concatenate(self, segment_vocab, max_len):
+        e = encode("likhna likhna", segment_vocab, max_len)
         li, kh, na = (segment_vocab.tokens.index(t) for t in ("li", "##kh", "##na"))
         assert e == [CLS_ID, li, kh, na, li, kh, na, SEP_ID]
 
     def test_truncation_keeps_head_and_sep(self, segment_vocab):
-        cfg = TokenizerConfig(max_len=4)
-        e = encode("likhna likhna likhna", segment_vocab, cfg)
+        e = encode("likhna likhna likhna", segment_vocab, 4)
         li, kh = segment_vocab.tokens.index("li"), segment_vocab.tokens.index("##kh")
         assert e == [CLS_ID, li, kh, SEP_ID]
 
@@ -123,16 +122,16 @@ class TestEncode:
     @settings(max_examples=60)
     def test_encoding_invariants_fuzz(self, text):
         v = Vocabulary.from_pieces(["li", "##kh", "##na", "x", "##y", "##z"])
-        cfg = TokenizerConfig(max_len=12)
-        e = encode(text, v, cfg)
+        max_len = 12
+        e = encode(text, v, max_len)
         n = len(e)
-        assert 2 <= n <= cfg.max_len
+        assert 2 <= n <= max_len
         assert e[0] == CLS_ID and e[-1] == SEP_ID
         assert PAD_ID not in e
-        ids, mask = _pad([e, [CLS_ID] * cfg.max_len])
-        assert ids.shape == mask.shape == (2, cfg.max_len)
+        ids, mask = _pad([e, [CLS_ID] * max_len])
+        assert ids.shape == mask.shape == (2, max_len)
         assert ids[0, :n].tolist() == e
-        assert mask[0].tolist() == [1] * n + [0] * (cfg.max_len - n)
+        assert mask[0].tolist() == [1] * n + [0] * (max_len - n)
         assert all(i == PAD_ID for i in ids[0, n:])
 
 
@@ -151,69 +150,56 @@ class TestEncodeMatchesReference:
 
     @given(st.lists(_PIECES, unique=True, max_size=12),
            st.lists(st.text(alphabet="abcd# ", max_size=40), min_size=1, max_size=6),
-           st.integers(3, 12), st.integers(1, 8))
+           st.integers(3, 12))
     @settings(max_examples=300, deadline=None)
-    def test_random_vocabularies_and_texts(self, pieces, texts, max_len, max_chars):
+    def test_random_vocabularies_and_texts(self, pieces, texts, max_len):
         v = Vocabulary.from_pieces(pieces)
-        cfg = TokenizerConfig(max_len=max_len, max_word_chars=max_chars)
         for text in texts + texts:  # the second pass reads memoized words
-            assert encode(text, v, cfg) == encode_reference(text, v, cfg)
+            assert encode(text, v, max_len) == encode_reference(text, v, max_len)
         for word in {w for text in texts for w in text.split()}:
-            assert _pieces(word, v, cfg) == tokenize_word_reference(word, v, cfg)
+            assert _pieces(word, v) == tokenize_word_reference(word, v)
 
-    @pytest.mark.parametrize("text,max_len,max_word_chars", [
-        ("likhna li", 16, 5),                 # over-long word
-        ("likhnax xli likhna", 16, 100),      # no piece at 'x'
-        ("likhna likhna likhna", 6, 100),     # cut inside the second word
-        ("li " * 20 + "likhna qqq", 8, 100),  # cut long before the last words
-        ("  ", 3, 100),
+    @pytest.mark.parametrize("text,max_len", [
+        ("li" + "kh" * 49 + "na li", 16),     # over-long word
+        ("likhnax xli likhna", 16),           # no piece at 'x'
+        ("likhna likhna likhna", 6),          # cut inside the second word
+        ("li " * 20 + "likhna qqq", 8),       # cut long before the last words
+        ("  ", 3),
     ], ids=["over-long", "no-match", "cut-mid-word", "cut-early", "blank"])
-    def test_edge_cases(self, segment_vocab, text, max_len, max_word_chars):
-        cfg = TokenizerConfig(max_len=max_len, max_word_chars=max_word_chars)
-        assert encode(text, segment_vocab, cfg) == encode_reference(text, segment_vocab, cfg)
+    def test_edge_cases(self, segment_vocab, text, max_len):
+        assert (encode(text, segment_vocab, max_len)
+                == encode_reference(text, segment_vocab, max_len))
 
-    def test_one_vocabulary_under_two_word_limits(self, segment_vocab):
-        """The memo is keyed by max_word_chars: "likhna" is [UNK] at 5 and
-        three pieces at 6, in either order."""
-        fits = TokenizerConfig(max_len=16, max_word_chars=6)
-        over = TokenizerConfig(max_len=16, max_word_chars=5)
-        for cfg in (fits, over, fits, over):
-            assert (encode("likhna li", segment_vocab, cfg)
-                    == encode_reference("likhna li", segment_vocab, cfg))
-        assert encode("likhna", segment_vocab, over) == [CLS_ID, UNK_ID, SEP_ID]
-        assert len(encode("likhna", segment_vocab, fits)) == 5
-
-    def test_longest_token_bounds_candidates(self, tok_cfg):
+    def test_longest_token_bounds_candidates(self, max_len):
         """The walk for "##abab" reads past the longest initial token."""
         v = Vocabulary.from_pieces(["a", "##b", "ab", "##abab"])
-        assert _pieces("ababab", v, tok_cfg) == ["ab", "##abab"]
-        assert (_pieces("ababab", v, tok_cfg)
-                == tokenize_word_reference("ababab", v, tok_cfg))
-        assert encode("ababab", v, tok_cfg) == encode_reference("ababab", v, tok_cfg)
+        assert _pieces("ababab", v) == ["ab", "##abab"]
+        assert (_pieces("ababab", v)
+                == tokenize_word_reference("ababab", v))
+        assert encode("ababab", v, max_len) == encode_reference("ababab", v, max_len)
 
 
 class TestDecode:
-    def test_roundtrip_reference_example(self, segment_vocab, tok_cfg):
-        e = encode("likhna", segment_vocab, tok_cfg)
+    def test_roundtrip_reference_example(self, segment_vocab, max_len):
+        e = encode("likhna", segment_vocab, max_len)
         assert decode(e, segment_vocab) == "likhna"
 
-    def test_cls_sep_only(self, segment_vocab, tok_cfg):
-        assert decode(encode("", segment_vocab, tok_cfg), segment_vocab) == ""
+    def test_cls_sep_only(self, segment_vocab, max_len):
+        assert decode(encode("", segment_vocab, max_len), segment_vocab) == ""
 
-    def test_unk_surfaces_literally(self, segment_vocab, tok_cfg):
-        e = encode("likhna qqq", segment_vocab, tok_cfg)
+    def test_unk_surfaces_literally(self, segment_vocab, max_len):
+        e = encode("likhna qqq", segment_vocab, max_len)
         assert decode(e, segment_vocab) == f"likhna {UNK}"
 
-    def test_out_of_range_id_rejected(self, segment_vocab, tok_cfg):
+    def test_out_of_range_id_rejected(self, segment_vocab):
         with pytest.raises(InputError):
             decode([CLS_ID, 99, SEP_ID] + [PAD_ID] * 13, segment_vocab)
 
     @given(st.lists(st.sampled_from(["likhna", "x", "xyz"]), min_size=1, max_size=3))
     def test_decode_inverts_encode_for_covered_text(self, words):
         v = Vocabulary.from_pieces(["li", "##kh", "##na", "x", "##y", "##z", "xyz"])
-        cfg = TokenizerConfig(max_len=16)
         text = " ".join(words)
-        assert decode(encode(text, v, cfg), v) == text
+        assert decode(encode(text, v, 16), v) == text
 
 
 class TestTrainVocabulary:
@@ -234,34 +220,34 @@ class TestTrainVocabulary:
         with pytest.raises(InputError, match="at least"):
             train_vocabulary(["abc"], target_size=5)
 
-    def test_encodes_training_words_without_unk(self, tok_cfg):
+    def test_encodes_training_words_without_unk(self, max_len):
         texts = ["movie mast hai", "khana bekar tha", "mast mast"]
         v = train_vocabulary(texts, 60)
         for text in texts:
-            assert UNK_ID not in encode(text, v, tok_cfg)
+            assert UNK_ID not in encode(text, v, max_len)
 
     def test_size_capped_by_target(self):
         v = train_vocabulary(["ab ab cd cd"], target_size=11)
         assert len(v) <= 11
 
-    def test_spelling_variants_share_first_piece_fixture(self, tok_cfg):
+    def test_spelling_variants_share_first_piece_fixture(self):
         v = Vocabulary.from_pieces(["shukri", "##ya", "##a"])
-        a = _pieces("shukriya", v, tok_cfg)
-        b = _pieces("shukria", v, tok_cfg)
+        a = _pieces("shukriya", v)
+        b = _pieces("shukria", v)
         assert a[0] == b[0] == "shukri"
 
-    def test_spelling_variants_share_first_piece_trained(self, tok_cfg):
+    def test_spelling_variants_share_first_piece_trained(self):
         v = train_vocabulary(["shukriya", "shukria"] * 5, target_size=17)
-        a = _pieces("shukriya", v, tok_cfg)
-        b = _pieces("shukria", v, tok_cfg)
+        a = _pieces("shukriya", v)
+        b = _pieces("shukria", v)
         assert a[0] == b[0]
         assert len(a[0]) > 1
 
 
-def _outcome(trainer, texts, target_size, cfg):
+def _outcome(trainer, texts, target_size):
     """The trained tokens, or the InputError's text."""
     try:
-        return trainer(texts, target_size, cfg).tokens
+        return trainer(texts, target_size).tokens
     except InputError as e:
         return str(e)
 
@@ -271,12 +257,11 @@ class TestIncrementalTrainerMatchesReference:
     vocab_reference.py recounts every pair on every merge."""
 
     @given(st.lists(st.text(alphabet="ab c", max_size=30), max_size=12),
-           st.integers(0, 60), st.integers(1, 8))
+           st.integers(0, 60))
     @settings(max_examples=300, deadline=None)
-    def test_small_alphabets_ties_and_cutoffs(self, texts, target_size, max_chars):
-        cfg = TokenizerConfig(max_len=16, max_word_chars=max_chars)
-        assert (_outcome(train_vocabulary, texts, target_size, cfg)
-                == _outcome(train_vocabulary_reference, texts, target_size, cfg))
+    def test_small_alphabets_ties_and_cutoffs(self, texts, target_size):
+        assert (_outcome(train_vocabulary, texts, target_size)
+                == _outcome(train_vocabulary_reference, texts, target_size))
 
     @pytest.mark.parametrize("texts", [
         ["aaaa"], ["abab"], ["aaa aa"], ["aaaaaaa aaaa aa"], ["abababa abab ab"],
@@ -285,10 +270,9 @@ class TestIncrementalTrainerMatchesReference:
     def test_overlapping_merges(self, texts):
         """Merge sites next to each other in one word, and pieces equal to a
         new merge already present from an earlier one."""
-        cfg = TokenizerConfig()
         for target_size in range(5, 40):
-            assert (_outcome(train_vocabulary, texts, target_size, cfg)
-                    == _outcome(train_vocabulary_reference, texts, target_size, cfg))
+            assert (_outcome(train_vocabulary, texts, target_size)
+                    == _outcome(train_vocabulary_reference, texts, target_size))
 
     def test_benchmark_shaped_corpus(self):
         """Posts of 5-25 words drawn Zipf-like from a lexicon of syllable
@@ -304,9 +288,8 @@ class TestIncrementalTrainerMatchesReference:
         weights /= weights.sum()
         texts = [" ".join(rng.choice(lexicon, size=rng.integers(5, 26), p=weights))
                  for _ in range(160)]
-        cfg = TokenizerConfig()
-        assert (train_vocabulary(texts, 500, cfg).tokens
-                == train_vocabulary_reference(texts, 500, cfg).tokens)
+        assert (train_vocabulary(texts, 500).tokens
+                == train_vocabulary_reference(texts, 500).tokens)
 
 
 class TestVocabularyIO:
@@ -318,8 +301,7 @@ class TestVocabularyIO:
         """A tiny transformer model file for vocab; its header, as a dict."""
         cfg = EncoderConfig(num_layers=1, num_heads=1, d_model=2, d_ff=2,
                             max_len=8, vocab_size=len(vocab))
-        save_transformer(path, init_params(cfg, 0, np.float32), cfg, TrainConfig(),
-                         TokenizerConfig(max_len=8), vocab)
+        save_transformer(path, init_params(cfg, 0, np.float32), cfg, vocab)
         return json.loads(path.read_bytes().split(b"\n", 1)[0])
 
     def _with_tokens(self, tmp_path, tokens):
@@ -337,11 +319,10 @@ class TestVocabularyIO:
         v = train_vocabulary(texts, 30)
         path = tmp_path / "model.bin"
         assert self._saved(path, v)["vocab"] == list(v.tokens)
-        loaded = load_transformer(path)[3]
+        loaded = load_transformer(path)[2]
         assert loaded.tokens == v.tokens
-        cfg = TokenizerConfig(max_len=16)
-        assert ([encode(t, loaded, cfg) for t in texts]
-                == [encode(t, v, cfg) for t in texts])
+        assert ([encode(t, loaded, 16) for t in texts]
+                == [encode(t, v, 16) for t in texts])
 
     def test_missing_unk_line(self, tmp_path):
         path = self._with_tokens(tmp_path, ["[PAD]", "[CLS]", "[SEP]", "li", "na"])
@@ -353,10 +334,10 @@ class TestVocabularyIO:
         with pytest.raises(InputError, match="repeats token 'li'"):
             load_transformer(path)
 
-    def test_handwritten_seven_line_file(self, tmp_path, tok_cfg):
+    def test_handwritten_seven_line_file(self, tmp_path):
         path = self._with_tokens(tmp_path, list(SPECIALS) + ["li", "##kh", "##na"])
-        v = load_transformer(path)[3]
-        assert _pieces("likhna", v, tok_cfg) == ["li", "##kh", "##na"]
+        v = load_transformer(path)[2]
+        assert _pieces("likhna", v) == ["li", "##kh", "##na"]
 
     def test_bad_continuation_piece(self, tmp_path):
         path = self._with_tokens(tmp_path, list(SPECIALS) + ["##"])
@@ -379,5 +360,3 @@ def test_vocabulary_invariants():
         Vocabulary.from_pieces(["[UNK]"])
     with pytest.raises(InputError, match="not a non-empty string"):
         Vocabulary.from_pieces([("l", "i")])
-    with pytest.raises(InputError):
-        TokenizerConfig(max_len=2)

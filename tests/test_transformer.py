@@ -11,8 +11,7 @@ import pytest
 from mixsent.corpus import SentimentLabel
 from mixsent.errors import InputError, TrainingError
 from mixsent.metrics import evaluate
-from mixsent.tokenizer import (CLS_ID, PAD_ID, SEP_ID, TokenizerConfig,
-                               Vocabulary, encode)
+from mixsent.tokenizer import CLS_ID, PAD_ID, SEP_ID, Vocabulary, encode
 from mixsent.transformer import (EVAL_BUDGET, EncoderConfig, TrainConfig,
                                  adamw_init, adamw_step, cross_entropy,
                                  forward_arrays,
@@ -509,7 +508,6 @@ class TestPaddingTrim:
         the label and probabilities it gets alone."""
         import mixsent.transformer as tfm
         vocab = Vocabulary.from_pieces([f"w{i}" for i in range(12)])
-        tok = TokenizerConfig(max_len=10)
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32,
                             max_len=10, vocab_size=len(vocab))
         params = init_params(cfg, seed=14)
@@ -522,10 +520,11 @@ class TestPaddingTrim:
         lengths = [len(t.split()) for t in texts]
         assert lengths != sorted(lengths)
         monkeypatch.setattr(tfm, "EVAL_BUDGET", 16 * 10 * 32)
-        assert len(list(_eval_batches([encode(t, vocab, tok) for t in texts], cfg))) > 1
-        labels, probs_all = predict(params, cfg, vocab, tok, texts)
+        assert len(list(_eval_batches([encode(t, vocab, cfg.max_len) for t in texts],
+                                      cfg))) > 1
+        labels, probs_all = predict(params, cfg, vocab, texts)
         for text, label, probs in zip(texts, labels, probs_all):
-            [alone_label], [alone_probs] = predict(params, cfg, vocab, tok, [text])
+            [alone_label], [alone_probs] = predict(params, cfg, vocab, [text])
             assert label == alone_label
             np.testing.assert_allclose(probs, alone_probs, rtol=0, atol=1e-6)
 
@@ -572,11 +571,6 @@ class TestSchedulerAndOptimizer:
 
     def test_warmup_only_when_run_shorter_than_warmup(self):
         assert lr_schedule(400, self.TC, 400) == pytest.approx(2e-5 * 400 / 500)
-
-    def test_constant_after_warmup_flag(self):
-        tc = TrainConfig(learning_rate=1e-3, warmup_steps=10,
-                         lr_constant_after_warmup=True)
-        assert lr_schedule(500, tc, 1000) == 1e-3
 
     def test_step_out_of_range(self):
         with pytest.raises(InputError):
@@ -689,7 +683,6 @@ class TestSchedulerAndOptimizer:
 
 class TestTrainLoop:
     VOCAB = Vocabulary.from_pieces([f"w{i}" for i in range(12)])
-    TOK = TokenizerConfig(max_len=8)
     CFG = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32,
                         dropout=0.0, max_len=8, vocab_size=16)
 
@@ -702,9 +695,10 @@ class TestTrainLoop:
 
     def test_zero_epochs_returns_init(self):
         texts, labels = self._data()
-        tc = TrainConfig(epochs=0, seed=3, precision="double")
-        res = train(texts, labels, [], [], self.VOCAB, self.TOK, self.CFG, tc)
-        np.testing.assert_array_equal(res.final_params, init_params(self.CFG, seed=3))
+        tc = TrainConfig(epochs=0, seed=3)
+        res = train(texts, labels, [], [], self.VOCAB, self.CFG, tc)
+        np.testing.assert_array_equal(res.final_params,
+                                      init_params(self.CFG, 3, np.float32))
         np.testing.assert_array_equal(res.best_params, res.final_params)
         assert res.best_params is not res.final_params
         assert res.log == []
@@ -712,9 +706,9 @@ class TestTrainLoop:
     def test_same_seed_identical_logs_and_params(self):
         texts, labels = self._data()
         tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4,
-                         warmup_steps=2, seed=5, precision="double")
-        a = train(texts, labels, texts, labels, self.VOCAB, self.TOK, self.CFG, tc)
-        b = train(texts, labels, texts, labels, self.VOCAB, self.TOK, self.CFG, tc)
+                         warmup_steps=2, seed=5)
+        a = train(texts, labels, texts, labels, self.VOCAB, self.CFG, tc)
+        b = train(texts, labels, texts, labels, self.VOCAB, self.CFG, tc)
         assert a.log == b.log
         np.testing.assert_array_equal(a.final_params, b.final_params)
 
@@ -724,21 +718,21 @@ class TestTrainLoop:
         longest row when one batch holds the whole split."""
         texts = ["w1", "w2 w3 w4", "", "w5 w6", "w7 w8 w9 w10 w11 w0"]
         labels = [SentimentLabel(i % 3) for i in range(len(texts))]
-        lengths = [len(encode(t, self.VOCAB, self.TOK)) for t in texts]
-        assert max(lengths) == self.TOK.max_len
+        lengths = [len(encode(t, self.VOCAB, self.CFG.max_len)) for t in texts]
+        assert max(lengths) == self.CFG.max_len
         for batch_size, positions in ((1, sum(lengths)),
                                       (len(texts), len(texts) * max(lengths))):
             tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=batch_size,
-                             warmup_steps=0, seed=5, precision="double")
-            res = train(texts, labels, [], [], self.VOCAB, self.TOK, self.CFG, tc)
+                             warmup_steps=0, seed=5)
+            res = train(texts, labels, [], [], self.VOCAB, self.CFG, tc)
             assert [(e["positions"], e["tokens"]) for e in res.log] == \
                 [(positions, sum(lengths))] * 2
 
     def test_best_epoch_tracked_with_validation(self):
         texts, labels = self._data()
         tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4,
-                         warmup_steps=2, seed=5, precision="double")
-        res = train(texts, labels, texts, labels, self.VOCAB, self.TOK, self.CFG, tc)
+                         warmup_steps=2, seed=5)
+        res = train(texts, labels, texts, labels, self.VOCAB, self.CFG, tc)
         f1s = [e["val_weighted_f1"] for e in res.log]
         assert res.best_epoch == int(np.argmax(f1s)) + 1
         assert len(res.log) == 3
@@ -749,20 +743,19 @@ class TestTrainLoop:
         import mixsent.transformer as tfm
         calls = []
 
-        def counting_encode(text, vocab, cfg):
+        def counting_encode(text, vocab, max_len):
             calls.append(text)
-            return encode(text, vocab, cfg)
+            return encode(text, vocab, max_len)
 
         monkeypatch.setattr(tfm, "encode", counting_encode)
         all_texts, all_labels = self._data(n=18)
         texts, val_texts = all_texts[:9], all_texts[9:]
         labels, val_labels = all_labels[:9], all_labels[9:]
         tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4,
-                         warmup_steps=2, seed=5, precision="double")
-        res = train(texts, labels, val_texts, val_labels, self.VOCAB, self.TOK,
-                    self.CFG, tc)
+                         warmup_steps=2, seed=5)
+        res = train(texts, labels, val_texts, val_labels, self.VOCAB, self.CFG, tc)
         assert len(calls) == 18
-        preds, _ = predict(res.final_params, self.CFG, self.VOCAB, self.TOK, val_texts)
+        preds, _ = predict(res.final_params, self.CFG, self.VOCAB, val_texts)
         assert res.log[-1]["val_weighted_f1"] == evaluate(val_labels, preds).weighted_f1
 
     def test_predict_uniform_for_zero_head(self):
@@ -770,15 +763,14 @@ class TestTrainLoop:
         head = _views(params, self.CFG)
         head["head.w"][:] = 0.0
         head["head.b"][:] = 0.0
-        out = predict(params, self.CFG, self.VOCAB, self.TOK, ["w1 w2", "w3"])
+        out = predict(params, self.CFG, self.VOCAB, ["w1 w2", "w3"])
         for label, probs in zip(*out):
             np.testing.assert_allclose(probs, 1 / 3, atol=1e-12)
             assert label == SentimentLabel.NEGATIVE  # tie -> lowest id
 
     def test_predict_probabilities_sum_to_one(self):
         params = init_params(self.CFG, seed=12)
-        out = predict(params, self.CFG, self.VOCAB, self.TOK,
-                      ["w1 w5 w9", "w2", "w11 w0"])
+        out = predict(params, self.CFG, self.VOCAB, ["w1 w5 w9", "w2", "w11 w0"])
         for probs in out[1]:
             assert abs(probs.sum() - 1.0) < 1e-9
 
@@ -787,23 +779,13 @@ class TestSerialization:
     def test_roundtrip_float32_exact(self, tmp_path):
         cfg = TINY
         params = init_params(cfg, 3, np.float32)
-        tc = TrainConfig()
-        tok = TokenizerConfig(max_len=cfg.max_len, max_word_chars=3)
         path = tmp_path / "model.bin"
-        save_transformer(path, params, cfg, tc, tok, TINY_VOCAB)
-        loaded, cfg2, tc2, vocab, tok2 = load_transformer(path)
-        assert cfg2 == cfg and tc2 == tc and tok2 == tok
+        save_transformer(path, params, cfg, TINY_VOCAB)
+        loaded, cfg2, vocab = load_transformer(path)
+        assert cfg2 == cfg
         assert vocab.tokens == TINY_VOCAB.tokens
         assert loaded.dtype == np.float32
         np.testing.assert_array_equal(loaded, params)
-
-    def test_double_precision_saved_as_rounded_float32(self, tmp_path):
-        params = init_params(TINY, 3)
-        path = tmp_path / "model.bin"
-        save_transformer(path, params, TINY, TrainConfig(precision="double"),
-                         TokenizerConfig(max_len=TINY.max_len), TINY_VOCAB)
-        np.testing.assert_array_equal(load_transformer(path)[0],
-                                      params.astype(np.float32))
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -815,8 +797,7 @@ class TestSerialization:
     def _saved(tmp_path):
         params = init_params(TINY, 3, np.float32)
         path = tmp_path / "model.bin"
-        save_transformer(path, params, TINY, TrainConfig(),
-                         TokenizerConfig(max_len=TINY.max_len), TINY_VOCAB)
+        save_transformer(path, params, TINY, TINY_VOCAB)
         header_line, payload = path.read_bytes().split(b"\n", 1)
         return path, json.loads(header_line), payload
 
@@ -824,7 +805,7 @@ class TestSerialization:
     def _rewrite(path, header, payload):
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
-    @pytest.mark.parametrize("key", ["max_word_chars", "vocab"])
+    @pytest.mark.parametrize("key", ["encoder_config", "vocab"])
     def test_header_without_key_rejected(self, tmp_path, key):
         path, header, payload = self._saved(tmp_path)
         del header[key]
@@ -837,7 +818,7 @@ class TestSerialization:
         path, header, payload = self._saved(tmp_path)
         header["format_version"] = version
         self._rewrite(path, header, payload)
-        with pytest.raises(InputError, match=f"has format_version {version!r}, not 2"):
+        with pytest.raises(InputError, match=f"has format_version {version!r}, not 3"):
             load_transformer(path)
 
     def test_vocab_size_must_match_vocab(self, tmp_path):
@@ -887,7 +868,7 @@ class TestSerialization:
         with pytest.raises(InputError):
             EncoderConfig(d_model=10, num_heads=3)
         with pytest.raises(InputError):
-            TrainConfig(precision="half")
+            EncoderConfig(max_len=2)
 
     @pytest.mark.parametrize("cls, field, value", [
         (EncoderConfig, "num_layers", 1.0),
@@ -896,8 +877,8 @@ class TestSerialization:
         (TrainConfig, "seed", "3"),
         (TrainConfig, "epochs", 1.5),
         (TrainConfig, "learning_rate", float("nan")),
-        (TokenizerConfig, "max_len", 12.0),
-        (TrainConfig, "lr_constant_after_warmup", "no"),
+        (EncoderConfig, "max_len", 12.0),
+        (TrainConfig, "warmup_steps", "no"),
     ])
     def test_config_rejects_wrong_field_types(self, cls, field, value):
         with pytest.raises(InputError, match=f"{cls.__name__}.{field}"):

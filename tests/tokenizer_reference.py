@@ -7,13 +7,12 @@ the two."""
 
 from __future__ import annotations
 
-from mixsent.tokenizer import (CLS_ID, CONTINUATION_PREFIX, SEP_ID, UNK,
-                               TokenizerConfig, Vocabulary)
+from mixsent.tokenizer import (CLS_ID, CONTINUATION_PREFIX, MAX_WORD_CHARS,
+                               SEP_ID, UNK, Vocabulary)
 
 
-def tokenize_word_reference(word: str, v: Vocabulary,
-                            cfg: TokenizerConfig) -> list[str]:
-    if len(word) > cfg.max_word_chars:
+def tokenize_word_reference(word: str, v: Vocabulary) -> list[str]:
+    if len(word) > MAX_WORD_CHARS:
         return [UNK]
     tokens = set(v.tokens)
     pieces = []
@@ -36,7 +35,7 @@ def tokenize_word_reference(word: str, v: Vocabulary,
     return pieces
 
 
-def encode_reference(text: str, v: Vocabulary, cfg: TokenizerConfig) -> list[int]:
+def encode_reference(text: str, v: Vocabulary, max_len: int) -> list[int]:
     pieces = [p for word in text.split()
-              for p in tokenize_word_reference(word, v, cfg)]
-    return [CLS_ID] + [v.tokens.index(p) for p in pieces[:cfg.max_len - 2]] + [SEP_ID]
+              for p in tokenize_word_reference(word, v)]
+    return [CLS_ID] + [v.tokens.index(p) for p in pieces[:max_len - 2]] + [SEP_ID]

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 
 from mixsent.errors import InputError
-from mixsent.tokenizer import (CONTINUATION_PREFIX, SPECIALS, TokenizerConfig,
+from mixsent.tokenizer import (CONTINUATION_PREFIX, MAX_WORD_CHARS, SPECIALS,
                                Vocabulary)
 
 
@@ -17,13 +17,11 @@ def _word_to_initial_pieces(word: str) -> tuple[str, ...]:
                  for i, ch in enumerate(word))
 
 
-def train_vocabulary_reference(texts: list[str], target_size: int,
-                               cfg: TokenizerConfig | None = None) -> Vocabulary:
-    cfg = cfg or TokenizerConfig()
+def train_vocabulary_reference(texts: list[str], target_size: int) -> Vocabulary:
     word_counts: Counter[str] = Counter()
     for text in texts:
         for word in text.split():
-            if len(word) <= cfg.max_word_chars:
+            if len(word) <= MAX_WORD_CHARS:
                 word_counts[word] += 1
 
     word_pieces = {w: _word_to_initial_pieces(w) for w in word_counts}
