@@ -3,8 +3,8 @@ one-vs-rest SVM trained with the Pegasos stochastic subgradient method.
 
 Both consume a FeatureMatrix (TF-IDF in the standard pipeline; the Naive
 Bayes likelihood formula treats the weights as fractional counts) and
-score a whole matrix at once.  Ties in argmax prediction always resolve to
-the lowest label id.
+train one LinearModel, which scores a whole matrix at once.  Ties in
+argmax prediction always resolve to the lowest label id.
 """
 
 from __future__ import annotations
@@ -22,8 +22,19 @@ from .features import FeatureMatrix, TermIndex
 from .rng import SplitMix64, derive_seed, shuffled
 
 NUM_CLASSES = len(LABELS)
-# Version 2 holds the term index inside the model file.
-FORMAT_VERSION = 2
+# Version 3 holds either kind's parameters as weights, bias and hyper.
+FORMAT_VERSION = 3
+
+
+@dataclass
+class LinearModel:
+    """Scores b + x W^T for a feature row x.  nb: weights are the feature
+    log-likelihoods, bias the class log-priors, hyper {"alpha"}.  svm: the
+    one-vs-rest weights and biases, hyper {"lambda", "epochs", "seed"}."""
+    kind: str             # "nb" or "svm"
+    weights: np.ndarray   # [C, T]
+    bias: np.ndarray      # [C]
+    hyper: dict
 
 
 def _label_ids(X: FeatureMatrix, y: list[SentimentLabel]) -> np.ndarray:
@@ -58,15 +69,8 @@ def _argmax_labels(scores: np.ndarray) -> list[SentimentLabel]:
     return [SentimentLabel(int(c)) for c in np.argmax(scores, axis=1)]
 
 
-@dataclass
-class NaiveBayesModel:
-    class_log_prior: np.ndarray          # [C]
-    feature_log_likelihood: np.ndarray   # [C, T]
-    alpha: float
-
-
 def nb_train(X: FeatureMatrix, y: list[SentimentLabel],
-             alpha: float = 1.0) -> NaiveBayesModel:
+             alpha: float = 1.0) -> LinearModel:
     """Multinomial NB with Laplace-style smoothing.
 
     likelihood[c][t] = (sum of x_t over docs of class c + alpha) /
@@ -87,15 +91,14 @@ def nb_train(X: FeatureMatrix, y: list[SentimentLabel],
     likelihood = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
     if not np.all(np.isfinite(likelihood)):
         raise TrainingError("non-finite Naive Bayes likelihood")
-    return NaiveBayesModel(class_log_prior=prior,
-                           feature_log_likelihood=likelihood, alpha=alpha)
+    return LinearModel("nb", likelihood, prior, {"alpha": alpha})
 
 
-def nb_predict(m: NaiveBayesModel, X: FeatureMatrix
+def nb_predict(m: LinearModel, X: FeatureMatrix
                ) -> tuple[list[SentimentLabel], np.ndarray]:
     """Argmax label per row plus [N, C] log-posteriors normalized with
     log-sum-exp."""
-    scores = _linear_scores(X, m.feature_log_likelihood, m.class_log_prior)
+    scores = _linear_scores(X, m.weights, m.bias)
     peak = np.max(scores, axis=1, keepdims=True)
     log_norm = peak + np.log(np.sum(np.exp(scores - peak), axis=1, keepdims=True))
     return _argmax_labels(scores), scores - log_norm
@@ -115,15 +118,8 @@ class SvmHyper:
             raise InputError("epochs must be >= 0")
 
 
-@dataclass
-class LinearSvmModel:
-    weights: np.ndarray   # [C, T]
-    bias: np.ndarray      # [C]
-    hyper: SvmHyper
-
-
 def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
-              hyper: SvmHyper | None = None) -> LinearSvmModel:
+              hyper: SvmHyper | None = None) -> LinearModel:
     """One-vs-rest linear SVM, Pegasos updates.
 
     Per binary problem: step t has learning rate 1/(lambda*t); on margin
@@ -178,35 +174,25 @@ def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
             if not (np.all(np.isfinite(weights[c])) and math.isfinite(b)):
                 raise TrainingError(f"SVM diverged for class {label.display_name}")
         bias[c] = b
-    return LinearSvmModel(weights=weights, bias=bias, hyper=hyper)
+    return LinearModel("svm", weights, bias, {"lambda": hyper.lambda_,
+                                              "epochs": hyper.epochs, "seed": hyper.seed})
 
 
-def svm_predict(m: LinearSvmModel, X: FeatureMatrix
+def svm_predict(m: LinearModel, X: FeatureMatrix
                 ) -> tuple[list[SentimentLabel], np.ndarray]:
     """Argmax label per row plus [N, C] decision scores."""
     scores = _linear_scores(X, m.weights, m.bias)
     return _argmax_labels(scores), scores
 
 
-def save_baseline(model: NaiveBayesModel | LinearSvmModel, idx: TermIndex,
-                  path: str | Path) -> None:
+def save_baseline(model: LinearModel, idx: TermIndex, path: str | Path) -> None:
     """JSON envelope holding the model, arrays in feature-id order, and the
     term index that numbers those features."""
-    if isinstance(model, NaiveBayesModel):
-        kind, fields = "nb", {
-            "alpha": model.alpha,
-            "class_log_prior": model.class_log_prior.tolist(),
-            "feature_log_likelihood": model.feature_log_likelihood.tolist()}
-    else:
-        kind, fields = "svm", {
-            "hyper": {"lambda": model.hyper.lambda_, "epochs": model.hyper.epochs,
-                      "seed": model.hyper.seed},
-            "weights": model.weights.tolist(),
-            "bias": model.bias.tolist()}
-    payload = {"format_version": FORMAT_VERSION, "model_type": kind,
+    payload = {"format_version": FORMAT_VERSION, "model_type": model.kind,
                "term_index": {"terms": list(idx.terms), "df": list(idx.document_frequency),
                               "num_docs": idx.num_docs},
-               **fields}
+               "hyper": model.hyper,
+               "weights": model.weights.tolist(), "bias": model.bias.tolist()}
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
@@ -226,7 +212,7 @@ def _class_array(payload: dict, key: str, ndim: int) -> np.ndarray:
 
 
 def load_baseline(path: str | Path, payload: dict | None = None
-                  ) -> tuple[NaiveBayesModel | LinearSvmModel, TermIndex]:
+                  ) -> tuple[LinearModel, TermIndex]:
     """The model in the file at path and its term index; payload, when
     given, is that file already parsed, and the file is not read again."""
     if payload is None:
@@ -234,27 +220,25 @@ def load_baseline(path: str | Path, payload: dict | None = None
                                     f"malformed model file {path}")
     try:
         kind = payload["model_type"]
+        if kind not in ("nb", "svm"):
+            raise InputError(f"unknown model_type {kind!r} in {path}")
+        if payload["format_version"] != FORMAT_VERSION:
+            raise InputError(f"{path} has format_version {payload['format_version']!r}"
+                             f", not {FORMAT_VERSION}; train the model again")
+        h = payload["hyper"]
         if kind == "nb":
-            model = NaiveBayesModel(
-                class_log_prior=_class_array(payload, "class_log_prior", 1),
-                feature_log_likelihood=_class_array(payload, "feature_log_likelihood", 2),
-                alpha=float(payload["alpha"]))
-            if not (math.isfinite(model.alpha) and model.alpha > 0):   # as nb_train requires
-                raise ValueError(f"alpha is {model.alpha!r}, not a finite number > 0")
-        elif kind == "svm":
-            h = payload["hyper"]
+            hyper = {"alpha": float(h["alpha"])}
+            if not (math.isfinite(hyper["alpha"]) and hyper["alpha"] > 0):  # as nb_train requires
+                raise ValueError(f"hyper: alpha is {hyper['alpha']!r}, not a finite number > 0")
+        else:
+            hyper = {"lambda": float(h["lambda"]), "epochs": int(h["epochs"]),
+                     "seed": int(h["seed"])}
             try:
-                hyper = SvmHyper(lambda_=float(h["lambda"]), epochs=int(h["epochs"]),
-                                 seed=int(h["seed"]))
+                SvmHyper(hyper["lambda"], hyper["epochs"], hyper["seed"])
             except InputError as e:
                 raise ValueError(f"hyper: {e}") from None
-            model = LinearSvmModel(weights=_class_array(payload, "weights", 2),
-                                   bias=_class_array(payload, "bias", 1), hyper=hyper)
-        else:
-            raise InputError(f"unknown model_type {kind!r} in {path}")
-        if payload.get("format_version") != FORMAT_VERSION:
-            raise InputError(f"{path} has format_version {payload.get('format_version')!r}"
-                             f", not {FORMAT_VERSION}; train the model again")
+        model = LinearModel(kind, _class_array(payload, "weights", 2),
+                            _class_array(payload, "bias", 1), hyper)
         index = payload["term_index"]
         try:
             return model, TermIndex(terms=tuple(index["terms"]),

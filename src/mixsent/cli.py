@@ -154,13 +154,17 @@ def _preprocess_config(section: dict) -> PreprocessConfig:
         remove_stop_words=section["remove_stop_words"])
 
 
+def _prepare_manifest(run_dir: Path) -> tuple[Path, dict]:
+    """The path and content of the manifest 'prepare' wrote in run_dir."""
+    path = run_dir / "manifest.json"
+    return path, parse_json_object(read_file(path, "manifest"), f"malformed manifest {path}")
+
+
 def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
     """The cleaning config prepare recorded in model_dir/manifest.json, checked
     as --config is; each file it names, read from model_dir, must still have
     its recorded digest."""
-    path = model_dir / "manifest.json"
-    manifest = parse_json_object(read_file(path, "manifest"),
-                                 f"malformed manifest {path}")
+    path, manifest = _prepare_manifest(model_dir)
     try:
         recorded = manifest["config"]["preprocess"]
         digests = recorded.pop("sha256")
@@ -246,6 +250,9 @@ def cmd_prepare(args) -> int:
         },
         "split_sizes": {"train": len(train_c), "val": len(val_c),
                         "test": len(test_c)},
+        # evaluate refuses a split file that no longer has its digest.
+        "split_sha256": {f"{name}.jsonl": _sha256(out_dir / f"{name}.jsonl")
+                         for name in ("train", "val", "test")},
         "outputs": [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
                     "drops.json", *copies.values()],
     })
@@ -270,20 +277,19 @@ def _verify_ref(base: Path, ref, what: str) -> Path:
 
 
 def _fit_nb(X, labels, settings: dict, seed: int):
-    return baselines.nb_train(X, labels, **settings["nb"]), settings["nb"]
+    return baselines.nb_train(X, labels, **settings["nb"])
 
 
 def _fit_svm(X, labels, settings: dict, seed: int):
-    hyper = dataclasses.replace(settings["svm"], seed=seed)
-    return baselines.svm_train(X, labels, hyper), _recorded(hyper, "seed")
+    return baselines.svm_train(X, labels, dataclasses.replace(settings["svm"], seed=seed))
 
 
 def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int):
     idx = fit_term_index(train_c.texts(), **settings["features"])
-    model, config = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(),
-                        settings, seed)
+    model = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(), settings, seed)
     # Written once the fit has returned: a failed train keeps the old run.
     baselines.save_baseline(model, idx, model_path)
+    config = {key: value for key, value in model.hyper.items() if key != "seed"}
     return {}, {**config, **settings["features"]}, []
 
 
@@ -380,10 +386,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_held_out(model_path: Path, kind: str, out_dir: Path) -> None:
-    """Refuse a split directory whose train.jsonl is not the one the model's
-    train manifest records: after a re-run 'prepare' (or in another
-    directory) the other splits may hold the model's training rows."""
+def _check_held_out(model_path: Path, kind: str) -> None:
+    """Refuse a run directory whose train.jsonl is not the one the model's
+    train manifest records: after a re-run 'prepare' the other splits may
+    hold the model's training rows."""
     path = model_path.parent / f"{kind}.manifest.json"
     manifest = parse_json_object(read_file(path, "train manifest"),
                                  f"malformed manifest {path}")
@@ -391,25 +397,39 @@ def _check_held_out(model_path: Path, kind: str, out_dir: Path) -> None:
     recorded = inputs.get("train.jsonl") if isinstance(inputs, dict) else None
     if not isinstance(recorded, str):
         raise InputError(f"{path} records no train.jsonl digest")
-    _verify_ref(out_dir, {"file": "train.jsonl", "sha256": recorded},
+    _verify_ref(model_path.parent, {"file": "train.jsonl", "sha256": recorded},
                 f"{model_path.name} training split")
+
+
+def _prepared_split(run_dir: Path, name: str) -> tuple[Corpus, str]:
+    """Split `name` of run_dir and its digest, refused unless that is the
+    digest 'prepare' recorded: a split edited since is not the held-out data."""
+    path, manifest = _prepare_manifest(run_dir)
+    digests = manifest.get("split_sha256")
+    if not isinstance(digests, dict):
+        raise InputError(f"{path} records no split digests; run 'prepare' again")
+    split_c = _split_corpus_file(run_dir, name)
+    file = f"{name}.jsonl"
+    _verify_ref(run_dir, {"file": file, "sha256": digests.get(file)}, f"{name} split")
+    return split_c, digests[file]
 
 
 def cmd_evaluate(args) -> int:
     model_path = Path(args.model_file)
     kind, predict = _load_model(model_path)
-    out_dir = Path(args.out_dir) if args.out_dir else model_path.parent
-    _check_held_out(model_path, kind, out_dir)
-    split_c = _split_corpus_file(out_dir, args.split)
+    run_dir = model_path.parent
+    _check_held_out(model_path, kind)
+    split_c, split_sha256 = _prepared_split(run_dir, args.split)
     report = evaluate(split_c.labels(), predict(split_c.texts())[0])
     # Saved before anything is printed, so a reader that closes stdout
     # early cannot cost the evaluation file.
-    out_path = out_dir / f"eval_{model_path.stem}_{args.split}.json"
+    out_path = run_dir / f"eval_{model_path.stem}_{args.split}.json"
     save_report(report, out_path,
                 extra={"model": kind, "split": args.split,
                        "manifest": {"pipeline_version": __version__,
                                     "model_file": model_path.name,
-                                    "model_sha256": _sha256(model_path)}})
+                                    "model_sha256": _sha256(model_path),
+                                    "split_sha256": split_sha256}})
 
     print(format_report(report))
     print(per_class_f1_report(report))
@@ -437,15 +457,32 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _check_evaluated_model(eval_path: Path, payload: dict) -> None:
+    """Refuse an evaluation whose model file, beside it, is gone or no longer
+    holds the bytes that were evaluated (the model was trained again)."""
+    manifest = payload.get("manifest")
+    name = manifest.get("model_file") if isinstance(manifest, dict) else None
+    if not isinstance(name, str):
+        raise InputError(f"{eval_path} names no model file; evaluate the model again")
+    model_path = eval_path.parent / name
+    if not model_path.is_file() or _sha256(model_path) != manifest.get("model_sha256"):
+        raise InputError(f"{eval_path} is not an evaluation of {model_path} as it is "
+                         f"now (missing or changed since); evaluate the model again")
+
+
 def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     eval_paths = sorted(out_dir.glob("eval_*.json"))
     if not eval_paths:
         raise InputError(f"no eval_*.json files in {out_dir}; run 'evaluate' first")
-    # A row is named by its file: eval_transformer_best_test.json is
-    # transformer_best_test.
-    table, csv_text = compare_models([(path.stem.removeprefix("eval_"), load_report(path))
-                                      for path in eval_paths])
+    rows = []
+    for path in eval_paths:
+        report, payload = load_report(path)
+        _check_evaluated_model(path, payload)
+        # A row is named by its file: eval_transformer_best_test.json is
+        # transformer_best_test.
+        rows.append((path.stem.removeprefix("eval_"), report))
+    table, csv_text = compare_models(rows)
     (out_dir / "comparison.csv").write_text(csv_text, encoding="utf-8")
     print(table)
     print(f"wrote {out_dir / 'comparison.csv'}")
@@ -481,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a model file on a split")
     p.add_argument("--model-file", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--out-dir", help="defaults to the model file's directory")
     p.add_argument("--json", action="store_true",
                    help="also print the report as JSON")
     p.set_defaults(func=cmd_evaluate)

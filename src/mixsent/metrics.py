@@ -198,10 +198,11 @@ def save_report(report: EvalReport, path, extra: dict | None = None) -> None:
                           encoding="utf-8")
 
 
-def load_report(path) -> EvalReport:
-    """A saved report; keys save_report's extra added are passed over."""
+def load_report(path) -> tuple[EvalReport, dict]:
+    """A saved report, and the file's JSON object, which holds any keys
+    save_report's extra added."""
     payload = parse_json_object(read_file(path, "report"), f"malformed report {path}")
     try:
-        return EvalReport.from_dict(payload)
+        return EvalReport.from_dict(payload), payload
     except (KeyError, TypeError, ValueError, OverflowError, InputError) as e:
         raise InputError(f"malformed report {path}: {e}") from None

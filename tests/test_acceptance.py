@@ -159,8 +159,8 @@ def test_criterion_06_naive_bayes_oracle():
                             {2: 1.0}], num_features=3)
         y = [SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL, SentimentLabel.POSITIVE]
         m = nb_train(X, y, alpha=1.0)
-        p_good_c1 = math.exp(m.feature_log_likelihood[1, 1])
-        p_good_c0 = math.exp(m.feature_log_likelihood[0, 1])
+        p_good_c1 = math.exp(m.weights[1, 1])
+        p_good_c0 = math.exp(m.weights[0, 1])
         assert abs(p_good_c1 - 0.4) < 1e-12
         assert abs(p_good_c0 - 0.2) < 1e-12
         labels, _ = nb_predict(m, feature_matrix([{1: 1.0}], num_features=3))

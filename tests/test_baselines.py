@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import baselines_reference as ref
-from mixsent.baselines import (LinearSvmModel, NaiveBayesModel, SvmHyper,
-                               load_baseline, nb_predict, nb_train,
-                               save_baseline, svm_predict, svm_train)
+from mixsent.baselines import (LinearModel, SvmHyper, load_baseline, nb_predict,
+                               nb_train, save_baseline, svm_predict, svm_train)
 from mixsent.corpus import LABELS, SentimentLabel
 from mixsent.errors import InputError
 from mixsent.features import fit_term_index, tfidf_transform
@@ -54,15 +53,15 @@ class TestNaiveBayes:
         X, y = two_doc_fixture
         m = nb_train(X, y, alpha=1.0)
         # P(good | class1) = (1+1)/(2+3), P(good | class0) = (0+1)/(2+3)
-        assert abs(math.exp(m.feature_log_likelihood[1, 1]) - 0.4) < 1e-12
-        assert abs(math.exp(m.feature_log_likelihood[0, 1]) - 0.2) < 1e-12
+        assert abs(math.exp(m.weights[1, 1]) - 0.4) < 1e-12
+        assert abs(math.exp(m.weights[0, 1]) - 0.2) < 1e-12
 
     def test_prior_and_likelihood_normalization(self, two_doc_fixture):
         X, y = two_doc_fixture
         m = nb_train(X, y)
-        assert abs(np.exp(m.class_log_prior).sum() - 1.0) < 1e-9
+        assert abs(np.exp(m.bias).sum() - 1.0) < 1e-9
         for c in range(3):
-            assert abs(np.exp(m.feature_log_likelihood[c]).sum() - 1.0) < 1e-9
+            assert abs(np.exp(m.weights[c]).sum() - 1.0) < 1e-9
 
     def test_good_predicted_as_class1(self, two_doc_fixture):
         X, y = two_doc_fixture
@@ -93,8 +92,7 @@ class TestNaiveBayes:
     def test_large_alpha_approaches_uniform(self, two_doc_fixture):
         X, y = two_doc_fixture
         m = nb_train(X, y, alpha=1e9)
-        np.testing.assert_allclose(np.exp(m.feature_log_likelihood), 1.0 / 3,
-                                   atol=1e-6)
+        np.testing.assert_allclose(np.exp(m.weights), 1.0 / 3, atol=1e-6)
 
     def test_bad_alpha(self, two_doc_fixture):
         X, y = two_doc_fixture
@@ -119,8 +117,8 @@ class TestNaiveBayes:
         X, rows, y, T = random_tfidf_corpus(300, seed=4)
         m = nb_train(X, y, alpha=0.5)
         prior, likelihood = ref.nb_train(rows, y, 0.5, T)
-        np.testing.assert_array_equal(m.class_log_prior, prior)
-        np.testing.assert_allclose(m.feature_log_likelihood, likelihood,
+        np.testing.assert_array_equal(m.bias, prior)
+        np.testing.assert_allclose(m.weights, likelihood,
                                    rtol=0, atol=1e-12)
         labels, log_post = nb_predict(m, X)
         for i, row in enumerate(rows):
@@ -170,16 +168,14 @@ class TestLinearSvm:
         assert np.linalg.norm(large.weights) < np.linalg.norm(small.weights)
 
     def test_zero_vector_zero_model_ties_to_negative(self):
-        m = LinearSvmModel(weights=np.zeros((3, 4)), bias=np.zeros(3),
-                           hyper=SvmHyper())
+        m = LinearModel("svm", np.zeros((3, 4)), np.zeros(3), {})
         labels, scores = svm_predict(m, feature_matrix([{}], 4))
         assert labels == [NEG]
         np.testing.assert_array_equal(scores, 0.0)
 
     def test_positive_scaling_preserves_argmax_with_zero_bias(self):
         rng = np.random.default_rng(3)
-        m = LinearSvmModel(weights=rng.normal(size=(3, 6)), bias=np.zeros(3),
-                           hyper=SvmHyper())
+        m = LinearModel("svm", rng.normal(size=(3, 6)), np.zeros(3), {})
         x = {0: 0.3, 2: -1.2, 5: 0.7}
         label1, s1 = svm_predict(m, feature_matrix([x], 6))
         x_scaled = {i: 4.5 * w for i, w in x.items()}
@@ -289,11 +285,10 @@ class TestModelIO:
         path = tmp_path / "nb.json"
         save_baseline(m, TWO_DOC_INDEX, path)
         loaded, idx = load_baseline(path)
-        assert isinstance(loaded, NaiveBayesModel)
+        assert (loaded.kind, loaded.hyper) == ("nb", {"alpha": 1.0})
         assert idx == TWO_DOC_INDEX
-        np.testing.assert_array_equal(loaded.class_log_prior, m.class_log_prior)
-        np.testing.assert_array_equal(loaded.feature_log_likelihood,
-                                      m.feature_log_likelihood)
+        np.testing.assert_array_equal(loaded.bias, m.bias)
+        np.testing.assert_array_equal(loaded.weights, m.weights)
 
     def test_svm_roundtrip(self, tmp_path):
         X = feature_matrix([{0: 1.0}, {1: 1.0}, {2: 1.0}])
@@ -302,10 +297,11 @@ class TestModelIO:
         path = tmp_path / "svm.json"
         save_baseline(m, TWO_DOC_INDEX, path)
         loaded, idx = load_baseline(path)
-        assert isinstance(loaded, LinearSvmModel)
+        assert (loaded.kind, loaded.hyper) == ("svm", {"lambda": 1e-4, "epochs": 3,
+                                                       "seed": 5})
         assert idx == TWO_DOC_INDEX
         np.testing.assert_array_equal(loaded.weights, m.weights)
-        assert loaded.hyper == m.hyper
+        np.testing.assert_array_equal(loaded.bias, m.bias)
 
     def test_malformed_model_file(self, tmp_path):
         path = tmp_path / "m.json"
@@ -314,18 +310,18 @@ class TestModelIO:
             load_baseline(path)
 
     @pytest.mark.parametrize("model,key,value", [
-        ("nb", "class_log_prior", [-1.0, -1.0]),
-        ("nb", "feature_log_likelihood", [[], [], []]),
-        ("nb", "feature_log_likelihood", [[-1.0], [-1.0]]),
-        ("nb", "feature_log_likelihood", [[-1.0], [float("nan")], [-1.0]]),
+        ("nb", "bias", [-1.0, -1.0]),
+        ("nb", "weights", [[], [], []]),
+        ("nb", "weights", [[-1.0], [-1.0]]),
+        ("nb", "weights", [[-1.0], [float("nan")], [-1.0]]),
         ("svm", "bias", [0.0, 0.0]),
         ("svm", "bias", [0.0, float("inf"), 0.0]),
         ("svm", "weights", [[1.0, 2.0], [1.0], [1.0, 2.0]]),
         ("svm", "weights", [1.0, 2.0, 3.0]),
         # Hyper-parameters that training refuses.
-        ("nb", "alpha", float("nan")),
-        ("nb", "alpha", 0.0),
-        ("nb", "alpha", -5.0),
+        ("nb", "hyper.alpha", float("nan")),
+        ("nb", "hyper.alpha", 0.0),
+        ("nb", "hyper.alpha", -5.0),
         ("svm", "hyper.lambda", float("nan")),
         ("svm", "hyper.lambda", float("inf")),
         ("svm", "hyper.lambda", -5.0),

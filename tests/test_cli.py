@@ -77,6 +77,9 @@ class TestPrepare:
         manifest = json.loads((out / "manifest.json").read_text())
         sizes = manifest["split_sizes"]
         assert sizes["train"] == 48 and sizes["val"] == 6 and sizes["test"] == 6
+        assert manifest["split_sha256"] == {
+            f"{name}.jsonl": hashlib.sha256((out / f"{name}.jsonl").read_bytes()).hexdigest()
+            for name in ("train", "val", "test")}
         assert "Sentiment Class" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -194,9 +197,8 @@ class TestTrain:
         assert expected_idx == idx
         X = tfidf_transform(train_c.texts(), idx)
         expected = nb_train(X, train_c.labels(), alpha=1.0)
-        np.testing.assert_array_equal(model.class_log_prior, expected.class_log_prior)
-        np.testing.assert_array_equal(model.feature_log_likelihood,
-                                      expected.feature_log_likelihood)
+        np.testing.assert_array_equal(model.bias, expected.bias)
+        np.testing.assert_array_equal(model.weights, expected.weights)
 
     def test_svm_training_and_manifest(self, tmp_path):
         out = run_prepare(tmp_path, tmp_path / "run")
@@ -500,21 +502,72 @@ class TestEvaluateAndReport:
         assert "nb.json training split digest mismatch" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
-    def test_other_out_dir_needs_the_same_train_split(self, tmp_path, capsys):
+    @pytest.mark.parametrize("split_name", ["test", "val"])
+    def test_split_edited_after_prepare_refused(self, tmp_path, capsys, split_name):
+        """A split that no longer has the digest 'prepare' recorded is not
+        the held-out data; nothing is written."""
         out = self.nb_run(tmp_path)
-        same, other = tmp_path / "same", tmp_path / "other"
-        same.mkdir()
-        for name in ("train.jsonl", "test.jsonl"):
-            (same / name).write_bytes((out / name).read_bytes())
-        assert main(["evaluate", "--model-file", str(out / "nb.json"),
-                     "--out-dir", str(same)]) == 0
-        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
-        assert ((same / "eval_nb_test.json").read_bytes()
-                == (out / "eval_nb_test.json").read_bytes())
-        run_prepare(tmp_path, other, seed=2)
-        assert main(["evaluate", "--model-file", str(out / "nb.json"),
-                     "--out-dir", str(other)]) == 2
-        assert not (other / "eval_nb_test.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        split_file = out / f"{split_name}.jsonl"
+        digest = manifest["split_sha256"][f"{split_name}.jsonl"]
+        assert digest == hashlib.sha256(split_file.read_bytes()).hexdigest()
+        argv = ["evaluate", "--model-file", str(out / "nb.json"), "--split", split_name]
+        assert main(argv) == 0
+        report = json.loads((out / f"eval_nb_{split_name}.json").read_text())
+        assert report["manifest"]["split_sha256"] == digest
+
+        (out / f"eval_nb_{split_name}.json").unlink()
+        split_file.write_text("".join(split_file.read_text(encoding="utf-8")
+                                      .splitlines(keepends=True)[1:]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{split_name} split digest mismatch for {split_file}" in captured.err
+        assert not (out / f"eval_nb_{split_name}.json").exists()
+
+    def test_manifest_without_split_digests_exit_2(self, tmp_path, capsys):
+        out = self.nb_run(tmp_path)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["split_sha256"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 2
+        assert (f"{path} records no split digests; run 'prepare' again"
+                in capsys.readouterr().err)
+        assert not (out / "eval_nb_test.json").exists()
+
+    def test_report_refuses_a_stale_evaluation(self, tmp_path, capsys):
+        """An evaluation of a model file trained again since, or deleted
+        since, is not a row of the report; evaluating again mends it."""
+        out = self.nb_run(tmp_path)
+        evaluate_nb = ["evaluate", "--model-file", str(out / "nb.json")]
+        assert main(evaluate_nb) == 0
+        assert main(["train", "--model", "nb", "--out-dir", str(out),
+                     "--config", '{"nb": {"alpha": 0.5}}']) == 0
+        capsys.readouterr()
+        assert main(["report", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{out / 'eval_nb_test.json'} is not an evaluation of {out / 'nb.json'}"
+                in captured.err and "evaluate the model again" in captured.err)
+        assert not (out / "comparison.csv").exists()
+
+        assert main(evaluate_nb) == 0
+        assert main(["report", "--out-dir", str(out)]) == 0
+        assert (out / "comparison.csv").exists()
+
+        (out / "comparison.csv").unlink()
+        (out / "nb.json").unlink()
+        assert main(["report", "--out-dir", str(out)]) == 2
+        assert not (out / "comparison.csv").exists()
+        eval_path = out / "eval_nb_test.json"
+        eval_path.write_text(json.dumps({
+            key: value for key, value in json.loads(eval_path.read_text()).items()
+            if key != "manifest"}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--out-dir", str(out)]) == 2
+        assert f"{eval_path} names no model file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("manifest", [None, "{}", '{"inputs": {}}',
                                           '{"inputs": {"train.jsonl": 5}}', "[1]"])
@@ -599,7 +652,7 @@ class TestBaselineArtifact:
         path.write_text(json.dumps(payload), encoding="utf-8")
 
     @pytest.mark.parametrize("model_file,key,value", [
-        ("nb.json", "class_log_prior", [-1.0, -1.0]),
+        ("nb.json", "bias", [-1.0, -1.0]),
         ("svm.json", "bias", [0.0, 0.0]),
     ])
     def test_wrong_class_count_exit_2(self, baseline_dir, tmp_path, capsys,
@@ -616,9 +669,9 @@ class TestBaselineArtifact:
     @pytest.mark.parametrize("model_file,keys,literal", [
         ("svm.json", ("hyper", "lambda"), "NaN"),
         ("svm.json", ("hyper", "lambda"), "1e999"),
-        ("nb.json", ("alpha",), "NaN"),
-        ("nb.json", ("alpha",), "0"),
-        ("nb.json", ("alpha",), "-5"),
+        ("nb.json", ("hyper", "alpha"), "NaN"),
+        ("nb.json", ("hyper", "alpha"), "0"),
+        ("nb.json", ("hyper", "alpha"), "-5"),
     ])
     def test_untrainable_hyper_parameter_exit_2(self, baseline_dir, tmp_path, capsys,
                                                 model_file, keys, literal):
@@ -676,8 +729,9 @@ class TestBaselineArtifact:
         assert len(parses) == 1
 
     @pytest.mark.parametrize("content,message", [
-        ('{"model_type": "nb"}', "malformed model file {}: 'class_log_prior'"),
-        ('{"model_type": "svm", "weights": 1}', "malformed model file {}: 'hyper'"),
+        ('{"model_type": "nb"}', "malformed model file {}: 'format_version'"),
+        ('{"model_type": "svm", "weights": 1, "format_version": 3}',
+         "malformed model file {}: 'hyper'"),
         ('{"model_type": "nb"}\n{}', "malformed model file {}: not valid JSON "
                                      "(Extra data: line 2 column 1 (char 21))"),
         ('{"model_type": "nb"', "{} is not a recognized model file: not valid JSON"),
@@ -720,7 +774,31 @@ class TestBaselineArtifact:
         assert main(["predict", "--model-file", str(path), "--input", str(texts)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{path} has format_version 1, not 2; train the model again" in captured.err
+        assert f"{path} has format_version 1, not 3; train the model again" in captured.err
+
+    @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
+    def test_format_version_2_model_exit_2(self, baseline_dir, tmp_path, capsys,
+                                           model_file):
+        """The earlier layout kept each kind's parameters under its own keys."""
+        path = baseline_dir / model_file
+
+        def to_version_2(payload):
+            payload["format_version"] = 2
+            if payload["model_type"] == "nb":
+                payload.update(alpha=payload.pop("hyper")["alpha"],
+                               class_log_prior=payload.pop("bias"),
+                               feature_log_likelihood=payload.pop("weights"))
+        self.edit_json(path, to_version_2)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        for argv in (["predict", "--model-file", str(path), "--input", str(texts)],
+                     ["evaluate", "--model-file", str(path), "--split", "test"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (f"{path} has format_version 2, not 3; train the model again"
+                    in captured.err)
+        assert not (baseline_dir / f"eval_{path.stem}_test.json").exists()
 
     def test_batch_predict_matches_evaluate(self, baseline_dir, capsys):
         """evaluate and predict score the same cleaned texts identically."""

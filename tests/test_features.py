@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import baselines_reference as ref
-from mixsent.baselines import (LinearSvmModel, SvmHyper, load_baseline,
-                               save_baseline, svm_predict)
+from mixsent.baselines import LinearModel, load_baseline, save_baseline, svm_predict
 from mixsent.errors import InputError
 from mixsent.features import (FeatureMatrix, TermIndex, fit_term_index,
                               tfidf_transform)
@@ -139,8 +138,7 @@ class TestSparseOps:
         X = feature_matrix([{0: 1.0, 2: 2.0}], 4)
         weights = np.zeros((3, 4))
         weights[:, [1, 3]] = [[3.0, 4.0], [-1.0, 5.0], [2.0, 2.0]]
-        m = LinearSvmModel(weights=weights, bias=np.array([0.5, -0.5, 0.0]),
-                           hyper=SvmHyper())
+        m = LinearModel("svm", weights, np.array([0.5, -0.5, 0.0]), {})
         np.testing.assert_array_equal(svm_predict(m, X)[1], [[0.5, -0.5, 0.0]])
 
     @given(documents)
@@ -183,8 +181,8 @@ class TestTermIndexIO:
 
     @staticmethod
     def save(idx, path):
-        model = LinearSvmModel(weights=np.zeros((3, len(idx))), bias=np.zeros(3),
-                               hyper=SvmHyper())
+        model = LinearModel("svm", np.zeros((3, len(idx))), np.zeros(3),
+                            {"lambda": 1e-4, "epochs": 20, "seed": 0})
         save_baseline(model, idx, path)
 
     def test_roundtrip(self, tmp_path):
