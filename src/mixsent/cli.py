@@ -154,31 +154,38 @@ def _preprocess_config(section: dict) -> PreprocessConfig:
         remove_stop_words=section["remove_stop_words"])
 
 
-def _prepare_manifest(run_dir: Path) -> tuple[Path, dict]:
-    """The path and content of the manifest 'prepare' wrote in run_dir."""
+def _prepare_manifest(run_dir: Path) -> tuple[dict, dict]:
+    """The manifest 'prepare' wrote in run_dir, and its sha256 table: the
+    digest of each file in run_dir that a later command reads."""
     path = run_dir / "manifest.json"
-    return path, parse_json_object(read_file(path, "manifest"), f"malformed manifest {path}")
+    manifest = parse_json_object(read_file(path, "manifest"), f"malformed manifest {path}")
+    if not isinstance(manifest.get("sha256"), dict):
+        raise InputError(f"{path} records no file digests; run 'prepare' again")
+    return manifest, manifest["sha256"]
+
+
+def _prepared(run_dir: Path, digests: dict, name: str) -> tuple[Path, str]:
+    """run_dir / name and its digest, hashed once and refused unless it is
+    the digest 'prepare' recorded: an edited split may hold another's rows."""
+    path, digest = run_dir / name, _sha256(run_dir / name)
+    if digest != digests.get(name):
+        raise InputError(f"digest mismatch for {path}: not the file 'prepare' "
+                         f"wrote (edited since?); run 'prepare' again")
+    return path, digest
 
 
 def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
     """The cleaning config prepare recorded in model_dir/manifest.json, checked
-    as --config is; each file it names, read from model_dir, must still have
-    its recorded digest."""
-    path, manifest = _prepare_manifest(model_dir)
+    as --config is; each file it names is read from model_dir by _prepared."""
+    manifest, digests = _prepare_manifest(model_dir)
     try:
-        recorded = manifest["config"]["preprocess"]
-        digests = recorded.pop("sha256")
-    except (LookupError, TypeError, AttributeError):
-        digests = None
-    if not isinstance(digests, dict):
-        raise InputError(f"{path} records no preprocessing; "
-                         f"predict cleans text as the 'prepare' that wrote it did")
-    section = _section("preprocess", recorded)
+        section = _section("preprocess", manifest["config"]["preprocess"])
+    except (LookupError, TypeError):
+        raise InputError(f"{model_dir / 'manifest.json'} records no preprocessing; "
+                         f"predict cleans text as the 'prepare' that wrote it did") from None
     for key in _PREPROCESS_FILES:
         if section[key]:
-            section[key] = _verify_ref(
-                model_dir, {"file": section[key], "sha256": digests.get(key)},
-                f"preprocess.{key}")
+            section[key] = _prepared(model_dir, digests, section[key])[0]
     return _preprocess_config(section)
 
 
@@ -191,13 +198,6 @@ def _distribution_report(dist) -> str:
                      f"{dist.counts[label]:>11,}  {pct:>9}%")
     lines.append(f"{'Total':<15}  {'':<8}  {dist.total:>11,}  {'100.0':>9}%")
     return "\n".join(lines)
-
-
-def _split_corpus_file(out_dir: Path, name: str) -> Corpus:
-    path = out_dir / f"{name}.jsonl"
-    if not path.exists():
-        raise InputError(f"missing split file {path}; run 'prepare' first")
-    return load_corpus(path, CANONICAL_LABEL_MAP)
 
 
 def cmd_prepare(args) -> int:
@@ -239,20 +239,19 @@ def cmd_prepare(args) -> int:
     _write_json(out_dir / "manifest.json", {
         "pipeline_version": __version__,
         "command": "prepare",
-        "inputs": {Path(p).name: _sha256(Path(p)) for p in args.input},
+        "inputs": [{"file": Path(p).name, "sha256": _sha256(Path(p))} for p in args.input],
         "label_map": _sha256(Path(args.label_map)),
         "seed": args.seed,
         "config": {
-            "preprocess": {**section, **copies, "sha256": {
-                key: _sha256(out_dir / name) for key, name in copies.items()}},
+            "preprocess": {**section, **copies},
             "split": _recorded(spec, "seed"),
             "overrides": overrides,
         },
         "split_sizes": {"train": len(train_c), "val": len(val_c),
                         "test": len(test_c)},
-        # evaluate refuses a split file that no longer has its digest.
-        "split_sha256": {f"{name}.jsonl": _sha256(out_dir / f"{name}.jsonl")
-                         for name in ("train", "val", "test")},
+        # Each file a later command reads, which _prepared checks.
+        "sha256": {name: _sha256(out_dir / name) for name in
+                   ["train.jsonl", "val.jsonl", "test.jsonl", *copies.values()]},
         "outputs": [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
                     "drops.json", *copies.values()],
     })
@@ -260,20 +259,6 @@ def cmd_prepare(args) -> int:
     print(f"dropped: {json.dumps(drops, sort_keys=True)}")
     print(f"splits: train={len(train_c)} val={len(val_c)} test={len(test_c)}")
     return 0
-
-
-def _verify_ref(base: Path, ref, what: str) -> Path:
-    """base / ref["file"], refused unless it holds the digest ref["sha256"]."""
-    try:
-        path, expected = base / ref["file"], ref["sha256"]
-    except (TypeError, KeyError):
-        raise InputError(f"no {what} reference with a file and a digest") from None
-    digest = _sha256(path)
-    if digest != expected:
-        raise InputError(f"{what} digest mismatch for {path}: recorded "
-                         f"{str(expected)[:12]}..., file has {digest[:12]}... "
-                         f"(artifacts out of sync)")
-    return path
 
 
 def _fit_nb(X, labels, settings: dict, seed: int):
@@ -284,7 +269,8 @@ def _fit_svm(X, labels, settings: dict, seed: int):
     return baselines.svm_train(X, labels, dataclasses.replace(settings["svm"], seed=seed))
 
 
-def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int):
+def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int,
+                    digests: dict):
     idx = fit_term_index(train_c.texts(), **settings["features"])
     model = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(), settings, seed)
     # Written once the fit has returned: a failed train keeps the old run.
@@ -303,9 +289,11 @@ def _load_baseline(scores, model_path: Path, payload: dict | None):
     return lambda texts: scores(model, tfidf_transform(texts, idx))
 
 
-def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: int):
+def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: int,
+                       digests: dict):
     out_dir = model_path.parent
-    val_c = _split_corpus_file(out_dir, "val")
+    val_path, val_sha256 = _prepared(out_dir, digests, "val.jsonl")
+    val_c = load_corpus(val_path, CANONICAL_LABEL_MAP)
     cfg = settings["encoder"]
     vocab = train_vocabulary(train_c.texts(), cfg.vocab_size)
     cfg = dataclasses.replace(cfg, vocab_size=len(vocab))
@@ -324,7 +312,7 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
         if "val_weighted_f1" in entry:
             line += f" val_weighted_f1 {entry['val_weighted_f1']:.4f}"
         print(line)
-    return ({"val.jsonl": _sha256(out_dir / "val.jsonl")},
+    return ({"val.jsonl": val_sha256},
             {"encoder": dataclasses.asdict(cfg), "train": dataclasses.asdict(tc)},
             ["transformer_best.bin", "training_log.json"])
 
@@ -341,13 +329,13 @@ def _load_transformer(model_path: Path, payload: dict | None):
     return predict
 
 
-# kind -> (artifact file, train, load).  train(model_path, train_corpus,
-# settings, seed) writes the artifact and returns the train manifest's other
-# inputs, config and other outputs; load(model_path, payload) returns texts ->
-# (labels, [N, 3] scores), payload being the file parsed as JSON when it is
-# one JSON line (a baseline's), else None.  Entries reach the library through
-# module attributes and this module's globals at call time, so wrappers set
-# on those names see calls.
+# kind -> (artifact file, train, load).  train(model_path, train_corpus, settings,
+# seed, digests) writes the artifact, reading any other split by _prepared, and
+# returns the train manifest's other inputs, config and other outputs;
+# load(model_path, payload) returns texts -> (labels, [N, 3] scores), payload
+# being the file parsed as JSON when it is one JSON line (a baseline's), else
+# None.  Entries reach the library through module attributes and this module's
+# globals at call time, so wrappers set on those names see calls.
 MODELS = {
     "nb": ("nb.json", partial(_train_baseline, _fit_nb),
            partial(_load_baseline, _nb_scores)),
@@ -373,53 +361,50 @@ def _load_model(path: Path):
 def cmd_train(args) -> int:
     settings = _load_config(args.config)[1]
     out_dir = Path(args.out_dir)
-    train_c = _split_corpus_file(out_dir, "train")
+    digests = _prepare_manifest(out_dir)[1]
+    train_path, train_sha256 = _prepared(out_dir, digests, "train.jsonl")
+    train_c = load_corpus(train_path, CANONICAL_LABEL_MAP)
     file, train, _ = MODELS[args.model]
     model_path = out_dir / file
-    inputs, config, outputs = train(model_path, train_c, settings, args.seed)
+    inputs, config, outputs = train(model_path, train_c, settings, args.seed, digests)
     _write_json(out_dir / f"{args.model}.manifest.json", {
         "pipeline_version": __version__, "command": "train", "model": args.model,
-        "inputs": {"train.jsonl": _sha256(out_dir / "train.jsonl"), **inputs},
+        "inputs": {"train.jsonl": train_sha256, **inputs},
         "config": config, "seed": args.seed,
-        "outputs": [model_path.name, *outputs]})
+        # evaluate scores only a model file listed here with its digest.
+        "outputs": {name: _sha256(out_dir / name) for name in [file, *outputs]}})
     print(f"wrote {model_path}")
     return 0
 
 
-def _check_held_out(model_path: Path, kind: str) -> None:
-    """Refuse a run directory whose train.jsonl is not the one the model's
-    train manifest records: after a re-run 'prepare' the other splits may
-    hold the model's training rows."""
+def _check_held_out(model_path: Path, kind: str, model_sha256: str, digests: dict) -> None:
+    """Refuse a model file unless its train manifest lists it with the digest
+    model_sha256 (not a copy, nor changed since) and records the train.jsonl
+    that digests does: after a re-run 'prepare' the other splits may hold
+    the model's training rows."""
     path = model_path.parent / f"{kind}.manifest.json"
     manifest = parse_json_object(read_file(path, "train manifest"),
                                  f"malformed manifest {path}")
-    inputs = manifest.get("inputs")
+    outputs, inputs = manifest.get("outputs"), manifest.get("inputs")
+    if not isinstance(outputs, dict) or outputs.get(model_path.name) != model_sha256:
+        raise InputError(f"{path} does not list {model_path.name} with its digest "
+                         f"(copied or changed since?); evaluate a model file as "
+                         f"'train' wrote it")
     recorded = inputs.get("train.jsonl") if isinstance(inputs, dict) else None
-    if not isinstance(recorded, str):
-        raise InputError(f"{path} records no train.jsonl digest")
-    _verify_ref(model_path.parent, {"file": "train.jsonl", "sha256": recorded},
-                f"{model_path.name} training split")
-
-
-def _prepared_split(run_dir: Path, name: str) -> tuple[Corpus, str]:
-    """Split `name` of run_dir and its digest, refused unless that is the
-    digest 'prepare' recorded: a split edited since is not the held-out data."""
-    path, manifest = _prepare_manifest(run_dir)
-    digests = manifest.get("split_sha256")
-    if not isinstance(digests, dict):
-        raise InputError(f"{path} records no split digests; run 'prepare' again")
-    split_c = _split_corpus_file(run_dir, name)
-    file = f"{name}.jsonl"
-    _verify_ref(run_dir, {"file": file, "sha256": digests.get(file)}, f"{name} split")
-    return split_c, digests[file]
+    if not isinstance(recorded, str) or recorded != digests.get("train.jsonl"):
+        raise InputError(f"{path} records another train.jsonl than manifest.json "
+                         f"does ('prepare' run since?); train the model again")
 
 
 def cmd_evaluate(args) -> int:
     model_path = Path(args.model_file)
     kind, predict = _load_model(model_path)
     run_dir = model_path.parent
-    _check_held_out(model_path, kind)
-    split_c, split_sha256 = _prepared_split(run_dir, args.split)
+    digests = _prepare_manifest(run_dir)[1]
+    model_sha256 = _sha256(model_path)
+    _check_held_out(model_path, kind, model_sha256, digests)
+    split_path, split_sha256 = _prepared(run_dir, digests, f"{args.split}.jsonl")
+    split_c = load_corpus(split_path, CANONICAL_LABEL_MAP)
     report = evaluate(split_c.labels(), predict(split_c.texts())[0])
     # Saved before anything is printed, so a reader that closes stdout
     # early cannot cost the evaluation file.
@@ -428,7 +413,7 @@ def cmd_evaluate(args) -> int:
                 extra={"model": kind, "split": args.split,
                        "manifest": {"pipeline_version": __version__,
                                     "model_file": model_path.name,
-                                    "model_sha256": _sha256(model_path),
+                                    "model_sha256": model_sha256,
                                     "split_sha256": split_sha256}})
 
     print(format_report(report))

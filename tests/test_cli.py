@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixsent
-from mixsent import baselines
+from mixsent import baselines, cli
 from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_predict, nb_train
 from mixsent.cli import SETTINGS, main
@@ -77,10 +77,27 @@ class TestPrepare:
         manifest = json.loads((out / "manifest.json").read_text())
         sizes = manifest["split_sizes"]
         assert sizes["train"] == 48 and sizes["val"] == 6 and sizes["test"] == 6
-        assert manifest["split_sha256"] == {
+        assert manifest["sha256"] == {
             f"{name}.jsonl": hashlib.sha256((out / f"{name}.jsonl").read_bytes()).hexdigest()
             for name in ("train", "val", "test")}
         assert "Sentiment Class" in capsys.readouterr().out
+
+    def test_same_named_inputs_both_recorded(self, tmp_path):
+        """Inputs are recorded in --input order, one entry each, also when
+        two in different directories share a name."""
+        paths = []
+        for sub_dir, n_per_class in (("a", 20), ("b", 7)):
+            (tmp_path / sub_dir).mkdir()
+            jsonl, map_path = write_inputs(tmp_path / sub_dir, n_per_class)
+            paths.append(jsonl)
+        out = tmp_path / "run"
+        assert main(["prepare", "--input", str(paths[0]), "--input", str(paths[1]),
+                     "--label-map", str(map_path), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == [
+            {"file": "tweets.jsonl", "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for path in paths]
+        assert manifest["inputs"][0]["sha256"] != manifest["inputs"][1]["sha256"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = run_prepare(tmp_path, tmp_path / "a")
@@ -228,8 +245,9 @@ class TestTrain:
         assert (out / "transformer_best.bin").exists()
         # The vocabulary is in the model files' headers.
         assert not (out / "vocab.txt").exists()
-        assert manifest["outputs"] == ["transformer.bin", "transformer_best.bin",
-                                       "training_log.json"]
+        assert manifest["outputs"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("transformer.bin", "transformer_best.bin", "training_log.json")}
 
     def test_out_of_memory_exit_1_without_traceback(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -275,6 +293,26 @@ class TestTrain:
         for model_file in ("svm.json", "transformer.bin"):
             assert main(["predict", "--model-file", str(out / model_file),
                          "--input", str(texts)]) == 0
+
+    @pytest.mark.parametrize("model, split_name", [("nb", "train"),
+                                                   ("transformer", "val")])
+    def test_split_edited_after_prepare_refused(self, tmp_path, capsys, model,
+                                                split_name):
+        """A split that no longer has the digest 'prepare' recorded (test
+        rows appended to it by hand, say) is not trained on; the run
+        directory is left as it was."""
+        out = run_prepare(tmp_path, tmp_path / "run")
+        split_file = out / f"{split_name}.jsonl"
+        with open(split_file, "a", encoding="utf-8") as fh:
+            fh.write((out / "test.jsonl").read_text(encoding="utf-8").splitlines()[0] + "\n")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main(["train", "--model", model, "--out-dir", str(out),
+                     "--config", TINY_TRANSFORMER_CONFIG]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"digest mismatch for {split_file}" in captured.err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_each_baseline_keeps_its_own_term_index(self, tmp_path):
         """nb and svm trained in one run directory with different features
@@ -499,7 +537,8 @@ class TestEvaluateAndReport:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
         assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 2
-        assert "nb.json training split digest mismatch" in capsys.readouterr().err
+        assert (f"{out / 'nb.manifest.json'} records another train.jsonl than "
+                "manifest.json does" in capsys.readouterr().err)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @pytest.mark.parametrize("split_name", ["test", "val"])
@@ -509,7 +548,7 @@ class TestEvaluateAndReport:
         out = self.nb_run(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         split_file = out / f"{split_name}.jsonl"
-        digest = manifest["split_sha256"][f"{split_name}.jsonl"]
+        digest = manifest["sha256"][f"{split_name}.jsonl"]
         assert digest == hashlib.sha256(split_file.read_bytes()).hexdigest()
         argv = ["evaluate", "--model-file", str(out / "nb.json"), "--split", split_name]
         assert main(argv) == 0
@@ -523,19 +562,64 @@ class TestEvaluateAndReport:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{split_name} split digest mismatch for {split_file}" in captured.err
+        assert f"digest mismatch for {split_file}" in captured.err
         assert not (out / f"eval_nb_{split_name}.json").exists()
 
     def test_manifest_without_split_digests_exit_2(self, tmp_path, capsys):
+        """A manifest.json of an earlier 'prepare', which wrote no sha256
+        table, is refused by train, evaluate and predict; nothing is written."""
         out = self.nb_run(tmp_path)
         path = out / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
-        del manifest["split_sha256"]
+        del manifest["sha256"]
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 2
-        assert (f"{path} records no split digests; run 'prepare' again"
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for argv in (["train", "--model", "nb", "--out-dir", str(out)],
+                     ["evaluate", "--model-file", str(out / "nb.json")],
+                     ["predict", "--model-file", str(out / "nb.json"),
+                      "--input", str(texts)]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{path} records no file digests; run 'prepare' again" in captured.err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_copied_model_refused(self, tmp_path, capsys):
+        """evaluate scores only a model file that its train manifest lists
+        with its digest.  A copy kept across a re-run 'prepare' and a
+        retrain would otherwise be scored on its own training rows."""
+        out = self.nb_run(tmp_path)
+        shutil.copy(out / "nb.json", out / "nb_old.json")
+        capsys.readouterr()
+        assert main(["evaluate", "--model-file", str(out / "nb_old.json")]) == 2
+        assert (f"{out / 'nb.manifest.json'} does not list nb_old.json with its digest"
                 in capsys.readouterr().err)
-        assert not (out / "eval_nb_test.json").exists()
+
+        run_prepare(tmp_path, out, seed=2)
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--model-file", str(out / "nb_old.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "does not list nb_old.json" in captured.err
+        assert not (out / "eval_nb_old_test.json").exists()
+
+    @pytest.mark.parametrize("split_name", ["train", "test"])
+    def test_evaluate_hashes_only_its_split_and_the_model(self, tmp_path, monkeypatch,
+                                                          split_name):
+        """evaluate compares recorded digests as strings and hashes only the
+        model file and the split it scores, each once."""
+        out = self.nb_run(tmp_path)
+        hashed = []
+        real_sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256",
+                            lambda path: hashed.append(Path(path).name) or real_sha256(path))
+        assert main(["evaluate", "--model-file", str(out / "nb.json"),
+                     "--split", split_name]) == 0
+        assert sorted(hashed) == sorted(["nb.json", f"{split_name}.jsonl"])
 
     def test_report_refuses_a_stale_evaluation(self, tmp_path, capsys):
         """An evaluation of a model file trained again since, or deleted
@@ -942,15 +1026,15 @@ class TestServedAsPrepared:
         recorded = manifest["config"]["preprocess"]
         assert recorded["stopwords_file"] == "stopwords.txt"
         assert (out / "stopwords.txt").read_bytes() == stop.read_bytes()
-        assert "stopwords.txt" in manifest["outputs"]
-        assert recorded["sha256"] == {
-            "stopwords_file": hashlib.sha256(stop.read_bytes()).hexdigest()}
+        assert "stopwords.txt" in manifest["outputs"] and "sha256" not in recorded
+        assert manifest["sha256"]["stopwords.txt"] == hashlib.sha256(
+            stop.read_bytes()).hexdigest()
         assert self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)[0] == 0
 
         (out / "stopwords.txt").write_text("hai\n", encoding="utf-8")
         code, captured = self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)
         assert code == 2 and captured.out == ""
-        assert "preprocess.stopwords_file digest mismatch" in captured.err
+        assert f"digest mismatch for {out / 'stopwords.txt'}" in captured.err
 
     def test_relative_word_list_served_from_another_directory(
             self, tmp_path, capsys, monkeypatch):
@@ -1017,6 +1101,11 @@ def test_non_finite_model_weight_exit_2(served_dir, tmp_path, capsys, command, w
     run = shutil.copytree(out, tmp_path / "run")
     model = run / "transformer.bin"
     model.write_bytes(model.read_bytes()[:-4] + np.float32(weight).astype("<f4").tobytes())
+    # evaluate scores only a model file that its train manifest lists with
+    # its digest, so the damaged file is listed to reach the forward pass.
+    manifest = json.loads((run / "transformer.manifest.json").read_text(encoding="utf-8"))
+    manifest["outputs"]["transformer.bin"] = hashlib.sha256(model.read_bytes()).hexdigest()
+    (run / "transformer.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     args = (["--input", str(texts)] if command == "predict" else ["--split", "test"])
     capsys.readouterr()
     assert main([command, "--model-file", str(model), *args]) == 2
