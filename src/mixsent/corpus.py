@@ -90,8 +90,14 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class ClassDistribution:
+    """Per-label counts and each label's fraction of their total; rounding
+    is left to display code."""
     counts: dict[SentimentLabel, int]
-    percentages: dict[SentimentLabel, float]
+    percentages: dict[SentimentLabel, float] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "percentages", {
+            label: count / self.total for label, count in self.counts.items()})
 
     @property
     def total(self) -> int:
@@ -189,16 +195,12 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
 
 
 def class_distribution(c: Corpus) -> ClassDistribution:
-    """Per-label counts and fractions; fractions are exact, rounding is
-    left to display code."""
     if len(c) == 0:
         raise InputError("cannot compute class distribution of an empty corpus")
     counts = {label: 0 for label in LABELS}
     for rec in c.records:
         counts[rec.label] += 1
-    total = len(c)
-    percentages = {label: counts[label] / total for label in LABELS}
-    return ClassDistribution(counts=counts, percentages=percentages)
+    return ClassDistribution(counts)
 
 
 def _floor(x: float) -> int:

@@ -59,8 +59,9 @@ def check_fields(cfg) -> None:
 @contextlib.contextmanager
 def open_file(path, what: str):
     """The file at path, open for reading bytes.  A missing or unreadable
-    path (a directory, say), or non-UTF-8 text decoded from it inside the
-    with block, raises InputError naming the file as what."""
+    path (a directory, say), a path holding a NUL byte, or non-UTF-8 text
+    decoded from it inside the with block, raises InputError naming the file
+    as what."""
     try:
         with open(path, "rb") as fh:
             yield fh
@@ -71,6 +72,10 @@ def open_file(path, what: str):
     except UnicodeDecodeError as e:
         raise InputError(f"cannot read {what} {path}: not UTF-8 text "
                          f"({e.reason} at byte {e.start})") from None
+    except ValueError as e:               # open() refuses a path holding a NUL
+        if "\0" not in str(path):
+            raise
+        raise InputError(f"cannot read {what} {str(path)!r}: {e}") from None
 
 
 def read_file(path, what: str) -> str:

@@ -55,6 +55,7 @@ class TermIndex:
     document_frequency: tuple[int, ...]
     num_docs: int
     term_to_id: dict[str, int] = field(init=False, hash=False, compare=False, repr=False)
+    idf: tuple[float, ...] = field(init=False, hash=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_fields(self)
@@ -72,21 +73,14 @@ class TermIndex:
             repeated = next(t for i, t in enumerate(self.terms) if term_to_id[t] != i)
             raise InputError(f"term {repeated!r} repeated in terms")
         object.__setattr__(self, "term_to_id", term_to_id)
+        # Feature id -> smoothed idf; one log per distinct df, as most terms
+        # share a small df.
+        n, dfs = self.num_docs, self.document_frequency
+        by_df = {df: math.log((1 + n) / (1 + df)) + 1.0 for df in set(dfs)}
+        object.__setattr__(self, "idf", tuple(map(by_df.__getitem__, dfs)))
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    @property
-    def idf(self) -> tuple[float, ...]:
-        """Feature id -> smoothed idf."""
-        cached = getattr(self, "_idf", None)
-        if cached is None:
-            n, dfs = self.num_docs, self.document_frequency
-            # one log per distinct df: most terms share a small df
-            by_df = {df: math.log((1 + n) / (1 + df)) + 1.0 for df in set(dfs)}
-            cached = tuple(map(by_df.__getitem__, dfs))
-            object.__setattr__(self, "_idf", cached)
-        return cached
 
 
 def fit_term_index(texts: list[str], min_df: int = 1) -> TermIndex:
@@ -124,7 +118,12 @@ def tfidf_transform(texts: list[str], idx: TermIndex) -> FeatureMatrix:
                 weights[fid] = weights.get(fid, 0.0) + 1.0
         for fid in weights:
             weights[fid] *= idf[fid]
-        norm = math.sqrt(sum(w * w for w in weights.values()))
+        # Left to right: sum() compensates float sums from Python 3.12 on,
+        # which would make the weights depend on the interpreter's version.
+        squares = 0.0
+        for w in weights.values():
+            squares += w * w
+        norm = math.sqrt(squares)
         for fid in sorted(weights):
             indices.append(fid)
             data.append(weights[fid] / norm)

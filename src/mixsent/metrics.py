@@ -11,16 +11,16 @@ decimals; stored values are never rounded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import LABELS, SentimentLabel
-from .errors import (InputError, check_fields, check_value, parse_json_object,
-                     read_file)
+from .errors import InputError, check_value, parse_json_object, read_file
 
 NUM_CLASSES = len(LABELS)
 
@@ -31,38 +31,56 @@ def round_half_up(x: float, places: int = 2) -> str:
     return str(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     precision: float
     recall: float
     f1: float
     support: int
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
 class EvalReport:
-    accuracy: float
-    per_class: tuple[ClassMetrics, ...]       # indexed by label id
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    confusion: np.ndarray                     # [true, predicted]
+    """Every metric of a confusion matrix [true, predicted], derived from its
+    counts once, in exact rationals."""
+    confusion: np.ndarray
+    accuracy: float = field(init=False)
+    per_class: tuple[ClassMetrics, ...] = field(init=False)   # indexed by label id
+    weighted_precision: float = field(init=False)
+    weighted_recall: float = field(init=False)
+    weighted_f1: float = field(init=False)
 
     def __post_init__(self):
-        check_fields(self)
+        cm = self.confusion
+        if cm.shape != (NUM_CLASSES, NUM_CLASSES):
+            raise InputError(f"confusion must be {NUM_CLASSES} x {NUM_CLASSES}, "
+                             f"got shape {list(cm.shape)}")
+        if cm.min() < 0:
+            raise InputError("confusion counts must be >= 0")
+        n = int(cm.sum())
+        if n == 0:
+            raise InputError("confusion counts are all zero")
+        per_class = []
+        weighted = dict.fromkeys(("precision", "recall", "f1"), Fraction(0))
+        for c in range(NUM_CLASSES):
+            tp, predicted, support = int(cm[c, c]), int(cm[:, c].sum()), int(cm[c, :].sum())
+            precision = Fraction(tp, predicted) if predicted > 0 else Fraction(0)
+            recall = Fraction(tp, support) if support > 0 else Fraction(0)
+            f1 = (2 * precision * recall / (precision + recall)
+                  if precision + recall > 0 else Fraction(0))
+            per_class.append(ClassMetrics(float(precision), float(recall), float(f1),
+                                          support))
+            for name, value in zip(weighted, (precision, recall, f1)):
+                weighted[name] += Fraction(support, n) * value
+        object.__setattr__(self, "accuracy", float(Fraction(int(np.trace(cm)), n)))
+        object.__setattr__(self, "per_class", tuple(per_class))
+        for name, value in weighted.items():
+            object.__setattr__(self, f"weighted_{name}", float(value))
 
     def to_dict(self) -> dict:
         return {
             "accuracy": self.accuracy,
-            "per_class": {
-                label.name.lower(): {
-                    "precision": m.precision, "recall": m.recall,
-                    "f1": m.f1, "support": m.support,
-                } for label, m in zip(LABELS, self.per_class)
-            },
+            "per_class": {label.name.lower(): m._asdict()
+                          for label, m in zip(LABELS, self.per_class)},
             "weighted": {"precision": self.weighted_precision,
                          "recall": self.weighted_recall,
                          "f1": self.weighted_f1},
@@ -71,29 +89,27 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        """The report of to_dict's output.  Metrics must be finite numbers,
-        supports and confusion counts integers, and every metric the one
-        that the confusion counts give (InputError otherwise)."""
-        per_class = tuple(
-            ClassMetrics(**d["per_class"][label.name.lower()]) for label in LABELS)
+        """The report of to_dict's output, built from its confusion counts,
+        whose every metric and support the output must hold.  Metrics must
+        be finite numbers, supports and confusion counts integers
+        (InputError otherwise)."""
+        for label in LABELS:
+            stored = d["per_class"][label.name.lower()]
+            for name in ClassMetrics._fields:
+                check_value(f"ClassMetrics.{name}", stored[name],
+                            "int" if name == "support" else "float")
         for row in d["confusion"]:
             for count in row:
                 check_value("confusion count", count, "int")
-        confusion = np.asarray(d["confusion"], dtype=np.int64)
-        if confusion.shape != (NUM_CLASSES, NUM_CLASSES):
-            raise InputError(f"confusion must be {NUM_CLASSES} x {NUM_CLASSES}, "
-                             f"got shape {list(confusion.shape)}")
-        report = cls(accuracy=d["accuracy"], per_class=per_class,
-                     weighted_precision=d["weighted"]["precision"],
-                     weighted_recall=d["weighted"]["recall"],
-                     weighted_f1=d["weighted"]["f1"], confusion=confusion)
-        if confusion.min() < 0:
-            raise InputError("confusion counts must be >= 0")
-        expected = _report(confusion)
-        if report.to_dict() != expected.to_dict():
+        check_value("EvalReport.accuracy", d["accuracy"], "float")
+        for name in ("precision", "recall", "f1"):
+            check_value(f"EvalReport.weighted_{name}", d["weighted"][name], "float")
+        report = cls(np.asarray(d["confusion"], dtype=np.int64))
+        expected = report.to_dict()
+        if {key: d[key] for key in expected} != expected:
             raise InputError(f"metrics disagree with the confusion counts, which "
-                             f"give accuracy {expected.accuracy!r} and weighted f1 "
-                             f"{expected.weighted_f1!r}")
+                             f"give accuracy {report.accuracy!r} and weighted f1 "
+                             f"{report.weighted_f1!r}")
         return report
 
 
@@ -110,40 +126,7 @@ def evaluate(y_true: list[SentimentLabel], y_pred: list[SentimentLabel]) -> Eval
         raise InputError(f"length mismatch: {len(y_true)} true vs {len(y_pred)} predicted")
     if not y_true:
         raise InputError("cannot evaluate an empty label list")
-    return _report(confusion_matrix(y_true, y_pred))
-
-
-def _report(cm: np.ndarray) -> EvalReport:
-    """Every metric of a confusion matrix, in exact rationals."""
-    n = int(cm.sum())
-    if n == 0:
-        raise InputError("confusion counts are all zero")
-    per_class = []
-    weighted = {"precision": Fraction(0), "recall": Fraction(0), "f1": Fraction(0)}
-    for c in range(NUM_CLASSES):
-        tp = int(cm[c, c])
-        fp = int(cm[:, c].sum()) - tp
-        fn = int(cm[c, :].sum()) - tp
-        support = tp + fn
-        precision = Fraction(tp, tp + fp) if tp + fp > 0 else Fraction(0)
-        recall = Fraction(tp, support) if support > 0 else Fraction(0)
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall > 0 else Fraction(0))
-        per_class.append(ClassMetrics(precision=float(precision),
-                                      recall=float(recall), f1=float(f1),
-                                      support=support))
-        weight = Fraction(support, n)
-        weighted["precision"] += weight * precision
-        weighted["recall"] += weight * recall
-        weighted["f1"] += weight * f1
-    return EvalReport(
-        accuracy=float(Fraction(int(np.trace(cm)), n)),
-        per_class=tuple(per_class),
-        weighted_precision=float(weighted["precision"]),
-        weighted_recall=float(weighted["recall"]),
-        weighted_f1=float(weighted["f1"]),
-        confusion=cm,
-    )
+    return EvalReport(confusion_matrix(y_true, y_pred))
 
 
 def per_class_f1_report(report: EvalReport) -> str:

@@ -31,7 +31,10 @@ def tfidf_row(text, idx):
             weights[fid] = weights.get(fid, 0.0) + 1.0
     for fid in weights:
         weights[fid] *= idx.idf[fid]
-    norm = math.sqrt(sum(w * w for w in weights.values()))
+    squares = 0.0                  # left to right, on every Python version
+    for w in weights.values():
+        squares += w * w
+    norm = math.sqrt(squares)
     if norm > 0:
         for fid in weights:
             weights[fid] /= norm

@@ -1305,6 +1305,44 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, target):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["prepare", "train", "evaluate", "predict",
+                                     "report"])
+def test_nul_byte_path_exit_2(tmp_path, capsys, command):
+    """A path holding a NUL byte, which open() refuses with ValueError, is an
+    input error: from --config, a flag, manifest.json or an evaluation file."""
+    nul = "a\0b"
+    if command == "prepare":
+        jsonl, map_path = write_inputs(tmp_path)
+        argv = ["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                "--out-dir", str(tmp_path / "run"),
+                "--config", json.dumps({"preprocess": {"stopwords_file": nul}})]
+    else:
+        out = run_prepare(tmp_path, tmp_path / "run")
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie mast\n", encoding="utf-8")
+        if command in ("predict", "report"):
+            path = out / ("manifest.json" if command == "predict" else "eval_nb_test.json")
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if command == "predict":
+                payload["config"]["preprocess"]["stopwords_file"] = nul
+            else:
+                payload["manifest"]["model_file"] = nul
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = {"train": ["train", "--model", "nb", "--out-dir", str(out),
+                          "--config", nul],
+                "evaluate": ["evaluate", "--model-file", nul],
+                "predict": ["predict", "--model-file", str(out / "nb.json"),
+                            "--input", str(texts)],
+                "report": ["report", "--out-dir", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_no_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

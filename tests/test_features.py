@@ -111,6 +111,19 @@ class TestTfidfTransform:
         assert weights == pytest.approx({0: 2.0 * idx.idf[0] / norm,
                                          1: idx.idf[1] / norm}, abs=1e-12)
 
+    def test_norm_sums_squares_left_to_right(self):
+        """A row's squared weights are summed one addition at a time, not by
+        sum(), which compensates float sums from Python 3.12 on: here that
+        would give 37.53131123208039 and other row weights."""
+        idx = fit_term_index(["a b b b c c c", "d"])
+        raw = [idx.idf[0], 3.0 * idx.idf[1], 3.0 * idx.idf[2]]
+        squares = [w * w for w in raw]
+        assert squares[0] + squares[1] + squares[2] == 37.531311232080384
+        assert math.fsum(squares) == 37.53131123208039
+        weights = row(tfidf_transform(["a b b b c c c"], idx), 0)
+        assert list(weights.values()) == [w / math.sqrt(37.531311232080384) for w in raw]
+        assert list(weights.values()) != [w / math.sqrt(37.53131123208039) for w in raw]
+
     def test_bit_identical_on_repeated_and_unindexed_terms(self):
         idx = fit_term_index(["a b c", "a b", "a", "d a"])
         docs = ["a a b zz a", "qq d d d", "zz qq", "", "c b a c"]

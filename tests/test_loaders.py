@@ -143,6 +143,12 @@ def test_missing_file_rejected(tmp_path, name):
         LOADERS[name](tmp_path / name)
 
 
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_nul_byte_path_rejected(tmp_path, name):
+    with pytest.raises(InputError, match="cannot read .*embedded null byte"):
+        LOADERS[name](tmp_path / "a\0b")
+
+
 @pytest.mark.parametrize("name, old, new", [
     ("nb.json", b'"num_docs": 3', b'"num_docs": 1e999'),
     ("report.json", b"[\n      1,", b"[\n      1e999,"),

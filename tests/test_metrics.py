@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from mixsent.corpus import SentimentLabel
 from mixsent.errors import InputError
-from mixsent.metrics import (compare_models, evaluate, format_report,
+from mixsent.metrics import (EvalReport, compare_models, evaluate, format_report,
                              per_class_f1_report, round_half_up)
 
 labels_st = st.lists(st.integers(0, 2), min_size=1, max_size=200)
@@ -105,6 +107,33 @@ class TestEvaluate:
             assert rep.per_class[c].support == support
         assert rep.confusion.sum() == len(raw)
         assert 0.0 <= rep.weighted_f1 <= 1.0
+
+
+confusions = (st.lists(st.integers(0, 50), min_size=9, max_size=9).filter(any)
+              .map(lambda counts: np.array(counts, dtype=np.int64).reshape(3, 3)))
+# Where each stored metric and support sits in to_dict's output.
+STORED = [("accuracy",), *(("weighted", m) for m in ("precision", "recall", "f1")),
+          *(("per_class", label, key) for label in ("negative", "neutral", "positive")
+            for key in ("precision", "recall", "f1", "support"))]
+
+
+class TestRoundTrip:
+    @given(confusions, st.sampled_from(STORED), st.data())
+    @settings(max_examples=100)
+    def test_from_dict_takes_its_own_output_and_refuses_an_edit(self, cm, where,
+                                                                 data):
+        stored = EvalReport(cm).to_dict()
+        assert EvalReport.from_dict(json.loads(json.dumps(stored))).to_dict() == stored
+        edited = json.loads(json.dumps(stored))
+        *parents, key = where
+        parent = edited
+        for name in parents:
+            parent = parent[name]
+        new = st.integers() if key == "support" else st.floats(allow_nan=False,
+                                                               allow_infinity=False)
+        parent[key] = data.draw(new.filter(lambda v: v != parent[key]))
+        with pytest.raises(InputError, match="disagree with the confusion counts"):
+            EvalReport.from_dict(edited)
 
 
 class TestReports:
