@@ -16,25 +16,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LABELS, SentimentLabel
+from .corpus import LABELS, NUM_CLASSES, SentimentLabel
 from .errors import InputError, TrainingError, check_fields, parse_json_object, read_file
 from .features import FeatureMatrix, TermIndex
 from .rng import SplitMix64, derive_seed, shuffled
 
-NUM_CLASSES = len(LABELS)
-# Version 3 holds either kind's parameters as weights, bias and hyper.
-FORMAT_VERSION = 3
+# Version 4 holds the model's kind, weights and bias and its term index:
+# what serving reads.  The hyper-parameters are in the train manifest.
+FORMAT_VERSION = 4
 
 
 @dataclass
 class LinearModel:
     """Scores b + x W^T for a feature row x.  nb: weights are the feature
-    log-likelihoods, bias the class log-priors, hyper {"alpha"}.  svm: the
-    one-vs-rest weights and biases, hyper {"lambda", "epochs", "seed"}."""
+    log-likelihoods, bias the class log-priors.  svm: the one-vs-rest
+    weights and biases."""
     kind: str             # "nb" or "svm"
     weights: np.ndarray   # [C, T]
     bias: np.ndarray      # [C]
-    hyper: dict
 
 
 def _label_ids(X: FeatureMatrix, y: list[SentimentLabel]) -> np.ndarray:
@@ -91,7 +90,7 @@ def nb_train(X: FeatureMatrix, y: list[SentimentLabel],
     likelihood = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
     if not np.all(np.isfinite(likelihood)):
         raise TrainingError("non-finite Naive Bayes likelihood")
-    return LinearModel("nb", likelihood, prior, {"alpha": alpha})
+    return LinearModel("nb", likelihood, prior)
 
 
 def nb_predict(m: LinearModel, X: FeatureMatrix
@@ -174,8 +173,7 @@ def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
             if not (np.all(np.isfinite(weights[c])) and math.isfinite(b)):
                 raise TrainingError(f"SVM diverged for class {label.display_name}")
         bias[c] = b
-    return LinearModel("svm", weights, bias, {"lambda": hyper.lambda_,
-                                              "epochs": hyper.epochs, "seed": hyper.seed})
+    return LinearModel("svm", weights, bias)
 
 
 def svm_predict(m: LinearModel, X: FeatureMatrix
@@ -188,10 +186,9 @@ def svm_predict(m: LinearModel, X: FeatureMatrix
 def save_baseline(model: LinearModel, idx: TermIndex, path: str | Path) -> None:
     """JSON envelope holding the model, arrays in feature-id order, and the
     term index that numbers those features."""
-    payload = {"format_version": FORMAT_VERSION, "model_type": model.kind,
+    payload = {"format_version": FORMAT_VERSION, "kind": model.kind,
                "term_index": {"terms": list(idx.terms), "df": list(idx.document_frequency),
                               "num_docs": idx.num_docs},
-               "hyper": model.hyper,
                "weights": model.weights.tolist(), "bias": model.bias.tolist()}
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
@@ -219,26 +216,14 @@ def load_baseline(path: str | Path, payload: dict | None = None
         payload = parse_json_object(read_file(path, "model file"),
                                     f"malformed model file {path}")
     try:
-        kind = payload["model_type"]
-        if kind not in ("nb", "svm"):
-            raise InputError(f"unknown model_type {kind!r} in {path}")
         if payload["format_version"] != FORMAT_VERSION:
             raise InputError(f"{path} has format_version {payload['format_version']!r}"
                              f", not {FORMAT_VERSION}; train the model again")
-        h = payload["hyper"]
-        if kind == "nb":
-            hyper = {"alpha": float(h["alpha"])}
-            if not (math.isfinite(hyper["alpha"]) and hyper["alpha"] > 0):  # as nb_train requires
-                raise ValueError(f"hyper: alpha is {hyper['alpha']!r}, not a finite number > 0")
-        else:
-            hyper = {"lambda": float(h["lambda"]), "epochs": int(h["epochs"]),
-                     "seed": int(h["seed"])}
-            try:
-                SvmHyper(hyper["lambda"], hyper["epochs"], hyper["seed"])
-            except InputError as e:
-                raise ValueError(f"hyper: {e}") from None
+        kind = payload["kind"]
+        if kind not in ("nb", "svm"):
+            raise InputError(f"unknown kind {kind!r} in {path}")
         model = LinearModel(kind, _class_array(payload, "weights", 2),
-                            _class_array(payload, "bias", 1), hyper)
+                            _class_array(payload, "bias", 1))
         index = payload["term_index"]
         try:
             return model, TermIndex(terms=tuple(index["terms"]),

@@ -29,12 +29,13 @@ from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      class_distribution, load_corpus, load_label_map, merge,
                      save_corpus, split)
 from .errors import (InputError, MixsentError, TrainingError, check_value,
-                     open_file, parse_json_object, read_file)
+                     decode, open_file, parse_json_object, read_file)
 from .features import fit_term_index, tfidf_transform
 from .metrics import (compare_models, evaluate, format_report, load_report,
                       per_class_f1_report, round_half_up, save_report)
 from .preprocess import (PreprocessConfig, clean_text, load_emoji_lexicon,
-                         load_fillers, load_stop_words, preprocess_corpus)
+                         load_fillers, load_stop_words, preprocess_corpus,
+                         source_file)
 from .tokenizer import train_vocabulary
 
 
@@ -51,8 +52,9 @@ def _write_json(path: Path, payload: dict) -> None:
                                sort_keys=True) + "\n", encoding="utf-8")
 
 
-# The name each preprocess file gets in the run directory, so a run
-# directory carries its own copies and predict reads them wherever it runs.
+# The name each preprocess file gets in the run directory, which is also the
+# name of the packaged default.  prepare copies all three, defaults included,
+# so a run directory carries its own lists and predict reads only those.
 _PREPROCESS_FILES = {"emoji_lexicon_file": "emoji_lexicon.json",
                      "stopwords_file": "stopwords.txt",
                      "fillers_file": "fillers.txt"}
@@ -145,7 +147,7 @@ def _load_config(arg: str) -> tuple[dict, dict]:
 
 
 def _preprocess_config(section: dict) -> PreprocessConfig:
-    """The cleaning config of a checked preprocess section (no file: the default)."""
+    """The cleaning config of a checked preprocess section whose files are set."""
     return PreprocessConfig(
         emoji_lexicon=load_emoji_lexicon(section["emoji_lexicon_file"]),
         stop_words=load_stop_words(section["stopwords_file"]),
@@ -176,7 +178,7 @@ def _prepared(run_dir: Path, digests: dict, name: str) -> tuple[Path, str]:
 
 def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
     """The cleaning config prepare recorded in model_dir/manifest.json, checked
-    as --config is; each file it names is read from model_dir by _prepared."""
+    as --config is, with each list read from its copy in model_dir by _prepared."""
     manifest, digests = _prepare_manifest(model_dir)
     try:
         section = _section("preprocess", manifest["config"]["preprocess"])
@@ -184,8 +186,10 @@ def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
         raise InputError(f"{model_dir / 'manifest.json'} records no preprocessing; "
                          f"predict cleans text as the 'prepare' that wrote it did") from None
     for key in _PREPROCESS_FILES:
-        if section[key]:
-            section[key] = _prepared(model_dir, digests, section[key])[0]
+        if not section[key]:      # the packaged list, as an earlier prepare recorded it
+            raise InputError(f"{model_dir / 'manifest.json'} records no copy of "
+                             f"preprocess.{key}; run 'prepare' again")
+        section[key] = _prepared(model_dir, digests, section[key])[0]
     return _preprocess_config(section)
 
 
@@ -208,7 +212,9 @@ def cmd_prepare(args) -> int:
         raise InputError("prepare needs --label-map")
     label_map = load_label_map(args.label_map)
     section = settings["preprocess"]
-    pre_cfg = _preprocess_config(section)
+    sources = {key: source_file(section[key], name)
+               for key, name in _PREPROCESS_FILES.items()}
+    pre_cfg = _preprocess_config({**section, **sources})
 
     corpus = reduce(merge, [load_corpus(item, label_map) for item in args.input])
 
@@ -232,9 +238,8 @@ def cmd_prepare(args) -> int:
     (out_dir / "distribution.txt").write_text(_distribution_report(dist) + "\n",
                                               encoding="utf-8")
     _write_json(out_dir / "drops.json", drops)
-    copies = {key: name for key, name in _PREPROCESS_FILES.items() if section[key]}
-    for key, name in copies.items():
-        with open_file(section[key], f"preprocess.{key}") as fh:
+    for key, name in _PREPROCESS_FILES.items():
+        with open_file(sources[key], f"preprocess.{key}") as fh:
             (out_dir / name).write_bytes(fh.read())
     _write_json(out_dir / "manifest.json", {
         "pipeline_version": __version__,
@@ -243,7 +248,7 @@ def cmd_prepare(args) -> int:
         "label_map": _sha256(Path(args.label_map)),
         "seed": args.seed,
         "config": {
-            "preprocess": {**section, **copies},
+            "preprocess": {**section, **_PREPROCESS_FILES},
             "split": _recorded(spec, "seed"),
             "overrides": overrides,
         },
@@ -251,9 +256,10 @@ def cmd_prepare(args) -> int:
                         "test": len(test_c)},
         # Each file a later command reads, which _prepared checks.
         "sha256": {name: _sha256(out_dir / name) for name in
-                   ["train.jsonl", "val.jsonl", "test.jsonl", *copies.values()]},
+                   ["train.jsonl", "val.jsonl", "test.jsonl",
+                    *_PREPROCESS_FILES.values()]},
         "outputs": [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
-                    "drops.json", *copies.values()],
+                    "drops.json", *_PREPROCESS_FILES.values()],
     })
     print(_distribution_report(dist))
     print(f"dropped: {json.dumps(drops, sort_keys=True)}")
@@ -262,20 +268,21 @@ def cmd_prepare(args) -> int:
 
 
 def _fit_nb(X, labels, settings: dict, seed: int):
-    return baselines.nb_train(X, labels, **settings["nb"])
+    return baselines.nb_train(X, labels, **settings["nb"]), settings["nb"]
 
 
 def _fit_svm(X, labels, settings: dict, seed: int):
-    return baselines.svm_train(X, labels, dataclasses.replace(settings["svm"], seed=seed))
+    hyper = dataclasses.replace(settings["svm"], seed=seed)
+    return baselines.svm_train(X, labels, hyper), _recorded(hyper, "seed")
 
 
 def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int,
                     digests: dict):
     idx = fit_term_index(train_c.texts(), **settings["features"])
-    model = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(), settings, seed)
+    model, config = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(),
+                        settings, seed)
     # Written once the fit has returned: a failed train keeps the old run.
     baselines.save_baseline(model, idx, model_path)
-    config = {key: value for key, value in model.hyper.items() if key != "seed"}
     return {}, {**config, **settings["features"]}, []
 
 
@@ -346,14 +353,18 @@ MODELS = {
 
 
 def _load_model(path: Path):
-    """(kind, texts -> (labels, scores)) for a model file; the `kind` or
-    `model_type` in its first line names the MODELS entry."""
+    """(kind, texts -> (labels, scores)) for a model file; the `kind` in its
+    first line names the MODELS entry."""
     with open_file(path, "model file") as fh:
         first_line = fh.readline()
         one_line = not fh.read(1)
     header = parse_json_object(first_line, f"{path} is not a recognized model file")
-    kind = header.get("kind", header.get("model_type"))
+    kind, version = header.get("kind"), header.get("format_version")
     if not isinstance(kind, str) or kind not in MODELS:
+        # Before format 4, a baseline file named its kind model_type.
+        if version not in (None, baselines.FORMAT_VERSION):
+            raise InputError(f"{path} has format_version {version!r}, not "
+                             f"{baselines.FORMAT_VERSION}; train the model again")
         raise InputError(f"{path} is not a recognized model file")
     return kind, MODELS[kind][2](path, header if one_line else None)
 
@@ -418,8 +429,6 @@ def cmd_evaluate(args) -> int:
 
     print(format_report(report))
     print(per_class_f1_report(report))
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
     print(f"wrote {out_path}")
     return 0
 
@@ -430,7 +439,9 @@ def cmd_predict(args) -> int:
     pre_cfg = _recorded_preprocess(model_path.parent)
     if not args.input and sys.stdin.isatty():
         raise InputError("predict needs --input or text on stdin")
-    texts = [read_file(item, "input") for item in args.input] or [sys.stdin.read()]
+    # stdin is read as --input files are, strictly as UTF-8, whatever the locale.
+    texts = ([read_file(item, "input") for item in args.input]
+             or [decode(sys.stdin.buffer.read(), "stdin")])
     # Lines end at LF, CRLF or CR only, as load_corpus reads JSONL.
     lines = [line for text in texts for line in io.StringIO(text, newline=None)
              if line.strip()]
@@ -503,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a model file on a split")
     p.add_argument("--model-file", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--json", action="store_true",
-                   help="also print the report as JSON")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="label raw text from files or stdin")

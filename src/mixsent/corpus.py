@@ -40,6 +40,7 @@ class SentimentLabel(IntEnum):
 
 
 LABELS = (SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL, SentimentLabel.POSITIVE)
+NUM_CLASSES = len(LABELS)
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,8 @@ def check_fields(cfg) -> None:
 @contextlib.contextmanager
 def open_file(path, what: str):
     """The file at path, open for reading bytes.  A missing or unreadable
-    path (a directory, say), a path holding a NUL byte, or non-UTF-8 text
-    decoded from it inside the with block, raises InputError naming the file
-    as what."""
+    path (a directory, say) or a path holding a NUL byte raises InputError
+    naming the file as what."""
     try:
         with open(path, "rb") as fh:
             yield fh
@@ -69,20 +68,28 @@ def open_file(path, what: str):
         raise InputError(f"{what} not found: {path}") from None
     except OSError as e:
         raise InputError(f"cannot read {what} {path}: {e.strerror or e}") from None
-    except UnicodeDecodeError as e:
-        raise InputError(f"cannot read {what} {path}: not UTF-8 text "
-                         f"({e.reason} at byte {e.start})") from None
     except ValueError as e:               # open() refuses a path holding a NUL
         if "\0" not in str(path):
             raise
         raise InputError(f"cannot read {what} {str(path)!r}: {e}") from None
 
 
+def decode(data: bytes, what: str) -> str:
+    """data decoded strictly as UTF-8; other bytes raise InputError naming
+    their source as what."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {what}: not UTF-8 text "
+                         f"({e.reason} at byte {e.start})") from None
+
+
 def read_file(path, what: str) -> str:
     """The UTF-8 text of the file at path, line ends as written; open_file
-    says which failures raise InputError."""
+    and decode say which failures raise InputError."""
     with open_file(path, what) as fh:
-        return fh.read().decode("utf-8")
+        data = fh.read()
+    return decode(data, f"{what} {path}")
 
 
 def parse_json_object(text: str | bytes, what: str) -> dict:

@@ -19,10 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import LABELS, SentimentLabel
+from .corpus import LABELS, NUM_CLASSES, SentimentLabel
 from .errors import InputError, check_value, parse_json_object, read_file
-
-NUM_CLASSES = len(LABELS)
 
 
 def round_half_up(x: float, places: int = 2) -> str:

@@ -102,21 +102,21 @@ class FillerList:
                 raise InputError(f"filler phrase must be lowercase: {p!r}")
 
 
-def _source(path: str | Path | None, default_name: str):
+def source_file(path: str | Path | None, default_name: str):
     """path, or the packaged data file default_name when path is empty."""
     return path or resources.files("mixsent") / "data" / default_name
 
 
 def load_emoji_lexicon(path: str | Path | None = None) -> EmojiLexicon:
     """JSON object of emoji string -> affect token; default ships ~45 entries."""
-    source = _source(path, "emoji_lexicon.json")
+    source = source_file(path, "emoji_lexicon.json")
     return EmojiLexicon(parse_json_object(read_file(source, "emoji lexicon"),
                                           f"malformed emoji lexicon {source}"))
 
 
 def _word_list(path: str | Path | None, default_name: str) -> frozenset[str]:
     """One entry per line; blank lines and '#'-prefixed comments ignored."""
-    text = read_file(_source(path, default_name), "word list")
+    text = read_file(source_file(path, default_name), "word list")
     lines = (line.strip() for line in text.splitlines())
     return frozenset(line for line in lines if line and not line.startswith("#"))
 

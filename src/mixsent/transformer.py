@@ -20,6 +20,7 @@ out in _param_specs order, whose tensors _views names.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -27,15 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LABELS, SentimentLabel
+from .corpus import NUM_CLASSES, SentimentLabel
 from .errors import (InputError, TrainingError, check_fields, open_file,
                      parse_json_object)
 from .metrics import evaluate
 from .rng import SplitMix64, derive_seed, shuffled
 from .tokenizer import PAD_ID, Vocabulary, encode
 
-# The head's width: one logit per label.
-NUM_CLASSES = len(LABELS)
 LN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 INIT_STD = 0.02
@@ -82,9 +81,9 @@ SHAPE_BOUNDS = {"num_layers": 1 << 10, "num_heads": 1 << 16, "d_model": 1 << 16,
 # within a core's L2 cache (1-2 MiB on current x86 cores), where whole-array
 # passes stream every array through memory once per operation.
 ADAMW_BLOCK = 1 << 15
-# Version 3's header holds the encoder config, the vocabulary and the tensor
-# list, and no train config or word-length limit.
-FORMAT_VERSION = 3
+# Version 4's header holds the encoder config and the vocabulary, which
+# imply the payload's layout: the tensors of _param_specs, in its order.
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -153,18 +152,6 @@ def _param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
     specs += [("head.w", (D, NUM_CLASSES), "normal"),
               ("head.b", (NUM_CLASSES,), "zeros")]
     return specs
-
-
-def _layout(cfg: EncoderConfig) -> list[dict]:
-    """The model header's tensor list: name, shape, and byte offset and count
-    of each tensor in the float32 payload, in _param_specs order.  Divided by
-    4, the byte ranges are the tensors' ranges in the flat parameter array."""
-    tensors, offset = [], 0
-    for name, shape, _ in _param_specs(cfg):
-        tensors.append({"name": name, "shape": list(shape), "offset": offset,
-                        "nbytes": 4 * math.prod(shape)})
-        offset += tensors[-1]["nbytes"]
-    return tensors
 
 
 def _views(flat: np.ndarray, cfg: EncoderConfig) -> dict[str, np.ndarray]:
@@ -648,8 +635,8 @@ def adamw_init(params: np.ndarray, cfg: EncoderConfig) -> dict:
     """Zero moments laid out as params, two scratch arrays of one
     ADAMW_BLOCK for the update, and the mask of the matrix entries that
     weight decay applies to."""
-    decay = np.concatenate([np.full(t["nbytes"] // 4, len(t["shape"]) >= 2)
-                            for t in _layout(cfg)])
+    decay = np.concatenate([np.full(math.prod(shape), len(shape) >= 2)
+                            for _, shape, _ in _param_specs(cfg)])
     block = min(ADAMW_BLOCK, params.size)
     return {"t": 0, "m": np.zeros_like(params), "v": np.zeros_like(params),
             "scratch": (np.empty(block, params.dtype), np.empty(block, params.dtype)),
@@ -690,9 +677,10 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: dict,
         update /= denom
         finite = np.isfinite(update)
         if not finite.all():
-            bad = 4 * (start + int(np.argmin(finite)))
-            name = next(spec["name"] for spec in _layout(state["cfg"])
-                        if bad < spec["offset"] + spec["nbytes"])
+            specs = _param_specs(state["cfg"])
+            ends = itertools.accumulate(math.prod(shape) for _, shape, _ in specs)
+            bad = start + int(np.argmin(finite))
+            name = next(spec[0] for spec, end in zip(specs, ends) if bad < end)
             raise TrainingError(f"non-finite optimizer update for {name}")
         update *= lr
         p -= update
@@ -818,15 +806,13 @@ def _predict_rows(params: np.ndarray, cfg: EncoderConfig, rows: list[list[int]]
 def save_transformer(path: str | Path, params: np.ndarray, cfg: EncoderConfig,
                      vocab: Vocabulary) -> None:
     """Single file: one JSON header line, then params as little-endian
-    float32, whose layout the header's tensor list spells out (names, shapes
-    and byte offsets).  The header holds the vocabulary's tokens in id
-    order."""
+    float32 in _param_specs order.  The header holds the encoder config and
+    the vocabulary's tokens in id order."""
     header = {
         "format_version": FORMAT_VERSION,
         "kind": "transformer",
         "encoder_config": asdict(cfg),
         "vocab": list(vocab.tokens),
-        "tensors": _layout(cfg),
     }
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -838,8 +824,8 @@ def load_transformer(path: str | Path):
     """Returns (params, EncoderConfig, Vocabulary).
 
     The header's vocabulary must have the encoder config's vocab_size
-    tokens, its tensor list must be exactly the one the encoder config
-    implies, and the payload exactly as long as that layout."""
+    tokens, and the payload must hold exactly the float32 parameters the
+    encoder config implies."""
     with open_file(path, "model file") as fh:
         header_line, payload = fh.readline(), fh.read()
     header = parse_json_object(header_line, f"{path}: bad transformer header")
@@ -851,22 +837,14 @@ def load_transformer(path: str | Path):
     try:
         cfg = EncoderConfig(**header["encoder_config"])
         vocab = Vocabulary(tuple(header["vocab"]))
-        specs = list(header["tensors"])
     except (KeyError, TypeError, InputError) as e:
         raise InputError(f"{path}: bad transformer header: {e!r}") from None
     if len(vocab) != cfg.vocab_size:
         raise InputError(f"{path}: the header's vocab has {len(vocab)} tokens, "
                          f"its encoder_config.vocab_size is {cfg.vocab_size}")
-
-    layout = _layout(cfg)
-    if specs != layout:
-        wrong = next((t["name"] for spec, t in zip(specs, layout) if spec != t),
-                     f"{len(specs)} tensors, not {len(layout)}")
-        raise InputError(f"{path}: the header's tensor list does not match the "
-                         f"encoder config's layout at {wrong}")
-    size = layout[-1]["offset"] + layout[-1]["nbytes"]
+    size = 4 * sum(math.prod(shape) for _, shape, _ in _param_specs(cfg))
     if len(payload) != size:
         raise InputError(f"{path}: the payload has {len(payload)} bytes, the "
-                         f"layout needs {size} (file truncated or padded?)")
+                         f"encoder config needs {size} (file truncated or padded?)")
     params = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     return params, cfg, vocab

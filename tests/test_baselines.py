@@ -168,14 +168,14 @@ class TestLinearSvm:
         assert np.linalg.norm(large.weights) < np.linalg.norm(small.weights)
 
     def test_zero_vector_zero_model_ties_to_negative(self):
-        m = LinearModel("svm", np.zeros((3, 4)), np.zeros(3), {})
+        m = LinearModel("svm", np.zeros((3, 4)), np.zeros(3))
         labels, scores = svm_predict(m, feature_matrix([{}], 4))
         assert labels == [NEG]
         np.testing.assert_array_equal(scores, 0.0)
 
     def test_positive_scaling_preserves_argmax_with_zero_bias(self):
         rng = np.random.default_rng(3)
-        m = LinearModel("svm", rng.normal(size=(3, 6)), np.zeros(3), {})
+        m = LinearModel("svm", rng.normal(size=(3, 6)), np.zeros(3))
         x = {0: 0.3, 2: -1.2, 5: 0.7}
         label1, s1 = svm_predict(m, feature_matrix([x], 6))
         x_scaled = {i: 4.5 * w for i, w in x.items()}
@@ -285,7 +285,7 @@ class TestModelIO:
         path = tmp_path / "nb.json"
         save_baseline(m, TWO_DOC_INDEX, path)
         loaded, idx = load_baseline(path)
-        assert (loaded.kind, loaded.hyper) == ("nb", {"alpha": 1.0})
+        assert loaded.kind == "nb"
         assert idx == TWO_DOC_INDEX
         np.testing.assert_array_equal(loaded.bias, m.bias)
         np.testing.assert_array_equal(loaded.weights, m.weights)
@@ -297,16 +297,15 @@ class TestModelIO:
         path = tmp_path / "svm.json"
         save_baseline(m, TWO_DOC_INDEX, path)
         loaded, idx = load_baseline(path)
-        assert (loaded.kind, loaded.hyper) == ("svm", {"lambda": 1e-4, "epochs": 3,
-                                                       "seed": 5})
+        assert loaded.kind == "svm"
         assert idx == TWO_DOC_INDEX
         np.testing.assert_array_equal(loaded.weights, m.weights)
         np.testing.assert_array_equal(loaded.bias, m.bias)
 
     def test_malformed_model_file(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text('{"model_type": "tree"}', encoding="utf-8")
-        with pytest.raises(InputError):
+        path.write_text('{"kind": "tree", "format_version": 4}', encoding="utf-8")
+        with pytest.raises(InputError, match="unknown kind 'tree'"):
             load_baseline(path)
 
     @pytest.mark.parametrize("model,key,value", [
@@ -318,13 +317,13 @@ class TestModelIO:
         ("svm", "bias", [0.0, float("inf"), 0.0]),
         ("svm", "weights", [[1.0, 2.0], [1.0], [1.0, 2.0]]),
         ("svm", "weights", [1.0, 2.0, 3.0]),
-        # Hyper-parameters that training refuses.
-        ("nb", "hyper.alpha", float("nan")),
-        ("nb", "hyper.alpha", 0.0),
-        ("nb", "hyper.alpha", -5.0),
-        ("svm", "hyper.lambda", float("nan")),
-        ("svm", "hyper.lambda", float("inf")),
-        ("svm", "hyper.lambda", -5.0),
+        ("nb", "weights", None),
+        ("svm", "bias", "0 0 0"),
+        # An envelope of another kind or format.
+        ("nb", "kind", "tree"),
+        ("svm", "kind", ["svm"]),
+        ("nb", "format_version", 3),
+        ("svm", "format_version", "4"),
         # A term index that would number its features wrongly.
         ("nb", "term_index.terms", ["bad", "bad", "movie"]),
         ("nb", "term_index.df", [1.5, 1, 3]),

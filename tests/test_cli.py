@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixsent
-from mixsent import baselines, cli
+from mixsent import baselines, cli, preprocess
 from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_predict, nb_train
 from mixsent.cli import SETTINGS, main
@@ -71,15 +72,20 @@ TINY_TRANSFORMER_CONFIG = json.dumps({
 class TestPrepare:
     def test_outputs_written(self, tmp_path, capsys):
         out = run_prepare(tmp_path, tmp_path / "run")
+        lists = ("stopwords.txt", "fillers.txt", "emoji_lexicon.json")
         for name in ("clean.jsonl", "train.jsonl", "val.jsonl", "test.jsonl",
-                     "distribution.txt", "drops.json", "manifest.json"):
+                     "distribution.txt", "drops.json", "manifest.json", *lists):
             assert (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
         sizes = manifest["split_sizes"]
         assert sizes["train"] == 48 and sizes["val"] == 6 and sizes["test"] == 6
+        # The packaged lists are copied and served like a named one.
         assert manifest["sha256"] == {
-            f"{name}.jsonl": hashlib.sha256((out / f"{name}.jsonl").read_bytes()).hexdigest()
-            for name in ("train", "val", "test")}
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("train.jsonl", "val.jsonl", "test.jsonl", *lists)}
+        for name in lists:
+            assert (out / name).read_bytes() == (
+                resources.files("mixsent") / "data" / name).read_bytes()
         assert "Sentiment Class" in capsys.readouterr().out
 
     def test_same_named_inputs_both_recorded(self, tmp_path):
@@ -510,14 +516,6 @@ class TestEvaluateAndReport:
         test_rep = json.loads((trained_dir / "eval_nb_test.json").read_text())
         assert train_rep["weighted"]["f1"] >= test_rep["weighted"]["f1"] - 1e-9
 
-    def test_evaluate_json_flag(self, trained_dir, capsys):
-        assert main(["evaluate", "--model-file", str(trained_dir / "nb.json"),
-                     "--split", "val", "--json"]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads([ln for ln in out.splitlines()
-                              if ln.startswith("{")][0])
-        assert "accuracy" in payload
-
     def test_missing_model_file_exit_2(self, tmp_path):
         code = main(["evaluate", "--model-file", str(tmp_path / "none.json"),
                      "--split", "test"])
@@ -750,33 +748,6 @@ class TestBaselineArtifact:
         captured = capsys.readouterr()
         assert captured.out == "" and key in captured.err
 
-    @pytest.mark.parametrize("model_file,keys,literal", [
-        ("svm.json", ("hyper", "lambda"), "NaN"),
-        ("svm.json", ("hyper", "lambda"), "1e999"),
-        ("nb.json", ("hyper", "alpha"), "NaN"),
-        ("nb.json", ("hyper", "alpha"), "0"),
-        ("nb.json", ("hyper", "alpha"), "-5"),
-    ])
-    def test_untrainable_hyper_parameter_exit_2(self, baseline_dir, tmp_path, capsys,
-                                                model_file, keys, literal):
-        """A model file holding a value that training refuses is not served."""
-        path = baseline_dir / model_file
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        target = payload
-        for key in keys[:-1]:
-            target = target[key]
-        target[keys[-1]] = "VALUE"
-        path.write_text(json.dumps(payload).replace('"VALUE"', literal), encoding="utf-8")
-        texts = tmp_path / "texts.txt"
-        texts.write_text("movie mast\n", encoding="utf-8")
-        for argv in (["predict", "--model-file", str(path), "--input", str(texts)],
-                     ["evaluate", "--model-file", str(path), "--split", "test"]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith(f"error: malformed model file {path}: ")
-            assert captured.err.count("\n") == 1 and keys[-1] in captured.err
-
     @pytest.mark.parametrize("model_file,key,edit", [
         ("nb.json", "terms", lambda terms: terms.__setitem__(1, terms[0])),
         ("svm.json", "df", lambda dfs: dfs.__setitem__(0, 1.5)),
@@ -813,13 +784,12 @@ class TestBaselineArtifact:
         assert len(parses) == 1
 
     @pytest.mark.parametrize("content,message", [
-        ('{"model_type": "nb"}', "malformed model file {}: 'format_version'"),
-        ('{"model_type": "svm", "weights": 1, "format_version": 3}',
-         "malformed model file {}: 'hyper'"),
-        ('{"model_type": "nb"}\n{}', "malformed model file {}: not valid JSON "
-                                     "(Extra data: line 2 column 1 (char 21))"),
+        ('{"kind": "nb"}', "malformed model file {}: 'format_version'"),
+        ('{"kind": "nb"}\n{}', "malformed model file {}: not valid JSON "
+                               "(Extra data: line 2 column 1 (char 15))"),
         ('{"model_type": "nb"', "{} is not a recognized model file: not valid JSON"),
         ('{"model_type": "tree"}', "{} is not a recognized model file"),
+        ('{"kind": "tree", "format_version": 4}', "{} is not a recognized model file"),
     ])
     def test_malformed_or_unknown_model_exit_2(self, baseline_dir, tmp_path, capsys,
                                                content, message):
@@ -850,15 +820,15 @@ class TestBaselineArtifact:
                                                       encoding="utf-8")
         digest = hashlib.sha256((baseline_dir / "term_index.json").read_bytes()).hexdigest()
         self.edit_json(path, lambda payload: (
-            payload.update(format_version=1, term_index_ref={
-                "file": "term_index.json", "sha256": digest}),
+            payload.update(format_version=1, model_type=payload.pop("kind"),
+                           term_index_ref={"file": "term_index.json", "sha256": digest}),
             payload.pop("term_index")))
         texts = tmp_path / "texts.txt"
         texts.write_text("movie mast\n", encoding="utf-8")
         assert main(["predict", "--model-file", str(path), "--input", str(texts)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{path} has format_version 1, not 3; train the model again" in captured.err
+        assert f"{path} has format_version 1, not 4; train the model again" in captured.err
 
     @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
     def test_format_version_2_model_exit_2(self, baseline_dir, tmp_path, capsys,
@@ -867,12 +837,27 @@ class TestBaselineArtifact:
         path = baseline_dir / model_file
 
         def to_version_2(payload):
-            payload["format_version"] = 2
+            payload.update(format_version=2, model_type=payload.pop("kind"))
             if payload["model_type"] == "nb":
-                payload.update(alpha=payload.pop("hyper")["alpha"],
-                               class_log_prior=payload.pop("bias"),
+                payload.update(alpha=1.0, class_log_prior=payload.pop("bias"),
                                feature_log_likelihood=payload.pop("weights"))
-        self.edit_json(path, to_version_2)
+        self.assert_refused(baseline_dir, path, tmp_path, capsys, to_version_2, 2)
+
+    @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
+    def test_format_version_3_model_exit_2(self, baseline_dir, tmp_path, capsys,
+                                           model_file):
+        """Version 3 named the kind model_type and held the hyper-parameters."""
+        path = baseline_dir / model_file
+        hyper = {"alpha": 1.0} if model_file == "nb.json" else {
+            "lambda": 1e-4, "epochs": 20, "seed": 0}
+        self.assert_refused(baseline_dir, path, tmp_path, capsys, lambda payload: (
+            payload.update(format_version=3, model_type=payload.pop("kind"),
+                           hyper=hyper)), 3)
+
+    def assert_refused(self, baseline_dir, path, tmp_path, capsys, to_version, version):
+        """predict and evaluate of the model file at path, rewritten by
+        to_version, exit 2 asking for it to be trained again."""
+        self.edit_json(path, to_version)
         texts = tmp_path / "texts.txt"
         texts.write_text("movie mast\n", encoding="utf-8")
         for argv in (["predict", "--model-file", str(path), "--input", str(texts)],
@@ -880,7 +865,7 @@ class TestBaselineArtifact:
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert (f"{path} has format_version 2, not 3; train the model again"
+            assert (f"{path} has format_version {version}, not 4; train the model again"
                     in captured.err)
         assert not (baseline_dir / f"eval_{path.stem}_test.json").exists()
 
@@ -973,10 +958,44 @@ class TestPredict:
         assert "stdin" in capsys.readouterr().err
 
     def test_stdin_piped(self, nb_dir, monkeypatch, capsys):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO("movie zabardast\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"movie zabardast\n")))
         assert main(["predict", "--model-file", str(nb_dir / "nb.json")]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+    def test_non_utf8_stdin_exit_2(self, nb_dir, tmp_path, capsys, monkeypatch):
+        """Bytes that are not UTF-8 exit 2 from stdin as from --input."""
+        texts = tmp_path / "texts.txt"
+        texts.write_bytes(b"acha \xff\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(texts.read_bytes()),
+                                                          encoding="latin-1"))
+        for args in (["--input", str(texts)], []):
+            assert main(["predict", "--model-file", str(nb_dir / "nb.json"), *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert "not UTF-8 text (invalid start byte at byte 5)" in captured.err
+        assert "cannot read stdin: " in captured.err
+
+    def test_stdin_read_as_utf8_in_any_locale(self, tmp_path, capsys):
+        """An emoji on stdin maps to its lexicon word under a latin-1
+        PYTHONIOENCODING too, as it does from --input."""
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text('{"\U0001F60D": "mast"}', encoding="utf-8")
+        out = TestServedAsPrepared.prepared_nb(tmp_path, "--config", json.dumps(
+            {"preprocess": {"emoji_lexicon_file": str(lexicon)}}))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("khana \U0001F60D\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model-file", str(out / "nb.json"),
+                     "--input", str(texts)]) == 0
+        expected = capsys.readouterr().out
+        assert expected.startswith("positive\t")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixsent", "predict",
+             "--model-file", str(out / "nb.json")],
+            input=texts.read_bytes(), capture_output=True, timeout=120,
+            env=_subprocess_env(PYTHONIOENCODING="latin-1", LC_ALL="C"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode("ascii") == expected
 
 
 class TestServedAsPrepared:
@@ -1035,6 +1054,44 @@ class TestServedAsPrepared:
         code, captured = self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)
         assert code == 2 and captured.out == ""
         assert f"digest mismatch for {out / 'stopwords.txt'}" in captured.err
+
+    def test_packaged_lists_served_from_the_run_directory(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """A run prepared with the packaged lists serves its own copies: a
+        changed package leaves predict's output as it was, and an edited copy
+        exits 2."""
+        out = self.prepared_nb(tmp_path)
+        texts = ["movie mast hai", "khana bakwas tha \U0001F61E"]
+        code, before = self.predict(out / "nb.json", texts, tmp_path, capsys)
+        assert code == 0 and len(before.out.splitlines()) == 2
+
+        package = tmp_path / "package"
+        (package / "data").mkdir(parents=True)
+        (package / "data" / "stopwords.txt").write_text("mast\nbakwas\n", encoding="utf-8")
+        (package / "data" / "emoji_lexicon.json").write_text("{}", encoding="utf-8")
+        (package / "data" / "fillers.txt").write_bytes(
+            (resources.files("mixsent") / "data" / "fillers.txt").read_bytes())
+        monkeypatch.setattr(preprocess, "resources",
+                            types.SimpleNamespace(files=lambda _: package))
+        assert preprocess.load_stop_words().words == {"mast", "bakwas"}
+        assert self.predict(out / "nb.json", texts, tmp_path, capsys) == (0, before)
+
+        (out / "stopwords.txt").write_text("mast\nbakwas\n", encoding="utf-8")
+        code, captured = self.predict(out / "nb.json", texts, tmp_path, capsys)
+        assert code == 2 and captured.out == ""
+        assert f"digest mismatch for {out / 'stopwords.txt'}" in captured.err
+
+    def test_manifest_without_list_copies_exit_2(self, tmp_path, capsys):
+        """A manifest recording a packaged list as null, as an earlier
+        prepare did, is refused rather than served with today's package."""
+        out = self.prepared_nb(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        manifest["config"]["preprocess"]["fillers_file"] = None
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        code, captured = self.predict(out / "nb.json", ["movie mast"], tmp_path, capsys)
+        assert code == 2 and captured.out == ""
+        assert ("records no copy of preprocess.fillers_file; run 'prepare' again"
+                in captured.err)
 
     def test_relative_word_list_served_from_another_directory(
             self, tmp_path, capsys, monkeypatch):
@@ -1138,7 +1195,8 @@ def test_model_file_stands_alone(served_dir, tmp_path, capsys):
     assert code == 0 and expected
     alone = tmp_path / "alone"
     alone.mkdir()
-    for name in ("transformer.bin", "manifest.json", "stopwords.txt"):
+    for name in ("transformer.bin", "manifest.json", "stopwords.txt", "fillers.txt",
+                 "emoji_lexicon.json"):
         shutil.copy(out / name, alone / name)
     assert _predict_output(alone / "transformer.bin", texts, capsys) == (0, expected, "")
     (alone / "vocab.txt").write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nx\n", encoding="utf-8")
@@ -1160,7 +1218,7 @@ def test_format_version_1_transformer_exit_2(served_dir, tmp_path, capsys):
     _edit_header(model, to_version_1)
     code, stdout, err = _predict_output(model, texts, capsys)
     assert (code, stdout) == (2, "")
-    assert f"{model} has format_version 1, not 3; train the model again" in err
+    assert f"{model} has format_version 1, not 4; train the model again" in err
 
 
 def test_format_version_2_transformer_exit_2(served_dir, tmp_path, capsys):
@@ -1173,7 +1231,22 @@ def test_format_version_2_transformer_exit_2(served_dir, tmp_path, capsys):
         format_version=2, train_config={}, max_word_chars=100))
     code, stdout, err = _predict_output(model, texts, capsys)
     assert (code, stdout) == (2, "")
-    assert f"{model} has format_version 2, not 3; train the model again" in err
+    assert f"{model} has format_version 2, not 4; train the model again" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_format_version_3_transformer_exit_2(served_dir, tmp_path, capsys, command):
+    """A model file of the format whose header also held the tensor list."""
+    out, texts = served_dir
+    run = shutil.copytree(out, tmp_path / "run")
+    model = run / "transformer.bin"
+    _edit_header(model, lambda header: header.update(format_version=3, tensors=[]))
+    args = ["--input", str(texts)] if command == "predict" else ["--split", "test"]
+    capsys.readouterr()
+    assert main([command, "--model-file", str(model), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{model} has format_version 3, not 4; train the model again" in captured.err
 
 
 @pytest.mark.parametrize("edit", [
@@ -1202,14 +1275,11 @@ def test_header_num_classes_exit_2(served_dir, tmp_path, capsys):
     header_line, payload = model.read_bytes().split(b"\n", 1)
     header = json.loads(header_line)
     header["encoder_config"]["num_classes"] = 5
-    *_, head_w, head_b = header["tensors"]
     d_model = header["encoder_config"]["d_model"]
-    head_w.update(shape=[d_model, 5], nbytes=4 * d_model * 5)
-    head_b.update(offset=head_w["offset"] + head_w["nbytes"], shape=[5], nbytes=20)
     head = np.zeros(d_model * 5 + 5, dtype="<f4")
     head[-1] = 1.0                                  # class 4 wins
     model.write_bytes(json.dumps(header).encode() + b"\n"
-                      + payload[:head_w["offset"]] + head.tobytes())
+                      + payload[:-4 * (d_model * 3 + 3)] + head.tobytes())
     code, stdout, err = _predict_output(model, texts, capsys)
     assert (code, stdout) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1

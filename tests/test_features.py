@@ -151,7 +151,7 @@ class TestSparseOps:
         X = feature_matrix([{0: 1.0, 2: 2.0}], 4)
         weights = np.zeros((3, 4))
         weights[:, [1, 3]] = [[3.0, 4.0], [-1.0, 5.0], [2.0, 2.0]]
-        m = LinearModel("svm", weights, np.array([0.5, -0.5, 0.0]), {})
+        m = LinearModel("svm", weights, np.array([0.5, -0.5, 0.0]))
         np.testing.assert_array_equal(svm_predict(m, X)[1], [[0.5, -0.5, 0.0]])
 
     @given(documents)
@@ -194,8 +194,7 @@ class TestTermIndexIO:
 
     @staticmethod
     def save(idx, path):
-        model = LinearModel("svm", np.zeros((3, len(idx))), np.zeros(3),
-                            {"lambda": 1e-4, "epochs": 20, "seed": 0})
+        model = LinearModel("svm", np.zeros((3, len(idx))), np.zeros(3))
         save_baseline(model, idx, path)
 
     def test_roundtrip(self, tmp_path):

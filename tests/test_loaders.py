@@ -152,8 +152,8 @@ def test_nul_byte_path_rejected(tmp_path, name):
 @pytest.mark.parametrize("name, old, new", [
     ("nb.json", b'"num_docs": 3', b'"num_docs": 1e999'),
     ("report.json", b"[\n      1,", b"[\n      1e999,"),
-    ("svm.json", b'"epochs": 2', b'"epochs": 1e999'),
-    ("model.bin", b'"offset": 0', b'"offset": 1e999'),
+    ("svm.json", b'"num_docs": 3', b'"num_docs": 1e999'),
+    ("model.bin", b'"d_model": 4', b'"d_model": 1e999'),
 ])
 def test_infinite_integer_rejected(samples, name, old, new):
     """An integer field holding 1e999 (a float infinity once parsed)."""
