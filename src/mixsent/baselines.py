@@ -9,21 +9,17 @@ argmax prediction always resolve to the lowest label id.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import modelfile
 from .corpus import LABELS, NUM_CLASSES, SentimentLabel
-from .errors import InputError, TrainingError, check_fields, parse_json_object, read_file
+from .errors import InputError, TrainingError, check_fields
 from .features import FeatureMatrix, TermIndex
 from .rng import SplitMix64, derive_seed, shuffled
-
-# Version 4 holds the model's kind, weights and bias and its term index:
-# what serving reads.  The hyper-parameters are in the train manifest.
-FORMAT_VERSION = 4
 
 
 @dataclass
@@ -183,53 +179,29 @@ def svm_predict(m: LinearModel, X: FeatureMatrix
     return _argmax_labels(scores), scores
 
 
-def save_baseline(model: LinearModel, idx: TermIndex, path: str | Path) -> None:
-    """JSON envelope holding the model, arrays in feature-id order, and the
-    term index that numbers those features."""
-    payload = {"format_version": FORMAT_VERSION, "kind": model.kind,
-               "term_index": {"terms": list(idx.terms), "df": list(idx.document_frequency),
-                              "num_docs": idx.num_docs},
-               "weights": model.weights.tolist(), "bias": model.bias.tolist()}
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+def save_baseline(model: LinearModel, idx: TermIndex, path: str | Path,
+                  preprocess: dict) -> None:
+    """The model file: a header holding the kind, the term index that numbers
+    the features and the preprocess section (see cli), then weights [C, T]
+    and bias [C] as little-endian float64."""
+    modelfile.write(path, {"kind": model.kind, "preprocess": preprocess,
+                           "term_index": {"terms": list(idx.terms),
+                                          "df": list(idx.document_frequency),
+                                          "num_docs": idx.num_docs}},
+                    model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes())
 
 
-def _class_array(payload: dict, key: str, ndim: int) -> np.ndarray:
-    """payload[key] as finite floats of shape (C,) or, for ndim 2, (C, T)
-    with T >= 1; ValueError otherwise."""
+def load_baseline(f: modelfile.ModelFile) -> tuple[LinearModel, TermIndex]:
+    """The model in a baseline model file and its term index, whose length T
+    sizes the payload."""
     try:
-        arr = np.asarray(payload[key], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} is not an array of numbers") from None
-    if arr.ndim != ndim or arr.shape[0] != NUM_CLASSES or arr.size == 0:
-        expected = f"({NUM_CLASSES},)" if ndim == 1 else f"({NUM_CLASSES}, T >= 1)"
-        raise ValueError(f"{key} has shape {arr.shape}, expected {expected}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{key} holds non-finite values")
-    return arr
-
-
-def load_baseline(path: str | Path, payload: dict | None = None
-                  ) -> tuple[LinearModel, TermIndex]:
-    """The model in the file at path and its term index; payload, when
-    given, is that file already parsed, and the file is not read again."""
-    if payload is None:
-        payload = parse_json_object(read_file(path, "model file"),
-                                    f"malformed model file {path}")
-    try:
-        if payload["format_version"] != FORMAT_VERSION:
-            raise InputError(f"{path} has format_version {payload['format_version']!r}"
-                             f", not {FORMAT_VERSION}; train the model again")
-        kind = payload["kind"]
-        if kind not in ("nb", "svm"):
-            raise InputError(f"unknown kind {kind!r} in {path}")
-        model = LinearModel(kind, _class_array(payload, "weights", 2),
-                            _class_array(payload, "bias", 1))
-        index = payload["term_index"]
-        try:
-            return model, TermIndex(terms=tuple(index["terms"]),
-                                    document_frequency=tuple(index["df"]),
-                                    num_docs=index["num_docs"])
-        except InputError as e:
-            raise ValueError(f"term_index: {e}") from None
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise InputError(f"malformed model file {path}: {e}") from None
+        index = f.header["term_index"]
+        idx = TermIndex(terms=tuple(index["terms"]), document_frequency=tuple(index["df"]),
+                        num_docs=index["num_docs"])
+    except (KeyError, TypeError, InputError) as e:
+        raise InputError(f"malformed model file {f.path}: term_index: {e}") from None
+    T = len(idx)
+    values = f.values("<f8", NUM_CLASSES * (T + 1),
+                      f"weights [{NUM_CLASSES}, {T}] and bias [{NUM_CLASSES}]")
+    return LinearModel(f.header["kind"], values[:-NUM_CLASSES].reshape(NUM_CLASSES, T),
+                       values[-NUM_CLASSES:]), idx

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import baselines
+from . import baselines, modelfile
 from . import transformer as tfm
 from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      class_distribution, load_corpus, load_label_map, merge,
@@ -33,8 +33,8 @@ from .errors import (InputError, MixsentError, TrainingError, check_value,
 from .features import fit_term_index, tfidf_transform
 from .metrics import (compare_models, evaluate, format_report, load_report,
                       per_class_f1_report, round_half_up, save_report)
-from .preprocess import (PreprocessConfig, clean_text, load_emoji_lexicon,
-                         load_fillers, load_stop_words, preprocess_corpus,
+from .preprocess import (FillerList, PreprocessConfig, StopWordList, clean_text,
+                         parse_emoji_lexicon, parse_word_list, preprocess_corpus,
                          source_file)
 from .tokenizer import train_vocabulary
 
@@ -54,10 +54,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 # The name each preprocess file gets in the run directory, which is also the
 # name of the packaged default.  prepare copies all three, defaults included,
-# so a run directory carries its own lists and predict reads only those.
+# and train writes their text into every model header, so predict reads only
+# the model file.
 _PREPROCESS_FILES = {"emoji_lexicon_file": "emoji_lexicon.json",
                      "stopwords_file": "stopwords.txt",
                      "fillers_file": "fillers.txt"}
+# A model header's preprocess section: each key and the kind of its value.
+_PREPROCESS_HEADER = {"keep_hashtag_text": "bool", "remove_stop_words": "bool",
+                      **dict.fromkeys(_PREPROCESS_FILES.values(), "str")}
 
 
 def _defaults(source, *set_by_code: str) -> dict:
@@ -146,12 +150,18 @@ def _load_config(arg: str) -> tuple[dict, dict]:
     return overrides, settings
 
 
-def _preprocess_config(section: dict) -> PreprocessConfig:
-    """The cleaning config of a checked preprocess section whose files are set."""
+def _preprocess_config(section) -> PreprocessConfig:
+    """The cleaning config of a preprocess section: the two flags, and each
+    list's text under its run-directory name, as a model header holds them."""
+    if not isinstance(section, dict) or not set(_PREPROCESS_HEADER) <= set(section):
+        raise InputError(f"preprocess must be a JSON object with the keys "
+                         f"{sorted(_PREPROCESS_HEADER)}")
+    for key, kind in _PREPROCESS_HEADER.items():
+        check_value(f"preprocess.{key}", section[key], kind)
     return PreprocessConfig(
-        emoji_lexicon=load_emoji_lexicon(section["emoji_lexicon_file"]),
-        stop_words=load_stop_words(section["stopwords_file"]),
-        fillers=load_fillers(section["fillers_file"]),
+        emoji_lexicon=parse_emoji_lexicon(section["emoji_lexicon.json"], "emoji_lexicon.json"),
+        stop_words=StopWordList(parse_word_list(section["stopwords.txt"])),
+        fillers=FillerList(parse_word_list(section["fillers.txt"])),
         keep_hashtag_text=section["keep_hashtag_text"],
         remove_stop_words=section["remove_stop_words"])
 
@@ -176,21 +186,17 @@ def _prepared(run_dir: Path, digests: dict, name: str) -> tuple[Path, str]:
     return path, digest
 
 
-def _recorded_preprocess(model_dir: Path) -> PreprocessConfig:
-    """The cleaning config prepare recorded in model_dir/manifest.json, checked
-    as --config is, with each list read from its copy in model_dir by _prepared."""
-    manifest, digests = _prepare_manifest(model_dir)
-    try:
-        section = _section("preprocess", manifest["config"]["preprocess"])
-    except (LookupError, TypeError):
-        raise InputError(f"{model_dir / 'manifest.json'} records no preprocessing; "
-                         f"predict cleans text as the 'prepare' that wrote it did") from None
-    for key in _PREPROCESS_FILES:
-        if not section[key]:      # the packaged list, as an earlier prepare recorded it
-            raise InputError(f"{model_dir / 'manifest.json'} records no copy of "
-                             f"preprocess.{key}; run 'prepare' again")
-        section[key] = _prepared(model_dir, digests, section[key])[0]
-    return _preprocess_config(section)
+def _trained_preprocess(run_dir: Path, manifest: dict, digests: dict) -> dict:
+    """The preprocess section train writes into a model header: the flags
+    that manifest.json records, checked as --config is, and the text of each
+    list copy in run_dir, read by _prepared."""
+    config = manifest.get("config")
+    recorded = _section("preprocess", config.get("preprocess")
+                        if isinstance(config, dict) else None)
+    section = {key: recorded[key] for key in ("keep_hashtag_text", "remove_stop_words")}
+    for name in _PREPROCESS_FILES.values():
+        section[name] = read_file(_prepared(run_dir, digests, name)[0], name)
+    return section
 
 
 def _distribution_report(dist) -> str:
@@ -212,9 +218,9 @@ def cmd_prepare(args) -> int:
         raise InputError("prepare needs --label-map")
     label_map = load_label_map(args.label_map)
     section = settings["preprocess"]
-    sources = {key: source_file(section[key], name)
-               for key, name in _PREPROCESS_FILES.items()}
-    pre_cfg = _preprocess_config({**section, **sources})
+    texts = {name: read_file(source_file(section[key], name), f"preprocess.{key}")
+             for key, name in _PREPROCESS_FILES.items()}
+    pre_cfg = _preprocess_config({**section, **texts})
 
     corpus = reduce(merge, [load_corpus(item, label_map) for item in args.input])
 
@@ -238,9 +244,8 @@ def cmd_prepare(args) -> int:
     (out_dir / "distribution.txt").write_text(_distribution_report(dist) + "\n",
                                               encoding="utf-8")
     _write_json(out_dir / "drops.json", drops)
-    for key, name in _PREPROCESS_FILES.items():
-        with open_file(sources[key], f"preprocess.{key}") as fh:
-            (out_dir / name).write_bytes(fh.read())
+    for name, text in texts.items():
+        (out_dir / name).write_bytes(text.encode("utf-8"))
     _write_json(out_dir / "manifest.json", {
         "pipeline_version": __version__,
         "command": "prepare",
@@ -277,12 +282,12 @@ def _fit_svm(X, labels, settings: dict, seed: int):
 
 
 def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int,
-                    digests: dict):
+                    digests: dict, preprocess: dict):
     idx = fit_term_index(train_c.texts(), **settings["features"])
     model, config = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(),
                         settings, seed)
     # Written once the fit has returned: a failed train keeps the old run.
-    baselines.save_baseline(model, idx, model_path)
+    baselines.save_baseline(model, idx, model_path, preprocess)
     return {}, {**config, **settings["features"]}, []
 
 
@@ -291,13 +296,13 @@ def _nb_scores(model, X):
     return labels, np.exp(log_posterior)
 
 
-def _load_baseline(scores, model_path: Path, payload: dict | None):
-    model, idx = baselines.load_baseline(model_path, payload)
+def _load_baseline(scores, f: modelfile.ModelFile):
+    model, idx = baselines.load_baseline(f)
     return lambda texts: scores(model, tfidf_transform(texts, idx))
 
 
 def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: int,
-                       digests: dict):
+                       digests: dict, preprocess: dict):
     out_dir = model_path.parent
     val_path, val_sha256 = _prepared(out_dir, digests, "val.jsonl")
     val_c = load_corpus(val_path, CANONICAL_LABEL_MAP)
@@ -309,9 +314,9 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
     result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                        val_c.labels(), vocab, cfg, tc)
     # Written once training has returned: a failed train keeps the old run.
-    tfm.save_transformer(model_path, result.final_params, cfg, vocab)
+    tfm.save_transformer(model_path, result.final_params, cfg, vocab, preprocess)
     tfm.save_transformer(out_dir / "transformer_best.bin", result.best_params,
-                         cfg, vocab)
+                         cfg, vocab, preprocess)
     _write_json(out_dir / "training_log.json",
                 {"epochs": result.log, "best_epoch": result.best_epoch})
     for entry in result.log:
@@ -324,25 +329,24 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
             ["transformer_best.bin", "training_log.json"])
 
 
-def _load_transformer(model_path: Path, payload: dict | None):
-    params, cfg, vocab = tfm.load_transformer(model_path)
+def _load_transformer(f: modelfile.ModelFile):
+    params, cfg, vocab = tfm.load_transformer(f)
 
     def predict(texts):
         try:
             return tfm.predict(params, cfg, vocab, texts)
         except TrainingError as e:
             # Served weights that overflow are a bad input file, not a failed run.
-            raise InputError(f"{model_path}: {e} (damaged model file?)") from None
+            raise InputError(f"{f.path}: {e} (damaged model file?)") from None
     return predict
 
 
 # kind -> (artifact file, train, load).  train(model_path, train_corpus, settings,
-# seed, digests) writes the artifact, reading any other split by _prepared, and
-# returns the train manifest's other inputs, config and other outputs;
-# load(model_path, payload) returns texts -> (labels, [N, 3] scores), payload
-# being the file parsed as JSON when it is one JSON line (a baseline's), else
-# None.  Entries reach the library through module attributes and this module's
-# globals at call time, so wrappers set on those names see calls.
+# seed, digests, preprocess) writes the artifact, reading any other split by
+# _prepared, and returns the train manifest's other inputs, config and other
+# outputs; load(model_file) returns texts -> (labels, [N, 3] scores).  Entries
+# reach the library through module attributes and this module's globals at
+# call time, so wrappers set on those names see calls.
 MODELS = {
     "nb": ("nb.json", partial(_train_baseline, _fit_nb),
            partial(_load_baseline, _nb_scores)),
@@ -353,31 +357,29 @@ MODELS = {
 
 
 def _load_model(path: Path):
-    """(kind, texts -> (labels, scores)) for a model file; the `kind` in its
-    first line names the MODELS entry."""
-    with open_file(path, "model file") as fh:
-        first_line = fh.readline()
-        one_line = not fh.read(1)
-    header = parse_json_object(first_line, f"{path} is not a recognized model file")
-    kind, version = header.get("kind"), header.get("format_version")
-    if not isinstance(kind, str) or kind not in MODELS:
-        # Before format 4, a baseline file named its kind model_type.
-        if version not in (None, baselines.FORMAT_VERSION):
-            raise InputError(f"{path} has format_version {version!r}, not "
-                             f"{baselines.FORMAT_VERSION}; train the model again")
-        raise InputError(f"{path} is not a recognized model file")
-    return kind, MODELS[kind][2](path, header if one_line else None)
+    """(kind, texts -> (labels, scores), cleaning config) for a model file: the
+    MODELS entry its header's kind names, and the preprocessing it was
+    trained with."""
+    f = modelfile.read(path)
+    predict = MODELS[f.header["kind"]][2](f)
+    try:
+        pre_cfg = _preprocess_config(f.header.get("preprocess"))
+    except InputError as e:
+        raise InputError(f"malformed model file {path}: {e}") from None
+    return f.header["kind"], predict, pre_cfg
 
 
 def cmd_train(args) -> int:
     settings = _load_config(args.config)[1]
     out_dir = Path(args.out_dir)
-    digests = _prepare_manifest(out_dir)[1]
+    manifest, digests = _prepare_manifest(out_dir)
     train_path, train_sha256 = _prepared(out_dir, digests, "train.jsonl")
+    preprocess = _trained_preprocess(out_dir, manifest, digests)
     train_c = load_corpus(train_path, CANONICAL_LABEL_MAP)
     file, train, _ = MODELS[args.model]
     model_path = out_dir / file
-    inputs, config, outputs = train(model_path, train_c, settings, args.seed, digests)
+    inputs, config, outputs = train(model_path, train_c, settings, args.seed, digests,
+                                    preprocess)
     _write_json(out_dir / f"{args.model}.manifest.json", {
         "pipeline_version": __version__, "command": "train", "model": args.model,
         "inputs": {"train.jsonl": train_sha256, **inputs},
@@ -409,7 +411,7 @@ def _check_held_out(model_path: Path, kind: str, model_sha256: str, digests: dic
 
 def cmd_evaluate(args) -> int:
     model_path = Path(args.model_file)
-    kind, predict = _load_model(model_path)
+    kind, predict, _ = _load_model(model_path)
     run_dir = model_path.parent
     digests = _prepare_manifest(run_dir)[1]
     model_sha256 = _sha256(model_path)
@@ -434,9 +436,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model_path = Path(args.model_file)
-    _, predict = _load_model(model_path)
-    pre_cfg = _recorded_preprocess(model_path.parent)
+    _, predict, pre_cfg = _load_model(Path(args.model_file))
     if not args.input and sys.stdin.isatty():
         raise InputError("predict needs --input or text on stdin")
     # stdin is read as --input files are, strictly as UTF-8, whatever the locale.

@@ -107,33 +107,30 @@ def source_file(path: str | Path | None, default_name: str):
     return path or resources.files("mixsent") / "data" / default_name
 
 
-def load_emoji_lexicon(path: str | Path | None = None) -> EmojiLexicon:
-    """JSON object of emoji string -> affect token; default ships ~45 entries."""
-    source = source_file(path, "emoji_lexicon.json")
-    return EmojiLexicon(parse_json_object(read_file(source, "emoji lexicon"),
-                                          f"malformed emoji lexicon {source}"))
+def parse_emoji_lexicon(text: str, source) -> EmojiLexicon:
+    """The JSON object of emoji string -> affect token in text, read from source."""
+    return EmojiLexicon(parse_json_object(text, f"malformed emoji lexicon {source}"))
 
 
-def _word_list(path: str | Path | None, default_name: str) -> frozenset[str]:
+def parse_word_list(text: str) -> frozenset[str]:
     """One entry per line; blank lines and '#'-prefixed comments ignored."""
-    text = read_file(source_file(path, default_name), "word list")
     lines = (line.strip() for line in text.splitlines())
     return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
-def load_stop_words(path: str | Path | None = None) -> StopWordList:
-    return StopWordList(_word_list(path, "stopwords.txt"))
-
-
-def load_fillers(path: str | Path | None = None) -> FillerList:
-    return FillerList(_word_list(path, "fillers.txt"))
+def _packaged(name: str) -> str:
+    return read_file(source_file(None, name), name)
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    emoji_lexicon: EmojiLexicon = field(default_factory=load_emoji_lexicon)
-    stop_words: StopWordList = field(default_factory=load_stop_words)
-    fillers: FillerList = field(default_factory=load_fillers)
+    # By default the packaged lists; the lexicon ships ~45 entries.
+    emoji_lexicon: EmojiLexicon = field(default_factory=lambda: parse_emoji_lexicon(
+        _packaged("emoji_lexicon.json"), "emoji_lexicon.json"))
+    stop_words: StopWordList = field(
+        default_factory=lambda: StopWordList(parse_word_list(_packaged("stopwords.txt"))))
+    fillers: FillerList = field(
+        default_factory=lambda: FillerList(parse_word_list(_packaged("fillers.txt"))))
     keep_hashtag_text: bool = False
     remove_stop_words: bool = True
 

@@ -21,16 +21,15 @@ out in _param_specs order, whose tensors _views names.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import modelfile
 from .corpus import NUM_CLASSES, SentimentLabel
-from .errors import (InputError, TrainingError, check_fields, open_file,
-                     parse_json_object)
+from .errors import InputError, TrainingError, check_fields
 from .metrics import evaluate
 from .rng import SplitMix64, derive_seed, shuffled
 from .tokenizer import PAD_ID, Vocabulary, encode
@@ -81,9 +80,6 @@ SHAPE_BOUNDS = {"num_layers": 1 << 10, "num_heads": 1 << 16, "d_model": 1 << 16,
 # within a core's L2 cache (1-2 MiB on current x86 cores), where whole-array
 # passes stream every array through memory once per operation.
 ADAMW_BLOCK = 1 << 15
-# Version 4's header holds the encoder config and the vocabulary, which
-# imply the payload's layout: the tensors of _param_specs, in its order.
-FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -804,47 +800,28 @@ def _predict_rows(params: np.ndarray, cfg: EncoderConfig, rows: list[list[int]]
 # --- serialization ---------------------------------------------------------
 
 def save_transformer(path: str | Path, params: np.ndarray, cfg: EncoderConfig,
-                     vocab: Vocabulary) -> None:
-    """Single file: one JSON header line, then params as little-endian
-    float32 in _param_specs order.  The header holds the encoder config and
-    the vocabulary's tokens in id order."""
-    header = {
-        "format_version": FORMAT_VERSION,
-        "kind": "transformer",
-        "encoder_config": asdict(cfg),
-        "vocab": list(vocab.tokens),
-    }
-    with Path(path).open("wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(params.astype("<f4").tobytes())
+                     vocab: Vocabulary, preprocess: dict) -> None:
+    """The model file: a header holding the encoder config, the vocabulary's
+    tokens in id order and the preprocess section (see cli), then params as
+    little-endian float32 in _param_specs order."""
+    modelfile.write(path, {"kind": "transformer", "encoder_config": asdict(cfg),
+                           "vocab": list(vocab.tokens), "preprocess": preprocess},
+                    params.astype("<f4").tobytes())
 
 
-def load_transformer(path: str | Path):
-    """Returns (params, EncoderConfig, Vocabulary).
+def load_transformer(f: modelfile.ModelFile):
+    """Returns (params, EncoderConfig, Vocabulary) of a transformer model file.
 
     The header's vocabulary must have the encoder config's vocab_size
     tokens, and the payload must hold exactly the float32 parameters the
     encoder config implies."""
-    with open_file(path, "model file") as fh:
-        header_line, payload = fh.readline(), fh.read()
-    header = parse_json_object(header_line, f"{path}: bad transformer header")
-    if header.get("kind") != "transformer":
-        raise InputError(f"{path} is not a transformer model file")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise InputError(f"{path} has format_version {header.get('format_version')!r}"
-                         f", not {FORMAT_VERSION}; train the model again")
     try:
-        cfg = EncoderConfig(**header["encoder_config"])
-        vocab = Vocabulary(tuple(header["vocab"]))
+        cfg = EncoderConfig(**f.header["encoder_config"])
+        vocab = Vocabulary(tuple(f.header["vocab"]))
     except (KeyError, TypeError, InputError) as e:
-        raise InputError(f"{path}: bad transformer header: {e!r}") from None
+        raise InputError(f"{f.path}: bad transformer header: {e!r}") from None
     if len(vocab) != cfg.vocab_size:
-        raise InputError(f"{path}: the header's vocab has {len(vocab)} tokens, "
+        raise InputError(f"{f.path}: the header's vocab has {len(vocab)} tokens, "
                          f"its encoder_config.vocab_size is {cfg.vocab_size}")
-    size = 4 * sum(math.prod(shape) for _, shape, _ in _param_specs(cfg))
-    if len(payload) != size:
-        raise InputError(f"{path}: the payload has {len(payload)} bytes, the "
-                         f"encoder config needs {size} (file truncated or padded?)")
-    params = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    return params, cfg, vocab
+    count = sum(math.prod(shape) for _, shape, _ in _param_specs(cfg))
+    return f.values("<f4", count, "the encoder's parameters").astype(np.float32), cfg, vocab

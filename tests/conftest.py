@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from mixsent import modelfile
 from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
 from mixsent.errors import InputError
 from mixsent.features import FeatureMatrix
@@ -44,6 +45,24 @@ def feature_matrix(rows, num_features=None):
                          indices=np.array(indices, dtype=np.int64),
                          data=np.array(data, dtype=np.float64),
                          num_features=num_features)
+
+
+def read_model_file(path) -> tuple[dict, bytes]:
+    """The header, less sha256, and the payload of the model file at path,
+    unchecked."""
+    line, payload = Path(path).read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header.pop("sha256", None)
+    return header, payload
+
+
+def rewrite_model_file(path, edit=lambda header: None, payload=None) -> None:
+    """Rewrite the model file at path with its header edited in place by edit
+    and, when given, another payload, under a fresh sha256: a file as a
+    writer that knows the format could have written it."""
+    header, old = read_model_file(path)
+    edit(header)
+    modelfile.write(path, header, old if payload is None else payload)
 
 
 def decode(ids, v):

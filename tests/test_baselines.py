@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -8,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import baselines_reference as ref
+from mixsent import modelfile
 from mixsent.baselines import (LinearModel, SvmHyper, load_baseline, nb_predict,
                                nb_train, save_baseline, svm_predict, svm_train)
 from mixsent.corpus import LABELS, SentimentLabel
 from mixsent.errors import InputError
 from mixsent.features import fit_term_index, tfidf_transform
 
-from conftest import feature_matrix
+from conftest import feature_matrix, rewrite_model_file
 
 NEG, NEU, POS = SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL, SentimentLabel.POSITIVE
 
@@ -283,8 +283,8 @@ class TestModelIO:
         X, y = two_doc_fixture
         m = nb_train(X, y)
         path = tmp_path / "nb.json"
-        save_baseline(m, TWO_DOC_INDEX, path)
-        loaded, idx = load_baseline(path)
+        save_baseline(m, TWO_DOC_INDEX, path, {})
+        loaded, idx = load_baseline(modelfile.read(path))
         assert loaded.kind == "nb"
         assert idx == TWO_DOC_INDEX
         np.testing.assert_array_equal(loaded.bias, m.bias)
@@ -295,8 +295,8 @@ class TestModelIO:
         y = [NEG, NEU, POS]
         m = svm_train(X, y, SvmHyper(epochs=3, seed=5))
         path = tmp_path / "svm.json"
-        save_baseline(m, TWO_DOC_INDEX, path)
-        loaded, idx = load_baseline(path)
+        save_baseline(m, TWO_DOC_INDEX, path, {})
+        loaded, idx = load_baseline(modelfile.read(path))
         assert loaded.kind == "svm"
         assert idx == TWO_DOC_INDEX
         np.testing.assert_array_equal(loaded.weights, m.weights)
@@ -304,9 +304,9 @@ class TestModelIO:
 
     def test_malformed_model_file(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text('{"kind": "tree", "format_version": 4}', encoding="utf-8")
-        with pytest.raises(InputError, match="unknown kind 'tree'"):
-            load_baseline(path)
+        modelfile.write(path, {"kind": "tree"}, b"")
+        with pytest.raises(InputError, match="kind 'tree' is not one of"):
+            modelfile.read(path)
 
     @pytest.mark.parametrize("model,key,value", [
         ("nb", "bias", [-1.0, -1.0]),
@@ -332,17 +332,33 @@ class TestModelIO:
     ])
     def test_shape_and_finiteness_validated(self, tmp_path, two_doc_fixture,
                                             model, key, value):
+        """A file whose header key, or payload array, holds value is refused,
+        naming it.  The payload holds value as a writer might put it there:
+        numbers as float64 in row order, a string as its text, null as
+        nothing."""
         X, y = two_doc_fixture
         m = nb_train(X, y) if model == "nb" else svm_train(X, y, SvmHyper(epochs=1))
         path = tmp_path / f"{model}.json"
-        save_baseline(m, TWO_DOC_INDEX, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        save_baseline(m, TWO_DOC_INDEX, path, {})
         *parents, name = key.split(".")
-        target = payload
-        for parent in parents:
-            target = target[parent]
-        target[name] = value
-        path.write_text(json.dumps(payload), encoding="utf-8")
+
+        def as_bytes(array):
+            if array is None or isinstance(array, str):
+                return (array or "").encode("utf-8")
+            rows = array if isinstance(array[0], list) else [array]
+            return np.array([v for row in rows for v in row], dtype="<f8").tobytes()
+
+        def edit(header):
+            target = header
+            for parent in parents:
+                target = target[parent]
+            target[name] = value
+        if key in ("weights", "bias"):
+            arrays = {"weights": m.weights.tolist(), "bias": m.bias.tolist(), key: value}
+            rewrite_model_file(path, payload=as_bytes(arrays["weights"])
+                               + as_bytes(arrays["bias"]))
+        else:
+            rewrite_model_file(path, edit)
         with pytest.raises(InputError, match=name) as raised:
-            load_baseline(path)
+            load_baseline(modelfile.read(path))
         assert str(path) in str(raised.value)

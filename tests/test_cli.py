@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixsent
-from mixsent import baselines, cli, preprocess
+from mixsent import baselines, cli, modelfile, preprocess
 from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_predict, nb_train
 from mixsent.cli import SETTINGS, main
@@ -27,6 +27,8 @@ from mixsent.errors import TrainingError
 from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
 from mixsent.preprocess import PreprocessConfig, clean_text
+
+from conftest import read_model_file, rewrite_model_file
 
 LABEL_MAP = {"neg": "negative", "neu": "neutral", "pos": "positive"}
 
@@ -213,7 +215,7 @@ class TestTrain:
     def test_nb_model_matches_library_path(self, tmp_path):
         out = run_prepare(tmp_path, tmp_path / "run")
         assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
-        model, idx = load_baseline(out / "nb.json")
+        model, idx = load_baseline(modelfile.read(out / "nb.json"))
 
         train_c = load_corpus(out / "train.jsonl", CANONICAL_LABEL_MAP)
         expected_idx = fit_term_index(train_c.texts(), min_df=1)
@@ -332,7 +334,8 @@ class TestTrain:
                 assert main(["train", "--model", model, "--out-dir", str(out),
                              "--config", config]) == 0
         assert not (shared / "term_index.json").exists()
-        widths = {model: len(load_baseline(shared / f"{model}.json")[1]) for model in runs}
+        widths = {model: len(load_baseline(modelfile.read(shared / f"{model}.json"))[1])
+                  for model in runs}
         assert widths["svm"] < widths["nb"]
         for model, (_, alone) in runs.items():
             for out in (shared, alone):
@@ -565,7 +568,8 @@ class TestEvaluateAndReport:
 
     def test_manifest_without_split_digests_exit_2(self, tmp_path, capsys):
         """A manifest.json of an earlier 'prepare', which wrote no sha256
-        table, is refused by train, evaluate and predict; nothing is written."""
+        table, is refused by train and evaluate; nothing is written.  predict
+        reads only the model file and serves."""
         out = self.nb_run(tmp_path)
         path = out / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -575,14 +579,14 @@ class TestEvaluateAndReport:
         texts.write_text("movie mast\n", encoding="utf-8")
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         for argv in (["train", "--model", "nb", "--out-dir", str(out)],
-                     ["evaluate", "--model-file", str(out / "nb.json")],
-                     ["predict", "--model-file", str(out / "nb.json"),
-                      "--input", str(texts)]):
+                     ["evaluate", "--model-file", str(out / "nb.json")]):
             capsys.readouterr()
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"{path} records no file digests; run 'prepare' again" in captured.err
+        assert main(["predict", "--model-file", str(out / "nb.json"),
+                     "--input", str(texts)]) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_copied_model_refused(self, tmp_path, capsys):
@@ -728,10 +732,17 @@ class TestBaselineArtifact:
         return out
 
     @staticmethod
-    def edit_json(path, edit):
-        payload = json.loads(path.read_text(encoding="utf-8"))
+    def rewrite_in_format_4(path, edit):
+        """Rewrite the baseline file at path as one JSON line, the layout of
+        format_version 4 and the versions before it, edited by edit."""
+        header, payload = read_model_file(path)
+        values = np.frombuffer(payload, dtype="<f8")
+        payload = {"format_version": 4, "kind": header["kind"],
+                   "term_index": header["term_index"],
+                   "weights": values[:-3].reshape(3, -1).tolist(),
+                   "bias": values[-3:].tolist()}
         edit(payload)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
     @pytest.mark.parametrize("model_file,key,value", [
         ("nb.json", "bias", [-1.0, -1.0]),
@@ -740,7 +751,11 @@ class TestBaselineArtifact:
     def test_wrong_class_count_exit_2(self, baseline_dir, tmp_path, capsys,
                                       model_file, key, value):
         path = baseline_dir / model_file
-        self.edit_json(path, lambda payload: payload.update({key: value}))
+        header, payload = read_model_file(path)
+        terms = len(header["term_index"]["terms"])
+        # The weights of as many classes as value has biases, then value.
+        rewrite_model_file(path, payload=payload[:8 * terms * len(value)]
+                           + np.array(value, dtype="<f8").tobytes())
         texts = tmp_path / "texts.txt"
         texts.write_text("movie mast\n", encoding="utf-8")
         assert main(["predict", "--model-file", str(path),
@@ -755,7 +770,7 @@ class TestBaselineArtifact:
     def test_bad_term_index_names_the_file_exit_2(self, baseline_dir, tmp_path, capsys,
                                                   model_file, key, edit):
         path = baseline_dir / model_file
-        self.edit_json(path, lambda payload: edit(payload["term_index"][key]))
+        rewrite_model_file(path, lambda header: edit(header["term_index"][key]))
         texts = tmp_path / "texts.txt"
         texts.write_text("movie mast\n", encoding="utf-8")
         assert main(["predict", "--model-file", str(path), "--input", str(texts)]) == 2
@@ -768,7 +783,7 @@ class TestBaselineArtifact:
     def test_predict_parses_the_model_once(self, baseline_dir, tmp_path, capsys,
                                            monkeypatch, model_file):
         path = baseline_dir / model_file
-        content = path.read_text(encoding="utf-8")
+        content = path.read_bytes().split(b"\n", 1)[0].decode("utf-8")
         parses = []
         loads = json.loads
 
@@ -784,9 +799,9 @@ class TestBaselineArtifact:
         assert len(parses) == 1
 
     @pytest.mark.parametrize("content,message", [
-        ('{"kind": "nb"}', "malformed model file {}: 'format_version'"),
-        ('{"kind": "nb"}\n{}', "malformed model file {}: not valid JSON "
-                               "(Extra data: line 2 column 1 (char 15))"),
+        ('{"kind": "nb"}', "{} has format_version None, not 5; train the model again"),
+        ('{"kind": "nb", "format_version": 5}\n{}',
+         "malformed model file {}: sha256 does not match its contents"),
         ('{"model_type": "nb"', "{} is not a recognized model file: not valid JSON"),
         ('{"model_type": "tree"}', "{} is not a recognized model file"),
         ('{"kind": "tree", "format_version": 4}', "{} is not a recognized model file"),
@@ -804,22 +819,22 @@ class TestBaselineArtifact:
     def test_term_index_width_mismatch_exit_2(self, baseline_dir, capsys):
         for model_file in ("nb.json", "svm.json"):
             path = baseline_dir / model_file
-            self.edit_json(path, lambda payload: (payload["term_index"]["terms"].pop(),
-                                                  payload["term_index"]["df"].pop()))
+            rewrite_model_file(path, lambda header: (header["term_index"]["terms"].pop(),
+                                                     header["term_index"]["df"].pop()))
             assert main(["evaluate", "--model-file", str(path),
                          "--split", "test"]) == 2
-            assert "width" in capsys.readouterr().err
+            assert "payload has" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
     def test_format_version_1_model_exit_2(self, baseline_dir, tmp_path, capsys,
                                            model_file):
         """A model file of the earlier format refers to a term_index.json."""
         path = baseline_dir / model_file
-        index = json.loads(path.read_text(encoding="utf-8"))["term_index"]
+        index = read_model_file(path)[0]["term_index"]
         (baseline_dir / "term_index.json").write_text(json.dumps(index),
                                                       encoding="utf-8")
         digest = hashlib.sha256((baseline_dir / "term_index.json").read_bytes()).hexdigest()
-        self.edit_json(path, lambda payload: (
+        self.rewrite_in_format_4(path, lambda payload: (
             payload.update(format_version=1, model_type=payload.pop("kind"),
                            term_index_ref={"file": "term_index.json", "sha256": digest}),
             payload.pop("term_index")))
@@ -828,7 +843,7 @@ class TestBaselineArtifact:
         assert main(["predict", "--model-file", str(path), "--input", str(texts)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{path} has format_version 1, not 4; train the model again" in captured.err
+        assert f"{path} has format_version 1, not 5; train the model again" in captured.err
 
     @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
     def test_format_version_2_model_exit_2(self, baseline_dir, tmp_path, capsys,
@@ -843,21 +858,27 @@ class TestBaselineArtifact:
                                feature_log_likelihood=payload.pop("weights"))
         self.assert_refused(baseline_dir, path, tmp_path, capsys, to_version_2, 2)
 
-    @pytest.mark.parametrize("model_file", ["nb.json", "svm.json"])
+    @pytest.mark.parametrize("model_file, version", [
+        ("nb.json", 3), ("svm.json", 3), ("nb.json", 4), ("svm.json", 4),
+    ], ids=["nb.json", "svm.json", "nb.json-format-4", "svm.json-format-4"])
     def test_format_version_3_model_exit_2(self, baseline_dir, tmp_path, capsys,
-                                           model_file):
-        """Version 3 named the kind model_type and held the hyper-parameters."""
+                                           model_file, version):
+        """Version 3 named the kind model_type and held the hyper-parameters;
+        version 4, one JSON line too, named it kind and held neither."""
         path = baseline_dir / model_file
         hyper = {"alpha": 1.0} if model_file == "nb.json" else {
             "lambda": 1e-4, "epochs": 20, "seed": 0}
-        self.assert_refused(baseline_dir, path, tmp_path, capsys, lambda payload: (
-            payload.update(format_version=3, model_type=payload.pop("kind"),
-                           hyper=hyper)), 3)
+
+        def to_version(payload):
+            if version == 3:
+                payload.update(format_version=3, model_type=payload.pop("kind"),
+                               hyper=hyper)
+        self.assert_refused(baseline_dir, path, tmp_path, capsys, to_version, version)
 
     def assert_refused(self, baseline_dir, path, tmp_path, capsys, to_version, version):
         """predict and evaluate of the model file at path, rewritten by
         to_version, exit 2 asking for it to be trained again."""
-        self.edit_json(path, to_version)
+        self.rewrite_in_format_4(path, to_version)
         texts = tmp_path / "texts.txt"
         texts.write_text("movie mast\n", encoding="utf-8")
         for argv in (["predict", "--model-file", str(path), "--input", str(texts)],
@@ -865,7 +886,7 @@ class TestBaselineArtifact:
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert (f"{path} has format_version {version}, not 4; train the model again"
+            assert (f"{path} has format_version {version}, not 5; train the model again"
                     in captured.err)
         assert not (baseline_dir / f"eval_{path.stem}_test.json").exists()
 
@@ -999,8 +1020,9 @@ class TestPredict:
 
 
 class TestServedAsPrepared:
-    """predict cleans text with the preprocessing that prepare recorded in
-    the manifest.json beside the model, and takes no preprocessing flags."""
+    """predict cleans text with the preprocessing the model was trained with,
+    which train copies into the model file's header from the run directory
+    that prepare wrote, and takes no preprocessing flags."""
 
     @staticmethod
     def prepared_nb(tmp_path, *prepare_args, prefix=""):
@@ -1028,15 +1050,16 @@ class TestServedAsPrepared:
         lines = captured.out.splitlines()
         assert [line.split("\t")[0] for line in lines] == ["negative", "positive"]
 
-        model, idx = load_baseline(out / "nb.json")
+        model, idx = load_baseline(modelfile.read(out / "nb.json"))
         cleaned = [clean_text(t, PreprocessConfig(keep_hashtag_text=True)) for t in texts]
         labels, log_posterior = nb_predict(model, tfidf_transform(cleaned, idx))
         assert lines == [f"{label.name.lower()}\t" + " ".join(f"{v:.6f}" for v in row)
                          for label, row in zip(labels, np.exp(log_posterior))]
 
     def test_word_list_edited_after_prepare_exit_2(self, tmp_path, capsys):
-        """prepare serves its own copy of a named word list, recorded by its
-        run-directory name and digest; editing that copy is refused."""
+        """prepare keeps its own copy of a named word list, recorded by its
+        run-directory name and digest; train refuses an edited copy, and a
+        model trained before the edit serves the list it was trained with."""
         stop = tmp_path / "stop.txt"
         stop.write_text("hai\ntha\n", encoding="utf-8")
         out = self.prepared_nb(tmp_path, "--config", json.dumps(
@@ -1048,18 +1071,22 @@ class TestServedAsPrepared:
         assert "stopwords.txt" in manifest["outputs"] and "sha256" not in recorded
         assert manifest["sha256"]["stopwords.txt"] == hashlib.sha256(
             stop.read_bytes()).hexdigest()
-        assert self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)[0] == 0
+        code, before = self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)
+        assert code == 0
 
         (out / "stopwords.txt").write_text("hai\n", encoding="utf-8")
-        code, captured = self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)
-        assert code == 2 and captured.out == ""
+        assert self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys) == (
+            0, before)
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert f"digest mismatch for {out / 'stopwords.txt'}" in captured.err
 
     def test_packaged_lists_served_from_the_run_directory(self, tmp_path, capsys,
                                                           monkeypatch):
-        """A run prepared with the packaged lists serves its own copies: a
-        changed package leaves predict's output as it was, and an edited copy
-        exits 2."""
+        """A run prepared with the packaged lists serves the copies train
+        read: a changed package leaves predict's output as it was, as does an
+        edited copy."""
         out = self.prepared_nb(tmp_path)
         texts = ["movie mast hai", "khana bakwas tha \U0001F61E"]
         code, before = self.predict(out / "nb.json", texts, tmp_path, capsys)
@@ -1073,25 +1100,42 @@ class TestServedAsPrepared:
             (resources.files("mixsent") / "data" / "fillers.txt").read_bytes())
         monkeypatch.setattr(preprocess, "resources",
                             types.SimpleNamespace(files=lambda _: package))
-        assert preprocess.load_stop_words().words == {"mast", "bakwas"}
+        assert PreprocessConfig().stop_words.words == {"mast", "bakwas"}
         assert self.predict(out / "nb.json", texts, tmp_path, capsys) == (0, before)
 
         (out / "stopwords.txt").write_text("mast\nbakwas\n", encoding="utf-8")
-        code, captured = self.predict(out / "nb.json", texts, tmp_path, capsys)
-        assert code == 2 and captured.out == ""
-        assert f"digest mismatch for {out / 'stopwords.txt'}" in captured.err
+        assert self.predict(out / "nb.json", texts, tmp_path, capsys) == (0, before)
+
+    def test_prepare_run_again_leaves_a_trained_model_as_it_was(self, tmp_path, capsys):
+        """prepare run again, with a stop-word list that names sentiment
+        words, changes what the next train reads, not what a model trained
+        before serves."""
+        out = self.prepared_nb(tmp_path)
+        texts = ["movie mast hai", "khana bakwas tha"]
+        code, before = self.predict(out / "nb.json", texts, tmp_path, capsys)
+        assert code == 0 and before.out.startswith("positive\t")
+        stop = tmp_path / "stop.txt"
+        stop.write_text("mast\nbakwas\n", encoding="utf-8")
+        assert main(["prepare", "--input", str(tmp_path / "tweets.jsonl"),
+                     "--label-map", str(tmp_path / "labels.json"), "--out-dir", str(out),
+                     "--config", json.dumps({"preprocess": {"stopwords_file": str(stop)}})]) == 0
+        assert self.predict(out / "nb.json", texts, tmp_path, capsys) == (0, before)
 
     def test_manifest_without_list_copies_exit_2(self, tmp_path, capsys):
-        """A manifest recording a packaged list as null, as an earlier
-        prepare did, is refused rather than served with today's package."""
+        """A run directory without a copy of a packaged list, whose manifest
+        records that list as null, as an earlier prepare wrote it, is
+        refused by train rather than trained with today's package."""
         out = self.prepared_nb(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         manifest["config"]["preprocess"]["fillers_file"] = None
+        del manifest["sha256"]["fillers.txt"]
         (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        code, captured = self.predict(out / "nb.json", ["movie mast"], tmp_path, capsys)
-        assert code == 2 and captured.out == ""
-        assert ("records no copy of preprocess.fillers_file; run 'prepare' again"
-                in captured.err)
+        (out / "fillers.txt").unlink()
+        capsys.readouterr()
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"not found: {out / 'fillers.txt'}" in captured.err
 
     def test_relative_word_list_served_from_another_directory(
             self, tmp_path, capsys, monkeypatch):
@@ -1114,11 +1158,16 @@ class TestServedAsPrepared:
         assert there.out == here.out
 
     def test_model_without_manifest_exit_2(self, tmp_path, capsys):
+        """evaluate scores a model on the splits manifest.json digests, so it
+        refuses a run directory without one; predict reads only the model."""
         out = self.prepared_nb(tmp_path)
+        code, before = self.predict(out / "nb.json", ["movie mast"], tmp_path, capsys)
         (out / "manifest.json").unlink()
-        code, captured = self.predict(out / "nb.json", ["movie mast"], tmp_path, capsys)
-        assert code == 2 and captured.out == ""
-        assert "manifest.json" in captured.err
+        assert self.predict(out / "nb.json", ["movie mast"], tmp_path, capsys) == (
+            0, before)
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "manifest.json" in captured.err
 
     @pytest.mark.parametrize("flag", ["--keep-hashtag-text", "--no-stop-words",
                                       "--config={}"])
@@ -1130,7 +1179,7 @@ class TestServedAsPrepared:
 
 @pytest.fixture(scope="module")
 def served_dir(tmp_path_factory):
-    """A prepared run with a custom stop-word list, an nb and a transformer."""
+    """A prepared run with a custom stop-word list and a model of each kind."""
     tmp = tmp_path_factory.mktemp("served")
     jsonl, map_path = write_inputs(tmp, n_per_class=6)
     stop = tmp / "stop.txt"
@@ -1142,6 +1191,7 @@ def served_dir(tmp_path_factory):
     config = json.loads(TINY_TRANSFORMER_CONFIG)
     config["train"]["epochs"] = 1
     assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+    assert main(["train", "--model", "svm", "--out-dir", str(out)]) == 0
     assert main(["train", "--model", "transformer", "--out-dir", str(out),
                  "--config", json.dumps(config)]) == 0
     texts = tmp / "texts.txt"
@@ -1149,15 +1199,21 @@ def served_dir(tmp_path_factory):
     return out, texts
 
 
+# Float32's largest weights overflow the head's matmul, by design.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
-@pytest.mark.parametrize("weight", [np.inf, np.nan])
+@pytest.mark.parametrize("weight", [np.inf, np.nan, np.finfo(np.float32).max])
 def test_non_finite_model_weight_exit_2(served_dir, tmp_path, capsys, command, weight):
-    """A transformer file whose weights make the forward pass non-finite is
-    a damaged input: exit 2, for predict and evaluate alike."""
+    """A transformer file whose head holds a non-finite weight, or finite
+    weights that make the forward pass non-finite, is a damaged input: exit
+    2, for predict and evaluate alike."""
     out, texts = served_dir
     run = shutil.copytree(out, tmp_path / "run")
     model = run / "transformer.bin"
-    model.write_bytes(model.read_bytes()[:-4] + np.float32(weight).astype("<f4").tobytes())
+    header, payload = read_model_file(model)
+    head = 3 * header["encoder_config"]["d_model"] + 3
+    rewrite_model_file(model, payload=payload[:-4 * head]
+                       + np.full(head, weight, dtype="<f4").tobytes())
     # evaluate scores only a model file that its train manifest lists with
     # its digest, so the damaged file is listed to reach the forward pass.
     manifest = json.loads((run / "transformer.manifest.json").read_text(encoding="utf-8"))
@@ -1167,16 +1223,9 @@ def test_non_finite_model_weight_exit_2(served_dir, tmp_path, capsys, command, w
     capsys.readouterr()
     assert main([command, "--model-file", str(model), *args]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "non-finite activations" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("non-finite activations" if np.isfinite(weight) else "non-finite value") in err
     assert "damaged model file" in err
-
-
-def _edit_header(model: Path, edit) -> None:
-    """Rewrite the JSON header line of the transformer file model by edit."""
-    header_line, payload = model.read_bytes().split(b"\n", 1)
-    header = json.loads(header_line)
-    edit(header)
-    model.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
 
 def _predict_output(model: Path, texts: Path, capsys) -> tuple[int, str, str]:
@@ -1187,20 +1236,20 @@ def _predict_output(model: Path, texts: Path, capsys) -> tuple[int, str, str]:
 
 
 def test_model_file_stands_alone(served_dir, tmp_path, capsys):
-    """transformer.bin, manifest.json and its preprocessing copies serve
-    anywhere, and a vocab.txt beside them is not read."""
+    """A model file of each kind, copied alone into an empty directory,
+    serves as it does in its run directory, and a vocab.txt beside a
+    transformer is not read."""
     out, texts = served_dir
     assert not (out / "vocab.txt").exists()
-    code, expected, _ = _predict_output(out / "transformer.bin", texts, capsys)
-    assert code == 0 and expected
-    alone = tmp_path / "alone"
-    alone.mkdir()
-    for name in ("transformer.bin", "manifest.json", "stopwords.txt", "fillers.txt",
-                 "emoji_lexicon.json"):
+    for name in ("nb.json", "svm.json", "transformer.bin"):
+        code, expected, _ = _predict_output(out / name, texts, capsys)
+        assert code == 0 and expected
+        alone = tmp_path / name.split(".")[0]
+        alone.mkdir()
         shutil.copy(out / name, alone / name)
-    assert _predict_output(alone / "transformer.bin", texts, capsys) == (0, expected, "")
+        assert _predict_output(alone / name, texts, capsys) == (0, expected, "")
     (alone / "vocab.txt").write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nx\n", encoding="utf-8")
-    assert _predict_output(alone / "transformer.bin", texts, capsys) == (0, expected, "")
+    assert _predict_output(alone / name, texts, capsys) == (0, expected, "")
 
 
 def test_format_version_1_transformer_exit_2(served_dir, tmp_path, capsys):
@@ -1215,10 +1264,10 @@ def test_format_version_1_transformer_exit_2(served_dir, tmp_path, capsys):
         digest = hashlib.sha256((run / "vocab.txt").read_bytes()).hexdigest()
         header.update(format_version=1, vocab_ref={"file": "vocab.txt", "sha256": digest})
         header["encoder_config"]["num_classes"] = 3
-    _edit_header(model, to_version_1)
+    rewrite_model_file(model, to_version_1)
     code, stdout, err = _predict_output(model, texts, capsys)
     assert (code, stdout) == (2, "")
-    assert f"{model} has format_version 1, not 4; train the model again" in err
+    assert f"{model} has format_version 1, not 5; train the model again" in err
 
 
 def test_format_version_2_transformer_exit_2(served_dir, tmp_path, capsys):
@@ -1227,26 +1276,37 @@ def test_format_version_2_transformer_exit_2(served_dir, tmp_path, capsys):
     out, texts = served_dir
     run = shutil.copytree(out, tmp_path / "run")
     model = run / "transformer.bin"
-    _edit_header(model, lambda header: header.update(
+    rewrite_model_file(model, lambda header: header.update(
         format_version=2, train_config={}, max_word_chars=100))
     code, stdout, err = _predict_output(model, texts, capsys)
     assert (code, stdout) == (2, "")
-    assert f"{model} has format_version 2, not 4; train the model again" in err
+    assert f"{model} has format_version 2, not 5; train the model again" in err
 
 
-@pytest.mark.parametrize("command", ["predict", "evaluate"])
-def test_format_version_3_transformer_exit_2(served_dir, tmp_path, capsys, command):
-    """A model file of the format whose header also held the tensor list."""
+@pytest.mark.parametrize("command, version", [
+    ("predict", 3), ("evaluate", 3), ("predict", 4), ("evaluate", 4),
+], ids=["predict", "evaluate", "predict-format-4", "evaluate-format-4"])
+def test_format_version_3_transformer_exit_2(served_dir, tmp_path, capsys, command,
+                                             version):
+    """A model file of the format whose header also held the tensor list, or
+    of the next, whose header held no preprocessing."""
     out, texts = served_dir
     run = shutil.copytree(out, tmp_path / "run")
     model = run / "transformer.bin"
-    _edit_header(model, lambda header: header.update(format_version=3, tensors=[]))
+
+    def to_version(header):
+        header.update(format_version=version)
+        del header["preprocess"]
+        if version == 3:
+            header.update(tensors=[])
+    rewrite_model_file(model, to_version)
     args = ["--input", str(texts)] if command == "predict" else ["--split", "test"]
     capsys.readouterr()
     assert main([command, "--model-file", str(model), *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{model} has format_version 3, not 4; train the model again" in captured.err
+    assert (f"{model} has format_version {version}, not 5; train the model again"
+            in captured.err)
 
 
 @pytest.mark.parametrize("edit", [
@@ -1258,7 +1318,7 @@ def test_format_version_3_transformer_exit_2(served_dir, tmp_path, capsys, comma
 def test_bad_header_vocab_exit_2(served_dir, tmp_path, capsys, edit):
     out, texts = served_dir
     run = shutil.copytree(out, tmp_path / "run")
-    _edit_header(run / "transformer.bin", lambda header: edit(header["vocab"]))
+    rewrite_model_file(run / "transformer.bin", lambda header: edit(header["vocab"]))
     code, stdout, err = _predict_output(run / "transformer.bin", texts, capsys)
     assert (code, stdout) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -1272,14 +1332,12 @@ def test_header_num_classes_exit_2(served_dir, tmp_path, capsys):
     out, texts = served_dir
     run = shutil.copytree(out, tmp_path / "run")
     model = run / "transformer.bin"
-    header_line, payload = model.read_bytes().split(b"\n", 1)
-    header = json.loads(header_line)
-    header["encoder_config"]["num_classes"] = 5
+    header, payload = read_model_file(model)
     d_model = header["encoder_config"]["d_model"]
     head = np.zeros(d_model * 5 + 5, dtype="<f4")
     head[-1] = 1.0                                  # class 4 wins
-    model.write_bytes(json.dumps(header).encode() + b"\n"
-                      + payload[:-4 * (d_model * 3 + 3)] + head.tobytes())
+    rewrite_model_file(model, lambda header: header["encoder_config"].update(num_classes=5),
+                       payload[:-4 * (d_model * 3 + 3)] + head.tobytes())
     code, stdout, err = _predict_output(model, texts, capsys)
     assert (code, stdout) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -1315,6 +1373,106 @@ def test_predict_on_damaged_model_or_manifest_exits_0_or_2(served_dir, data):
     assert code in (0, 2)
 
 
+def _quiet_predict(model: Path, texts: Path) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["predict", "--model-file", str(model), "--input", str(texts)])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def served_outputs(served_dir):
+    """A texts file holding served_dir's texts and its training texts, which
+    hold every term and most vocabulary pieces; and predict's stdout on it
+    for each model file of served_dir, as trained."""
+    out, texts = served_dir
+    every = out.parent / "every_text.txt"
+    every.write_text(texts.read_text(encoding="utf-8") + "\n".join(
+        load_corpus(out / "train.jsonl", CANONICAL_LABEL_MAP).texts()) + "\n",
+        encoding="utf-8")
+    outputs = {name: _quiet_predict(out / name, every)
+               for name in ("nb.json", "svm.json", "transformer.bin")}
+    assert all(code == 0 and stdout for code, stdout, _ in outputs.values())
+    return every, {name: stdout for name, (_, stdout, _) in outputs.items()}
+
+
+def _json_paths(value, path=()):
+    """(path, item) for value and for every object, array and scalar in it."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _json_paths(item, (*path, key))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_model_file_exits_2_or_serves_as_trained(served_dir, served_outputs, data):
+    """A model file of any kind with one header leaf replaced, one key
+    dropped or one unknown key added exits 2 with one error line and no
+    output, or prints what the file as trained prints; cut short, or holding
+    one NaN, it exits 2.  The same change signed with a fresh sha256, as a
+    writer that knows the format could make it, exits 0 or 2, never with a
+    traceback, and exits 2 for a short or NaN payload."""
+    out = served_dir[0]
+    texts, outputs = served_outputs
+    name = data.draw(st.sampled_from(sorted(outputs)))
+    line, payload = (out / name).read_bytes().split(b"\n", 1)
+    original = json.loads(line)
+    paths = list(_json_paths(original))
+    how = data.draw(st.sampled_from(["leaf", "drop", "add", "truncate", "nan"]))
+    if how == "leaf":
+        path = data.draw(st.sampled_from(
+            [p for p, v in paths if p and not (isinstance(v, (dict, list)) and v)]))
+        value = data.draw(st.sampled_from([True, "0", None, "1e999", [], {}]))
+    elif how == "drop":
+        path = data.draw(st.sampled_from(
+            [p for p, _ in paths if p and isinstance(_at(original, p[:-1]), dict)]))
+    elif how == "add":
+        path = data.draw(st.sampled_from([p for p, v in paths if isinstance(v, dict)]))
+    elif how == "truncate":
+        payload = payload[:data.draw(st.integers(0, len(payload) - 1))]
+    else:
+        values = np.frombuffer(payload, dtype="<f4" if name == "transformer.bin" else "<f8")
+        values = values.copy()
+        values[data.draw(st.integers(0, len(values) - 1))] = np.nan
+        payload = values.tobytes()
+
+    def mutated(infinity):
+        """The header changed as drawn, infinity standing for 1e999."""
+        header = json.loads(line)
+        if how == "leaf":
+            _at(header, path[:-1])[path[-1]] = infinity if value == "1e999" else value
+        elif how == "drop":
+            del _at(header, path[:-1])[path[-1]]
+        elif how == "add":
+            _at(header, path)["unknown"] = 0
+        return header
+
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / name
+        text = json.dumps(mutated("\0"), sort_keys=True).replace('"\\u0000"', "1e999")
+        model.write_bytes(text.encode("utf-8") + b"\n" + payload)
+        code, stdout, err = _quiet_predict(model, texts)
+        if code == 0:
+            assert how in ("leaf", "drop", "add") and stdout == outputs[name]
+        else:
+            assert (code, stdout) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+        signed = mutated(float("inf"))
+        signed.pop("sha256", None)
+        modelfile.write(model, signed, payload)
+        code, stdout, err = _quiet_predict(model, texts)
+        assert code in (0, 2) if how in ("leaf", "drop", "add") else code == 2
+        assert code == 0 or (stdout == "" and err.count("\n") == 1)
+
+
 def test_model_file_with_non_object_header_exit_2(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text("[1, 2]\n", encoding="utf-8")
@@ -1326,10 +1484,9 @@ def test_model_file_with_non_object_header_exit_2(tmp_path, capsys):
 
 def test_transformer_header_with_fractional_num_layers_exit_2(tmp_path, capsys):
     out = run_prepare(tmp_path, tmp_path / "run")
-    header = {"kind": "transformer", "format_version": tfm.FORMAT_VERSION,
-              "encoder_config": {"num_layers": 1.0}, "tensors": []}
     model = out / "transformer.bin"
-    model.write_bytes(json.dumps(header).encode() + b"\n")
+    modelfile.write(model, {"kind": "transformer", "encoder_config": {"num_layers": 1.0},
+                            "vocab": [], "preprocess": {}}, b"")
     assert main(["evaluate", "--model-file", str(model)]) == 2
     assert "num_layers" in capsys.readouterr().err
 
@@ -1339,13 +1496,13 @@ DEEP_JSON = "[" * 100_000
 
 @pytest.mark.parametrize("target", [
     "label-map", "corpus", "emoji-lexicon", "config-inline", "config-file",
-    "evaluate-model", "predict-manifest", "report-eval"])
+    "evaluate-model", "train-manifest", "report-eval"])
 def test_deeply_nested_json_exit_2(tmp_path, capsys, target):
     """JSON nested 100,000 deep, wherever the CLI reads JSON, is an input
     error and not a RecursionError traceback."""
     deep = tmp_path / "deep.json"
     deep.write_text(DEEP_JSON, encoding="utf-8")
-    if target in ("evaluate-model", "predict-manifest", "report-eval"):
+    if target in ("evaluate-model", "train-manifest", "report-eval"):
         out = run_prepare(tmp_path, tmp_path / "run")
         assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
         assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
@@ -1354,8 +1511,8 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, target):
         model = str(out / "nb.json")
         file, argv = {
             "evaluate-model": ("nb.json", ["evaluate", "--model-file", model]),
-            "predict-manifest": ("manifest.json", ["predict", "--model-file", model,
-                                                   "--input", str(texts)]),
+            "train-manifest": ("manifest.json", ["train", "--model", "nb",
+                                                 "--out-dir", str(out)]),
             "report-eval": ("eval_nb_test.json", ["report", "--out-dir", str(out)]),
         }[target]
         (out / file).write_text(DEEP_JSON, encoding="utf-8")
@@ -1379,7 +1536,7 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, target):
                                      "report"])
 def test_nul_byte_path_exit_2(tmp_path, capsys, command):
     """A path holding a NUL byte, which open() refuses with ValueError, is an
-    input error: from --config, a flag, manifest.json or an evaluation file."""
+    input error: from --config, a flag or an evaluation file."""
     nul = "a\0b"
     if command == "prepare":
         jsonl, map_path = write_inputs(tmp_path)
@@ -1390,21 +1547,16 @@ def test_nul_byte_path_exit_2(tmp_path, capsys, command):
         out = run_prepare(tmp_path, tmp_path / "run")
         assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
         assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
-        texts = tmp_path / "texts.txt"
-        texts.write_text("movie mast\n", encoding="utf-8")
-        if command in ("predict", "report"):
-            path = out / ("manifest.json" if command == "predict" else "eval_nb_test.json")
+        if command == "report":
+            path = out / "eval_nb_test.json"
             payload = json.loads(path.read_text(encoding="utf-8"))
-            if command == "predict":
-                payload["config"]["preprocess"]["stopwords_file"] = nul
-            else:
-                payload["manifest"]["model_file"] = nul
+            payload["manifest"]["model_file"] = nul
             path.write_text(json.dumps(payload), encoding="utf-8")
         argv = {"train": ["train", "--model", "nb", "--out-dir", str(out),
                           "--config", nul],
                 "evaluate": ["evaluate", "--model-file", nul],
                 "predict": ["predict", "--model-file", str(out / "nb.json"),
-                            "--input", str(texts)],
+                            "--input", nul],
                 "report": ["report", "--out-dir", str(out)]}[command]
     capsys.readouterr()
     assert main(argv) == 2

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import baselines_reference as ref
+from mixsent import modelfile
 from mixsent.baselines import LinearModel, load_baseline, save_baseline, svm_predict
 from mixsent.errors import InputError
 from mixsent.features import (FeatureMatrix, TermIndex, fit_term_index,
                               tfidf_transform)
 
-from conftest import feature_matrix
+from conftest import feature_matrix, rewrite_model_file
 
 documents = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
                               max_size=6).map(" ".join),
@@ -195,22 +195,20 @@ class TestTermIndexIO:
     @staticmethod
     def save(idx, path):
         model = LinearModel("svm", np.zeros((3, len(idx))), np.zeros(3))
-        save_baseline(model, idx, path)
+        save_baseline(model, idx, path, {})
 
     def test_roundtrip(self, tmp_path):
         idx = fit_term_index(["mast movie", "bekar khana", "movie"])
         path = tmp_path / "svm.json"
         self.save(idx, path)
-        assert load_baseline(path)[1] == idx
+        assert load_baseline(modelfile.read(path))[1] == idx
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "svm.json"
         self.save(fit_term_index(["a"]), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["term_index"] = {"terms": ["a"]}
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        rewrite_model_file(path, lambda header: header.update(term_index={"terms": ["a"]}))
         with pytest.raises(InputError):
-            load_baseline(path)
+            load_baseline(modelfile.read(path))
 
     def test_df_bounds_validated(self):
         with pytest.raises(InputError):

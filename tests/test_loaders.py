@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixsent import modelfile
 from mixsent.baselines import (SvmHyper, load_baseline, nb_train, save_baseline,
                                svm_train)
 from mixsent.corpus import (CANONICAL_LABEL_MAP, SentimentLabel, load_corpus,
                             load_label_map, save_corpus)
-from mixsent.errors import InputError
+from mixsent.errors import InputError, read_file
 from mixsent.features import fit_term_index
 from mixsent.metrics import evaluate, load_report, save_report
-from mixsent.preprocess import load_emoji_lexicon, load_fillers, load_stop_words
+from mixsent.preprocess import (FillerList, StopWordList, parse_emoji_lexicon,
+                                parse_word_list)
 from mixsent.tokenizer import Vocabulary
 from mixsent.transformer import (EncoderConfig, init_params, load_transformer,
                                  save_transformer)
@@ -52,10 +54,10 @@ def _write_samples(d: Path) -> dict[str, Path]:
                 extra={"model": "nb", "split": "test"})
     X = feature_matrix([{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.5}])
     idx = fit_term_index(["a b", "b", "a"])
-    save_baseline(nb_train(X, LABELS3), idx, paths["nb.json"])
-    save_baseline(svm_train(X, LABELS3, SvmHyper(epochs=2)), idx, paths["svm.json"])
+    save_baseline(nb_train(X, LABELS3), idx, paths["nb.json"], {})
+    save_baseline(svm_train(X, LABELS3, SvmHyper(epochs=2)), idx, paths["svm.json"], {})
     save_transformer(paths["model.bin"], init_params(TINY, 1, np.float32), TINY,
-                     Vocabulary.from_pieces(["li", "##kh", "##na", "bé"]))
+                     Vocabulary.from_pieces(["li", "##kh", "##na", "bé"]), {})
     return paths
 
 
@@ -64,13 +66,13 @@ LOADERS = {
     "corpus.jsonl": lambda p: load_corpus(p, CANONICAL_LABEL_MAP),
     "corpus.csv": lambda p: load_corpus(p, CANONICAL_LABEL_MAP),
     "labels.json": load_label_map,
-    "emoji.json": load_emoji_lexicon,
-    "stop.txt": load_stop_words,
-    "fillers.txt": load_fillers,
+    "emoji.json": lambda p: parse_emoji_lexicon(read_file(p, "emoji lexicon"), p),
+    "stop.txt": lambda p: StopWordList(parse_word_list(read_file(p, "word list"))),
+    "fillers.txt": lambda p: FillerList(parse_word_list(read_file(p, "word list"))),
     "report.json": load_report,
-    "nb.json": load_baseline,
-    "svm.json": load_baseline,
-    "model.bin": load_transformer,
+    "nb.json": lambda p: load_baseline(modelfile.read(p)),
+    "svm.json": lambda p: load_baseline(modelfile.read(p)),
+    "model.bin": lambda p: load_transformer(modelfile.read(p)),
 }
 
 

@@ -8,7 +8,6 @@ from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
 from mixsent.errors import InputError
 from mixsent.preprocess import (DROP_REASONS, EmojiLexicon, FillerList,
                                 PreprocessConfig, StopWordList, clean_text,
-                                load_emoji_lexicon,
                                 normalize_case_and_stopwords, normalize_text,
                                 preprocess_corpus, replace_emojis)
 from preprocess_reference import clean_text_reference, normalize_text_reference
@@ -99,7 +98,7 @@ class TestReplaceEmojis:
             EmojiLexicon({"": "sad"})
 
     def test_default_lexicon_has_normative_entries(self):
-        lex = load_emoji_lexicon()
+        lex = PreprocessConfig().emoji_lexicon
         assert lex.mapping["😞"] == "sad"
         assert lex.mapping["❤️"] == "love"
         assert lex.mapping["😂"] == "laugh"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import decode
+from conftest import decode, rewrite_model_file
 from tokenizer_reference import encode_reference, tokenize_word_reference
 from vocab_reference import train_vocabulary_reference
 
+from mixsent import modelfile
 from mixsent.errors import InputError
 from mixsent.tokenizer import (CLS_ID, MAX_WORD_CHARS, PAD_ID, SEP_ID, SPECIALS,
                                UNK, UNK_ID, Vocabulary, encode, train_vocabulary)
@@ -301,17 +302,14 @@ class TestVocabularyIO:
         """A tiny transformer model file for vocab; its header, as a dict."""
         cfg = EncoderConfig(num_layers=1, num_heads=1, d_model=2, d_ff=2,
                             max_len=8, vocab_size=len(vocab))
-        save_transformer(path, init_params(cfg, 0, np.float32), cfg, vocab)
+        save_transformer(path, init_params(cfg, 0, np.float32), cfg, vocab, {})
         return json.loads(path.read_bytes().split(b"\n", 1)[0])
 
     def _with_tokens(self, tmp_path, tokens):
         """A model file whose header's vocab is tokens, as written by hand."""
         path = tmp_path / "model.bin"
-        header = self._saved(path, Vocabulary.from_pieces(
-            [f"p{i}" for i in range(len(tokens) - 4)]))
-        payload = path.read_bytes().split(b"\n", 1)[1]
-        header["vocab"] = tokens
-        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        self._saved(path, Vocabulary.from_pieces([f"p{i}" for i in range(len(tokens) - 4)]))
+        rewrite_model_file(path, lambda header: header.update(vocab=tokens))
         return path
 
     def test_roundtrip(self, tmp_path):
@@ -319,7 +317,7 @@ class TestVocabularyIO:
         v = train_vocabulary(texts, 30)
         path = tmp_path / "model.bin"
         assert self._saved(path, v)["vocab"] == list(v.tokens)
-        loaded = load_transformer(path)[2]
+        loaded = load_transformer(modelfile.read(path))[2]
         assert loaded.tokens == v.tokens
         assert ([encode(t, loaded, 16) for t in texts]
                 == [encode(t, v, 16) for t in texts])
@@ -327,28 +325,28 @@ class TestVocabularyIO:
     def test_missing_unk_line(self, tmp_path):
         path = self._with_tokens(tmp_path, ["[PAD]", "[CLS]", "[SEP]", "li", "na"])
         with pytest.raises(InputError, match=r"\[UNK\]"):
-            load_transformer(path)
+            load_transformer(modelfile.read(path))
 
     def test_duplicate_line_reported(self, tmp_path):
         path = self._with_tokens(tmp_path, list(SPECIALS) + ["li", "li"])
         with pytest.raises(InputError, match="repeats token 'li'"):
-            load_transformer(path)
+            load_transformer(modelfile.read(path))
 
     def test_handwritten_seven_line_file(self, tmp_path):
         path = self._with_tokens(tmp_path, list(SPECIALS) + ["li", "##kh", "##na"])
-        v = load_transformer(path)[2]
+        v = load_transformer(modelfile.read(path))[2]
         assert _pieces("likhna", v) == ["li", "##kh", "##na"]
 
     def test_bad_continuation_piece(self, tmp_path):
         path = self._with_tokens(tmp_path, list(SPECIALS) + ["##"])
         with pytest.raises(InputError, match="continuation"):
-            load_transformer(path)
+            load_transformer(modelfile.read(path))
 
     @pytest.mark.parametrize("token", [7, ["li"], None, ""])
     def test_token_not_a_nonempty_string(self, tmp_path, token):
         path = self._with_tokens(tmp_path, list(SPECIALS) + ["li", token])
         with pytest.raises(InputError, match="not a non-empty string"):
-            load_transformer(path)
+            load_transformer(modelfile.read(path))
 
 
 def test_vocabulary_invariants():

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mixsent import modelfile
 from mixsent.corpus import SentimentLabel
 from mixsent.errors import InputError, TrainingError
 from mixsent.metrics import evaluate
@@ -782,8 +783,8 @@ class TestSerialization:
         cfg = TINY
         params = init_params(cfg, 3, np.float32)
         path = tmp_path / "model.bin"
-        save_transformer(path, params, cfg, TINY_VOCAB)
-        loaded, cfg2, vocab = load_transformer(path)
+        save_transformer(path, params, cfg, TINY_VOCAB, {})
+        loaded, cfg2, vocab = load_transformer(modelfile.read(path))
         assert cfg2 == cfg
         assert vocab.tokens == TINY_VOCAB.tokens
         assert loaded.dtype == np.float32
@@ -793,26 +794,29 @@ class TestSerialization:
         """The header holds what loading reads, and the payload is the
         parameters in _param_specs order, 4 bytes each."""
         path, header, payload = self._saved(tmp_path)
-        assert set(header) == {"format_version", "kind", "encoder_config", "vocab"}
+        assert set(header) == {"format_version", "kind", "encoder_config", "vocab",
+                               "preprocess", "sha256"}
         assert payload == init_params(TINY, 3, np.float32).astype("<f4").tobytes()
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00\x01binary")
         with pytest.raises(InputError):
-            load_transformer(path)
+            load_transformer(modelfile.read(path))
 
     @staticmethod
     def _saved(tmp_path):
         params = init_params(TINY, 3, np.float32)
         path = tmp_path / "model.bin"
-        save_transformer(path, params, TINY, TINY_VOCAB)
+        save_transformer(path, params, TINY, TINY_VOCAB, {})
         header_line, payload = path.read_bytes().split(b"\n", 1)
         return path, json.loads(header_line), payload
 
     @staticmethod
     def _rewrite(path, header, payload):
-        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        """The file as a writer with its own header and payload would sign it."""
+        del header["sha256"]
+        modelfile.write(path, header, payload)
 
     @pytest.mark.parametrize("key", ["encoder_config", "vocab"])
     def test_header_without_key_rejected(self, tmp_path, key):
@@ -820,34 +824,34 @@ class TestSerialization:
         del header[key]
         self._rewrite(path, header, payload)
         with pytest.raises(InputError, match=f"bad transformer header: KeyError\\('{key}'"):
-            load_transformer(path)
+            load_transformer(modelfile.read(path))
 
-    @pytest.mark.parametrize("version", [1, None, "2"])
+    @pytest.mark.parametrize("version", [1, None, "2", 4])
     def test_other_format_version_rejected(self, tmp_path, version):
         path, header, payload = self._saved(tmp_path)
         header["format_version"] = version
         self._rewrite(path, header, payload)
-        with pytest.raises(InputError, match=f"has format_version {version!r}, not 4"):
-            load_transformer(path)
+        with pytest.raises(InputError, match=f"has format_version {version!r}, not 5"):
+            load_transformer(modelfile.read(path))
 
     def test_vocab_size_must_match_vocab(self, tmp_path):
         path, header, payload = self._saved(tmp_path)
         header["vocab"].append("extra")
         self._rewrite(path, header, payload)
         with pytest.raises(InputError, match="vocab has 21 tokens.*vocab_size is 20"):
-            load_transformer(path)
+            load_transformer(modelfile.read(path))
 
     def test_truncated_file_rejected(self, tmp_path):
-        path, _, _ = self._saved(tmp_path)
-        path.write_bytes(path.read_bytes()[:-10])
+        path, header, payload = self._saved(tmp_path)
+        self._rewrite(path, header, payload[:-10])
         with pytest.raises(InputError, match="truncated"):
-            load_transformer(path)
+            load_transformer(modelfile.read(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        path, _, _ = self._saved(tmp_path)
-        path.write_bytes(path.read_bytes() + b"junk")
+        path, header, payload = self._saved(tmp_path)
+        self._rewrite(path, header, payload + b"junk")
         with pytest.raises(InputError, match="payload has"):
-            load_transformer(path)
+            load_transformer(modelfile.read(path))
 
     def test_config_validation(self):
         with pytest.raises(InputError):
