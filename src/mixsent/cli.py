@@ -12,6 +12,7 @@ import argparse
 import ctypes
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import io
 import json
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from . import baselines, modelfile
-from . import transformer as tfm
 from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      class_distribution, load_corpus, load_label_map, merge,
                      save_corpus, split)
+from .encoder_config import EncoderConfig, TrainConfig
 from .errors import (InputError, MixsentError, TrainingError, check_value,
                      decode, open_file, parse_json_object, read_file)
 from .features import fit_term_index, tfidf_transform
@@ -37,6 +38,32 @@ from .preprocess import (FillerList, PreprocessConfig, StopWordList, clean_text,
                          parse_emoji_lexicon, parse_word_list, preprocess_corpus,
                          source_file)
 from .tokenizer import train_vocabulary
+
+
+def _lazy_import(name: str):
+    """The module `name`, bound in sys.modules and on its package as
+    `import name` binds it, but executed on the first use of one of its
+    names.  A module already imported is returned as it is, so there is
+    only ever one module object."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# The encoder is loaded only by the commands that run it: train on a
+# transformer, and evaluate or predict on a transformer file.  It is bound
+# here, not imported inside those commands, because perfbench/trace_run.py
+# wraps sys.modules["mixsent.transformer"]'s functions once mixsent.cli is
+# imported; once ROADMAP item 2 replaces that patching, a plain import in
+# the commands will do.
+tfm = _lazy_import(__package__ + ".transformer")
 
 
 def _sha256(path: Path) -> str:
@@ -88,9 +115,9 @@ SETTINGS = {
     "nb": _defaults(baselines.nb_train, "X", "y"),
     "svm": _defaults(baselines.SvmHyper, "seed"),
     # The encoder's max_len and vocab_size are set in the tokenizer section.
-    "tokenizer": {key: getattr(tfm.EncoderConfig, key) for key in ("max_len", "vocab_size")},
-    "encoder": _defaults(tfm.EncoderConfig, "max_len", "vocab_size"),
-    "train": _defaults(tfm.TrainConfig, "seed"),
+    "tokenizer": {key: getattr(EncoderConfig, key) for key in ("max_len", "vocab_size")},
+    "encoder": _defaults(EncoderConfig, "max_len", "vocab_size"),
+    "train": _defaults(TrainConfig, "seed"),
 }
 
 
@@ -132,9 +159,9 @@ def _load_config(arg: str) -> tuple[dict, dict]:
         ("svm", lambda: baselines.SvmHyper(float(svm["lambda"]), svm["epochs"])),
         # The default encoder with the tokenizer's keys, so that an error in
         # them names the section that sets them; then the encoder's keys.
-        ("tokenizer", lambda: tfm.EncoderConfig(**settings["tokenizer"])),
+        ("tokenizer", lambda: EncoderConfig(**settings["tokenizer"])),
         ("encoder", lambda: dataclasses.replace(settings["tokenizer"], **settings["encoder"])),
-        ("train", lambda: tfm.TrainConfig(**settings["train"])),
+        ("train", lambda: TrainConfig(**settings["train"])),
     ]
     for name, build in builds:
         try:
@@ -333,10 +360,12 @@ def _load_transformer(f: modelfile.ModelFile):
     params, cfg, vocab = tfm.load_transformer(f)
 
     def predict(texts):
+        # Served weights that overflow are a bad input file, not a failed
+        # run: one error line, with no numpy overflow warnings before it.
         try:
-            return tfm.predict(params, cfg, vocab, texts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return tfm.predict(params, cfg, vocab, texts)
         except TrainingError as e:
-            # Served weights that overflow are a bad input file, not a failed run.
             raise InputError(f"{f.path}: {e} (damaged model file?)") from None
     return predict
 

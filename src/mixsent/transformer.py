@@ -29,7 +29,8 @@ import numpy as np
 
 from . import modelfile
 from .corpus import NUM_CLASSES, SentimentLabel
-from .errors import InputError, TrainingError, check_fields
+from .encoder_config import EncoderConfig, TrainConfig
+from .errors import InputError, TrainingError
 from .metrics import evaluate
 from .rng import SplitMix64, derive_seed, shuffled
 from .tokenizer import PAD_ID, Vocabulary, encode
@@ -68,62 +69,11 @@ _ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
            1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
 _ERF_BLOCK = 1 << 14
-# Upper bounds on the encoder's shape keys.  Within them the parameter array
-# holds under 2^46 elements and one row's attention scores at most 2^48,
-# sizes numpy can at least try to allocate (a failed allocation is a
-# MemoryError); a larger key can end in a ValueError from numpy's limit on
-# array dimensions.
-SHAPE_BOUNDS = {"num_layers": 1 << 10, "num_heads": 1 << 16, "d_model": 1 << 16,
-                "d_ff": 1 << 16, "max_len": 1 << 16, "vocab_size": 1 << 24}
 # Elements per block of adamw_step's passes: a block of params, grads, both
 # moments and the two scratch arrays is 2^15 * 6 float32 values (768 KiB),
 # within a core's L2 cache (1-2 MiB on current x86 cores), where whole-array
 # passes stream every array through memory once per operation.
 ADAMW_BLOCK = 1 << 15
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    num_layers: int = 2
-    num_heads: int = 4
-    d_model: int = 128
-    d_ff: int = 256
-    dropout: float = 0.1
-    max_len: int = 128
-    vocab_size: int = 4000
-
-    def __post_init__(self):
-        check_fields(self)
-        if min(self.num_layers, self.num_heads, self.d_model, self.d_ff,
-               self.max_len, self.vocab_size) < 1:
-            raise InputError("all encoder dimensions must be positive")
-        if self.max_len < 3:
-            raise InputError("max_len must be >= 3 (room for [CLS], a piece, [SEP])")
-        for key, bound in SHAPE_BOUNDS.items():
-            if getattr(self, key) > bound:
-                raise InputError(f"{key} must be <= {bound}")
-        if self.d_model % self.num_heads != 0:
-            raise InputError(f"d_model {self.d_model} not divisible by "
-                             f"num_heads {self.num_heads}")
-        if not 0 <= self.dropout < 1:
-            raise InputError("dropout must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 2e-5
-    epochs: int = 3
-    batch_size: int = 8
-    weight_decay: float = 0.01
-    warmup_steps: int = 500
-    seed: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise InputError("learning_rate, batch_size must be positive; epochs >= 0")
-        if self.warmup_steps < 0 or self.weight_decay < 0:
-            raise InputError("warmup_steps and weight_decay must be >= 0")
 
 
 def _param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:

@@ -1199,8 +1199,9 @@ def served_dir(tmp_path_factory):
     return out, texts
 
 
-# Float32's largest weights overflow the head's matmul, by design.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# Float32's largest weights overflow the head's matmul, by design; that is one
+# error line, so a RuntimeWarning from numpy fails the test.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 @pytest.mark.parametrize("weight", [np.inf, np.nan, np.finfo(np.float32).max])
 def test_non_finite_model_weight_exit_2(served_dir, tmp_path, capsys, command, weight):
