@@ -79,10 +79,9 @@ def _write_json(path: Path, payload: dict) -> None:
                                sort_keys=True) + "\n", encoding="utf-8")
 
 
-# The name each preprocess file gets in the run directory, which is also the
-# name of the packaged default.  prepare copies all three, defaults included,
-# and train writes their text into every model header, so predict reads only
-# the model file.
+# Each --config key that names a list, and the key under which prepare's
+# preprocess.json and every model header hold that list's text: the name of
+# the packaged default.  predict reads the lists from the model file only.
 _PREPROCESS_FILES = {"emoji_lexicon_file": "emoji_lexicon.json",
                      "stopwords_file": "stopwords.txt",
                      "fillers_file": "fillers.txt"}
@@ -177,30 +176,35 @@ def _load_config(arg: str) -> tuple[dict, dict]:
     return overrides, settings
 
 
-def _preprocess_config(section) -> PreprocessConfig:
-    """The cleaning config of a preprocess section: the two flags, and each
-    list's text under its run-directory name, as a model header holds them."""
-    if not isinstance(section, dict) or not set(_PREPROCESS_HEADER) <= set(section):
-        raise InputError(f"preprocess must be a JSON object with the keys "
-                         f"{sorted(_PREPROCESS_HEADER)}")
-    for key, kind in _PREPROCESS_HEADER.items():
-        check_value(f"preprocess.{key}", section[key], kind)
-    return PreprocessConfig(
-        emoji_lexicon=parse_emoji_lexicon(section["emoji_lexicon.json"], "emoji_lexicon.json"),
-        stop_words=StopWordList(parse_word_list(section["stopwords.txt"])),
-        fillers=FillerList(parse_word_list(section["fillers.txt"])),
-        keep_hashtag_text=section["keep_hashtag_text"],
-        remove_stop_words=section["remove_stop_words"])
+def _preprocess_config(section, source: str) -> PreprocessConfig:
+    """The cleaning config of a preprocess section, as preprocess.json and a
+    model header hold it: the two flags, and each list's text by its name.
+    Its errors start with source."""
+    try:
+        if not isinstance(section, dict) or not set(_PREPROCESS_HEADER) <= set(section):
+            raise InputError(f"preprocess must be a JSON object with the keys "
+                             f"{sorted(_PREPROCESS_HEADER)}")
+        for key, kind in _PREPROCESS_HEADER.items():
+            check_value(f"preprocess.{key}", section[key], kind)
+        return PreprocessConfig(
+            emoji_lexicon=parse_emoji_lexicon(section["emoji_lexicon.json"],
+                                              "emoji_lexicon.json"),
+            stop_words=StopWordList(parse_word_list(section["stopwords.txt"])),
+            fillers=FillerList(parse_word_list(section["fillers.txt"])),
+            keep_hashtag_text=section["keep_hashtag_text"],
+            remove_stop_words=section["remove_stop_words"])
+    except InputError as e:
+        raise InputError(f"{source}: {e}") from None
 
 
-def _prepare_manifest(run_dir: Path) -> tuple[dict, dict]:
-    """The manifest 'prepare' wrote in run_dir, and its sha256 table: the
-    digest of each file in run_dir that a later command reads."""
+def _prepare_manifest(run_dir: Path) -> dict:
+    """The outputs map of the manifest 'prepare' wrote in run_dir: the
+    digest of each file it wrote there."""
     path = run_dir / "manifest.json"
     manifest = parse_json_object(read_file(path, "manifest"), f"malformed manifest {path}")
-    if not isinstance(manifest.get("sha256"), dict):
+    if not isinstance(manifest.get("outputs"), dict):
         raise InputError(f"{path} records no file digests; run 'prepare' again")
-    return manifest, manifest["sha256"]
+    return manifest["outputs"]
 
 
 def _prepared(run_dir: Path, digests: dict, name: str) -> tuple[Path, str]:
@@ -211,19 +215,6 @@ def _prepared(run_dir: Path, digests: dict, name: str) -> tuple[Path, str]:
         raise InputError(f"digest mismatch for {path}: not the file 'prepare' "
                          f"wrote (edited since?); run 'prepare' again")
     return path, digest
-
-
-def _trained_preprocess(run_dir: Path, manifest: dict, digests: dict) -> dict:
-    """The preprocess section train writes into a model header: the flags
-    that manifest.json records, checked as --config is, and the text of each
-    list copy in run_dir, read by _prepared."""
-    config = manifest.get("config")
-    recorded = _section("preprocess", config.get("preprocess")
-                        if isinstance(config, dict) else None)
-    section = {key: recorded[key] for key in ("keep_hashtag_text", "remove_stop_words")}
-    for name in _PREPROCESS_FILES.values():
-        section[name] = read_file(_prepared(run_dir, digests, name)[0], name)
-    return section
 
 
 def _distribution_report(dist) -> str:
@@ -245,9 +236,11 @@ def cmd_prepare(args) -> int:
         raise InputError("prepare needs --label-map")
     label_map = load_label_map(args.label_map)
     section = settings["preprocess"]
-    texts = {name: read_file(source_file(section[key], name), f"preprocess.{key}")
-             for key, name in _PREPROCESS_FILES.items()}
-    pre_cfg = _preprocess_config({**section, **texts})
+    # The cleaning setup as every model header holds it.
+    preprocess = {key: section[key] for key in ("keep_hashtag_text", "remove_stop_words")}
+    for key, name in _PREPROCESS_FILES.items():
+        preprocess[name] = read_file(source_file(section[key], name), f"preprocess.{key}")
+    pre_cfg = _preprocess_config(preprocess, "config preprocess")
 
     corpus = reduce(merge, [load_corpus(item, label_map) for item in args.input])
 
@@ -271,8 +264,9 @@ def cmd_prepare(args) -> int:
     (out_dir / "distribution.txt").write_text(_distribution_report(dist) + "\n",
                                               encoding="utf-8")
     _write_json(out_dir / "drops.json", drops)
-    for name, text in texts.items():
-        (out_dir / name).write_bytes(text.encode("utf-8"))
+    _write_json(out_dir / "preprocess.json", preprocess)
+    written = [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
+               "drops.json", "preprocess.json"]
     _write_json(out_dir / "manifest.json", {
         "pipeline_version": __version__,
         "command": "prepare",
@@ -280,18 +274,14 @@ def cmd_prepare(args) -> int:
         "label_map": _sha256(Path(args.label_map)),
         "seed": args.seed,
         "config": {
-            "preprocess": {**section, **_PREPROCESS_FILES},
+            "preprocess": section,
             "split": _recorded(spec, "seed"),
             "overrides": overrides,
         },
         "split_sizes": {"train": len(train_c), "val": len(val_c),
                         "test": len(test_c)},
-        # Each file a later command reads, which _prepared checks.
-        "sha256": {name: _sha256(out_dir / name) for name in
-                   ["train.jsonl", "val.jsonl", "test.jsonl",
-                    *_PREPROCESS_FILES.values()]},
-        "outputs": [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
-                    "drops.json", *_PREPROCESS_FILES.values()],
+        # A later command reads each file through _prepared, which checks it.
+        "outputs": {name: _sha256(out_dir / name) for name in written},
     })
     print(_distribution_report(dist))
     print(f"dropped: {json.dumps(drops, sort_keys=True)}")
@@ -391,19 +381,20 @@ def _load_model(path: Path):
     trained with."""
     f = modelfile.read(path)
     predict = MODELS[f.header["kind"]][2](f)
-    try:
-        pre_cfg = _preprocess_config(f.header.get("preprocess"))
-    except InputError as e:
-        raise InputError(f"malformed model file {path}: {e}") from None
+    pre_cfg = _preprocess_config(f.header.get("preprocess"), f"malformed model file {path}")
     return f.header["kind"], predict, pre_cfg
 
 
 def cmd_train(args) -> int:
     settings = _load_config(args.config)[1]
     out_dir = Path(args.out_dir)
-    manifest, digests = _prepare_manifest(out_dir)
+    digests = _prepare_manifest(out_dir)
     train_path, train_sha256 = _prepared(out_dir, digests, "train.jsonl")
-    preprocess = _trained_preprocess(out_dir, manifest, digests)
+    path = _prepared(out_dir, digests, "preprocess.json")[0]
+    recorded = parse_json_object(read_file(path, "preprocess"), f"malformed {path}")
+    _preprocess_config(recorded, f"malformed {path}")
+    # Exactly the keys predict reads, so a key added to the file is not read.
+    preprocess = {key: recorded[key] for key in _PREPROCESS_HEADER}
     train_c = load_corpus(train_path, CANONICAL_LABEL_MAP)
     file, train, _ = MODELS[args.model]
     model_path = out_dir / file
@@ -442,7 +433,7 @@ def cmd_evaluate(args) -> int:
     model_path = Path(args.model_file)
     kind, predict, _ = _load_model(model_path)
     run_dir = model_path.parent
-    digests = _prepare_manifest(run_dir)[1]
+    digests = _prepare_manifest(run_dir)
     model_sha256 = _sha256(model_path)
     _check_held_out(model_path, kind, model_sha256, digests)
     split_path, split_sha256 = _prepared(run_dir, digests, f"{args.split}.jsonl")
@@ -514,6 +505,14 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed: an integer >= 0, on every command, as numpy's PCG64, which
+    seeds the encoder, requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixsent",
@@ -528,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-map", help="JSON file mapping raw labels to "
                                        "negative/neutral/positive")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", default="{}", help="JSON overrides (file path or inline)")
     p.set_defaults(func=cmd_prepare)
 
@@ -536,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--out-dir", required=True,
                    help="directory holding the prepared splits")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", default="{}", help="JSON overrides (file path or inline)")
     p.set_defaults(func=cmd_train)
 

@@ -74,20 +74,23 @@ TINY_TRANSFORMER_CONFIG = json.dumps({
 class TestPrepare:
     def test_outputs_written(self, tmp_path, capsys):
         out = run_prepare(tmp_path, tmp_path / "run")
-        lists = ("stopwords.txt", "fillers.txt", "emoji_lexicon.json")
-        for name in ("clean.jsonl", "train.jsonl", "val.jsonl", "test.jsonl",
-                     "distribution.txt", "drops.json", "manifest.json", *lists):
-            assert (out / name).exists(), name
+        written = ("clean.jsonl", "train.jsonl", "val.jsonl", "test.jsonl",
+                   "distribution.txt", "drops.json", "preprocess.json")
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            [*written, "manifest.json"])
         manifest = json.loads((out / "manifest.json").read_text())
         sizes = manifest["split_sizes"]
         assert sizes["train"] == 48 and sizes["val"] == 6 and sizes["test"] == 6
-        # The packaged lists are copied and served like a named one.
-        assert manifest["sha256"] == {
+        assert manifest["outputs"] == {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("train.jsonl", "val.jsonl", "test.jsonl", *lists)}
-        for name in lists:
-            assert (out / name).read_bytes() == (
-                resources.files("mixsent") / "data" / name).read_bytes()
+            for name in written}
+        assert manifest["config"]["preprocess"] == SETTINGS["preprocess"]
+        # The packaged lists are recorded by their text, as a named one is.
+        lists = ("stopwords.txt", "fillers.txt", "emoji_lexicon.json")
+        assert json.loads((out / "preprocess.json").read_text(encoding="utf-8")) == {
+            "keep_hashtag_text": False, "remove_stop_words": True,
+            **{name: (resources.files("mixsent") / "data" / name).read_bytes()
+               .decode("utf-8") for name in lists}}
         assert "Sentiment Class" in capsys.readouterr().out
 
     def test_same_named_inputs_both_recorded(self, tmp_path):
@@ -549,7 +552,7 @@ class TestEvaluateAndReport:
         out = self.nb_run(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         split_file = out / f"{split_name}.jsonl"
-        digest = manifest["sha256"][f"{split_name}.jsonl"]
+        digest = manifest["outputs"][f"{split_name}.jsonl"]
         assert digest == hashlib.sha256(split_file.read_bytes()).hexdigest()
         argv = ["evaluate", "--model-file", str(out / "nb.json"), "--split", split_name]
         assert main(argv) == 0
@@ -567,13 +570,13 @@ class TestEvaluateAndReport:
         assert not (out / f"eval_nb_{split_name}.json").exists()
 
     def test_manifest_without_split_digests_exit_2(self, tmp_path, capsys):
-        """A manifest.json of an earlier 'prepare', which wrote no sha256
-        table, is refused by train and evaluate; nothing is written.  predict
-        reads only the model file and serves."""
+        """A manifest.json with no outputs map, as 'prepare' wrote before it
+        recorded digests, is refused by train and evaluate; nothing is
+        written.  predict reads only the model file and serves."""
         out = self.nb_run(tmp_path)
         path = out / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
-        del manifest["sha256"]
+        del manifest["outputs"]
         path.write_text(json.dumps(manifest), encoding="utf-8")
         texts = tmp_path / "texts.txt"
         texts.write_text("movie mast\n", encoding="utf-8")
@@ -1057,36 +1060,46 @@ class TestServedAsPrepared:
                          for label, row in zip(labels, np.exp(log_posterior))]
 
     def test_word_list_edited_after_prepare_exit_2(self, tmp_path, capsys):
-        """prepare keeps its own copy of a named word list, recorded by its
-        run-directory name and digest; train refuses an edited copy, and a
-        model trained before the edit serves the list it was trained with."""
+        """prepare records the text of a named word list in preprocess.json,
+        whose digest manifest.json holds, so train reads neither the named
+        file nor an edited preprocess.json: it refuses the latter, writing
+        nothing, and a model trained before the edit serves as it did."""
         stop = tmp_path / "stop.txt"
         stop.write_text("hai\ntha\n", encoding="utf-8")
         out = self.prepared_nb(tmp_path, "--config", json.dumps(
             {"preprocess": {"stopwords_file": str(stop)}}))
         manifest = json.loads((out / "manifest.json").read_text())
-        recorded = manifest["config"]["preprocess"]
-        assert recorded["stopwords_file"] == "stopwords.txt"
-        assert (out / "stopwords.txt").read_bytes() == stop.read_bytes()
-        assert "stopwords.txt" in manifest["outputs"] and "sha256" not in recorded
-        assert manifest["sha256"]["stopwords.txt"] == hashlib.sha256(
-            stop.read_bytes()).hexdigest()
+        assert manifest["config"]["preprocess"]["stopwords_file"] == str(stop)
+        path = out / "preprocess.json"
+        recorded = json.loads(path.read_text(encoding="utf-8"))
+        assert recorded["stopwords.txt"] == "hai\ntha\n"
+        assert manifest["outputs"]["preprocess.json"] == hashlib.sha256(
+            path.read_bytes()).hexdigest()
+        assert not (out / "stopwords.txt").exists()
         code, before = self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys)
         assert code == 0
 
-        (out / "stopwords.txt").write_text("hai\n", encoding="utf-8")
-        assert self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys) == (
-            0, before)
+        trained = (out / "nb.json").read_bytes()
+        stop.write_text("hai\n", encoding="utf-8")
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        assert (out / "nb.json").read_bytes() == trained
+
+        path.write_text(json.dumps({**recorded, "stopwords.txt": "hai\n"}), encoding="utf-8")
+        files = _files(out)
+        capsys.readouterr()
         assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"digest mismatch for {out / 'stopwords.txt'}" in captured.err
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"digest mismatch for {path}" in captured.err
+        assert _files(out) == files
+        assert self.predict(out / "nb.json", ["movie mast hai"], tmp_path, capsys) == (
+            0, before)
 
     def test_packaged_lists_served_from_the_run_directory(self, tmp_path, capsys,
                                                           monkeypatch):
-        """A run prepared with the packaged lists serves the copies train
-        read: a changed package leaves predict's output as it was, as does an
-        edited copy."""
+        """A run prepared with the packaged lists serves the text train read
+        from preprocess.json: a changed package leaves predict's output as it
+        was, as does an edited preprocess.json."""
         out = self.prepared_nb(tmp_path)
         texts = ["movie mast hai", "khana bakwas tha \U0001F61E"]
         code, before = self.predict(out / "nb.json", texts, tmp_path, capsys)
@@ -1103,7 +1116,9 @@ class TestServedAsPrepared:
         assert PreprocessConfig().stop_words.words == {"mast", "bakwas"}
         assert self.predict(out / "nb.json", texts, tmp_path, capsys) == (0, before)
 
-        (out / "stopwords.txt").write_text("mast\nbakwas\n", encoding="utf-8")
+        path = out / "preprocess.json"
+        path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")),
+                                    "stopwords.txt": "mast\nbakwas\n"}), encoding="utf-8")
         assert self.predict(out / "nb.json", texts, tmp_path, capsys) == (0, before)
 
     def test_prepare_run_again_leaves_a_trained_model_as_it_was(self, tmp_path, capsys):
@@ -1122,20 +1137,37 @@ class TestServedAsPrepared:
         assert self.predict(out / "nb.json", texts, tmp_path, capsys) == (0, before)
 
     def test_manifest_without_list_copies_exit_2(self, tmp_path, capsys):
-        """A run directory without a copy of a packaged list, whose manifest
-        records that list as null, as an earlier prepare wrote it, is
-        refused by train rather than trained with today's package."""
+        """A run directory as an earlier prepare wrote it, with a copy of each
+        list, a sha256 table and an outputs list but no preprocess.json, is
+        refused by train and evaluate, which ask for prepare to be run again
+        and write nothing; predict reads only the model file and serves."""
         out = self.prepared_nb(tmp_path)
-        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        manifest["config"]["preprocess"]["fillers_file"] = None
-        del manifest["sha256"]["fillers.txt"]
-        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        (out / "fillers.txt").unlink()
-        capsys.readouterr()
-        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"not found: {out / 'fillers.txt'}" in captured.err
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        recorded = json.loads((out / "preprocess.json").read_text(encoding="utf-8"))
+        (out / "preprocess.json").unlink()
+        lists = {"emoji_lexicon_file": "emoji_lexicon.json",
+                 "stopwords_file": "stopwords.txt", "fillers_file": "fillers.txt"}
+        for name in lists.values():
+            (out / name).write_bytes(recorded[name].encode("utf-8"))
+        manifest["config"]["preprocess"].update(lists)
+        manifest["sha256"] = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("train.jsonl", "val.jsonl", "test.jsonl", *lists.values())}
+        manifest["outputs"] = ["clean.jsonl", "train.jsonl", "val.jsonl", "test.jsonl",
+                               "distribution.txt", "drops.json", *lists.values()]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert self.predict(out / "nb.json", ["movie mast"], tmp_path, capsys)[0] == 0
+        files = _files(out)
+        for argv in (["train", "--model", "nb", "--out-dir", str(out)],
+                     ["evaluate", "--model-file", str(out / "nb.json")]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: {path} records no file digests; "
+                                    "run 'prepare' again\n")
+        assert _files(out) == files
 
     def test_relative_word_list_served_from_another_directory(
             self, tmp_path, capsys, monkeypatch):
@@ -1253,6 +1285,25 @@ def test_model_file_stands_alone(served_dir, tmp_path, capsys):
     assert _predict_output(alone / name, texts, capsys) == (0, expected, "")
 
 
+def test_model_headers_hold_preprocess_json(served_dir, tmp_path):
+    """Every model file's header holds preprocess.json as prepare wrote it,
+    and only its five keys: a key added to the file is not read."""
+    out = served_dir[0]
+    recorded = json.loads((out / "preprocess.json").read_text(encoding="utf-8"))
+    assert recorded["stopwords.txt"] == "hai\ntha\n"
+    for name in ("nb.json", "svm.json", "transformer.bin", "transformer_best.bin"):
+        assert read_model_file(out / name)[0]["preprocess"] == recorded, name
+
+    run = shutil.copytree(out, tmp_path / "run")
+    path = run / "preprocess.json"
+    path.write_text(json.dumps({**recorded, "unknown": 0}), encoding="utf-8")
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    manifest["outputs"]["preprocess.json"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert _quiet(["train", "--model", "nb", "--out-dir", str(run)])[0] == 0
+    assert (run / "nb.json").read_bytes() == (out / "nb.json").read_bytes()
+
+
 def test_format_version_1_transformer_exit_2(served_dir, tmp_path, capsys):
     """A model file of the earlier format refers to a vocab.txt."""
     out, texts = served_dir
@@ -1364,7 +1415,7 @@ def test_predict_on_damaged_model_or_manifest_exits_0_or_2(served_dir, data):
         damaged = original[:pos] + bytes([data.draw(st.integers(0, 255))]) + original[pos + 1:]
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp)
-        for name in ("nb.json", "transformer.bin", "manifest.json", "stopwords.txt"):
+        for name in ("nb.json", "transformer.bin", "manifest.json", "preprocess.json"):
             shutil.copy(out / name, run / name)
         (run / target).write_bytes(damaged)
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -1374,11 +1425,16 @@ def test_predict_on_damaged_model_or_manifest_exits_0_or_2(served_dir, data):
     assert code in (0, 2)
 
 
-def _quiet_predict(model: Path, texts: Path) -> tuple[int, str, str]:
+def _quiet(argv) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["predict", "--model-file", str(model), "--input", str(texts)])
+        code = main(argv)
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _quiet_predict(model: Path, texts: Path) -> tuple[int, str, str]:
+    return _quiet(["predict", "--model-file", str(model), "--input", str(texts)])
 
 
 @pytest.fixture(scope="module")
@@ -1474,6 +1530,110 @@ def test_mutated_model_file_exits_2_or_serves_as_trained(served_dir, served_outp
         assert code == 0 or (stdout == "" and err.count("\n") == 1)
 
 
+def _files(directory: Path) -> dict:
+    """Each file's name in directory and its bytes; {} if there is none."""
+    return ({path.name: path.read_bytes() for path in directory.iterdir()}
+            if directory.exists() else {})
+
+
+# The commands that read the run directory's JSON documents, at run.
+_READERS = {
+    "train": lambda run: ["train", "--model", "nb", "--out-dir", str(run)],
+    "evaluate nb": lambda run: ["evaluate", "--model-file", str(run / "nb.json")],
+    "evaluate transformer": lambda run: ["evaluate", "--model-file",
+                                         str(run / "transformer.bin")],
+    "report": lambda run: ["report", "--out-dir", str(run)],
+}
+# Each JSON document of a run directory other than a model file, and its readers.
+_DOCUMENTS = {
+    "manifest.json": ("train", "evaluate nb", "evaluate transformer"),
+    "preprocess.json": ("train",),
+    "nb.manifest.json": ("evaluate nb",),
+    "transformer.manifest.json": ("evaluate transformer",),
+    "eval_nb_test.json": ("report",),
+    "eval_transformer_test.json": ("report",),
+}
+# A value of each JSON kind; "\0" stands for the number 1e999.
+_OTHER_VALUES = [True, "0", None, "\0", [], {}]
+
+
+def _kind(value) -> str:
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "bool"
+    if isinstance(value, (int, float)) or value == "\0":
+        return "number"
+    return type(value).__name__
+
+
+@pytest.fixture(scope="module")
+def read_as_written(served_dir, tmp_path_factory):
+    """served_dir with an evaluation of nb.json and of transformer.bin; and
+    for each reader, its stdout (the run directory written as "{run}") and
+    the directory's files once it has run there."""
+    run = shutil.copytree(served_dir[0], tmp_path_factory.mktemp("documents") / "run")
+    for model in ("nb.json", "transformer.bin"):
+        assert _quiet(["evaluate", "--model-file", str(run / model)])[0] == 0
+    results = {}
+    for reader, argv in _READERS.items():
+        copy = shutil.copytree(run, run.parent / reader.replace(" ", "_"))
+        code, stdout, _ = _quiet(argv(copy))
+        assert code == 0 and stdout
+        results[reader] = (stdout.replace(str(copy), "{run}"), _files(copy))
+    return run, results
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_mutated_run_document_exits_2_or_reads_as_written(read_as_written, data):
+    """A JSON document of the run directory with one leaf replaced by a value
+    of another JSON kind, one key dropped or one unknown key added: each
+    command that reads it exits 2 with one error line, no output and nothing
+    written, or prints and writes what it does with the document as
+    written.  A changed preprocess.json runs again with its digest updated
+    in manifest.json, so that the checks behind the digest run too."""
+    run, results = read_as_written
+    name = data.draw(st.sampled_from(sorted(_DOCUMENTS)))
+    reader = data.draw(st.sampled_from(_DOCUMENTS[name]))
+    document = json.loads((run / name).read_text(encoding="utf-8"))
+    paths = list(_json_paths(document))
+    how = data.draw(st.sampled_from(["leaf", "drop", "add"]))
+    if how == "leaf":
+        path = data.draw(st.sampled_from(
+            [p for p, v in paths if p and not (isinstance(v, (dict, list)) and v)]))
+        value = data.draw(st.sampled_from(
+            [v for v in _OTHER_VALUES if _kind(v) != _kind(_at(document, path))]))
+        _at(document, path[:-1])[path[-1]] = value
+    elif how == "drop":
+        path = data.draw(st.sampled_from(
+            [p for p, _ in paths if p and isinstance(_at(document, p[:-1]), dict)]))
+        del _at(document, path[:-1])[path[-1]]
+    else:
+        path = data.draw(st.sampled_from([p for p, v in paths if isinstance(v, dict)]))
+        _at(document, path)["unknown"] = 0
+    mutated = json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True).replace(
+        '"\\u0000"', "1e999").encode("utf-8")
+    variants = [{name: mutated}]
+    if name == "preprocess.json":
+        manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+        manifest["outputs"][name] = hashlib.sha256(mutated).hexdigest()
+        variants.append({name: mutated, "manifest.json": json.dumps(manifest).encode()})
+    for changed in variants:
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = shutil.copytree(run, Path(tmp) / "run")
+            for file, content in changed.items():
+                (copy / file).write_bytes(content)
+            before = _files(copy)
+            code, stdout, err = _quiet(_READERS[reader](copy))
+            after = _files(copy)
+        if code == 0:
+            assert stdout.replace(str(copy), "{run}") == results[reader][0]
+            assert after == {**results[reader][1], **changed}
+        else:
+            assert (code, stdout) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert after == before
+
+
 def test_model_file_with_non_object_header_exit_2(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text("[1, 2]\n", encoding="utf-8")
@@ -1564,6 +1724,64 @@ def test_nul_byte_path_exit_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["prepare", "nb", "svm", "transformer"])
+def test_negative_seed_usage_error(tmp_path, capsys, command):
+    """--seed is an integer >= 0 on every command, as numpy's generator,
+    which seeds the encoder, requires: -1 exits 2 with a usage message and
+    no traceback, and nothing is written."""
+    if command == "prepare":
+        jsonl, map_path = write_inputs(tmp_path)
+        out = tmp_path / "run"
+        argv = ["prepare", "--input", str(jsonl), "--label-map", str(map_path)]
+    else:
+        out = run_prepare(tmp_path, tmp_path / "run")
+        argv = ["train", "--model", command, "--config", TINY_TRANSFORMER_CONFIG]
+    before = _files(out)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.endswith("argument --seed: must be an integer >= 0, got '-1'\n")
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no-label-map", "prepare needs --label-map"),
+    ("all-dropped", "no records survived preprocessing"),
+    ("label-not-a-string", "label map value for 'pos' must be a string"),
+    ("warmup-negative", "config train: warmup_steps and weight_decay must be >= 0"),
+    ("weight-decay-negative", "config train: warmup_steps and weight_decay must be >= 0"),
+])
+def test_refused_input_writes_nothing(tmp_path, capsys, case, message):
+    """Each input below exits 2 with one error line, prints nothing and
+    writes nothing."""
+    jsonl, map_path = write_inputs(tmp_path)
+    out = tmp_path / "run"
+    argv = ["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+            "--out-dir", str(out)]
+    if case == "no-label-map":
+        argv = argv[:3] + argv[5:]
+    elif case == "all-dropped":
+        jsonl.write_text('{"text": "ok", "label": "pos"}\n'
+                         '{"text": "https://x.io #mast", "label": "neg"}\n'
+                         '{"text": "123 :: 45", "label": "neu"}\n', encoding="utf-8")
+    elif case == "label-not-a-string":
+        map_path.write_text(json.dumps({**LABEL_MAP, "pos": 1}), encoding="utf-8")
+    else:
+        run_prepare(tmp_path, out)
+        key = "warmup_steps" if case == "warmup-negative" else "weight_decay"
+        argv = ["train", "--model", "nb", "--out-dir", str(out),
+                "--config", json.dumps({"train": {key: -1}})]
+    before = _files(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert _files(out) == before
 
 
 def test_no_command_usage_error():
