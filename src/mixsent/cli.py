@@ -28,16 +28,12 @@ from . import baselines, modelfile
 from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      class_distribution, load_corpus, load_label_map, merge,
                      save_corpus, split)
-from .encoder_config import EncoderConfig, TrainConfig
 from .errors import (InputError, MixsentError, TrainingError, check_value,
                      decode, open_file, parse_json_object, read_file)
 from .features import fit_term_index, tfidf_transform
-from .metrics import (compare_models, evaluate, format_report, load_report,
-                      per_class_f1_report, round_half_up, save_report)
 from .preprocess import (FillerList, PreprocessConfig, StopWordList, clean_text,
                          parse_emoji_lexicon, parse_word_list, preprocess_corpus,
                          source_file)
-from .tokenizer import train_vocabulary
 
 
 def _lazy_import(name: str):
@@ -64,6 +60,20 @@ def _lazy_import(name: str):
 # imported; once ROADMAP item 2 replaces that patching, a plain import in
 # the commands will do.
 tfm = _lazy_import(__package__ + ".transformer")
+
+
+# metrics and tokenizer are imported by the commands that use them.  These
+# two layers are reached through names of this module, which
+# perfbench/trace_run.py wraps; each command imports the module before the
+# call, so a wrapper times the layer, not the import.
+def evaluate(y_true, y_pred):
+    from . import metrics
+    return metrics.evaluate(y_true, y_pred)
+
+
+def train_vocabulary(texts, target_size):
+    from . import tokenizer
+    return tokenizer.train_vocabulary(texts, target_size)
 
 
 def _sha256(path: Path) -> str:
@@ -104,27 +114,31 @@ def _recorded(cfg, *set_by_code: str) -> dict:
             if f.name not in set_by_code}
 
 
-# Every --config section: key -> default.  --config is checked whole when it
-# is read, so one config file serves every command and model.
-SETTINGS = {
-    "preprocess": {**dict.fromkeys(_PREPROCESS_FILES),
-                   **_defaults(PreprocessConfig, "emoji_lexicon", "stop_words", "fillers")},
-    "split": _defaults(SplitSpec, "seed"),
-    "features": _defaults(fit_term_index, "texts"),
-    "nb": _defaults(baselines.nb_train, "X", "y"),
-    "svm": _defaults(baselines.SvmHyper, "seed"),
-    # The encoder's max_len and vocab_size are set in the tokenizer section.
-    "tokenizer": {key: getattr(EncoderConfig, key) for key in ("max_len", "vocab_size")},
-    "encoder": _defaults(EncoderConfig, "max_len", "vocab_size"),
-    "train": _defaults(TrainConfig, "seed"),
-}
+def _settings() -> dict:
+    """Every --config section: key -> default.  --config is checked whole
+    when it is read, so one config file serves every command and model.
+    Built per call, so that only the commands that read a --config, prepare
+    and train, load encoder_config."""
+    from .encoder_config import EncoderConfig, TrainConfig
+    return {
+        "preprocess": {**dict.fromkeys(_PREPROCESS_FILES),
+                       **_defaults(PreprocessConfig, "emoji_lexicon", "stop_words",
+                                   "fillers")},
+        "split": _defaults(SplitSpec, "seed"),
+        "features": _defaults(fit_term_index, "texts"),
+        "nb": _defaults(baselines.nb_train, "X", "y"),
+        "svm": _defaults(baselines.SvmHyper, "seed"),
+        # The encoder's max_len and vocab_size are set in the tokenizer section.
+        "tokenizer": {key: getattr(EncoderConfig, key) for key in ("max_len", "vocab_size")},
+        "encoder": _defaults(EncoderConfig, "max_len", "vocab_size"),
+        "train": _defaults(TrainConfig, "seed"),
+    }
 
 
-def _section(name: str, given) -> dict:
-    """SETTINGS[name] updated from given: a JSON object with no other keys,
-    each value of its default's kind (an int, a number, true/false or a
-    string; a string or null where the default is None)."""
-    defaults = SETTINGS[name]
+def _section(name: str, defaults: dict, given) -> dict:
+    """Section name's defaults updated from given: a JSON object with no
+    other keys, each value of its default's kind (an int, a number,
+    true/false or a string; a string or null where the default is None)."""
     if not isinstance(given, dict) or not set(given) <= set(defaults):
         raise InputError(f"config section {name!r} must be a JSON object with "
                          f"keys among {sorted(defaults)}")
@@ -135,23 +149,26 @@ def _section(name: str, given) -> dict:
 
 
 def _load_config(arg: str) -> tuple[dict, dict]:
-    """--config as given, and the settings: each section of SETTINGS resolved
+    """--config as given, and the settings: each section of _settings() resolved
     from it and built, once, into the value the library takes, which checks
     its ranges, so a config fails alike for every command.  Commands set only
     the seed and the vocabulary's size, with dataclasses.replace.  Inline
     JSON when arg starts with '{', else a JSON file path; a top-level key
     that is not a section is refused."""
+    from .encoder_config import EncoderConfig, TrainConfig
+    sections = _settings()
     if arg.lstrip().startswith("{"):
         overrides = parse_json_object(arg, "malformed config")
     else:
         overrides = parse_json_object(read_file(arg, "config file"),
                                       f"malformed config {arg}")
-    unknown = sorted(set(overrides) - set(SETTINGS))
+    unknown = sorted(set(overrides) - set(sections))
     if unknown:
         raise InputError(f"config sections {unknown} unknown; "
-                         f"the sections are {list(SETTINGS)}")
+                         f"the sections are {list(sections)}")
     # preprocess (whose files only the cleaning commands read), features and nb stay dicts.
-    settings = {name: _section(name, overrides.get(name, {})) for name in SETTINGS}
+    settings = {name: _section(name, defaults, overrides.get(name, {}))
+                for name, defaults in sections.items()}
     svm = settings["svm"]
     builds = [
         ("split", lambda: SplitSpec(**settings["split"])),
@@ -176,10 +193,11 @@ def _load_config(arg: str) -> tuple[dict, dict]:
     return overrides, settings
 
 
-def _preprocess_config(section, source: str) -> PreprocessConfig:
+def _preprocess_config(section, source: str,
+                       lexicon: str = "emoji_lexicon.json") -> PreprocessConfig:
     """The cleaning config of a preprocess section, as preprocess.json and a
     model header hold it: the two flags, and each list's text by its name.
-    Its errors start with source."""
+    Its errors start with source; a malformed lexicon is named lexicon."""
     try:
         if not isinstance(section, dict) or not set(_PREPROCESS_HEADER) <= set(section):
             raise InputError(f"preprocess must be a JSON object with the keys "
@@ -187,8 +205,7 @@ def _preprocess_config(section, source: str) -> PreprocessConfig:
         for key, kind in _PREPROCESS_HEADER.items():
             check_value(f"preprocess.{key}", section[key], kind)
         return PreprocessConfig(
-            emoji_lexicon=parse_emoji_lexicon(section["emoji_lexicon.json"],
-                                              "emoji_lexicon.json"),
+            emoji_lexicon=parse_emoji_lexicon(section["emoji_lexicon.json"], lexicon),
             stop_words=StopWordList(parse_word_list(section["stopwords.txt"])),
             fillers=FillerList(parse_word_list(section["fillers.txt"])),
             keep_hashtag_text=section["keep_hashtag_text"],
@@ -218,6 +235,7 @@ def _prepared(run_dir: Path, digests: dict, name: str) -> tuple[Path, str]:
 
 
 def _distribution_report(dist) -> str:
+    from .metrics import round_half_up
     rows = sorted(LABELS, key=lambda l: (-dist.counts[l], int(l)))
     lines = ["Sentiment Class  Label ID  Tweet Count  Percentage"]
     for label in rows:
@@ -240,7 +258,9 @@ def cmd_prepare(args) -> int:
     preprocess = {key: section[key] for key in ("keep_hashtag_text", "remove_stop_words")}
     for key, name in _PREPROCESS_FILES.items():
         preprocess[name] = read_file(source_file(section[key], name), f"preprocess.{key}")
-    pre_cfg = _preprocess_config(preprocess, "config preprocess")
+    # A malformed lexicon is named by the file read.
+    pre_cfg = _preprocess_config(preprocess, "config preprocess",
+                                 section["emoji_lexicon_file"] or "emoji_lexicon.json")
 
     corpus = reduce(merge, [load_corpus(item, label_map) for item in args.input])
 
@@ -324,6 +344,7 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
     val_path, val_sha256 = _prepared(out_dir, digests, "val.jsonl")
     val_c = load_corpus(val_path, CANONICAL_LABEL_MAP)
     cfg = settings["encoder"]
+    from . import tokenizer  # noqa: F401  (imported before train_vocabulary runs)
     vocab = train_vocabulary(train_c.texts(), cfg.vocab_size)
     cfg = dataclasses.replace(cfg, vocab_size=len(vocab))
     tc = dataclasses.replace(settings["train"], seed=seed)
@@ -430,6 +451,7 @@ def _check_held_out(model_path: Path, kind: str, model_sha256: str, digests: dic
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import format_report, per_class_f1_report, save_report
     model_path = Path(args.model_file)
     kind, predict, _ = _load_model(model_path)
     run_dir = model_path.parent
@@ -487,6 +509,7 @@ def _check_evaluated_model(eval_path: Path, payload: dict) -> None:
 
 
 def cmd_report(args) -> int:
+    from .metrics import compare_models, load_report
     out_dir = Path(args.out_dir)
     eval_paths = sorted(out_dir.glob("eval_*.json"))
     if not eval_paths:

@@ -21,7 +21,7 @@ import mixsent
 from mixsent import baselines, cli, modelfile, preprocess
 from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_predict, nb_train
-from mixsent.cli import SETTINGS, main
+from mixsent.cli import main
 from mixsent.corpus import CANONICAL_LABEL_MAP, SentimentLabel, load_corpus
 from mixsent.errors import TrainingError
 from mixsent.features import fit_term_index, tfidf_transform
@@ -84,7 +84,7 @@ class TestPrepare:
         assert manifest["outputs"] == {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in written}
-        assert manifest["config"]["preprocess"] == SETTINGS["preprocess"]
+        assert manifest["config"]["preprocess"] == cli._settings()["preprocess"]
         # The packaged lists are recorded by their text, as a named one is.
         lists = ("stopwords.txt", "fillers.txt", "emoji_lexicon.json")
         assert json.loads((out / "preprocess.json").read_text(encoding="utf-8")) == {
@@ -1693,6 +1693,22 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, target):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_malformed_emoji_lexicon_named_by_its_file(tmp_path, capsys):
+    """prepare names a malformed lexicon by the file --config named, not by
+    the packaged default's name."""
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text('{"x": ', encoding="utf-8")
+    jsonl, map_path = write_inputs(tmp_path)
+    capsys.readouterr()
+    assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                 "--out-dir", str(tmp_path / "run"), "--config",
+                 json.dumps({"preprocess": {"emoji_lexicon_file": str(lexicon)}})]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        f"error: config preprocess: malformed emoji lexicon {lexicon}: not valid JSON")
+
+
 @pytest.mark.parametrize("command", ["prepare", "train", "evaluate", "predict",
                                      "report"])
 def test_nul_byte_path_exit_2(tmp_path, capsys, command):
@@ -1915,8 +1931,8 @@ def test_readme_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration and file formats")[1].split("\n## ")[0]
     bullets = {bullet.split("`")[0]: bullet for bullet in section.split("\n  - `")[1:]}
-    assert sorted(bullets) == sorted(SETTINGS)
-    missing = [f"{name}.{key}" for name, keys in SETTINGS.items() for key in keys
+    assert sorted(bullets) == sorted(cli._settings())
+    missing = [f"{name}.{key}" for name, keys in cli._settings().items() for key in keys
                if f"`{key}`" not in bullets[name]]
     assert missing == []
 

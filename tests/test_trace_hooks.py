@@ -59,7 +59,8 @@ def test_traced_transformer_train_and_predict_record_layer_spans(tmp_path):
 
 
 def test_traced_baseline_train_and_predict_record_layer_spans(tmp_path):
-    """The MODELS table reaches the baselines through the hooked names."""
+    """The MODELS table reaches the baselines through the hooked names, and
+    evaluate reaches the metrics through `cli.evaluate`."""
     out = run_prepare(tmp_path, tmp_path / "run")
     texts = tmp_path / "texts.txt"
     texts.write_text("mast movie\nbakwas khana\n", encoding="utf-8")
@@ -72,3 +73,6 @@ def test_traced_baseline_train_and_predict_record_layer_spans(tmp_path):
             "predict", "--model-file", str(out / file), "--input", str(texts)])
         assert {"preprocess.clean_text", "features.transform",
                 f"baselines.{model}_predict"} <= predict
+    evaluate = _traced_span_names(tmp_path, "evaluate_nb", [
+        "evaluate", "--model-file", str(out / "nb.json")])
+    assert "metrics.evaluate" in evaluate
