@@ -29,11 +29,10 @@ from .corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, SplitSpec,
                      class_distribution, load_corpus, load_label_map, merge,
                      save_corpus, split)
 from .errors import (InputError, MixsentError, TrainingError, check_value,
-                     decode, open_file, parse_json_object, read_file)
+                     decode, open_file, parse_json_object, read_file, write_file)
 from .features import fit_term_index, tfidf_transform
-from .preprocess import (FillerList, PreprocessConfig, StopWordList, clean_text,
-                         parse_emoji_lexicon, parse_word_list, preprocess_corpus,
-                         source_file)
+from .preprocess import (CLEANING_RECORD, clean_text, cleaning_config,
+                         cleaning_record, preprocess_corpus)
 
 
 def _lazy_import(name: str):
@@ -85,19 +84,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, ensure_ascii=False, indent=2,
-                               sort_keys=True) + "\n", encoding="utf-8")
-
-
-# Each --config key that names a list, and the key under which prepare's
-# preprocess.json and every model header hold that list's text: the name of
-# the packaged default.  predict reads the lists from the model file only.
-_PREPROCESS_FILES = {"emoji_lexicon_file": "emoji_lexicon.json",
-                     "stopwords_file": "stopwords.txt",
-                     "fillers_file": "fillers.txt"}
-# A model header's preprocess section: each key and the kind of its value.
-_PREPROCESS_HEADER = {"keep_hashtag_text": "bool", "remove_stop_words": "bool",
-                      **dict.fromkeys(_PREPROCESS_FILES.values(), "str")}
+    write_file(path, json.dumps(payload, ensure_ascii=False, indent=2,
+                                sort_keys=True) + "\n")
 
 
 def _defaults(source, *set_by_code: str) -> dict:
@@ -121,9 +109,7 @@ def _settings() -> dict:
     and train, load encoder_config."""
     from .encoder_config import EncoderConfig, TrainConfig
     return {
-        "preprocess": {**dict.fromkeys(_PREPROCESS_FILES),
-                       **_defaults(PreprocessConfig, "emoji_lexicon", "stop_words",
-                                   "fillers")},
+        "preprocess": _defaults(cleaning_record),
         "split": _defaults(SplitSpec, "seed"),
         "features": _defaults(fit_term_index, "texts"),
         "nb": _defaults(baselines.nb_train, "X", "y"),
@@ -193,27 +179,6 @@ def _load_config(arg: str) -> tuple[dict, dict]:
     return overrides, settings
 
 
-def _preprocess_config(section, source: str,
-                       lexicon: str = "emoji_lexicon.json") -> PreprocessConfig:
-    """The cleaning config of a preprocess section, as preprocess.json and a
-    model header hold it: the two flags, and each list's text by its name.
-    Its errors start with source; a malformed lexicon is named lexicon."""
-    try:
-        if not isinstance(section, dict) or not set(_PREPROCESS_HEADER) <= set(section):
-            raise InputError(f"preprocess must be a JSON object with the keys "
-                             f"{sorted(_PREPROCESS_HEADER)}")
-        for key, kind in _PREPROCESS_HEADER.items():
-            check_value(f"preprocess.{key}", section[key], kind)
-        return PreprocessConfig(
-            emoji_lexicon=parse_emoji_lexicon(section["emoji_lexicon.json"], lexicon),
-            stop_words=StopWordList(parse_word_list(section["stopwords.txt"])),
-            fillers=FillerList(parse_word_list(section["fillers.txt"])),
-            keep_hashtag_text=section["keep_hashtag_text"],
-            remove_stop_words=section["remove_stop_words"])
-    except InputError as e:
-        raise InputError(f"{source}: {e}") from None
-
-
 def _prepare_manifest(run_dir: Path) -> dict:
     """The outputs map of the manifest 'prepare' wrote in run_dir: the
     digest of each file it wrote there."""
@@ -255,12 +220,9 @@ def cmd_prepare(args) -> int:
     label_map = load_label_map(args.label_map)
     section = settings["preprocess"]
     # The cleaning setup as every model header holds it.
-    preprocess = {key: section[key] for key in ("keep_hashtag_text", "remove_stop_words")}
-    for key, name in _PREPROCESS_FILES.items():
-        preprocess[name] = read_file(source_file(section[key], name), f"preprocess.{key}")
-    # A malformed lexicon is named by the file read.
-    pre_cfg = _preprocess_config(preprocess, "config preprocess",
-                                 section["emoji_lexicon_file"] or "emoji_lexicon.json")
+    preprocess = cleaning_record(**section)
+    pre_cfg = cleaning_config(preprocess, "config preprocess",
+                              section["emoji_lexicon_file"])
 
     corpus = reduce(merge, [load_corpus(item, label_map) for item in args.input])
 
@@ -281,8 +243,7 @@ def cmd_prepare(args) -> int:
     lines: dict[str, str] = {}
     for name, part in corpora.items():
         save_corpus(part, out_dir / f"{name}.jsonl", lines)
-    (out_dir / "distribution.txt").write_text(_distribution_report(dist) + "\n",
-                                              encoding="utf-8")
+    write_file(out_dir / "distribution.txt", _distribution_report(dist) + "\n")
     _write_json(out_dir / "drops.json", drops)
     _write_json(out_dir / "preprocess.json", preprocess)
     written = [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
@@ -402,7 +363,7 @@ def _load_model(path: Path):
     trained with."""
     f = modelfile.read(path)
     predict = MODELS[f.header["kind"]][2](f)
-    pre_cfg = _preprocess_config(f.header.get("preprocess"), f"malformed model file {path}")
+    pre_cfg = cleaning_config(f.header.get("preprocess"), f"malformed model file {path}")
     return f.header["kind"], predict, pre_cfg
 
 
@@ -413,9 +374,9 @@ def cmd_train(args) -> int:
     train_path, train_sha256 = _prepared(out_dir, digests, "train.jsonl")
     path = _prepared(out_dir, digests, "preprocess.json")[0]
     recorded = parse_json_object(read_file(path, "preprocess"), f"malformed {path}")
-    _preprocess_config(recorded, f"malformed {path}")
+    cleaning_config(recorded, f"malformed {path}")
     # Exactly the keys predict reads, so a key added to the file is not read.
-    preprocess = {key: recorded[key] for key in _PREPROCESS_HEADER}
+    preprocess = {key: recorded[key] for key in CLEANING_RECORD}
     train_c = load_corpus(train_path, CANONICAL_LABEL_MAP)
     file, train, _ = MODELS[args.model]
     model_path = out_dir / file
@@ -522,7 +483,7 @@ def cmd_report(args) -> int:
         # transformer_best_test.
         rows.append((path.stem.removeprefix("eval_"), report))
     table, csv_text = compare_models(rows)
-    (out_dir / "comparison.csv").write_text(csv_text, encoding="utf-8")
+    write_file(out_dir / "comparison.csv", csv_text)
     print(table)
     print(f"wrote {out_dir / 'comparison.csv'}")
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
 
-from .errors import InputError, parse_json_object, read_file
+from .errors import InputError, parse_json_object, read_file, write_file
 from .rng import SplitMix64, derive_seed, shuffled
 
 
@@ -295,16 +295,13 @@ def save_corpus(c: Corpus, path: str | Path,
     and each record is JSON-encoded once however many files hold it.
     """
     lines = {} if lines is None else lines
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in c.records:
-            line = lines.get(rec.id)
-            if line is None:
-                row = {"id": rec.id, "text": rec.text, "label": rec.label.name.lower()}
-                if rec.source:
-                    row["source"] = rec.source
-                line = lines[rec.id] = json.dumps(row, ensure_ascii=False) + "\n"
-            fh.write(line)
+    for rec in c.records:
+        if rec.id not in lines:
+            row = {"id": rec.id, "text": rec.text, "label": rec.label.name.lower()}
+            if rec.source:
+                row["source"] = rec.source
+            lines[rec.id] = json.dumps(row, ensure_ascii=False) + "\n"
+    write_file(path, "".join(lines[rec.id] for rec in c.records))
 
 
 CANONICAL_LABEL_MAP = {

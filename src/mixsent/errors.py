@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit, the type checks that turn
 a malformed config value into an InputError, and the one reader of every
-file the toolkit loads, which turns an unreadable or malformed file into an
-InputError as well.
+file the toolkit loads and the one writer of every file it writes, which
+turn an unreadable or malformed file, or a path that cannot be written,
+into an InputError as well.
 
 InputError covers bad files, bad flags, and bad data (CLI exit code 2);
 TrainingError covers runtime failures such as numeric divergence (exit 1).
@@ -90,6 +91,16 @@ def read_file(path, what: str) -> str:
     with open_file(path, what) as fh:
         data = fh.read()
     return decode(data, f"{what} {path}")
+
+
+def write_file(path, data: str | bytes) -> None:
+    """data, a str as UTF-8, as the whole of the file at path.  A path that
+    cannot be written (a directory, say) raises InputError naming it."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def parse_json_object(text: str | bytes, what: str) -> dict:

@@ -14,13 +14,12 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import LABELS, NUM_CLASSES, SentimentLabel
-from .errors import InputError, check_value, parse_json_object, read_file
+from .errors import InputError, check_value, parse_json_object, read_file, write_file
 
 
 def round_half_up(x: float, places: int = 2) -> str:
@@ -175,8 +174,7 @@ def save_report(report: EvalReport, path, extra: dict | None = None) -> None:
     payload = report.to_dict()
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False, indent=2),
-                          encoding="utf-8")
+    write_file(path, json.dumps(payload, ensure_ascii=False, indent=2))
 
 
 def load_report(path) -> tuple[EvalReport, dict]:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, open_file, parse_json_object
+from .errors import InputError, open_file, parse_json_object, write_file
 
 FORMAT_VERSION = 5
 KINDS = ("nb", "svm", "transformer")
@@ -28,7 +28,7 @@ def write(path: str | Path, header: dict, payload: bytes) -> None:
     sets one) and sha256 added, then payload."""
     header = {"format_version": FORMAT_VERSION, **header}
     line = json.dumps({**header, "sha256": _digest(header, payload)}, sort_keys=True)
-    Path(path).write_bytes(line.encode("utf-8") + b"\n" + payload)
+    write_file(path, line.encode("utf-8") + b"\n" + payload)
 
 
 class ModelFile(NamedTuple):

@@ -12,10 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 from .corpus import Corpus, LabeledTweet
-from .errors import InputError, parse_json_object, read_file
+from .errors import InputError, check_value, parse_json_object, read_file
 
 DROP_REASONS = ("no_alpha", "filler", "empty", "duplicate")
 
@@ -76,63 +75,79 @@ class EmojiLexicon:
         object.__setattr__(self, "ascii_key", any(e.isascii() for e in self.mapping))
 
 
-@dataclass(frozen=True)
-class StopWordList:
-    words: frozenset[str]
-
-    def __post_init__(self):
-        for w in self.words:
-            if w != w.lower() or any(ch.isspace() for ch in w):
-                raise InputError(f"stop word must be lowercase without whitespace: {w!r}")
-
-
 REQUIRED_FILLERS = frozenset({"ok", "hmm", "k", "haan"})
 
 
 @dataclass(frozen=True)
-class FillerList:
-    phrases: frozenset[str]
+class PreprocessConfig:
+    """The cleaning setup; cleaning_config builds it from a cleaning record."""
+    emoji_lexicon: EmojiLexicon
+    stop_words: frozenset[str]
+    fillers: frozenset[str]
+    keep_hashtag_text: bool
+    remove_stop_words: bool
 
     def __post_init__(self):
-        missing = REQUIRED_FILLERS - self.phrases
+        for w in self.stop_words:
+            if w != w.lower() or any(ch.isspace() for ch in w):
+                raise InputError(f"stop word must be lowercase without whitespace: {w!r}")
+        missing = REQUIRED_FILLERS - self.fillers
         if missing:
             raise InputError(f"filler list must include {sorted(missing)}")
-        for p in self.phrases:
+        for p in self.fillers:
             if p != p.lower():
                 raise InputError(f"filler phrase must be lowercase: {p!r}")
 
 
-def source_file(path: str | Path | None, default_name: str):
-    """path, or the packaged data file default_name when path is empty."""
-    return path or resources.files("mixsent") / "data" / default_name
+# The cleaning record, which prepare writes as preprocess.json, train copies
+# into every model header and predict reads from there: each key and the
+# kind of its value.  Each list's text is held by its packaged file's name.
+CLEANING_RECORD = {"keep_hashtag_text": "bool", "remove_stop_words": "bool",
+                   "emoji_lexicon.json": "str", "stopwords.txt": "str", "fillers.txt": "str"}
 
 
-def parse_emoji_lexicon(text: str, source) -> EmojiLexicon:
-    """The JSON object of emoji string -> affect token in text, read from source."""
-    return EmojiLexicon(parse_json_object(text, f"malformed emoji lexicon {source}"))
+def cleaning_record(emoji_lexicon_file: str | None = None, stopwords_file: str | None = None,
+                    fillers_file: str | None = None, keep_hashtag_text: bool = False,
+                    remove_stop_words: bool = True) -> dict:
+    """The cleaning record of the --config preprocess section: the two flags,
+    and the text of each named list file, or of the packaged list (the
+    lexicon ships ~45 entries) where none is named."""
+    files = {"emoji_lexicon.json": ("emoji_lexicon_file", emoji_lexicon_file),
+             "stopwords.txt": ("stopwords_file", stopwords_file),
+             "fillers.txt": ("fillers_file", fillers_file)}
+    return {"keep_hashtag_text": keep_hashtag_text, "remove_stop_words": remove_stop_words,
+            **{name: read_file(path or resources.files("mixsent") / "data" / name,
+                               f"preprocess.{key}")
+               for name, (key, path) in files.items()}}
+
+
+def cleaning_config(record, source: str, lexicon: str | None = None) -> PreprocessConfig:
+    """The cleaning config of a cleaning record, as preprocess.json and a
+    model header hold it.  Its errors start with source; a malformed lexicon
+    is named lexicon, the file it was read from (by default the packaged
+    one)."""
+    try:
+        if not isinstance(record, dict) or not set(CLEANING_RECORD) <= set(record):
+            raise InputError(f"preprocess must be a JSON object with the keys "
+                             f"{sorted(CLEANING_RECORD)}")
+        for key, kind in CLEANING_RECORD.items():
+            check_value(f"preprocess.{key}", record[key], kind)
+        return PreprocessConfig(
+            emoji_lexicon=EmojiLexicon(parse_json_object(
+                record["emoji_lexicon.json"],
+                f"malformed emoji lexicon {lexicon or 'emoji_lexicon.json'}")),
+            stop_words=parse_word_list(record["stopwords.txt"]),
+            fillers=parse_word_list(record["fillers.txt"]),
+            keep_hashtag_text=record["keep_hashtag_text"],
+            remove_stop_words=record["remove_stop_words"])
+    except InputError as e:
+        raise InputError(f"{source}: {e}") from None
 
 
 def parse_word_list(text: str) -> frozenset[str]:
     """One entry per line; blank lines and '#'-prefixed comments ignored."""
     lines = (line.strip() for line in text.splitlines())
     return frozenset(line for line in lines if line and not line.startswith("#"))
-
-
-def _packaged(name: str) -> str:
-    return read_file(source_file(None, name), name)
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    # By default the packaged lists; the lexicon ships ~45 entries.
-    emoji_lexicon: EmojiLexicon = field(default_factory=lambda: parse_emoji_lexicon(
-        _packaged("emoji_lexicon.json"), "emoji_lexicon.json"))
-    stop_words: StopWordList = field(
-        default_factory=lambda: StopWordList(parse_word_list(_packaged("stopwords.txt"))))
-    fillers: FillerList = field(
-        default_factory=lambda: FillerList(parse_word_list(_packaged("fillers.txt"))))
-    keep_hashtag_text: bool = False
-    remove_stop_words: bool = True
 
 
 def normalize_text(text: str, keep_hashtag_text: bool = False) -> str:
@@ -163,7 +178,7 @@ def normalize_case_and_stopwords(text: str, cfg: PreprocessConfig) -> str:
     """Lowercase; drop stop-word tokens when the config asks for it."""
     tokens = text.lower().split()
     if cfg.remove_stop_words:
-        tokens = [t for t in tokens if t not in cfg.stop_words.words]
+        tokens = [t for t in tokens if t not in cfg.stop_words]
     return " ".join(tokens)
 
 
@@ -174,15 +189,13 @@ def clean_text(text: str, cfg: PreprocessConfig) -> str:
     return normalize_case_and_stopwords(t, cfg)
 
 
-def preprocess_corpus(c: Corpus, cfg: PreprocessConfig | None = None
-                      ) -> tuple[Corpus, dict[str, int]]:
+def preprocess_corpus(c: Corpus, cfg: PreprocessConfig) -> tuple[Corpus, dict[str, int]]:
     """Clean every record; drop noise and duplicates.
 
     Returns the cleaned corpus and drop counts keyed by reason
     (no_alpha, filler, empty, duplicate); each dropped record counts
     under exactly one reason.
     """
-    cfg = cfg or PreprocessConfig()
     drops = {reason: 0 for reason in DROP_REASONS}
     kept: list[LabeledTweet] = []
     seen: set[str] = set()
@@ -192,7 +205,7 @@ def preprocess_corpus(c: Corpus, cfg: PreprocessConfig | None = None
             drops["empty"] += 1
         elif not any(ch.isalpha() for ch in text):
             drops["no_alpha"] += 1
-        elif text in cfg.fillers.phrases:
+        elif text in cfg.fillers:
             drops["filler"] += 1
         elif text in seen:
             drops["duplicate"] += 1

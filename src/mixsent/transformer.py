@@ -262,11 +262,8 @@ def _uniform_rows(rng, lengths: np.ndarray, d: int, max_len: int) -> np.ndarray:
     """rng.random((B, max_len, d)) at each row's first lengths[b] positions,
     stacked as [T, d]: PCG64 spends one output per double, so advancing the
     generator past a row's other max_len - lengths[b] positions leaves the
-    stream where the full draw would.  With no row short one draw is
-    faster."""
+    stream where the full draw would."""
     lengths = lengths.tolist()
-    if min(lengths) == max_len:
-        return rng.random((len(lengths) * max_len, d))
     u = np.empty((sum(lengths), d))
     start, advance = 0, rng.bit_generator.advance
     for n in lengths:

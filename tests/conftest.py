@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -10,6 +11,7 @@ from mixsent import modelfile
 from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
 from mixsent.errors import InputError
 from mixsent.features import FeatureMatrix
+from mixsent.preprocess import PreprocessConfig, cleaning_config, cleaning_record
 from mixsent.tokenizer import (CLS_ID, CONTINUATION_PREFIX, PAD_ID, SEP_ID,
                                Vocabulary)
 
@@ -28,6 +30,12 @@ def make_corpus(labels, text_fn=None):
         LabeledTweet(id=str(i), text=text_fn(i, label), label=SentimentLabel(label))
         for i, label in enumerate(labels)
     ])
+
+
+def packaged_config(**changes) -> PreprocessConfig:
+    """The cleaning config of a default prepare, which reads the packaged
+    lists, with the given fields changed."""
+    return dataclasses.replace(cleaning_config(cleaning_record(), "packaged"), **changes)
 
 
 def feature_matrix(rows, num_features=None):

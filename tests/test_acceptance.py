@@ -20,11 +20,11 @@ from mixsent.corpus import (Corpus, LabeledTweet, SentimentLabel, SplitSpec,
                             split)
 from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
-from mixsent.preprocess import PreprocessConfig, preprocess_corpus
+from mixsent.preprocess import preprocess_corpus
 from mixsent.tokenizer import (Vocabulary, encode,
                                train_vocabulary)
 
-from conftest import DATA_DIR, decode, feature_matrix
+from conftest import DATA_DIR, decode, feature_matrix, packaged_config
 
 
 @contextlib.contextmanager
@@ -105,7 +105,7 @@ def test_criterion_04_preprocessing_goldens():
         golden = json.loads((DATA_DIR / "preprocess_golden.json").read_text(
             encoding="utf-8"))
         assert len(golden) == 20
-        cfg = PreprocessConfig()
+        cfg = packaged_config()
         for case in golden:
             corpus = Corpus([LabeledTweet("0", case["input"], SentimentLabel.NEUTRAL)])
             clean, drops = preprocess_corpus(corpus, cfg)

@@ -26,9 +26,9 @@ from mixsent.corpus import CANONICAL_LABEL_MAP, SentimentLabel, load_corpus
 from mixsent.errors import TrainingError
 from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate
-from mixsent.preprocess import PreprocessConfig, clean_text
+from mixsent.preprocess import clean_text, cleaning_record
 
-from conftest import read_model_file, rewrite_model_file
+from conftest import packaged_config, read_model_file, rewrite_model_file
 
 LABEL_MAP = {"neg": "negative", "neu": "neutral", "pos": "positive"}
 
@@ -92,6 +92,13 @@ class TestPrepare:
             **{name: (resources.files("mixsent") / "data" / name).read_bytes()
                .decode("utf-8") for name in lists}}
         assert "Sentiment Class" in capsys.readouterr().out
+
+    def test_default_record_is_the_cleaning_record(self, tmp_path):
+        """A default prepare writes as preprocess.json the cleaning record
+        of a preprocess section that sets nothing."""
+        out = run_prepare(tmp_path, tmp_path / "run")
+        assert json.loads((out / "preprocess.json").read_text(encoding="utf-8")) == (
+            cleaning_record())
 
     def test_same_named_inputs_both_recorded(self, tmp_path):
         """Inputs are recorded in --input order, one entry each, also when
@@ -1054,7 +1061,7 @@ class TestServedAsPrepared:
         assert [line.split("\t")[0] for line in lines] == ["negative", "positive"]
 
         model, idx = load_baseline(modelfile.read(out / "nb.json"))
-        cleaned = [clean_text(t, PreprocessConfig(keep_hashtag_text=True)) for t in texts]
+        cleaned = [clean_text(t, packaged_config(keep_hashtag_text=True)) for t in texts]
         labels, log_posterior = nb_predict(model, tfidf_transform(cleaned, idx))
         assert lines == [f"{label.name.lower()}\t" + " ".join(f"{v:.6f}" for v in row)
                          for label, row in zip(labels, np.exp(log_posterior))]
@@ -1113,7 +1120,7 @@ class TestServedAsPrepared:
             (resources.files("mixsent") / "data" / "fillers.txt").read_bytes())
         monkeypatch.setattr(preprocess, "resources",
                             types.SimpleNamespace(files=lambda _: package))
-        assert PreprocessConfig().stop_words.words == {"mast", "bakwas"}
+        assert packaged_config().stop_words == {"mast", "bakwas"}
         assert self.predict(out / "nb.json", texts, tmp_path, capsys) == (0, before)
 
         path = out / "preprocess.json"
@@ -1528,6 +1535,29 @@ def test_mutated_model_file_exits_2_or_serves_as_trained(served_dir, served_outp
         code, stdout, err = _quiet_predict(model, texts)
         assert code in (0, 2) if how in ("leaf", "drop", "add") else code == 2
         assert code == 0 or (stdout == "" and err.count("\n") == 1)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("prepare", "train.jsonl"), ("train", "nb.json"),
+    ("evaluate", "eval_nb_test.json"), ("report", "comparison.csv")])
+def test_failed_write_exit_2(tmp_path, capsys, command, name):
+    """An output that cannot be written (a directory stands where it goes)
+    exits 2 with one error line naming it, not a traceback."""
+    run = run_prepare(tmp_path, tmp_path / "run")
+    assert main(["train", "--model", "nb", "--out-dir", str(run)]) == 0
+    assert main(["evaluate", "--model-file", str(run / "nb.json")]) == 0
+    argv = {"prepare": ["prepare", "--input", str(tmp_path / "tweets.jsonl"),
+                        "--label-map", str(tmp_path / "labels.json"),
+                        "--out-dir", str(run)],
+            "train": ["train", "--model", "nb", "--out-dir", str(run)],
+            "evaluate": ["evaluate", "--model-file", str(run / "nb.json")],
+            "report": ["report", "--out-dir", str(run)]}[command]
+    path = run / name
+    path.unlink(missing_ok=True)
+    path.mkdir()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: Is a directory\n"
 
 
 def _files(directory: Path) -> dict:

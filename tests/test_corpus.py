@@ -12,7 +12,7 @@ from mixsent.errors import InputError
 from mixsent.metrics import round_half_up
 from mixsent.preprocess import preprocess_corpus
 
-from conftest import make_corpus
+from conftest import make_corpus, packaged_config
 
 FULL_MAP = {"Negative": SentimentLabel.NEGATIVE, "Neutral": SentimentLabel.NEUTRAL,
             "Positive": SentimentLabel.POSITIVE}
@@ -158,14 +158,14 @@ class TestDedup:
 
     def test_exact_duplicates_removed_first_kept(self):
         c = make_corpus([0, 0, 1], text_fn=lambda i, l: ["good", "good", "bad"][i])
-        out, drops = preprocess_corpus(c)
+        out, drops = preprocess_corpus(c, packaged_config())
         assert [r.text for r in out.records] == ["good", "bad"]
         assert out.records[0].id == "0"
         assert drops["duplicate"] == 1
 
     def test_all_unique_unchanged(self):
         c = make_corpus([0, 1, 2], text_fn=lambda i, l: f"movie {i}")
-        out, drops = preprocess_corpus(c)
+        out, drops = preprocess_corpus(c, packaged_config())
         assert out.records == c.records
         assert drops["duplicate"] == 0
 
@@ -174,8 +174,9 @@ class TestDedup:
     def test_idempotent(self, texts):
         c = Corpus([LabeledTweet(str(i), t, SentimentLabel.NEUTRAL)
                     for i, t in enumerate(texts)])
-        once, _ = preprocess_corpus(c)
-        twice, drops = preprocess_corpus(once)
+        cfg = packaged_config()
+        once, _ = preprocess_corpus(c, cfg)
+        twice, drops = preprocess_corpus(once, cfg)
         assert once.records == twice.records
         assert drops["duplicate"] == 0
         assert len({r.text for r in once.records}) == len(once)

@@ -16,11 +16,10 @@ from mixsent.baselines import (SvmHyper, load_baseline, nb_train, save_baseline,
                                svm_train)
 from mixsent.corpus import (CANONICAL_LABEL_MAP, SentimentLabel, load_corpus,
                             load_label_map, save_corpus)
-from mixsent.errors import InputError, read_file
+from mixsent.errors import InputError
 from mixsent.features import fit_term_index
 from mixsent.metrics import evaluate, load_report, save_report
-from mixsent.preprocess import (FillerList, StopWordList, parse_emoji_lexicon,
-                                parse_word_list)
+from mixsent.preprocess import cleaning_config, cleaning_record
 from mixsent.tokenizer import Vocabulary
 from mixsent.transformer import (EncoderConfig, init_params, load_transformer,
                                  save_transformer)
@@ -61,14 +60,20 @@ def _write_samples(d: Path) -> dict[str, Path]:
     return paths
 
 
+def _cleaning(option: str):
+    """A loader of the list file that the preprocess option names: the
+    cleaning config of a prepare whose --config names it."""
+    return lambda p: cleaning_config(cleaning_record(**{option: p}), "config preprocess", p)
+
+
 # sample file -> its loader
 LOADERS = {
     "corpus.jsonl": lambda p: load_corpus(p, CANONICAL_LABEL_MAP),
     "corpus.csv": lambda p: load_corpus(p, CANONICAL_LABEL_MAP),
     "labels.json": load_label_map,
-    "emoji.json": lambda p: parse_emoji_lexicon(read_file(p, "emoji lexicon"), p),
-    "stop.txt": lambda p: StopWordList(parse_word_list(read_file(p, "word list"))),
-    "fillers.txt": lambda p: FillerList(parse_word_list(read_file(p, "word list"))),
+    "emoji.json": _cleaning("emoji_lexicon_file"),
+    "stop.txt": _cleaning("stopwords_file"),
+    "fillers.txt": _cleaning("fillers_file"),
     "report.json": load_report,
     "nb.json": lambda p: load_baseline(modelfile.read(p)),
     "svm.json": lambda p: load_baseline(modelfile.read(p)),
@@ -127,7 +132,7 @@ DEEP = b"[" * 100_000
                          ids=["nested-100000", "utf16-bom"])
 def test_deep_nesting_and_non_utf8_rejected(name, content):
     if name == "stop.txt" and content == DEEP:
-        assert _load(name, content).words == {DEEP.decode()}   # one odd word
+        assert _load(name, content).stop_words == {DEEP.decode()}   # one odd word
         return
     with pytest.raises(InputError):
         _load(name, content)

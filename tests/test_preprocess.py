@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -6,13 +7,13 @@ from hypothesis import strategies as st
 
 from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
 from mixsent.errors import InputError
-from mixsent.preprocess import (DROP_REASONS, EmojiLexicon, FillerList,
-                                PreprocessConfig, StopWordList, clean_text,
+from mixsent.preprocess import (DROP_REASONS, EmojiLexicon, clean_text,
                                 normalize_case_and_stopwords, normalize_text,
                                 preprocess_corpus, replace_emojis)
+from conftest import packaged_config
 from preprocess_reference import clean_text_reference, normalize_text_reference
 
-CFG = PreprocessConfig()
+CFG = packaged_config()
 # The packaged lexicon plus an all-ASCII key, which turns off the ASCII
 # fast path of replace_emojis.
 SMILEY = EmojiLexicon({**CFG.emoji_lexicon.mapping, ":)": "smile"})
@@ -84,7 +85,7 @@ class TestReplaceEmojis:
         assert replace_emojis("movie :) mast", SMILEY) == "movie smile mast"
         assert replace_emojis("mast:)", SMILEY) == "mast smile"
         assert replace_emojis("movie :) mast", CFG.emoji_lexicon) == "movie :) mast"
-        cfg = PreprocessConfig(emoji_lexicon=SMILEY)
+        cfg = packaged_config(emoji_lexicon=SMILEY)
         assert clean_text("Movie :) MAST", cfg) == "movie smile mast"
 
     def test_lexicon_validation(self):
@@ -98,7 +99,7 @@ class TestReplaceEmojis:
             EmojiLexicon({"": "sad"})
 
     def test_default_lexicon_has_normative_entries(self):
-        lex = PreprocessConfig().emoji_lexicon
+        lex = packaged_config().emoji_lexicon
         assert lex.mapping["😞"] == "sad"
         assert lex.mapping["❤️"] == "love"
         assert lex.mapping["😂"] == "laugh"
@@ -106,22 +107,22 @@ class TestReplaceEmojis:
 
 class TestCaseAndStopwords:
     def test_lowercase_and_drop(self):
-        cfg = PreprocessConfig(stop_words=StopWordList(frozenset({"the", "is"})))
+        cfg = packaged_config(stop_words=frozenset({"the", "is"}))
         assert normalize_case_and_stopwords("The Movie IS good", cfg) == "movie good"
 
     def test_empty(self):
         assert normalize_case_and_stopwords("", CFG) == ""
 
     def test_flag_disables_removal(self):
-        cfg = PreprocessConfig(remove_stop_words=False)
+        cfg = packaged_config(remove_stop_words=False)
         assert normalize_case_and_stopwords("The Movie IS good", cfg) == \
             "the movie is good"
 
     def test_stop_word_list_validation(self):
         with pytest.raises(InputError):
-            StopWordList(frozenset({"The"}))
+            packaged_config(stop_words=frozenset({"The"}))
         with pytest.raises(InputError):
-            StopWordList(frozenset({"a b"}))
+            packaged_config(stop_words=frozenset({"a b"}))
 
 
 class TestIsNoise:
@@ -143,7 +144,7 @@ class TestIsNoise:
 
     def test_filler_list_requires_minimum(self):
         with pytest.raises(InputError, match="haan"):
-            FillerList(frozenset({"ok", "hmm", "k"}))
+            packaged_config(fillers=frozenset({"ok", "hmm", "k"}))
 
 
 class TestPreprocessCorpus:
@@ -222,7 +223,7 @@ _PIECES = _ASCII_PIECES + ["😂", "❤️", "❤", "😞", "🦖", "⚽", "\u20
 @given(text=st.sampled_from([_ASCII_PIECES, _PIECES]).flatmap(
            lambda pieces: st.lists(st.sampled_from(pieces), max_size=10)).map("".join))
 def test_clean_text_matches_every_pass_reference(keep, lex, text):
-    cfg = PreprocessConfig(emoji_lexicon=lex, keep_hashtag_text=keep)
+    cfg = dataclasses.replace(CFG, emoji_lexicon=lex, keep_hashtag_text=keep)
     assert clean_text(text, cfg) == clean_text_reference(text, cfg)
 
 
