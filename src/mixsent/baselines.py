@@ -180,11 +180,11 @@ def svm_predict(m: LinearModel, X: FeatureMatrix
 
 
 def save_baseline(model: LinearModel, idx: TermIndex, path: str | Path,
-                  preprocess: dict) -> None:
+                  run: dict) -> None:
     """The model file: a header holding the kind, the term index that numbers
-    the features and the preprocess section (see cli), then weights [C, T]
-    and bias [C] as little-endian float64."""
-    modelfile.write(path, {"kind": model.kind, "preprocess": preprocess,
+    the features and the run keys (see cli), then weights [C, T] and bias [C]
+    as little-endian float64."""
+    modelfile.write(path, {"kind": model.kind, **run,
                            "term_index": {"terms": list(idx.terms),
                                           "df": list(idx.document_frequency),
                                           "num_docs": idx.num_docs}},

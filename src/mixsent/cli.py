@@ -239,6 +239,13 @@ def cmd_prepare(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:     # a file at out_dir or above it, say
         raise InputError(f"cannot make --out-dir {out_dir}: {e.strerror or e}") from None
+    # Gone before the first output, so a prepare that fails part way leaves
+    # a run that train and evaluate refuse as unprepared.
+    manifest_path = out_dir / "manifest.json"
+    try:
+        manifest_path.unlink(missing_ok=True)
+    except OSError as e:     # a directory at manifest.json, say
+        raise InputError(f"cannot write {manifest_path}: {e.strerror or e}") from None
     corpora = {"clean": clean, "train": train_c, "val": val_c, "test": test_c}
     lines: dict[str, str] = {}
     for name, part in corpora.items():
@@ -248,7 +255,7 @@ def cmd_prepare(args) -> int:
     _write_json(out_dir / "preprocess.json", preprocess)
     written = [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
                "drops.json", "preprocess.json"]
-    _write_json(out_dir / "manifest.json", {
+    _write_json(manifest_path, {
         "pipeline_version": __version__,
         "command": "prepare",
         "inputs": [{"file": Path(p).name, "sha256": _sha256(Path(p))} for p in args.input],
@@ -280,13 +287,13 @@ def _fit_svm(X, labels, settings: dict, seed: int):
 
 
 def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int,
-                    digests: dict, preprocess: dict):
+                    digests: dict, run: dict):
     idx = fit_term_index(train_c.texts(), **settings["features"])
     model, config = fit(tfidf_transform(train_c.texts(), idx), train_c.labels(),
                         settings, seed)
     # Written once the fit has returned: a failed train keeps the old run.
-    baselines.save_baseline(model, idx, model_path, preprocess)
-    return {}, {**config, **settings["features"]}, []
+    baselines.save_baseline(model, idx, model_path, run)
+    return {}, {**config, **settings["features"]}
 
 
 def _nb_scores(model, X):
@@ -300,7 +307,7 @@ def _load_baseline(scores, f: modelfile.ModelFile):
 
 
 def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: int,
-                       digests: dict, preprocess: dict):
+                       digests: dict, run: dict):
     out_dir = model_path.parent
     val_path, val_sha256 = _prepared(out_dir, digests, "val.jsonl")
     val_c = load_corpus(val_path, CANONICAL_LABEL_MAP)
@@ -313,9 +320,9 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
     result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                        val_c.labels(), vocab, cfg, tc)
     # Written once training has returned: a failed train keeps the old run.
-    tfm.save_transformer(model_path, result.final_params, cfg, vocab, preprocess)
+    tfm.save_transformer(model_path, result.final_params, cfg, vocab, run)
     tfm.save_transformer(out_dir / "transformer_best.bin", result.best_params,
-                         cfg, vocab, preprocess)
+                         cfg, vocab, run)
     _write_json(out_dir / "training_log.json",
                 {"epochs": result.log, "best_epoch": result.best_epoch})
     for entry in result.log:
@@ -324,8 +331,7 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
             line += f" val_weighted_f1 {entry['val_weighted_f1']:.4f}"
         print(line)
     return ({"val.jsonl": val_sha256},
-            {"encoder": dataclasses.asdict(cfg), "train": dataclasses.asdict(tc)},
-            ["transformer_best.bin", "training_log.json"])
+            {"encoder": dataclasses.asdict(cfg), "train": dataclasses.asdict(tc)})
 
 
 def _load_transformer(f: modelfile.ModelFile):
@@ -343,9 +349,9 @@ def _load_transformer(f: modelfile.ModelFile):
 
 
 # kind -> (artifact file, train, load).  train(model_path, train_corpus, settings,
-# seed, digests, preprocess) writes the artifact, reading any other split by
-# _prepared, and returns the train manifest's other inputs, config and other
-# outputs; load(model_file) returns texts -> (labels, [N, 3] scores).  Entries
+# seed, digests, run) writes the artifact, its header holding run, reading any
+# other split by _prepared, and returns the train manifest's other inputs and
+# config; load(model_file) returns texts -> (labels, [N, 3] scores).  Entries
 # reach the library through module attributes and this module's globals at
 # call time, so wrappers set on those names see calls.
 MODELS = {
@@ -358,13 +364,13 @@ MODELS = {
 
 
 def _load_model(path: Path):
-    """(kind, texts -> (labels, scores), cleaning config) for a model file: the
-    MODELS entry its header's kind names, and the preprocessing it was
-    trained with."""
+    """(model file, texts -> (labels, scores), cleaning config) for a model
+    file: the MODELS entry its header's kind names, and the preprocessing it
+    was trained with."""
     f = modelfile.read(path)
     predict = MODELS[f.header["kind"]][2](f)
     pre_cfg = cleaning_config(f.header.get("preprocess"), f"malformed model file {path}")
-    return f.header["kind"], predict, pre_cfg
+    return f, predict, pre_cfg
 
 
 def cmd_train(args) -> int:
@@ -375,50 +381,33 @@ def cmd_train(args) -> int:
     path = _prepared(out_dir, digests, "preprocess.json")[0]
     recorded = parse_json_object(read_file(path, "preprocess"), f"malformed {path}")
     cleaning_config(recorded, f"malformed {path}")
-    # Exactly the keys predict reads, so a key added to the file is not read.
-    preprocess = {key: recorded[key] for key in CLEANING_RECORD}
+    # Each model header's run keys: exactly the cleaning keys predict reads (a
+    # key added to the file is not read), and the train.jsonl evaluate checks.
+    run = {"preprocess": {key: recorded[key] for key in CLEANING_RECORD},
+           "train_sha256": train_sha256}
     train_c = load_corpus(train_path, CANONICAL_LABEL_MAP)
     file, train, _ = MODELS[args.model]
     model_path = out_dir / file
-    inputs, config, outputs = train(model_path, train_c, settings, args.seed, digests,
-                                    preprocess)
+    inputs, config = train(model_path, train_c, settings, args.seed, digests, run)
     _write_json(out_dir / f"{args.model}.manifest.json", {
         "pipeline_version": __version__, "command": "train", "model": args.model,
         "inputs": {"train.jsonl": train_sha256, **inputs},
-        "config": config, "seed": args.seed,
-        # evaluate scores only a model file listed here with its digest.
-        "outputs": {name: _sha256(out_dir / name) for name in [file, *outputs]}})
+        "config": config, "seed": args.seed})
     print(f"wrote {model_path}")
     return 0
-
-
-def _check_held_out(model_path: Path, kind: str, model_sha256: str, digests: dict) -> None:
-    """Refuse a model file unless its train manifest lists it with the digest
-    model_sha256 (not a copy, nor changed since) and records the train.jsonl
-    that digests does: after a re-run 'prepare' the other splits may hold
-    the model's training rows."""
-    path = model_path.parent / f"{kind}.manifest.json"
-    manifest = parse_json_object(read_file(path, "train manifest"),
-                                 f"malformed manifest {path}")
-    outputs, inputs = manifest.get("outputs"), manifest.get("inputs")
-    if not isinstance(outputs, dict) or outputs.get(model_path.name) != model_sha256:
-        raise InputError(f"{path} does not list {model_path.name} with its digest "
-                         f"(copied or changed since?); evaluate a model file as "
-                         f"'train' wrote it")
-    recorded = inputs.get("train.jsonl") if isinstance(inputs, dict) else None
-    if not isinstance(recorded, str) or recorded != digests.get("train.jsonl"):
-        raise InputError(f"{path} records another train.jsonl than manifest.json "
-                         f"does ('prepare' run since?); train the model again")
 
 
 def cmd_evaluate(args) -> int:
     from .metrics import format_report, per_class_f1_report, save_report
     model_path = Path(args.model_file)
-    kind, predict, _ = _load_model(model_path)
+    f, predict, _ = _load_model(model_path)
     run_dir = model_path.parent
     digests = _prepare_manifest(run_dir)
-    model_sha256 = _sha256(model_path)
-    _check_held_out(model_path, kind, model_sha256, digests)
+    # After a re-run 'prepare' the other splits may hold the model's training rows.
+    trained_on = f.header.get("train_sha256")
+    if not isinstance(trained_on, str) or trained_on != digests.get("train.jsonl"):
+        raise InputError(f"{model_path} was not trained on the train.jsonl that "
+                         f"manifest.json records ('prepare' run since?); train it again")
     split_path, split_sha256 = _prepared(run_dir, digests, f"{args.split}.jsonl")
     split_c = load_corpus(split_path, CANONICAL_LABEL_MAP)
     report = evaluate(split_c.labels(), predict(split_c.texts())[0])
@@ -426,10 +415,10 @@ def cmd_evaluate(args) -> int:
     # early cannot cost the evaluation file.
     out_path = run_dir / f"eval_{model_path.stem}_{args.split}.json"
     save_report(report, out_path,
-                extra={"model": kind, "split": args.split,
+                extra={"model": f.header["kind"], "split": args.split,
                        "manifest": {"pipeline_version": __version__,
                                     "model_file": model_path.name,
-                                    "model_sha256": model_sha256,
+                                    "model_sha256": f.sha256,
                                     "split_sha256": split_sha256}})
 
     print(format_report(report))
@@ -456,17 +445,23 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _check_evaluated_model(eval_path: Path, payload: dict) -> None:
-    """Refuse an evaluation whose model file, beside it, is gone or no longer
-    holds the bytes that were evaluated (the model was trained again)."""
+def _check_evaluation(eval_path: Path, payload: dict) -> None:
+    """Refuse an evaluation whose model file, beside it, is gone or trained
+    again since, or whose split is not the one manifest.json beside it now
+    records ('prepare' was run again)."""
     manifest = payload.get("manifest")
     name = manifest.get("model_file") if isinstance(manifest, dict) else None
     if not isinstance(name, str):
         raise InputError(f"{eval_path} names no model file; evaluate the model again")
     model_path = eval_path.parent / name
-    if not model_path.is_file() or _sha256(model_path) != manifest.get("model_sha256"):
+    if (not model_path.is_file()
+            or modelfile.read(model_path).sha256 != manifest.get("model_sha256")):
         raise InputError(f"{eval_path} is not an evaluation of {model_path} as it is "
                          f"now (missing or changed since); evaluate the model again")
+    split, digest = f"{payload.get('split')}.jsonl", manifest.get("split_sha256")
+    if not isinstance(digest, str) or digest != _prepare_manifest(eval_path.parent).get(split):
+        raise InputError(f"{eval_path} is not an evaluation of {split} as it is now "
+                         f"('prepare' run since?); train and evaluate the model again")
 
 
 def cmd_report(args) -> int:
@@ -478,7 +473,7 @@ def cmd_report(args) -> int:
     rows = []
     for path in eval_paths:
         report, payload = load_report(path)
-        _check_evaluated_model(path, payload)
+        _check_evaluation(path, payload)
         # A row is named by its file: eval_transformer_best_test.json is
         # transformer_best_test.
         rows.append((path.stem.removeprefix("eval_"), report))

@@ -32,10 +32,12 @@ def write(path: str | Path, header: dict, payload: bytes) -> None:
 
 
 class ModelFile(NamedTuple):
-    """A model file as read checked it: its header, less sha256, and payload."""
+    """A model file as read checked it: its header less sha256, its payload,
+    and that sha256, which names its contents."""
     path: Path
     header: dict
     payload: bytes
+    sha256: str
 
     def values(self, dtype: str, count: int, what: str) -> np.ndarray:
         """The payload as count finite values of dtype; what names them."""
@@ -64,7 +66,8 @@ def read(path: str | Path) -> ModelFile:
     if kind not in KINDS:
         raise InputError(f"{path} is not a recognized model file: kind {kind!r} "
                          f"is not one of {list(KINDS)}")
-    if header.pop("sha256", None) != _digest(header, payload):
+    digest = header.pop("sha256", None)
+    if digest != _digest(header, payload):
         raise InputError(f"malformed model file {path}: sha256 does not match its "
                          f"contents (file truncated, damaged or edited?)")
-    return ModelFile(Path(path), header, payload)
+    return ModelFile(Path(path), header, payload, digest)

@@ -747,12 +747,12 @@ def _predict_rows(params: np.ndarray, cfg: EncoderConfig, rows: list[list[int]]
 # --- serialization ---------------------------------------------------------
 
 def save_transformer(path: str | Path, params: np.ndarray, cfg: EncoderConfig,
-                     vocab: Vocabulary, preprocess: dict) -> None:
+                     vocab: Vocabulary, run: dict) -> None:
     """The model file: a header holding the encoder config, the vocabulary's
-    tokens in id order and the preprocess section (see cli), then params as
+    tokens in id order and the run keys (see cli), then params as
     little-endian float32 in _param_specs order."""
     modelfile.write(path, {"kind": "transformer", "encoder_config": asdict(cfg),
-                           "vocab": list(vocab.tokens), "preprocess": preprocess},
+                           "vocab": list(vocab.tokens), **run},
                     params.astype("<f4").tobytes())
 
 

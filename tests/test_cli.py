@@ -263,9 +263,14 @@ class TestTrain:
         assert (out / "transformer_best.bin").exists()
         # The vocabulary is in the model files' headers.
         assert not (out / "vocab.txt").exists()
-        assert manifest["outputs"] == {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("transformer.bin", "transformer_best.bin", "training_log.json")}
+        # The train manifest records what the run read; each model file's
+        # header holds the train.jsonl it was trained on.
+        assert set(manifest) == {"pipeline_version", "command", "model", "inputs",
+                                 "config", "seed"}
+        assert set(manifest["inputs"]) == {"train.jsonl", "val.jsonl"}
+        for name in ("transformer.bin", "transformer_best.bin"):
+            header = modelfile.read(out / name).header
+            assert header["train_sha256"] == manifest["inputs"]["train.jsonl"]
 
     def test_out_of_memory_exit_1_without_traceback(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -548,9 +553,53 @@ class TestEvaluateAndReport:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
         assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 2
-        assert (f"{out / 'nb.manifest.json'} records another train.jsonl than "
-                "manifest.json does" in capsys.readouterr().err)
+        assert (f"{out / 'nb.json'} was not trained on the train.jsonl that "
+                "manifest.json records" in capsys.readouterr().err)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_report_refuses_an_evaluation_of_a_rewritten_split(self, tmp_path, capsys):
+        """An evaluation of a split that a re-run 'prepare' has rewritten since
+        is not a row of the report: exit 2, and no comparison.csv.  Once the
+        model is trained and evaluated again, its row is back."""
+        out = self.nb_run(tmp_path)
+        evaluate_nb = ["evaluate", "--model-file", str(out / "nb.json")]
+        assert main(evaluate_nb) == 0
+        assert main(["report", "--out-dir", str(out)]) == 0
+        (out / "comparison.csv").unlink()
+        run_prepare(tmp_path, out, seed=2)
+        files = _files(out)
+        capsys.readouterr()
+        assert main(["report", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {out / 'eval_nb_test.json'} is not an evaluation of test.jsonl as "
+            "it is now ('prepare' run since?); train and evaluate the model again\n")
+        assert _files(out) == files
+
+        assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
+        assert main(evaluate_nb) == 0
+        assert main(["report", "--out-dir", str(out)]) == 0
+        assert (out / "comparison.csv").exists()
+
+    def test_failed_prepare_leaves_an_unprepared_run(self, tmp_path, capsys):
+        """A 'prepare' that fails part way (val.jsonl cannot be written) has
+        removed the old manifest.json before its first output, so train and
+        evaluate refuse the run as unprepared, not its new train.jsonl as an
+        edited file."""
+        out = self.nb_run(tmp_path)
+        (out / "val.jsonl").unlink()
+        (out / "val.jsonl").mkdir()
+        assert main(["prepare", "--input", str(tmp_path / "tweets.jsonl"),
+                     "--label-map", str(tmp_path / "labels.json"),
+                     "--out-dir", str(out), "--seed", "2"]) == 2
+        assert not (out / "manifest.json").exists()
+        for argv in (["train", "--model", "nb", "--out-dir", str(out)],
+                     ["evaluate", "--model-file", str(out / "nb.json")]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: manifest not found: {out / 'manifest.json'}\n"
 
     @pytest.mark.parametrize("split_name", ["test", "val"])
     def test_split_edited_after_prepare_refused(self, tmp_path, capsys, split_name):
@@ -600,38 +649,56 @@ class TestEvaluateAndReport:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_copied_model_refused(self, tmp_path, capsys):
-        """evaluate scores only a model file that its train manifest lists
-        with its digest.  A copy kept across a re-run 'prepare' and a
-        retrain would otherwise be scored on its own training rows."""
+        """A copy of a model file records the train.jsonl it was trained on,
+        as the original does: while that is the run's, the copy is held out
+        and scores exactly as the original.  Kept across a re-run 'prepare'
+        and a retrain, it would be scored on its own training rows, so it is
+        refused and nothing is written."""
         out = self.nb_run(tmp_path)
         shutil.copy(out / "nb.json", out / "nb_old.json")
-        capsys.readouterr()
-        assert main(["evaluate", "--model-file", str(out / "nb_old.json")]) == 2
-        assert (f"{out / 'nb.manifest.json'} does not list nb_old.json with its digest"
-                in capsys.readouterr().err)
+        printed = []
+        for name in ("nb.json", "nb_old.json"):
+            capsys.readouterr()
+            assert main(["evaluate", "--model-file", str(out / name)]) == 0
+            printed.append(capsys.readouterr().out.splitlines()[:-1])
+        assert printed[1] == printed[0]
+        original = json.loads((out / "eval_nb_test.json").read_text(encoding="utf-8"))
+        original["manifest"]["model_file"] = "nb_old.json"
+        assert json.loads((out / "eval_nb_old_test.json").read_text(
+            encoding="utf-8")) == original
 
         run_prepare(tmp_path, out, seed=2)
         assert main(["train", "--model", "nb", "--out-dir", str(out)]) == 0
         assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
+        files = _files(out)
         capsys.readouterr()
         assert main(["evaluate", "--model-file", str(out / "nb_old.json")]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "does not list nb_old.json" in captured.err
-        assert not (out / "eval_nb_old_test.json").exists()
+        assert captured.out == "" and captured.err == (
+            f"error: {out / 'nb_old.json'} was not trained on the train.jsonl that "
+            "manifest.json records ('prepare' run since?); train it again\n")
+        assert _files(out) == files
 
     @pytest.mark.parametrize("split_name", ["train", "test"])
     def test_evaluate_hashes_only_its_split_and_the_model(self, tmp_path, monkeypatch,
                                                           split_name):
         """evaluate compares recorded digests as strings and hashes only the
-        model file and the split it scores, each once."""
+        split it scores and the model file, each once: the model's digest,
+        which the evaluation records, is the one reading the file checks."""
         out = self.nb_run(tmp_path)
-        hashed = []
-        real_sha256 = cli._sha256
+        hashed, digested = [], []
+        real_sha256, real_digest = cli._sha256, modelfile._digest
         monkeypatch.setattr(cli, "_sha256",
                             lambda path: hashed.append(Path(path).name) or real_sha256(path))
+        monkeypatch.setattr(modelfile, "_digest", lambda header, payload: (
+            digested.append(header["kind"]) or real_digest(header, payload)))
         assert main(["evaluate", "--model-file", str(out / "nb.json"),
                      "--split", split_name]) == 0
-        assert sorted(hashed) == sorted(["nb.json", f"{split_name}.jsonl"])
+        assert hashed == [f"{split_name}.jsonl"]
+        assert digested == ["nb"]
+        report = json.loads((out / f"eval_nb_{split_name}.json").read_text())
+        assert report["manifest"]["model_sha256"] == json.loads(
+            (out / "nb.json").read_bytes().split(b"\n", 1)[0])["sha256"]
 
     def test_report_refuses_a_stale_evaluation(self, tmp_path, capsys):
         """An evaluation of a model file trained again since, or deleted
@@ -665,19 +732,24 @@ class TestEvaluateAndReport:
         assert main(["report", "--out-dir", str(out)]) == 2
         assert f"{eval_path} names no model file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("manifest", [None, "{}", '{"inputs": {}}',
-                                          '{"inputs": {"train.jsonl": 5}}', "[1]"])
-    def test_train_manifest_missing_or_without_digest_exit_2(self, tmp_path, capsys,
-                                                             manifest):
+    @pytest.mark.parametrize("manifest", [None, "[1]"])
+    def test_evaluate_reads_no_train_manifest(self, tmp_path, manifest):
+        """A model file's header holds the train.jsonl it was trained on, so
+        evaluate reads no train manifest: deleted (None) or set to [1], it
+        leaves the evaluation as it was."""
         out = self.nb_run(tmp_path)
+        evaluate_nb = ["evaluate", "--model-file", str(out / "nb.json")]
+        assert main(evaluate_nb) == 0
+        eval_path = out / "eval_nb_test.json"
+        expected = eval_path.read_bytes()
         path = out / "nb.manifest.json"
         if manifest is None:
             path.unlink()
         else:
             path.write_text(manifest, encoding="utf-8")
-        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 2
-        assert "nb.manifest.json" in capsys.readouterr().err
-        assert not (out / "eval_nb_test.json").exists()
+        eval_path.unlink()
+        assert main(evaluate_nb) == 0
+        assert eval_path.read_bytes() == expected
 
     def test_report_without_evals_exit_2(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
@@ -1254,11 +1326,6 @@ def test_non_finite_model_weight_exit_2(served_dir, tmp_path, capsys, command, w
     head = 3 * header["encoder_config"]["d_model"] + 3
     rewrite_model_file(model, payload=payload[:-4 * head]
                        + np.full(head, weight, dtype="<f4").tobytes())
-    # evaluate scores only a model file that its train manifest lists with
-    # its digest, so the damaged file is listed to reach the forward pass.
-    manifest = json.loads((run / "transformer.manifest.json").read_text(encoding="utf-8"))
-    manifest["outputs"]["transformer.bin"] = hashlib.sha256(model.read_bytes()).hexdigest()
-    (run / "transformer.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     args = (["--input", str(texts)] if command == "predict" else ["--split", "test"])
     capsys.readouterr()
     assert main([command, "--model-file", str(model), *args]) == 2
@@ -1266,6 +1333,36 @@ def test_non_finite_model_weight_exit_2(served_dir, tmp_path, capsys, command, w
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("non-finite activations" if np.isfinite(weight) else "non-finite value") in err
     assert "damaged model file" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header.pop("train_sha256"),
+    lambda header: header.update(train_sha256=True),
+    lambda header: header.update(train_sha256=None),
+    lambda header: header.update(train_sha256=[]),
+    lambda header: header.update(train_sha256="0" * 64),
+], ids=["dropped", "true", "null", "list", "other-digest"])
+def test_model_without_its_train_digest_not_evaluated(served_dir, tmp_path, capsys, edit):
+    """A model file whose header, signed afresh, does not hold the digest of
+    the run's train.jsonl as its train_sha256 (a file written before headers
+    held it, say) may have been trained on the rows evaluate would score:
+    exit 2 and nothing written.  predict does not read the key, and prints
+    what it printed."""
+    out, texts = served_dir
+    run = shutil.copytree(out, tmp_path / "run")
+    for name in ("nb.json", "transformer.bin"):
+        model = run / name
+        code, expected, _ = _predict_output(model, texts, capsys)
+        assert code == 0 and expected
+        rewrite_model_file(model, edit)
+        files = _files(run)
+        capsys.readouterr()
+        assert main(["evaluate", "--model-file", str(model)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "was not trained on the train.jsonl" in captured.err
+        assert _files(run) == files
+        assert _predict_output(model, texts, capsys) == (0, expected, "")
 
 
 def _predict_output(model: Path, texts: Path, capsys) -> tuple[int, str, str]:
@@ -1538,7 +1635,7 @@ def test_mutated_model_file_exits_2_or_serves_as_trained(served_dir, served_outp
 
 
 @pytest.mark.parametrize("command, name", [
-    ("prepare", "train.jsonl"), ("train", "nb.json"),
+    ("prepare", "train.jsonl"), ("prepare", "manifest.json"), ("train", "nb.json"),
     ("evaluate", "eval_nb_test.json"), ("report", "comparison.csv")])
 def test_failed_write_exit_2(tmp_path, capsys, command, name):
     """An output that cannot be written (a directory stands where it goes)
@@ -1575,11 +1672,11 @@ _READERS = {
     "report": lambda run: ["report", "--out-dir", str(run)],
 }
 # Each JSON document of a run directory other than a model file, and its readers.
+# The train manifests, nb.manifest.json and transformer.manifest.json, have
+# no reader.
 _DOCUMENTS = {
-    "manifest.json": ("train", "evaluate nb", "evaluate transformer"),
+    "manifest.json": ("train", "evaluate nb", "evaluate transformer", "report"),
     "preprocess.json": ("train",),
-    "nb.manifest.json": ("evaluate nb",),
-    "transformer.manifest.json": ("evaluate transformer",),
     "eval_nb_test.json": ("report",),
     "eval_transformer_test.json": ("report",),
 }

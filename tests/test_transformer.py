@@ -791,12 +791,18 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded, params)
 
     def test_file_holds_the_header_and_the_parameters(self, tmp_path):
-        """The header holds what loading reads, and the payload is the
-        parameters in _param_specs order, 4 bytes each."""
+        """The header holds what loading reads and the run keys it is given,
+        and the payload is the parameters in _param_specs order, 4 bytes each."""
         path, header, payload = self._saved(tmp_path)
         assert set(header) == {"format_version", "kind", "encoder_config", "vocab",
-                               "preprocess", "sha256"}
+                               "sha256"}
         assert payload == init_params(TINY, 3, np.float32).astype("<f4").tobytes()
+        run = {"preprocess": {}, "train_sha256": "0" * 64}
+        save_transformer(path, init_params(TINY, 3, np.float32), TINY, TINY_VOCAB, run)
+        header, with_run = modelfile.read(path)[1:3]
+        assert {key: header.pop(key) for key in run} == run
+        assert set(header) == {"format_version", "kind", "encoder_config", "vocab"}
+        assert with_run == payload
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "bad.bin"
