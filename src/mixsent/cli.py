@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from functools import partial, reduce
 from pathlib import Path
 
@@ -232,7 +233,11 @@ def cmd_prepare(args) -> int:
     dist = class_distribution(clean)
 
     spec = dataclasses.replace(settings["split"], seed=args.seed)
-    train_c, val_c, test_c = split(clean, spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train_c, val_c, test_c = split(clean, spec)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
 
     out_dir = Path(args.out_dir)
     try:
@@ -472,8 +477,8 @@ def cmd_report(args) -> int:
         raise InputError(f"no eval_*.json files in {out_dir}; run 'evaluate' first")
     rows = []
     for path in eval_paths:
-        report, payload = load_report(path)
-        _check_evaluation(path, payload)
+        report = load_report(path)
+        _check_evaluation(path, report)
         # A row is named by its file: eval_transformer_best_test.json is
         # transformer_best_test.
         rows.append((path.stem.removeprefix("eval_"), report))

@@ -76,10 +76,11 @@ def open_file(path, what: str):
 
 
 def decode(data: bytes, what: str) -> str:
-    """data decoded strictly as UTF-8; other bytes raise InputError naming
-    their source as what."""
+    """data decoded strictly as UTF-8, less one leading byte-order mark;
+    other bytes raise InputError naming their source as what, at their
+    offset in data."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise InputError(f"cannot read {what}: not UTF-8 text "
                          f"({e.reason} at byte {e.start})") from None

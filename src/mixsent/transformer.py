@@ -694,7 +694,7 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
                  "positions": positions, "tokens": tokens}
         if val_rows:
             preds, _ = _predict_rows(params, cfg, val_rows)
-            entry["val_weighted_f1"] = evaluate(val_labels, preds).weighted_f1
+            entry["val_weighted_f1"] = evaluate(val_labels, preds)["weighted"]["f1"]
             if entry["val_weighted_f1"] > best_f1:
                 best_f1 = entry["val_weighted_f1"]
                 best_epoch = epoch

@@ -135,19 +135,20 @@ def test_criterion_05_metrics_oracle():
             # brute-force per-pair counting, exact rational arithmetic
             w_recall = Fraction(0)
             correct = sum(1 for t, p in zip(y_true, y_pred) if t == p)
-            assert rep.accuracy == float(Fraction(correct, n))
+            assert rep["accuracy"] == float(Fraction(correct, n))
             for c in range(3):
                 tp = sum(1 for t, p in zip(y_true, y_pred) if t == c and p == c)
                 fp = sum(1 for t, p in zip(y_true, y_pred) if t != c and p == c)
                 support = sum(1 for t in y_true if t == c)
                 precision = Fraction(tp, tp + fp) if tp + fp else Fraction(0)
                 recall = Fraction(tp, support) if support else Fraction(0)
-                assert rep.per_class[c].precision == float(precision)
-                assert rep.per_class[c].recall == float(recall)
-                assert rep.per_class[c].support == support
+                m = rep["per_class"][SentimentLabel(c).name.lower()]
+                assert m["precision"] == float(precision)
+                assert m["recall"] == float(recall)
+                assert m["support"] == support
                 w_recall += Fraction(support, n) * recall
-            assert rep.weighted_recall == float(w_recall)
-            assert rep.weighted_recall == rep.accuracy  # identity, tolerance 0
+            assert rep["weighted"]["recall"] == float(w_recall)
+            assert rep["weighted"]["recall"] == rep["accuracy"]  # identity, tolerance 0
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"metrics oracle took {elapsed:.2f}s"
 
@@ -287,11 +288,11 @@ def test_criterion_10_model_ordering():
         X_test = tfidf_transform(test_c.texts(), idx)
 
         nb = nb_train(X_train, train_c.labels(), alpha=1.0)
-        nb_f1 = evaluate(test_c.labels(), nb_predict(nb, X_test)[0]).weighted_f1
+        nb_f1 = evaluate(test_c.labels(), nb_predict(nb, X_test)[0])["weighted"]["f1"]
 
         svm = svm_train(X_train, train_c.labels(),
                         SvmHyper(lambda_=1e-3, epochs=20, seed=BENCH_SEED))
-        svm_f1 = evaluate(test_c.labels(), svm_predict(svm, X_test)[0]).weighted_f1
+        svm_f1 = evaluate(test_c.labels(), svm_predict(svm, X_test)[0])["weighted"]["f1"]
 
         vocab = train_vocabulary(train_c.texts(), target_size=300)
         cfg = tfm.EncoderConfig(num_layers=2, num_heads=4, d_model=64, d_ff=128,
@@ -301,7 +302,7 @@ def test_criterion_10_model_ordering():
         result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
                            val_c.labels(), vocab, cfg, tc)
         preds, _ = tfm.predict(result.best_params, cfg, vocab, test_c.texts())
-        tfm_f1 = evaluate(test_c.labels(), preds).weighted_f1
+        tfm_f1 = evaluate(test_c.labels(), preds)["weighted"]["f1"]
 
         print(f"\n  weighted F1: transformer {tfm_f1:.4f} / svm {svm_f1:.4f} "
               f"/ nb {nb_f1:.4f}")

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import ctypes
 import hashlib
 import io
@@ -25,7 +26,7 @@ from mixsent.cli import main
 from mixsent.corpus import CANONICAL_LABEL_MAP, SentimentLabel, load_corpus
 from mixsent.errors import TrainingError
 from mixsent.features import fit_term_index, tfidf_transform
-from mixsent.metrics import evaluate
+from mixsent.metrics import evaluate, load_report
 from mixsent.preprocess import clean_text, cleaning_record
 
 from conftest import packaged_config, read_model_file, rewrite_model_file
@@ -123,6 +124,45 @@ class TestPrepare:
         for name in ("clean.jsonl", "train.jsonl", "val.jsonl", "test.jsonl",
                      "distribution.txt", "drops.json", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_leading_byte_order_mark_is_not_text(self, tmp_path, suffix):
+        """An input that starts with a UTF-8 byte-order mark, as Excel's
+        "CSV UTF-8" export writes, gives the splits it gives without one."""
+        jsonl, map_path = write_inputs(tmp_path)
+        rows = [json.loads(line) for line in jsonl.read_text(encoding="utf-8").splitlines()]
+        if suffix == ".csv":
+            text = io.StringIO()
+            csv.writer(text).writerows([["text", "label"],
+                                        *([r["text"], r["label"]] for r in rows)])
+            text = text.getvalue()
+        else:
+            text = jsonl.read_text(encoding="utf-8")
+        splits = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            run = tmp_path / f"run{len(bom)}"
+            run.mkdir()
+            corpus = run / f"tweets{suffix}"
+            corpus.write_bytes(bom + text.encode("utf-8"))
+            assert main(["prepare", "--input", str(corpus), "--label-map", str(map_path),
+                         "--out-dir", str(run / "out"), "--seed", "1"]) == 0
+            splits.append({name: (run / "out" / name).read_bytes() for name in
+                           ("clean.jsonl", "train.jsonl", "val.jsonl", "test.jsonl")})
+        assert splits[1] == splits[0]
+
+    def test_split_warning_is_one_line(self, tmp_path, capsys):
+        """A class too small to split is named on one warning line on
+        stderr; stdout and the exit code are those of any prepare."""
+        jsonl, map_path = write_inputs(tmp_path)
+        jsonl.write_text("".join(json.dumps({"text": f"{word} movie", "label": tag}) + "\n"
+                                 for tag, word in (("pos", "mast"), ("neg", "bakwas"),
+                                                   ("neu", "theek"))), encoding="utf-8")
+        assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: classes with fewer than 3 records assigned "
+                                "wholly to train: Negative, Neutral, Positive\n")
+        assert captured.out.splitlines()[-1] == "splits: train=3 val=0 test=0"
 
     def test_jsonl_outputs_are_per_record_json_dumps(self, tmp_path):
         """Each kept record is one `json.dumps(..., ensure_ascii=False)` line,
@@ -487,6 +527,14 @@ class TestTrain:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+# The path of each number of an evaluation document but the confusion
+# counts, and of one confusion count.
+REPORT_NUMBERS = [("accuracy",), *(("weighted", m) for m in ("precision", "recall", "f1")),
+                  *(("per_class", label, key) for label in ("negative", "neutral", "positive")
+                    for key in ("precision", "recall", "f1", "support")),
+                  ("confusion", 1, 2)]
+
+
 class TestEvaluateAndReport:
     @pytest.fixture
     def trained_dir(self, tmp_path):
@@ -763,7 +811,7 @@ class TestEvaluateAndReport:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.update(accuracy="x"), "accuracy must be a finite number"),
-        (lambda d: d["weighted"].update(f1=None), "weighted_f1 must be a finite"),
+        (lambda d: d["weighted"].update(f1=None), "weighted.f1 must be a finite"),
         (lambda d: d["per_class"]["neutral"].update(recall=[0.5]),
          "recall must be a finite number"),
         (lambda d: d["per_class"]["positive"].update(support=2.5),
@@ -775,13 +823,67 @@ class TestEvaluateAndReport:
             "confusion-bool", "confusion-2-rows"])
     def test_report_wrong_value_type_exit_2(self, tmp_path, capsys, edit, message):
         labels = [SentimentLabel(i) for i in (0, 1, 2, 2)]
-        report = evaluate(labels, labels[::-1]).to_dict()
+        report = evaluate(labels, labels[::-1])
         edit(report)
         (tmp_path / "eval_nb_test.json").write_text(json.dumps(report),
                                                     encoding="utf-8")
         assert main(["report", "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "malformed report" in err and message in err
+
+    @pytest.mark.parametrize("value", [True, "0"], ids=["true", "str-0"])
+    @pytest.mark.parametrize("leaf", REPORT_NUMBERS,
+                             ids=lambda leaf: ".".join(map(str, leaf)))
+    def test_report_names_a_malformed_number_by_its_path(self, tmp_path, capsys, leaf,
+                                                         value):
+        labels = [SentimentLabel(i) for i in (0, 1, 2, 2)]
+        report = evaluate(labels, labels[::-1])
+        *parents, key = leaf
+        parent = report
+        for name in parents:
+            parent = parent[name]
+        parent[key] = value
+        (tmp_path / "eval_nb_test.json").write_text(json.dumps(report),
+                                                    encoding="utf-8")
+        assert main(["report", "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: malformed report {tmp_path}")
+        assert f": {'.'.join(map(str, leaf))}" in captured.err and "must be" in captured.err
+
+    def test_saved_evaluation_is_the_document_evaluate_returns(self, tmp_path):
+        """eval_*.json holds evaluate's document and the model, split and
+        manifest keys after it; load_report returns that document."""
+        out = self.nb_run(tmp_path)
+        assert main(["evaluate", "--model-file", str(out / "nb.json")]) == 0
+        _, predict, _ = cli._load_model(out / "nb.json")
+        test_c = load_corpus(out / "test.jsonl", CANONICAL_LABEL_MAP)
+        document = evaluate(test_c.labels(), predict(test_c.texts())[0])
+        path = out / "eval_nb_test.json"
+        saved = json.loads(path.read_text(encoding="utf-8"))
+        assert list(saved) == [*document, "model", "split", "manifest"]
+        assert {key: saved[key] for key in document} == document
+        assert (saved["model"], saved["split"]) == ("nb", "test")
+        assert load_report(path) == saved
+
+    def test_comparison_csv_quotes_a_name_with_a_comma(self, tmp_path, capsys):
+        """A model file whose name holds a comma or a quote is one quoted
+        field of comparison.csv, which csv.reader reads back as written."""
+        out = self.nb_run(tmp_path)
+        for name in ("nb.json", "a,b.json", 'say "hi".json'):
+            if name != "nb.json":
+                shutil.copy(out / "nb.json", out / name)
+            assert main(["evaluate", "--model-file", str(out / name)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out-dir", str(out)]) == 0
+        text = (out / "comparison.csv").read_text(encoding="utf-8")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [row[0] for row in rows] == ["model", "a,b_test", "nb_test",
+                                            'say "hi"_test']
+        assert {len(row) for row in rows} == {2}
+        assert text.splitlines()[1:] == [f'"a,b_test",{rows[2][1]}',
+                                         f"nb_test,{rows[2][1]}",
+                                         f'"say ""hi""_test",{rows[2][1]}']
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: (d.update(accuracy=0.5), d["weighted"].update(f1=0.99)),
@@ -795,7 +897,7 @@ class TestEvaluateAndReport:
     def test_report_contradicting_confusion_exit_2(self, tmp_path, capsys, edit,
                                                    message):
         labels = [SentimentLabel(i) for i in (0, 1, 2, 2)]
-        report = evaluate(labels, labels).to_dict()
+        report = evaluate(labels, labels)
         edit(report)
         (tmp_path / "eval_nb_test.json").write_text(json.dumps(report),
                                                     encoding="utf-8")
@@ -1064,6 +1166,14 @@ class TestPredict:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"movie zabardast\n")))
         assert main(["predict", "--model-file", str(nb_dir / "nb.json")]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+    def test_stdin_byte_order_mark_is_not_text(self, nb_dir, monkeypatch, capsys):
+        outputs = []
+        for data in (b"mast movie\n", b"\xef\xbb\xbfmast movie\n"):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            assert main(["predict", "--model-file", str(nb_dir / "nb.json")]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
     def test_non_utf8_stdin_exit_2(self, nb_dir, tmp_path, capsys, monkeypatch):
         """Bytes that are not UTF-8 exit 2 from stdin as from --input."""

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from mixsent.corpus import SentimentLabel
 from mixsent.errors import InputError
-from mixsent.metrics import (EvalReport, compare_models, evaluate, format_report,
-                             per_class_f1_report, round_half_up)
+from mixsent.metrics import (compare_models, evaluate, format_report, load_report,
+                             per_class_f1_report, report_of, round_half_up, save_report)
 
 labels_st = st.lists(st.integers(0, 2), min_size=1, max_size=200)
 
@@ -39,27 +41,27 @@ class TestEvaluate:
     def test_worked_example(self):
         rep = evaluate([SentimentLabel(v) for v in (0, 0, 1, 2)],
                        [SentimentLabel(v) for v in (0, 1, 1, 2)])
-        assert rep.accuracy == 0.75
-        assert rep.per_class[0].f1 == pytest.approx(2 / 3)
-        assert rep.per_class[1].f1 == pytest.approx(2 / 3)
-        assert rep.per_class[2].f1 == 1.0
-        assert rep.weighted_f1 == pytest.approx(0.75)
-        assert rep.weighted_recall == pytest.approx(rep.accuracy)
+        assert rep["accuracy"] == 0.75
+        assert rep["per_class"]["negative"]["f1"] == pytest.approx(2 / 3)
+        assert rep["per_class"]["neutral"]["f1"] == pytest.approx(2 / 3)
+        assert rep["per_class"]["positive"]["f1"] == 1.0
+        assert rep["weighted"]["f1"] == pytest.approx(0.75)
+        assert rep["weighted"]["recall"] == pytest.approx(rep["accuracy"])
 
     def test_perfect_predictions(self):
         y = [SentimentLabel(v) for v in (0, 1, 2, 1, 0)]
         rep = evaluate(y, y)
-        assert rep.accuracy == 1.0
-        assert rep.weighted_f1 == 1.0
-        assert all(m.precision == m.recall == m.f1 == 1.0 for m in rep.per_class
-                   if m.support)
+        assert rep["accuracy"] == 1.0
+        assert rep["weighted"]["f1"] == 1.0
+        assert all(m["precision"] == m["recall"] == m["f1"] == 1.0
+                   for m in rep["per_class"].values() if m["support"])
 
     def test_never_predicted_class_has_zero_precision(self):
         y_true = [SentimentLabel(v) for v in (0, 1, 2)]
         y_pred = [SentimentLabel(v) for v in (0, 0, 0)]
         rep = evaluate(y_true, y_pred)
-        assert rep.per_class[1].precision == 0.0
-        assert rep.per_class[2].f1 == 0.0
+        assert rep["per_class"]["neutral"]["precision"] == 0.0
+        assert rep["per_class"]["positive"]["f1"] == 0.0
 
     def test_errors(self):
         with pytest.raises(InputError):
@@ -74,7 +76,7 @@ class TestEvaluate:
         y_true = [SentimentLabel(v) for v in raw]
         y_pred = [SentimentLabel(int(v)) for v in rng.integers(0, 3, len(raw))]
         rep = evaluate(y_true, y_pred)
-        assert rep.weighted_recall == pytest.approx(rep.accuracy, abs=1e-12)
+        assert rep["weighted"]["recall"] == pytest.approx(rep["accuracy"], abs=1e-12)
 
     @given(labels_st, st.randoms(use_true_random=False))
     @settings(max_examples=40)
@@ -86,9 +88,9 @@ class TestEvaluate:
         rnd.shuffle(pairs)
         a = evaluate(y_true, y_pred)
         b = evaluate([t for t, _ in pairs], [p for _, p in pairs])
-        assert a.accuracy == b.accuracy
-        assert a.weighted_f1 == pytest.approx(b.weighted_f1, abs=1e-12)
-        np.testing.assert_array_equal(a.confusion, b.confusion)
+        assert a["accuracy"] == b["accuracy"]
+        assert a["weighted"]["f1"] == pytest.approx(b["weighted"]["f1"], abs=1e-12)
+        np.testing.assert_array_equal(a["confusion"], b["confusion"])
 
     @given(labels_st)
     @settings(max_examples=60)
@@ -98,23 +100,31 @@ class TestEvaluate:
         rep = evaluate([SentimentLabel(v) for v in raw],
                        [SentimentLabel(v) for v in y_pred_raw])
         oracle = brute_force_report(raw, y_pred_raw)
-        assert rep.accuracy == oracle["accuracy"]
-        for c in range(3):
+        assert rep["accuracy"] == oracle["accuracy"]
+        for c, m in enumerate(rep["per_class"].values()):
             p, r, f1, support = oracle["per_class"][c]
-            assert rep.per_class[c].precision == p
-            assert rep.per_class[c].recall == r
-            assert rep.per_class[c].f1 == pytest.approx(f1, abs=1e-15)
-            assert rep.per_class[c].support == support
-        assert rep.confusion.sum() == len(raw)
-        assert 0.0 <= rep.weighted_f1 <= 1.0
+            assert m["precision"] == p
+            assert m["recall"] == r
+            assert m["f1"] == pytest.approx(f1, abs=1e-15)
+            assert m["support"] == support
+        assert np.sum(rep["confusion"]) == len(raw)
+        assert 0.0 <= rep["weighted"]["f1"] <= 1.0
 
 
 confusions = (st.lists(st.integers(0, 50), min_size=9, max_size=9).filter(any)
               .map(lambda counts: np.array(counts, dtype=np.int64).reshape(3, 3)))
-# Where each stored metric and support sits in to_dict's output.
+# Where each stored metric and support sits in an evaluation document.
 STORED = [("accuracy",), *(("weighted", m) for m in ("precision", "recall", "f1")),
           *(("per_class", label, key) for label in ("negative", "neutral", "positive")
             for key in ("precision", "recall", "f1", "support"))]
+
+
+def reread(report: dict) -> dict:
+    """report as load_report reads it from the file save_report writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "eval_nb_test.json"
+        save_report(report, path)
+        return load_report(path)
 
 
 class TestRoundTrip:
@@ -122,8 +132,8 @@ class TestRoundTrip:
     @settings(max_examples=100)
     def test_from_dict_takes_its_own_output_and_refuses_an_edit(self, cm, where,
                                                                  data):
-        stored = EvalReport(cm).to_dict()
-        assert EvalReport.from_dict(json.loads(json.dumps(stored))).to_dict() == stored
+        stored = report_of(cm)
+        assert reread(stored) == stored
         edited = json.loads(json.dumps(stored))
         *parents, key = where
         parent = edited
@@ -133,7 +143,7 @@ class TestRoundTrip:
                                                                allow_infinity=False)
         parent[key] = data.draw(new.filter(lambda v: v != parent[key]))
         with pytest.raises(InputError, match="disagree with the confusion counts"):
-            EvalReport.from_dict(edited)
+            reread(edited)
 
 
 class TestReports:

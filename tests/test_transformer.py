@@ -759,7 +759,7 @@ class TestTrainLoop:
         res = train(texts, labels, val_texts, val_labels, self.VOCAB, self.CFG, tc)
         assert len(calls) == 18
         preds, _ = predict(res.final_params, self.CFG, self.VOCAB, val_texts)
-        assert res.log[-1]["val_weighted_f1"] == evaluate(val_labels, preds).weighted_f1
+        assert res.log[-1]["val_weighted_f1"] == evaluate(val_labels, preds)["weighted"]["f1"]
 
     def test_predict_uniform_for_zero_head(self):
         params = init_params(self.CFG, seed=1)
