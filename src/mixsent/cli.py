@@ -200,15 +200,18 @@ def _prepared(run_dir: Path, digests: dict, name: str) -> tuple[Path, str]:
     return path, digest
 
 
-def _distribution_report(dist) -> str:
-    from .metrics import round_half_up
-    rows = sorted(LABELS, key=lambda l: (-dist.counts[l], int(l)))
+def _distribution_report(counts: dict) -> str:
+    """The class table, largest class first: each share is count * 100 /
+    total rounded half up to one decimal, exactly, in integers."""
+    total = sum(counts.values())
+    rows = sorted(LABELS, key=lambda l: (-counts[l], int(l)))
     lines = ["Sentiment Class  Label ID  Tweet Count  Percentage"]
     for label in rows:
-        pct = round_half_up(dist.percentages[label] * 100, 1)
+        tenths = (2000 * counts[label] + total) // (2 * total)
+        pct = f"{tenths // 10}.{tenths % 10}"
         lines.append(f"{label.display_name:<15}  {int(label):<8}  "
-                     f"{dist.counts[label]:>11,}  {pct:>9}%")
-    lines.append(f"{'Total':<15}  {'':<8}  {dist.total:>11,}  {'100.0':>9}%")
+                     f"{counts[label]:>11,}  {pct:>9}%")
+    lines.append(f"{'Total':<15}  {'':<8}  {total:>11,}  {'100.0':>9}%")
     return "\n".join(lines)
 
 
@@ -230,7 +233,7 @@ def cmd_prepare(args) -> int:
     clean, drops = preprocess_corpus(corpus, pre_cfg)
     if len(clean) == 0:
         raise InputError("no records survived preprocessing")
-    dist = class_distribution(clean)
+    counts = class_distribution(clean)
 
     spec = dataclasses.replace(settings["split"], seed=args.seed)
     with warnings.catch_warnings(record=True) as caught:
@@ -255,7 +258,7 @@ def cmd_prepare(args) -> int:
     lines: dict[str, str] = {}
     for name, part in corpora.items():
         save_corpus(part, out_dir / f"{name}.jsonl", lines)
-    write_file(out_dir / "distribution.txt", _distribution_report(dist) + "\n")
+    write_file(out_dir / "distribution.txt", _distribution_report(counts) + "\n")
     _write_json(out_dir / "drops.json", drops)
     _write_json(out_dir / "preprocess.json", preprocess)
     written = [*(f"{name}.jsonl" for name in corpora), "distribution.txt",
@@ -276,7 +279,7 @@ def cmd_prepare(args) -> int:
         # A later command reads each file through _prepared, which checks it.
         "outputs": {name: _sha256(out_dir / name) for name in written},
     })
-    print(_distribution_report(dist))
+    print(_distribution_report(counts))
     print(f"dropped: {json.dumps(drops, sort_keys=True)}")
     print(f"splits: train={len(train_c)} val={len(val_c)} test={len(test_c)}")
     return 0
@@ -434,7 +437,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     _, predict, pre_cfg = _load_model(Path(args.model_file))
-    if not args.input and sys.stdin.isatty():
+    # A closed stdin (sys.stdin is None) is no more text than a terminal.
+    if not args.input and (sys.stdin is None or sys.stdin.isatty()):
         raise InputError("predict needs --input or text on stdin")
     # stdin is read as --input files are, strictly as UTF-8, whatever the locale.
     texts = ([read_file(item, "input") for item in args.input]

@@ -89,22 +89,6 @@ class SplitSpec:
             raise InputError("train_frac + val_frac must be < 1")
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Per-label counts and each label's fraction of their total; rounding
-    is left to display code."""
-    counts: dict[SentimentLabel, int]
-    percentages: dict[SentimentLabel, float] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "percentages", {
-            label: count / self.total for label, count in self.counts.items()})
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 def load_label_map(path: str | Path) -> dict[str, SentimentLabel]:
     """Read a JSON object mapping raw label strings to
     "negative" | "neutral" | "positive"."""
@@ -195,13 +179,14 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
     return Corpus(records)
 
 
-def class_distribution(c: Corpus) -> ClassDistribution:
+def class_distribution(c: Corpus) -> dict[SentimentLabel, int]:
+    """{label: record count}, every label in label-id order."""
     if len(c) == 0:
         raise InputError("cannot compute class distribution of an empty corpus")
     counts = {label: 0 for label in LABELS}
     for rec in c.records:
         counts[rec.label] += 1
-    return ClassDistribution(counts)
+    return counts
 
 
 def _floor(x: float) -> int:

@@ -10,8 +10,6 @@ decimals; stored values are never rounded.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -106,7 +104,9 @@ def compare_models(reports: list[tuple[str, dict]]) -> tuple[str, str]:
     """Comparison table plus CSV of (model, weighted_f1) for plotting.
 
     Returns (table_text, csv_text); rows keep the given model order.  A
-    name holding a comma, a quote or a line feed is quoted in the CSV.
+    name holding a comma, a quote, a line feed or a carriage return is
+    quoted in the CSV, as Python 3.13's csv module quotes it (3.10 to 3.12
+    leave a bare carriage return unquoted).
     """
     if not reports:
         raise InputError("compare_models needs at least one report")
@@ -114,17 +114,18 @@ def compare_models(reports: list[tuple[str, dict]]) -> tuple[str, str]:
     header = (f"{'Model':<{name_w}}  {'Accuracy':>8}  {'Precision (Weighted)':>20}  "
               f"{'Recall (Weighted)':>17}  {'F1-Score (Weighted)':>19}")
     lines = [header]
-    csv_text = io.StringIO()
-    writer = csv.writer(csv_text, lineterminator="\n")
-    writer.writerow(["model", "weighted_f1"])
+    csv_lines = ["model,weighted_f1\n"]
     for name, rep in reports:
         weighted = rep["weighted"]
         lines.append(f"{name:<{name_w}}  {round_half_up(rep['accuracy']):>8}  "
                      f"{round_half_up(weighted['precision']):>20}  "
                      f"{round_half_up(weighted['recall']):>17}  "
                      f"{round_half_up(weighted['f1']):>19}")
-        writer.writerow([name, repr(weighted["f1"])])
-    return "\n".join(lines), csv_text.getvalue()
+        field = name
+        if any(c in name for c in ',"\n\r'):
+            field = '"' + name.replace('"', '""') + '"'
+        csv_lines.append(f"{field},{weighted['f1']!r}\n")
+    return "\n".join(lines), "".join(csv_lines)
 
 
 def save_report(report: dict, path, extra: dict | None = None) -> None:

@@ -1162,6 +1162,20 @@ class TestPredict:
         assert code == 2
         assert "stdin" in capsys.readouterr().err
 
+    def test_closed_stdin_usage_error(self, nb_dir, tmp_path, monkeypatch, capsys):
+        """Started with stdin closed (`<&-`), Python sets sys.stdin to None:
+        predict reads no text there, as at a terminal."""
+        monkeypatch.setattr("sys.stdin", None)
+        code = main(["predict", "--model-file", str(nb_dir / "nb.json")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: predict needs --input or text on stdin\n"
+        texts = tmp_path / "texts.txt"
+        texts.write_text("movie zabardast\n", encoding="utf-8")
+        assert main(["predict", "--model-file", str(nb_dir / "nb.json"),
+                     "--input", str(texts)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
     def test_stdin_piped(self, nb_dir, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"movie zabardast\n")))
         assert main(["predict", "--model-file", str(nb_dir / "nb.json")]) == 0

@@ -1,15 +1,17 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsent.corpus import (CANONICAL_LABEL_MAP, Corpus, LabeledTweet,
+from mixsent.cli import _distribution_report
+from mixsent.corpus import (CANONICAL_LABEL_MAP, LABELS, Corpus, LabeledTweet,
                             SentimentLabel, SplitSpec, class_distribution,
                             load_corpus, load_label_map, merge, save_corpus,
                             split)
 from mixsent.errors import InputError
-from mixsent.metrics import round_half_up
 from mixsent.preprocess import preprocess_corpus
 
 from conftest import make_corpus, packaged_config
@@ -182,26 +184,52 @@ class TestDedup:
         assert len({r.text for r in once.records}) == len(once)
 
 
+def shown(counts) -> dict[str, str]:
+    """Label name -> the Percentage cell of prepare's class table."""
+    rows = _distribution_report(counts).splitlines()[1:-1]
+    return {row.split()[0]: row.split()[-1] for row in rows}
+
+
 class TestClassDistribution:
     def test_merged_corpus_percentages(self):
         c = make_corpus([1] * 8987 + [2] * 7940 + [0] * 7184)
-        dist = class_distribution(c)
-        assert dist.total == 24111
-        assert abs(sum(dist.percentages.values()) - 1.0) < 1e-9
-        shown = {l: round_half_up(p * 100, 1) for l, p in dist.percentages.items()}
-        assert shown[SentimentLabel.NEUTRAL] == "37.3"
-        assert shown[SentimentLabel.POSITIVE] == "32.9"
-        assert shown[SentimentLabel.NEGATIVE] == "29.8"
+        counts = class_distribution(c)
+        assert list(counts) == list(LABELS)
+        assert sum(counts.values()) == 24111
+        assert counts == {SentimentLabel.NEGATIVE: 7184, SentimentLabel.NEUTRAL: 8987,
+                          SentimentLabel.POSITIVE: 7940}
+        assert shown(counts) == {"Neutral": "37.3%", "Positive": "32.9%",
+                                 "Negative": "29.8%"}
+        assert _distribution_report(counts).splitlines()[-1].split() == [
+            "Total", "24,111", "100.0%"]
 
     def test_single_record(self):
-        dist = class_distribution(make_corpus([2]))
-        assert dist.percentages[SentimentLabel.POSITIVE] == 1.0
-        assert dist.counts[SentimentLabel.NEGATIVE] == 0
+        counts = class_distribution(make_corpus([2]))
+        assert counts[SentimentLabel.POSITIVE] == 1
+        assert counts[SentimentLabel.NEGATIVE] == 0
+        assert shown(counts) == {"Positive": "100.0%", "Negative": "0.0%",
+                                 "Neutral": "0.0%"}
 
     def test_symmetric_thirds(self):
-        dist = class_distribution(make_corpus([0, 1, 2] * 3))
-        for label in dist.percentages:
-            assert round_half_up(dist.percentages[label] * 100, 1) == "33.3"
+        counts = class_distribution(make_corpus([0, 1, 2] * 3))
+        assert set(shown(counts).values()) == {"33.3%"}
+
+    def test_exact_half_rounds_up(self):
+        """23 of 80 is exactly 28.75%; the float 23 / 80 * 100 is just
+        under it, and rounding that float showed 28.7."""
+        counts = class_distribution(make_corpus([0] * 23 + [1] * 30 + [2] * 27))
+        assert shown(counts) == {"Neutral": "37.5%", "Positive": "33.8%",
+                                 "Negative": "28.8%"}
+
+    def test_every_row_is_exact_half_up(self):
+        for total in range(1, 301):
+            for count in range(total + 1):
+                counts = {SentimentLabel.NEGATIVE: count,
+                          SentimentLabel.NEUTRAL: total - count,
+                          SentimentLabel.POSITIVE: 0}
+                exact = Fraction(100 * count, total)
+                tenths = math.floor(exact * 10 + Fraction(1, 2))
+                assert shown(counts)["Negative"] == f"{tenths / 10:.1f}%", (count, total)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -171,6 +173,20 @@ class TestReports:
         csv_lines = csv_text.strip().splitlines()
         assert csv_lines[0] == "model,weighted_f1"
         assert len(csv_lines) == 4
+
+    def test_compare_models_csv_quotes_as_python_3_13(self):
+        """A name holding a comma, a quote, a line feed or a carriage return
+        is one quoted field, as Python 3.13's csv module writes it, on every
+        Python; csv.reader reads each row back as written."""
+        y = [SentimentLabel(v) for v in (0, 1, 2, 1)]
+        rep = evaluate(y, y)
+        names = ["nb", "a\rb", "c\nd", "e,f", 'say "hi"', "g\r\nh"]
+        _, csv_text = compare_models([(name, rep) for name in names])
+        assert csv_text == ('model,weighted_f1\n'
+                            'nb,1.0\n"a\rb",1.0\n"c\nd",1.0\n"e,f",1.0\n'
+                            '"say ""hi""",1.0\n"g\r\nh",1.0\n')
+        rows = list(csv.reader(io.StringIO(csv_text, newline="")))
+        assert rows == [["model", "weighted_f1"], *([name, "1.0"] for name in names)]
 
     def test_compare_single_and_identical(self):
         y = [SentimentLabel(v) for v in (0, 1, 2)]
