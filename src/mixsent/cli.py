@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import inspect
@@ -572,6 +573,13 @@ def _keep_freed_memory() -> None:
 
 
 def main(argv=None) -> int:
+    # The objects made so far, by imports above all, live until the process
+    # ends: frozen, no later collection walks them, the full ones CPython runs
+    # at exit included.  Only main freezes: library callers keep their
+    # collector, as they keep their allocator settings.  Only the first main
+    # of a process: a second would freeze the garbage the first command left.
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = build_parser().parse_args(argv)
     _keep_freed_memory()
     try:

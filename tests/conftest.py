@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 from pathlib import Path
@@ -21,6 +22,17 @@ DATA_DIR = Path(__file__).parent / "data"
 # own on ten times the default number of examples.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_collector():
+    """cli.main freezes every object alive when it first runs, for a
+    process that ends after the command; this process runs main in many
+    tests and lives on.  Unfrozen after each test, those objects are
+    collected again, and a file leaked in a cycle still reaches -X dev's
+    ResourceWarning."""
+    yield
+    gc.unfreeze()
 
 
 def make_corpus(labels, text_fn=None):

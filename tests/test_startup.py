@@ -113,3 +113,45 @@ def test_one_transformer_module_whichever_is_imported_first(first):
                           env=_subprocess_env(), capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# argv[1]: JSON argv of one command.  The last stdout line is a JSON list:
+# the exit code, the number of objects the collector tracked just before
+# main ran, and the number frozen when it returned.  The script holds every
+# tracked object, so none of them can leave the count by dying during main.
+FREEZE_SCRIPT = """
+import gc, json, sys
+from mixsent.cli import main
+argv = json.loads(sys.argv[1])
+tracked = gc.get_objects()
+try:
+    code = main(argv)
+except SystemExit as exc:                     # --help, usage errors
+    code = exc.code
+print(json.dumps([code, len(tracked), gc.get_freeze_count()]))
+"""
+
+
+def test_main_freezes_the_objects_alive_when_it_starts(tmp_path, capsys):
+    """Every object alive when main starts, the imports' above all, lives
+    until the process ends, so main freezes them first: no collection
+    walks them again, the full ones at exit included.  --help and a usage
+    error, which end inside the argument parser, freeze them too."""
+    run = tmp_path / "run"
+    jsonl, map_path = write_inputs(tmp_path, n_per_class=6)
+    assert main(["prepare", "--input", str(jsonl), "--label-map", str(map_path),
+                 "--out-dir", str(run)]) == 0
+    assert main(["train", "--model", "nb", "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+
+    cases = [(["--help"], 0), (["train", "--out-dir", str(run)], 2),
+             (["predict", "--model-file", str(run / "nb.json")], 0)]  # stdin
+    for argv, exit_code in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", FREEZE_SCRIPT, json.dumps(argv)],
+            input="movie bakwas\n", env=_subprocess_env(), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        code, tracked, frozen = json.loads(proc.stdout.splitlines()[-1])
+        assert code == exit_code, (argv, proc.stderr)
+        assert frozen >= tracked, (argv, tracked, frozen)
