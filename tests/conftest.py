@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import mixsent
 from mixsent import modelfile
 from mixsent.corpus import Corpus, LabeledTweet, SentimentLabel
 from mixsent.errors import InputError
@@ -24,13 +25,21 @@ settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-@pytest.fixture(autouse=True)
-def unfreeze_collector():
-    """cli.main freezes every object alive when it first runs, for a
-    process that ends after the command; this process runs main in many
-    tests and lives on.  Unfrozen after each test, those objects are
-    collected again, and a file leaked in a cycle still reaches -X dev's
-    ResourceWarning."""
+def pytest_report_header():
+    """The package under test: src/ in a checkout, site-packages once
+    installed."""
+    return f"mixsent: {Path(mixsent.__file__).parent}"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def freeze_collector():
+    """cli.main freezes every object alive when it first runs, unless
+    something is frozen already.  This process freezes what it holds
+    before the first test, once its garbage is collected, so main freezes
+    nothing here: each test's garbage, a file leaked in a cycle included,
+    is collected as usual and still reaches -X dev's ResourceWarning."""
+    gc.collect()
+    gc.freeze()
     yield
     gc.unfreeze()
 

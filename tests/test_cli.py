@@ -649,10 +649,10 @@ class TestEvaluateAndReport:
             assert captured.out == ""
             assert captured.err == f"error: manifest not found: {out / 'manifest.json'}\n"
 
-    @pytest.mark.parametrize("split_name", ["test", "val"])
+    @pytest.mark.parametrize("split_name", ["test", "val", "train"])
     def test_split_edited_after_prepare_refused(self, tmp_path, capsys, split_name):
         """A split that no longer has the digest 'prepare' recorded is not
-        the held-out data; nothing is written."""
+        scored, the training split included; nothing is written."""
         out = self.nb_run(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         split_file = out / f"{split_name}.jsonl"
@@ -1164,12 +1164,18 @@ class TestPredict:
 
     def test_closed_stdin_usage_error(self, nb_dir, tmp_path, monkeypatch, capsys):
         """Started with stdin closed (`<&-`), Python sets sys.stdin to None:
-        predict reads no text there, as at a terminal."""
+        predict reads no text there, as at a terminal.  A process started
+        so exits as main does here, with no traceback."""
         monkeypatch.setattr("sys.stdin", None)
         code = main(["predict", "--model-file", str(nb_dir / "nb.json")])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err == "error: predict needs --input or text on stdin\n"
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m", "mixsent",
+             "predict", "--model-file", str(nb_dir / "nb.json")],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
         texts = tmp_path / "texts.txt"
         texts.write_text("movie zabardast\n", encoding="utf-8")
         assert main(["predict", "--model-file", str(nb_dir / "nb.json"),
@@ -1515,12 +1521,17 @@ def test_model_file_stands_alone(served_dir, tmp_path, capsys):
 
 def test_model_headers_hold_preprocess_json(served_dir, tmp_path):
     """Every model file's header holds preprocess.json as prepare wrote it,
-    and only its five keys: a key added to the file is not read."""
+    and only its five keys: a key added to the file is not read.  It holds
+    the digest manifest.json records for train.jsonl too."""
     out = served_dir[0]
     recorded = json.loads((out / "preprocess.json").read_text(encoding="utf-8"))
     assert recorded["stopwords.txt"] == "hai\ntha\n"
+    train_sha256 = json.loads((out / "manifest.json").read_text(
+        encoding="utf-8"))["outputs"]["train.jsonl"]
     for name in ("nb.json", "svm.json", "transformer.bin", "transformer_best.bin"):
-        assert read_model_file(out / name)[0]["preprocess"] == recorded, name
+        header = read_model_file(out / name)[0]
+        assert header["preprocess"] == recorded, name
+        assert header["train_sha256"] == train_sha256, name
 
     run = shutil.copytree(out, tmp_path / "run")
     path = run / "preprocess.json"
@@ -2086,12 +2097,10 @@ def test_cli_runs_without_scipy(tmp_path):
     texts.write_text("mast movie\nbakwas khana\n", encoding="utf-8")
     config = json.loads(TINY_TRANSFORMER_CONFIG)
     config["train"]["epochs"] = 1
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(mixsent.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, str(jsonl), str(map_path),
          str(tmp_path / "run"), str(texts), json.dumps(config)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     predictions = proc.stdout.strip().splitlines()[-2:]
     assert [line.split("\t")[0] in ("negative", "neutral", "positive")
@@ -2099,6 +2108,8 @@ def test_cli_runs_without_scipy(tmp_path):
 
 
 def _subprocess_env(**extra):
+    """os.environ with extra, and PYTHONPATH set to the directory holding the
+    mixsent this process imported: src/, or site-packages once installed."""
     return dict(os.environ,
                 PYTHONPATH=str(Path(mixsent.__file__).resolve().parents[1]),
                 **extra)

@@ -57,7 +57,7 @@ def test_only_encoder_commands_run_transformer_code(tmp_path, capsys):
 
     cases = [  # (argv, modules that must run, modules that must not)
         (["--help"], set(), OPTIONAL),
-        ([*prepare, "--out-dir", str(tmp_path / "again")], set(),
+        ([*prepare, "--out-dir", str(tmp_path / "again")], {"corpus"},
          {"transformer", "metrics", "tokenizer"}),
         (["train", "--model", "nb", "--out-dir", str(run)], set(),
          {"transformer", "metrics", "tokenizer"}),

@@ -5,14 +5,11 @@ imported, and the layers must still call each other through them, or
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import mixsent
-
-from test_cli import TINY_TRANSFORMER_CONFIG, run_prepare
+from test_cli import TINY_TRANSFORMER_CONFIG, _subprocess_env, run_prepare
 
 TRACE_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "trace_run.py"
 
@@ -31,10 +28,9 @@ def test_every_trace_target_resolves():
 
 def _traced_span_names(tmp_path, name, cli_args):
     spans = tmp_path / f"{name}.jsonl"
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(mixsent.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, str(TRACE_RUN), str(spans), *cli_args],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_subprocess_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return {json.loads(line)["name"]
             for line in spans.read_text(encoding="utf-8").splitlines()}
