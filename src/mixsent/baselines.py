@@ -17,7 +17,7 @@ import numpy as np
 
 from . import modelfile
 from .corpus import LABELS, NUM_CLASSES, SentimentLabel
-from .errors import InputError, TrainingError, check_fields
+from .errors import InputError, TrainingError, check_value
 from .features import FeatureMatrix, TermIndex
 from .rng import SplitMix64, derive_seed, shuffled
 
@@ -99,22 +99,8 @@ def nb_predict(m: LinearModel, X: FeatureMatrix
     return _argmax_labels(scores), scores - log_norm
 
 
-@dataclass(frozen=True)
-class SvmHyper:
-    lambda_: float = 1e-4
-    epochs: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.lambda_ <= 0:
-            raise InputError("lambda_ must be > 0")
-        if self.epochs < 0:
-            raise InputError("epochs must be >= 0")
-
-
-def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
-              hyper: SvmHyper | None = None) -> LinearModel:
+def svm_train(X: FeatureMatrix, y: list[SentimentLabel], lambda_: float = 1e-4,
+              epochs: int = 20, *, seed: int) -> LinearModel:
     """One-vs-rest linear SVM, Pegasos updates.
 
     Per binary problem: step t has learning rate 1/(lambda*t); on margin
@@ -122,7 +108,7 @@ def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
     eta*y, otherwise only the shrink applies.  Unrolled, w after step t is
     s/(lambda*t), where s sums y*x over the violations so far, so only s is
     stored and a step costs O(nnz of its row).  Example order is reshuffled
-    each epoch from a per-class stream derived from the seed.  Labels absent
+    each epoch from a per-class stream derived from seed.  Labels absent
     from y keep a zero classifier.
 
     A step gathers its row's entries of s once and writes them back only on
@@ -130,9 +116,12 @@ def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
     by y, which changes no float result: the weights and bias are those of
     the plain update.
     """
-    hyper = hyper or SvmHyper()
+    check_value("seed", seed, "int")
+    if lambda_ <= 0:
+        raise InputError("lambda_ must be > 0")
+    if epochs < 0:
+        raise InputError("epochs must be >= 0")
     labels = _label_ids(X, y)
-    lam = hyper.lambda_
     rows = [(X.indices[a:b], X.data[a:b])
             for a, b in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist())]
     weights = np.zeros((NUM_CLASSES, X.num_features))
@@ -145,17 +134,17 @@ def svm_train(X: FeatureMatrix, y: list[SentimentLabel],
         positive = (labels == c).tolist()
         s = np.zeros(X.num_features)
         b = 0.0
-        rng = SplitMix64(derive_seed(hyper.seed, c))
+        rng = SplitMix64(derive_seed(seed, c))
         t = 0
-        scale = lam  # lambda * max(t, 1); s is still zero at t = 0
-        for _ in range(hyper.epochs):
+        scale = lambda_  # lambda * max(t, 1); s is still zero at t = 0
+        for _ in range(epochs):
             for i in shuffled(order0, rng):
                 cols, vals = rows[i]
                 part = s[cols]
                 # w.x + b, with w before this step s/scale
                 score = float(vals.dot(part)) / scale + b
                 t += 1
-                scale = lam * t
+                scale = lambda_ * t
                 if positive[i]:
                     if score < 1.0:
                         part += vals

@@ -92,16 +92,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _defaults(source, *set_by_code: str) -> dict:
     """The argument defaults of a library function or dataclass, less
-    set_by_code, keyed by config key: the name less a trailing "_" (lambda_)."""
+    set_by_code, keyed by config key: the name less a trailing "_" (lambda_).
+    An argument without a default (the data, a seed) is no config key."""
     return {name.rstrip("_"): p.default
             for name, p in inspect.signature(source).parameters.items()
-            if name not in set_by_code}
-
-
-def _recorded(cfg, *set_by_code: str) -> dict:
-    """A dataclass's fields as _defaults keys them, less set_by_code."""
-    return {f.name.rstrip("_"): getattr(cfg, f.name) for f in dataclasses.fields(cfg)
-            if f.name not in set_by_code}
+            if p.default is not p.empty and name not in set_by_code}
 
 
 def _settings() -> dict:
@@ -112,14 +107,14 @@ def _settings() -> dict:
     from .encoder_config import EncoderConfig, TrainConfig
     return {
         "preprocess": _defaults(cleaning_record),
-        "split": _defaults(SplitSpec, "seed"),
-        "features": _defaults(fit_term_index, "texts"),
-        "nb": _defaults(baselines.nb_train, "X", "y"),
-        "svm": _defaults(baselines.SvmHyper, "seed"),
+        "split": _defaults(SplitSpec),
+        "features": _defaults(fit_term_index),
+        "nb": _defaults(baselines.nb_train),
+        "svm": _defaults(baselines.svm_train),
         # The encoder's max_len and vocab_size are set in the tokenizer section.
         "tokenizer": {key: getattr(EncoderConfig, key) for key in ("max_len", "vocab_size")},
         "encoder": _defaults(EncoderConfig, "max_len", "vocab_size"),
-        "train": _defaults(TrainConfig, "seed"),
+        "train": _defaults(TrainConfig),
     }
 
 
@@ -139,10 +134,10 @@ def _section(name: str, defaults: dict, given) -> dict:
 def _load_config(arg: str) -> tuple[dict, dict]:
     """--config as given, and the settings: each section of _settings() resolved
     from it and built, once, into the value the library takes, which checks
-    its ranges, so a config fails alike for every command.  Commands set only
-    the seed and the vocabulary's size, with dataclasses.replace.  Inline
-    JSON when arg starts with '{', else a JSON file path; a top-level key
-    that is not a section is refused."""
+    its ranges, so a config fails alike for every command.  A command sets
+    only the vocabulary's size, with dataclasses.replace.  Inline JSON when
+    arg starts with '{', else a JSON file path; a top-level key that is not
+    a section is refused."""
     from .encoder_config import EncoderConfig, TrainConfig
     sections = _settings()
     if arg.lstrip().startswith("{"):
@@ -154,13 +149,11 @@ def _load_config(arg: str) -> tuple[dict, dict]:
     if unknown:
         raise InputError(f"config sections {unknown} unknown; "
                          f"the sections are {list(sections)}")
-    # preprocess (whose files only the cleaning commands read), features and nb stay dicts.
+    # preprocess (whose files only the cleaning commands read), features, nb, svm stay dicts.
     settings = {name: _section(name, defaults, overrides.get(name, {}))
                 for name, defaults in sections.items()}
-    svm = settings["svm"]
     builds = [
         ("split", lambda: SplitSpec(**settings["split"])),
-        ("svm", lambda: baselines.SvmHyper(float(svm["lambda"]), svm["epochs"])),
         # The default encoder with the tokenizer's keys, so that an error in
         # them names the section that sets them; then the encoder's keys.
         ("tokenizer", lambda: EncoderConfig(**settings["tokenizer"])),
@@ -172,12 +165,17 @@ def _load_config(arg: str) -> tuple[dict, dict]:
             settings[name] = build()
         except InputError as e:
             raise InputError(f"config {name}: {e}") from None
-    # nb_train and fit_term_index check these only once given data.
-    if settings["nb"]["alpha"] <= 0:
+    # nb_train, svm_train and fit_term_index check these only once given data.
+    nb, svm = settings["nb"], settings["svm"]
+    if nb["alpha"] <= 0:
         raise InputError("config nb: alpha must be > 0")
+    if svm["lambda"] <= 0:
+        raise InputError("config svm: lambda_ must be > 0")
+    if svm["epochs"] < 0:
+        raise InputError("config svm: epochs must be >= 0")
     if settings["features"]["min_df"] < 1:
         raise InputError("config features: min_df must be >= 1")
-    settings["nb"] = {"alpha": float(settings["nb"]["alpha"])}
+    nb["alpha"], svm["lambda"] = float(nb["alpha"]), float(svm["lambda"])
     return overrides, settings
 
 
@@ -236,10 +234,9 @@ def cmd_prepare(args) -> int:
         raise InputError("no records survived preprocessing")
     counts = class_distribution(clean)
 
-    spec = dataclasses.replace(settings["split"], seed=args.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        train_c, val_c, test_c = split(clean, spec)
+        train_c, val_c, test_c = split(clean, settings["split"], args.seed)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
 
@@ -272,7 +269,7 @@ def cmd_prepare(args) -> int:
         "seed": args.seed,
         "config": {
             "preprocess": section,
-            "split": _recorded(spec, "seed"),
+            "split": dataclasses.asdict(settings["split"]),
             "overrides": overrides,
         },
         "split_sizes": {"train": len(train_c), "val": len(val_c),
@@ -291,8 +288,8 @@ def _fit_nb(X, labels, settings: dict, seed: int):
 
 
 def _fit_svm(X, labels, settings: dict, seed: int):
-    hyper = dataclasses.replace(settings["svm"], seed=seed)
-    return baselines.svm_train(X, labels, hyper), _recorded(hyper, "seed")
+    svm = settings["svm"]
+    return baselines.svm_train(X, labels, svm["lambda"], svm["epochs"], seed=seed), svm
 
 
 def _train_baseline(fit, model_path: Path, train_c: Corpus, settings: dict, seed: int,
@@ -324,10 +321,9 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
     from . import tokenizer  # noqa: F401  (imported before train_vocabulary runs)
     vocab = train_vocabulary(train_c.texts(), cfg.vocab_size)
     cfg = dataclasses.replace(cfg, vocab_size=len(vocab))
-    tc = dataclasses.replace(settings["train"], seed=seed)
 
     result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
-                       val_c.labels(), vocab, cfg, tc)
+                       val_c.labels(), vocab, cfg, settings["train"], seed)
     # Written once training has returned: a failed train keeps the old run.
     tfm.save_transformer(model_path, result.final_params, cfg, vocab, run)
     tfm.save_transformer(out_dir / "transformer_best.bin", result.best_params,
@@ -340,7 +336,8 @@ def _train_transformer(model_path: Path, train_c: Corpus, settings: dict, seed: 
             line += f" val_weighted_f1 {entry['val_weighted_f1']:.4f}"
         print(line)
     return ({"val.jsonl": val_sha256},
-            {"encoder": dataclasses.asdict(cfg), "train": dataclasses.asdict(tc)})
+            {"encoder": dataclasses.asdict(cfg),
+             "train": dataclasses.asdict(settings["train"])})
 
 
 def _load_transformer(f: modelfile.ModelFile):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
 
-from .errors import InputError, parse_json_object, read_file, write_file
+from .errors import InputError, check_value, parse_json_object, read_file, write_file
 from .rng import SplitMix64, derive_seed, shuffled
 
 
@@ -80,7 +80,6 @@ class Corpus:
 class SplitSpec:
     train_frac: float = 0.8
     val_frac: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.train_frac > 0 and self.val_frac > 0):
@@ -213,7 +212,7 @@ def _assign_extras(base: dict[SentimentLabel, int], fracs: dict[SentimentLabel, 
             break
 
 
-def split(c: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
+def split(c: Corpus, spec: SplitSpec, seed: int) -> tuple[Corpus, Corpus, Corpus]:
     """Deterministic stratified train/val/test split.
 
     Global sizes are |train| = floor(train_frac*N), |val| = floor(val_frac*N),
@@ -222,6 +221,7 @@ def split(c: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     first, ties by label id) until the global targets are met.  Classes with
     fewer than 3 records go entirely to train, with a warning.
     """
+    check_value("seed", seed, "int")
     n = len(c)
     if n == 0:
         raise InputError("cannot split an empty corpus")
@@ -256,7 +256,7 @@ def split(c: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
         idxs = eligible.get(label)
         if not idxs:
             continue
-        rng = SplitMix64(derive_seed(spec.seed, int(label)))
+        rng = SplitMix64(derive_seed(seed, int(label)))
         order = shuffled(idxs, rng)
         t, v = train_n[label], val_n[label]
         train_pos.extend(order[:t])

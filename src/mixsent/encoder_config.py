@@ -53,7 +53,6 @@ class TrainConfig:
     batch_size: int = 8
     weight_decay: float = 0.01
     warmup_steps: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         check_fields(self)

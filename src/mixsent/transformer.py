@@ -30,8 +30,7 @@ import numpy as np
 from . import modelfile
 from .corpus import NUM_CLASSES, SentimentLabel
 from .encoder_config import EncoderConfig, TrainConfig
-from .errors import InputError, TrainingError
-from .metrics import evaluate
+from .errors import InputError, TrainingError, check_value
 from .rng import SplitMix64, derive_seed, shuffled
 from .tokenizer import PAD_ID, Vocabulary, encode
 
@@ -642,8 +641,11 @@ class TrainResult:
 
 def train(train_texts: list[str], train_labels: list[SentimentLabel],
           val_texts: list[str], val_labels: list[SentimentLabel],
-          vocab: Vocabulary, cfg: EncoderConfig, tc: TrainConfig) -> TrainResult:
-    """Supervised training loop, in float32.
+          vocab: Vocabulary, cfg: EncoderConfig, tc: TrainConfig, seed: int
+          ) -> TrainResult:
+    """Supervised training loop, in float32.  seed draws the initial
+    weights; streams derived from it draw the dropout masks and each
+    epoch's order.
 
     Per epoch: seeded reshuffle, minibatch AdamW with the warmup/decay
     schedule, and a log entry with the mean train loss and the epoch's
@@ -652,9 +654,11 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
     and the best-epoch parameters are retained alongside the final ones.
     Training and validation texts are each encoded once per run.
     """
+    from .metrics import evaluate  # here, so that serving the encoder loads no metrics
+    check_value("seed", seed, "int")
     if not train_texts:
         raise InputError("training split is empty")
-    params = init_params(cfg, tc.seed, np.float32)
+    params = init_params(cfg, seed, np.float32)
     if tc.epochs == 0:
         return TrainResult(params, params.copy(), 0, [])
 
@@ -666,8 +670,8 @@ def train(train_texts: list[str], train_labels: list[SentimentLabel],
     total_steps = tc.epochs * steps_per_epoch
 
     state = adamw_init(params, cfg)
-    drop_rng = np.random.Generator(np.random.PCG64(derive_seed(tc.seed, 101)))
-    shuffle_rng = SplitMix64(derive_seed(tc.seed, 202))
+    drop_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 101)))
+    shuffle_rng = SplitMix64(derive_seed(seed, 202))
     log: list[dict] = []
     best_params = None
     best_f1 = -1.0

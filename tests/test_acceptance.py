@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mixsent import transformer as tfm
-from mixsent.baselines import SvmHyper, nb_predict, nb_train, svm_predict, svm_train
+from mixsent.baselines import nb_predict, nb_train, svm_predict, svm_train
 from mixsent.cli import main
 from mixsent.corpus import (Corpus, LabeledTweet, SentimentLabel, SplitSpec,
                             split)
@@ -235,8 +235,8 @@ def test_criterion_09_overfit_capacity():
         assert abs(loss - math.log(3)) < 1e-9
 
         tc = tfm.TrainConfig(learning_rate=1e-3, epochs=200, batch_size=8,
-                             weight_decay=0.01, warmup_steps=20, seed=5)
-        result = tfm.train(texts, labels, [], [], vocab, cfg, tc)
+                             weight_decay=0.01, warmup_steps=20)
+        result = tfm.train(texts, labels, [], [], vocab, cfg, tc, 5)
         preds, _ = tfm.predict(result.final_params, cfg, vocab, texts)
         accuracy = sum(p == t for p, t in zip(preds, labels)) / len(labels)
         assert accuracy == 1.0
@@ -281,7 +281,7 @@ def test_criterion_10_model_ordering():
     with criterion(10, "weighted F1 ordering: transformer >= SVM >= NB"):
         start = time.perf_counter()
         corpus = make_benchmark_corpus()
-        train_c, val_c, test_c = split(corpus, SplitSpec(seed=BENCH_SEED))
+        train_c, val_c, test_c = split(corpus, SplitSpec(), BENCH_SEED)
 
         idx = fit_term_index(train_c.texts())
         X_train = tfidf_transform(train_c.texts(), idx)
@@ -290,17 +290,17 @@ def test_criterion_10_model_ordering():
         nb = nb_train(X_train, train_c.labels(), alpha=1.0)
         nb_f1 = evaluate(test_c.labels(), nb_predict(nb, X_test)[0])["weighted"]["f1"]
 
-        svm = svm_train(X_train, train_c.labels(),
-                        SvmHyper(lambda_=1e-3, epochs=20, seed=BENCH_SEED))
+        svm = svm_train(X_train, train_c.labels(), lambda_=1e-3, epochs=20,
+                        seed=BENCH_SEED)
         svm_f1 = evaluate(test_c.labels(), svm_predict(svm, X_test)[0])["weighted"]["f1"]
 
         vocab = train_vocabulary(train_c.texts(), target_size=300)
         cfg = tfm.EncoderConfig(num_layers=2, num_heads=4, d_model=64, d_ff=128,
                                 dropout=0.1, max_len=16, vocab_size=len(vocab))
         tc = tfm.TrainConfig(learning_rate=1e-3, epochs=30, batch_size=16,
-                             warmup_steps=30, seed=BENCH_SEED)
+                             warmup_steps=30)
         result = tfm.train(train_c.texts(), train_c.labels(), val_c.texts(),
-                           val_c.labels(), vocab, cfg, tc)
+                           val_c.labels(), vocab, cfg, tc, BENCH_SEED)
         preds, _ = tfm.predict(result.best_params, cfg, vocab, test_c.texts())
         tfm_f1 = evaluate(test_c.labels(), preds)["weighted"]["f1"]
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import baselines_reference as ref
 from mixsent import modelfile
-from mixsent.baselines import (LinearModel, SvmHyper, load_baseline, nb_predict,
-                               nb_train, save_baseline, svm_predict, svm_train)
+from mixsent.baselines import (LinearModel, load_baseline, nb_predict, nb_train,
+                               save_baseline, svm_predict, svm_train)
 from mixsent.corpus import LABELS, SentimentLabel
 from mixsent.errors import InputError
 from mixsent.features import fit_term_index, tfidf_transform
@@ -139,7 +139,7 @@ class TestLinearSvm:
     def test_two_point_separable_margin_ordering(self):
         X = feature_matrix([{0: 1.0}, {1: 1.0}])
         y = [POS, NEG]
-        m = svm_train(X, y, SvmHyper(lambda_=0.01, epochs=30, seed=1))
+        m = svm_train(X, y, lambda_=0.01, epochs=30, seed=1)
         _, (s0, s1) = svm_predict(m, X)
         assert s0[int(POS)] > s0[int(NEG)]
         assert s1[int(NEG)] > s1[int(POS)]
@@ -147,24 +147,34 @@ class TestLinearSvm:
     def test_training_points_classified_correctly(self):
         X = feature_matrix([{0: 1.0}, {1: 1.0}])
         y = [POS, NEG]
-        m = svm_train(X, y, SvmHyper(lambda_=0.01, epochs=30, seed=1))
+        m = svm_train(X, y, lambda_=0.01, epochs=30, seed=1)
         assert svm_predict(m, X)[0] == [POS, NEG]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": "3"}, "seed must be an integer"),
+        ({"seed": 0, "lambda_": 0.0}, "lambda_ must be > 0"),
+        ({"seed": 0, "epochs": -1}, "epochs must be >= 0"),
+    ], ids=["seed-str", "lambda-range", "epochs-range"])
+    def test_bad_arguments_rejected(self, kwargs, message):
+        X = feature_matrix([{0: 1.0}, {1: 1.0}])
+        with pytest.raises(InputError, match=message):
+            svm_train(X, [POS, NEG], **kwargs)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
         X = feature_matrix([{int(i): 1.0, int(i) % 3 + 5: 0.5}
                             for i in rng.integers(0, 5, 30)], 8)
         y = [SentimentLabel(int(l)) for l in rng.integers(0, 3, 30)]
-        a = svm_train(X, y, SvmHyper(seed=7))
-        b = svm_train(X, y, SvmHyper(seed=7))
+        a = svm_train(X, y, seed=7)
+        b = svm_train(X, y, seed=7)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)
 
     def test_large_lambda_shrinks_weights(self):
         X = feature_matrix([{0: 1.0}, {1: 1.0}, {2: 1.0}])
         y = [NEG, NEU, POS]
-        small = svm_train(X, y, SvmHyper(lambda_=1e-4, epochs=10, seed=0))
-        large = svm_train(X, y, SvmHyper(lambda_=100.0, epochs=10, seed=0))
+        small = svm_train(X, y, lambda_=1e-4, epochs=10, seed=0)
+        large = svm_train(X, y, lambda_=100.0, epochs=10, seed=0)
         assert np.linalg.norm(large.weights) < np.linalg.norm(small.weights)
 
     def test_zero_vector_zero_model_ties_to_negative(self):
@@ -193,13 +203,13 @@ class TestLinearSvm:
                 X.append(d)
                 y.append(SentimentLabel(c))
         X = feature_matrix(X, 6)
-        m = svm_train(X, y, SvmHyper(lambda_=1e-3, epochs=20, seed=2))
+        m = svm_train(X, y, lambda_=1e-3, epochs=20, seed=2)
         assert svm_predict(m, X)[0] == y
 
     @pytest.mark.parametrize("lambda_", [1e-4, 1e-2])
     def test_matches_per_record_reference(self, lambda_):
         X, rows, y, T = random_tfidf_corpus(200, seed=9)
-        m = svm_train(X, y, SvmHyper(lambda_=lambda_, epochs=5, seed=3))
+        m = svm_train(X, y, lambda_=lambda_, epochs=5, seed=3)
         weights, bias = ref.svm_train(rows, y, lambda_, 5, 3, T)
         np.testing.assert_allclose(m.weights, weights, rtol=0, atol=1e-10)
         np.testing.assert_allclose(m.bias, bias, rtol=0, atol=1e-10)
@@ -227,7 +237,7 @@ class TestLinearSvm:
         epochs = data.draw(st.integers(0, 4), label="epochs")
         seed = data.draw(st.integers(0, 2**32), label="seed")
         X = feature_matrix(rows, T)
-        m = svm_train(X, y, SvmHyper(lambda_=lambda_, epochs=epochs, seed=seed))
+        m = svm_train(X, y, lambda_=lambda_, epochs=epochs, seed=seed)
         weights, bias = ref.sparse_svm_train(X, y, lambda_, epochs, seed)
         np.testing.assert_array_equal(m.weights, weights)
         np.testing.assert_array_equal(m.bias, bias)
@@ -246,14 +256,14 @@ class TestLinearSvm:
             texts.append(" ".join(cue + [f"w{next(words)}" for _ in range(n)]))
             y.append(SentimentLabel(c))
         X = tfidf_transform(texts, fit_term_index(texts))
-        m = svm_train(X, y, SvmHyper(seed=1))
+        m = svm_train(X, y, seed=1)
         weights, bias = ref.sparse_svm_train(X, y, 1e-4, 20, 1)
         np.testing.assert_array_equal(m.weights, weights)
         np.testing.assert_array_equal(m.bias, bias)
 
     def test_zero_epochs_gives_zero_model(self, two_doc_fixture):
         X, y = two_doc_fixture
-        m = svm_train(X, y, SvmHyper(epochs=0))
+        m = svm_train(X, y, epochs=0, seed=0)
         np.testing.assert_array_equal(m.weights, 0.0)
         np.testing.assert_array_equal(m.bias, 0.0)
 
@@ -267,7 +277,7 @@ def test_no_dense_rows_by_features_array():
     tracemalloc.start()
     try:
         nb_predict(nb_train(X, y), X)
-        svm_predict(svm_train(X, y, SvmHyper(epochs=1)), X)
+        svm_predict(svm_train(X, y, epochs=1, seed=0), X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -293,7 +303,7 @@ class TestModelIO:
     def test_svm_roundtrip(self, tmp_path):
         X = feature_matrix([{0: 1.0}, {1: 1.0}, {2: 1.0}])
         y = [NEG, NEU, POS]
-        m = svm_train(X, y, SvmHyper(epochs=3, seed=5))
+        m = svm_train(X, y, epochs=3, seed=5)
         path = tmp_path / "svm.json"
         save_baseline(m, TWO_DOC_INDEX, path, {})
         loaded, idx = load_baseline(modelfile.read(path))
@@ -337,7 +347,7 @@ class TestModelIO:
         numbers as float64 in row order, a string as its text, null as
         nothing."""
         X, y = two_doc_fixture
-        m = nb_train(X, y) if model == "nb" else svm_train(X, y, SvmHyper(epochs=1))
+        m = nb_train(X, y) if model == "nb" else svm_train(X, y, epochs=1, seed=0)
         path = tmp_path / f"{model}.json"
         save_baseline(m, TWO_DOC_INDEX, path, {})
         *parents, name = key.split(".")

@@ -1,6 +1,8 @@
 import contextlib
 import csv
 import ctypes
+import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -23,7 +25,8 @@ from mixsent import baselines, cli, modelfile, preprocess
 from mixsent import transformer as tfm
 from mixsent.baselines import load_baseline, nb_predict, nb_train
 from mixsent.cli import main
-from mixsent.corpus import CANONICAL_LABEL_MAP, SentimentLabel, load_corpus
+from mixsent.corpus import CANONICAL_LABEL_MAP, SentimentLabel, SplitSpec, load_corpus
+from mixsent.encoder_config import TrainConfig
 from mixsent.errors import TrainingError
 from mixsent.features import fit_term_index, tfidf_transform
 from mixsent.metrics import evaluate, load_report
@@ -340,7 +343,10 @@ class TestTrain:
         def diverge(*args, **kwargs):
             raise TrainingError("non-finite loss")
 
-        monkeypatch.setattr(baselines, "svm_train", diverge)
+        # The svm section's defaults are read from svm_train's signature,
+        # which the stand-in keeps.
+        monkeypatch.setattr(baselines, "svm_train",
+                            functools.wraps(baselines.svm_train)(diverge))
         monkeypatch.setattr(tfm, "train", diverge)
         config = json.loads(TINY_TRANSFORMER_CONFIG)
         config["tokenizer"]["vocab_size"] = 60       # another vocabulary
@@ -2197,6 +2203,15 @@ def test_readme_lists_every_config_key():
     missing = [f"{name}.{key}" for name, keys in cli._settings().items() for key in keys
                if f"`{key}`" not in bullets[name]]
     assert missing == []
+
+
+def test_config_objects_are_their_sections():
+    """SplitSpec and TrainConfig hold exactly the keys of their --config
+    sections, so neither carries a value, such as the seed, that a config
+    cannot set."""
+    sections = cli._settings()
+    for name, cls in (("split", SplitSpec), ("train", TrainConfig)):
+        assert [f.name for f in dataclasses.fields(cls)] == list(sections[name]), name
 
 
 class TestAllocatorSetUp:

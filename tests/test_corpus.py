@@ -239,31 +239,31 @@ class TestClassDistribution:
 class TestSplit:
     def test_full_scale_sizes(self):
         c = make_corpus([1] * 8987 + [2] * 7940 + [0] * 7184)
-        tr, va, te = split(c, SplitSpec(seed=13))
+        tr, va, te = split(c, SplitSpec(), 13)
         assert (len(tr), len(va), len(te)) == (19288, 2411, 2412)
 
     def test_ten_records(self):
         c = make_corpus([0] * 10)
-        tr, va, te = split(c, SplitSpec(seed=0))
+        tr, va, te = split(c, SplitSpec(), 0)
         assert (len(tr), len(va), len(te)) == (8, 1, 1)
 
     def test_deterministic_given_seed(self):
         c = make_corpus([0, 1, 2] * 20)
-        first = split(c, SplitSpec(seed=99))
-        second = split(c, SplitSpec(seed=99))
+        first = split(c, SplitSpec(), 99)
+        second = split(c, SplitSpec(), 99)
         for x, y in zip(first, second):
             assert x.records == y.records
 
     def test_seed_changes_assignment(self):
         c = make_corpus([0, 1, 2] * 40)
-        a, _, _ = split(c, SplitSpec(seed=1))
-        b, _, _ = split(c, SplitSpec(seed=2))
+        a, _, _ = split(c, SplitSpec(), 1)
+        b, _, _ = split(c, SplitSpec(), 2)
         assert [r.id for r in a.records] != [r.id for r in b.records]
 
     def test_small_class_goes_to_train_with_warning(self):
         c = make_corpus([0] * 10 + [1] * 2)
         with pytest.warns(UserWarning, match="Neutral"):
-            tr, va, te = split(c, SplitSpec(seed=0))
+            tr, va, te = split(c, SplitSpec(), 0)
         neutral_ids = {r.id for r in c.records if r.label == SentimentLabel.NEUTRAL}
         assert neutral_ids <= {r.id for r in tr.records}
 
@@ -274,7 +274,7 @@ class TestSplit:
         labels = [0] * counts[0] + [1] * counts[1] + [2] * counts[2]
         c = make_corpus(labels)
         n = len(labels)
-        tr, va, te = split(c, SplitSpec(seed=seed))
+        tr, va, te = split(c, SplitSpec(), seed)
         assert len(tr) == int(0.8 * n + 1e-9)
         assert len(va) == int(0.1 * n + 1e-9)
         assert len(te) == n - len(tr) - len(va)
@@ -284,12 +284,12 @@ class TestSplit:
 
     def test_floor_formula_at_hundred_thousand_records(self):
         c = make_corpus([0] * 40003 + [1] * 34999 + [2] * 24998)  # N = 100,000
-        tr, va, te = split(c, SplitSpec(seed=17))
+        tr, va, te = split(c, SplitSpec(), 17)
         assert (len(tr), len(va), len(te)) == (80000, 10000, 10000)
 
     def test_stratified_per_class_within_one(self):
         c = make_corpus([0] * 100 + [1] * 50 + [2] * 25)
-        tr, _, _ = split(c, SplitSpec(seed=4))
+        tr, _, _ = split(c, SplitSpec(), 4)
         by = {label: 0 for label in (0, 1, 2)}
         for r in tr.records:
             by[int(r.label)] += 1
@@ -305,7 +305,11 @@ class TestSplit:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):
-            split(Corpus([]), SplitSpec())
+            split(Corpus([]), SplitSpec(), 0)
+
+    def test_seed_not_an_integer_rejected(self):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            split(make_corpus([0] * 10), SplitSpec(), "3")
 
 
 def test_canonical_label_map_covers_all_labels():

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsent import modelfile
-from mixsent.baselines import (SvmHyper, load_baseline, nb_train, save_baseline,
-                               svm_train)
+from mixsent.baselines import load_baseline, nb_train, save_baseline, svm_train
 from mixsent.corpus import (CANONICAL_LABEL_MAP, SentimentLabel, load_corpus,
                             load_label_map, save_corpus)
 from mixsent.errors import InputError
@@ -54,7 +53,7 @@ def _write_samples(d: Path) -> dict[str, Path]:
     X = feature_matrix([{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.5}])
     idx = fit_term_index(["a b", "b", "a"])
     save_baseline(nb_train(X, LABELS3), idx, paths["nb.json"], {})
-    save_baseline(svm_train(X, LABELS3, SvmHyper(epochs=2)), idx, paths["svm.json"], {})
+    save_baseline(svm_train(X, LABELS3, epochs=2, seed=0), idx, paths["svm.json"], {})
     save_transformer(paths["model.bin"], init_params(TINY, 1, np.float32), TINY,
                      Vocabulary.from_pieces(["li", "##kh", "##na", "bé"]), {})
     return paths

@@ -41,7 +41,7 @@ OPTIONAL = {"transformer", "metrics", "tokenizer", "encoder_config"}
 def test_only_encoder_commands_run_transformer_code(tmp_path, capsys):
     """The encoder, the evaluation metrics, the tokenizer and the encoder's
     configs run only in the commands that use them: a baseline predict and
-    --help run none of them."""
+    --help run none of them, and serving the encoder runs no metrics."""
     run, served = tmp_path / "run", tmp_path / "served"
     jsonl, map_path = write_inputs(tmp_path, n_per_class=6)
     prepare = ["prepare", "--input", str(jsonl), "--label-map", str(map_path)]
@@ -68,7 +68,8 @@ def test_only_encoder_commands_run_transformer_code(tmp_path, capsys):
         (["predict", "--model-file", str(run / "nb.json")], set(), OPTIONAL),  # stdin
         (["report", "--out-dir", str(run)], {"metrics"}, {"transformer", "tokenizer"}),
         (["predict", "--model-file", str(served / "transformer.bin"),
-          "--input", str(texts)], OPTIONAL, set()),
+          "--input", str(texts)], {"transformer", "tokenizer", "encoder_config"},
+         {"metrics"}),
     ]
     for argv, must_run, must_not_run in cases:
         proc = subprocess.run(

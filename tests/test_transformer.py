@@ -698,20 +698,24 @@ class TestTrainLoop:
 
     def test_zero_epochs_returns_init(self):
         texts, labels = self._data()
-        tc = TrainConfig(epochs=0, seed=3)
-        res = train(texts, labels, [], [], self.VOCAB, self.CFG, tc)
+        tc = TrainConfig(epochs=0)
+        res = train(texts, labels, [], [], self.VOCAB, self.CFG, tc, 3)
         np.testing.assert_array_equal(res.final_params,
                                       init_params(self.CFG, 3, np.float32))
         np.testing.assert_array_equal(res.best_params, res.final_params)
         assert res.best_params is not res.final_params
         assert res.log == []
 
+    def test_seed_not_an_integer_rejected(self):
+        texts, labels = self._data()
+        with pytest.raises(InputError, match="seed must be an integer"):
+            train(texts, labels, [], [], self.VOCAB, self.CFG, TrainConfig(), "3")
+
     def test_same_seed_identical_logs_and_params(self):
         texts, labels = self._data()
-        tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4,
-                         warmup_steps=2, seed=5)
-        a = train(texts, labels, texts, labels, self.VOCAB, self.CFG, tc)
-        b = train(texts, labels, texts, labels, self.VOCAB, self.CFG, tc)
+        tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, warmup_steps=2)
+        a = train(texts, labels, texts, labels, self.VOCAB, self.CFG, tc, 5)
+        b = train(texts, labels, texts, labels, self.VOCAB, self.CFG, tc, 5)
         assert a.log == b.log
         np.testing.assert_array_equal(a.final_params, b.final_params)
 
@@ -726,16 +730,15 @@ class TestTrainLoop:
         for batch_size, positions in ((1, sum(lengths)),
                                       (len(texts), len(texts) * max(lengths))):
             tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=batch_size,
-                             warmup_steps=0, seed=5)
-            res = train(texts, labels, [], [], self.VOCAB, self.CFG, tc)
+                             warmup_steps=0)
+            res = train(texts, labels, [], [], self.VOCAB, self.CFG, tc, 5)
             assert [(e["positions"], e["tokens"]) for e in res.log] == \
                 [(positions, sum(lengths))] * 2
 
     def test_best_epoch_tracked_with_validation(self):
         texts, labels = self._data()
-        tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4,
-                         warmup_steps=2, seed=5)
-        res = train(texts, labels, texts, labels, self.VOCAB, self.CFG, tc)
+        tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, warmup_steps=2)
+        res = train(texts, labels, texts, labels, self.VOCAB, self.CFG, tc, 5)
         f1s = [e["val_weighted_f1"] for e in res.log]
         assert res.best_epoch == int(np.argmax(f1s)) + 1
         assert len(res.log) == 3
@@ -754,9 +757,8 @@ class TestTrainLoop:
         all_texts, all_labels = self._data(n=18)
         texts, val_texts = all_texts[:9], all_texts[9:]
         labels, val_labels = all_labels[:9], all_labels[9:]
-        tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4,
-                         warmup_steps=2, seed=5)
-        res = train(texts, labels, val_texts, val_labels, self.VOCAB, self.CFG, tc)
+        tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, warmup_steps=2)
+        res = train(texts, labels, val_texts, val_labels, self.VOCAB, self.CFG, tc, 5)
         assert len(calls) == 18
         preds, _ = predict(res.final_params, self.CFG, self.VOCAB, val_texts)
         assert res.log[-1]["val_weighted_f1"] == evaluate(val_labels, preds)["weighted"]["f1"]
@@ -869,7 +871,6 @@ class TestSerialization:
         (EncoderConfig, "num_layers", 1.0),
         (EncoderConfig, "d_model", True),
         (EncoderConfig, "dropout", "x"),
-        (TrainConfig, "seed", "3"),
         (TrainConfig, "epochs", 1.5),
         (TrainConfig, "learning_rate", float("nan")),
         (EncoderConfig, "max_len", 12.0),
